@@ -22,7 +22,7 @@ Two verdicts, because they answer different questions:
 
 Tunables via environment:
 
-- ``HEALTH_GUARDRAIL_PACKETS``  (default 20000)
+- ``HEALTH_GUARDRAIL_PACKETS``  (default 60000)
 - ``HEALTH_GUARDRAIL_TRIALS``   (default 5)
 - ``HEALTH_GUARDRAIL_PCT``      (default 3.0)
 - ``HEALTH_GUARDRAIL_AB_PCT``   (default 25.0)
@@ -39,7 +39,7 @@ from repro.core import NeptuneConfig, NeptuneRuntime, StreamProcessingGraph
 from repro.observe import HealthEngine, RuntimeObserver, bridge, default_slos
 from repro.workloads import CollectingSink, CountingSource, RelayProcessor
 
-PACKETS = int(os.environ.get("HEALTH_GUARDRAIL_PACKETS", "20000"))
+PACKETS = int(os.environ.get("HEALTH_GUARDRAIL_PACKETS", "60000"))
 TRIALS = int(os.environ.get("HEALTH_GUARDRAIL_TRIALS", "5"))
 MAX_DUTY_PCT = float(os.environ.get("HEALTH_GUARDRAIL_PCT", "3.0"))
 MAX_AB_PCT = float(os.environ.get("HEALTH_GUARDRAIL_AB_PCT", "25.0"))

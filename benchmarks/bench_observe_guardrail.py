@@ -11,7 +11,7 @@ Exit code 0 iff the observed arm regresses by less than
 ``OBSERVE_GUARDRAIL_PCT`` percent (default 3, the PR's acceptance
 budget).  Tunables via environment:
 
-- ``OBSERVE_GUARDRAIL_PACKETS`` (default 10000)
+- ``OBSERVE_GUARDRAIL_PACKETS`` (default 30000)
 - ``OBSERVE_GUARDRAIL_TRIALS``  (default 5)
 - ``OBSERVE_GUARDRAIL_PCT``     (default 3.0)
 """
@@ -26,7 +26,7 @@ from repro.core import NeptuneConfig, NeptuneRuntime, StreamProcessingGraph
 from repro.observe import RuntimeObserver
 from repro.workloads import CollectingSink, CountingSource, RelayProcessor
 
-PACKETS = int(os.environ.get("OBSERVE_GUARDRAIL_PACKETS", "10000"))
+PACKETS = int(os.environ.get("OBSERVE_GUARDRAIL_PACKETS", "30000"))
 TRIALS = int(os.environ.get("OBSERVE_GUARDRAIL_TRIALS", "5"))
 MAX_REGRESSION_PCT = float(os.environ.get("OBSERVE_GUARDRAIL_PCT", "3.0"))
 

@@ -391,12 +391,13 @@ def _timed_collected(
     graph.add_processor("sink", lambda: sink)
     graph.link("source", "relay").link("relay", "sink")
 
-    # Production-plausible observability config: 1-in-256 trace
+    # Production-plausible observability config: 1-in-1024 trace
     # sampling and the coordinator's default 0.25s poll interval.
     # Span shipping dominates poll cost, so the duty bound below is
-    # for *this* pinned sampling rate; correctness suites that trace
+    # for *this* pinned sampling rate (~300 spans/s at the ~50k
+    # packets/s this relay sustains); correctness suites that trace
     # every packet trade that cost for coverage deliberately.
-    observer = RuntimeObserver(sample_every=256)
+    observer = RuntimeObserver(sample_every=1024)
     job = DistributedJob(graph, n_workers=2, observer=observer)
     collector: "ClusterCollector | None" = None
     source: "DeltaSource | None" = None

@@ -296,6 +296,9 @@ def run_pipeline_scenario(
             result.reconnects += t.reconnects
             result.replayed_frames += t.replayed_frames
         result.duplicates_suppressed += w._listener.duplicates_suppressed
-    result.trace_lines = [r.to_line() for r in injector.trace.records]
+    # Each direction's sender is its own thread: only the order within
+    # a site is deterministic, so the lines take the trace's canonical
+    # (sorted) order, like its digest.
+    result.trace_lines = sorted(r.to_line() for r in injector.trace.records)
     result.trace_digest = injector.trace.digest()
     return result

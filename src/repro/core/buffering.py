@@ -9,8 +9,9 @@ of the buffer after a certain time period since arrival of the first
 message."
 
 One :class:`StreamBuffer` exists per (operator instance → destination
-instance) link leg.  ``append`` accumulates serialized packets; the
-buffer flushes
+instance) link leg.  ``append_packet`` encodes a packet and appends it
+to the accumulation buffer (``append`` takes bytes serialized
+elsewhere); the buffer flushes
 
 - immediately when accumulated bytes reach ``capacity`` (flush happens
   on the appending worker thread — the batch is already in cache), or
@@ -44,6 +45,11 @@ FlushSink = Callable[["bytes | bytearray | memoryview", int], Any]
 #: take while both are out just allocates fresh.
 _SPARE_LIMIT = 2
 
+#: A capacity flush that keeps the appending thread longer than this
+#: counts as blocked on backpressure; anything shorter is just the
+#: sink's own work.
+_BLOCKED_THRESHOLD = 0.001
+
 
 class StreamBuffer:
     """Capacity-triggered, timer-bounded accumulation buffer.
@@ -52,10 +58,11 @@ class StreamBuffer:
     never imports :mod:`repro.observe`):
 
     - ``trace_leg`` — a :class:`~repro.observe.tracing.LegTrace`
-      shared with this buffer's flush sink.  ``append(payload, note)``
-      stamps the note's ``append_ts``/``batch_index``; the take stamps
-      ``take_ts`` and deposits the note on the leg, from which the sink
-      claims it (all under ``_flush_lock``, so no extra locking).
+      shared with this buffer's flush sink.  ``append_packet(codec,
+      packet, note)`` stamps the note's ``append_ts``/``batch_index``;
+      the take stamps ``take_ts`` and deposits the note on the leg,
+      from which the sink claims it (all under ``_flush_lock``, so no
+      extra locking).
     - ``observer`` — a :class:`~repro.observe.observer.RuntimeObserver`
       whose timeline receives ``buffer.timer_flush`` events.
     """
@@ -106,38 +113,91 @@ class StreamBuffer:
         self.spare_allocs = 0
         # Live-reconfiguration count (policy engine retunes).
         self.retunes = 0
+        # Seconds appending threads were held by capacity flushes that
+        # blocked (see _BLOCKED_THRESHOLD): waiting for the flush lock
+        # plus inside the sink.  Two clock reads per flush, not per
+        # packet; only the (serialized) appending thread writes it.
+        self.blocked_seconds = 0.0
 
-    def append(
-        self, payload: bytes | bytearray | memoryview, note: Any = None
-    ) -> bool:
-        """Add one serialized packet; returns True if this append flushed.
+    def append(self, payload: bytes | bytearray | memoryview) -> bool:
+        """Add one serialized packet; returns True if this append flushed."""
+        with self._lock:
+            buf = self._buf
+            if not buf:
+                self._first_append_at = self._clock.now()
+            buf += payload
+            self._count += 1
+            if len(buf) < self.capacity:
+                return False
+        return self._flush_capacity()
+
+    def append_packet(self, codec: Any, packet: Any, note: Any = None) -> bool:
+        """Encode and append ``packet``; returns True if this flushed.
+
+        The link's send path: the record goes from the packet's values
+        into the accumulation buffer in one append under the one
+        ``_lock`` hold.  ``codec`` is the link's
+        :class:`~repro.core.serde.PacketCodec` (duck-typed: ``schema``,
+        ``pack``, ``record``, ``reject``).  Every check
+        ``PacketCodec.encode_into`` makes is made here and raises the
+        same errors — schema match, completeness, and value validation
+        by the encode itself, all before the lock — so a failed encode
+        leaves bytes, count and timer exactly as they were.
 
         A ``note`` (observe trace note for a sampled packet) is stamped
         with its position and enqueue time and will ride the flushed
         batch to the sink via ``trace_leg``.
         """
+        values = packet._values
+        schema = codec.schema
+        if (packet.schema is not schema and packet.schema != schema) or None in values:
+            codec.reject(packet)
+        # The record is encoded before the lock, so the hold is one
+        # append and its bookkeeping: the flush timer and every metrics
+        # scrape take the same lock, and a thread that finds it held
+        # waits out a GIL switch interval.  An all-fixed schema is one
+        # Struct.pack; anything else (and the diagnostic replay of a
+        # failed pack) goes through the codec's scratch.
+        pack = codec.pack
+        if pack is None:
+            record = codec.record(values)
+        else:
+            try:
+                record = pack(*values)
+            except Exception:
+                record = codec.record(values)  # raises, naming the value
         with self._lock:
-            if not self._buf:
+            buf = self._buf
+            buf += record
+            count = self._count
+            if not count:
                 self._first_append_at = self._clock.now()
             if note is not None:
-                note.batch_index = self._count
+                note.batch_index = count
                 note.append_ts = self._clock.now()
                 self._notes.append(note)
-            self._buf += payload
-            self._count += 1
-            due = len(self._buf) >= self.capacity
-        if not due:
-            return False
+            self._count = count + 1
+            if len(buf) < self.capacity:
+                return False
+        return self._flush_capacity()
+
+    def _flush_capacity(self) -> bool:
+        """Capacity-triggered flush on the appending thread."""
+        before = self._clock.now()
+        body = None
         with self._flush_lock:
             with self._lock:
-                # Re-check: the timer thread may have flushed meanwhile.
-                if len(self._buf) < self.capacity:
-                    return False
-                body, count = self._take_locked()
-                self.capacity_flushes += 1
+                # Re-check: the timer thread may have flushed meanwhile
+                # (and may be what kept us waiting for the flush lock).
+                if len(self._buf) >= self.capacity:
+                    body, count = self._take_locked()
+                    self.capacity_flushes += 1
             if body is not None:
                 self._sink(body, count)
-        return True
+        held = self._clock.now() - before
+        if held > _BLOCKED_THRESHOLD:
+            self.blocked_seconds += held
+        return body is not None
 
     def flush(self) -> bool:
         """Force a flush of any pending data (graph drain / shutdown)."""
@@ -280,6 +340,14 @@ class StreamBuffer:
         """Packets accumulated and not yet flushed."""
         with self._lock:
             return self._count
+
+    def appended(self) -> tuple[int, int]:
+        """``(packets, bytes)`` ever appended: flushed plus pending."""
+        with self._lock:
+            return (
+                self.packets_flushed + self._count,
+                self.bytes_flushed + len(self._buf),
+            )
 
 
 def retune_matching(

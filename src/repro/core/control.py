@@ -60,6 +60,9 @@ class ControlServer:
                 conn, _ = self._server.accept()
             except OSError:
                 return
+            if not self._running:  # close()'s wake-up connection
+                conn.close()
+                return
             threading.Thread(
                 target=self._serve,
                 args=(conn,),
@@ -169,7 +172,17 @@ class ControlServer:
 
     def close(self) -> None:
         """Release underlying resources. Idempotent."""
+        if not self._running:
+            return
         self._running = False
+        # Closing the listening socket does not wake a thread blocked
+        # in accept(); a throwaway connection does (the loop then sees
+        # _running is False and exits), so the join returns at once.
+        try:
+            host = "127.0.0.1" if self.host == "0.0.0.0" else self.host
+            socket.create_connection((host, self.port), timeout=0.5).close()
+        except OSError:
+            pass
         self._server.close()
         self._thread.join(5.0)
 

@@ -50,6 +50,11 @@ from repro.observe.tracing import LegTrace, encode_notes
 from repro.util.errors import GraphValidationError, NeptuneError, TransportError
 
 
+#: How long an early frame waits for this worker's ``connect()`` (the
+#: same window a sender grants a slow-starting peer's listener).
+_WIRING_TIMEOUT = 30.0
+
+
 @dataclass(frozen=True)
 class DeploymentPlan:
     """Instance → worker assignment for one graph."""
@@ -154,8 +159,11 @@ class DistributedWorker:
         self.job = _JobRuntime(graph, observer=observer)
         self._flush_service = FlushTimerService()
         self._resource: Resource | None = None
-        # Inbound routing: global wire id → (channel, in_info).
+        # Inbound routing: global wire id → (channel, in_info), filled by
+        # connect(); the listener below accepts from construction on,
+        # so frames from a peer that started first wait on ``_wired``.
         self._inbound: dict[int, tuple] = {}
+        self._wired = threading.Event()
         self._injector = injector
         # Recovery protocol (ack + replay + duplicate suppression) is
         # symmetric: the listener speaks it iff our outbound transports
@@ -282,6 +290,9 @@ class DistributedWorker:
                 if sender_here:
                     sender_inst = local[(link.from_op, s_idx)]
                     sender_inst.out_links.setdefault(link.stream, []).append(out)
+        for inst in self.job.all_instances():
+            inst.bind_links()
+        self._wired.set()
 
         # Watermark gate transitions land on the observer's timeline,
         # same as the single-process runtime — including the throttled
@@ -417,6 +428,14 @@ class DistributedWorker:
 
     # -- inbound ------------------------------------------------------------------
     def _on_frame(self, frame: Frame) -> None:
+        if not self._wired.is_set():
+            # A peer that started first can flush before this worker's
+            # connect() ran.  Hold its frames — a blocked reader thread
+            # is ordinary backpressure — rather than fail them: the
+            # listener has already advanced its sequence tracker, so a
+            # frame refused here would be acked as a duplicate on
+            # replay and lost.
+            self._wired.wait(_WIRING_TIMEOUT)
         entry = self._inbound.get(frame.link_id)
         if entry is None:
             raise NeptuneError(

@@ -178,7 +178,7 @@ class CompiledSchema:
     plan is immutable and shared by every codec of the schema).
     """
 
-    __slots__ = ("types", "steps", "fixed_total", "record_size")
+    __slots__ = ("types", "steps", "fixed_total", "record_size", "record_struct")
 
     def __init__(self, types: Sequence[FieldType]) -> None:
         self.types = tuple(types)
@@ -210,6 +210,11 @@ class CompiledSchema:
         self.fixed_total = fixed_total
         #: Exact record size when every field is fixed-width, else None.
         self.record_size = fixed_total if var_fields == 0 else None
+        #: The one ``struct.Struct`` covering a whole all-fixed record
+        #: (a record is then one ``pack``, a batch one ``iter_unpack``).
+        self.record_struct: struct.Struct | None = (
+            steps[0][1] if var_fields == 0 else None
+        )
 
     def encode_values(self, values: Sequence[Any], out: bytearray) -> None:
         """Append the wire form of one record's ``values`` to ``out``.
@@ -261,8 +266,27 @@ def compile_fieldtypes(types: tuple[FieldType, ...]) -> CompiledSchema:
     return CompiledSchema(types)
 
 
+#: Classes whose instances :func:`validate_value` accepts without
+#: looking any further, per field type: ``StreamPacket.set_at`` tests
+#: ``type(value)`` against the schema's precomputed row of these and
+#: only falls back to :func:`validate_value` for everything else
+#: (subclasses, lists — whose elements need the scan — and rejects).
+#: ``bool`` is deliberately absent from the numeric rows.
+EXACT_TYPES: dict[FieldType, tuple[type, ...]] = {
+    FieldType.BOOL: (bool,),
+    FieldType.INT32: (int,),
+    FieldType.INT64: (int,),
+    FieldType.FLOAT32: (float, int),
+    FieldType.FLOAT64: (float, int),
+    FieldType.STRING: (str,),
+    FieldType.BYTES: (bytes, bytearray, memoryview),
+    FieldType.FLOAT64_LIST: (),
+    FieldType.INT64_LIST: (),
+}
+
+
 def validate_value(ftype: FieldType, value: Any) -> bool:
-    """Cheap type check used by strict-mode packet assignment."""
+    """Type check behind packet assignment (the reference rule)."""
     if ftype is FieldType.BOOL:
         return isinstance(value, bool)
     if ftype in (FieldType.INT32, FieldType.INT64):

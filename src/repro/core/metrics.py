@@ -4,7 +4,10 @@ evaluation metrics, §IV) plus operator-level counters.
 Counters are lock-free from the owning thread's perspective: each
 operator instance executes serialized, so its counter instance has a
 single writer; readers take snapshots that may be one packet stale —
-fine for monitoring.
+fine for monitoring.  The output-side counters are not written per
+packet at all: a ``refresh`` hook derives them from what the
+instance's stream buffers already count per batch, whenever the
+registry is read.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+from typing import Callable
 
 
 class LatencyRecorder:
@@ -95,6 +99,9 @@ class OperatorMetrics:
     executions: int = 0
     emit_block_seconds: float = 0.0
     latency: LatencyRecorder = field(default_factory=LatencyRecorder)
+    #: Brings derived counters up to date; the registry calls it before
+    #: every read (``operators``/``snapshot``).
+    refresh: Callable[[], None] | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -134,12 +141,15 @@ class MetricsRegistry:
     def operators(self) -> list[OperatorMetrics]:
         """Snapshot of all per-instance metric objects (for exporters)."""
         with self._lock:
-            return list(self._operators.values())
+            entries = list(self._operators.values())
+        for m in entries:
+            if m.refresh is not None:
+                m.refresh()
+        return entries
 
     def snapshot(self) -> dict[str, dict]:
         """Aggregated per-operator totals (summed over instances)."""
-        with self._lock:
-            entries = list(self._operators.values())
+        entries = self.operators()
         agg: dict[str, dict] = {}
         for m in entries:
             a = agg.setdefault(

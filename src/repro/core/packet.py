@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Mapping, Sequence
 
-from repro.core.fieldtypes import FieldType, validate_value
+from repro.core.fieldtypes import EXACT_TYPES, FieldType, validate_value
 from repro.util.errors import SerializationError
 
 
@@ -25,7 +25,7 @@ class PacketSchema:
     must agree on the schema (enforced by graph validation).
     """
 
-    __slots__ = ("_names", "_types", "_index", "_hash")
+    __slots__ = ("_names", "_types", "_index", "_hash", "_exact", "_blank")
 
     def __init__(self, fields: Sequence[tuple[str, FieldType]]) -> None:
         if not fields:
@@ -41,6 +41,10 @@ class PacketSchema:
         self._types = tuple(FieldType(t) for _, t in fields)
         self._index = {n: i for i, n in enumerate(names)}
         self._hash = hash((self._names, self._types))
+        # Per-packet work resolved once per schema: the classes each
+        # field accepts on sight (set_at) and a cleared value row (reset).
+        self._exact = tuple(EXACT_TYPES[t] for t in self._types)
+        self._blank = (None,) * len(names)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -110,11 +114,14 @@ class StreamPacket:
     index (``pkt.get_at(2)``, faster on hot paths).
     """
 
-    __slots__ = ("schema", "_values")
+    __slots__ = ("schema", "_values", "_home")
 
     def __init__(self, schema: PacketSchema) -> None:
         self.schema = schema
         self._values: list[Any] = [None] * len(schema)
+        #: The runtime free-list this packet is on lease from, if any
+        #: (``ctx.new_packet``); a packet built by hand is never pooled.
+        self._home: list[StreamPacket] | None = None
 
     # -- field access ---------------------------------------------------------
     def set(self, name: str, value: Any) -> "StreamPacket":
@@ -123,11 +130,13 @@ class StreamPacket:
 
     def set_at(self, index: int, value: Any) -> "StreamPacket":
         """Assign a field by index (hot-path variant of set)."""
-        ftype = self.schema.types[index]
-        if not validate_value(ftype, value):
+        schema = self.schema
+        if type(value) not in schema._exact[index] and not validate_value(
+            schema._types[index], value
+        ):
             raise SerializationError(
-                f"value {value!r} is not a valid {ftype.value} "
-                f"for field {self.schema.names[index]!r}"
+                f"value {value!r} is not a valid {schema._types[index].value} "
+                f"for field {schema._names[index]!r}"
             )
         self._values[index] = value
         return self
@@ -153,13 +162,12 @@ class StreamPacket:
 
     def is_complete(self) -> bool:
         """Whether every field has been assigned (required to encode)."""
-        return all(v is not None for v in self._values)
+        return None not in self._values
 
     # -- reuse ------------------------------------------------------------------
     def reset(self) -> "StreamPacket":
         """Clear all values for reuse from a pool."""
-        for i in range(len(self._values)):
-            self._values[i] = None
+        self._values[:] = self.schema._blank
         return self
 
     def copy_from(self, other: "StreamPacket") -> "StreamPacket":

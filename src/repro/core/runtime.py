@@ -11,7 +11,11 @@ This is where the paper's §III-B machinery composes:
   §III-B1) feeding a transport, with an optional per-link selective
   compression policy (§III-B5);
 - serde uses per-link reusable codecs and pooled packets (object
-  reuse, §III-B3);
+  reuse, §III-B3), and each link's send path is *compiled* when the
+  graph is wired (:meth:`_InstanceRuntime.bind_links`): everything a
+  packet's journey does not depend on is resolved once, so an emit is
+  routing plus one encode-and-append ``StreamBuffer.append_packet`` per
+  destination;
 - threads form two tiers: the Granules worker pool executes operators,
   and the IO tier (flush-timer thread plus, in distributed mode,
   socket reader threads) moves bytes.
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any
+from typing import Any, Iterator
 
 from repro.compression import CompressionPolicy
 from repro.core.buffering import FlushTimerService, StreamBuffer
@@ -39,9 +43,8 @@ from repro.core.config import NeptuneConfig
 from repro.core.graph import LinkSpec, OperatorSpec, StreamProcessingGraph
 from repro.core.job import JobHandle, JobState
 from repro.core.metrics import MetricsRegistry
-from repro.core.object_pool import ObjectPool
 from repro.core.operators import StreamProcessor
-from repro.core.packet import StreamPacket
+from repro.core.packet import PacketSchema, StreamPacket
 from repro.core.serde import PacketCodec
 from repro.granules.dataset import Dataset
 from repro.granules.resource import Resource
@@ -139,8 +142,36 @@ class _ActiveTrace:
         self.consumed = False
 
 
+#: Free packets one instance keeps per outgoing schema.
+_FREE_LIST_LIMIT = 256
+
+
+class _PacketFreeList(list[StreamPacket]):
+    """One instance's free packets of one schema, with reuse counters.
+
+    A plain list, and deliberately lock-free: an operator instance's
+    executions are serialized (the Granules per-task guarantee), and
+    only the owning instance's ``new_packet``/``emit`` touch it.  A
+    leased packet remembers this list in ``_home``; emit hands it back.
+    """
+
+    __slots__ = ("schema", "created", "reused", "overflow")
+
+    def __init__(self, schema: PacketSchema) -> None:
+        super().__init__()
+        self.schema = schema
+        self.created = 0
+        self.reused = 0
+        self.overflow = 0  # releases dropped because the list was full
+
+
 class _InstanceRuntime(ComputationalTask):
-    """One operator instance as a Granules computational task."""
+    """One operator instance as a Granules computational task.
+
+    It is also the :class:`~repro.core.operators.EmitContext` handed to
+    the operator: ``ctx.emit`` and ``ctx.new_packet`` are this
+    instance's methods, with no forwarding object in between.
+    """
 
     def __init__(
         self,
@@ -164,14 +195,17 @@ class _InstanceRuntime(ComputationalTask):
         self.operator = spec.factory()
         self.operator.name = spec.name
         self.metrics = job.metrics.for_operator(spec.name, index)
+        self.metrics.refresh = self._refresh_output_metrics
         self.finished = not spec.is_source  # processors "finish" via drain
         self.paused = False  # quiesced-checkpoint gate (sources only)
         self.out_links: dict[str, list[_OutLinkRuntime]] = {}
         self.channel: WatermarkChannel | None = None
         self._expected_seq: dict[int, int] = {}
-        self._pools: dict[Any, ObjectPool[StreamPacket]] = {}
-        self._pool_leases: dict[int, ObjectPool[StreamPacket]] = {}
-        self.ctx = _Context(self)
+        # Resolved by bind_links() once the out-links are wired: what
+        # ``stream=None`` means, and the free-list behind each stream.
+        self._default_links: list[_OutLinkRuntime] | None = None
+        self._default_free: _PacketFreeList | None = None
+        self._free_lists: dict[PacketSchema, _PacketFreeList] = {}
         if not spec.is_source:
             cfg = job.graph.config
             self.channel = WatermarkChannel(
@@ -180,10 +214,31 @@ class _InstanceRuntime(ComputationalTask):
             )
             self.attach_dataset(_ChannelDataset("inbound", self.channel))
 
+    def bind_links(self) -> None:
+        """Compile the send path; call once ``out_links`` is complete.
+
+        Resolves, per instance instead of per packet, which links the
+        default stream means and which packet free-list serves it.
+        """
+        if len(self.out_links) == 1:
+            self._default_links = next(iter(self.out_links.values()))
+            self._default_free = self._free_list_for(self._default_links)
+
+    # -- EmitContext -------------------------------------------------------
+    @property
+    def instance_index(self) -> int:
+        """This instance's index in [0, parallelism)."""
+        return self.index
+
+    @property
+    def parallelism(self) -> int:
+        """Total instances of this operator."""
+        return self.spec.parallelism
+
     # -- lifecycle ---------------------------------------------------------
     def initialize(self) -> None:
         """Prepare for use (framework-managed lifecycle)."""
-        self.operator.setup(self.ctx)
+        self.operator.setup(self)
 
     def terminate(self) -> None:
         """Per-instance cleanup hook."""
@@ -197,7 +252,7 @@ class _InstanceRuntime(ComputationalTask):
         if not _profiler._ACTIVE:
             if self.spec.is_source:
                 if not self.finished:
-                    self.operator.generate(self.ctx)  # type: ignore[union-attr]
+                    self.operator.generate(self)  # type: ignore[union-attr]
                 return
             self._process_available()
             return
@@ -205,7 +260,7 @@ class _InstanceRuntime(ComputationalTask):
         try:
             if self.spec.is_source:
                 if not self.finished:
-                    self.operator.generate(self.ctx)  # type: ignore[union-attr]
+                    self.operator.generate(self)  # type: ignore[union-attr]
                 return
             self._process_available()
         finally:
@@ -220,12 +275,12 @@ class _InstanceRuntime(ComputationalTask):
         if not frames:
             # Time/count-triggered execution with no pending data.
             if self.spec.scheduling is not None:
-                self.operator.on_schedule(self.ctx)  # type: ignore[union-attr]
+                self.operator.on_schedule(self)  # type: ignore[union-attr]
                 self.metrics.executions += 1
             return
         op: StreamProcessor = self.operator  # type: ignore[assignment]
         obs = self._observer
-        ctx = self.ctx
+        ctx = self  # the operator's EmitContext
         total_packets = 0
         total_bytes = 0
         latency = self.metrics.latency
@@ -312,36 +367,34 @@ class _InstanceRuntime(ComputationalTask):
 
     # -- emission ------------------------------------------------------------
     def emit(self, packet: StreamPacket, stream: str | None = None) -> None:
-        """Send a packet downstream (blocking under backpressure)."""
+        """Send a packet downstream (blocking under backpressure).
+
+        One sender path for traced, untraced and fan-out packets: route,
+        then one encode-and-append per destination.  Output counters
+        and blocked time are the buffers' (per batch), read back by
+        ``_refresh_output_metrics``.
+        """
+        links = self._default_links if stream is None else None
+        if links is None:
+            links = self._links_for(stream)
         note = self._mint_note(self._observer) if self._tracing else None
-        links = self._links_for(stream)
         for out in links:
-            n_dest = len(out.buffers)
-            targets = out.scheme.route(packet, n_dest)
-            if not targets:
-                continue
-            # Zero-copy: a view over the codec scratch, valid until the
-            # next encode on this codec — append() copies it into the
-            # stream buffer before we loop around.
-            encoded = out.codec.encode_view(packet)
-            for dest in targets:
-                buf = out.buffers[dest]
-                before = time.monotonic()
-                if note is not None:
-                    # On fan-out only the first leg carries the trace:
-                    # a packet's journey stays a single stage chain.
-                    buf.append(encoded, note)
-                    note = None
-                else:
-                    buf.append(encoded)
-                blocked = time.monotonic() - before
-                if blocked > 0.001:
-                    self.metrics.emit_block_seconds += blocked
-            self.metrics.packets_out += len(targets)
-            self.metrics.bytes_out += len(encoded) * len(targets)
-        pool = self._pool_leases.pop(id(packet), None)
-        if pool is not None:
-            pool.release(packet)
+            buffers = out.buffers
+            codec = out.codec
+            for dest in out.scheme.route(packet, len(buffers)):
+                # On fan-out only the first leg carries the trace: a
+                # packet's journey stays a single stage chain.
+                buffers[dest].append_packet(codec, packet, note)
+                note = None
+        home = packet._home
+        if home is not None:
+            # Lease over: back to the free-list it came from, once.
+            packet._home = None
+            packet._values[:] = home.schema._blank
+            if len(home) < _FREE_LIST_LIMIT:
+                home.append(packet)
+            else:
+                home.overflow += 1
 
     def _mint_note(self, obs: Any) -> TraceNote | None:
         """Trace context for this emit: fresh at sources (sampled),
@@ -386,21 +439,46 @@ class _InstanceRuntime(ComputationalTask):
                 f"declared: {sorted(self.out_links)}"
             ) from None
 
+    def _free_list_for(self, links: list[_OutLinkRuntime]) -> _PacketFreeList:
+        schema = links[0].link.schema
+        free = self._free_lists.get(schema)
+        if free is None:
+            free = self._free_lists[schema] = _PacketFreeList(schema)
+        return free
+
     def new_packet(self, stream: str | None = None) -> StreamPacket:
         """A pooled packet bound to the outgoing stream's schema."""
-        links = self._links_for(stream)
-        schema = links[0].link.schema
-        pool = self._pools.get(schema)
-        if pool is None:
-            pool = ObjectPool(
-                factory=lambda s=schema: StreamPacket(s),
-                reset=StreamPacket.reset,
-                max_size=256,
-            )
-            self._pools[schema] = pool
-        pkt = pool.acquire()
-        self._pool_leases[id(pkt)] = pool
+        free = self._default_free if stream is None else None
+        if free is None:
+            free = self._free_list_for(self._links_for(stream))
+        if free:
+            pkt = free.pop()
+            free.reused += 1
+        else:
+            pkt = StreamPacket(free.schema)
+            free.created += 1
+        pkt._home = free
         return pkt
+
+    def _out_buffers(self) -> Iterator[StreamBuffer]:
+        """Every outbound stream buffer of this instance."""
+        for links in self.out_links.values():
+            for out in links:
+                yield from out.buffers
+
+    def _refresh_output_metrics(self) -> None:
+        """Derive the output counters from the stream buffers (any
+        thread; the emit path itself counts nothing per packet)."""
+        packets = size = 0
+        blocked = 0.0
+        for buf in self._out_buffers():
+            n, nbytes = buf.appended()
+            packets += n
+            size += nbytes
+            blocked += buf.blocked_seconds
+        self.metrics.packets_out = packets
+        self.metrics.bytes_out = size
+        self.metrics.emit_block_seconds = blocked
 
     def finish(self) -> None:
         """Declare this source exhausted (stops its scheduling)."""
@@ -408,51 +486,13 @@ class _InstanceRuntime(ComputationalTask):
 
     def flush_all(self) -> None:
         """Force-flush every outbound buffer."""
-        for links in self.out_links.values():
-            for out in links:
-                for buf in out.buffers:
-                    buf.flush()
+        for buf in self._out_buffers():
+            buf.flush()
 
     @property
     def pending_out_bytes(self) -> int:
         """Unflushed outbound bytes across all link legs."""
-        return sum(
-            buf.pending_bytes
-            for links in self.out_links.values()
-            for out in links
-            for buf in out.buffers
-        )
-
-
-class _Context:
-    """EmitContext implementation handed to user operators."""
-
-    __slots__ = ("_inst",)
-
-    def __init__(self, inst: _InstanceRuntime) -> None:
-        self._inst = inst
-
-    @property
-    def instance_index(self) -> int:
-        """This instance's index in [0, parallelism)."""
-        return self._inst.index
-
-    @property
-    def parallelism(self) -> int:
-        """Total instances of this operator."""
-        return self._inst.spec.parallelism
-
-    def emit(self, packet: StreamPacket, stream: str | None = None) -> None:
-        """Send a packet downstream (blocking under backpressure)."""
-        self._inst.emit(packet, stream)
-
-    def new_packet(self, stream: str | None = None) -> StreamPacket:
-        """A pooled packet bound to the outgoing stream's schema."""
-        return self._inst.new_packet(stream)
-
-    def finish(self) -> None:
-        """Declare this source exhausted (stops its scheduling)."""
-        self._inst.finish()
+        return sum(buf.pending_bytes for buf in self._out_buffers())
 
 
 class _InLinkInfo:
@@ -618,6 +658,8 @@ class NeptuneRuntime:
                     job.buffers.append(buf)
                     self._flush_service.register(buf)
                 sender.out_links.setdefault(link.stream, []).append(out)
+        for inst in job.all_instances():
+            inst.bind_links()
 
         # Backpressure visibility: watermark gate transitions land on
         # the observer's event timeline, carrying the upstream operators

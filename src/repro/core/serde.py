@@ -9,14 +9,19 @@ A :class:`PacketCodec` is created once per (schema, link) and reused for
 every batch:
 
 - ``encode_into`` appends a packet's wire form to a caller-owned
-  ``bytearray`` (the stream buffer) — no per-packet allocations beyond
-  the bytes themselves.  On any encode error the output is truncated
-  back to the record start, so a failed encode never leaves partial
-  record bytes in a shared buffer.
+  ``bytearray`` — no per-packet allocations beyond the bytes
+  themselves.  On any encode error the output is truncated back to the
+  record start, so a failed encode never leaves partial record bytes in
+  a shared buffer.
+- The link path, ``StreamBuffer.append_packet``, makes the same checks
+  (``reject``) and takes the record from ``pack`` (all-fixed schemas:
+  one ``Struct.pack``, no scratch) or ``record`` (the reused scratch)
+  before it takes its lock, so the hold is one append.
 - ``iter_decode`` walks a batch body yielding packets.  With
   ``reuse=True`` it yields the *same* pooled packet object refilled per
   record (zero packet allocations per message — callers must not retain
-  it past the iteration step; ``clone()`` if they must).
+  it past the iteration step; ``clone()`` if they must).  An all-fixed
+  batch is walked by one ``Struct.iter_unpack``.
 
 By default the codec runs on a :class:`~repro.core.fieldtypes.CompiledSchema`:
 every maximal run of consecutive fixed-width fields is one precompiled
@@ -32,7 +37,7 @@ static per link, which is precisely what makes the codec reusable).
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Any, Iterator, NoReturn
 
 from repro.core.fieldtypes import (
     FieldType,
@@ -54,6 +59,7 @@ class PacketCodec:
 
     __slots__ = (
         "schema",
+        "pack",
         "_plan",
         "_scratch",
         "_reused_packet",
@@ -64,6 +70,11 @@ class PacketCodec:
     def __init__(self, schema: PacketSchema, compiled: bool = True) -> None:
         self.schema = schema
         self._plan = compile_fieldtypes(schema.types) if compiled else None
+        layout = self._plan.record_struct if self._plan is not None else None
+        #: ``struct.Struct.pack`` of a whole record when the compiled
+        #: schema is all fixed-width, else None.  On failure callers
+        #: replay through :meth:`record` for the per-field diagnostic.
+        self.pack = layout.pack if layout is not None else None
         self._scratch = bytearray()
         self._reused_packet = StreamPacket(schema)
         self.packets_encoded = 0
@@ -89,24 +100,25 @@ class PacketCodec:
         return scratch
 
     # -- encoding -----------------------------------------------------------
-    def encode_into(self, packet: StreamPacket, out: bytearray) -> int:
-        """Append ``packet``'s wire form to ``out``; return bytes written.
-
-        Exception-safe: when any field fails to encode, ``out`` is
-        truncated back to its length on entry, so a shared stream
-        buffer never accumulates a partial record.
-        """
+    def reject(self, packet: StreamPacket) -> NoReturn:
+        """Raise for a packet that failed the two pre-encode checks
+        (``packet.schema`` is this codec's; no value is ``None``)."""
         if packet.schema != self.schema:
             raise SerializationError(
                 f"packet schema {packet.schema!r} does not match codec schema {self.schema!r}"
             )
-        if not packet.is_complete():
-            missing = [
-                n for n, v in zip(self.schema.names, packet.values) if v is None
-            ]
-            raise SerializationError(f"packet incomplete; unset fields: {missing}")
+        missing = [n for n, v in zip(self.schema.names, packet.values) if v is None]
+        raise SerializationError(f"packet incomplete; unset fields: {missing}")
+
+    def append_values(self, values: list[Any], out: bytearray) -> None:
+        """Append one record's already-checked ``values`` to ``out``.
+
+        Exception-safe: a mid-record failure (an out-of-range int32 on
+        a later field, a bad list element after the length prefix)
+        truncates ``out`` back to its length on entry — partial bytes
+        would corrupt every later packet on the link.
+        """
         start = len(out)
-        values = packet._values
         plan = self._plan
         try:
             if plan is not None:
@@ -115,13 +127,31 @@ class PacketCodec:
                 for i, ftype in enumerate(self.schema.types):
                     encode_field(ftype, values[i], out)
         except Exception:
-            # A mid-record failure (e.g. an out-of-range int32 on a
-            # later field, or a bad list element after the length
-            # prefix) must not strand partial bytes in the caller's
-            # buffer — they would corrupt every later packet on the
-            # link.
             del out[start:]
             raise
+
+    def record(self, values: list[Any]) -> bytearray:
+        """One record's already-checked ``values``, encoded into the
+        internal scratch: valid until the next encode on this codec
+        (one codec belongs to one sender instance, whose executions are
+        serialized — no locking needed)."""
+        scratch = self._clear_scratch()
+        self.append_values(values, scratch)
+        return scratch
+
+    def encode_into(self, packet: StreamPacket, out: bytearray) -> int:
+        """Append ``packet``'s wire form to ``out``; return bytes written.
+
+        Exception-safe: when any field fails to encode, ``out`` is
+        truncated back to its length on entry, so a shared stream
+        buffer never accumulates a partial record.
+        """
+        values = packet._values
+        schema = self.schema
+        if (packet.schema is not schema and packet.schema != schema) or None in values:
+            self.reject(packet)
+        start = len(out)
+        self.append_values(values, out)
         self.packets_encoded += 1
         return len(out) - start
 
@@ -175,24 +205,41 @@ class PacketCodec:
         a record beyond ``count`` appears) — so a consumer that stops
         iterating early still observes a short or overlong batch.
         """
-        offset = 0
-        n = 0
         view = memoryview(body) if not isinstance(body, memoryview) else body
         total = len(view)
         plan = self._plan
-        if (
-            count is not None
-            and plan is not None
-            and plan.record_size is not None
-            and total != count * plan.record_size
-        ):
-            raise SerializationError(
-                f"batch declared {count} packets "
-                f"({count * plan.record_size} bytes), body has {total} bytes"
-            )
-        pooled = self._reused_packet
+        layout = plan.record_struct if plan is not None else None
+        pkt = self._reused_packet
+        if plan is not None and layout is not None:
+            # All-fixed batch: the size check is exact and up front, and
+            # one iter_unpack walks the whole records; a trailing
+            # partial record raises once they are out.
+            size = layout.size
+            if count is not None and total != count * size:
+                raise SerializationError(
+                    f"batch declared {count} packets "
+                    f"({count * size} bytes), body has {total} bytes"
+                )
+            whole = total - total % size
+            if reuse:
+                row = pkt._values
+                for values in layout.iter_unpack(view[:whole]):
+                    row[:] = values
+                    yield pkt
+            else:
+                for values in layout.iter_unpack(view[:whole]):
+                    pkt = StreamPacket(self.schema)
+                    pkt._values[:] = values
+                    yield pkt
+            self.packets_decoded += whole // size
+            if whole != total:
+                plan.decode_into(pkt._values, view, whole)  # raises: truncated
+            return
+        offset = 0
+        n = 0
         while offset < total:
-            pkt = pooled if reuse else StreamPacket(self.schema)
+            if not reuse:
+                pkt = StreamPacket(self.schema)
             offset = self._fill(pkt, view, offset)
             n += 1
             if count is not None and (

@@ -193,13 +193,20 @@ class FrameDecoder:
                 return None
             (trace_len,) = _TRACE_LEN.unpack_from(self._buf, HEADER_SIZE)
             body_at = HEADER_SIZE + _TRACE_LEN.size + trace_len
-            if len(self._buf) < body_at + length:
-                return None
-            trace = bytes(self._buf[HEADER_SIZE + _TRACE_LEN.size : body_at])
-        if len(self._buf) < body_at + length:
+        end = body_at + length
+        if len(self._buf) < end:
             return None
-        body = bytes(self._buf[body_at : body_at + length])
-        del self._buf[: body_at + length]
+        # Slicing the bytearray itself would copy each part twice (a
+        # temporary bytearray, then bytes); through a view it is once.
+        # The views must be gone before the resize below: a bytearray
+        # with a live export cannot shrink (BufferError).
+        with memoryview(self._buf) as view:
+            if version == VERSION_TRACED:
+                with view[HEADER_SIZE + _TRACE_LEN.size : body_at] as part:
+                    trace = bytes(part)
+            with view[body_at:end] as part:
+                body = bytes(part)
+        del self._buf[:end]
         if xxh32(body) != checksum:
             raise SerializationError(
                 f"checksum mismatch on link {link_id} seq {seq}: packet corrupted"

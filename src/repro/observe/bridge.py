@@ -3,7 +3,7 @@
 The runtime already counts nearly everything the paper's analysis needs
 — ``core.metrics`` operator counters, ``StreamBuffer`` flush stats,
 ``WatermarkChannel`` gate state, ``CompressionStats`` decisions,
-``ObjectPool`` reuse counters, ``TcpTransport``/``TcpListener``
+packet free-list reuse counters, ``TcpTransport``/``TcpListener``
 recovery stats — it just counts it in scattered instance attributes.
 Rather than rewrite every hot-path increment (and pay for it), these
 scrapers *pull* that state into a :class:`TelemetryRegistry` at export
@@ -172,7 +172,7 @@ def _scrape_compression_and_pools(
     lbl = base or None
     seen = compressed = bytes_in = bytes_out = secs = 0.0
     decisions: Dict[str, float] = {}
-    created = reused = overflow = prealloc = 0.0
+    created = reused = overflow = 0.0
     for inst in job.all_instances():
         for links in getattr(inst, "out_links", {}).values():
             for out in links:
@@ -188,11 +188,10 @@ def _scrape_compression_and_pools(
                 for decision, n in stats.decisions.items():
                     key = getattr(decision, "value", str(decision))
                     decisions[key] = decisions.get(key, 0.0) + n
-        for pool in getattr(inst, "_pools", {}).values():
-            created += pool.created
-            reused += pool.reused
-            overflow += pool.overflow
-            prealloc += pool.preallocated
+        for free in getattr(inst, "_free_lists", {}).values():
+            created += free.created
+            reused += free.reused
+            overflow += free.overflow
     for value, metric, help_ in (
         (seen, "neptune_compression_payloads_total", "Flushed payloads seen by policies"),
         (compressed, "neptune_compression_compressed_total", "Payloads actually compressed"),
@@ -214,9 +213,9 @@ def _scrape_compression_and_pools(
         "neptune_pool_reused_total", lbl, "Packet-pool acquisitions served from free list"
     ).set_total(reused)
     registry.counter(
-        "neptune_pool_overflow_total", lbl, "Acquisitions past the pool bound"
+        "neptune_pool_overflow_total", lbl, "Released packets dropped by a full free list"
     ).set_total(overflow)
-    acquisitions = reused + (created - prealloc)
+    acquisitions = reused + created
     registry.gauge(
         "neptune_pool_reuse_ratio", lbl, "Fraction of acquisitions served from free list"
     ).set(reused / acquisitions if acquisitions > 0 else 0.0)

@@ -273,13 +273,18 @@ def doctor_graph():
     # Big records + tiny watermarks so the stalled sink's inbound
     # buffer crosses its high watermark quickly and the cascade blocks
     # the relay (the blocked emit is what breaches the relay's local
-    # p99 latency SLO on a *different* worker).
+    # p99 latency SLO on a *different* worker).  The replay window is
+    # four frames: with the default 8 MiB the whole 820 KB stream fits
+    # in flight unacknowledged, the relay's send never waits for the
+    # stalled sink, and its batches only ran late while the wire path
+    # itself was slow (a pure-Python checksum at ~1.4 ms per frame).
     graph = StreamProcessingGraph(
         "cluster-doctor",
         config=NeptuneConfig(
             buffer_capacity=8192,
             buffer_max_delay=0.005,
             inbound_high_watermark=16384,
+            transport_replay_window=4 * 8192,
         ),
     )
     graph.add_source(

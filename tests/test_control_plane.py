@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from procharness import reserve_ports
@@ -137,6 +138,22 @@ class TestControlServerInProcess:
             proxy.stop()
         finally:
             server.close()
+
+    def test_close_wakes_the_accept_thread(self):
+        # Closing a listening socket does not wake accept(): close()
+        # used to sit in its join(5.0) with the thread still blocked.
+        graph, _ = relay_graph(10)
+        worker = DistributedWorker(0, graph, round_robin_plan(graph, 1))
+        server = ControlServer(worker)
+        try:
+            RemoteWorker("127.0.0.1", server.port).close()  # loop has accepted once
+            t0 = time.monotonic()
+            server.close()
+            assert time.monotonic() - t0 < 0.5
+            assert not server._thread.is_alive()
+            server.close()  # idempotent
+        finally:
+            worker.stop()
 
     def test_connect_timeout(self):
         with pytest.raises(ControlError, match="cannot reach"):

@@ -75,6 +75,39 @@ class TestDistributedRelay:
                 pytest.fail(f"failures: {job.failures()}")
         assert store == list(range(1500))
 
+    def test_frames_arriving_before_the_receiver_is_wired_are_held(self):
+        """A worker's listener accepts from construction on, its wires
+        exist only after connect(): a peer that started first used to
+        have its first frames refused ("unknown wire") after the
+        listener had already counted them delivered, so the replay was
+        acked as duplicate and the receiver later failed with a frame
+        sequence "ordering violation" (~1 in 60 cluster launches)."""
+        g, store = relay_graph(total=600, buffer_capacity=256)
+        plan = round_robin_plan(g, 2)
+        workers = [DistributedWorker(w, g, plan) for w in range(2)]
+        endpoints = {w.worker_id: w.address for w in workers}
+        first, late = workers  # worker 0 hosts the sender
+        try:
+            first.connect(endpoints)
+            first.start()
+            # The sender is flushing at the late worker's listener now.
+            deadline = time.monotonic() + 10
+            while not late._listener._conns and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert late._listener._conns, "no early connection to hold"
+            time.sleep(0.05)
+            late.connect(endpoints)
+            late.start()
+            deadline = time.monotonic() + 60
+            while len(store) < 600 and time.monotonic() < deadline:
+                assert not first.failures and not late.failures
+                time.sleep(0.01)
+        finally:
+            for w in workers:
+                w.stop()
+        assert not late._listener.errors
+        assert store == list(range(600))
+
     def test_three_workers(self):
         g, store = relay_graph(total=400)
         job = DistributedJob(g, n_workers=3)

@@ -53,6 +53,31 @@ class TestEncodeDecode:
         enc = FrameEncoder()
         assert len(enc.encode(0, b"", 0)) == HEADER_SIZE
 
+    def test_frames_split_at_every_byte_offset(self):
+        # The decoder takes body and trace block through a memoryview
+        # and must drop it before shrinking its buffer (a live export
+        # makes the resize raise BufferError): cut a plain frame, a
+        # traced (version 2) frame and an empty one at every offset,
+        # with the next frame's first bytes already behind them.
+        enc = FrameEncoder()
+        expected = [
+            (1, 0, 3, b"plain-body" * 3, b""),
+            (1, 1, 2, b"traced-body", b"\x01trace-notes"),
+            (1, 2, 0, b"", b""),
+            (2, 0, 1, bytes(range(256)), b"t"),
+        ]
+        wire = b"".join(
+            enc.encode(link, body, count, trace)
+            for link, _seq, count, body, trace in expected
+        )
+        for cut in range(len(wire) + 1):
+            dec = FrameDecoder()
+            frames = dec.feed(wire[:cut]) + dec.feed(wire[cut:])
+            got = [(f.link_id, f.seq, f.count, f.body, f.trace) for f in frames]
+            assert got == expected, cut
+            assert all(type(f.body) is bytes and type(f.trace) is bytes for f in frames)
+            assert dec.pending_bytes == 0
+
 
 class TestValidation:
     def test_corrupted_body_detected(self):

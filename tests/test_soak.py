@@ -61,9 +61,9 @@ def test_soak_bounded_resources():
                     <= cfg.inbound_high_watermark + cfg.buffer_capacity + 4096
                 )
             # Packet pools stay bounded regardless of packets processed.
-            for pool in inst._pools.values():
-                assert pool.leased_count < 512
-                assert pool.free_count <= pool._max_size
+            for free in inst._free_lists.values():
+                assert len(free) <= 256
+                assert free.created < 512
         samples = probe.history("sink")
         assert handle.stop(timeout=60)
 
