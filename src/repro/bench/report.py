@@ -34,6 +34,10 @@ BENCH_SCHEMA = "neptune-bench/1"
 GUARDED_THROUGHPUT: tuple[tuple[str, str], ...] = (
     ("codec", "encode_compiled_msgs_per_sec"),
     ("codec", "decode_compiled_msgs_per_sec"),
+    ("codec", "encode_var_msgs_per_sec"),
+    ("codec", "decode_var_msgs_per_sec"),
+    ("codec", "lz4_compress_mb_per_sec"),
+    ("codec", "lz4_decompress_mb_per_sec"),
     ("buffer", "appends_per_sec"),
     ("relay", "packets_per_sec"),
 )
@@ -45,6 +49,9 @@ GUARDED_RATIOS: tuple[tuple[str, str], ...] = (
     ("cluster_scaling", "scaleup_w4"),
     ("policy", "heal_speedup"),
 )
+
+#: Dimensionless ratios where lower is better: a regression is a rise.
+GUARDED_CEILINGS: tuple[tuple[str, str], ...] = (("codec", "lz4_ratio"),)
 
 
 def build_report(
@@ -87,8 +94,10 @@ def check_regression(
 
     A throughput metric regresses when its calibration-normalized value
     falls more than ``tolerance`` below the baseline's; a ratio metric
-    when its raw value does.  A guarded metric missing from ``current``
-    is itself a failure (a scenario silently vanishing must not pass).
+    when its raw value does (or, for ``GUARDED_CEILINGS``, rises more
+    than ``tolerance`` above it).  A guarded metric missing from
+    ``current`` is itself a failure (a scenario silently vanishing
+    must not pass).
     """
     failures: list[str] = []
     cur_cal = float(current.get("calibration_score", 0.0)) or 1.0
@@ -103,7 +112,7 @@ def check_regression(
             failures.append(f"{scenario}.{metric}: missing from current run")
             continue
         checks.append((scenario, metric, cur / cur_cal, base / base_cal))
-    for scenario, metric in GUARDED_RATIOS:
+    for scenario, metric in GUARDED_RATIOS + GUARDED_CEILINGS:
         base = _metric(baseline, scenario, metric)
         cur = _metric(current, scenario, metric)
         if base is None:
@@ -113,6 +122,15 @@ def check_regression(
             continue
         checks.append((scenario, metric, cur, base))
     for scenario, metric, cur_norm, base_norm in checks:
+        if (scenario, metric) in GUARDED_CEILINGS:
+            ceiling = base_norm * (1.0 + tolerance)
+            if cur_norm > ceiling:
+                rise = 100.0 * (cur_norm / base_norm - 1.0) if base_norm else 0.0
+                failures.append(
+                    f"{scenario}.{metric}: {rise:.1f}% above baseline "
+                    f"({cur_norm:.4g} > ceiling {ceiling:.4g})"
+                )
+            continue
         floor = base_norm * (1.0 - tolerance)
         if cur_norm < floor:
             drop = 100.0 * (1.0 - cur_norm / base_norm) if base_norm else 0.0

@@ -119,11 +119,16 @@ class CompressionPolicy:
         return CompressionDecision.COMPRESSED, packed
 
     @staticmethod
-    def decode(data: bytes) -> bytes:
-        """Invert :meth:`encode` (usable without a policy instance)."""
+    def decode(data: bytes | bytearray | memoryview) -> bytes | memoryview:
+        """Invert :meth:`encode` (usable without a policy instance).
+
+        A raw frame comes back as a view of ``data`` past the flag byte
+        (no copy of the batch); a compressed one as fresh ``bytes``.
+        """
         if not data:
             raise ValueError("empty compressed frame")
-        flag, body = data[0], data[1:]
+        flag = data[0]
+        body = memoryview(data)[1:]
         if flag == FLAG_RAW:
             return body
         if flag == FLAG_LZ4:

@@ -36,19 +36,17 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable
 
-from repro.util.clock import Clock, SYSTEM_CLOCK
+from repro.util.clock import Clock, SYSTEM_CLOCK, timed_acquire
 
+#: ``sink(body, packet_count)``.  A sink that waited on backpressure
+#: (a gated channel, a full replay window) returns the seconds it
+#: waited as a float; the time it spent working is not a wait.
 FlushSink = Callable[["bytes | bytearray | memoryview", int], Any]
 
 #: Spare bytearrays a buffer keeps for the double-buffer swap.  Two
 #: covers the steady state (one accumulating, one in flight); a third
 #: take while both are out just allocates fresh.
 _SPARE_LIMIT = 2
-
-#: A capacity flush that keeps the appending thread longer than this
-#: counts as blocked on backpressure; anything shorter is just the
-#: sink's own work.
-_BLOCKED_THRESHOLD = 0.001
 
 
 class StreamBuffer:
@@ -113,10 +111,13 @@ class StreamBuffer:
         self.spare_allocs = 0
         # Live-reconfiguration count (policy engine retunes).
         self.retunes = 0
-        # Seconds appending threads were held by capacity flushes that
-        # blocked (see _BLOCKED_THRESHOLD): waiting for the flush lock
-        # plus inside the sink.  Two clock reads per flush, not per
-        # packet; only the (serialized) appending thread writes it.
+        # Seconds the appending thread spent *waiting* in capacity
+        # flushes: for the flush lock (the timer thread holds it while
+        # its own flush is held up) and, as the sink reports them, for
+        # the receiver.  Compressing, framing and copying the batch is
+        # work, not backpressure, and is not in here.  The clock is
+        # read only when a wait happens; only the (serialized)
+        # appending thread writes it.
         self.blocked_seconds = 0.0
 
     def append(self, payload: bytes | bytearray | memoryview) -> bool:
@@ -155,9 +156,10 @@ class StreamBuffer:
         # The record is encoded before the lock, so the hold is one
         # append and its bookkeeping: the flush timer and every metrics
         # scrape take the same lock, and a thread that finds it held
-        # waits out a GIL switch interval.  An all-fixed schema is one
-        # Struct.pack; anything else (and the diagnostic replay of a
-        # failed pack) goes through the codec's scratch.
+        # waits out a GIL switch interval.  A compiled codec makes the
+        # record with one Struct.pack (an all-fixed schema's own, or
+        # the layout of this record's shape); the reference codec, and
+        # the replay of a failed pack, go through the codec's scratch.
         pack = codec.pack
         if pack is None:
             record = codec.record(values)
@@ -165,7 +167,9 @@ class StreamBuffer:
             try:
                 record = pack(*values)
             except Exception:
-                record = codec.record(values)  # raises, naming the value
+                # Per step: raises naming the bad value, or encodes
+                # what only that path accepts.
+                record = codec.record(values)
         with self._lock:
             buf = self._buf
             buf += record
@@ -183,9 +187,9 @@ class StreamBuffer:
 
     def _flush_capacity(self) -> bool:
         """Capacity-triggered flush on the appending thread."""
-        before = self._clock.now()
         body = None
-        with self._flush_lock:
+        self.blocked_seconds += timed_acquire(self._flush_lock, self._clock.now)
+        try:
             with self._lock:
                 # Re-check: the timer thread may have flushed meanwhile
                 # (and may be what kept us waiting for the flush lock).
@@ -193,10 +197,11 @@ class StreamBuffer:
                     body, count = self._take_locked()
                     self.capacity_flushes += 1
             if body is not None:
-                self._sink(body, count)
-        held = self._clock.now() - before
-        if held > _BLOCKED_THRESHOLD:
-            self.blocked_seconds += held
+                waited = self._sink(body, count)
+                if type(waited) is float:
+                    self.blocked_seconds += waited
+        finally:
+            self._flush_lock.release()
         return body is not None
 
     def flush(self) -> bool:

@@ -37,6 +37,7 @@ from repro.core.runtime import (
     _InLinkInfo,
     _InstanceRuntime,
     _JobRuntime,
+    _waited,
     NeptuneRuntime,
 )
 from repro.core.serde import PacketCodec
@@ -335,14 +336,19 @@ class DistributedWorker:
                 note.send_ts = send_ts
             return encode_notes(notes)
 
+        # Seconds the current flush waited for its receiver (a sink
+        # runs under its buffer's flush lock: one flush at a time).
+        waits: list[float] = []
+
         if receiver_worker == self.worker_id:
             channel, info = self._inbound[wire_id]
             seq = [0]
 
             def local_sink(
                 body: bytes | bytearray | memoryview, count: int
-            ) -> None:
-                """Deliver one flushed batch into a co-located channel."""
+            ) -> float | None:
+                """Deliver one flushed batch into a co-located channel;
+                returns the seconds the put waited for its gate, if any."""
                 raw = None
                 if policy is not None:
                     raw = body
@@ -359,6 +365,7 @@ class DistributedWorker:
                         len(body),
                         (frame, time.monotonic(), info),
                         timeout=cfg.emit_timeout,
+                        on_wait=waits.append,
                     )
                 except ChannelClosed:
                     raise NeptuneError(f"wire {wire_id}: channel closed") from None
@@ -368,11 +375,15 @@ class DistributedWorker:
                     # Frame carries the compressed copy — the original
                     # flush bytearray goes straight back to the pool.
                     info.recycle(raw)
+                return _waited(waits)
 
             return local_sink
 
-        def remote_sink(body: bytes | bytearray | memoryview, count: int) -> None:
-            """Ship one flushed batch to a remote worker over TCP."""
+        def remote_sink(
+            body: bytes | bytearray | memoryview, count: int
+        ) -> float | None:
+            """Ship one flushed batch to a remote worker over TCP;
+            returns the seconds the send waited for the peer, if any."""
             raw = body
             if policy is not None:
                 body = policy.encode(body)
@@ -381,11 +392,12 @@ class DistributedWorker:
             # their data listeners may not be accepting yet at wiring
             # time; the first flush waits for them.
             transport = self._transport_to(receiver_worker, endpoints)
-            transport.send(wire_id, body, count, trace)
+            transport.send(wire_id, body, count, trace, on_wait=waits.append)
             if owner:
                 # send() materialized the wire bytes (or wrote them
                 # out), so the flush bytearray is consumed either way.
                 owner[0].recycle(raw)
+            return _waited(waits)
 
         return remote_sink
 
@@ -431,10 +443,9 @@ class DistributedWorker:
         if not self._wired.is_set():
             # A peer that started first can flush before this worker's
             # connect() ran.  Hold its frames — a blocked reader thread
-            # is ordinary backpressure — rather than fail them: the
-            # listener has already advanced its sequence tracker, so a
-            # frame refused here would be acked as a duplicate on
-            # replay and lost.
+            # is ordinary backpressure — rather than fail them: a frame
+            # refused here would cost the peer a reconnect and a replay
+            # for every attempt until the wires exist.
             self._wired.wait(_WIRING_TIMEOUT)
         entry = self._inbound.get(frame.link_id)
         if entry is None:

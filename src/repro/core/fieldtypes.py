@@ -15,7 +15,8 @@ from __future__ import annotations
 import enum
 import struct
 from functools import lru_cache
-from typing import Any, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Sequence
 
 from repro.util.errors import SerializationError
 
@@ -170,6 +171,23 @@ _RUN_FORMATS = {
 # one variable-width field.
 _Step = tuple[str, Any, int, Any]
 
+# Variable-width records, one shape at a time.  The u32 length prefixes
+# of a record's variable fields are its *shape*, and every record of
+# one shape has the same fixed layout (STRING fields of 9 and 7 bytes
+# around a fixed run: ``<I9sq6fI7s``), so it is one ``Struct.pack`` /
+# ``unpack_from`` like an all-fixed record.  In that layout a variable
+# field is the pair (prefix, payload bytes); a list's payload is its
+# elements packed with the format below.
+LIST_ELEMENTS = {FieldType.FLOAT64_LIST: "d", FieldType.INT64_LIST: "q"}
+
+
+def _picker(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """``itemgetter`` that returns a tuple for a single position too."""
+    if len(positions) == 1:
+        only = positions[0]
+        return lambda row: (row[only],)
+    return itemgetter(*positions)
+
 
 class CompiledSchema:
     """Fused encode/decode plan for one ordered tuple of field types.
@@ -178,7 +196,20 @@ class CompiledSchema:
     plan is immutable and shared by every codec of the schema).
     """
 
-    __slots__ = ("types", "steps", "fixed_total", "record_size", "record_struct")
+    __slots__ = (
+        "types",
+        "steps",
+        "fixed_total",
+        "record_size",
+        "record_struct",
+        "var_items",
+        "string_fields",
+        "list_fields",
+        "prefixes",
+        "fields",
+        "_layout_format",
+        "_payload_widths",
+    )
 
     def __init__(self, types: Sequence[FieldType]) -> None:
         self.types = tuple(types)
@@ -215,6 +246,34 @@ class CompiledSchema:
         self.record_struct: struct.Struct | None = (
             steps[0][1] if var_fields == 0 else None
         )
+        # -- shaped layouts (see LIST_ELEMENTS) --------------------------
+        var = [(i, t) for i, t in enumerate(self.types) if t not in _RUN_FORMATS]
+        # A layout's items are the record's values with each variable
+        # field's prefix put before it: field i sits k places later
+        # when k variable fields come before it.
+        prefix_at = [i + k for k, (i, _) in enumerate(var)]
+        #: ``(position of its prefix in a layout's items, type)`` of
+        #: each variable field, in field order.
+        self.var_items = tuple(zip(prefix_at, (t for _, t in var)))
+        #: Fields that a layout's items hold as bytes still to convert.
+        self.string_fields = tuple(i for i, t in var if t is FieldType.STRING)
+        self.list_fields = tuple(
+            (i, struct.Struct("<" + LIST_ELEMENTS[t]).iter_unpack)
+            for i, t in var
+            if t in LIST_ELEMENTS
+        )
+        #: Layout items -> the length prefixes / the field values
+        #: (None for an all-fixed schema: it has no layouts).
+        self.prefixes = self.fields = None
+        if var:
+            self.prefixes = _picker(prefix_at)
+            self.fields = _picker(
+                [p for p in range(len(self.types) + len(var)) if p not in prefix_at]
+            )
+        self._layout_format = "<" + "".join(
+            a.format[1:] if kind == "F" else "I%ds" for kind, a, _, _ in steps
+        )
+        self._payload_widths = tuple(8 if t in LIST_ELEMENTS else 1 for _, t in var)
 
     def encode_values(self, values: Sequence[Any], out: bytearray) -> None:
         """Append the wire form of one record's ``values`` to ``out``.
@@ -237,6 +296,29 @@ class CompiledSchema:
                     ) from exc  # pragma: no cover — per-field replay raises first
             else:
                 encode_field(a, values[start], out)
+
+    def layout(self, shape: tuple[int, ...]) -> struct.Struct:
+        """The fixed layout of the records whose variable fields carry
+        the length prefixes ``shape``."""
+        return struct.Struct(
+            self._layout_format
+            % tuple(n * width for n, width in zip(shape, self._payload_widths))
+        )
+
+    def shape_at(
+        self, buf: bytes | bytearray | memoryview, offset: int
+    ) -> tuple[int, ...]:
+        """The length prefixes of the well-formed record at ``offset``."""
+        shape = []
+        widths = iter(self._payload_widths)
+        for kind, a, _, _ in self.steps:
+            if kind == "F":
+                offset += a.size
+            else:
+                n = _U32.unpack_from(buf, offset)[0]
+                shape.append(n)
+                offset += 4 + n * next(widths)
+        return tuple(shape)
 
     def decode_into(
         self, values: list[Any], buf: bytes | bytearray | memoryview, offset: int

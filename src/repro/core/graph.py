@@ -15,6 +15,7 @@ deadlock), per-stream schemas, and partitioning specs.
 
 from __future__ import annotations
 
+import copy
 import importlib
 import json
 from dataclasses import dataclass
@@ -80,7 +81,16 @@ class LinkSpec:
     schema: PacketSchema | None = None  # resolved at validation
 
     def resolved_partitioning(self) -> PartitioningScheme:
-        """Instantiate this link's partitioning scheme."""
+        """A scheme object of the caller's own for this link.
+
+        The runtime asks once per sender instance: schemes keep
+        per-sender state (a round-robin cursor, a seeded generator, a
+        key-hash memo) and are written without locks.  A descriptor is
+        instantiated afresh; a scheme *instance* given to the graph is
+        the template each caller gets a deep copy of.
+        """
+        if isinstance(self.partitioning, PartitioningScheme):
+            return copy.deepcopy(self.partitioning)
         return resolve_partitioning(self.partitioning)
 
 

@@ -17,7 +17,7 @@ import random
 from abc import ABC, abstractmethod
 from typing import Sequence
 
-from repro.core.packet import StreamPacket
+from repro.core.packet import PacketSchema, StreamPacket
 from repro.lz4 import xxh32
 from repro.util.errors import GraphValidationError, PartitioningError
 
@@ -94,13 +94,27 @@ class ShufflePartitioning(PartitioningScheme):
         return {"scheme": self.name, "seed": self.seed}
 
 
+#: Distinct keys a :class:`FieldsPartitioning` remembers the hash of.
+#: A full memo is emptied, not frozen: the keys in use may have moved on.
+_KEY_MEMO_LIMIT = 4096
+
+
 class FieldsPartitioning(PartitioningScheme):
     """Key-hash partitioning: same key fields → same instance.
 
     Required whenever a processor keeps per-key state (e.g. the DEBS
-    monitoring job keys by sensor id).  Hashes the UTF-8/wire form of
-    the named fields with xxh32 for a stable, platform-independent
-    assignment.
+    monitoring job keys by sensor id).  The key's hash is xxh32 over
+    the UTF-8 of each named field's ``repr``, chained through the seed
+    — a stable, platform-independent assignment, but one that follows
+    the Python value, not the field's wire form: ``1``, ``1.0`` and
+    ``True`` in a FLOAT64 field encode to the same bytes and hash
+    differently, as do ``0.0`` and ``-0.0``.  Write a key field with
+    one type.
+
+    The hash is computed once per distinct key: the field indices are
+    resolved once per schema and the key's 32-bit hash is memoised
+    (``_KEY_MEMO_LIMIT`` keys); the instance count is applied after
+    the memo, so one entry serves any fan-out.
     """
 
     name = "fields"
@@ -109,13 +123,42 @@ class FieldsPartitioning(PartitioningScheme):
         if not fields:
             raise GraphValidationError("fields partitioning needs at least one field")
         self.fields = tuple(fields)
+        # (schema, indices of the key fields in it); one attribute so a
+        # reader never sees one schema's indices beside another's.
+        self._bound: tuple[PacketSchema | None, tuple[int, ...]] = (None, ())
+        self._hashes: dict[object, int] = {}
 
     def route(self, packet: StreamPacket, n_instances: int) -> Sequence[int]:
         """Destination instance indices for one packet."""
-        h = 0
-        for fname in self.fields:
-            value = packet.get(fname)
-            h = xxh32(repr(value).encode("utf-8"), seed=h)
+        schema, indices = self._bound
+        if packet.schema is not schema:
+            schema = packet.schema
+            indices = tuple(schema.index_of(fname) for fname in self.fields)
+            self._bound = (schema, indices)
+        values = packet._values
+        # Two keys share a memo entry only if they hash alike: a str
+        # stands for itself (equal strs have equal reprs); any other
+        # value is entered under its repr, in a tuple no str equals.
+        key: object
+        if len(indices) == 1:
+            key = values[indices[0]]
+            if type(key) is not str:
+                key = (repr(key),)
+        else:
+            key = tuple(
+                [
+                    v if type(v) is str else (repr(v),)
+                    for v in [values[i] for i in indices]
+                ]
+            )
+        h = self._hashes.get(key)
+        if h is None:
+            h = 0
+            for i in indices:
+                h = xxh32(repr(values[i]).encode("utf-8"), seed=h)
+            if len(self._hashes) >= _KEY_MEMO_LIMIT:
+                self._hashes.clear()
+            self._hashes[key] = h
         return (h % n_instances,)
 
     def describe(self) -> dict:

@@ -63,6 +63,17 @@ from repro.observe.tracing import (
 from repro.util.errors import BackpressureTimeout, JobStateError, NeptuneError
 
 
+def _waited(waits: list[float]) -> float | None:
+    """Total of the waits a flush sink's put/send reported through
+    ``on_wait=waits.append``, emptying the list; None when there were
+    none (the answer a sink hands its :class:`StreamBuffer`)."""
+    if not waits:
+        return None
+    total = sum(waits)
+    waits.clear()
+    return total
+
+
 class _ChannelDataset(Dataset):
     """Adapts a WatermarkChannel to Granules' dataset interface so
     data-driven scheduling fires when a frame lands."""
@@ -750,7 +761,9 @@ class NeptuneRuntime:
         info.  The channel item is ``(frame, put_time, in_link_info)``.
         The put blocks under backpressure; with a configured
         ``emit_timeout`` a saturated downstream eventually surfaces
-        :class:`BackpressureTimeout` instead of waiting forever.
+        :class:`BackpressureTimeout` instead of waiting forever.  The
+        seconds a put waited are handed back to the buffer (its
+        ``blocked_seconds``); compressing and framing are not waits.
 
         Zero-copy protocol: the buffer hands this sink its pooled
         accumulation bytearray.  Uncompressed, the bytearray itself is
@@ -760,9 +773,11 @@ class NeptuneRuntime:
         immediately.
         """
         seq_counter = [0]
+        waits: list[float] = []
 
-        def sink(body: bytes | bytearray | memoryview, count: int) -> None:
-            """Deliver one flushed batch into the destination channel."""
+        def sink(body: bytes | bytearray | memoryview, count: int) -> float | None:
+            """Deliver one flushed batch into the destination channel;
+            returns the seconds the put waited for its gate, if any."""
             raw = None
             if policy is not None:
                 raw = body
@@ -781,7 +796,10 @@ class NeptuneRuntime:
             frame = Frame(FrameHeader(wire_id, seq, count, len(body), 0), body, trace)
             try:
                 ok = channel.put(
-                    len(body), (frame, time.monotonic(), in_info), timeout=emit_timeout
+                    len(body),
+                    (frame, time.monotonic(), in_info),
+                    timeout=emit_timeout,
+                    on_wait=waits.append,
                 )
             except ChannelClosed:
                 raise NeptuneError(
@@ -796,6 +814,7 @@ class NeptuneRuntime:
                 # The frame carries the compressed copy; the original
                 # flush bytearray is done — back to the buffer pool.
                 in_info.recycle(raw)
+            return _waited(waits)
 
         return sink
 

@@ -19,11 +19,13 @@ End-of-block rules enforced here (and required for interoperability):
 - the last 5 bytes of input are always emitted as literals.
 
 Inputs shorter than 13 bytes are therefore emitted as a single literal
-run.  The compressor uses a greedy single-entry hash table over 4-byte
-prefixes, mirroring the reference LZ4 fast compressor.
+run.  The compressor is greedy with one candidate per 4-byte prefix,
+mirroring the reference LZ4 fast compressor.
 """
 
 from __future__ import annotations
+
+import sys
 
 MIN_MATCH = 4
 # A match must not start within the last MFLIMIT bytes of input.
@@ -32,8 +34,15 @@ MFLIMIT = 12
 LAST_LITERALS = 5
 MAX_OFFSET = 65535
 
-_HASH_LOG = 16
-_HASH_SIZE = 1 << _HASH_LOG
+# Match extension compares this many bytes per slice comparison; the
+# first differing byte of the one unequal chunk is located with an XOR.
+_CHUNK = 32
+# Positions scanned between two sweeps of the prefix table: entries
+# further back than MAX_OFFSET can never be matched, so dropping them
+# keeps the table's size bounded by the window, not by the input.
+_WINDOW = 1 << 16
+# "No candidate": far enough back to fail the offset test on its own.
+_OUT_OF_REACH = -(MAX_OFFSET + 1)
 
 
 def max_compressed_length(n: int) -> int:
@@ -47,63 +56,90 @@ def max_compressed_length(n: int) -> int:
     return n + n // 255 + 16
 
 
-def _hash4(v: int) -> int:
-    # Fibonacci hashing of a 4-byte little-endian word, as in reference LZ4.
-    return ((v * 2654435761) >> (32 - _HASH_LOG)) & (_HASH_SIZE - 1)
-
-
 def compress(data: bytes | bytearray | memoryview) -> bytes:
     """Compress ``data`` into an LZ4 block.
 
     Returns the raw block (no frame header; callers needing the original
     length must carry it out-of-band, as NEPTUNE's wire format does).
+
+    Greedy, one candidate per 4-byte prefix (the most recent position
+    that started with the same four bytes).  The work is per sequence,
+    not per byte: the table is a dict keyed by the prefix itself, so a
+    candidate needs no re-comparison, and a match is extended
+    ``_CHUNK`` bytes per comparison.
     """
     src = bytes(data)
     n = len(src)
-    if n == 0:
-        # A zero-length input encodes as a single empty-literal token.
-        return b"\x00"
     out = bytearray()
-    if n < MFLIMIT + 1:
-        _emit_last_literals(out, src, 0, n)
-        return bytes(out)
-
-    table = [-1] * _HASH_SIZE
-    match_limit = n - LAST_LITERALS
     anchor = 0
-    pos = 0
-    # Matches may not *start* beyond n - MFLIMIT.
-    search_end = n - MFLIMIT
-
-    while pos <= search_end:
-        word = int.from_bytes(src[pos : pos + 4], "little")
-        h = _hash4(word)
-        cand = table[h]
-        table[h] = pos
-        if (
-            cand >= 0
-            and pos - cand <= MAX_OFFSET
-            and src[cand : cand + 4] == src[pos : pos + 4]
-        ):
-            # Extend the match forward as far as allowed.
-            m = pos + MIN_MATCH
-            c = cand + MIN_MATCH
-            while m < match_limit and src[m] == src[c]:
-                m += 1
-                c += 1
-            match_len = m - pos
-            _emit_sequence(out, src, anchor, pos, pos - cand, match_len)
-            pos = m
-            anchor = m
-            # Seed the table inside the match region to find overlapping
-            # repeats (cheap approximation of the reference's step).
+    if n > MFLIMIT:
+        table: dict[bytes, int] = {}
+        lookup = table.get
+        from_bytes = int.from_bytes
+        # The last LAST_LITERALS bytes are never part of a match, and
+        # no match starts beyond n - MFLIMIT.
+        match_limit = n - LAST_LITERALS
+        search_end = n - MFLIMIT
+        pos = 0
+        while pos <= search_end:
+            window_end = min(search_end, pos + _WINDOW)
+            while pos <= window_end:
+                key = src[pos : pos + MIN_MATCH]
+                cand = lookup(key, _OUT_OF_REACH)
+                table[key] = pos
+                offset = pos - cand
+                if offset > MAX_OFFSET:
+                    pos += 1
+                    continue
+                # Extend the match as far as allowed, a chunk at a time.
+                m = pos + MIN_MATCH
+                end = m + _CHUNK
+                while end <= match_limit:
+                    ahead = src[m:end]
+                    behind = src[m - offset : end - offset]
+                    if ahead != behind:
+                        break
+                    m = end
+                    end += _CHUNK
+                else:
+                    ahead = src[m:match_limit]
+                    behind = src[m - offset : match_limit - offset]
+                if ahead == behind:
+                    m = match_limit
+                else:
+                    # Lowest set bit of the XOR = first differing byte.
+                    diff = from_bytes(ahead, "little") ^ from_bytes(behind, "little")
+                    m += ((diff & -diff).bit_length() - 1) >> 3
+                lit_len = pos - anchor
+                ml = m - pos - MIN_MATCH
+                if lit_len < 15 and ml < 15:
+                    out.append(lit_len << 4 | ml)
+                    out += src[anchor:pos]
+                    out += offset.to_bytes(2, "little")
+                else:
+                    out.append(min(lit_len, 15) << 4 | min(ml, 15))
+                    if lit_len >= 15:
+                        _emit_length(out, lit_len - 15)
+                    out += src[anchor:pos]
+                    out += offset.to_bytes(2, "little")
+                    if ml >= 15:
+                        _emit_length(out, ml - 15)
+                pos = anchor = m
+                # Seed the table inside the match region to find
+                # overlapping repeats (cheap approximation of the
+                # reference's step).
+                if pos <= search_end:
+                    table[src[pos - 2 : pos + 2]] = pos - 2
             if pos <= search_end:
-                w2 = int.from_bytes(src[pos - 2 : pos + 2], "little")
-                table[_hash4(w2)] = pos - 2
-        else:
-            pos += 1
-
-    _emit_last_literals(out, src, anchor, n)
+                reach = pos - MAX_OFFSET
+                for key in [k for k, at in table.items() if at < reach]:
+                    del table[key]
+    # The last sequence is literals only.
+    lit_len = n - anchor
+    out.append(min(lit_len, 15) << 4)
+    if lit_len >= 15:
+        _emit_length(out, lit_len - 15)
+    out += src[anchor:]
     return bytes(out)
 
 
@@ -113,34 +149,6 @@ def _emit_length(out: bytearray, extra: int) -> None:
         out.append(255)
         extra -= 255
     out.append(extra)
-
-
-def _emit_sequence(
-    out: bytearray,
-    src: bytes,
-    anchor: int,
-    pos: int,
-    offset: int,
-    match_len: int,
-) -> None:
-    lit_len = pos - anchor
-    ml = match_len - MIN_MATCH
-    token = (min(lit_len, 15) << 4) | min(ml, 15)
-    out.append(token)
-    if lit_len >= 15:
-        _emit_length(out, lit_len - 15)
-    out += src[anchor:pos]
-    out += offset.to_bytes(2, "little")
-    if ml >= 15:
-        _emit_length(out, ml - 15)
-
-
-def _emit_last_literals(out: bytearray, src: bytes, anchor: int, end: int) -> None:
-    lit_len = end - anchor
-    out.append(min(lit_len, 15) << 4)
-    if lit_len >= 15:
-        _emit_length(out, lit_len - 15)
-    out += src[anchor:end]
 
 
 def decompress(block: bytes | bytearray | memoryview, max_size: int | None = None) -> bytes:
@@ -155,41 +163,53 @@ def decompress(block: bytes | bytearray | memoryview, max_size: int | None = Non
         raises ``ValueError`` (guards against decompression bombs when
         decoding wire data).
     """
+    # Indexing and slicing ``bytes`` is cheaper per sequence than the
+    # same on a memoryview, and a compressed block is small: one copy
+    # of a non-``bytes`` input (none of a ``bytes`` one) is the faster
+    # trade.
     src = bytes(block)
     n = len(src)
+    cap = sys.maxsize if max_size is None else max_size
     out = bytearray()
+    size = 0  # == len(out)
     i = 0
     while i < n:
         token = src[i]
         i += 1
         # --- literals ---
         lit_len = token >> 4
-        if lit_len == 15:
-            while True:
-                if i >= n:
-                    raise ValueError("truncated literal length")
-                b = src[i]
-                i += 1
-                lit_len += b
-                if b != 255:
-                    break
-        if i + lit_len > n:
-            raise ValueError("truncated literals")
-        out += src[i : i + lit_len]
-        i += lit_len
-        if max_size is not None and len(out) > max_size:
-            raise ValueError(f"decompressed size exceeds cap of {max_size}")
-        if i == n:
-            break  # last sequence: literals only
+        if lit_len:
+            if lit_len == 15:
+                while True:
+                    if i >= n:
+                        raise ValueError("truncated literal length")
+                    b = src[i]
+                    i += 1
+                    lit_len += b
+                    if b != 255:
+                        break
+            end = i + lit_len
+            if end > n:
+                raise ValueError("truncated literals")
+            out += src[i:end]
+            i = end
+            size += lit_len
+            if size > cap:
+                raise ValueError(f"decompressed size exceeds cap of {max_size}")
         # --- match ---
         if i + 2 > n:
+            if i == n:
+                break  # last sequence: literals only
             raise ValueError("truncated match offset")
-        offset = src[i] | (src[i + 1] << 8)
+        offset = src[i] | src[i + 1] << 8
         i += 2
-        if offset == 0:
-            raise ValueError("invalid zero match offset")
-        match_len = (token & 0x0F) + MIN_MATCH
-        if (token & 0x0F) == 15:
+        start = size - offset
+        if not 0 <= start < size:
+            if offset == 0:
+                raise ValueError("invalid zero match offset")
+            raise ValueError(f"match offset {offset} beyond output start")
+        match_len = token & 0x0F
+        if match_len == 15:
             while True:
                 if i >= n:
                     raise ValueError("truncated match length")
@@ -198,15 +218,17 @@ def decompress(block: bytes | bytearray | memoryview, max_size: int | None = Non
                 match_len += b
                 if b != 255:
                     break
-        start = len(out) - offset
-        if start < 0:
-            raise ValueError(f"match offset {offset} beyond output start")
-        if max_size is not None and len(out) + match_len > max_size:
+        match_len += MIN_MATCH
+        size += match_len
+        if size > cap:
             raise ValueError(f"decompressed size exceeds cap of {max_size}")
         if offset >= match_len:
             out += out[start : start + match_len]
         else:
-            # Overlapping match: copy byte-by-byte semantics (RLE-style).
-            for k in range(match_len):
-                out.append(out[start + k])
+            # Overlapping match (RLE-style): the last ``offset`` bytes
+            # repeat, so replicate them instead of copying byte by byte.
+            pattern = out[start:]
+            repeats, rest = divmod(match_len, offset)
+            out += pattern * repeats
+            out += pattern[:rest]
     return bytes(out)

@@ -125,12 +125,21 @@ class WatermarkChannel:
             self.gated_seconds += duration
         return self._on_gate
 
-    def put(self, size: int, item: Any, timeout: float | None = None) -> bool:
+    def put(
+        self,
+        size: int,
+        item: Any,
+        timeout: float | None = None,
+        on_wait: Callable[[float], None] | None = None,
+    ) -> bool:
         """Enqueue ``item`` accounting ``size`` bytes.
 
         Blocks while the gate is closed.  Returns False on timeout;
         raises :class:`ChannelClosed` if the channel closes while
-        waiting or is already closed.
+        waiting or is already closed.  A put that had to wait for the
+        gate reports the seconds it waited to ``on_wait`` (called under
+        the channel's lock: it must not block); the clock is read only
+        then.
         """
         if size < 0:
             raise ValueError(f"negative size: {size}")
@@ -140,16 +149,19 @@ class WatermarkChannel:
         with self._writable:
             if self._closed:
                 raise ChannelClosed("put on closed channel")
-            blocked = False
+            since: float | None = None
             while self._gated:
-                blocked = True
+                if since is None:
+                    since = self._clock.now()
                 if not self._writable.wait(timeout):
                     self.writer_blocks += 1
                     return False
                 if self._closed:
                     raise ChannelClosed("channel closed while blocked in put")
-            if blocked:
+            if since is not None:
                 self.writer_blocks += 1
+                if on_wait is not None:
+                    on_wait(self._clock.now() - since)
             self._items.append((size, item))
             self._bytes += size
             if self._bytes >= self.high_watermark:

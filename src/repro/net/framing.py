@@ -235,7 +235,7 @@ class SequenceTracker:
     connections and classify each arriving frame:
 
     - ``DELIVER`` — ``seq`` is exactly the next expected frame;
-      delivered and the expectation advances.
+      the expectation advances once it is delivered.
     - ``DUPLICATE`` — ``seq`` was already delivered (a replay of a
       frame that survived the failure); suppressed, never re-delivered.
     - ``GAP`` — ``seq`` skips ahead: at least one frame was lost and
@@ -258,19 +258,33 @@ class SequenceTracker:
         self.duplicates = 0
         self.gaps = 0
 
-    def check(self, link_id: int, seq: int) -> str:
-        """Classify one frame and advance expectations on delivery."""
+    def check(self, link_id: int, seq: int, commit: bool = True) -> str:
+        """Classify one frame and advance expectations on delivery.
+
+        With ``commit=False`` a ``DELIVER`` verdict is only a verdict:
+        the caller hands the frame over first and calls :meth:`commit`
+        once that succeeded, so a frame whose delivery raised is still
+        expected when the sender replays it.
+        """
         with self._lock:
             expected = self._expected.get(link_id, 0)
             if seq == expected:
-                self._expected[link_id] = seq + 1
-                self.delivered += 1
+                if commit:
+                    self._expected[link_id] = seq + 1
+                    self.delivered += 1
                 return self.DELIVER
             if seq < expected:
                 self.duplicates += 1
                 return self.DUPLICATE
             self.gaps += 1
             return self.GAP
+
+    def commit(self, link_id: int, seq: int) -> None:
+        """Record that the frame ``check(..., commit=False)`` called
+        ``DELIVER`` has been delivered."""
+        with self._lock:
+            self._expected[link_id] = seq + 1
+            self.delivered += 1
 
     def expected(self, link_id: int) -> int:
         """Next sequence number that will be accepted for ``link_id``."""

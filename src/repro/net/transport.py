@@ -57,6 +57,7 @@ from repro.net.framing import (
     FrameHeader,
     SequenceTracker,
 )
+from repro.util.clock import timed_acquire
 from repro.util.errors import SerializationError, TransportError
 
 # One batch delivered to a receiver: (link_id, packet_count, body bytes).
@@ -113,6 +114,7 @@ class Transport(ABC):
         body: bytes | bytearray | memoryview,
         count: int,
         trace: bytes = b"",
+        on_wait: Callable[[float], None] | None = None,
     ) -> None:
         """Deliver one batch; blocks under backpressure.  Never drops.
 
@@ -121,7 +123,10 @@ class Transport(ABC):
         fully consumed it by the time ``send`` returns, so the caller
         may recycle it immediately.  ``trace`` is an opaque observe
         trace block that must ride the frame to the receiver (see
-        :mod:`repro.observe.tracing`).
+        :mod:`repro.observe.tracing`).  ``on_wait`` is told the seconds
+        of every wait for the receiver this send went through (a gated
+        channel, a full replay window, another send held up by one);
+        the time to move the bytes is not a wait.
         """
 
     @abstractmethod
@@ -142,6 +147,7 @@ class InProcessTransport(Transport):
         body: bytes | bytearray | memoryview,
         count: int,
         trace: bytes = b"",
+        on_wait: Callable[[float], None] | None = None,
     ) -> None:
         """Deliver one batch; blocks under backpressure, never drops."""
         if not isinstance(body, bytes):
@@ -153,7 +159,7 @@ class InProcessTransport(Transport):
         self._seq[link_id] = seq + 1
         frame = Frame(FrameHeader(link_id, seq, count, len(body), 0), body, trace)
         try:
-            self._channel.put(len(body), frame, timeout=None)
+            self._channel.put(len(body), frame, timeout=None, on_wait=on_wait)
         except ChannelClosed as exc:
             raise TransportError("in-process channel closed") from exc
 
@@ -387,9 +393,15 @@ class TcpTransport(Transport):
         body: bytes | bytearray | memoryview,
         count: int,
         trace: bytes = b"",
+        on_wait: Callable[[float], None] | None = None,
     ) -> None:
         """Deliver one batch; blocks under backpressure, never drops."""
-        with self._lock:
+        # Sends are serialized: behind one that waits for window space,
+        # every other leg to this peer waits here.
+        waited = timed_acquire(self._lock, time.monotonic)
+        if waited and on_wait is not None:
+            on_wait(waited)
+        try:
             if self._closed:
                 raise TransportError("send on closed transport")
             if self._retry is None and self._injector is None:
@@ -415,7 +427,7 @@ class TcpTransport(Transport):
                 # Reserve window space BEFORE assigning the sequence
                 # number: a window timeout must not strand a gap in the
                 # link's sequence space.
-                self._wait_window(HEADER_SIZE + len(trace) + len(body))
+                self._wait_window(HEADER_SIZE + len(trace) + len(body), on_wait)
                 # The replay window stores full wire bytes (one
                 # materialized copy — the price of replayability), so a
                 # trace block survives retransmission byte-identically.
@@ -444,8 +456,12 @@ class TcpTransport(Transport):
             with self._state:
                 self.bytes_sent += len(wire)
                 self.frames_sent += 1
+        finally:
+            self._lock.release()
 
-    def _wait_window(self, incoming: int) -> None:
+    def _wait_window(
+        self, incoming: int, on_wait: Callable[[float], None] | None = None
+    ) -> None:
         """Block until the replay window can absorb ``incoming`` bytes.
 
         A send that actually has to wait is a *stall*: the receiver is
@@ -474,14 +490,18 @@ class TcpTransport(Transport):
                         f"({self._unacked_bytes} unacked bytes): receiver not acking"
                     )
                 self._acks.wait(remaining)
-        if stalled_at is not None and self._observer is not None:
-            self._observer.event(
-                "transport",
-                "send_stall",
-                endpoint=f"{self._host}:{self._port}",
-                stalled_seconds=time.monotonic() - stalled_at,
-                window_bytes=self._retry.replay_window_bytes,
-            )
+        if stalled_at is not None:
+            stalled = time.monotonic() - stalled_at
+            if on_wait is not None:
+                on_wait(stalled)
+            if self._observer is not None:
+                self._observer.event(
+                    "transport",
+                    "send_stall",
+                    endpoint=f"{self._host}:{self._port}",
+                    stalled_seconds=stalled,
+                    window_bytes=self._retry.replay_window_bytes,
+                )
         if self._conn_dead:
             self._recover()
 
@@ -818,7 +838,12 @@ class TcpListener:
         with self._lock:
             lock = self._link_locks.setdefault(frame.link_id, threading.Lock())
         with lock:
-            verdict = self.tracker.check(frame.link_id, frame.seq)
+            # check -> sink -> commit: the sequence only advances once
+            # the sink has the frame.  A sink that raises closes this
+            # connection (see _reader_loop); the sender then replays
+            # the frame, and it must still be the one expected, not a
+            # "duplicate" to ack and drop.
+            verdict = self.tracker.check(frame.link_id, frame.seq, commit=False)
             if verdict == SequenceTracker.DUPLICATE:
                 # Counters are shared across per-link reader threads;
                 # the link lock only serializes one link's deliveries.
@@ -831,6 +856,7 @@ class TcpListener:
                     self.gap_resets += 1
                 return False
             self._sink(frame)  # may block: that IS backpressure
+            self.tracker.commit(frame.link_id, frame.seq)
             self._send_ack(conn, frame)
             return True
 

@@ -11,6 +11,20 @@ from __future__ import annotations
 import threading
 import time
 from abc import ABC, abstractmethod
+from typing import Callable
+
+
+def timed_acquire(lock: "threading.Lock", now: "Callable[[], float]") -> float:
+    """Acquire ``lock``; return the seconds that took.
+
+    Uncontended, that is 0.0 without reading the clock: the callers
+    account time spent *waiting*, per flush, and most flushes don't.
+    """
+    if lock.acquire(blocking=False):
+        return 0.0
+    since = now()
+    lock.acquire()
+    return now() - since
 
 
 class Clock(ABC):

@@ -58,6 +58,15 @@ class TestSmokeProfile:
         # per-field reference on a fixed-width-dominated schema.
         assert codec["encode_speedup"] > 1.2
         assert codec["decode_speedup"] > 1.2
+        # The keyed, compressed link's kernels are measured too.
+        for key in (
+            "encode_var_msgs_per_sec",
+            "decode_var_msgs_per_sec",
+            "lz4_compress_mb_per_sec",
+            "lz4_decompress_mb_per_sec",
+        ):
+            assert codec[key] > 0
+        assert 0.0 < codec["lz4_ratio"] < 0.5  # a low-entropy batch
         relay = data["scenarios"]["relay"]
         assert relay["packets_per_sec"] > 0
         assert relay["p99_latency_sec"] >= relay["p50_latency_sec"] > 0
@@ -93,6 +102,19 @@ class TestRegressionCheck:
         current = _report(1.0, speedup=1.1)
         failures = check_regression(current, baseline, tolerance=0.10)
         assert any("encode_speedup" in f for f in failures)
+
+    def test_lower_is_better_ratio_fails_when_it_rises(self):
+        baseline = _report(1.0)
+        baseline["scenarios"]["codec"]["lz4_ratio"] = 0.25
+        current = _report(1.0)
+        current["scenarios"]["codec"]["lz4_ratio"] = 0.20  # better: passes
+        assert check_regression(current, baseline, tolerance=0.10) == []
+        current["scenarios"]["codec"]["lz4_ratio"] = 0.30
+        failures = check_regression(current, baseline, tolerance=0.10)
+        assert any("lz4_ratio" in f and "above baseline" in f for f in failures)
+        del current["scenarios"]["codec"]["lz4_ratio"]
+        failures = check_regression(current, baseline, tolerance=0.10)
+        assert any("lz4_ratio: missing" in f for f in failures)
 
     def test_calibration_normalization_absorbs_machine_speed(self):
         # Same code on a machine half as fast: raw throughput halves,

@@ -402,3 +402,99 @@ class TestSwapStress:
         assert received == list(range(total)), "reordered packets"
         assert buf.timer_flushes > 0, "timer thread never raced the worker"
         assert buf.capacity_flushes > 0
+
+
+class _WaitSignalClock(ManualClock):
+    """Sets ``read`` whenever one particular thread reads the time: the
+    code under test reads its clock only once it has found it must
+    wait, so the event says "that thread is about to block"."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = threading.Event()
+        self.watched = None
+
+    def now(self):
+        if threading.current_thread() is self.watched:
+            self.read.set()
+        return super().now()
+
+
+class TestBlockedSeconds:
+    """``blocked_seconds`` is time spent waiting — for the receiver or
+    for the flush lock — never the sink's own work (compression)."""
+
+    PAYLOAD = b"sensor-17 nominal 21.5 21.5 21.5 " * 8  # compresses well
+
+    def _link(self, channel):
+        """A buffer wired as the runtime wires a compressing link."""
+        from repro.compression import CompressionPolicy
+        from repro.core.packet import PacketSchema
+        from repro.core.fieldtypes import FieldType
+        from repro.core.runtime import NeptuneRuntime, _InLinkInfo
+        from repro.core.serde import PacketCodec
+
+        policy = CompressionPolicy(enabled=True, min_size=0)
+        info = _InLinkInfo(
+            PacketCodec(PacketSchema([("b", FieldType.BYTES)])), True
+        )
+        sink = NeptuneRuntime._make_sink(0, channel, policy, info, None)
+        return StreamBuffer(capacity=8192, sink=sink), policy
+
+    def test_compressing_link_that_never_gates_reports_zero(self):
+        from repro.net import WatermarkChannel
+
+        channel = WatermarkChannel(high_watermark=1 << 30)
+        buf, policy = self._link(channel)
+        for _ in range(400):
+            buf.append(self.PAYLOAD)
+        assert buf.capacity_flushes >= 10
+        assert policy.stats.payloads_compressed == buf.capacity_flushes
+        assert policy.stats.compress_seconds > 0.0
+        assert channel.writer_blocks == 0
+        assert buf.blocked_seconds == 0.0
+
+    def test_gate_wait_is_reported_and_nothing_else(self):
+        from repro.net import WatermarkChannel
+
+        clock = _WaitSignalClock()
+        channel = WatermarkChannel(high_watermark=1, low_watermark=0, clock=clock)
+        buf, _ = self._link(channel)
+        while not channel.gated:  # the first flushed batch closes the gate
+            buf.append(self.PAYLOAD)
+        assert buf.capacity_flushes == 1
+        assert buf.blocked_seconds == 0.0
+
+        def fill():
+            while buf.capacity_flushes < 2:
+                buf.append(self.PAYLOAD)
+
+        appender = threading.Thread(target=fill, daemon=True)
+        clock.watched = appender
+        appender.start()
+        assert clock.read.wait(5.0)  # in put(), about to wait for the gate
+        clock.advance(2.5)
+        assert len(channel.drain()) == 1  # opens the gate
+        appender.join(5.0)
+        assert not appender.is_alive()
+        assert channel.writer_blocks == 1
+        assert buf.blocked_seconds == 2.5
+
+    def test_flush_lock_wait_is_reported(self):
+        clock = _WaitSignalClock()
+        buf = StreamBuffer(capacity=100, sink=Sink(), clock=ManualClock())
+        buf._clock = clock  # appends stamp times too: watch the flush only
+        buf.append(b"x" * 60)
+        appender = threading.Thread(
+            target=buf.append, args=(b"y" * 60,), daemon=True
+        )
+        clock.watched = appender
+        with buf._flush_lock:  # the timer thread, held up in its own flush
+            clock.read.clear()
+            appender.start()
+            assert clock.read.wait(5.0)
+            clock.advance(1.5)
+        appender.join(5.0)
+        assert not appender.is_alive()
+        assert buf.capacity_flushes == 1
+        assert buf.blocked_seconds == 1.5

@@ -80,6 +80,96 @@ class TestFields:
         assert again.fields == ("key",)
 
 
+def _unmemoised_route(fields, packet, n_instances):
+    """``FieldsPartitioning.route`` as it was before the memo: the
+    chained xxh32 of each key field's ``repr``, every time."""
+    from repro.lz4 import xxh32
+
+    h = 0
+    for fname in fields:
+        h = xxh32(repr(packet.get(fname)).encode("utf-8"), seed=h)
+    return (h % n_instances,)
+
+
+class TestFieldsMemo:
+    """The memo changes what a route costs, never where it goes."""
+
+    ANY = PacketSchema([("a", FieldType.FLOAT64), ("b", FieldType.STRING)])
+
+    def _packet(self, a, b="-"):
+        pkt = self.ANY.new_packet()
+        pkt._values[:] = [a, b]  # any Python value: the scheme hashes reprs
+        return pkt
+
+    @pytest.mark.parametrize("fields", [["a"], ["a", "b"], ["b", "a"]])
+    def test_values_equal_as_dict_keys_keep_their_own_routes(self, fields):
+        fp = FieldsPartitioning(fields)
+        nan = float("nan")
+        values = [1, 1.0, True, 0, 0.0, -0.0, False, nan, float("nan"), nan]
+        values += ["1", b"1", "'1'", "b'1'", None, (1,), "(1,)", "", " "]
+        packets = [self._packet(v) for v in values]
+        packets += [self._packet(b, a) for a, b in zip(values, reversed(values))]
+        for n in (64, 7, 64):  # again: now every route is a memo hit
+            for pkt in packets:
+                assert fp.route(pkt, n) == _unmemoised_route(fields, pkt, n)
+        distinct = {fp.route(self._packet(v), 1 << 30) for v in (1, 1.0, True)}
+        assert len(distinct) == 3
+        assert fp.route(self._packet(0.0), 1 << 30) != fp.route(self._packet(-0.0), 1 << 30)
+
+    def test_multi_field_keys_that_concatenate_alike_stay_apart(self):
+        fields = ["key", "tag"]
+        schema = PacketSchema([("key", FieldType.STRING), ("tag", FieldType.STRING)])
+        fp = FieldsPartitioning(fields)
+        pairs = [("ab", "c"), ("a", "bc"), ("abc", ""), ("", "abc"), ("a'", "'b"), ("a", "''b")]
+        for _ in range(2):
+            for key, tag in pairs:
+                p = schema.new_packet(key=key, tag=tag)
+                assert fp.route(p, 1 << 30) == _unmemoised_route(fields, p, 1 << 30)
+        assert len({fp.route(schema.new_packet(key=k, tag=t), 1 << 30) for k, t in pairs}) == len(pairs)
+
+    def test_beyond_the_memo_bound(self):
+        from repro.core import partitioning
+
+        fp = FieldsPartitioning(["key"])
+        total = partitioning._KEY_MEMO_LIMIT + 500
+        for _ in range(2):
+            for i in range(total):
+                p = pkt(key=f"k{i}")
+                assert fp.route(p, 16) == _unmemoised_route(["key"], p, 16)
+            assert 0 < len(fp._hashes) <= partitioning._KEY_MEMO_LIMIT
+
+    def test_same_scheme_object_on_a_second_schema(self):
+        other = PacketSchema(
+            [("idx", FieldType.INT32), ("pad", FieldType.BOOL), ("key", FieldType.STRING)]
+        )
+        fp = FieldsPartitioning(["key", "idx"])
+        for _ in range(2):
+            for i in range(20):
+                first = pkt(key=f"s-{i}", idx=i)
+                second = other.new_packet(idx=i, pad=True, key=f"s-{i}")
+                route = _unmemoised_route(fp.fields, first, 32)
+                assert fp.route(first, 32) == route
+                assert fp.route(second, 32) == route  # same key, other layout
+
+    def test_unknown_field_raises_as_packet_get_does(self):
+        fp = FieldsPartitioning(["key", "missing"])
+        with pytest.raises(KeyError) as expected:
+            pkt().get("missing")
+        for _ in range(2):  # a failed resolution is not remembered
+            with pytest.raises(KeyError) as raised:
+                fp.route(pkt(), 4)
+            assert str(raised.value) == str(expected.value)
+
+    def test_copies_do_not_share_a_memo(self):
+        import copy
+
+        fp = FieldsPartitioning(["key"])
+        fp.route(pkt(key="a"), 4)
+        twin = copy.deepcopy(fp)
+        twin.route(pkt(key="b"), 4)
+        assert set(fp._hashes) == {"a"} and set(twin._hashes) == {"a", "b"}
+
+
 class TestBroadcast:
     def test_all_instances(self):
         assert BroadcastPartitioning().route(pkt(), 4) == (0, 1, 2, 3)

@@ -185,6 +185,37 @@ class TestParallelism:
         assert sorted(store) == sorted(list(range(100)) * 3)
 
 
+    def test_scheme_instance_is_copied_per_sender(self):
+        """A scheme *instance* given to the graph is a template: every
+        sender routes with its own copy, so each sender's round-robin
+        is 0,1,2,... whatever the other senders do (one shared cursor
+        would be advanced by both, from two worker threads)."""
+        from repro.core.partitioning import RoundRobinPartitioning
+
+        stores = [[], [], []]
+
+        class IndexedSink(CollectingSink):
+            def setup(self, ctx):
+                self.store = stores[ctx.instance_index]
+
+        template = RoundRobinPartitioning()
+        g = StreamProcessingGraph("own-scheme", config=small_config())
+        # Not a multiple of 3: a second sender starting where the first
+        # left a shared cursor would be off even if they ran in turn.
+        g.add_source("src", lambda: CountingSource(total=100), parallelism=2)
+        g.add_processor("sink", IndexedSink, parallelism=3)
+        g.link("src", "sink", partitioning=template)
+        with NeptuneRuntime() as rt:
+            assert rt.submit(g).await_completion(timeout=30)
+        for index, store in enumerate(stores):
+            assert sorted(store) == sorted(
+                [seq for seq in range(100) if seq % 3 == index] * 2
+            )
+        assert template._next == 0  # the template itself never routed
+        a, b = (g.links[0].resolved_partitioning() for _ in range(2))
+        assert a is not b and a is not template
+
+
 class TestFanOutFanIn:
     def test_diamond_topology(self):
         store = []

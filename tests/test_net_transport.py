@@ -2,13 +2,18 @@
 TCP backpressure."""
 
 import os
+import socket
+import struct
 import threading
+import time
 
 import pytest
 
 from repro.net import (
     ChannelClosed,
+    FrameEncoder,
     InProcessTransport,
+    RetryPolicy,
     TcpListener,
     TcpTransport,
     WatermarkChannel,
@@ -261,3 +266,115 @@ class TestTcpBackpressure:
         finally:
             ch.close()
             lst.close()
+
+
+class TestResumeListenerSinkFailure:
+    """check -> sink -> commit: a frame whose sink raised was never
+    delivered, so its replay must be delivered, not acked as a
+    duplicate and dropped."""
+
+    ACK = struct.Struct("<IQ")
+
+    def _read_ack(self, sock):
+        buf = b""
+        while len(buf) < self.ACK.size:
+            chunk = sock.recv(self.ACK.size - len(buf))
+            if not chunk:
+                return None  # listener closed the connection
+            buf += chunk
+        return self.ACK.unpack(buf)
+
+    def test_replay_after_sink_error_is_delivered_exactly_once(self):
+        fail_at, total = 3, 7
+        delivered: list[int] = []
+        failed_once = []
+
+        def sink(frame):
+            if frame.seq == fail_at and not failed_once:
+                failed_once.append(frame.seq)
+                raise RuntimeError("sink failed on this frame")
+            delivered.append(frame.seq)
+
+        lst = TcpListener("127.0.0.1", 0, sink=sink, ack=True, resume=True)
+        encoder = FrameEncoder()
+        wires = [encoder.encode(9, b"frame-%d" % i, 1) for i in range(total)]
+        try:
+            # First connection: frames 0..fail_at, each acked in turn
+            # until the failing one makes the listener hang up.
+            with socket.create_connection(("127.0.0.1", lst.port), timeout=5.0) as first:
+                for seq in range(fail_at):
+                    first.sendall(wires[seq])
+                    assert self._read_ack(first) == (9, seq)
+                first.sendall(wires[fail_at])
+                assert self._read_ack(first) is None
+            assert lst.wait_error(5.0)
+            assert isinstance(lst.errors[0], RuntimeError)
+            assert delivered == list(range(fail_at))
+            # Replay on a fresh connection, as a transport would: from
+            # the oldest frame it holds — one the listener did deliver,
+            # a true duplicate — through the failed one to the end.
+            with socket.create_connection(("127.0.0.1", lst.port), timeout=5.0) as second:
+                for seq in range(fail_at - 1, total):
+                    second.sendall(wires[seq])
+                    assert self._read_ack(second) == (9, seq)
+            assert delivered == list(range(total))
+            assert lst.duplicates_suppressed == 1
+            assert lst.tracker.expected(9) == total
+            assert lst.tracker.delivered == total
+        finally:
+            lst.close()
+
+
+class TestSendWaitReporting:
+    """``send(on_wait=...)`` reports waits for the receiver, nothing else."""
+
+    def test_window_stall_and_serialized_senders_report_their_waits(self):
+        release = threading.Event()
+        arrived = FrameCollector()
+
+        def sink(frame):
+            release.wait(10.0)  # acks are withheld until released
+            arrived(frame)
+
+        lst = TcpListener("127.0.0.1", 0, sink=sink, ack=True, resume=True)
+        body = b"w" * 600
+        tx = TcpTransport(
+            "127.0.0.1",
+            lst.port,
+            retry=RetryPolicy(replay_window_bytes=1000, send_timeout=10.0),
+        )
+        waits: dict[str, list[float]] = {"first": [], "stalled": [], "behind": []}
+        try:
+            tx.send(1, body, 1, on_wait=waits["first"].append)
+            assert waits["first"] == []  # the window had room: no wait
+            # The second frame does not fit until the first is acked; a
+            # third sender queues behind it on the transport's lock.
+            stalled = threading.Thread(
+                target=tx.send,
+                args=(1, body, 1),
+                kwargs={"on_wait": waits["stalled"].append},
+                daemon=True,
+            )
+            stalled.start()
+            assert wait_until(lambda: tx.send_stalls == 1)
+            behind = threading.Thread(
+                target=tx.send,
+                args=(2, body, 1),
+                kwargs={"on_wait": waits["behind"].append},
+                daemon=True,
+            )
+            behind.start()
+            time.sleep(0.2)
+            release.set()
+            stalled.join(5.0)
+            behind.join(5.0)
+            assert not stalled.is_alive() and not behind.is_alive()
+            assert arrived.wait(3, timeout=5.0)
+        finally:
+            release.set()
+            tx.close()
+            lst.close()
+        assert len(waits["stalled"]) == 1 and waits["stalled"][0] >= 0.2
+        # Behind the stalled send it waited for the lock (and then, the
+        # window being full again, possibly for an ack of its own).
+        assert waits["behind"] and sum(waits["behind"]) >= 0.15
