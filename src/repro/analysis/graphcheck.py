@@ -44,8 +44,6 @@ from __future__ import annotations
 import json
 from typing import Any
 
-import networkx as nx
-
 from repro.analysis.diagnostics import DiagnosticReport, Severity
 from repro.analysis.schemaflow import (
     FLOAT_TYPES,
@@ -61,6 +59,7 @@ from repro.core.partitioning import (
     FieldsPartitioning,
     PartitioningScheme,
 )
+from repro.util import dag
 from repro.util.errors import GraphValidationError
 
 
@@ -119,8 +118,7 @@ class GraphVerifier:
             )
             ok = False
 
-        dg = nx.DiGraph()
-        dg.add_nodes_from(g.operators)
+        edges: list[tuple[str, str]] = []
         seen_links: set[tuple[str, str, str]] = set()
         for lk in g.links:
             endpoints_ok = True
@@ -157,12 +155,13 @@ class GraphVerifier:
                 )
                 ok = False
             seen_links.add(key)
-            dg.add_edge(lk.from_op, lk.to_op)
+            edges.append((lk.from_op, lk.to_op))
 
         if not ok:
             return False
-        if not nx.is_directed_acyclic_graph(dg):
-            cycle = nx.find_cycle(dg)
+        succ = dag.successor_map(g.operators, edges)
+        cycle = dag.find_cycle(succ)
+        if cycle:
             rep.add(
                 "NEPG107",
                 Severity.ERROR,
@@ -174,7 +173,7 @@ class GraphVerifier:
         sources = [n for n, s in g.operators.items() if s.is_source]
         reachable = set(sources)
         for s in sources:
-            reachable |= nx.descendants(dg, s)
+            reachable |= dag.descendants(succ, s)
         unreachable = set(g.operators) - reachable
         if unreachable:
             rep.add(
@@ -185,7 +184,7 @@ class GraphVerifier:
             )
             return False
         for s in sources:
-            if dg.out_degree(s) == 0 and len(g.operators) > 1:
+            if not succ[s] and len(g.operators) > 1:
                 rep.add(
                     "NEPG121",
                     Severity.WARNING,
@@ -481,12 +480,13 @@ class GraphVerifier:
         budget = cfg.latency_budget
         if budget is None:
             return
-        dg = nx.DiGraph()
-        dg.add_nodes_from(self.graph.operators)
-        dg.add_edges_from((lk.from_op, lk.to_op) for lk in self.graph.links)
-        if not nx.is_directed_acyclic_graph(dg):
+        succ = dag.successor_map(
+            self.graph.operators,
+            ((lk.from_op, lk.to_op) for lk in self.graph.links),
+        )
+        if dag.find_cycle(succ):
             return  # cycle already reported; path depth is meaningless
-        path = nx.dag_longest_path(dg)
+        path = dag.longest_path(succ)
         hops = max(len(path) - 1, 0)
         if hops == 0:
             return

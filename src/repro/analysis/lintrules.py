@@ -517,8 +517,9 @@ def _check_order_cycles(
     edges: dict[tuple[str, str], tuple[str, str, int]],
     report: DiagnosticReport,
 ) -> None:
-    """NEPL203: cycle detection over the lock-order graph (plain DFS —
-    the graph is tiny, no need for networkx here)."""
+    """NEPL203: cycle detection over the lock-order graph (plain DFS;
+    unlike :func:`repro.util.dag.find_cycle` it reports every distinct
+    cycle, each at the edge that closes it)."""
     graph: dict[str, list[str]] = {}
     for a, b in edges:
         graph.setdefault(a, []).append(b)

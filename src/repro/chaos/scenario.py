@@ -51,7 +51,7 @@ class WireScenarioResult:
     frames_sent: int
     delivered: int
     #: (link, seq) pairs never delivered / delivered more than once /
-    #: delivered with the wrong bytes.
+    #: delivered with the wrong bytes or packet count.
     lost: list = field(default_factory=list)
     duplicated: list = field(default_factory=list)
     corrupted: list = field(default_factory=list)
@@ -166,7 +166,8 @@ def run_wire_scenario(
             key = (frame.link_id, frame.seq)
             seen[key] = seen.get(key, 0) + 1
             expected = wire_payload(frame.link_id, frame.seq, payload_size)
-            if frame.body != expected and key not in result.corrupted:
+            intact = frame.body == expected and frame.count == 1
+            if not intact and key not in result.corrupted:
                 result.corrupted.append(key)
     for i in range(frames):
         key = (1 + (i % links), i // links)

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.compression.entropy import sampled_entropy
+from repro.compression.entropy import preload as preload_entropy, sampled_entropy
 from repro.lz4 import compress as lz4_compress, decompress as lz4_decompress
 
 FLAG_RAW = 0x00
@@ -86,6 +86,8 @@ class CompressionPolicy:
             raise ValueError(f"entropy_threshold must be in [0, 8]: {entropy_threshold}")
         if min_size < 0:
             raise ValueError(f"min_size must be non-negative: {min_size}")
+        if enabled:
+            preload_entropy()  # at wiring time, not on a running job's first flush
         self.enabled = enabled
         self.entropy_threshold = entropy_threshold
         self.min_size = min_size

@@ -35,9 +35,6 @@ class NeptuneConfig:
     compression_enabled / compression_entropy_threshold:
         Per-job defaults for the selective compression policy; each
         stream may override (§III-B5).
-    batch_max_packets:
-        Cap on packets handed to an operator in one scheduled
-        execution (bounds per-quantum latency under heavy batching).
     emit_timeout:
         How long a blocked emit waits before raising
         :class:`~repro.util.errors.BackpressureTimeout`.  None = wait
@@ -77,7 +74,6 @@ class NeptuneConfig:
     compression_enabled: bool = False
     compression_entropy_threshold: float = 6.0
     compression_min_size: int = 64
-    batch_max_packets: int = 8192
     emit_timeout: float | None = None
     transport_recovery: bool = True
     transport_max_retries: int = 6
@@ -106,8 +102,6 @@ class NeptuneConfig:
             )
         if self.worker_threads is not None and self.worker_threads <= 0:
             raise ValueError(f"worker_threads must be positive: {self.worker_threads}")
-        if self.batch_max_packets <= 0:
-            raise ValueError(f"batch_max_packets must be positive: {self.batch_max_packets}")
         if self.transport_max_retries < 0:
             raise ValueError(
                 f"transport_max_retries must be >= 0: {self.transport_max_retries}"

@@ -21,12 +21,11 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable
 
-import networkx as nx
-
 from repro.core.config import NeptuneConfig
 from repro.core.operators import StreamOperator
 from repro.core.packet import PacketSchema
 from repro.core.partitioning import PartitioningScheme, resolve_partitioning
+from repro.util import dag
 from repro.util.errors import (
     DescriptorError,
     DuplicateLinkError,
@@ -189,10 +188,10 @@ class StreamProcessingGraph:
     def stages(self) -> list[list[str]]:
         """Topological generations — the paper's processing *stages*."""
         self.validate()
-        g = nx.DiGraph()
-        g.add_nodes_from(self.operators)
-        g.add_edges_from((lk.from_op, lk.to_op) for lk in self.links)
-        return [sorted(gen) for gen in nx.topological_generations(g)]
+        succ = dag.successor_map(
+            self.operators, ((lk.from_op, lk.to_op) for lk in self.links)
+        )
+        return [sorted(gen) for gen in dag.generations(succ)]
 
     def total_instances(self) -> int:
         """Total operator instances across the graph."""

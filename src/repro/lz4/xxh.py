@@ -1,16 +1,18 @@
 """xxHash32 — the checksum used by the LZ4 frame format.
 
-NEPTUNE's wire framing uses xxh32 to detect corrupted stream packets in
-flight (the paper's correctness requirement: no corrupted packets).
+NEPTUNE uses xxh32 as its stable, seedable 32-bit hash: key routing in
+:class:`~repro.core.partitioning.FieldsPartitioning`, the broker's key
+to partition map, and the chaos plan's per-decision hash.  (Wire frames
+are checked with ``zlib.crc32`` — see :mod:`repro.net.framing`.)
 Implemented from the xxHash specification; verified against published
 test vectors in the test suite.
 
-The 16-byte stripe loop is the one per-byte interpreter loop on the
-wire path, so it carries the four accumulator lanes as *one* Python
-integer: each lane sits in its own 64-bit slot, where a 32x32-bit
-product can never carry into its neighbour, and one big-integer
-multiply, shift or mask advances all four lanes at once.  A stripe then
-costs nine integer operations instead of some forty.
+The 16-byte stripe loop is a per-byte interpreter loop, so it carries
+the four accumulator lanes as *one* Python integer: each lane sits in
+its own 64-bit slot, where a 32x32-bit product can never carry into its
+neighbour, and one big-integer multiply, shift or mask advances all
+four lanes at once.  A stripe then costs nine integer operations
+instead of some forty.
 """
 
 from __future__ import annotations

@@ -12,17 +12,32 @@ Frame layout (all integers little-endian)::
     seq        8 bytes   per-link frame sequence number (in-order check)
     count      4 bytes   number of packets in the batch
     length     4 bytes   body length in bytes
-    checksum   4 bytes   xxh32 of the body
-    [trace_len 2 bytes   version 2 only: trace block length]
-    [trace     `trace_len` bytes   version 2 only: observe trace notes]
+    checksum   4 bytes   CRC-32 of every other byte of the frame
+    [trace_len 2 bytes   version 4 only: trace block length]
+    [trace     `trace_len` bytes   version 4 only: observe trace notes]
     body       `length` bytes
 
-Version 1 frames carry no trace block; version 2 frames insert one
+Version 3 frames carry no trace block; version 4 frames insert one
 between header and body (see :mod:`repro.observe.tracing`).  The
-encoder emits version 1 whenever the trace block is empty, so tracing
+encoder emits version 3 whenever the trace block is empty, so tracing
 is zero wire overhead unless a sampled packet is actually aboard, and
-decoders accept both versions.  The checksum covers the body only: a
-trace note is advisory diagnostics, not stream data.
+decoders accept both versions.
+
+The checksum is one running ``zlib.crc32`` over the 23 header bytes
+that precede it (magic ... length), then the trace block (``trace_len``
+and ``trace``) if there is one, then the body: every bit of a frame
+but the checksum itself is covered, so a flipped ``seq``, ``count`` or
+``link_id`` is refused exactly like a flipped body byte — the
+transport resets the connection and the sender replays — instead of
+being acted on.  The decoder verifies it before it acts on anything
+but magic, version and the two lengths, which it must read first to
+know how many bytes to wait for (a corrupted length is caught when the
+bytes it asked for arrive and the CRC fails).
+
+Versions 1 and 2 (body-only xxh32 checksum) are refused as
+"unsupported frame version".  There is no compatibility path: every
+peer of a job is spawned from one source tree and replay windows live
+in memory, so no frame in the old format can reach this decoder.
 
 The sequence number and checksum implement the paper's correctness
 requirements: no corrupted, dropped, duplicated, or reordered packets.
@@ -33,15 +48,17 @@ from __future__ import annotations
 import struct
 import threading
 from dataclasses import dataclass
+from zlib import crc32
 
-from repro.lz4 import xxh32
 from repro.util.errors import SerializationError
 
 MAGIC = 0x4E50
-VERSION = 1
-VERSION_TRACED = 2
-_HEADER = struct.Struct("<HBIQII I".replace(" ", ""))
-HEADER_SIZE = _HEADER.size
+VERSION = 3
+VERSION_TRACED = 4
+# The header fields the checksum covers, then the checksum itself.
+_HEAD = struct.Struct("<HBIQII")
+_CHECKSUM = struct.Struct("<I")
+HEADER_SIZE = _HEAD.size + _CHECKSUM.size
 _TRACE_LEN = struct.Struct("<H")
 MAX_TRACE = 0xFFFF
 
@@ -128,7 +145,8 @@ class FrameEncoder:
         The header part includes any trace block; the body is returned
         as given — zero-copy for the common send path, which can write
         the two parts to a socket without concatenating them.  A
-        non-empty ``trace`` block upgrades the frame to version 2.
+        non-empty ``trace`` block upgrades the frame to the traced
+        version.
         """
         if link_id < 0 or link_id > 0xFFFFFFFF:
             raise SerializationError(f"link_id out of range: {link_id}")
@@ -138,13 +156,13 @@ class FrameEncoder:
             raise SerializationError(f"frame trace block too large: {len(trace)}")
         seq = self._seqs.get(link_id, 0)
         self._seqs[link_id] = seq + 1
-        version = VERSION_TRACED if trace else VERSION
-        header = _HEADER.pack(
-            MAGIC, version, link_id, seq, count, len(body), xxh32(body)
-        )
         if trace:
-            return header + _TRACE_LEN.pack(len(trace)) + trace, body
-        return header, body
+            head = _HEAD.pack(MAGIC, VERSION_TRACED, link_id, seq, count, len(body))
+            trace_block = _TRACE_LEN.pack(len(trace)) + trace
+            checksum = crc32(body, crc32(trace_block, crc32(head)))
+            return head + _CHECKSUM.pack(checksum) + trace_block, body
+        head = _HEAD.pack(MAGIC, VERSION, link_id, seq, count, len(body))
+        return head + _CHECKSUM.pack(crc32(body, crc32(head))), body
 
     def sequence(self, link_id: int) -> int:
         """Next sequence number that will be assigned for ``link_id``."""
@@ -177,9 +195,7 @@ class FrameDecoder:
     def _try_decode_one(self) -> Frame | None:
         if len(self._buf) < HEADER_SIZE:
             return None
-        magic, version, link_id, seq, count, length, checksum = _HEADER.unpack_from(
-            self._buf
-        )
+        magic, version, link_id, seq, count, length = _HEAD.unpack_from(self._buf)
         if magic != MAGIC:
             raise SerializationError(f"bad frame magic: {magic:#06x}")
         if version not in (VERSION, VERSION_TRACED):
@@ -196,18 +212,25 @@ class FrameDecoder:
         end = body_at + length
         if len(self._buf) < end:
             return None
+        (checksum,) = _CHECKSUM.unpack_from(self._buf, _HEAD.size)
         # Slicing the bytearray itself would copy each part twice (a
-        # temporary bytearray, then bytes); through a view it is once.
-        # The views must be gone before the resize below: a bytearray
-        # with a live export cannot shrink (BufferError).
+        # temporary bytearray, then bytes); through a view it is once,
+        # and the checksum runs over the views before anything is
+        # copied.  The views must be gone before the resize below: a
+        # bytearray with a live export cannot shrink (BufferError).
         with memoryview(self._buf) as view:
-            if version == VERSION_TRACED:
-                with view[HEADER_SIZE + _TRACE_LEN.size : body_at] as part:
-                    trace = bytes(part)
-            with view[body_at:end] as part:
-                body = bytes(part)
+            with view[: _HEAD.size] as part:
+                actual = crc32(part)
+            with view[HEADER_SIZE:end] as part:
+                actual = crc32(part, actual)
+            if actual == checksum:
+                if version == VERSION_TRACED:
+                    with view[HEADER_SIZE + _TRACE_LEN.size : body_at] as part:
+                        trace = bytes(part)
+                with view[body_at:end] as part:
+                    body = bytes(part)
         del self._buf[:end]
-        if xxh32(body) != checksum:
+        if actual != checksum:
             raise SerializationError(
                 f"checksum mismatch on link {link_id} seq {seq}: packet corrupted"
             )

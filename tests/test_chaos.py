@@ -19,7 +19,7 @@ from repro.chaos.scenario import (
     run_wire_scenario,
     wire_payload,
 )
-from repro.net.framing import SequenceTracker
+from repro.net.framing import HEADER_SIZE, SequenceTracker
 from repro.net.transport import RetryPolicy
 from repro.sim.engine import Interrupt, Simulator
 
@@ -350,6 +350,30 @@ class TestWireScenario:
         assert result.delivered == result.frames_sent == 60
         assert result.reconnects > 0  # the scenario actually hurt
         assert result.trace_lines  # and the faults were traced
+
+    # Bit offsets within the wire frame: seq's low byte is byte 7,
+    # count's is byte 15.
+    @pytest.mark.parametrize(
+        "bit", [7 * 8 + 1, 15 * 8], ids=["seq-3-to-1", "count-1-to-0"]
+    )
+    def test_header_bitflip_heals_by_reset_and_replay(self, bit):
+        """A flipped bit in a frame's header is corruption like any
+        other: refused by the checksum, healed by reset + replay —
+        never classified by the corrupted ``seq`` (lowered: acked as a
+        duplicate) nor delivered with the corrupted ``count``."""
+        payload_size = 256
+        bits = (HEADER_SIZE + payload_size) * 8
+        # The injector maps param -> bit int(param * bits).
+        plan = FaultPlan(seed=0).at(
+            "tcp.send", 3, FaultAction.BITFLIP, (bit + 0.5) / bits
+        )
+        result = run_wire_scenario(
+            seed=0, frames=12, payload_size=payload_size, links=1, plan=plan
+        )
+        assert result.exactly_once, result.summary()
+        assert result.corruption_resets == 1, result.summary()
+        assert result.duplicates_suppressed == 0, result.summary()
+        assert len(result.trace_lines) == 1
 
     def test_same_seed_byte_identical_trace(self):
         """The determinism regression: two runs with the same seed must

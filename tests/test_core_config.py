@@ -33,7 +33,6 @@ class TestValidation:
             {"inbound_low_watermark": 100, "inbound_high_watermark": 100},
             {"inbound_low_watermark": -1},
             {"worker_threads": 0},
-            {"batch_max_packets": 0},
         ],
     )
     def test_invalid_rejected(self, kwargs):

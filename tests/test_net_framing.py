@@ -1,10 +1,13 @@
 """Tests for wire framing: encode/decode, corruption and ordering checks."""
 
+import struct
+import zlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net import FrameDecoder, FrameEncoder
-from repro.net.framing import HEADER_SIZE, MAX_BODY
+from repro.net.framing import HEADER_SIZE, MAX_BODY, VERSION, VERSION_TRACED
 from repro.util.errors import SerializationError
 
 
@@ -57,7 +60,7 @@ class TestEncodeDecode:
         # The decoder takes body and trace block through a memoryview
         # and must drop it before shrinking its buffer (a live export
         # makes the resize raise BufferError): cut a plain frame, a
-        # traced (version 2) frame and an empty one at every offset,
+        # traced frame and an empty one at every offset,
         # with the next frame's first bytes already behind them.
         enc = FrameEncoder()
         expected = [
@@ -98,6 +101,48 @@ class TestValidation:
         wire[2] = 99  # version byte
         with pytest.raises(SerializationError, match="version"):
             dec.feed(bytes(wire))
+
+    @pytest.mark.parametrize("old", [1, 2])
+    def test_body_only_checksum_versions_refused(self, old):
+        # Versions 1/2 carried xxh32(body); nothing that speaks them can
+        # exist in a job, so they are refused, not dual-decoded.
+        enc, dec = FrameEncoder(), FrameDecoder()
+        wire = bytearray(enc.encode(1, b"body", 1, b"t" if old == 2 else b""))
+        wire[2] = old
+        with pytest.raises(SerializationError, match=f"unsupported frame version: {old}"):
+            dec.feed(bytes(wire))
+
+    @pytest.mark.parametrize("trace", [b"", b"\x01trace-notes"], ids=["plain", "traced"])
+    def test_checksum_is_crc32_of_everything_else(self, trace):
+        # The layout contract, stated once independently of the encoder:
+        # 23 covered header bytes, the u32 CRC, then trace block + body.
+        wire = FrameEncoder().encode(5, b"sensor-data", 3, trace)
+        assert wire[2] == (VERSION_TRACED if trace else VERSION)
+        (checksum,) = struct.unpack_from("<I", wire, HEADER_SIZE - 4)
+        assert checksum == zlib.crc32(wire[: HEADER_SIZE - 4] + wire[HEADER_SIZE:])
+
+    @pytest.mark.parametrize("trace", [b"", b"\x01trace-notes"], ids=["plain", "traced"])
+    def test_every_single_bit_flip_is_refused(self, trace):
+        # Header, trace length, trace and body alike: a corrupted frame
+        # either raises or (a raised length) waits for the bytes it now
+        # asks for and raises when they are there; it is never handed
+        # to the caller.  Fed whole, and split at the flipped byte.
+        wire = FrameEncoder().encode(9, b"sensor-data" * 3, 4, trace)
+        assert FrameDecoder().feed(wire)  # the clean frame decodes
+        for bit in range(len(wire) * 8):
+            bad = bytearray(wire)
+            bad[bit // 8] ^= 1 << (bit % 8)
+            for cut in (0, bit // 8):
+                dec = FrameDecoder()
+                try:
+                    frames = dec.feed(bytes(bad[:cut])) + dec.feed(bytes(bad[cut:]))
+                except SerializationError:
+                    continue
+                assert frames == [], (bit, cut)
+                assert dec.pending_bytes == len(wire)
+                with pytest.raises(SerializationError, match="checksum"):
+                    for _ in range(21):  # doubling: enough for a 32 MiB length
+                        dec.feed(bytes(dec.pending_bytes))
 
     def test_dropped_frame_detected(self):
         enc, dec = FrameEncoder(), FrameDecoder()

@@ -268,21 +268,23 @@ class TestTcpBackpressure:
             lst.close()
 
 
+_ACK = struct.Struct("<IQ")
+
+
+def _read_ack(sock):
+    buf = b""
+    while len(buf) < _ACK.size:
+        chunk = sock.recv(_ACK.size - len(buf))
+        if not chunk:
+            return None  # listener closed the connection
+        buf += chunk
+    return _ACK.unpack(buf)
+
+
 class TestResumeListenerSinkFailure:
     """check -> sink -> commit: a frame whose sink raised was never
     delivered, so its replay must be delivered, not acked as a
     duplicate and dropped."""
-
-    ACK = struct.Struct("<IQ")
-
-    def _read_ack(self, sock):
-        buf = b""
-        while len(buf) < self.ACK.size:
-            chunk = sock.recv(self.ACK.size - len(buf))
-            if not chunk:
-                return None  # listener closed the connection
-            buf += chunk
-        return self.ACK.unpack(buf)
 
     def test_replay_after_sink_error_is_delivered_exactly_once(self):
         fail_at, total = 3, 7
@@ -304,9 +306,9 @@ class TestResumeListenerSinkFailure:
             with socket.create_connection(("127.0.0.1", lst.port), timeout=5.0) as first:
                 for seq in range(fail_at):
                     first.sendall(wires[seq])
-                    assert self._read_ack(first) == (9, seq)
+                    assert _read_ack(first) == (9, seq)
                 first.sendall(wires[fail_at])
-                assert self._read_ack(first) is None
+                assert _read_ack(first) is None
             assert lst.wait_error(5.0)
             assert isinstance(lst.errors[0], RuntimeError)
             assert delivered == list(range(fail_at))
@@ -316,10 +318,61 @@ class TestResumeListenerSinkFailure:
             with socket.create_connection(("127.0.0.1", lst.port), timeout=5.0) as second:
                 for seq in range(fail_at - 1, total):
                     second.sendall(wires[seq])
-                    assert self._read_ack(second) == (9, seq)
+                    assert _read_ack(second) == (9, seq)
             assert delivered == list(range(total))
             assert lst.duplicates_suppressed == 1
             assert lst.tracker.expected(9) == total
+            assert lst.tracker.delivered == total
+        finally:
+            lst.close()
+
+
+class TestResumeListenerHeaderCorruption:
+    """The frame checksum covers the header: a flipped ``seq`` or
+    ``count`` is a corrupted frame — reset, replay — never a frame to
+    classify by the corrupted sequence or hand on with the corrupted
+    count."""
+
+    # (offset of the field's low byte, bit to flip) on frame 3 (count 1).
+    @pytest.mark.parametrize(
+        "offset, bit", [(7, 0x02), (15, 0x01)], ids=["seq-lowered", "count-flipped"]
+    )
+    def test_header_bit_flip_resets_and_the_replay_is_delivered(self, offset, bit):
+        bad_at, total = 3, 7
+        delivered: list[tuple[int, int, bytes]] = []
+        lst = TcpListener(
+            "127.0.0.1",
+            0,
+            sink=lambda f: delivered.append((f.seq, f.count, f.body)),
+            ack=True,
+            resume=True,
+        )
+        encoder = FrameEncoder()
+        wires = [encoder.encode(9, b"frame-%d" % i, 1) for i in range(total)]
+        expected = [(i, 1, b"frame-%d" % i) for i in range(total)]
+        corrupted = bytearray(wires[bad_at])
+        corrupted[offset] ^= bit
+        try:
+            with socket.create_connection(("127.0.0.1", lst.port), timeout=5.0) as first:
+                for seq in range(bad_at):
+                    first.sendall(wires[seq])
+                    assert _read_ack(first) == (9, seq)
+                first.sendall(bytes(corrupted))
+                # Neither acked (as the duplicate its seq claims to be)
+                # nor delivered (with the count it claims to have).
+                assert _read_ack(first) is None
+            assert lst.wait_error(5.0)
+            assert "checksum" in str(lst.errors[0])
+            assert lst.corruption_resets == 1
+            assert delivered == expected[:bad_at]
+            # The sender's replay: from its oldest unacknowledged frame.
+            with socket.create_connection(("127.0.0.1", lst.port), timeout=5.0) as second:
+                for seq in range(bad_at, total):
+                    second.sendall(wires[seq])
+                    assert _read_ack(second) == (9, seq)
+            assert delivered == expected
+            assert lst.duplicates_suppressed == 0
+            assert lst.gap_resets == 0
             assert lst.tracker.delivered == total
         finally:
             lst.close()
