@@ -139,41 +139,62 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return max((r.exit_code(fail_on) for r in reports), default=0)
 
 
+class _Deployment:
+    """``graph`` running the way ``--workers`` says: on this process's
+    ``NeptuneRuntime``, or (``> 1``) across co-hosted ``DistributedJob``
+    workers over loopback TCP.  One surface over either for ``run``,
+    ``metrics`` and ``doctor``: ``job`` (``metrics()``), ``failures()``,
+    and ``scrape()`` — the job's instruments into ``observer``'s registry.
+    """
+
+    def __init__(self, graph, args: argparse.Namespace, observer=None) -> None:
+        from repro.observe import bridge
+
+        self._args = args
+        self._runtime = None
+        if args.workers > 1:
+            from repro.core.distributed import DistributedJob
+
+            job = DistributedJob(graph, n_workers=args.workers, observer=observer)
+            job.start()
+            self.failures = job.failures
+            self.scrape = lambda: bridge.scrape_distributed(observer.registry, job)
+        else:
+            from repro.core import NeptuneRuntime
+
+            self._runtime = NeptuneRuntime(observer=observer)
+            job = self._runtime.submit(graph)
+            self.failures = lambda: job.failures
+            self.scrape = lambda: bridge.scrape_job(observer.registry, job)
+        self.job = job
+
+    def wait(self, duration: float = 0.0) -> bool:
+        """Stop after ``duration`` seconds, or (0) wait for the sources
+        to finish; True iff the job drained within ``--drain-timeout``."""
+        if duration > 0:
+            time.sleep(duration)
+            return self.job.stop(timeout=self._args.drain_timeout)
+        return self.job.await_completion(timeout=self._args.drain_timeout)
+
+    def __enter__(self) -> "_Deployment":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._runtime is not None:  # a drain stops DistributedJob's workers
+            self._runtime.shutdown()
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     """`run` subcommand: deploy a descriptor and print metrics."""
     graph = _load_graph(args.descriptor)
-    if args.workers > 1:
-        return _run_distributed(graph, args)
-    from repro.core import NeptuneRuntime
-
-    with NeptuneRuntime() as runtime:
-        handle = runtime.submit(graph)
-        if args.duration > 0:
-            time.sleep(args.duration)
-            ok = handle.stop(timeout=args.drain_timeout)
-        else:
-            ok = handle.await_completion(timeout=args.drain_timeout)
-        failures = handle.failures
-        metrics = handle.metrics()
+    with _Deployment(graph, args) as dep:
+        for w in getattr(dep.job, "workers", ()):
+            print(f"resource {w.worker_id} @ {w.address[0]}:{w.address[1]}: "
+                  f"{dep.job.plan.instances_on(w.worker_id)}")
+        ok = dep.wait(args.duration)
+        failures = dep.failures()
+        metrics = dep.job.metrics()
     _print_metrics(graph.name, ok, metrics, failures)
-    return 0 if ok and not failures else 1
-
-
-def _run_distributed(graph, args: argparse.Namespace) -> int:
-    from repro.core.distributed import DistributedJob
-
-    job = DistributedJob(graph, n_workers=args.workers)
-    for w in job.workers:
-        print(f"resource {w.worker_id} @ {w.address[0]}:{w.address[1]}: "
-              f"{job.plan.instances_on(w.worker_id)}")
-    job.start()
-    if args.duration > 0:
-        time.sleep(args.duration)
-        ok = job.stop(timeout=args.drain_timeout)
-    else:
-        ok = job.await_completion(timeout=args.drain_timeout)
-    failures = job.failures()
-    _print_metrics(graph.name, ok, job.metrics(), failures)
     return 0 if ok and not failures else 1
 
 
@@ -254,21 +275,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if args.cluster:
         return _metrics_cluster(args, graph)
     obs = RuntimeObserver(sample_every=args.sample_every)
-    if args.workers > 1:
-        from repro.core.distributed import DistributedJob
-
-        job = DistributedJob(graph, n_workers=args.workers, observer=obs)
-        job.start()
-        ok = job.await_completion(timeout=args.drain_timeout)
-        bridge.scrape_distributed(obs.registry, job)
-        job.stop()
-    else:
-        from repro.core import NeptuneRuntime
-
-        with NeptuneRuntime(observer=obs) as runtime:
-            handle = runtime.submit(graph)
-            ok = handle.await_completion(timeout=args.drain_timeout)
-            bridge.scrape_job(obs.registry, handle)
+    with _Deployment(graph, args, obs) as dep:
+        ok = dep.wait()
+        dep.scrape()
     bridge.scrape_observer(obs)
     if args.format == "prometheus":
         sys.stdout.write(export.to_prometheus(obs.registry))
@@ -600,42 +609,19 @@ def cmd_doctor(args: argparse.Namespace) -> int:
     )
     if args.cluster:
         return _doctor_cluster(args, graph, slos)
-    sampler = AdaptiveSampler(obs.tracer)
-    if args.workers > 1:
-        from repro.core.distributed import DistributedJob
-
-        job = DistributedJob(graph, n_workers=args.workers, observer=obs)
+    with _Deployment(graph, args, obs) as dep:
         engine = HealthEngine(
             obs,
             slos,
-            scrape=lambda: bridge.scrape_distributed(obs.registry, job),
-            sampler=sampler,
+            scrape=dep.scrape,
+            sampler=AdaptiveSampler(obs.tracer),
             regions=graph_regions(graph),
             interval=args.scan_interval,
         )
-        job.start()
         engine.start()
-        ok = job.await_completion(timeout=args.drain_timeout)
+        ok = dep.wait()
         engine.stop()
-        bridge.scrape_distributed(obs.registry, job)
-        job.stop()
-    else:
-        from repro.core import NeptuneRuntime
-
-        with NeptuneRuntime(observer=obs) as runtime:
-            handle = runtime.submit(graph)
-            engine = HealthEngine(
-                obs,
-                slos,
-                scrape=lambda: bridge.scrape_job(obs.registry, handle),
-                sampler=sampler,
-                regions=graph_regions(graph),
-                interval=args.scan_interval,
-            )
-            engine.start()
-            ok = handle.await_completion(timeout=args.drain_timeout)
-            engine.stop()
-            bridge.scrape_job(obs.registry, handle)
+        dep.scrape()
     engine.scan_once()  # final verdict over the drained job's telemetry
     bridge.scrape_observer(obs)
     snap = export.snapshot(obs)

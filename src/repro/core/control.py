@@ -9,12 +9,13 @@ processes (or machines):
   ``is_quiet``/``metrics``/``telemetry``/``failures``/``stop``).
 - :class:`RemoteWorker` — the client proxy, duck-type compatible with
   :class:`DistributedWorker` for everything the coordinator needs.
-- :class:`RemoteDistributedJob` — the same global-drain coordinator as
-  :class:`~repro.core.distributed.DistributedJob`, over proxies.
-- :func:`worker_main` — process entry point
-  (``python -m repro.core.control --descriptor g.json ...``) that
-  builds the worker from a JSON graph descriptor, wires it, serves
-  control commands, and blocks until told to stop.
+- :class:`RemoteDistributedJob` — the global-drain coordinator over
+  anything worker-shaped: proxies here, in-process workers under
+  :class:`~repro.core.distributed.DistributedJob` (its subclass).
+
+The process a :class:`ControlServer` runs in is started by
+:mod:`repro.cluster.worker` (``python -m repro.cluster.worker --spec
+spec.json``), the one worker entry point.
 
 The data plane is unchanged: stream frames ride the workers' own
 TCP listeners; only coordination (start/drain/metrics) crosses the
@@ -298,7 +299,11 @@ class RemoteWorker:
 
 
 class RemoteDistributedJob:
-    """Global drain over remote workers (same protocol as DistributedJob)."""
+    """Global drain and metric merge over a job's workers: anything with
+    the :class:`~repro.core.distributed.DistributedWorker` drain surface
+    (``prepare_drain``/``finish_sources``/``flush_all``/``is_quiet``/
+    ``metrics``/``failures``/``stop``), in this process or behind a
+    :class:`RemoteWorker` proxy."""
 
     def __init__(self, workers: list) -> None:
         if not workers:
@@ -359,6 +364,7 @@ class RemoteDistributedJob:
             for w in self.workers:
                 w.flush_all()
             if all(w.is_quiet() for w in self.workers):
+                # Allow in-flight TCP frames to land, then re-verify.
                 time.sleep(0.05)
                 for w in self.workers:
                     w.flush_all()
@@ -382,81 +388,3 @@ class RemoteDistributedJob:
         for w in self.workers:
             w.stop()
         return quiesced
-
-
-# ---------------------------------------------------------------------------
-# worker process entry point
-# ---------------------------------------------------------------------------
-
-
-def worker_main(argv: list[str] | None = None) -> int:
-    """Run one distributed worker as a standalone process.
-
-    The coordinator launches N of these (one per machine/process) with
-    identical descriptor+plan, pre-agreed data-plane ports, then drives
-    them through their control ports with :class:`RemoteWorker` /
-    :class:`RemoteDistributedJob`.
-    """
-    import argparse
-
-    from repro.core.distributed import DeploymentPlan, DistributedWorker
-    from repro.core.graph import StreamProcessingGraph
-
-    parser = argparse.ArgumentParser(prog="repro.core.control")
-    parser.add_argument("--descriptor", required=True, help="graph JSON file")
-    parser.add_argument("--worker-id", type=int, required=True)
-    parser.add_argument(
-        "--plan",
-        required=True,
-        help='JSON: {"n_workers": N, "assignment": [["op", idx, worker], ...]}',
-    )
-    parser.add_argument(
-        "--endpoints",
-        required=True,
-        help='JSON: {"0": ["host", dataport], ...} for every worker',
-    )
-    parser.add_argument("--listen-port", type=int, required=True)
-    parser.add_argument("--control-port", type=int, required=True)
-    args = parser.parse_args(argv)
-
-    with open(args.descriptor, "r", encoding="utf-8") as fh:
-        graph = StreamProcessingGraph.from_descriptor(json.load(fh))
-    graph.validate()
-    plan_raw = json.loads(args.plan)
-    plan = DeploymentPlan(
-        n_workers=plan_raw["n_workers"],
-        assignment={(op, idx): w for op, idx, w in plan_raw["assignment"]},
-    )
-    endpoints: dict[int, tuple] = {
-        int(k): (v[0], int(v[1])) for k, v in json.loads(args.endpoints).items()
-    }
-    worker = DistributedWorker(
-        args.worker_id, graph, plan, listen_port=args.listen_port
-    )
-    control = ControlServer(worker, port=args.control_port)
-    worker.connect(endpoints)
-    worker.start()
-    print(
-        f"worker {args.worker_id}: data={worker.address[1]} "
-        f"control={control.port} instances={plan.instances_on(args.worker_id)}",
-        flush=True,
-    )
-    control.stop_requested.wait()
-    control.close()
-    return 0
-
-
-def plan_to_json(plan) -> str:
-    """Serialize a DeploymentPlan for worker_main's ``--plan``."""
-    return json.dumps(
-        {
-            "n_workers": plan.n_workers,
-            "assignment": [
-                [op, idx, worker] for (op, idx), worker in sorted(plan.assignment.items())
-            ],
-        }
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover — exercised via subprocess
-    raise SystemExit(worker_main())

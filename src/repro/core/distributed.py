@@ -7,8 +7,11 @@ deployment shape:
 - :func:`round_robin_plan` assigns every operator *instance* to a
   worker (resource).
 - :class:`DistributedWorker` hosts one worker's partition: its operator
-  instances run on a local :class:`~repro.granules.resource.Resource`;
-  link legs whose destination is local use in-process channels, remote
+  instances run on a local :class:`~repro.granules.resource.Resource`,
+  wired by the engine's one wiring function
+  (:func:`repro.core.runtime._wire_partition`, the same one
+  :class:`~repro.core.runtime.NeptuneRuntime` uses); link legs whose
+  destination is local use in-process channels, remote
   legs ride :class:`~repro.net.transport.TcpTransport` /
   :class:`~repro.net.transport.TcpListener` with checksummed,
   sequence-verified frames.
@@ -29,25 +32,14 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from repro.compression import CompressionPolicy
-from repro.core.buffering import FlushTimerService, StreamBuffer, retune_matching
+from repro.core.buffering import FlushTimerService
+from repro.core.control import RemoteDistributedJob
 from repro.core.graph import StreamProcessingGraph
 from repro.core.job import JobState
-from repro.core.runtime import (
-    _InLinkInfo,
-    _InstanceRuntime,
-    _JobRuntime,
-    _waited,
-    NeptuneRuntime,
-)
-from repro.core.serde import PacketCodec
+from repro.core.runtime import _apply_reconfigure, _JobRuntime, _wire_partition
 from repro.granules.resource import Resource
-from repro.granules.scheduler import DataDrivenStrategy
-from repro.granules.task import TaskState
-from repro.net.flowcontrol import ChannelClosed
 from repro.net.framing import Frame
 from repro.net.transport import TcpListener, TcpTransport
-from repro.observe.tracing import LegTrace, encode_notes
 from repro.util.errors import GraphValidationError, NeptuneError, TransportError
 
 
@@ -215,191 +207,15 @@ class DistributedWorker:
         (including this one).  Must be called on every worker before
         :meth:`start`.
         """
-        cfg = self.graph.config
-        # 1. Local instances (remote ones are represented by wiring only).
-        for spec in self.graph.operators.values():
-            instances = []
-            for idx in range(spec.parallelism):
-                if self.plan.worker_of(spec.name, idx) == self.worker_id:
-                    instances.append(_InstanceRuntime(self.job, spec, idx))
-            self.job.instances[spec.name] = instances
-
-        local = {
-            (inst.spec.name, inst.index): inst for inst in self.job.all_instances()
-        }
-
-        # 2. Wire legs.  Wire ids are derived deterministically from the
-        #    (link, sender, receiver) triple so every worker computes the
-        #    same ids without coordination.
-        for link in self.graph.links:
-            senders = self.graph.operators[link.from_op].parallelism
-            receivers = self.graph.operators[link.to_op].parallelism
-            compression_on = NeptuneRuntime._compression_enabled(cfg, link)
-            for s_idx in range(senders):
-                sender_here = (link.from_op, s_idx) in local
-                out = None
-                if sender_here:
-                    from repro.core.runtime import _OutLinkRuntime
-
-                    out = _OutLinkRuntime(link)
-                    if compression_on:
-                        out.policy = CompressionPolicy(
-                            enabled=True,
-                            entropy_threshold=cfg.compression_entropy_threshold,
-                            min_size=cfg.compression_min_size,
-                        )
-                for r_idx in range(receivers):
-                    wire_id = self._wire_id(link.link_id, s_idx, r_idx)
-                    receiver_worker = self.plan.worker_of(link.to_op, r_idx)
-                    if receiver_worker == self.worker_id:
-                        inst = local[(link.to_op, r_idx)]
-                        info = _InLinkInfo(PacketCodec(link.schema), compression_on)
-                        self._inbound[wire_id] = (inst.channel, info)
-                    if not sender_here:
-                        continue
-                    leg = LegTrace() if self.observer is not None else None
-                    owner: list = []  # filled with the buffer below
-                    sink = self._make_leg_sink(
-                        wire_id,
-                        receiver_worker,
-                        endpoints,
-                        compression_on,
-                        link,
-                        cfg,
-                        out.policy,
-                        leg,
-                        owner,
-                    )
-                    buf = StreamBuffer(
-                        capacity=cfg.buffer_capacity,
-                        sink=sink,
-                        max_delay=cfg.buffer_max_delay,
-                        name=f"w{self.worker_id}:{link.from_op}[{s_idx}]->"
-                        f"{link.to_op}[{r_idx}]/{link.stream}",
-                        trace_leg=leg,
-                        observer=self.observer,
-                    )
-                    owner.append(buf)
-                    if receiver_worker == self.worker_id:
-                        # Co-located leg: the receiver returns stolen
-                        # flush bytearrays straight to this buffer.
-                        self._inbound[wire_id][1].recycle = buf.recycle
-                    out.buffers.append(buf)
-                    out.wire_ids.append(wire_id)
-                    self.job.buffers.append(buf)
-                    self._flush_service.register(buf)
-                if sender_here:
-                    sender_inst = local[(link.from_op, s_idx)]
-                    sender_inst.out_links.setdefault(link.stream, []).append(out)
-        for inst in self.job.all_instances():
-            inst.bind_links()
+        plan, me = self.plan, self.worker_id
+        self._inbound = _wire_partition(
+            self.job,
+            lambda op, idx: plan.worker_of(op, idx) == me,
+            f"w{me}:",
+            lambda op, idx: self._transport_to(plan.worker_of(op, idx), endpoints),
+            self._flush_service,
+        )
         self._wired.set()
-
-        # Watermark gate transitions land on the observer's timeline,
-        # same as the single-process runtime — including the throttled
-        # upstream operators (bare graph names), so the doctor's
-        # cascade closure works across worker boundaries.
-        if self.observer is not None:
-            upstream: dict = {}
-            for link in self.graph.links:
-                ops = upstream.setdefault(link.to_op, [])
-                if link.from_op not in ops:
-                    ops.append(link.from_op)
-            for inst in self.job.all_instances():
-                if inst.channel is not None:
-                    inst.channel.on_gate_change(
-                        NeptuneRuntime._make_gate_callback(
-                            self.observer,
-                            f"w{self.worker_id}:{inst.op_label}",
-                            inst.channel,
-                            tuple(upstream.get(inst.spec.name, ())),
-                        )
-                    )
-
-    @staticmethod
-    def _wire_id(link_id: int, s_idx: int, r_idx: int) -> int:
-        # 12 bits each for sender/receiver instance: ample for any graph.
-        return (link_id << 24) | (s_idx << 12) | r_idx
-
-    def _make_leg_sink(
-        self, wire_id, receiver_worker, endpoints, compression_on, link, cfg, policy,
-        leg=None, owner=None,
-    ):
-        def claim_trace() -> bytes:
-            # Runs under the buffer's flush lock, right after the take
-            # deposited this batch's stamped notes on the leg.
-            if leg is None or not leg.pending:
-                return b""
-            notes = leg.claim()
-            send_ts = time.monotonic()
-            for note in notes:
-                note.send_ts = send_ts
-            return encode_notes(notes)
-
-        # Seconds the current flush waited for its receiver (a sink
-        # runs under its buffer's flush lock: one flush at a time).
-        waits: list[float] = []
-
-        if receiver_worker == self.worker_id:
-            channel, info = self._inbound[wire_id]
-            seq = [0]
-
-            def local_sink(
-                body: bytes | bytearray | memoryview, count: int
-            ) -> float | None:
-                """Deliver one flushed batch into a co-located channel;
-                returns the seconds the put waited for its gate, if any."""
-                raw = None
-                if policy is not None:
-                    raw = body
-                    body = policy.encode(body)
-                trace = claim_trace()
-                from repro.net.framing import FrameHeader
-
-                frame = Frame(
-                    FrameHeader(wire_id, seq[0], count, len(body), 0), body, trace
-                )
-                seq[0] += 1
-                try:
-                    ok = channel.put(
-                        len(body),
-                        (frame, time.monotonic(), info),
-                        timeout=cfg.emit_timeout,
-                        on_wait=waits.append,
-                    )
-                except ChannelClosed:
-                    raise NeptuneError(f"wire {wire_id}: channel closed") from None
-                if not ok:
-                    raise NeptuneError(f"wire {wire_id}: emit timed out")
-                if raw is not None and info.recycle is not None:
-                    # Frame carries the compressed copy — the original
-                    # flush bytearray goes straight back to the pool.
-                    info.recycle(raw)
-                return _waited(waits)
-
-            return local_sink
-
-        def remote_sink(
-            body: bytes | bytearray | memoryview, count: int
-        ) -> float | None:
-            """Ship one flushed batch to a remote worker over TCP;
-            returns the seconds the send waited for the peer, if any."""
-            raw = body
-            if policy is not None:
-                body = policy.encode(body)
-            trace = claim_trace()
-            # Resolved lazily: peer workers start asynchronously, so
-            # their data listeners may not be accepting yet at wiring
-            # time; the first flush waits for them.
-            transport = self._transport_to(receiver_worker, endpoints)
-            transport.send(wire_id, body, count, trace, on_wait=waits.append)
-            if owner:
-                # send() materialized the wire bytes (or wrote them
-                # out), so the flush bytearray is consumed either way.
-                owner[0].recycle(raw)
-            return _waited(waits)
-
-        return remote_sink
 
     def _transport_to(
         self, worker: int, endpoints: dict[int, tuple], connect_window: float = 30.0
@@ -468,14 +284,7 @@ class DistributedWorker:
         workers = self.graph.config.effective_workers(max(hosted, 1))
         self._resource = Resource(f"worker-{self.worker_id}", workers=workers)
         self._resource.start()
-        from repro.core.runtime import _SourceStrategy
-
-        for inst in self.job.all_instances():
-            strategy = (
-                _SourceStrategy(inst) if inst.spec.is_source else DataDrivenStrategy()
-            )
-            self._resource.launch(inst, strategy)
-        self.job.state = JobState.RUNNING
+        self.job.launch(self._resource)
 
     def finish_sources(self) -> None:
         """Mark all local sources finished (drain begins)."""
@@ -486,14 +295,8 @@ class DistributedWorker:
     def prepare_drain(self) -> None:
         """Switch custom-scheduled processors to data-driven dispatch so
         sub-threshold leftovers cannot be stranded during the drain."""
-        if self._resource is None:
-            return
-        for inst in self.job.all_instances():
-            if not inst.spec.is_source and inst.spec.scheduling is not None:
-                try:
-                    self._resource.set_strategy(inst.task_id, DataDrivenStrategy())
-                except KeyError:
-                    pass
+        if self._resource is not None:
+            self.job.prepare_drain(self._resource)
 
     def flush_all(self) -> None:
         """Force-flush every outbound buffer and nudge transport
@@ -509,15 +312,10 @@ class DistributedWorker:
     def is_quiet(self) -> bool:
         """Locally quiescent: no running task, empty channels/buffers,
         and every sent frame acknowledged by its receiver."""
-        for inst in self.job.all_instances():
-            if inst.spec.is_source and not inst.finished:
-                return False
-            if inst.state is TaskState.RUNNING:
-                return False
-            if inst.channel is not None and len(inst.channel) > 0:
-                return False
-            if inst.pending_out_bytes > 0:
-                return False
+        if not all(i.finished for i in self.job.all_instances() if i.spec.is_source):
+            return False
+        if not self.job.quiet():
+            return False
         with self._lock:
             transports = list(self._transports.values())
         return not any(t.unacked_frames for t in transports)
@@ -526,10 +324,7 @@ class DistributedWorker:
     def failures(self) -> dict[str, BaseException]:
         """Operator-instance failures keyed by 'operator[index]',
         plus terminal link failures keyed by 'link->workerN'."""
-        out = {}
-        for inst in self.job.all_instances():
-            if inst.failure is not None:
-                out[f"{inst.spec.name}[{inst.index}]"] = inst.failure
+        out = dict(self.job.collect_failures())
         for worker, exc in self.link_failures.items():
             out[f"link->worker{worker}"] = exc
         return out
@@ -550,28 +345,8 @@ class DistributedWorker:
         a JSON-able report of what was applied — an empty ``applied``
         list when this shard owns none of the named operator's legs.
         """
-        report: dict = {"worker": self.worker_id, "applied": []}
-        retune = changes.get("retune")
-        if retune:
-            md = retune.get("max_delay")
-            cap = retune.get("capacity")
-            applied = retune_matching(
-                self.job.buffers,
-                str(retune.get("operator", "")),
-                where=str(retune.get("where", "into")),
-                max_delay=None if md is None else float(md),
-                capacity=None if cap is None else int(cap),
-            )
-            for entry in applied:
-                report["applied"].append({"kind": "retune", **entry})
-        scale = changes.get("scale")
-        if scale and self._resource is not None:
-            old = self._resource.workers
-            delta = scale.get("workers_delta")
-            target = old + int(delta) if delta is not None else int(scale.get("workers", old))
-            new = self._resource.resize(max(1, target))
-            report["applied"].append({"kind": "scale", "from": old, "to": new})
-        return report
+        applied = _apply_reconfigure(changes, self.job.buffers, self._resource)
+        return {"worker": self.worker_id, "applied": applied}
 
     def stop(self, timeout: float = 10.0) -> None:
         """Stop and release resources. Idempotent."""
@@ -589,12 +364,13 @@ class DistributedWorker:
         )
 
 
-class DistributedJob:
+class DistributedJob(RemoteDistributedJob):
     """Coordinates a set of workers hosting one graph.
 
     For same-process multi-worker deployments (tests, examples): builds
-    the workers, exchanges endpoints, starts everything, and implements
-    the global drain.  Multi-process deployments construct one
+    the workers, exchanges endpoints, starts everything; the global
+    drain is :class:`~repro.core.control.RemoteDistributedJob`'s.
+    Multi-process deployments construct one
     :class:`DistributedWorker` per process with identical (graph, plan)
     and exchange endpoints out of band, then drive the same methods.
     """
@@ -608,10 +384,12 @@ class DistributedJob:
     ) -> None:
         self.graph = graph
         self.plan = round_robin_plan(graph, n_workers)
-        self.workers = [
-            DistributedWorker(w, graph, self.plan, injector=injector, observer=observer)
-            for w in range(n_workers)
-        ]
+        super().__init__(
+            [
+                DistributedWorker(w, graph, self.plan, injector=injector, observer=observer)
+                for w in range(n_workers)
+            ]
+        )
         endpoints = {w.worker_id: w.address for w in self.workers}
         for w in self.workers:
             w.connect(endpoints)
@@ -620,56 +398,3 @@ class DistributedJob:
         """Start background threads/services. Idempotent."""
         for w in self.workers:
             w.start()
-
-    def failures(self) -> dict[str, BaseException]:
-        """Operator-instance failures keyed by 'operator[index]'."""
-        out = {}
-        for w in self.workers:
-            out.update(w.failures)
-        return out
-
-    def metrics(self) -> dict:
-        """Aggregated per-operator counters."""
-        merged: dict = {}
-        for w in self.workers:
-            for op, m in w.metrics().items():
-                if op not in merged:
-                    merged[op] = dict(m)
-                else:
-                    for k, v in m.items():
-                        merged[op][k] += v
-        return merged
-
-    def await_completion(self, timeout: float = 60.0) -> bool:
-        """Wait until sources finish naturally and the graph drains."""
-        return self._drain(timeout, force=False)
-
-    def stop(self, timeout: float = 60.0) -> bool:
-        """Finish sources now, drain, and tear everything down."""
-        return self._drain(timeout, force=True)
-
-    def _drain(self, timeout: float, force: bool) -> bool:
-        for w in self.workers:
-            w.prepare_drain()
-        if force:
-            for w in self.workers:
-                w.finish_sources()
-        deadline = time.monotonic() + timeout
-        quiesced = False
-        while time.monotonic() < deadline:
-            if self.failures():
-                break
-            for w in self.workers:
-                w.flush_all()
-            if all(w.is_quiet() for w in self.workers):
-                # Allow in-flight TCP frames to land, then re-verify.
-                time.sleep(0.05)
-                for w in self.workers:
-                    w.flush_all()
-                if all(w.is_quiet() for w in self.workers):
-                    quiesced = True
-                    break
-            time.sleep(0.005)
-        for w in self.workers:
-            w.stop()
-        return quiesced

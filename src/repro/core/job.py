@@ -49,8 +49,7 @@ class JobHandle:
         Collected live, so a monitoring loop can observe a failure
         before calling :meth:`stop`.
         """
-        self._runtime._collect_failures(self._job)
-        return dict(self._job.failures)
+        return dict(self._job.collect_failures())
 
     def metrics(self) -> dict[str, dict]:
         """Aggregated per-operator counters (see MetricsRegistry)."""

@@ -20,6 +20,16 @@ This is where the paper's §III-B machinery composes:
   and the IO tier (flush-timer thread plus, in distributed mode,
   socket reader threads) moves bytes.
 
+There is one engine.  :func:`_wire_partition` builds one resource's
+share of a graph and is the only place a link is wired; a leg whose
+receiver lives on the same resource puts frames into its channel
+(:func:`_local_leg`), any other leg sends them over a transport
+(:func:`_remote_leg`).  :class:`NeptuneRuntime` is the deployment in
+which one resource hosts every instance, so no leg is remote;
+:class:`~repro.core.distributed.DistributedWorker` hosts what its plan
+assigns it.  Launch, drain preparation, the quiescence check and live
+reconfiguration are shared the same way.
+
 Correctness: per-link-leg FIFO order with sequence verification at the
 receiver, checksummed frames on the wire, and blocking (never dropping)
 under backpressure — packets are processed in order and exactly once.
@@ -35,10 +45,10 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.compression import CompressionPolicy
-from repro.core.buffering import FlushTimerService, StreamBuffer
+from repro.core.buffering import FlushTimerService, StreamBuffer, retune_matching
 from repro.core.config import NeptuneConfig
 from repro.core.graph import LinkSpec, OperatorSpec, StreamProcessingGraph
 from repro.core.job import JobHandle, JobState
@@ -60,18 +70,12 @@ from repro.observe.tracing import (
     decode_notes,
     encode_notes,
 )
-from repro.util.errors import BackpressureTimeout, JobStateError, NeptuneError
-
-
-def _waited(waits: list[float]) -> float | None:
-    """Total of the waits a flush sink's put/send reported through
-    ``on_wait=waits.append``, emptying the list; None when there were
-    none (the answer a sink hands its :class:`StreamBuffer`)."""
-    if not waits:
-        return None
-    total = sum(waits)
-    waits.clear()
-    return total
+from repro.util.errors import (
+    BackpressureTimeout,
+    GraphValidationError,
+    JobStateError,
+    NeptuneError,
+)
 
 
 class _ChannelDataset(Dataset):
@@ -118,8 +122,6 @@ class _OutLinkRuntime:
         "scheme",
         "codec",
         "buffers",
-        "dest_channels",
-        "wire_ids",
         "policy",
     )
 
@@ -128,8 +130,6 @@ class _OutLinkRuntime:
         self.scheme = link.resolved_partitioning()
         self.codec = PacketCodec(link.schema)
         self.buffers: list[StreamBuffer] = []
-        self.dest_channels: list[WatermarkChannel] = []
-        self.wire_ids: list[int] = []
         self.policy: CompressionPolicy | None = None
 
 
@@ -509,10 +509,11 @@ class _InstanceRuntime(ComputationalTask):
 class _InLinkInfo:
     """Receiver-side per-link decode state (codec reuse, §III-B3).
 
-    ``recycle`` closes the zero-copy loop for in-process legs: it is the
-    sending :class:`StreamBuffer`'s ``recycle`` bound method (wired after
-    buffer construction in ``submit``), called by the receiver once a
-    frame's stolen bytearray body is fully decoded.
+    ``recycle`` closes the zero-copy loop for local legs: it is the
+    sending :class:`StreamBuffer`'s ``recycle`` bound method (set by
+    :func:`_wire_partition` once the buffer exists), called by the
+    receiver once a frame's stolen bytearray body is fully decoded.
+    It stays None for a leg whose sender is on another resource.
     """
 
     __slots__ = ("codec", "compression_used", "recycle")
@@ -538,6 +539,376 @@ class _JobRuntime:
     def all_instances(self) -> list[_InstanceRuntime]:
         """Every operator instance of this job, flattened."""
         return [i for group in self.instances.values() for i in group]
+
+    def launch(self, resource: Resource) -> None:
+        """Schedule every hosted instance on ``resource``: sources poll
+        until finished, a processor gets its declared ``scheduling``
+        strategy, data-driven dispatch otherwise."""
+        for inst in self.all_instances():
+            strategy: SchedulingStrategy
+            if inst.spec.is_source:
+                strategy = _SourceStrategy(inst)
+            elif inst.spec.scheduling is not None:
+                strategy = inst.spec.scheduling()
+            else:
+                strategy = DataDrivenStrategy()
+            resource.launch(inst, strategy)
+        self.state = JobState.RUNNING
+
+    def prepare_drain(self, resource: Resource) -> None:
+        """Drain overrides custom scheduling (periodic/count-based): a
+        count threshold must not strand the final sub-threshold frames
+        in a channel forever."""
+        for inst in self.all_instances():
+            if not inst.spec.is_source and inst.spec.scheduling is not None:
+                try:
+                    resource.set_strategy(inst.task_id, DataDrivenStrategy())
+                except KeyError:
+                    pass  # already terminated
+
+    def collect_failures(self) -> dict[str, BaseException]:
+        """``failures``, after recording what hosted instances raised
+        under 'operator[index]'."""
+        for inst in self.all_instances():
+            if inst.failure is not None:
+                self.failures.setdefault(inst.op_label, inst.failure)
+        return self.failures
+
+    def quiet(self) -> bool:
+        """No hosted instance executing, holding inbound frames, or
+        holding unflushed output."""
+        for inst in self.all_instances():
+            if inst.state is TaskState.RUNNING:
+                return False
+            if inst.channel is not None and len(inst.channel) > 0:
+                return False
+            if inst.pending_out_bytes > 0:
+                return False
+        return True
+
+
+#: A frame header has one u32 for the wire id, which packs the link
+#: and both instance indexes, so that every resource derives the same
+#: ids from the shared graph without coordination.
+_MAX_LINKS = 1 << 8
+_MAX_PARALLELISM = 1 << 12
+
+
+def _wire_id(link_id: int, s_idx: int, r_idx: int) -> int:
+    return (link_id << 24) | (s_idx << 12) | r_idx
+
+
+def _check_wire_ranges(graph: StreamProcessingGraph) -> None:
+    """Refuse a graph whose legs would not get distinct wire ids: two
+    legs aliased onto one id share a sequence space, and a link id past
+    the field's width fails only at the first flush onto a socket."""
+    for spec in graph.operators.values():
+        if spec.parallelism > _MAX_PARALLELISM:
+            raise GraphValidationError(
+                f"operator {spec.name!r}: parallelism {spec.parallelism} exceeds "
+                f"the {_MAX_PARALLELISM} instances a wire id can tell apart"
+            )
+    if len(graph.links) > _MAX_LINKS:
+        extra = graph.links[_MAX_LINKS]
+        raise GraphValidationError(
+            f"link {extra.from_op!r}->{extra.to_op!r} on stream {extra.stream!r}: "
+            f"the graph has {len(graph.links)} links, a wire id numbers {_MAX_LINKS}"
+        )
+
+
+def _compression_enabled(cfg: NeptuneConfig, link: LinkSpec) -> bool:
+    if link.compression is None:
+        return cfg.compression_enabled
+    if isinstance(link.compression, bool):
+        return link.compression
+    return True  # dict spec → enabled with overrides (future use)
+
+
+def _gate_callback(
+    obs: Any,
+    operator: str,
+    channel: WatermarkChannel,
+    throttles: tuple[str, ...],
+) -> Callable[[bool], None]:
+    """Timeline hook for one inbound channel's watermark gate.
+
+    ``gate_closed`` names the operator whose buffer filled and the
+    upstream operators its gate throttles; ``gate_opened`` adds the
+    closed episode's duration.  Invoked by the channel *outside*
+    its lock (see ``WatermarkChannel._set_gate``).
+    """
+
+    def on_gate(gated: bool) -> None:
+        attrs: dict[str, object] = {"operator": operator}
+        if throttles:
+            attrs["throttles"] = list(throttles)
+        attrs["buffered_bytes"] = channel.buffered_bytes
+        if not gated:
+            attrs["gated_seconds"] = channel.last_gate_seconds
+        obs.event(
+            "flowcontrol",
+            "gate_closed" if gated else "gate_opened",
+            **attrs,
+        )
+
+    return on_gate
+
+
+def _local_leg(
+    wire_id: int,
+    channel: WatermarkChannel,
+    in_info: _InLinkInfo,
+    emit_timeout: float | None,
+) -> Callable[..., bool]:
+    """The leg to a receiver on this resource.
+
+    The batch is framed with a per-leg sequence number
+    (receiver-verified ordering) and put into the destination channel
+    together with the metadata the receiver needs: the put timestamp
+    (latency) and the decode info.  The channel item is ``(frame,
+    put_time, in_link_info)``.  The put blocks under backpressure; with
+    a configured ``emit_timeout`` a saturated downstream eventually
+    surfaces :class:`BackpressureTimeout` instead of waiting forever.
+    """
+    seq_counter = [0]
+
+    def deliver(body, count, trace, on_wait) -> bool:
+        seq = seq_counter[0]
+        seq_counter[0] = seq + 1
+        frame = Frame(FrameHeader(wire_id, seq, count, len(body), 0), body, trace)
+        try:
+            ok = channel.put(
+                len(body),
+                (frame, time.monotonic(), in_info),
+                timeout=emit_timeout,
+                on_wait=on_wait,
+            )
+        except ChannelClosed:
+            raise NeptuneError(
+                f"wire link {wire_id}: destination channel closed during send"
+            ) from None
+        if not ok:
+            raise BackpressureTimeout(
+                f"wire link {wire_id}: downstream gated longer than "
+                f"emit_timeout={emit_timeout}s"
+            )
+        return True
+
+    return deliver
+
+
+def _remote_leg(
+    wire_id: int, reach: Callable[[str, int], Any], op: str, idx: int
+) -> Callable[..., bool]:
+    """The leg to instance ``idx`` of ``op`` on another resource:
+    ``reach(op, idx)`` is the :class:`~repro.net.transport.TcpTransport`
+    to whoever hosts it."""
+
+    def deliver(body, count, trace, on_wait) -> bool:
+        # Resolved lazily: peer workers start asynchronously, so
+        # their data listeners may not be accepting yet at wiring
+        # time; the first flush waits for them.
+        reach(op, idx).send(wire_id, body, count, trace, on_wait=on_wait)
+        # send() materialized the wire bytes (or wrote them out).
+        return False
+
+    return deliver
+
+
+def _leg_buffer(
+    name: str,
+    cfg: NeptuneConfig,
+    deliver: Callable[..., bool],
+    policy: CompressionPolicy | None,
+    observer: Any,
+) -> StreamBuffer:
+    """One link leg's :class:`StreamBuffer`, with its flush sink.
+
+    The sink runs once per flush, under the buffer's flush lock (one
+    flush at a time): the body is (optionally) compressed, the batch's
+    trace notes are claimed, and ``deliver`` — the leg kind, the only
+    thing that differs between legs — gets it to the receiver.  The
+    seconds the delivery waited are handed back to the buffer (its
+    ``blocked_seconds``); compressing and framing are not waits.
+
+    Zero-copy protocol: the buffer hands this sink its pooled
+    accumulation bytearray.  On a local leg, uncompressed, the
+    bytearray itself is parked in the frame and the *receiver* recycles
+    it after decoding (``_InLinkInfo.recycle``).  Compressed, the frame
+    holds fresh policy-encoded bytes, and on a remote leg the transport
+    has consumed the body by the time ``send`` returns — so in both
+    cases the sink recycles the original immediately.
+    """
+    leg = LegTrace() if observer is not None else None
+    waits: list[float] = []
+
+    def sink(body: bytes | bytearray | memoryview, count: int) -> float | None:
+        """Deliver one flushed batch; returns the seconds the delivery
+        waited for its receiver, if any."""
+        raw = body
+        if policy is not None:
+            body = policy.encode(body)
+        trace = b""
+        if leg is not None and leg.pending:
+            # The buffer deposited stamped notes for this batch
+            # under its flush lock, which we also run under.
+            notes = leg.claim()
+            send_ts = time.monotonic()
+            for note in notes:
+                note.send_ts = send_ts
+            trace = encode_notes(notes)
+        parked = deliver(body, count, trace, waits.append)
+        if not parked or body is not raw:
+            buf.recycle(raw)
+        if not waits:
+            return None
+        waited = sum(waits)
+        waits.clear()
+        return waited
+
+    buf = StreamBuffer(
+        capacity=cfg.buffer_capacity,
+        sink=sink,
+        max_delay=cfg.buffer_max_delay,
+        name=name,
+        trace_leg=leg,
+        observer=observer,
+    )
+    return buf
+
+
+def _wire_partition(
+    job: _JobRuntime,
+    hosts: Callable[[str, int], bool],
+    prefix: str,
+    reach: Callable[[str, int], Any] | None,
+    flush_service: FlushTimerService,
+) -> dict[int, tuple[WatermarkChannel, _InLinkInfo]]:
+    """Build one resource's partition of ``job.graph``.
+
+    ``hosts(op, idx)`` says which instances live on this resource.
+    Each gets its runtime; each (sender instance, link, destination
+    instance) leg whose sender is hosted gets one buffer and, by where
+    its receiver lives, a local or a remote leg (``reach``, see
+    :func:`_remote_leg`; never called when every receiver is hosted).
+    ``prefix`` labels this resource's buffers and gate events
+    (``"w3:"``; empty when there is only one resource).
+
+    Returns ``wire_id → (channel, in_info)`` for every leg whose
+    *receiver* is hosted — what frames arriving from other resources
+    are routed by.
+    """
+    graph = job.graph
+    cfg = graph.config
+    observer = job.observer
+    _check_wire_ranges(graph)
+    local: dict[tuple[str, int], _InstanceRuntime] = {}
+    for spec in graph.operators.values():
+        job.instances[spec.name] = [
+            _InstanceRuntime(job, spec, i)
+            for i in range(spec.parallelism)
+            if hosts(spec.name, i)
+        ]
+        for inst in job.instances[spec.name]:
+            local[(spec.name, inst.index)] = inst
+
+    inbound: dict[int, tuple[WatermarkChannel, _InLinkInfo]] = {}
+    for link in graph.links:
+        receivers = graph.operators[link.to_op].parallelism
+        compression_on = _compression_enabled(cfg, link)
+        for s_idx in range(graph.operators[link.from_op].parallelism):
+            sender = local.get((link.from_op, s_idx))
+            out = None
+            if sender is not None:
+                out = _OutLinkRuntime(link)
+                if compression_on:
+                    out.policy = CompressionPolicy(
+                        enabled=True,
+                        entropy_threshold=cfg.compression_entropy_threshold,
+                        min_size=cfg.compression_min_size,
+                    )
+                sender.out_links.setdefault(link.stream, []).append(out)
+            for r_idx in range(receivers):
+                wire_id = _wire_id(link.link_id, s_idx, r_idx)
+                receiver = local.get((link.to_op, r_idx))
+                in_info = None
+                if receiver is not None:
+                    assert receiver.channel is not None
+                    in_info = _InLinkInfo(PacketCodec(link.schema), compression_on)
+                    inbound[wire_id] = (receiver.channel, in_info)
+                if out is None:
+                    continue
+                if receiver is not None:
+                    deliver = _local_leg(
+                        wire_id, receiver.channel, in_info, cfg.emit_timeout
+                    )
+                else:
+                    assert reach is not None
+                    deliver = _remote_leg(wire_id, reach, link.to_op, r_idx)
+                buf = _leg_buffer(
+                    f"{prefix}{link.from_op}[{s_idx}]->"
+                    f"{link.to_op}[{r_idx}]/{link.stream}",
+                    cfg,
+                    deliver,
+                    out.policy,
+                    observer,
+                )
+                if in_info is not None:
+                    # Close the zero-copy loop: the receiver returns
+                    # stolen flush bytearrays straight to this buffer.
+                    in_info.recycle = buf.recycle
+                out.buffers.append(buf)
+                job.buffers.append(buf)
+                flush_service.register(buf)
+    for inst in local.values():
+        inst.bind_links()
+
+    # Backpressure visibility: watermark gate transitions land on
+    # the observer's event timeline, carrying the upstream operators
+    # the closed gate throttles (bare graph names) so `repro doctor`
+    # can reconstruct the cascade (which stalled buffer throttled which
+    # senders) — across worker boundaries too.
+    if observer is not None:
+        for inst in local.values():
+            if inst.channel is not None:
+                senders = (lk.from_op for lk in graph.incoming_links(inst.spec.name))
+                inst.channel.on_gate_change(
+                    _gate_callback(
+                        observer,
+                        prefix + inst.op_label,
+                        inst.channel,
+                        tuple(dict.fromkeys(senders)),
+                    )
+                )
+    return inbound
+
+
+def _apply_reconfigure(
+    changes: dict, buffers: list[StreamBuffer], resource: Resource | None
+) -> list[dict]:
+    """Apply ``changes`` (see :meth:`NeptuneRuntime.reconfigure`) to one
+    resource's buffers and worker pool; returns what was applied."""
+    applied: list[dict] = []
+    retune = changes.get("retune")
+    if retune:
+        md = retune.get("max_delay")
+        cap = retune.get("capacity")
+        for entry in retune_matching(
+            buffers,
+            str(retune.get("operator", "")),
+            where=str(retune.get("where", "into")),
+            max_delay=None if md is None else float(md),
+            capacity=None if cap is None else int(cap),
+        ):
+            applied.append({"kind": "retune", **entry})
+    scale = changes.get("scale")
+    if scale and resource is not None:
+        old = resource.workers
+        delta = scale.get("workers_delta")
+        target = old + int(delta) if delta is not None else int(scale.get("workers", old))
+        new = resource.resize(max(1, target))
+        applied.append({"kind": "scale", "from": old, "to": new})
+    return applied
 
 
 class NeptuneRuntime:
@@ -612,211 +983,21 @@ class NeptuneRuntime:
             self.start()
         graph.validate()
         job = _JobRuntime(graph, observer=self.observer)
-
-        # 1. Instantiate operator instances (restoring state if asked).
-        for spec in graph.operators.values():
-            job.instances[spec.name] = [
-                _InstanceRuntime(job, spec, i) for i in range(spec.parallelism)
-            ]
+        # One resource hosts every instance, so every leg is local.
+        _wire_partition(job, lambda op, idx: True, "", None, self._flush_service)
         if restore_from is not None:
             for inst in job.all_instances():
                 state = restore_from.state_for(inst.spec.name, inst.index)
                 restore = getattr(inst.operator, "restore_state", None)
                 if state is not None and restore is not None:
                     restore(state)
-
-        # 2. Wire links: one buffer + transport per (sender instance,
-        #    link, destination instance).
-        cfg = graph.config
-        wire_id = 0
-        for link in graph.links:
-            senders = job.instances[link.from_op]
-            receivers = job.instances[link.to_op]
-            compression_on = self._compression_enabled(cfg, link)
-            for sender in senders:
-                out = _OutLinkRuntime(link)
-                if compression_on:
-                    out.policy = CompressionPolicy(
-                        enabled=True,
-                        entropy_threshold=cfg.compression_entropy_threshold,
-                        min_size=cfg.compression_min_size,
-                    )
-                for receiver in receivers:
-                    channel = receiver.channel
-                    assert channel is not None
-                    this_wire = wire_id
-                    wire_id += 1
-                    in_info = _InLinkInfo(PacketCodec(link.schema), compression_on)
-                    leg = LegTrace() if self.observer is not None else None
-                    sink = self._make_sink(
-                        this_wire, channel, out.policy, in_info, cfg.emit_timeout, leg
-                    )
-                    buf = StreamBuffer(
-                        capacity=cfg.buffer_capacity,
-                        sink=sink,
-                        max_delay=cfg.buffer_max_delay,
-                        name=f"{link.from_op}[{sender.index}]->"
-                        f"{link.to_op}[{receiver.index}]/{link.stream}",
-                        trace_leg=leg,
-                        observer=self.observer,
-                    )
-                    # Close the zero-copy loop: the receiver (or the
-                    # compressing sink) returns flush bytearrays here.
-                    in_info.recycle = buf.recycle
-                    out.buffers.append(buf)
-                    out.dest_channels.append(channel)
-                    out.wire_ids.append(this_wire)
-                    job.buffers.append(buf)
-                    self._flush_service.register(buf)
-                sender.out_links.setdefault(link.stream, []).append(out)
-        for inst in job.all_instances():
-            inst.bind_links()
-
-        # Backpressure visibility: watermark gate transitions land on
-        # the observer's event timeline, carrying the upstream operators
-        # the closed gate throttles so `repro doctor` can reconstruct
-        # the cascade (which stalled buffer throttled which senders).
-        if self.observer is not None:
-            upstream: dict[str, list[str]] = {}
-            for link in graph.links:
-                ops = upstream.setdefault(link.to_op, [])
-                if link.from_op not in ops:
-                    ops.append(link.from_op)
-            for inst in job.all_instances():
-                if inst.channel is not None:
-                    inst.channel.on_gate_change(
-                        self._make_gate_callback(
-                            self.observer,
-                            inst.op_label,
-                            inst.channel,
-                            tuple(upstream.get(inst.spec.name, ())),
-                        )
-                    )
-
-        # 3. Launch on the (lazily sized) Granules resource.
+        # Launch on the (lazily sized) Granules resource.
         self._ensure_resource(job)
-        resource = self._resource
-        assert resource is not None
-        for inst in job.all_instances():
-            strategy: SchedulingStrategy
-            if inst.spec.is_source:
-                strategy = _SourceStrategy(inst)
-            elif inst.spec.scheduling is not None:
-                strategy = inst.spec.scheduling()
-            else:
-                strategy = DataDrivenStrategy()
-            resource.launch(inst, strategy)
-        job.state = JobState.RUNNING
+        assert self._resource is not None
+        job.launch(self._resource)
         with self._lock:
             self._jobs.append(job)
         return JobHandle(self, job)
-
-    @staticmethod
-    def _compression_enabled(cfg: NeptuneConfig, link: LinkSpec) -> bool:
-        if link.compression is None:
-            return cfg.compression_enabled
-        if isinstance(link.compression, bool):
-            return link.compression
-        return True  # dict spec → enabled with overrides (future use)
-
-    @staticmethod
-    def _make_gate_callback(
-        obs: Any,
-        operator: str,
-        channel: WatermarkChannel | None = None,
-        throttles: tuple[str, ...] = (),
-    ):
-        """Timeline hook for one inbound channel's watermark gate.
-
-        ``gate_closed`` names the operator whose buffer filled and the
-        upstream operators its gate throttles; ``gate_opened`` adds the
-        closed episode's duration.  Invoked by the channel *outside*
-        its lock (see ``WatermarkChannel._set_gate``).
-        """
-
-        def on_gate(gated: bool) -> None:
-            attrs: dict[str, object] = {"operator": operator}
-            if throttles:
-                attrs["throttles"] = list(throttles)
-            if channel is not None:
-                attrs["buffered_bytes"] = channel.buffered_bytes
-                if not gated:
-                    attrs["gated_seconds"] = channel.last_gate_seconds
-            obs.event(
-                "flowcontrol",
-                "gate_closed" if gated else "gate_opened",
-                **attrs,
-            )
-
-        return on_gate
-
-    @staticmethod
-    def _make_sink(wire_id, channel, policy, in_info, emit_timeout, leg=None):
-        """Build the buffer-flush sink for one link leg.
-
-        The flushed body is (optionally) compressed, framed with a
-        per-leg sequence number (receiver-verified ordering), and put
-        into the destination channel together with the metadata the
-        receiver needs: the put timestamp (latency) and the decode
-        info.  The channel item is ``(frame, put_time, in_link_info)``.
-        The put blocks under backpressure; with a configured
-        ``emit_timeout`` a saturated downstream eventually surfaces
-        :class:`BackpressureTimeout` instead of waiting forever.  The
-        seconds a put waited are handed back to the buffer (its
-        ``blocked_seconds``); compressing and framing are not waits.
-
-        Zero-copy protocol: the buffer hands this sink its pooled
-        accumulation bytearray.  Uncompressed, the bytearray itself is
-        parked in the frame and the *receiver* recycles it after
-        decoding (``_InLinkInfo.recycle``).  Compressed, the frame holds
-        fresh policy-encoded bytes, so the sink recycles the original
-        immediately.
-        """
-        seq_counter = [0]
-        waits: list[float] = []
-
-        def sink(body: bytes | bytearray | memoryview, count: int) -> float | None:
-            """Deliver one flushed batch into the destination channel;
-            returns the seconds the put waited for its gate, if any."""
-            raw = None
-            if policy is not None:
-                raw = body
-                body = policy.encode(body)
-            trace = b""
-            if leg is not None and leg.pending:
-                # The buffer deposited stamped notes for this batch
-                # under its flush lock, which we also run under.
-                notes = leg.claim()
-                send_ts = time.monotonic()
-                for note in notes:
-                    note.send_ts = send_ts
-                trace = encode_notes(notes)
-            seq = seq_counter[0]
-            seq_counter[0] = seq + 1
-            frame = Frame(FrameHeader(wire_id, seq, count, len(body), 0), body, trace)
-            try:
-                ok = channel.put(
-                    len(body),
-                    (frame, time.monotonic(), in_info),
-                    timeout=emit_timeout,
-                    on_wait=waits.append,
-                )
-            except ChannelClosed:
-                raise NeptuneError(
-                    f"wire link {wire_id}: destination channel closed during send"
-                ) from None
-            if not ok:
-                raise BackpressureTimeout(
-                    f"wire link {wire_id}: downstream gated longer than "
-                    f"emit_timeout={emit_timeout}s"
-                )
-            if raw is not None and in_info.recycle is not None:
-                # The frame carries the compressed copy; the original
-                # flush bytearray is done — back to the buffer pool.
-                in_info.recycle(raw)
-            return _waited(waits)
-
-        return sink
 
     def _ensure_resource(self, job: _JobRuntime) -> None:
         """(Re)size the worker pool to cover all hosted instances."""
@@ -857,33 +1038,9 @@ class NeptuneRuntime:
 
         Returns a JSON-able report of what was actually applied.
         """
-        from repro.core.buffering import retune_matching
-
-        report: dict = {"applied": []}
-        retune = changes.get("retune")
-        if retune:
-            with self._lock:
-                jobs = list(self._jobs)
-            buffers = [buf for job in jobs for buf in job.buffers]
-            md = retune.get("max_delay")
-            cap = retune.get("capacity")
-            applied = retune_matching(
-                buffers,
-                str(retune.get("operator", "")),
-                where=str(retune.get("where", "into")),
-                max_delay=None if md is None else float(md),
-                capacity=None if cap is None else int(cap),
-            )
-            for entry in applied:
-                report["applied"].append({"kind": "retune", **entry})
-        scale = changes.get("scale")
-        if scale and self._resource is not None:
-            old = self._resource.workers
-            delta = scale.get("workers_delta")
-            target = old + int(delta) if delta is not None else int(scale.get("workers", old))
-            new = self._resource.resize(max(1, target))
-            report["applied"].append({"kind": "scale", "from": old, "to": new})
-        return report
+        with self._lock:
+            buffers = [buf for job in self._jobs for buf in job.buffers]
+        return {"applied": _apply_reconfigure(changes, buffers, self._resource)}
 
     # -- link failures ------------------------------------------------------
     def notify_link_failure(self, exc: BaseException, link: str = "link") -> None:
@@ -926,7 +1083,7 @@ class NeptuneRuntime:
             while time.monotonic() < deadline:
                 for inst in job.all_instances():
                     inst.flush_all()
-                if self._job_quiet_except_sources(job):
+                if job.quiet():
                     break
                 time.sleep(0.002)
             else:
@@ -938,22 +1095,6 @@ class NeptuneRuntime:
             for inst in sources:
                 inst.paused = False
 
-    def _job_quiet_except_sources(self, job: _JobRuntime) -> bool:
-        for inst in job.all_instances():
-            if inst.spec.is_source:
-                if inst.state is TaskState.RUNNING:
-                    return False
-                if inst.pending_out_bytes > 0:
-                    return False
-                continue
-            if inst.state is TaskState.RUNNING:
-                return False
-            if inst.channel is not None and len(inst.channel) > 0:
-                return False
-            if inst.pending_out_bytes > 0:
-                return False
-        return True
-
     # -- drain / stop -------------------------------------------------------
     def _await_job(self, job: _JobRuntime, timeout: float, force_finish: bool) -> bool:
         if job.state in (JobState.STOPPED, JobState.FAILED):
@@ -964,21 +1105,12 @@ class NeptuneRuntime:
         if force_finish:
             for inst in job.all_instances():
                 inst.finished = True
-        # Drain overrides custom scheduling (periodic/count-based):
-        # a count threshold must not strand the final sub-threshold
-        # frames in a channel forever.
-        res = self._resource
-        if res is not None:
-            for inst in job.all_instances():
-                if not inst.spec.is_source and inst.spec.scheduling is not None:
-                    try:
-                        res.set_strategy(inst.task_id, DataDrivenStrategy())
-                    except KeyError:
-                        pass  # already terminated
+        if self._resource is not None:
+            job.prepare_drain(self._resource)
         deadline = time.monotonic() + timeout
         quiesced = False
         while time.monotonic() < deadline:
-            self._collect_failures(job)
+            job.collect_failures()
             if job.failures:
                 break
             if not all(inst.finished for inst in job.all_instances() if inst.spec.is_source):
@@ -986,39 +1118,20 @@ class NeptuneRuntime:
                 continue
             for inst in job.all_instances():
                 inst.flush_all()
-            if self._job_quiet(job):
+            if job.quiet():
                 # Double-check after a settle delay: a worker may have
                 # been between drain and process.
                 time.sleep(0.01)
                 for inst in job.all_instances():
                     inst.flush_all()
-                if self._job_quiet(job):
+                if job.quiet():
                     quiesced = True
                     break
             time.sleep(0.002)
         self._teardown_job(job)
-        self._collect_failures(job)
+        job.collect_failures()
         job.state = JobState.FAILED if job.failures else JobState.STOPPED
         return quiesced
-
-    def _job_quiet(self, job: _JobRuntime) -> bool:
-        for inst in job.all_instances():
-            if inst.state is TaskState.RUNNING:
-                return False
-            if inst.channel is not None and len(inst.channel) > 0:
-                return False
-            if inst.pending_out_bytes > 0:
-                return False
-        return True
-
-    def _collect_failures(self, job: _JobRuntime) -> None:
-        res = self._resource
-        if res is None:
-            return
-        for inst in job.all_instances():
-            if inst.failure is not None:
-                key = f"{inst.spec.name}[{inst.index}]"
-                job.failures.setdefault(key, inst.failure)
 
     def _teardown_job(self, job: _JobRuntime) -> None:
         res = self._resource

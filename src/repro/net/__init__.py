@@ -8,8 +8,9 @@ realized here as:
 - :mod:`repro.net.flowcontrol` — credit/watermark bounded channels: the
   in-process analogue of TCP receive-window flow control, the mechanism
   NEPTUNE's backpressure rides on.
-- :mod:`repro.net.transport` — endpoint implementations: in-process
-  (same Granules resource) and TCP sockets (across resources/machines).
+- :mod:`repro.net.transport` — TCP (or Unix-domain) socket endpoints
+  between resources/machines; operators of the same resource hand
+  batches over through a channel, with no transport in between.
 """
 
 from repro.net.framing import (
@@ -21,8 +22,6 @@ from repro.net.framing import (
 )
 from repro.net.flowcontrol import WatermarkChannel, ChannelClosed
 from repro.net.transport import (
-    Transport,
-    InProcessTransport,
     RetryPolicy,
     TcpTransport,
     TcpListener,
@@ -37,8 +36,6 @@ __all__ = [
     "SequenceTracker",
     "WatermarkChannel",
     "ChannelClosed",
-    "Transport",
-    "InProcessTransport",
     "RetryPolicy",
     "TcpTransport",
     "TcpListener",

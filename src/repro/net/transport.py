@@ -1,23 +1,18 @@
 """Transport endpoints.
 
-A :class:`Transport` moves one flushed buffer (a batch of serialized
-stream packets for one link) to a receiving resource.  Two
-implementations:
+A transport moves one flushed buffer (a batch of serialized stream
+packets for one link) to a receiving resource:
+:class:`TcpTransport` / :class:`TcpListener`.  Frames ride TCP; the
+listener's reader thread blocks on the gated inbound channel, the
+kernel receive buffer fills, the TCP window closes, and the sender's
+blocking ``sendall`` stalls — the paper's TCP-flow-control leg of
+backpressure, for real.  (Between operators of the *same* resource no
+transport is involved: the runtime's local leg puts the batch into the
+receiver's :class:`~repro.net.flowcontrol.WatermarkChannel` directly,
+see :func:`repro.core.runtime._local_leg`.)
 
-- :class:`InProcessTransport` — both operators live in the same
-  Granules resource; the batch is handed to the receiver's inbound
-  :class:`~repro.net.flowcontrol.WatermarkChannel` directly.  The
-  channel's watermark gate blocks the sender — the local leg of
-  backpressure.
-- :class:`TcpTransport` / :class:`TcpListener` — across resources.
-  Frames ride TCP; the listener's reader thread blocks on the gated
-  inbound channel, the kernel receive buffer fills, the TCP window
-  closes, and the sender's blocking ``sendall`` stalls — the
-  paper's TCP-flow-control leg of backpressure, for real.
-
-Both transports preserve per-link FIFO order and deliver exactly once
-(sequence numbers + checksums are verified by the framing layer on the
-TCP path; the in-process path is a single FIFO handoff).
+The transport preserves per-link FIFO order and delivers exactly once
+(sequence numbers + checksums are verified by the framing layer).
 
 Failure recovery (paper §I-B "no dropped packets", §VI fault
 tolerance): with a :class:`RetryPolicy`, a :class:`TcpTransport`
@@ -43,18 +38,16 @@ import socket
 import struct
 import threading
 import time
-from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.net.flowcontrol import ChannelClosed, WatermarkChannel
+from repro.net.flowcontrol import ChannelClosed
 from repro.net.framing import (
     HEADER_SIZE,
     Frame,
     FrameDecoder,
     FrameEncoder,
-    FrameHeader,
     SequenceTracker,
 )
 from repro.util.clock import timed_acquire
@@ -102,70 +95,6 @@ def _connect_endpoint(host: str, port: int, timeout: float | None) -> socket.soc
     sock = socket.create_connection((host, port), timeout=timeout)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return sock
-
-
-class Transport(ABC):
-    """Sender-side endpoint for one destination resource."""
-
-    @abstractmethod
-    def send(
-        self,
-        link_id: int,
-        body: bytes | bytearray | memoryview,
-        count: int,
-        trace: bytes = b"",
-        on_wait: Callable[[float], None] | None = None,
-    ) -> None:
-        """Deliver one batch; blocks under backpressure.  Never drops.
-
-        ``body`` may be a pooled bytearray on loan from the flushing
-        :class:`~repro.core.buffering.StreamBuffer` — the transport has
-        fully consumed it by the time ``send`` returns, so the caller
-        may recycle it immediately.  ``trace`` is an opaque observe
-        trace block that must ride the frame to the receiver (see
-        :mod:`repro.observe.tracing`).  ``on_wait`` is told the seconds
-        of every wait for the receiver this send went through (a gated
-        channel, a full replay window, another send held up by one);
-        the time to move the bytes is not a wait.
-        """
-
-    @abstractmethod
-    def close(self) -> None:
-        """Release the endpoint.  Idempotent."""
-
-
-class InProcessTransport(Transport):
-    """Same-resource delivery through a watermark channel."""
-
-    def __init__(self, channel: WatermarkChannel) -> None:
-        self._channel = channel
-        self._seq: dict[int, int] = {}
-
-    def send(
-        self,
-        link_id: int,
-        body: bytes | bytearray | memoryview,
-        count: int,
-        trace: bytes = b"",
-        on_wait: Callable[[float], None] | None = None,
-    ) -> None:
-        """Deliver one batch; blocks under backpressure, never drops."""
-        if not isinstance(body, bytes):
-            # The frame outlives this call (parked in the channel), but
-            # the send contract lets the caller recycle ``body`` as soon
-            # as we return — snapshot it.
-            body = bytes(body)
-        seq = self._seq.get(link_id, 0)
-        self._seq[link_id] = seq + 1
-        frame = Frame(FrameHeader(link_id, seq, count, len(body), 0), body, trace)
-        try:
-            self._channel.put(len(body), frame, timeout=None, on_wait=on_wait)
-        except ChannelClosed as exc:
-            raise TransportError("in-process channel closed") from exc
-
-    def close(self) -> None:  # the receiver owns the channel lifecycle
-        """Release underlying resources. Idempotent."""
-        pass
 
 
 @dataclass(frozen=True)
@@ -231,7 +160,7 @@ class RetryPolicy:
         return raw * (1.0 - self.backoff_jitter + 2.0 * self.backoff_jitter * rng.random())
 
 
-class TcpTransport(Transport):
+class TcpTransport:
     """Blocking TCP client carrying NEPTUNE frames.
 
     One instance per (sender resource → receiver resource) pair; all
@@ -395,7 +324,18 @@ class TcpTransport(Transport):
         trace: bytes = b"",
         on_wait: Callable[[float], None] | None = None,
     ) -> None:
-        """Deliver one batch; blocks under backpressure, never drops."""
+        """Deliver one batch; blocks under backpressure.  Never drops.
+
+        ``body`` may be a pooled bytearray on loan from the flushing
+        :class:`~repro.core.buffering.StreamBuffer` — the transport has
+        fully consumed it by the time ``send`` returns, so the caller
+        may recycle it immediately.  ``trace`` is an opaque observe
+        trace block that must ride the frame to the receiver (see
+        :mod:`repro.observe.tracing`).  ``on_wait`` is told the seconds
+        of every wait for the receiver this send went through (a gated
+        channel, a full replay window, another send held up by one);
+        the time to move the bytes is not a wait.
+        """
         # Sends are serialized: behind one that waits for window space,
         # every other leg to this peer waits here.
         waited = timed_acquire(self._lock, time.monotonic)

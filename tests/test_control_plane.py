@@ -1,23 +1,21 @@
 """Tests for the multi-process control plane (control server, remote
-proxies, coordinated drain, and the worker_main entry point)."""
+proxies, coordinated drain, and the ``repro.cluster.worker`` process
+entry point run by hand)."""
 
-import json
-import os
 import subprocess
 import sys
-import tempfile
 import time
 
 import pytest
 from procharness import reserve_ports
 
+from repro.cluster.spec import WorkerSpec
 from repro.core import NeptuneConfig, StreamProcessingGraph
 from repro.core.control import (
     ControlError,
     ControlServer,
     RemoteDistributedJob,
     RemoteWorker,
-    plan_to_json,
 )
 from repro.core.distributed import DistributedWorker, round_robin_plan
 from repro.core.graph import descriptor_factory
@@ -164,22 +162,13 @@ class TestControlServerInProcess:
             RemoteDistributedJob([])
 
 
-class TestPlanSerialization:
-    def test_plan_json_roundtrip(self):
-        graph, _ = relay_graph(10)
-        plan = round_robin_plan(graph, 3)
-        raw = json.loads(plan_to_json(plan))
-        assert raw["n_workers"] == 3
-        rebuilt = {(op, idx): w for op, idx, w in raw["assignment"]}
-        assert rebuilt == plan.assignment
-
-
 @pytest.mark.slow
 @pytest.mark.cluster
-class TestWorkerMainSubprocess:
+class TestWorkerProcessByHand:
     def test_two_process_relay(self, tmp_path):
-        """Full worker_main path: separate interpreters, TCP data plane,
-        coordinated drain through the control ports."""
+        """``python -m repro.cluster.worker --spec FILE`` twice: separate
+        interpreters, TCP data plane, coordinated drain through the
+        control ports."""
         graph = StreamProcessingGraph("subproc-relay")
         graph.add_source(
             "sender",
@@ -195,29 +184,35 @@ class TestWorkerMainSubprocess:
             descriptor_factory("repro.workloads.operators:CollectingSink"),
         )
         graph.link("sender", "relay").link("relay", "receiver")
-        desc_path = tmp_path / "g.json"
-        desc_path.write_text(json.dumps(graph.to_descriptor()))
         plan = round_robin_plan(graph, 2)
         # Ephemeral reservations, not hardcoded ports: a previous run's
         # TIME_WAIT socket (or an unrelated process) on a fixed port
         # made this test flake.
         data_ports = reserve_ports(2)
         control_ports = reserve_ports(2)
-        endpoints = {str(w): ["127.0.0.1", data_ports[w]] for w in range(2)}
 
         procs = []
         try:
             for worker_id in range(2):
+                spec = WorkerSpec(
+                    worker_id=worker_id,
+                    descriptor=graph.to_descriptor(),
+                    plan={
+                        "n_workers": 2,
+                        "assignment": [
+                            [op, idx, w] for (op, idx), w in plan.assignment.items()
+                        ],
+                    },
+                    endpoints={w: ("127.0.0.1", data_ports[w]) for w in range(2)},
+                    control_port=control_ports[worker_id],
+                )
+                spec_path = tmp_path / f"worker-{worker_id}.json"
+                spec_path.write_text(spec.to_json())
                 procs.append(
                     subprocess.Popen(
                         [
-                            sys.executable, "-m", "repro.core.control",
-                            "--descriptor", str(desc_path),
-                            "--worker-id", str(worker_id),
-                            "--plan", plan_to_json(plan),
-                            "--endpoints", json.dumps(endpoints),
-                            "--listen-port", str(data_ports[worker_id]),
-                            "--control-port", str(control_ports[worker_id]),
+                            sys.executable, "-m", "repro.cluster.worker",
+                            "--spec", str(spec_path),
                         ],
                         stdout=subprocess.PIPE,
                         stderr=subprocess.STDOUT,
@@ -229,6 +224,7 @@ class TestWorkerMainSubprocess:
             assert "sender" in metrics_mid
             ok = job.await_completion(timeout=120)
             assert ok
+            assert job.metrics()["receiver"]["packets_in"] == 500
             for p in procs:
                 assert p.wait(timeout=30) == 0
         finally:

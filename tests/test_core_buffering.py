@@ -429,17 +429,19 @@ class TestBlockedSeconds:
     def _link(self, channel):
         """A buffer wired as the runtime wires a compressing link."""
         from repro.compression import CompressionPolicy
+        from repro.core.config import NeptuneConfig
         from repro.core.packet import PacketSchema
         from repro.core.fieldtypes import FieldType
-        from repro.core.runtime import NeptuneRuntime, _InLinkInfo
+        from repro.core.runtime import _InLinkInfo, _leg_buffer, _local_leg
         from repro.core.serde import PacketCodec
 
         policy = CompressionPolicy(enabled=True, min_size=0)
         info = _InLinkInfo(
             PacketCodec(PacketSchema([("b", FieldType.BYTES)])), True
         )
-        sink = NeptuneRuntime._make_sink(0, channel, policy, info, None)
-        return StreamBuffer(capacity=8192, sink=sink), policy
+        deliver = _local_leg(0, channel, info, None)
+        cfg = NeptuneConfig(buffer_capacity=8192)
+        return _leg_buffer("", cfg, deliver, policy, None), policy
 
     def test_compressing_link_that_never_gates_reports_zero(self):
         from repro.net import WatermarkChannel

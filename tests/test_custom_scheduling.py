@@ -1,6 +1,9 @@
 """Tests for custom processor scheduling strategies through the NEPTUNE
-API (Granules' periodic / count-based / combined scheduling, §II)."""
+API (Granules' periodic / count-based / combined scheduling, §II), on
+one resource and across co-hosted workers: strategies are installed by
+the engine's one launch path, whatever the deployment."""
 
+import contextlib
 import time
 
 import pytest
@@ -12,6 +15,7 @@ from repro.core import (
     PacketSchema,
     StreamProcessingGraph,
 )
+from repro.core.distributed import DistributedJob
 from repro.core.operators import StreamProcessor
 from repro.granules import CombinedStrategy, CountBasedStrategy, DataDrivenStrategy, PeriodicStrategy
 from repro.util.errors import GraphValidationError
@@ -45,8 +49,36 @@ def small_config():
     return NeptuneConfig(buffer_capacity=1024, buffer_max_delay=0.003)
 
 
+@contextlib.contextmanager
+def one_resource(graph):
+    """Deploy on a NeptuneRuntime; yields the job's ``stop(timeout=)``."""
+    with NeptuneRuntime() as rt:
+        yield rt.submit(graph).stop
+
+
+@contextlib.contextmanager
+def two_workers(graph):
+    """Deploy over two co-hosted workers (the processor and its
+    neighbours land on different ones); yields ``stop(timeout=)``."""
+    job = DistributedJob(graph, n_workers=2)
+    job.start()
+    try:
+        yield job.stop
+    finally:
+        for w in job.workers:
+            w.stop()
+
+
 class TestPeriodicProcessor:
     def test_heartbeats_fire_without_data(self):
+        self._heartbeats_fire_without_data(one_resource)
+
+    def test_heartbeats_fire_without_data_across_workers(self):
+        # DistributedWorker.start used to launch every processor
+        # data-driven and never read ``spec.scheduling``: 0 beats.
+        self._heartbeats_fire_without_data(two_workers)
+
+    def _heartbeats_fire_without_data(self, deploy):
         beats = []
         proc = HeartbeatProcessor()
         g = StreamProcessingGraph("hb", config=small_config())
@@ -61,10 +93,9 @@ class TestPeriodicProcessor:
         )
         g.add_processor("sink", lambda: CollectingSink(beats, field="beat"))
         g.link("src", "heart").link("heart", "sink")
-        with NeptuneRuntime() as rt:
-            h = rt.submit(g)
+        with deploy(g) as stop:
             time.sleep(0.5)
-            h.stop(timeout=30)
+            stop(timeout=30)
         assert proc.data_packets == 5
         assert proc.beats >= 5  # periodic triggers kept firing
         assert beats == list(range(1, len(beats) + 1))
@@ -93,7 +124,15 @@ class TestPeriodicProcessor:
         assert proc.data_packets == 50
 
     def test_count_based_processor_waits_for_threshold(self):
-        """A count-based processor only runs once enough frames queue."""
+        self._count_based_processor_waits_for_threshold(one_resource)
+
+    def test_count_based_processor_waits_for_threshold_across_workers(self):
+        self._count_based_processor_waits_for_threshold(two_workers)
+
+    def _count_based_processor_waits_for_threshold(self, deploy):
+        """A count-based processor only runs once enough frames queue,
+        and the drain (which switches it to data-driven dispatch) does
+        not strand the last sub-threshold frames."""
         proc = HeartbeatProcessor()
         g = StreamProcessingGraph(
             "countb",
@@ -105,12 +144,11 @@ class TestPeriodicProcessor:
         )
         g.add_processor("sink", CollectingSink)
         g.link("src", "heart").link("heart", "sink")
-        with NeptuneRuntime() as rt:
-            h = rt.submit(g)
+        with deploy(g) as stop:
             deadline = time.monotonic() + 10
             while proc.data_packets == 0 and time.monotonic() < deadline:
                 time.sleep(0.005)
-            h.stop(timeout=60)
+            assert stop(timeout=60)
         assert proc.data_packets > 0
 
 

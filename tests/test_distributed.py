@@ -1,11 +1,15 @@
 """Tests for the distributed (multi-resource, TCP) deployment."""
 
+import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from procharness import reserve_ports
+from waiters import wait_until
 
-from repro.core import NeptuneConfig, StreamProcessingGraph
+from repro.core import NeptuneConfig, NeptuneRuntime, StreamProcessingGraph
 from repro.core.control import RemoteDistributedJob
 from repro.core.distributed import (
     DeploymentPlan,
@@ -13,8 +17,11 @@ from repro.core.distributed import (
     DistributedWorker,
     round_robin_plan,
 )
-from repro.util.errors import GraphValidationError
+from repro.core.operators import StreamProcessor
+from repro.observe import RuntimeObserver
+from repro.util.errors import BackpressureTimeout, GraphValidationError
 from repro.workloads import CollectingSink, CountingSource, RelayProcessor
+from repro.workloads.operators import KeyedRelayProcessor, KeyedSource
 
 
 def relay_graph(total=500, **cfg):
@@ -217,3 +224,191 @@ class TestDistributedFailures:
         quiesced = job.stop(timeout=10)
         assert any("bad" in key for key in job.failures())
         assert not quiesced or job.failures()  # drain reports the fault
+
+
+class _BlockedSink(StreamProcessor):
+    """Holds its first batch until released: the channel behind it fills."""
+
+    def __init__(self, release):
+        super().__init__()
+        self.release = release
+
+    def process(self, packet, ctx):
+        self.release.wait(30)
+
+    def output_schema(self, stream):
+        raise KeyError(stream)
+
+
+class TestLegErrorContract:
+    """A leg that cannot deliver fails its sender the same way on every
+    deployment: there is one local leg."""
+
+    @pytest.mark.parametrize("deployment", ["runtime", "one-worker"])
+    def test_gated_past_emit_timeout_is_backpressure_timeout(self, deployment):
+        release = threading.Event()
+        g = StreamProcessingGraph(
+            "gated",
+            config=NeptuneConfig(
+                buffer_capacity=64,
+                buffer_max_delay=0.002,
+                inbound_high_watermark=1,
+                emit_timeout=0.05,
+            ),
+        )
+        g.add_source("src", lambda: CountingSource(total=None))
+        g.add_processor("sink", lambda: _BlockedSink(release))
+        g.link("src", "sink")
+        if deployment == "runtime":
+            runtime = NeptuneRuntime()
+            handle = runtime.submit(g)
+            failures, stop = (lambda: handle.failures), runtime.shutdown
+        else:
+            # At the parent commit the co-located leg of a worker raised
+            # a bare NeptuneError("wire …: emit timed out") here.
+            job = DistributedJob(g, n_workers=1)
+            job.start()
+            failures, stop = job.failures, job.stop
+        try:
+            assert wait_until(failures, timeout=15)
+            failure = failures()["src[0]"]
+        finally:
+            release.set()
+            stop()
+        assert isinstance(failure, BackpressureTimeout)
+        assert "wire link 0" in str(failure) and "emit_timeout=0.05" in str(failure)
+
+
+class TestWireIdRanges:
+    """A wire id packs 8 bits of link id and 12 bits per instance index
+    into a frame's u32: a graph that does not fit is refused at wiring,
+    not aliased onto shared sequence spaces."""
+
+    def test_parallelism_beyond_the_index_field_names_the_operator(self):
+        g = StreamProcessingGraph("wide")
+        g.add_source("src", lambda: CountingSource(total=1))
+        g.add_processor("fan", CollectingSink, parallelism=4097)
+        g.link("src", "fan")
+        with NeptuneRuntime() as runtime:
+            with pytest.raises(GraphValidationError, match="'fan'.*4097"):
+                runtime.submit(g)
+        worker = DistributedWorker(0, g, round_robin_plan(g, 1))
+        try:
+            with pytest.raises(GraphValidationError, match="'fan'.*4097"):
+                worker.connect({0: worker.address})
+        finally:
+            worker.stop()
+
+    def test_more_links_than_the_link_field_names_the_first_extra_link(self):
+        g = StreamProcessingGraph("many")
+        g.add_source("src", lambda: CountingSource(total=1))
+        for i in range(257):
+            g.add_processor(f"sink{i}", CollectingSink)
+            g.link("src", f"sink{i}")
+        with NeptuneRuntime() as runtime:
+            with pytest.raises(GraphValidationError, match="'src'->'sink256'.*257 links"):
+                runtime.submit(g)
+
+
+KEY_PARTITIONING = {"scheme": "fields", "fields": ["key"]}
+
+
+def keyed_graph(store, total, keys, stage_parallelism):
+    g = StreamProcessingGraph(
+        "keyed-equivalence",
+        config=NeptuneConfig(
+            buffer_capacity=256, buffer_max_delay=0.002, inbound_high_watermark=256
+        ),
+    )
+    g.add_source("source", lambda: KeyedSource(total=total, keys=keys))
+    previous = "source"
+    for stage, parallelism in enumerate(stage_parallelism):
+        g.add_processor(f"relay{stage}", KeyedRelayProcessor, parallelism=parallelism)
+        g.link(previous, f"relay{stage}", partitioning=KEY_PARTITIONING)
+        previous = f"relay{stage}"
+    g.add_processor("sink", lambda: CollectingSink(store, field=None))
+    g.link(previous, "sink", partitioning=KEY_PARTITIONING)
+    return g
+
+
+def observed_run(graph, store, n_workers):
+    """Run ``graph`` to completion on a NeptuneRuntime (``n_workers``
+    None) or that many co-hosted workers; what an equivalence check
+    compares: per-key output, counters, buffer names, gate labels."""
+    obs = RuntimeObserver(sample_every=0)
+    if n_workers is None:
+        with NeptuneRuntime(observer=obs) as runtime:
+            handle = runtime.submit(graph)
+            buffers = [b.name for b in handle._job.buffers]
+            assert handle.await_completion(timeout=60) and not handle.failures
+            metrics = handle.metrics()
+    else:
+        job = DistributedJob(graph, n_workers=n_workers, observer=obs)
+        buffers = [b.name for w in job.workers for b in w.job.buffers]
+        job.start()
+        assert job.await_completion(timeout=60) and not job.failures()
+        metrics = job.metrics()
+    per_key = {}
+    for packet in store:
+        per_key.setdefault(packet.get("key"), []).append(packet.get("seq"))
+    counters = {
+        op: (m["packets_in"], m["packets_out"]) for op, m in metrics.items()
+    }
+    gates = {
+        (e.attrs["operator"], tuple(e.attrs.get("throttles", ())))
+        for e in obs.timeline.snapshot(category="flowcontrol")
+    }
+    return per_key, counters, buffers, gates
+
+
+@given(
+    total=st.integers(min_value=30, max_value=120),
+    keys=st.integers(min_value=1, max_value=5),
+    stage_parallelism=st.lists(
+        st.integers(min_value=1, max_value=3), min_size=1, max_size=2
+    ),
+)
+@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_co_hosted_workers_are_equivalent_to_the_single_runtime(
+    total, keys, stage_parallelism
+):
+    """Tier-1 twin of ``test_cluster_property``: the single-process
+    runtime is the 1-worker case of the distributed one, so 1, 2 and 3
+    co-hosted workers must produce its per-key ordered output, its
+    per-operator packet counts, and — modulo the ``w{id}:`` prefix the
+    doctor and ``retune_matching`` parse — its buffer names and
+    gate-event labels."""
+    expected = {
+        key: [i for i in range(total) if i % keys == key]
+        for key in range(min(keys, total))
+    }
+    store = []
+    graph = keyed_graph(store, total, keys, stage_parallelism)
+    per_key, counters, buffers, gates = observed_run(graph, store, None)
+    assert per_key == expected
+    assert len(set(buffers)) == len(buffers)
+    labels = {
+        f"{op.name}[{i}]": tuple(lk.from_op for lk in graph.incoming_links(op.name))
+        for op in graph.operators.values()
+        for i in range(op.parallelism)
+    }
+    assert all(labels[operator] == throttles for operator, throttles in gates)
+    for n_workers in (1, 2, 3):
+        store = []
+        graph = keyed_graph(store, total, keys, stage_parallelism)
+        w_per_key, w_counters, w_buffers, w_gates = observed_run(
+            graph, store, n_workers
+        )
+        assert w_per_key == expected
+        assert w_counters == counters
+        plan = round_robin_plan(graph, n_workers)
+        # Each leg's buffer lives with its sender, each gate with its receiver.
+        for name in w_buffers:
+            sender, index = name.split(":", 1)[1].split("->")[0].rstrip("]").split("[")
+            assert name.startswith(f"w{plan.worker_of(sender, int(index))}:")
+        assert sorted(n.split(":", 1)[1] for n in w_buffers) == sorted(buffers)
+        for operator, throttles in w_gates:
+            worker, label = operator.split(":", 1)
+            name, index = label.rstrip("]").split("[")
+            assert worker == f"w{plan.worker_of(name, int(index))}"
+            assert labels[label] == throttles

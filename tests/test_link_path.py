@@ -7,6 +7,7 @@ per-field reference codec (``PacketCodec(schema, compiled=False)``),
 """
 
 import enum
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,9 @@ from repro.core import (
 from repro.core.buffering import StreamBuffer
 from repro.core.fieldtypes import FieldType, validate_value
 from repro.core.packet import PacketSchema, StreamPacket
-from repro.util.errors import SerializationError
+from repro.core.runtime import _InLinkInfo, _local_leg
+from repro.net import WatermarkChannel
+from repro.util.errors import BackpressureTimeout, NeptuneError, SerializationError
 from repro.workloads import CollectingSink
 
 
@@ -330,3 +333,59 @@ def test_reset_blanks_every_field():
     assert pkt.reset() is pkt
     assert pkt._values is values and pkt.values == (None, None, None)
     assert not pkt.is_complete()
+
+
+# -- (e) the local leg: what a same-resource hop promises its sender ---------
+
+
+class TestLocalLeg:
+    """The leg to a receiver on the same resource (on every deployment:
+    a worker's co-located legs are this leg too)."""
+
+    INFO = _InLinkInfo(PacketCodec(PacketSchema([("b", FieldType.BYTES)])), False)
+
+    def _leg(self, channel, emit_timeout=None):
+        deliver = _local_leg(7, channel, self.INFO, emit_timeout)
+        return lambda body: deliver(body, 1, b"", None)
+
+    def test_delivery_order(self):
+        channel = WatermarkChannel(high_watermark=1 << 20)
+        send = self._leg(channel)
+        for i in range(10):
+            assert send(bytes([i])) is True  # parked: the receiver recycles
+        items = channel.drain()
+        assert [frame.body for frame, _, _ in items] == [bytes([i]) for i in range(10)]
+        assert [frame.seq for frame, _, _ in items] == list(range(10))
+        assert {frame.link_id for frame, _, _ in items} == {7}
+        assert all(info is self.INFO for _, _, info in items)
+
+    def test_blocks_on_gated_channel(self):
+        channel = WatermarkChannel(high_watermark=10, low_watermark=1)
+        send = self._leg(channel)
+        send(b"0123456789")  # fills to the high watermark
+        done = threading.Event()
+
+        def sender():
+            send(b"x")
+            done.set()
+
+        t = threading.Thread(target=sender)
+        t.start()
+        assert not done.wait(0.05)  # gated: the put must not complete
+        channel.drain()
+        assert done.wait(2.0)
+        t.join(2.0)
+        assert not t.is_alive()
+
+    def test_gated_past_emit_timeout_raises_backpressure_timeout(self):
+        channel = WatermarkChannel(high_watermark=1)
+        send = self._leg(channel, emit_timeout=0.01)
+        send(b"x")
+        with pytest.raises(BackpressureTimeout, match="wire link 7.*emit_timeout=0.01"):
+            send(b"y")
+
+    def test_closed_channel_raises(self):
+        channel = WatermarkChannel(high_watermark=10)
+        channel.close()
+        with pytest.raises(NeptuneError, match="destination channel closed during send"):
+            self._leg(channel)(b"x")

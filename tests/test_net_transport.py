@@ -1,5 +1,6 @@
-"""Tests for in-process, TCP, and Unix-domain transports, including
-TCP backpressure."""
+"""Tests for TCP and Unix-domain transports, including TCP
+backpressure.  (The same-resource leg has no transport: see
+``tests/test_link_path.py::TestLocalLeg``.)"""
 
 import os
 import socket
@@ -12,7 +13,6 @@ import pytest
 from repro.net import (
     ChannelClosed,
     FrameEncoder,
-    InProcessTransport,
     RetryPolicy,
     TcpListener,
     TcpTransport,
@@ -23,40 +23,6 @@ from repro.util.errors import TransportError
 
 from procharness import reserve_port
 from waiters import FrameCollector, wait_stalled, wait_until
-
-
-class TestInProcessTransport:
-    def test_delivery_order(self):
-        ch = WatermarkChannel(high_watermark=1 << 20)
-        tx = InProcessTransport(ch)
-        for i in range(10):
-            tx.send(link_id=1, body=bytes([i]), count=1)
-        frames = ch.drain()
-        assert [f.body for f in frames] == [bytes([i]) for i in range(10)]
-        assert [f.seq for f in frames] == list(range(10))
-
-    def test_blocks_on_gated_channel(self):
-        ch = WatermarkChannel(high_watermark=10, low_watermark=1)
-        tx = InProcessTransport(ch)
-        tx.send(1, b"0123456789", 1)  # fills to high watermark
-        done = threading.Event()
-
-        def sender():
-            tx.send(1, b"x", 1)
-            done.set()
-
-        t = threading.Thread(target=sender)
-        t.start()
-        assert not done.wait(0.05)  # gated: the send must not complete
-        ch.drain()
-        assert done.wait(2.0)
-        t.join(2.0)
-
-    def test_closed_channel_raises_transport_error(self):
-        ch = WatermarkChannel(high_watermark=10)
-        ch.close()
-        with pytest.raises(TransportError):
-            InProcessTransport(ch).send(1, b"x", 1)
 
 
 class TestTcpTransport:
