@@ -55,11 +55,13 @@ class BenchProfile:
 
 PROFILES: dict[str, BenchProfile] = {
     "smoke": BenchProfile("smoke", 2_000, 1, 4_000, 2_000, 0.005),
-    # relay_packets keeps one relay run above a second (~90k packets/s
-    # since the compiled link path): the duty-cycle gates of the health,
-    # collector and policy scenarios divide by that window.
+    # relay_packets keeps one relay run at two to three seconds (~190k
+    # packets/s in process, ~140k over two workers, since sources run a
+    # quantum per execution): the duty-cycle gates of the health and
+    # collector scenarios divide by that window, and it has to hold ten
+    # of the collector's 0.25 s polls.
     "quick": BenchProfile(
-        "quick", 20_000, 3, 100_000, 120_000, 0.005, 2_400, 0.002, (1, 4), 6_000
+        "quick", 20_000, 3, 100_000, 360_000, 0.005, 2_400, 0.002, (1, 4), 6_000
     ),
     "full": BenchProfile(
         "full", 100_000, 5, 400_000, 450_000, 0.005, 6_000, 0.002, (1, 2, 4), 12_000

@@ -48,6 +48,17 @@ FlushSink = Callable[["bytes | bytearray | memoryview", int], Any]
 #: take while both are out just allocates fresh.
 _SPARE_LIMIT = 2
 
+#: How long the thread that filled a batch waits for its receiver to
+#: take it, as a multiple of the time the batch took to fill (see
+#: ``StreamBuffer.after_capacity_flush``).  Relative, so it holds at any
+#: machine speed and batch size: a receiver up to this much slower than
+#: its sender is waited for and never has more than a batch or two
+#: queued; one slower still is overloaded, its sender goes on at a third
+#: of its speed, and the backlog is the byte gate's to bound and report.
+#: Measured on the unpinned relay bench (p50, quartiles over 12 runs;
+#: parent 15.8-16.2 ms): 1 -> 7.4-10.8 ms, 2 -> 7.0-8.5 ms.
+_HANDOVER_PATIENCE = 2.0
+
 
 class StreamBuffer:
     """Capacity-triggered, timer-bounded accumulation buffer.
@@ -111,13 +122,23 @@ class StreamBuffer:
         self.spare_allocs = 0
         # Live-reconfiguration count (policy engine retunes).
         self.retunes = 0
+        # Set by whoever wires the buffer: called on the appending
+        # thread after each capacity flush, holding no buffer lock,
+        # with the longest it may wait (``_HANDOVER_PATIENCE`` times
+        # what the batch took to fill); returns the seconds it did
+        # wait.  The runtime parks a sender here until its receiver has
+        # taken the batch, so whoever fills batches does not run ahead
+        # of whoever drains them.  Timer and manual flushes run on
+        # other threads and never call it.
+        self.after_capacity_flush: Callable[[float], float] | None = None
         # Seconds the appending thread spent *waiting* in capacity
         # flushes: for the flush lock (the timer thread holds it while
-        # its own flush is held up) and, as the sink reports them, for
-        # the receiver.  Compressing, framing and copying the batch is
-        # work, not backpressure, and is not in here.  The clock is
-        # read only when a wait happens; only the (serialized)
-        # appending thread writes it.
+        # its own flush is held up) and, as the sink and
+        # ``after_capacity_flush`` report them, for the receiver.
+        # Compressing, framing and copying the batch is
+        # work, not backpressure, and is not in here.  The flush lock
+        # and the sink read the clock only when a wait happens; only
+        # the (serialized) appending thread writes it.
         self.blocked_seconds = 0.0
 
     def append(self, payload: bytes | bytearray | memoryview) -> bool:
@@ -188,12 +209,17 @@ class StreamBuffer:
     def _flush_capacity(self) -> bool:
         """Capacity-triggered flush on the appending thread."""
         body = None
+        hand_over = self.after_capacity_flush
+        filled_in = 0.0
         self.blocked_seconds += timed_acquire(self._flush_lock, self._clock.now)
         try:
             with self._lock:
                 # Re-check: the timer thread may have flushed meanwhile
                 # (and may be what kept us waiting for the flush lock).
                 if len(self._buf) >= self.capacity:
+                    if hand_over is not None:
+                        assert self._first_append_at is not None
+                        filled_in = self._clock.now() - self._first_append_at
                     body, count = self._take_locked()
                     self.capacity_flushes += 1
             if body is not None:
@@ -202,7 +228,11 @@ class StreamBuffer:
                     self.blocked_seconds += waited
         finally:
             self._flush_lock.release()
-        return body is not None
+        if body is None:
+            return False
+        if hand_over is not None:
+            self.blocked_seconds += hand_over(_HANDOVER_PATIENCE * filled_in)
+        return True
 
     def flush(self) -> bool:
         """Force a flush of any pending data (graph drain / shutdown)."""

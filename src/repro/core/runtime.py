@@ -156,6 +156,15 @@ class _ActiveTrace:
 #: Free packets one instance keeps per outgoing schema.
 _FREE_LIST_LIMIT = 256
 
+#: Seconds one scheduled execution of a source keeps calling
+#: ``generate``: the per-execution Granules cost (run lock, strategy
+#: poll, scheduling lock) is paid per quantum, not per packet.  Not a
+#: config field: 0.2 / 1 / 5 ms measured 5.3-5.8 / 5.0-5.6 / 4.9-5.9 us
+#: of CPU per packet and p50 6.2-7.2 / 7.7-8.6 / 8.0-11.8 ms on ``repro
+#: bench``'s relay graph pinned to one CPU (7.5-13.2 / 7.0-9.5 /
+#: 6.9-16.2 ms unpinned) - nothing to tune.
+_SOURCE_QUANTUM = 0.001
+
 
 class _PacketFreeList(list[StreamPacket]):
     """One instance's free packets of one schema, with reuse counters.
@@ -260,22 +269,35 @@ class _InstanceRuntime(ComputationalTask):
         """One scheduled execution (ComputationalTask contract)."""
         # Thread-ownership window for the sampling profiler: a dormant
         # profiler costs exactly this one flag test per execution.
-        if not _profiler._ACTIVE:
-            if self.spec.is_source:
-                if not self.finished:
-                    self.operator.generate(self)  # type: ignore[union-attr]
-                return
-            self._process_available()
-            return
-        _profiler.set_thread_owner(self.op_label)
+        profiled = _profiler._ACTIVE
+        if profiled:
+            _profiler.set_thread_owner(self.op_label)
         try:
             if self.spec.is_source:
-                if not self.finished:
-                    self.operator.generate(self)  # type: ignore[union-attr]
-                return
-            self._process_available()
+                self._generate_quantum()
+            else:
+                self._process_available()
         finally:
-            _profiler.clear_thread_owner()
+            if profiled:
+                _profiler.clear_thread_owner()
+
+    def _generate_quantum(self) -> None:
+        """Run ``generate`` back to back for one time-bounded quantum
+        (paper §III-B2: one scheduled execution carries a batch).
+
+        ``finished``/``paused`` are re-read before every call, so a
+        quiesced checkpoint stops the source within one packet, and a
+        ``generate`` that sleeps past the quantum (an open-loop source)
+        gets exactly one call per execution.
+        """
+        generate = self.operator.generate  # type: ignore[union-attr]
+        monotonic = time.monotonic
+        deadline = monotonic() + _SOURCE_QUANTUM
+        while not (self.finished or self.paused):
+            generate(self)
+            if monotonic() >= deadline:
+                break
+        self.metrics.executions += 1
 
     def _process_available(self) -> None:
         assert self.channel is not None
@@ -857,6 +879,14 @@ def _wire_partition(
                     # Close the zero-copy loop: the receiver returns
                     # stolen flush bytearrays straight to this buffer.
                     in_info.recycle = buf.recycle
+                    if receiver.spec.scheduling is None:
+                        # Rotate at the batch boundary: a data-driven
+                        # receiver runs when a batch lands, so whoever
+                        # filled the batch waits (within the buffer's
+                        # patience) until it is taken before filling
+                        # the next.  A receiver with its own schedule
+                        # asked for batches to accumulate.
+                        buf.after_capacity_flush = receiver.channel.wait_taken
                 out.buffers.append(buf)
                 job.buffers.append(buf)
                 flush_service.register(buf)

@@ -20,7 +20,9 @@ worker tier).  Dispatch rules:
 from __future__ import annotations
 
 import enum
+import os
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -67,8 +69,6 @@ class Resource:
         clock: Clock = SYSTEM_CLOCK,
         max_consecutive: int = 16,
     ) -> None:
-        import os
-
         # Thread names carry this; force the stable runtime-wide prefix
         # so profiler / flight-recorder output never shows bare pool
         # names ("worker-0-timer" → "neptune-worker-0-timer").
@@ -292,7 +292,5 @@ class Resource:
             # Pace the poll loop in *real* time (never via self._clock:
             # a ManualClock's sleep advances simulated time, and the
             # timer thread must not own the clock).
-            import time as _time
-
             delay = 0.01 if next_deadline is None else min(max(next_deadline - now, 0.0005), 0.05)
-            _time.sleep(delay)
+            time.sleep(delay)

@@ -19,6 +19,7 @@ exactly as the paper describes; in-process links block directly.
 from __future__ import annotations
 
 import threading
+from time import monotonic as _real_time  # what Condition.wait sleeps in
 from typing import Any, Callable
 
 from repro.util.clock import Clock, SYSTEM_CLOCK
@@ -27,6 +28,12 @@ from repro.util.errors import NeptuneError
 
 class ChannelClosed(NeptuneError):
     """Write to (or blocking read from) a closed channel."""
+
+
+def _remaining(deadline: float | None) -> float | None:
+    """Seconds left until ``deadline`` (real time), for one more
+    ``Condition.wait``; None waits indefinitely."""
+    return None if deadline is None else max(0.0, deadline - _real_time())
 
 
 class WatermarkChannel:
@@ -134,9 +141,11 @@ class WatermarkChannel:
     ) -> bool:
         """Enqueue ``item`` accounting ``size`` bytes.
 
-        Blocks while the gate is closed.  Returns False on timeout;
-        raises :class:`ChannelClosed` if the channel closes while
-        waiting or is already closed.  A put that had to wait for the
+        Blocks while the gate is closed.  Returns False once ``timeout``
+        seconds have passed in total, however often the writer was woken
+        and found the gate re-tripped by a competing writer; raises
+        :class:`ChannelClosed` if the channel closes while waiting or
+        is already closed.  A put that had to wait for the
         gate reports the seconds it waited to ``on_wait`` (called under
         the channel's lock: it must not block); the clock is read only
         then.
@@ -150,10 +159,15 @@ class WatermarkChannel:
             if self._closed:
                 raise ChannelClosed("put on closed channel")
             since: float | None = None
+            deadline: float | None = None
             while self._gated:
                 if since is None:
                     since = self._clock.now()
-                if not self._writable.wait(timeout):
+                    if timeout is not None:
+                        # Real time, whatever clock times the gate
+                        # episodes: it bounds Condition.wait.
+                        deadline = _real_time() + timeout
+                if not self._writable.wait(_remaining(deadline)):
                     self.writer_blocks += 1
                     return False
                 if self._closed:
@@ -177,20 +191,42 @@ class WatermarkChannel:
         """Dequeue one item; blocks while empty.
 
         Raises :class:`ChannelClosed` when the channel is closed and
-        drained.  Returns the payload only (size accounting is
+        drained, :class:`TimeoutError` once ``timeout`` seconds have
+        passed in total.  Returns the payload only (size accounting is
         internal).
         """
+        deadline = None if timeout is None else _real_time() + timeout
         with self._readable:
             while not self._items:
                 if self._closed:
                     raise ChannelClosed("channel closed and drained")
-                if not self._readable.wait(timeout):
+                if not self._readable.wait(_remaining(deadline)):
                     raise TimeoutError("get timed out")
             size, item = self._items.pop(0)
             gate_cb = self._release(size)
         if gate_cb is not None:
             gate_cb(False)
         return item
+
+    def wait_taken(self, timeout: float | None = None) -> float:
+        """Block until a reader has taken everything queued.
+
+        What a sender calls after a put to hand the batch over instead
+        of running ahead of its receiver.  Returns the seconds it
+        waited (0.0 when nothing was queued).  Pacing, not admission:
+        it gives up without an error once ``timeout`` seconds have
+        passed or the channel closes — the byte gate in :meth:`put` is
+        what refuses a writer.
+        """
+        with self._writable:
+            if not self._items or self._closed:
+                return 0.0
+            since = self._clock.now()
+            deadline = None if timeout is None else _real_time() + timeout
+            while self._items and not self._closed:
+                if not self._writable.wait(_remaining(deadline)):
+                    break
+            return self._clock.now() - since
 
     def drain(self, max_items: int | None = None) -> list[Any]:
         """Dequeue up to ``max_items`` (all if None) without blocking."""
@@ -209,10 +245,11 @@ class WatermarkChannel:
         """Caller must hold ``_lock``; returns the gate callback to run
         after release (see :meth:`_set_gate`)."""
         self._bytes -= freed
-        if self._gated and self._bytes <= self.low_watermark:
+        opened = self._gated and self._bytes <= self.low_watermark
+        if opened or not self._items:
+            # Gated writers, and senders waiting in wait_taken.
             self._writable.notify_all()
-            return self._set_gate(False)
-        return None
+        return self._set_gate(False) if opened else None
 
     def close(self) -> None:
         """Release underlying resources. Idempotent."""

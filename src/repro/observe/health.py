@@ -327,6 +327,11 @@ class HealthEngine:
         #: entire cost (it does nothing between scans), so
         #: ``scan_seconds / job wall time`` is its measured duty cycle.
         self.scan_seconds = 0.0
+        #: CPU seconds of the scanning thread (``time.thread_time``).
+        #: ``scan_seconds`` also counts waiting for the GIL behind the
+        #: busy worker threads — a cost of the load, not of the engine;
+        #: this is what the engine itself burns.
+        self.scan_cpu_seconds = 0.0
         # Guards the scan counters: scan_once runs on the background
         # thread while status()/benchmarks read from the caller's.
         self._stats_lock = threading.Lock()
@@ -343,6 +348,7 @@ class HealthEngine:
         sampling determinism suite drive this directly.
         """
         t0 = time.perf_counter()
+        c0 = time.thread_time()
         now = self.observer.clock.now()
         if self.scrape is not None:
             self.scrape()
@@ -369,6 +375,7 @@ class HealthEngine:
             self.sampler.observe(self.scans, hot, self.observer)
         with self._stats_lock:
             self.scan_seconds += time.perf_counter() - t0
+            self.scan_cpu_seconds += time.thread_time() - c0
         return transitions
 
     def _index_registry(self) -> _SampleIndex:
@@ -501,6 +508,7 @@ class HealthEngine:
             "scans": self.scans,
             "scan_errors": self.scan_errors,
             "scan_seconds": self.scan_seconds,
+            "scan_cpu_seconds": self.scan_cpu_seconds,
             "monitors": [m.as_dict() for m in self.monitors],
         }
 

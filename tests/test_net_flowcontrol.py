@@ -7,6 +7,7 @@ import pytest
 
 from repro.net import ChannelClosed, WatermarkChannel
 from repro.util import ManualClock
+from waiters import wait_until
 
 
 class TestBasics:
@@ -147,6 +148,169 @@ class TestClose:
         ch = WatermarkChannel(high_watermark=10)
         with pytest.raises(TimeoutError):
             ch.get(timeout=0.05)
+
+
+class TestTimeoutIsOneDeadline:
+    """``timeout`` bounds the whole call.  A waiter that is woken and
+    finds its condition gone again (a competing writer re-tripped the
+    gate, a competing reader took the item) used to wait the full
+    timeout again, each time."""
+
+    @staticmethod
+    def _record_waits(condition):
+        """Every timeout ``condition.wait`` is called with, in order."""
+        waits, real_wait = [], condition.wait
+
+        def wait(timeout=None):
+            waits.append(timeout)
+            return real_wait(timeout)
+
+        condition.wait = wait
+        return waits
+
+    def _wake_without_cause(self, condition, waits, times):
+        """Wake the waiter ``times`` times while its condition stays
+        false — what it sees when someone else wins the race."""
+        for n in range(1, times + 1):
+            assert wait_until(lambda: len(waits) == n)
+            with condition:
+                condition.notify_all()
+        assert wait_until(lambda: len(waits) == times + 1)
+
+    def test_put_waits_against_one_deadline(self):
+        ch = WatermarkChannel(high_watermark=10, low_watermark=1)
+        ch.put(10, "fill")
+        waits = self._record_waits(ch._writable)
+        result = []
+        t = threading.Thread(target=lambda: result.append(ch.put(1, "late", timeout=30.0)))
+        t.start()
+        self._wake_without_cause(ch._writable, waits, 3)
+        assert waits[0] <= 30.0
+        assert all(later < earlier for earlier, later in zip(waits, waits[1:])), waits
+        ch.drain()
+        t.join(5.0)
+        assert not t.is_alive() and result == [True]
+
+    def test_put_gives_up_at_the_deadline_however_often_woken(self):
+        ch = WatermarkChannel(high_watermark=10, low_watermark=1)
+        ch.put(10, "fill")
+        result = []
+        t = threading.Thread(target=lambda: result.append(ch.put(1, "late", timeout=0.2)))
+        started = time.monotonic()
+        t.start()
+        # Wake it every 20 ms for as long as it is still waiting; a
+        # wait that restarted on each wake-up would never give up.
+        while t.is_alive() and time.monotonic() - started < 5.0:
+            with ch._writable:
+                ch._writable.notify_all()
+            t.join(0.02)
+        assert not t.is_alive() and result == [False]
+        assert ch.writer_blocks == 1
+
+    def test_get_waits_against_one_deadline(self):
+        ch = WatermarkChannel(high_watermark=10)
+        waits = self._record_waits(ch._readable)
+        errors = []
+
+        def reader():
+            try:
+                ch.get(timeout=30.0)
+            except ChannelClosed as exc:
+                errors.append(exc)
+
+        t = threading.Thread(target=reader)
+        t.start()
+        self._wake_without_cause(ch._readable, waits, 3)
+        assert waits[0] <= 30.0
+        assert all(later < earlier for earlier, later in zip(waits, waits[1:])), waits
+        ch.close()
+        t.join(5.0)
+        assert not t.is_alive() and len(errors) == 1
+
+
+class TestWaitTaken:
+    """A sender's wait for a reader to take what it put."""
+
+    @staticmethod
+    def _waiter(ch, timeout=None):
+        """Starts ``ch.wait_taken(timeout)`` on a thread; returns the
+        thread, its result list, and a predicate for "it is waiting"."""
+        waits = TestTimeoutIsOneDeadline._record_waits(ch._writable)
+        result = []
+        t = threading.Thread(
+            target=lambda: result.append(ch.wait_taken(timeout)), daemon=True
+        )
+        t.start()
+        return t, result, lambda: len(waits) >= 1
+
+    def test_nothing_queued_returns_at_once_without_reading_the_clock(self):
+        clock = ManualClock()
+        reads = []
+        real_now = clock.now
+        clock.now = lambda: reads.append(1) or real_now()
+        ch = WatermarkChannel(high_watermark=100, clock=clock)
+        assert ch.wait_taken() == 0.0
+        ch.put(1, "x")
+        ch.drain()
+        assert ch.wait_taken() == 0.0
+        assert reads == []
+
+    def test_drain_releases_the_waiter(self):
+        clock = ManualClock()
+        ch = WatermarkChannel(high_watermark=100, clock=clock)
+        ch.put(1, "a")
+        ch.put(1, "b")
+        t, result, waiting = self._waiter(ch)
+        assert wait_until(waiting)
+        clock.advance(0.25)
+        assert ch.drain(max_items=1) == ["a"]  # one still queued
+        t.join(0.05)
+        assert t.is_alive()
+        assert ch.drain() == ["b"]
+        t.join(5.0)
+        assert not t.is_alive() and result == [0.25]
+
+    def test_get_of_the_last_item_releases_the_waiter(self):
+        ch = WatermarkChannel(high_watermark=100)
+        ch.put(1, "a")
+        t, result, waiting = self._waiter(ch)
+        assert wait_until(waiting)
+        assert ch.get() == "a"
+        t.join(5.0)
+        assert not t.is_alive() and len(result) == 1
+
+    def test_close_releases_the_waiter(self):
+        ch = WatermarkChannel(high_watermark=100)
+        ch.put(1, "a")
+        t, result, waiting = self._waiter(ch)
+        assert wait_until(waiting)
+        ch.close()
+        t.join(5.0)
+        assert not t.is_alive() and len(result) == 1
+        assert ch.wait_taken() == 0.0  # closed: nobody will take it
+
+    def test_gives_up_at_the_timeout_without_raising(self):
+        ch = WatermarkChannel(high_watermark=100)
+        ch.put(1, "a")
+        started = time.monotonic()
+        waited = ch.wait_taken(timeout=0.05)
+        assert 0.04 <= waited <= time.monotonic() - started + 0.01
+        assert len(ch) == 1
+
+    def test_opening_the_gate_does_not_release_it_early(self):
+        """Gated writers and waiting senders share a condition: each
+        re-checks its own."""
+        ch = WatermarkChannel(high_watermark=10, low_watermark=5)
+        ch.put(8, "a")
+        ch.put(4, "b")  # trips the gate
+        t, result, waiting = self._waiter(ch)
+        assert wait_until(waiting)
+        assert ch.get() == "a" and not ch.gated  # opened, "b" still queued
+        t.join(0.05)
+        assert t.is_alive()
+        ch.drain()
+        t.join(5.0)
+        assert not t.is_alive()
 
 
 class TestConcurrency:
