@@ -19,7 +19,7 @@ predicted*.  This module closes the loop:
    trace sampling.  Lock-order edges are structural — the same nesting
    recurs thousands of times a second — so a thin periodic sample
    witnesses them while keeping the attributable overhead under the
-   guardrail's 3% (see ``benchmarks/bench_sanitizer_guardrail.py``).
+   3% budget (the ``sanitizer`` row of ``repro bench``'s overhead gate).
    Window boundaries bump an epoch that lazily invalidates per-thread
    held stacks, so a window never sees a lock pushed before it started
    and cross-window false edges are impossible.
@@ -446,13 +446,12 @@ def calibrate_recording(iterations: int = 50_000) -> float:
     """Measured per-acquire *marginal* cost (seconds) of recording —
     an active-window acquire over a dormant-window one.
 
-    The guardrail bench multiplies this by the witnessed ``acquires``
-    count (only active-window acquires are counted) to attribute the
+    ``repro bench``'s ``sanitizer`` row multiplies this by the witnessed
+    ``acquires`` count (only active-window acquires are counted) to attribute the
     duty-cycled sanitizer's *causal* recording cost, instead of
     trusting noisy end-to-end wall-clock deltas.  The dormant wrapper
     indirection itself is the instrumentation fixture — the same role
-    the attached-but-idle observer plays in
-    ``benchmarks/bench_health_guardrail.py``'s baseline arm.
+    the attached-but-idle observer plays in the ``health`` row's off arm.
     """
     active = InstrumentedLock(
         LockOrderSanitizer(), "calibrate._lock", reentrant=False

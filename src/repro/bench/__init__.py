@@ -14,7 +14,10 @@ Layout
   checks meaningful.
 - :mod:`repro.bench.scenarios` — the pinned scenarios (codec
   encode/decode throughput, buffer flush rate, end-to-end relay
-  packets/sec with p50/p99 latency vs the ``max_delay`` bound).
+  packets/sec with p50/p99 latency vs the ``max_delay`` bound) and the
+  overhead gate: one table of observability/analysis planes as
+  plane-off/plane-on arms, and the one A/B protocol that holds each to
+  its duty, A/B and heal budgets.
 - :mod:`repro.bench.report` — the ``neptune-bench/1`` JSON schema,
   writer, and the regression checker CI runs.
 """

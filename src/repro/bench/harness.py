@@ -22,15 +22,16 @@ from typing import Callable, Sequence
 class BenchProfile:
     """Pinned workload sizes for one benchmark tier.
 
-    ``smoke`` exists for tests (sub-second end to end), ``quick`` is the
+    ``smoke`` exists for tests (seconds end to end), ``quick`` is the
     CI tier, ``full`` is for deliberate local measurement sessions.
     """
 
     name: str
     #: Messages per codec timing repetition.
     codec_messages: int
-    #: Timing repetitions (best-of, the standard low-noise estimator).
-    codec_repeats: int
+    #: Timing repetitions: best-of for the kernel loops, interleaved
+    #: off/on pairs for the plane gates.
+    repeats: int
     #: Appends driven through the StreamBuffer flush scenario.
     buffer_appends: int
     #: Packets pushed through the end-to-end relay pipeline.
@@ -57,9 +58,8 @@ PROFILES: dict[str, BenchProfile] = {
     "smoke": BenchProfile("smoke", 2_000, 1, 4_000, 2_000, 0.005),
     # relay_packets keeps one relay run at two to three seconds (~190k
     # packets/s in process, ~140k over two workers, since sources run a
-    # quantum per execution): the duty-cycle gates of the health and
-    # collector scenarios divide by that window, and it has to hold ten
-    # of the collector's 0.25 s polls.
+    # quantum per execution): every plane gate divides by that window,
+    # and it has to hold ten of the collector's 0.25 s polls.
     "quick": BenchProfile(
         "quick", 20_000, 3, 100_000, 360_000, 0.005, 2_400, 0.002, (1, 4), 6_000
     ),
@@ -71,10 +71,17 @@ PROFILES: dict[str, BenchProfile] = {
 
 @dataclass
 class BenchResult:
-    """One scenario's named metrics (flat ``str -> float`` map)."""
+    """One scenario's named metrics (flat ``str -> float`` map).
+
+    ``failures`` holds one line per gate the scenario read over budget
+    (empty on the un-gated smoke tier); ``verdict`` is a plane's
+    one-line summary of what it measured against which budget.
+    """
 
     name: str
     metrics: dict[str, float] = field(default_factory=dict)
+    failures: list[str] = field(default_factory=list)
+    verdict: str = ""
 
 
 def best_rate(fn: Callable[[], int], repeats: int) -> float:

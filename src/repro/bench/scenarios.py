@@ -1,6 +1,6 @@
 """The pinned hot-path benchmark scenarios.
 
-Three scenarios cover the layers the paper optimizes (§III-B):
+Layer scenarios cover what the paper optimizes (§III-B):
 
 - ``codec`` — encode/decode messages/sec for the schema-compiled codec
   *and* the per-field reference codec on a fixed-width-dominated
@@ -15,49 +15,47 @@ Three scenarios cover the layers the paper optimizes (§III-B):
 - ``relay`` — end-to-end packets/sec and p50/p99 emit-to-process
   latency through a real source → relay → sink job on the local
   runtime, reported against the ``max_delay`` latency bound.
-- ``health`` — the same relay job run twice, interleaved: bare vs with
-  a :class:`~repro.observe.health.HealthEngine` scanning SLO monitors
-  in the background.  The acceptance metric is ``overhead_frac``: the
-  monitors must cost < 3% of bare throughput (asserted in-scenario on
-  non-smoke profiles, mirroring the relay lost-packet check).
-- ``collector`` — the relay job as a two-worker in-process
-  distributed job, run collector-off vs collector-on (a
-  :class:`~repro.observe.collector.DeltaSource` shipping bounded
-  telemetry deltas into a polling
-  :class:`~repro.observe.collector.ClusterCollector`).  Guarded the
-  same two ways as ``health``: the collector's poll duty cycle must
-  stay < 3% of the run, with a 25% A/B wall-clock backstop.
 - ``cluster_scaling`` — aggregate relay throughput through real worker
   *processes* (the ``repro.cluster`` coordinator) at each worker count
   in the profile; the guarded metric is the scale-up ratio between the
   largest and smallest count.  Skipped on the smoke tier: tier-1 test
   runs must never spawn processes.
-- ``policy`` — the closed loop: a sink paying a fixed per-batch
-  overhead drowns in deliberately tiny frames, breaches a
-  ``buffer_occupancy`` SLO, and a
-  :class:`~repro.observe.policy.PolicyEngine` retunes the legs feeding
-  it live (no restart).  Guarded three ways on non-smoke tiers: the
-  policy must act, the drain must beat the policy-off control by ≥25%
-  (the heal is real, not a timer artifact), and the whole observe+
-  decide plane (health scans + diagnose + decide) must cost < 3% of
-  the healed run's wall time.
+
+The overhead gate bounds what every observability/analysis plane costs
+the job it rides on: :data:`PLANES` is one table — ``observe``,
+``health``, ``sanitizer``, ``collector`` (in-process and, on the
+process-spawning tiers, over real workers), ``profiler``, ``policy`` —
+of (plane-off arm, plane-on arm) pairs with their budgets, and
+:func:`run_plane` is the one A/B protocol that judges them all.
 """
 
 from __future__ import annotations
 
 import gc
 import time
+from dataclasses import dataclass, field
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.bench.harness import BenchProfile, BenchResult, best_rate, percentile
 from repro.core.buffering import StreamBuffer
 from repro.core.config import NeptuneConfig
 from repro.core.fieldtypes import FieldType
-from repro.core.graph import StreamProcessingGraph
+from repro.core.graph import (
+    OperatorFactory,
+    StreamProcessingGraph,
+    descriptor_factory,
+)
 from repro.core.operators import EmitContext, StreamProcessor, StreamSource
 from repro.core.packet import PacketSchema, StreamPacket
 from repro.core.runtime import NeptuneRuntime
 from repro.core.serde import PacketCodec
 from repro.lz4 import compress as lz4_compress, decompress as lz4_decompress
+from repro.util.errors import NeptuneError
+
+if TYPE_CHECKING:  # the planes themselves are imported by the arms that run them
+    from repro.core.job import JobHandle
+    from repro.observe import RuntimeObserver
 
 #: Fixed-width-dominated schema: the compiled codec's best case and the
 #: shape the paper's sensing workloads actually have (ids + readings).
@@ -147,10 +145,10 @@ def _codec_sensor_metrics(profile: BenchProfile, result: BenchResult) -> None:
         return n
 
     result.metrics["encode_var_msgs_per_sec"] = best_rate(
-        encode_run, profile.codec_repeats
+        encode_run, profile.repeats
     )
     result.metrics["decode_var_msgs_per_sec"] = best_rate(
-        decode_run, profile.codec_repeats
+        decode_run, profile.repeats
     )
     batch = codec.encode_batch(packets[:SENSOR_BATCH])
     block = lz4_compress(batch)
@@ -169,10 +167,10 @@ def _codec_sensor_metrics(profile: BenchProfile, result: BenchResult) -> None:
         return lz4_rounds * len(batch)
 
     result.metrics["lz4_compress_mb_per_sec"] = (
-        best_rate(compress_run, profile.codec_repeats) / 1e6
+        best_rate(compress_run, profile.repeats) / 1e6
     )
     result.metrics["lz4_decompress_mb_per_sec"] = (
-        best_rate(decompress_run, profile.codec_repeats) / 1e6
+        best_rate(decompress_run, profile.repeats) / 1e6
     )
     result.metrics["lz4_ratio"] = len(block) / len(batch)
 
@@ -203,10 +201,10 @@ def scenario_codec(profile: BenchProfile) -> BenchResult:
             return n
 
         result.metrics[f"encode_{label}_msgs_per_sec"] = best_rate(
-            encode_run, profile.codec_repeats
+            encode_run, profile.repeats
         )
         result.metrics[f"decode_{label}_msgs_per_sec"] = best_rate(
-            decode_run, profile.codec_repeats
+            decode_run, profile.repeats
         )
     result.metrics["encode_speedup"] = result.metrics[
         "encode_compiled_msgs_per_sec"
@@ -243,7 +241,7 @@ def scenario_buffer(profile: BenchProfile) -> BenchResult:
         result.metrics["buffers_recycled"] = float(buf.buffers_recycled)
         return profile.buffer_appends
 
-    result.metrics["appends_per_sec"] = best_rate(run, profile.codec_repeats)
+    result.metrics["appends_per_sec"] = best_rate(run, profile.repeats)
     result.metrics["flushes"] = float(flushes)
     return result
 
@@ -302,31 +300,84 @@ class _LatencySink(StreamProcessor):
         raise KeyError(stream)  # terminal stage: no outputs
 
 
+#: Buffer cut for the two plane rows whose tick is not a fixed-rate
+#: timer in this process.  ~40 packets a batch (what ``perf``'s
+#: ``relay_paced`` timer cuts) instead of ~1 300: the interpreter changes
+#: hands often enough for the profiler's throttled sweep to run 40 times
+#: in a trial where 32 KiB batches allow 2-14 (each sweep waits out the
+#: GIL holder's 5 ms turn several times), and two worker *processes*
+#: take ten collector polls, not five, to move ``relay_packets``.
+SMALL_BATCH = 1024
+
+
+def _relay_config(profile: BenchProfile, capacity: int = 32 * 1024) -> NeptuneConfig:
+    return NeptuneConfig(
+        buffer_capacity=capacity, buffer_max_delay=profile.relay_max_delay
+    )
+
+
+def _relay_graph(
+    name: str,
+    packets: int,
+    config: NeptuneConfig,
+    sink: "OperatorFactory | None" = None,
+) -> StreamProcessingGraph:
+    """The one source → relay → sink graph behind ``relay`` and every
+    plane arm.  Operators are named by import path so worker processes
+    can build them; an in-process caller passes the factory of a
+    ``sink`` it holds, to read its counters afterwards."""
+    graph = StreamProcessingGraph(name, config=config)
+    graph.add_source(
+        "source", descriptor_factory(f"{__name__}:_RelaySource", total=packets)
+    )
+    graph.add_processor("relay", descriptor_factory(f"{__name__}:_Relay"))
+    graph.add_processor(
+        "sink", sink or descriptor_factory(f"{__name__}:_LatencySink")
+    )
+    graph.link("source", "relay").link("relay", "sink")
+    return graph
+
+
+def _local_relay(
+    profile: BenchProfile,
+    name: str,
+    observer: "RuntimeObserver | None" = None,
+    start: "Callable[[JobHandle], Callable[[], object]] | None" = None,
+    capacity: int = 32 * 1024,
+    sink: "_LatencySink | None" = None,
+) -> float:
+    """Wall seconds of one in-process relay run under ``observer``.
+
+    ``start(handle)`` switches a plane on once the job is submitted and
+    returns what switches it off again after the drain; a caller that
+    wants the latencies passes the ``sink`` to fill.
+    """
+    held = _LatencySink() if sink is None else sink
+    graph = _relay_graph(
+        name, profile.relay_packets, _relay_config(profile, capacity), lambda: held
+    )
+    t0 = time.perf_counter()
+    with NeptuneRuntime(observer=observer) as runtime:
+        handle = runtime.submit(graph)
+        stop = start(handle) if start is not None else None
+        ok = handle.await_completion(timeout=300)
+        if stop is not None:
+            stop()
+    wall = time.perf_counter() - t0
+    if not ok:
+        raise RuntimeError(f"{name}: relay did not complete in 300s")
+    if held.count != profile.relay_packets:
+        raise RuntimeError(
+            f"{name}: relay lost packets: {held.count}/{profile.relay_packets}"
+        )
+    return wall
+
+
 def scenario_relay(profile: BenchProfile) -> BenchResult:
     """End-to-end source → relay → sink throughput and latency."""
     result = BenchResult("relay")
     sink = _LatencySink()
-    graph = StreamProcessingGraph(
-        "bench-relay",
-        config=NeptuneConfig(
-            buffer_capacity=32 * 1024,
-            buffer_max_delay=profile.relay_max_delay,
-        ),
-    )
-    graph.add_source("source", lambda: _RelaySource(profile.relay_packets))
-    graph.add_processor("relay", _Relay)
-    graph.add_processor("sink", lambda: sink)
-    graph.link("source", "relay").link("relay", "sink")
-    t0 = time.perf_counter()
-    with NeptuneRuntime() as runtime:
-        handle = runtime.submit(graph)
-        if not handle.await_completion(timeout=300):
-            raise RuntimeError("relay benchmark did not complete in 300s")
-    elapsed = time.perf_counter() - t0
-    if sink.count != profile.relay_packets:
-        raise RuntimeError(
-            f"relay lost packets: {sink.count}/{profile.relay_packets}"
-        )
+    elapsed = _local_relay(profile, "bench-relay", sink=sink)
     result.metrics["packets_per_sec"] = sink.count / elapsed if elapsed else 0.0
     result.metrics["p50_latency_sec"] = percentile(sink.latencies, 0.50)
     result.metrics["p99_latency_sec"] = percentile(sink.latencies, 0.99)
@@ -335,179 +386,284 @@ def scenario_relay(profile: BenchProfile) -> BenchResult:
     return result
 
 
-def _timed_relay(
-    profile: BenchProfile, monitored: bool
-) -> "tuple[float, int, float, float, float]":
-    """One relay run; returns ``(rate, scans, scan_seconds,
-    scan_cpu_seconds, elapsed)``.
+# --------------------------------------------------------------------------
+# The overhead gate: one table of planes, one A/B protocol (DESIGN.md §10)
+# --------------------------------------------------------------------------
 
-    With ``monitored=True`` the job runs under a
-    :class:`~repro.observe.RuntimeObserver` with a background
-    :class:`~repro.observe.HealthEngine` scanning generous (never
-    breaching) SLOs — the configuration whose overhead the ``health``
-    scenario bounds.
+#: A plane's own compute may take at most this share of the run it rides.
+DUTY_BUDGET = 0.03
+#: Wall-clock A/B noise on a shared runner (±10%) is several times the
+#: duty budget, so A/B only backstops a catastrophe: plane work leaking
+#: onto the data plane's hot path, which a duty figure cannot see.
+AB_BACKSTOP = 0.25
+#: ... except where the on arm has no thread of its own to meter: an
+#: attached, tracing-off observer is gated on the A/B delta itself.
+OBSERVE_AB_BUDGET = 0.03
+#: The policed drain must beat the stalled control by this factor.
+HEAL_FLOOR = 1.25
+#: Fewer periodic ticks than this in an on arm and its duty is a ratio
+#: of two small numbers: the trial was too short to judge.
+MIN_TICKS = 10
+
+
+@dataclass
+class ArmRun:
+    """What one run of one arm measured."""
+
+    wall: float
+    #: Seconds of the plane's own compute inside ``wall`` (on arm only).
+    cost: float = 0.0
+    #: How many times the plane did its periodic work (on arm only).
+    ticks: int = 0
+    #: Arm-specific metrics, reported as the worst (max) over repeats.
+    extra: dict[str, float] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Plane:
+    """One row of the overhead gate: two arms and what bounds them."""
+
+    name: str
+    #: ``arm(profile, on)`` runs the job once, plane off or on.
+    arm: Callable[[BenchProfile, bool], ArmRun]
+    #: What the off arm is, and what the on arm adds to it.
+    off: str
+    on: str
+    #: What ``ArmRun.cost`` and ``ArmRun.ticks`` count for this plane.
+    cost: str = ""
+    tick: str = ""
+    #: Which repeat's duty is judged: the ``worst``, or the ``min`` —
+    #: for costs measured across threads or processes, where the spread
+    #: over repeats is the runner's scheduling and not the plane's code.
+    statistic: str = "worst"
+    duty_budget: "float | None" = DUTY_BUDGET
+    ab_budget: "float | None" = AB_BACKSTOP
+    heal_floor: "float | None" = None
+    min_ticks: int = MIN_TICKS
+    #: The ``BenchProfile`` field holding the arms' packet count.
+    packets: str = "relay_packets"
+    #: Arms that launch worker processes: skipped, like
+    #: ``cluster_scaling``, on tiers without ``cluster_worker_counts``.
+    spawns: bool = False
+    #: Metric names this section had before it was a table row
+    #: (``BENCH_hotpath.json`` and ``GUARDED_RATIOS`` carry them).
+    keys: Mapping[str, str] = field(default_factory=dict)
+
+
+def run_plane(plane: Plane, profile: BenchProfile) -> BenchResult:
+    """The A/B protocol, the same for every row of :data:`PLANES`.
+
+    Warm both arms, then interleave ``profile.repeats`` off/on pairs
+    (machine drift hits both arms alike), each arm behind a
+    ``gc.collect()`` — the previous arm's job is cyclic garbage, and
+    freed mid-run its gen-2 pass (~70 ms) can land on the very thread
+    being metered.  Wall times compare min-of-N (the repeat the machine
+    disturbed least); duty is the plane's cost seconds over its own
+    run's wall, judged on the row's statistic; ticks are the fewest any
+    on arm saw.  Every budget the row sets is judged and every miss is
+    returned as a line in ``failures`` — nothing is raised, so one red
+    plane cannot hide the next.  The smoke tier runs the same arms
+    un-gated: its trials are too short for any of the ratios.
     """
-    from repro.observe import HealthEngine, RuntimeObserver, bridge, default_slos
 
-    # The previous arm's job is cyclic garbage: freed in here, the
-    # gen-2 pass (~70 ms) can land on the thread being measured.
-    gc.collect()
-    sink = _LatencySink()
-    graph = StreamProcessingGraph(
-        "bench-health",
-        config=NeptuneConfig(
-            buffer_capacity=32 * 1024,
-            buffer_max_delay=profile.relay_max_delay,
-        ),
+    def run(on: bool) -> ArmRun:
+        gc.collect()
+        return plane.arm(profile, on)
+
+    run(False)
+    run(True)
+    pairs = [(run(False), run(True)) for _ in range(max(1, profile.repeats))]
+    n = len(pairs)
+    ons = [on for _, on in pairs]
+    off_wall = min(off.wall for off, _ in pairs)
+    on_wall = min(on.wall for on in ons)
+    ab = (on_wall - off_wall) / off_wall
+    duties = [on.cost / on.wall for on in ons]
+    duty = max(duties) if plane.statistic == "worst" else min(duties)
+    ticks = min(on.ticks for on in ons)
+
+    packets = int(getattr(profile, plane.packets))
+    metrics = {
+        "wall_sec_off": off_wall,
+        "wall_sec_on": on_wall,
+        "packets_per_sec_off": packets / off_wall,
+        "packets_per_sec_on": packets / on_wall,
+        "ab_overhead_frac": ab,
+    }
+    verdict = (
+        f"{plane.off} {off_wall:.3f}s -> {plane.on} {on_wall:.3f}s (min of {n})"
     )
-    graph.add_source("source", lambda: _RelaySource(profile.relay_packets))
-    graph.add_processor("relay", _Relay)
-    graph.add_processor("sink", lambda: sink)
-    graph.link("source", "relay").link("relay", "sink")
+    failures: list[str] = []
 
-    observer = RuntimeObserver(sample_every=0) if monitored else None
-    engine: "HealthEngine | None" = None
-    t0 = time.perf_counter()
-    with NeptuneRuntime(observer=observer) as runtime:
-        handle = runtime.submit(graph)
-        if observer is not None:
-            registry = observer.registry
-            # Budgets far above anything the relay produces: the
-            # scenario measures scan overhead, not breach handling.
-            slos = default_slos(
-                ["source", "relay", "sink"], latency_budget=60.0, e2e_budget=None
-            )
-            engine = HealthEngine(
-                observer,
-                slos,
-                scrape=lambda: bridge.scrape_job(registry, handle),
-                interval=0.1,
-            )
-            engine.start()
-        ok = handle.await_completion(timeout=300)
-        if engine is not None:
-            engine.stop()
+    def judge(ok: bool, reading: str, budget: str) -> None:
+        nonlocal verdict
+        verdict += f"; {reading} ({budget})"
         if not ok:
-            raise RuntimeError("health benchmark did not complete in 300s")
-    elapsed = time.perf_counter() - t0
-    if sink.count != profile.relay_packets:
-        raise RuntimeError(
-            f"health relay lost packets: {sink.count}/{profile.relay_packets}"
+            failures.append(f"{plane.name}: {reading}; {budget}")
+
+    if plane.ab_budget is not None:
+        budget = f"budget < {plane.ab_budget:.0%}"
+        judge(ab < plane.ab_budget, f"A/B {ab:+.1%}", budget)
+    if plane.heal_floor is not None:
+        speedup = metrics["speedup"] = off_wall / on_wall
+        floor = f"floor {plane.heal_floor}x"
+        judge(speedup >= plane.heal_floor, f"heal {speedup:.2f}x", floor)
+    if plane.duty_budget is not None:
+        metrics["duty_frac"] = duty
+        judge(
+            duty < plane.duty_budget,
+            f"{plane.cost} duty {duty:.2%} {plane.statistic}-of-{n}",
+            f"budget < {plane.duty_budget:.0%}",
         )
-    rate = sink.count / elapsed if elapsed else 0.0
-    if engine is None:
-        return rate, 0, 0.0, 0.0, elapsed
-    return rate, engine.scans, engine.scan_seconds, engine.scan_cpu_seconds, elapsed
-
-
-def scenario_health(profile: BenchProfile) -> BenchResult:
-    """Monitors-on vs monitors-off relay cost (A/B interleaved).
-
-    Two overhead estimates, asserted differently:
-
-    - ``overhead_frac`` — the engine's measured duty cycle (CPU
-      seconds of the scanning thread inside ``scan_once`` over
-      monitored wall time).  The engine does nothing between scans, so
-      this is its whole cost, and it is stable: the <3% acceptance
-      budget gates on it (non-smoke tiers).  ``wall_overhead_frac`` is
-      the same ratio over wall seconds inside ``scan_once``, reported
-      only: one scan that waits a switch interval for the GIL behind
-      the busy workers moves it by half a percent of a one-second run.
-    - ``ab_overhead_frac`` — best-of-N wall-clock A/B delta.  On a
-      shared runner its noise floor (±10%) is an order of magnitude
-      above the budget, so it only backstops *catastrophic* regressions
-      (>25%, e.g. a scan accidentally landing on the hot path).
-    """
-    result = BenchResult("health")
-    best_off = 0.0
-    best_on = 0.0
-    scans = 0
-    duty = 0.0
-    wall_duty = 0.0
-    for _ in range(max(1, profile.codec_repeats)):
-        off = _timed_relay(profile, monitored=False)[0]
-        on, n_scans, scan_secs, scan_cpu, on_elapsed = _timed_relay(
-            profile, monitored=True
+    if plane.min_ticks:
+        metrics["ticks"] = float(ticks)
+        judge(
+            ticks >= plane.min_ticks,
+            f"{ticks} {plane.tick}",
+            f"needs >= {plane.min_ticks}, else run too short",
         )
-        best_off = max(best_off, off)
-        best_on = max(best_on, on)
-        scans = max(scans, n_scans)
-        if on_elapsed:
-            duty = max(duty, scan_cpu / on_elapsed)
-            wall_duty = max(wall_duty, scan_secs / on_elapsed)
-    ab_overhead = max(0.0, (best_off - best_on) / best_off) if best_off else 0.0
-    result.metrics["packets_per_sec_monitors_off"] = best_off
-    result.metrics["packets_per_sec_monitors_on"] = best_on
-    result.metrics["overhead_frac"] = duty
-    result.metrics["wall_overhead_frac"] = wall_duty
-    result.metrics["ab_overhead_frac"] = ab_overhead
-    result.metrics["health_scans"] = float(scans)
-    # The smoke profile is too short for stable ratios (a single GC
-    # pause swamps it); the quick/full tiers enforce the budgets.
-    if profile.name != "smoke":
-        if duty >= 0.03:
-            raise RuntimeError(
-                f"health monitors consumed {duty:.1%} of the monitored "
-                "run (scan CPU duty cycle); budget is < 3%"
-            )
-        if ab_overhead >= 0.25:
-            raise RuntimeError(
-                f"monitors-on throughput collapsed: {best_on:.0f} vs "
-                f"{best_off:.0f} pkts/s ({ab_overhead:.0%} drop) — scan "
-                "work is leaking onto the hot path"
-            )
+    for key in ons[0].extra:
+        metrics[key] = max(on.extra[key] for on in ons)
+    result = BenchResult(
+        plane.name, {plane.keys.get(k, k): v for k, v in metrics.items()}
+    )
+    if profile.name == "smoke":
+        result.verdict = f"{verdict}: not gated on this tier"
+    else:
+        result.failures = failures
+        result.verdict = f"{verdict}: {'FAIL' if failures else 'OK'}"
     return result
 
 
-def _timed_collected(
-    profile: BenchProfile, collected: bool
-) -> "tuple[float, float, float, float, int, int]":
-    """One in-process two-worker relay run; returns
-    ``(rate, elapsed, poll_seconds, poll_cpu_seconds, polls, spans)``.
+def _observe_arm(profile: BenchProfile, on: bool) -> ArmRun:
+    """No observer at all vs one attached with tracing off (timeline
+    and instruments on): what every other plane's off arm carries."""
+    from repro.observe import RuntimeObserver
 
-    Both arms carry a sampling :class:`~repro.observe.RuntimeObserver`
-    (its cost is bounded by the observe guardrail); the ``collected``
-    arm additionally runs the cluster telemetry plane — a
-    :class:`~repro.observe.collector.DeltaSource` building bounded
-    deltas and a :class:`~repro.observe.collector.ClusterCollector`
-    polling, absorbing, and stitching them in the background.  The
-    delta build runs synchronously inside the collector's fetch, on
-    the polling thread, so ``poll_cpu_seconds`` is the plane's entire
-    cost; ``poll_seconds`` adds that thread's waits for the GIL.
-    """
+    observer = RuntimeObserver(sample_every=0) if on else None
+    return ArmRun(_local_relay(profile, "bench-observe", observer))
+
+
+def _health_arm(profile: BenchProfile, on: bool) -> ArmRun:
+    """An idle observer vs the same with a background
+    :class:`~repro.observe.HealthEngine` scanning at 10 Hz.  The engine
+    does nothing between scans, so the scanning thread's CPU seconds
+    inside ``scan_once`` are its whole cost; the wall seconds there
+    (``wall_overhead_frac``, reported only) add its waits for the GIL
+    behind the busy workers."""
+    from repro.observe import HealthEngine, RuntimeObserver, bridge, default_slos
+
+    observer = RuntimeObserver(sample_every=0)
+    if not on:
+        return ArmRun(_local_relay(profile, "bench-health", observer))
+    engines: list[HealthEngine] = []
+
+    def start(handle: "JobHandle") -> "Callable[[], object]":
+        # Budgets far above anything the relay produces: the row
+        # bounds the cost of watching, not of reacting to a breach.
+        slos = default_slos(
+            ["source", "relay", "sink"], latency_budget=60.0, e2e_budget=None
+        )
+        engine = HealthEngine(
+            observer,
+            slos,
+            scrape=lambda: bridge.scrape_job(observer.registry, handle),
+            interval=0.1,
+        )
+        engine.start()
+        engines.append(engine)
+        return engine.stop
+
+    wall = _local_relay(profile, "bench-health", observer, start)
+    engine = engines[0]
+    return ArmRun(
+        wall,
+        engine.scan_cpu_seconds,
+        engine.scans,
+        {"wall_overhead_frac": engine.scan_seconds / wall},
+    )
+
+
+def _sanitizer_arm(profile: BenchProfile, on: bool) -> ArmRun:
+    """A :class:`~repro.analysis.sanitizer.LockOrderSanitizer` installed
+    dormant (every runtime lock wrapped, nothing recorded — the
+    instrumentation fixture) vs recording in 10% duty windows.  An
+    end-to-end delta of a few percent is scheduler jitter, so the cost
+    is causal: the marginal price of one recorded acquire, calibrated
+    on this machine, times the acquires the run's windows witnessed."""
+    from repro.analysis.sanitizer import LockOrderSanitizer, calibrate_recording
+
+    marginal = calibrate_recording() if on else 0.0
+    sanitizer = LockOrderSanitizer(duty=0.1 if on else 0.0, window=0.25)
+    sanitizer.install()
+    try:
+        wall = _local_relay(profile, "bench-sanitizer")
+    finally:
+        sanitizer.uninstall()
+    witness = sanitizer.witness()
+    if witness.dropped_edges:
+        raise RuntimeError(
+            f"sanitizer dropped {witness.dropped_edges} edges: MAX_EDGES too small"
+        )
+    if not on and witness.acquires:
+        raise RuntimeError("dormant sanitizer recorded acquires: duty gate broken")
+    return ArmRun(wall, marginal * witness.acquires, witness.acquires)
+
+
+def _profiler_arm(profile: BenchProfile, on: bool) -> ArmRun:
+    """A :class:`~repro.observe.profiler.SamplingProfiler` attached but
+    never started (what production carries when nobody is profiling:
+    the ownership hook on every execute) vs sampling at 50 Hz.  Its
+    ``sample_seconds`` — walking ``sys._current_frames`` and folding
+    stacks — is what the profiler's own ``max_duty`` throttle budgets,
+    so the row checks the throttle's arithmetic against a real run."""
+    from repro.observe import RuntimeObserver
+    from repro.observe.profiler import SamplingProfiler
+
+    observer = RuntimeObserver()
+    profiler = observer.profiler = SamplingProfiler(hz=50.0)
+
+    def start(_handle: "JobHandle") -> "Callable[[], object]":
+        profiler.start()
+        return profiler.stop
+
+    wall = _local_relay(
+        profile, "bench-profiler", observer, start if on else None, SMALL_BATCH
+    )
+    if profiler.errors:
+        raise RuntimeError(f"profiler sweep errors: {profiler.errors}")
+    return ArmRun(wall, profiler.sample_seconds, profiler.samples)
+
+
+def _collector_arm(profile: BenchProfile, on: bool) -> ArmRun:
+    """The relay as a two-worker in-process distributed job under a
+    1-in-1024 sampling observer, vs the same plus the cluster telemetry
+    plane: a :class:`~repro.observe.collector.DeltaSource` building
+    bounded deltas and a :class:`~repro.observe.collector
+    .ClusterCollector` polling, absorbing and stitching them every
+    0.25 s.  The delta build runs inside the collector's fetch, on the
+    polling thread, so ``poll_cpu_seconds`` is the plane's whole cost.
+    Span shipping dominates it, so the bound is for this sampling rate
+    (~300 spans/s here); suites that trace every packet trade that
+    cost for coverage deliberately."""
     from repro.core.distributed import DistributedJob
     from repro.observe import RuntimeObserver
     from repro.observe.collector import ClusterCollector, DeltaSource
 
-    # The previous arm's job is cyclic garbage: freed in here, the
-    # gen-2 pass (~70 ms) can land on the thread being measured.
-    gc.collect()
     sink = _LatencySink()
-    graph = StreamProcessingGraph(
+    graph = _relay_graph(
         "bench-collector",
-        config=NeptuneConfig(
-            buffer_capacity=32 * 1024,
-            buffer_max_delay=profile.relay_max_delay,
-        ),
+        profile.relay_packets,
+        _relay_config(profile),
+        lambda: sink,
     )
-    graph.add_source("source", lambda: _RelaySource(profile.relay_packets))
-    graph.add_processor("relay", _Relay)
-    graph.add_processor("sink", lambda: sink)
-    graph.link("source", "relay").link("relay", "sink")
-
-    # Production-plausible observability config: 1-in-1024 trace
-    # sampling and the coordinator's default 0.25s poll interval.
-    # Span shipping dominates poll cost, so the duty bound below is
-    # for *this* pinned sampling rate (~300 spans/s at the ~50k
-    # packets/s this relay sustains); correctness suites that trace
-    # every packet trade that cost for coverage deliberately.
     observer = RuntimeObserver(sample_every=1024)
     job = DistributedJob(graph, n_workers=2, observer=observer)
     collector: "ClusterCollector | None" = None
     source: "DeltaSource | None" = None
     t0 = time.perf_counter()
     job.start()
-    if collected:
+    if on:
         source = DeltaSource(observer, 0, worker=job.workers[0])
         collector = ClusterCollector(interval=0.25)
         collector.attach(0, source.collect)
@@ -516,97 +672,97 @@ def _timed_collected(
     if collector is not None:
         collector.stop()
         collector.poll_once()  # the tail, same as the coordinator's hook
-    elapsed = time.perf_counter() - t0
+    wall = time.perf_counter() - t0
     if not ok:
-        raise RuntimeError("collector benchmark did not complete in 300s")
+        raise RuntimeError("bench-collector: relay did not complete in 300s")
     if sink.count != profile.relay_packets:
         raise RuntimeError(
-            f"collector relay lost packets: {sink.count}/{profile.relay_packets}"
+            f"bench-collector: relay lost packets: "
+            f"{sink.count}/{profile.relay_packets}"
         )
-    rate = sink.count / elapsed if elapsed else 0.0
     if collector is None or source is None:
-        return rate, elapsed, 0.0, 0.0, 0, 0
-    return (
-        rate,
-        elapsed,
-        collector.poll_seconds,
+        return ArmRun(wall)
+    return ArmRun(
+        wall,
         collector.poll_cpu_seconds,
         collector.polls,
-        source.spans_shipped,
+        {
+            "collector_wall_overhead_frac": collector.poll_seconds / wall,
+            "collector_spans_shipped": float(source.spans_shipped),
+        },
     )
 
 
-def scenario_collector(profile: BenchProfile) -> BenchResult:
-    """Cluster-collector-on vs -off relay cost (A/B interleaved).
+def _collector_cluster_arm(profile: BenchProfile, on: bool) -> ArmRun:
+    """The same relay across two real worker *processes*, observability
+    off vs the full plane on: per-worker observer + ``DeltaSource`` +
+    flight recorder, and the coordinator's collector polling over the
+    control channel.  The cost is the workers' delta-build CPU plus the
+    coordinator's merge CPU — not raw poll time, most of which is the
+    coordinator waiting for a busy worker's control thread while the
+    data plane runs at full speed (that contention shows in the A/B).
+    Wall runs from after ``launch`` to the sample that shows the sink
+    complete, so interpreter start-up, alike in both arms, cancels."""
+    from repro.cluster import ClusterCoordinator
 
-    The same two-verdict scheme as ``health``: the duty cycle (CPU
-    seconds of the polling thread inside ``poll_once`` — delta build +
-    absorb + stitch + bookkeeping, nothing runs between polls — over
-    the collected run's wall time) gates at < 3% on non-smoke tiers
-    (``collector_wall_overhead_frac``, the same over wall seconds, is
-    reported only), and the best-of-N wall-clock A/B delta backstops
-    catastrophic regressions at 25% (e.g. collection work leaking onto
-    the data plane's hot path).
-    """
-    result = BenchResult("collector")
-    best_off = 0.0
-    best_on = 0.0
-    duty = 0.0
-    wall_duty = 0.0
+    total = profile.relay_packets
+    coordinator = ClusterCoordinator(
+        _relay_graph(
+            "bench-collector-cluster", total, _relay_config(profile, SMALL_BATCH)
+        ),
+        n_workers=2,
+        observe={"sample_every": 1024} if on else None,
+        collect_interval=0.25,
+    )
+    cost = 0.0
     polls = 0
-    spans = 0
-    for _ in range(max(1, profile.codec_repeats)):
-        off = _timed_collected(profile, collected=False)[0]
-        on, on_elapsed, poll_secs, poll_cpu, n_polls, n_spans = _timed_collected(
-            profile, collected=True
-        )
-        best_off = max(best_off, off)
-        best_on = max(best_on, on)
-        if on_elapsed:
-            duty = max(duty, poll_cpu / on_elapsed)
-            wall_duty = max(wall_duty, poll_secs / on_elapsed)
-        polls = max(polls, n_polls)
-        spans = max(spans, n_spans)
-    ab_overhead = max(0.0, (best_off - best_on) / best_off) if best_off else 0.0
-    result.metrics["packets_per_sec_collector_off"] = best_off
-    result.metrics["packets_per_sec_collector_on"] = best_on
-    result.metrics["collector_overhead_frac"] = duty
-    result.metrics["collector_wall_overhead_frac"] = wall_duty
-    result.metrics["collector_ab_overhead_frac"] = ab_overhead
-    result.metrics["collector_polls"] = float(polls)
-    result.metrics["collector_spans_shipped"] = float(spans)
-    if profile.name != "smoke":
-        if duty >= 0.03:
+    try:
+        job = coordinator.launch(connect_timeout=120)
+        t0 = time.perf_counter()
+        deadline = time.monotonic() + 300
+        while job.metrics().get("sink", {}).get("packets_in", 0) < total:
+            if time.monotonic() > deadline:
+                raise RuntimeError("bench-collector-cluster: relay stalled")
+            time.sleep(0.03)
+        wall = time.perf_counter() - t0
+        # Read the counters at the window's edge: the drain below runs
+        # more polls and the coordinator's tail collect.
+        collector = coordinator.collector
+        if on and collector is not None:
+            if not collector.absorbed:
+                raise RuntimeError("bench-collector-cluster: no delta absorbed")
+            cost = collector.poll_cpu_seconds
+            polls = collector.polls
+            for worker in coordinator.handles:
+                info = (worker.proxy.collect_info() if worker.proxy else None) or {}
+                cost += float(info.get("build_cpu_seconds", 0.0))
+        if not coordinator.await_completion(timeout=120):
+            raise RuntimeError("bench-collector-cluster: drain failed")
+        final = coordinator.metrics()["sink"]["packets_in"]
+        if final != total:
             raise RuntimeError(
-                f"cluster collector consumed {duty:.1%} of the collected "
-                "run (poll CPU duty cycle); budget is < 3%"
+                f"bench-collector-cluster: relay lost packets: {final}/{total}"
             )
-        if ab_overhead >= 0.25:
-            raise RuntimeError(
-                f"collector-on throughput collapsed: {best_on:.0f} vs "
-                f"{best_off:.0f} pkts/s ({ab_overhead:.0%} drop) — "
-                "collection work is leaking onto the data plane"
-            )
-    return result
+    finally:
+        coordinator.terminate()
+    return ArmRun(wall, cost, polls)
 
 
-def _timed_policy(
-    profile: BenchProfile, policed: bool
-) -> "tuple[float, float, int, int, int]":
-    """One stalled-sink run; returns
-    ``(elapsed, plane_seconds, actions, breaches, recoveries)``.
-
-    The pipeline is rigged to need the policy: a tiny capacity cut
-    produces frames of a handful of packets, and the sink pays a fixed
-    cost per *batch* (:class:`~repro.workloads.BatchOverheadSink`), so
-    its inbound channel backs up against the watermark.  The ``policed``
-    arm scans a ``buffer_occupancy`` SLO at 10 Hz and feeds every
-    breach/recover transition through diagnose → PolicyEngine →
-    :func:`~repro.observe.policy.apply_action` against the live
-    runtime; the control arm just drains the stall at full price.
-    ``plane_seconds`` is the entire observe+decide cost: scan seconds
-    plus time inside the diagnose/decide/apply hook.
-    """
+def _policy_arm(profile: BenchProfile, on: bool) -> ArmRun:
+    """A pipeline rigged to need the policy, drained unpoliced vs
+    policed.  A tiny capacity cut makes frames of a handful of packets
+    and the sink pays a fixed cost per *batch*
+    (:class:`~repro.workloads.BatchOverheadSink`), so its inbound
+    channel backs up against the watermark.  The policed arm scans a
+    ``buffer_occupancy`` SLO at 10 Hz and feeds every breach/recover
+    transition through diagnose → PolicyEngine →
+    :func:`~repro.observe.policy.apply_action` against the live runtime
+    (the coordinator's ``on_scan`` hook, minus the processes).  Both
+    arms are sleep-bound, so the heal ratio is stable across runners.
+    Cost is the whole observe+decide plane: scan seconds plus time in
+    the diagnose/decide/apply hook.  A tick is a closed loop — a breach
+    that produced an action; a policy that never fires is a dead code
+    path, not a cheap one."""
     from repro.observe import (
         SLO,
         HealthEngine,
@@ -618,31 +774,29 @@ def _timed_policy(
     from repro.observe.doctor import diagnose_observer
     from repro.workloads import BatchOverheadSink
 
-    overhead = 0.004 if profile.name == "smoke" else 0.012
-    sink = BatchOverheadSink(overhead=overhead)
-    graph = StreamProcessingGraph(
+    total = profile.policy_packets
+    sink = BatchOverheadSink(overhead=0.004 if profile.name == "smoke" else 0.012)
+    graph = _relay_graph(
         "bench-policy",
-        config=NeptuneConfig(
+        total,
+        NeptuneConfig(
             buffer_capacity=256,
             buffer_max_delay=0.5,
             inbound_high_watermark=16384,
         ),
+        lambda: sink,
     )
-    graph.add_source("source", lambda: _RelaySource(profile.policy_packets))
-    graph.add_processor("relay", _Relay)
-    graph.add_processor("sink", lambda: sink)
-    graph.link("source", "relay").link("relay", "sink")
-
-    observer = RuntimeObserver(sample_every=0) if policed else None
-    engine: "HealthEngine | None" = None
-    policy: "PolicyEngine | None" = None
-    plane_seconds = 0.0
+    observer = RuntimeObserver(sample_every=0) if on else None
+    hook_seconds = 0.0
     breaches = 0
     recoveries = 0
     t0 = time.perf_counter()
     with NeptuneRuntime(observer=observer) as runtime:
         handle = runtime.submit(graph)
-        if observer is not None:
+        if observer is None:
+            if not handle.await_completion(timeout=600):
+                raise RuntimeError("bench-policy: did not complete in 600s")
+        else:
             registry = observer.registry
             slo = SLO(
                 "sink-backlog",
@@ -662,7 +816,7 @@ def _timed_policy(
             policy = PolicyEngine()
 
             def scan_and_decide() -> None:
-                nonlocal breaches, recoveries, plane_seconds
+                nonlocal breaches, recoveries, hook_seconds
                 transitions = engine.scan_once()
                 if not transitions:
                     return
@@ -675,91 +829,134 @@ def _timed_policy(
                 ):
                     if action.kind != "migrate":  # single process: nowhere to go
                         apply_action(runtime, action)
-                plane_seconds += time.perf_counter() - t_hook
+                hook_seconds += time.perf_counter() - t_hook
 
-            # Foreground 10 Hz scan loop (the coordinator's on_scan
-            # hook, minus the processes).  Progress is polled off the
+            # Foreground 10 Hz scan loop.  Progress is polled off the
             # sink's own counter: ``await_completion`` is a one-shot
             # drain (it tears the job down on timeout), not a poll.
             scan_deadline = time.monotonic() + 600
-            while sink.seen < profile.policy_packets:
+            while sink.seen < total:
                 if handle.failures:
-                    raise RuntimeError(f"policy bench job failed: {handle.failures}")
+                    raise RuntimeError(f"bench-policy: job failed: {handle.failures}")
                 if time.monotonic() > scan_deadline:
                     raise RuntimeError(
-                        f"policy bench stalled at {sink.seen}/"
-                        f"{profile.policy_packets} packets"
+                        f"bench-policy: stalled at {sink.seen}/{total} packets"
                     )
                 time.sleep(0.1)
                 scan_and_decide()
             if not handle.await_completion(timeout=60):
-                raise RuntimeError("policy benchmark did not drain")
+                raise RuntimeError("bench-policy: did not drain")
             # The backlog is gone; a few post-drain scans let the
             # monitor's clear hysteresis observe the recovery.
             for _ in range(3):
                 scan_and_decide()
-        else:
-            if not handle.await_completion(timeout=600):
-                raise RuntimeError("policy benchmark did not complete in 600s")
-    elapsed = time.perf_counter() - t0
-    if sink.seen != profile.policy_packets:
-        raise RuntimeError(
-            f"policy relay lost packets: {sink.seen}/{profile.policy_packets}"
-        )
-    if engine is None or policy is None:
-        return elapsed, 0.0, 0, 0, 0
-    plane_seconds += engine.scan_seconds
-    return elapsed, plane_seconds, len(policy.decisions), breaches, recoveries
-
-
-def scenario_policy(profile: BenchProfile) -> BenchResult:
-    """Stalled-sink heal: breach → retune → drain, policy-on vs -off.
-
-    Three verdicts on non-smoke tiers:
-
-    - the engine must have *acted* (≥1 retune) off a real breach;
-    - ``heal_speedup`` (policy-off wall / policy-on wall) must be
-      ≥ 1.25 — the retune visibly beats draining the stall at full
-      per-batch price, the scenario's whole point;
-    - ``plane_duty_frac`` — (scan + diagnose + decide + apply) seconds
-      over the healed run's wall time — must stay < 3%, the same duty
-      budget as the ``health`` and ``collector`` planes.
-
-    The smoke tier runs the machinery but skips the gates: its run is
-    too short for the breach hysteresis to reliably fire at all.
-    """
-    result = BenchResult("policy")
-    t_on, plane_seconds, actions, breaches, recoveries = _timed_policy(
-        profile, policed=True
+    wall = time.perf_counter() - t0
+    if sink.seen != total:
+        raise RuntimeError(f"bench-policy: lost packets: {sink.seen}/{total}")
+    if observer is None:
+        return ArmRun(wall)
+    actions = len(policy.decisions)
+    return ArmRun(
+        wall,
+        hook_seconds + engine.scan_seconds,
+        min(actions, breaches),
+        {
+            "policy_actions": float(actions),
+            "slo_breaches": float(breaches),
+            "slo_recoveries": float(recoveries),
+        },
     )
-    t_off, _, _, _, _ = _timed_policy(profile, policed=False)
-    duty = plane_seconds / t_on if t_on else 0.0
-    speedup = t_off / t_on if t_on else 0.0
-    result.metrics["drain_sec_policy_off"] = t_off
-    result.metrics["drain_sec_policy_on"] = t_on
-    result.metrics["heal_speedup"] = speedup
-    result.metrics["plane_duty_frac"] = duty
-    result.metrics["policy_actions"] = float(actions)
-    result.metrics["slo_breaches"] = float(breaches)
-    result.metrics["slo_recoveries"] = float(recoveries)
-    if profile.name != "smoke":
-        if actions < 1 or breaches < 1:
-            raise RuntimeError(
-                f"policy never closed the loop: {breaches} breach(es), "
-                f"{actions} action(s) — the stall must trip the SLO and "
-                "the doctor must attribute it"
-            )
-        if speedup < 1.25:
-            raise RuntimeError(
-                f"policy heal is not paying for itself: {t_on:.2f}s healed vs "
-                f"{t_off:.2f}s stalled ({speedup:.2f}x; floor is 1.25x)"
-            )
-        if duty >= 0.03:
-            raise RuntimeError(
-                f"policy plane consumed {duty:.1%} of the healed run "
-                "(scan + diagnose + decide duty); budget is < 3%"
-            )
-    return result
+
+
+#: Every observability/analysis plane, as (off arm -> on arm) and the
+#: budgets it is held to.  All relay-shaped arms run
+#: :func:`_relay_graph` at ``profile.relay_packets``; ``policy`` runs it
+#: at ``policy_packets`` behind a stalling sink.
+PLANES: tuple[Plane, ...] = (
+    Plane(
+        "observe",
+        _observe_arm,
+        off="no observer",
+        on="observer, tracing off",
+        duty_budget=None,
+        ab_budget=OBSERVE_AB_BUDGET,
+        min_ticks=0,
+    ),
+    Plane(
+        "health",
+        _health_arm,
+        off="observer",
+        on="+10 Hz health engine",
+        cost="scan CPU",
+        tick="scans",
+        keys={
+            "packets_per_sec_off": "packets_per_sec_monitors_off",
+            "packets_per_sec_on": "packets_per_sec_monitors_on",
+            "duty_frac": "overhead_frac",
+            "ticks": "health_scans",
+        },
+    ),
+    Plane(
+        "sanitizer",
+        _sanitizer_arm,
+        off="installed, duty 0",
+        on="duty 0.1",
+        cost="marginal cost x acquires",
+        tick="recorded acquires",
+    ),
+    Plane(
+        "collector",
+        _collector_arm,
+        off="2 in-process workers, 1/1024 sampling",
+        on="+collector",
+        cost="poll CPU",
+        tick="polls",
+        keys={
+            "packets_per_sec_off": "packets_per_sec_collector_off",
+            "packets_per_sec_on": "packets_per_sec_collector_on",
+            "ab_overhead_frac": "collector_ab_overhead_frac",
+            "duty_frac": "collector_overhead_frac",
+            "ticks": "collector_polls",
+        },
+    ),
+    Plane(
+        "collector_cluster",
+        _collector_cluster_arm,
+        off="2 worker processes",
+        on="+observers, collector",
+        cost="delta build + merge CPU",
+        tick="polls",
+        statistic="min",
+        spawns=True,
+    ),
+    Plane(
+        "profiler",
+        _profiler_arm,
+        off="installed, dormant",
+        on="sampling at 50 Hz",
+        cost="sample seconds",
+        tick="sweeps",
+        statistic="min",
+    ),
+    Plane(
+        "policy",
+        _policy_arm,
+        off="stalled sink",
+        on="policed",
+        cost="scan + diagnose + decide + apply",
+        tick="breach -> action loops",
+        ab_budget=None,
+        heal_floor=HEAL_FLOOR,
+        min_ticks=1,
+        packets="policy_packets",
+        keys={
+            "wall_sec_off": "drain_sec_policy_off",
+            "wall_sec_on": "drain_sec_policy_on",
+            "speedup": "heal_speedup",
+            "duty_frac": "plane_duty_frac",
+        },
+    ),
+)
 
 
 def _cluster_rate(profile: BenchProfile, n_workers: int) -> float:
@@ -852,24 +1049,34 @@ def scenario_cluster_scaling(profile: BenchProfile) -> BenchResult:
         result.metrics[f"scaleup_w{high}"] = scaleup
         result.metrics["packets"] = float(profile.cluster_packets)
         if high >= 4 and low == 1 and scaleup < 2.5:
-            raise RuntimeError(
-                f"cluster scale-up collapsed: {rates[high]:.0f} pkts/s at "
-                f"{high} workers vs {rates[low]:.0f} at {low} "
+            result.failures.append(
+                f"cluster_scaling: scale-up collapsed: {rates[high]:.0f} pkts/s "
+                f"at {high} workers vs {rates[low]:.0f} at {low} "
                 f"({scaleup:.2f}x; acceptance floor is 2.5x)"
             )
     return result
 
 
 def run_scenarios(profile: BenchProfile) -> list[BenchResult]:
-    """Run every pinned scenario under ``profile`` in a fixed order."""
-    results = [
-        scenario_codec(profile),
-        scenario_buffer(profile),
-        scenario_relay(profile),
-        scenario_health(profile),
-        scenario_collector(profile),
-        scenario_policy(profile),
+    """Run every pinned scenario and every plane under ``profile`` in a
+    fixed order.  One that breaks (lost packets, a stalled job, workers
+    that never came up) becomes a failure line of its own, empty,
+    result: the rest still run."""
+    spawn = bool(profile.cluster_worker_counts)
+    runs: list[tuple[str, Callable[[BenchProfile], BenchResult]]] = [
+        ("codec", scenario_codec),
+        ("buffer", scenario_buffer),
+        ("relay", scenario_relay),
     ]
-    if profile.cluster_worker_counts:
-        results.append(scenario_cluster_scaling(profile))
+    for plane in PLANES:
+        if spawn or not plane.spawns:
+            runs.append((plane.name, partial(run_plane, plane)))
+    if spawn:
+        runs.append(("cluster_scaling", scenario_cluster_scaling))
+    results: list[BenchResult] = []
+    for name, scenario in runs:
+        try:
+            results.append(scenario(profile))
+        except (RuntimeError, NeptuneError) as exc:
+            results.append(BenchResult(name, failures=[f"{name}: {exc}"]))
     return results

@@ -514,21 +514,12 @@ def _load_doctor_dump(path: str) -> dict:
 
     from repro.observe.flightrec import (
         FLIGHT_SCHEMA,
-        load_flight_dump,
+        load_flight_dir,
         merge_flight_dumps,
     )
 
     if os.path.isdir(path):
-        dumps = []
-        for name in sorted(os.listdir(path)):
-            if not name.endswith(".json"):
-                continue
-            try:
-                dump = load_flight_dump(os.path.join(path, name))
-            except (OSError, ValueError):
-                continue
-            if dump.get("schema") == FLIGHT_SCHEMA:
-                dumps.append(dump)
+        dumps = load_flight_dir(path)
         if not dumps:
             raise SystemExit(
                 f"repro.cli doctor: error: no flight dumps under {path!r}"
@@ -650,23 +641,13 @@ def _load_profile_dump(path: str) -> dict:
 
     from repro.observe.flightrec import (
         FLIGHT_SCHEMA,
-        load_flight_dump,
+        load_flight_dir,
         merge_flight_dumps,
     )
     from repro.observe.profiler import PROFILE_SCHEMA, merge_profile_snapshots
 
     if os.path.isdir(path):
-        dumps = []
-        for name in sorted(os.listdir(path)):
-            if not name.endswith(".json"):
-                continue
-            try:
-                dump = load_flight_dump(os.path.join(path, name))
-            except (OSError, ValueError):
-                continue
-            if dump.get("schema") == FLIGHT_SCHEMA:
-                dumps.append(dump)
-        profiles = merge_flight_dumps(dumps).get("profiles") or {}
+        profiles = merge_flight_dumps(load_flight_dir(path)).get("profiles") or {}
         if not profiles:
             raise SystemExit(
                 f"repro.cli profile: error: no profile sections under {path!r}"
@@ -955,18 +936,28 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"  [{result.name}]")
         for key, value in sorted(result.metrics.items()):
             print(f"    {key:32s} {value:,.4g}")
+        if result.verdict:
+            print(f"    {result.verdict}")
     if args.out:
         write_report(report, args.out)
         print(f"wrote {args.out}")
+    # Every verdict is in before any of them can fail the run: one red
+    # gate must not hide the next, nor a regression behind it.
+    gates = [line for result in results for line in result.failures]
+    if gates:
+        print("GATE FAILURES:")
+        for line in gates:
+            print(f"  {line}")
+    regressions: list[str] = []
     if baseline is not None:
-        failures = check_regression(report, baseline, tolerance=args.tolerance)
-        if failures:
+        regressions = check_regression(report, baseline, tolerance=args.tolerance)
+        if regressions:
             print(f"REGRESSION vs {args.check} (tolerance {args.tolerance:.0%}):")
-            for line in failures:
+            for line in regressions:
                 print(f"  {line}")
-            return 1
-        print(f"no regression vs {args.check} (tolerance {args.tolerance:.0%})")
-    return 0
+        else:
+            print(f"no regression vs {args.check} (tolerance {args.tolerance:.0%})")
+    return 1 if gates or regressions else 0
 
 
 def cmd_cluster_launch(args: argparse.Namespace) -> int:

@@ -33,7 +33,6 @@ from repro.core.config import NeptuneConfig
 from repro.core.runtime import NeptuneRuntime
 from repro.core.job import JobHandle, JobState
 from repro.core.windows import SlidingWindow, TumblingCountWindow
-from repro.core.monitor import ThroughputProbe
 from repro.core.checkpoint import Checkpoint
 
 __all__ = [
@@ -63,6 +62,5 @@ __all__ = [
     "JobState",
     "SlidingWindow",
     "TumblingCountWindow",
-    "ThroughputProbe",
     "Checkpoint",
 ]

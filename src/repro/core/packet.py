@@ -97,7 +97,7 @@ class PacketSchema:
         """Rebuild from the to_dict() form."""
         return cls([(f["name"], FieldType(f["type"])) for f in fields])
 
-    def new_packet(self, **values: Any) -> "StreamPacket":
+    def new_packet(self, /, **values: Any) -> "StreamPacket":
         """Create a packet of this schema, optionally pre-filled."""
         pkt = StreamPacket(self)
         for name, value in values.items():

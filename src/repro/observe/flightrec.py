@@ -47,6 +47,7 @@ from repro.observe.tracing import STAGES
 __all__ = [
     "FLIGHT_SCHEMA",
     "FlightRecorder",
+    "load_flight_dir",
     "load_flight_dump",
     "merge_flight_dumps",
 ]
@@ -243,6 +244,24 @@ def load_flight_dump(path: str) -> Dict[str, Any]:
     if not isinstance(data, dict):
         raise ValueError(f"flight dump {path!r} is not a JSON object")
     return data
+
+
+def load_flight_dir(path: str) -> List[Dict[str, Any]]:
+    """Every flight dump among the ``*.json`` files of a directory, in
+    name order.  Files that are unreadable, not JSON, or some other
+    schema are skipped: a ``--flight-dir`` also holds half-written
+    dumps of workers that died mid-write."""
+    dumps: List[Dict[str, Any]] = []
+    for name in sorted(os.listdir(path)):
+        if not name.endswith(".json"):
+            continue
+        try:
+            dump = load_flight_dump(os.path.join(path, name))
+        except (OSError, ValueError):
+            continue
+        if dump.get("schema") == FLIGHT_SCHEMA:
+            dumps.append(dump)
+    return dumps
 
 
 def merge_flight_dumps(dumps: List[Mapping[str, Any]]) -> Dict[str, Any]:

@@ -163,7 +163,7 @@ class TestDutyCycling:
             LockOrderSanitizer(duty=-0.1)
 
     def test_dormant_sanitizer_wraps_but_records_nothing(self):
-        # duty=0 is the guardrail bench's baseline arm: locks are still
+        # duty=0 is the bench `sanitizer` row's off arm: locks are still
         # instrumented (same indirection cost) but no acquire is noted.
         san = LockOrderSanitizer(duty=0.0)
         san.install()

@@ -118,6 +118,10 @@ class TestPacketSchema:
         pkt = SENSOR.new_packet(ts=5, sensor_id="s1", value=1.5, ok=True)
         assert pkt.is_complete()
         assert pkt["ts"] == 5
+        # Any legal field name can be pre-filled, this one included
+        # (hypothesis drew it in test_property_roundtrip's strategy).
+        named_self = PacketSchema([("self", FieldType.INT32)])
+        assert named_self.new_packet(self=7)["self"] == 7
 
 
 class TestStreamPacket:

@@ -47,7 +47,6 @@ class TestSubpackagesImportable:
             "repro.cli",
             "repro.core.distributed",
             "repro.core.checkpoint",
-            "repro.core.monitor",
             "repro.workloads.stdlib",
             "repro.sim.experiments",
         ],

@@ -1,4 +1,4 @@
-"""Tests for the standard operator library and monitoring probe."""
+"""Tests for the standard operator library."""
 
 import json
 import time
@@ -12,7 +12,6 @@ from repro.core import (
     PacketSchema,
     StreamProcessingGraph,
 )
-from repro.core.monitor import ThroughputProbe
 from repro.granules import FileDataset
 from repro.workloads import CollectingSink, CountingSource, RELAY_SCHEMA
 from repro.workloads.stdlib import (
@@ -270,80 +269,3 @@ class TestJsonLinesFileSource:
             h2 = rt.submit(graph(), restore_from=ckpt)
             assert h2.await_completion(timeout=30)
         assert len(store) == 40
-
-
-class TestThroughputProbe:
-    def test_probe_samples_rates(self):
-        g = StreamProcessingGraph("probe", config=small_config())
-        g.add_source("src", lambda: CountingSource(total=None))
-        g.add_processor("sink", CollectingSink)
-        g.link("src", "sink")
-        with NeptuneRuntime() as rt:
-            h = rt.submit(g)
-            probe = ThroughputProbe(h, interval=0.1)
-            with probe:
-                time.sleep(0.6)
-            h.stop(timeout=30)
-        samples = probe.history("sink")
-        assert samples, "no samples recorded"
-        assert any(s.packets_in_per_s > 0 for s in samples)
-        assert "sink" in probe.operators()
-        assert probe.latest("sink") is samples[-1]
-
-    def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            ThroughputProbe(None, interval=0)
-
-    def test_stop_during_active_run_idempotent_and_concurrent(self):
-        """S2 regression: stopping the probe while the job is still
-        running — including from several threads at once — must join
-        the sampler thread without deadlock, be idempotent, and leave
-        the probe restartable."""
-        import threading
-
-        g = StreamProcessingGraph("probe-stop", config=small_config())
-        g.add_source("src", lambda: CountingSource(total=None))
-        g.add_processor("sink", CollectingSink)
-        g.link("src", "sink")
-        with NeptuneRuntime() as rt:
-            h = rt.submit(g)
-            probe = ThroughputProbe(h, interval=0.01)
-            probe.start()
-            time.sleep(0.15)
-            stoppers = [threading.Thread(target=probe.stop) for _ in range(3)]
-            for t in stoppers:
-                t.start()
-            probe.stop()
-            for t in stoppers:
-                t.join(10.0)
-                assert not t.is_alive(), "probe.stop() hung"
-            assert probe._thread is None
-            probe.stop()  # idempotent after the fact
-            probe.start()  # and restartable
-            probe.stop(timeout=5.0)
-            h.stop(timeout=30)
-
-    def test_history_bounded_to_live_operators(self):
-        """S2 regression: operators that vanish from the metrics
-        snapshot are pruned from history/last so a long-lived probe
-        cannot accumulate dead keys."""
-
-        class FakeHandle:
-            def __init__(self):
-                self.snap = {}
-
-            def metrics(self):
-                return self.snap
-
-        handle = FakeHandle()
-        probe = ThroughputProbe(handle, interval=1.0)
-        row = {"packets_in": 1, "packets_out": 1, "bytes_in": 10}
-        handle.snap = {"a": dict(row), "b": dict(row)}
-        probe.sample_once()
-        probe.sample_once()
-        assert probe.operators() == ["a", "b"]
-        handle.snap = {"b": dict(row)}
-        probe.sample_once()
-        assert probe.operators() == ["b"]
-        assert probe.history("a") == []
-        assert probe.latest("a") is None
