@@ -496,10 +496,11 @@ class GraphVerifier:
                 "NEPG119",
                 Severity.ERROR,
                 f"latency budget {budget * 1e3:.1f} ms is infeasible: the "
-                f"deepest path {' -> '.join(path)} crosses {hops} links, "
-                f"each holding packets up to buffer_max_delay="
-                f"{cfg.buffer_max_delay * 1e3:.1f} ms, for a worst-case "
-                f"queuing delay of {worst * 1e3:.1f} ms",
+                f"deepest path {' -> '.join(path)} crosses {hops} links; "
+                f"a packet spends buffer_max_delay="
+                f"{cfg.buffer_max_delay * 1e3:.1f} ms once per resource, and "
+                f"any placement may put a socket on every link, for a "
+                f"worst-case queuing delay of {worst * 1e3:.1f} ms",
                 where="config",
                 hint=f"set buffer_max_delay below {budget / hops * 1e3:.2f} ms "
                 "or shorten the pipeline",

@@ -17,7 +17,11 @@ elsewhere); the buffer flushes
   on the appending worker thread — the batch is already in cache), or
 - from the runtime's :class:`FlushTimerService` (the IO tier) when
   ``max_delay`` elapses after the *first* append since the last flush,
-  bounding end-to-end latency for slow streams.
+  bounding end-to-end latency for slow streams, or
+- on the worker thread of the operator that fills it, when that operator
+  runs out of input and the pending data has already spent ``max_delay``
+  on this resource (:meth:`StreamBuffer.flush_if_spent`): the bound is a
+  budget a packet spends once per resource, not once per buffer.
 
 Zero-copy flush protocol: a take hands the sink the accumulation
 ``bytearray`` itself and swaps in a pooled spare under ``_lock`` — the
@@ -102,6 +106,14 @@ class StreamBuffer:
         self._spares: list[bytearray] = []
         self._count = 0
         self._first_append_at: float | None = None
+        # The latency budget (see ``flush_if_spent``).  ``born`` is when
+        # the oldest pending packet entered the job on this resource,
+        # None while nothing is pending; ``taken_born`` is that of the
+        # batch taken last, which its sink, running under the same
+        # ``_flush_lock`` hold as the take, passes on to the receiver.
+        self.born: float | None = None
+        self.taken_born = 0.0
+        self._inherited: float | None = None
         self._lock = threading.Lock()
         # Back-reference set by FlushTimerService.register so a live
         # retune that shrinks max_delay can wake the scan thread.
@@ -114,6 +126,7 @@ class StreamBuffer:
         # Flush statistics (capacity vs timer) feed the Fig-2 analysis.
         self.capacity_flushes = 0
         self.timer_flushes = 0
+        self.budget_flushes = 0
         self.manual_flushes = 0
         self.bytes_flushed = 0
         self.packets_flushed = 0
@@ -131,9 +144,9 @@ class StreamBuffer:
         # of whoever drains them.  Timer and manual flushes run on
         # other threads and never call it.
         self.after_capacity_flush: Callable[[float], float] | None = None
-        # Seconds the appending thread spent *waiting* in capacity
-        # flushes: for the flush lock (the timer thread holds it while
-        # its own flush is held up) and, as the sink and
+        # Seconds the appending thread spent *waiting* in capacity and
+        # budget flushes: for the flush lock (the timer thread holds it
+        # while its own flush is held up) and, as the sink and
         # ``after_capacity_flush`` report them, for the receiver.
         # Compressing, framing and copying the batch is
         # work, not backpressure, and is not in here.  The flush lock
@@ -146,7 +159,7 @@ class StreamBuffer:
         with self._lock:
             buf = self._buf
             if not buf:
-                self._first_append_at = self._clock.now()
+                self._first_append_locked()
             buf += payload
             self._count += 1
             if len(buf) < self.capacity:
@@ -196,7 +209,7 @@ class StreamBuffer:
             buf += record
             count = self._count
             if not count:
-                self._first_append_at = self._clock.now()
+                self._first_append_locked()
             if note is not None:
                 note.batch_index = count
                 note.append_ts = self._clock.now()
@@ -205,6 +218,68 @@ class StreamBuffer:
             if len(buf) < self.capacity:
                 return False
         return self._flush_capacity()
+
+    def _first_append_locked(self) -> None:
+        """Start the timer's clock and stamp the new batch's ``born``."""
+        now = self._first_append_at = self._clock.now()
+        inherited = self._inherited
+        self.born = now if inherited is None else inherited
+
+    def inherit(self, born: float | None) -> None:
+        """Declare what the appends that follow are made from: an
+        inbound batch whose oldest packet entered the job on this
+        resource at ``born``.
+
+        Called by the appending thread at inbound batch boundaries,
+        never per packet.  The first append of a batch stamps it with
+        this instead of the time of the append, and a pending batch
+        becomes as old as the oldest inbound batch that fed it: an
+        older ``born`` lowers its stamp, a younger one never raises it.
+        None ends the inheritance (appends are born when made, as at a
+        source).
+        """
+        with self._lock:
+            self._inherited = born
+            if born is not None and self.born is not None and born < self.born:
+                self.born = born
+
+    def flush_if_spent(self, now: float | None = None) -> bool:
+        """Budget flush: send the pending batch if its oldest packet has
+        already been on this resource for ``max_delay``.
+
+        ``max_delay`` is a budget a packet spends once per resource, not
+        once per buffer: output made from an inbound batch that waited
+        out the bound upstream is due the moment it is appended.  The
+        operator that fills this buffer calls this, on its own thread,
+        when it has run out of input - while more input is queued the
+        same thread appends again at once and the batch only grows.
+        Younger data stays and accumulates as configured; the timer
+        service (``flush_if_due``) remains the backstop for it.
+        Returns whether a flush happened.
+        """
+        born = self.born  # unlocked peek: almost always None or young
+        if born is None:
+            return False
+        if now is None:
+            now = self._clock.now()
+        if now - born < self.max_delay:
+            return False
+        body = None
+        self.blocked_seconds += timed_acquire(self._flush_lock, self._clock.now)
+        try:
+            with self._lock:
+                # Re-check: the timer thread may have flushed meanwhile.
+                born = self.born
+                if born is not None and now - born >= self.max_delay:
+                    body, count = self._take_locked()
+                    self.budget_flushes += 1
+            if body is not None:
+                waited = self._sink(body, count)
+                if type(waited) is float:
+                    self.blocked_seconds += waited
+        finally:
+            self._flush_lock.release()
+        return body is not None
 
     def _flush_capacity(self) -> bool:
         """Capacity-triggered flush on the appending thread."""
@@ -333,6 +408,8 @@ class StreamBuffer:
         count = self._count
         self._count = 0
         self._first_append_at = None
+        self.taken_born = self.born
+        self.born = None
         self.bytes_flushed += len(body)
         self.packets_flushed += count
         if self._notes:
@@ -427,8 +504,10 @@ class FlushTimerService:
 
     Scans registered buffers and fires :meth:`StreamBuffer.flush_if_due`.
     One service per runtime; buffers register on link creation.  The
-    scan interval self-tunes to the nearest deadline, capped so newly
-    registered buffers are noticed promptly.
+    service sleeps to the nearest deadline: that of pending data, or -
+    for a buffer that was empty when scanned, whose first append may
+    come at any moment - the scan's own time plus the buffer's
+    ``max_delay``, before which it cannot fall due.
 
     The clock is re-read for every buffer in a scan (and again before
     computing the sleep): ``flush_if_due`` calls a blocking sink, so
@@ -443,9 +522,8 @@ class FlushTimerService:
     the scan thread immediately; ``register`` and ``retune`` call it.
     """
 
-    def __init__(self, clock: Clock = SYSTEM_CLOCK, max_poll: float = 0.002) -> None:
+    def __init__(self, clock: Clock = SYSTEM_CLOCK) -> None:
         self._clock = clock
-        self._max_poll = max_poll
         self._buffers: list[StreamBuffer] = []
         self._lock = threading.Lock()
         self._running = False
@@ -502,8 +580,9 @@ class FlushTimerService:
             self._thread.join(timeout)
             self._thread = None
 
-    def scan_once(self) -> float:
-        """One pass over all registered buffers; returns the sleep delay.
+    def scan_once(self) -> float | None:
+        """One pass over all registered buffers; returns the sleep delay
+        (None with nothing registered: ``register`` pokes).
 
         Each buffer is judged against a *fresh* clock reading, so a
         buffer becoming due while an earlier buffer's sink blocks is
@@ -512,7 +591,12 @@ class FlushTimerService:
         """
         with self._lock:
             buffers = list(self._buffers)
-        next_deadline: float | None = None
+        if not buffers:
+            return None
+        # A buffer found empty below was empty no earlier than now, so
+        # it cannot fall due before now + its own max_delay (a retune
+        # that shrinks one pokes).
+        next_deadline = self._clock.now() + min(buf.max_delay for buf in buffers)
         for buf in buffers:
             dl = buf.next_deadline()
             if dl is None:
@@ -520,15 +604,12 @@ class FlushTimerService:
             now = self._clock.now()
             if dl <= now:
                 buf.flush_if_due(now)
-            elif next_deadline is None or dl < next_deadline:
+            elif dl < next_deadline:
                 next_deadline = dl
-        if next_deadline is None:
-            return self._max_poll
         # Re-read the clock: the flush_if_due calls above may have
         # blocked for a long time, and sleeping against a stale "now"
         # would overshoot the remaining deadlines.
-        remaining = next_deadline - self._clock.now()
-        return min(max(remaining, 0.0002), self._max_poll)
+        return max(next_deadline - self._clock.now(), 0.0002)
 
     def _loop(self) -> None:
         # Real-time paced (see Resource._timer_loop), but the wait is an

@@ -20,8 +20,13 @@ class NeptuneConfig:
     buffer_capacity:
         Application-level buffer size in bytes (paper default 1 MB).
     buffer_max_delay:
-        Timer bound: a buffer flushes at most this long after its first
-        pending packet arrived (soft upper bound on queuing latency).
+        Queuing-latency budget in seconds, spent once per resource: a
+        buffer flushes at most this long after its first pending packet
+        arrived (the paper's timer), and on a path that stays on one
+        resource the later buffers do not charge it again - an operator
+        that runs out of input flushes output whose packets have
+        already waited this long since entering the job there.  Each
+        socket crossing starts a fresh budget (DESIGN.md §10).
     inbound_high_watermark / inbound_low_watermark:
         Byte watermarks on each operator instance's inbound channel;
         the backpressure gate (§III-B4).  The low mark defaults to half
@@ -61,8 +66,9 @@ class NeptuneConfig:
     latency_budget:
         Optional end-to-end queuing-latency budget in seconds for one
         packet traversing the deepest source→sink path.  Purely a
-        declared intent: the static analyzer checks that the flush
-        timer (``buffer_max_delay``) can honour it across every hop
+        declared intent: the static analyzer checks that
+        ``buffer_max_delay`` can honour it under any placement, i.e.
+        with a socket - a fresh ``buffer_max_delay`` - on every hop
         (``repro analyze`` code NEPG119).  None = no declared bound.
     """
 

@@ -270,8 +270,11 @@ class DistributedWorker:
             )
         channel, info = entry
         # Strip the already-verified TCP sequence and renumber locally:
-        # the instance runtime re-verifies per-wire continuity.
-        channel.put(len(frame.body), (frame, time.monotonic(), info))
+        # the instance runtime re-verifies per-wire continuity.  The
+        # batch is born here: the sender's monotonic clock is not ours,
+        # so a socket crossing starts a fresh ``buffer_max_delay``.
+        now = time.monotonic()
+        channel.put(len(frame.body), (frame, now, info, now))
 
     # -- lifecycle -----------------------------------------------------------------
     def start(self) -> None:
@@ -312,7 +315,7 @@ class DistributedWorker:
     def is_quiet(self) -> bool:
         """Locally quiescent: no running task, empty channels/buffers,
         and every sent frame acknowledged by its receiver."""
-        if not all(i.finished for i in self.job.all_instances() if i.spec.is_source):
+        if not self.job.sources_finished():
             return False
         if not self.job.quiet():
             return False

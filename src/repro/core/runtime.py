@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.compression import CompressionPolicy
 from repro.core.buffering import FlushTimerService, StreamBuffer, retune_matching
@@ -165,6 +165,11 @@ _FREE_LIST_LIMIT = 256
 #: 6.9-16.2 ms unpinned) - nothing to tune.
 _SOURCE_QUANTUM = 0.001
 
+#: How often the thread awaiting a job re-reads the sources' state with
+#: nobody having told it to: ``finish`` and a failure wake it at once,
+#: this only catches a ``finished`` flag set some other way.
+_AWAIT_SAFETY_NET = 0.25
+
 
 class _PacketFreeList(list[StreamPacket]):
     """One instance's free packets of one schema, with reuse counters.
@@ -225,6 +230,7 @@ class _InstanceRuntime(ComputationalTask):
         # ``stream=None`` means, and the free-list behind each stream.
         self._default_links: list[_OutLinkRuntime] | None = None
         self._default_free: _PacketFreeList | None = None
+        self._out_buffers: tuple[StreamBuffer, ...] = ()
         self._free_lists: dict[PacketSchema, _PacketFreeList] = {}
         if not spec.is_source:
             cfg = job.graph.config
@@ -238,8 +244,12 @@ class _InstanceRuntime(ComputationalTask):
         """Compile the send path; call once ``out_links`` is complete.
 
         Resolves, per instance instead of per packet, which links the
-        default stream means and which packet free-list serves it.
+        default stream means and which packet free-list serves it, and
+        every outbound stream buffer of this instance.
         """
+        self._out_buffers = tuple(
+            buf for links in self.out_links.values() for out in links for buf in out.buffers
+        )
         if len(self.out_links) == 1:
             self._default_links = next(iter(self.out_links.values()))
             self._default_free = self._free_list_for(self._default_links)
@@ -277,6 +287,12 @@ class _InstanceRuntime(ComputationalTask):
                 self._generate_quantum()
             else:
                 self._process_available()
+        except BaseException as exc:
+            # Recorded here (the framework records it again) so that
+            # whoever awaits the job, woken below, finds it.
+            self.failure = exc
+            self.job.sources_done.set()
+            raise
         finally:
             if profiled:
                 _profiler.clear_thread_owner()
@@ -305,9 +321,12 @@ class _InstanceRuntime(ComputationalTask):
         # inbound batch (paper §III-B2: batched scheduling amortizes
         # per-packet synchronization into per-batch synchronization).
         frames = self.channel.drain()
+        out_bufs = self._out_buffers
         if not frames:
             # Time/count-triggered execution with no pending data.
             if self.spec.scheduling is not None:
+                for buf in out_bufs:
+                    buf.inherit(None)  # what a schedule emits is born now
                 self.operator.on_schedule(self)  # type: ignore[union-attr]
                 self.metrics.executions += 1
             return
@@ -317,8 +336,11 @@ class _InstanceRuntime(ComputationalTask):
         total_packets = 0
         total_bytes = 0
         latency = self.metrics.latency
-        for frame, put_at, in_link in frames:
+        for frame, put_at, in_link, born in frames:
             self._verify_sequence(frame)
+            # What this batch's processing emits is as old as the batch.
+            for buf in out_bufs:
+                buf.inherit(born)
             now = time.monotonic()
             body = frame.body
             total_bytes += len(body)
@@ -388,6 +410,16 @@ class _InstanceRuntime(ComputationalTask):
                 frames=len(frames),
                 packets=total_packets,
             )
+        if out_bufs and not len(self.channel):
+            # Out of input, about to go idle: output whose packets have
+            # already spent ``buffer_max_delay`` on this resource leaves
+            # now, on this thread, instead of sitting out a second
+            # bound in this hop's buffer.  With a batch already queued
+            # this thread runs again at once and its appends fill the
+            # frame, so a flush here would buy no latency.
+            now = time.monotonic()
+            for buf in out_bufs:
+                buf.flush_if_spent(now)
 
     def _verify_sequence(self, frame: Frame) -> None:
         expected = self._expected_seq.get(frame.link_id, 0)
@@ -493,18 +525,12 @@ class _InstanceRuntime(ComputationalTask):
         pkt._home = free
         return pkt
 
-    def _out_buffers(self) -> Iterator[StreamBuffer]:
-        """Every outbound stream buffer of this instance."""
-        for links in self.out_links.values():
-            for out in links:
-                yield from out.buffers
-
     def _refresh_output_metrics(self) -> None:
         """Derive the output counters from the stream buffers (any
         thread; the emit path itself counts nothing per packet)."""
         packets = size = 0
         blocked = 0.0
-        for buf in self._out_buffers():
+        for buf in self._out_buffers:
             n, nbytes = buf.appended()
             packets += n
             size += nbytes
@@ -516,16 +542,18 @@ class _InstanceRuntime(ComputationalTask):
     def finish(self) -> None:
         """Declare this source exhausted (stops its scheduling)."""
         self.finished = True
+        if self.job.sources_finished():
+            self.job.sources_done.set()
 
     def flush_all(self) -> None:
         """Force-flush every outbound buffer."""
-        for buf in self._out_buffers():
+        for buf in self._out_buffers:
             buf.flush()
 
     @property
     def pending_out_bytes(self) -> int:
         """Unflushed outbound bytes across all link legs."""
-        return sum(buf.pending_bytes for buf in self._out_buffers())
+        return sum(buf.pending_bytes for buf in self._out_buffers)
 
 
 class _InLinkInfo:
@@ -557,10 +585,17 @@ class _JobRuntime:
         self.state = JobState.CREATED
         self.failures: dict[str, BaseException] = {}
         self.buffers: list[StreamBuffer] = []
+        # Set once every hosted source has finished - or something
+        # failed: either way whoever awaits the job has work to do.
+        self.sources_done = threading.Event()
 
     def all_instances(self) -> list[_InstanceRuntime]:
         """Every operator instance of this job, flattened."""
         return [i for group in self.instances.values() for i in group]
+
+    def sources_finished(self) -> bool:
+        """Every hosted source has declared itself finished."""
+        return all(i.finished for i in self.all_instances() if i.spec.is_source)
 
     def launch(self, resource: Resource) -> None:
         """Schedule every hosted instance on ``resource``: sources poll
@@ -687,21 +722,25 @@ def _local_leg(
     The batch is framed with a per-leg sequence number
     (receiver-verified ordering) and put into the destination channel
     together with the metadata the receiver needs: the put timestamp
-    (latency) and the decode info.  The channel item is ``(frame,
-    put_time, in_link_info)``.  The put blocks under backpressure; with
-    a configured ``emit_timeout`` a saturated downstream eventually
-    surfaces :class:`BackpressureTimeout` instead of waiting forever.
+    (latency), the decode info, and ``born`` - when the batch's oldest
+    packet entered the job on this resource, which the receiver's own
+    output inherits (``StreamBuffer.inherit``).  The channel item is
+    ``(frame, put_time, in_link_info, born)``; a frame arriving from
+    another resource is born on arrival.  The put blocks under
+    backpressure; with a configured ``emit_timeout`` a saturated
+    downstream eventually surfaces :class:`BackpressureTimeout` instead
+    of waiting forever.
     """
     seq_counter = [0]
 
-    def deliver(body, count, trace, on_wait) -> bool:
+    def deliver(body, count, trace, born, on_wait) -> bool:
         seq = seq_counter[0]
         seq_counter[0] = seq + 1
         frame = Frame(FrameHeader(wire_id, seq, count, len(body), 0), body, trace)
         try:
             ok = channel.put(
                 len(body),
-                (frame, time.monotonic(), in_info),
+                (frame, time.monotonic(), in_info, born),
                 timeout=emit_timeout,
                 on_wait=on_wait,
             )
@@ -726,7 +765,7 @@ def _remote_leg(
     ``reach(op, idx)`` is the :class:`~repro.net.transport.TcpTransport`
     to whoever hosts it."""
 
-    def deliver(body, count, trace, on_wait) -> bool:
+    def deliver(body, count, trace, born, on_wait) -> bool:
         # Resolved lazily: peer workers start asynchronously, so
         # their data listeners may not be accepting yet at wiring
         # time; the first flush waits for them.
@@ -779,7 +818,7 @@ def _leg_buffer(
             for note in notes:
                 note.send_ts = send_ts
             trace = encode_notes(notes)
-        parked = deliver(body, count, trace, waits.append)
+        parked = deliver(body, count, trace, buf.taken_born, waits.append)
         if not parked or body is not raw:
             buf.recycle(raw)
         if not waits:
@@ -1089,6 +1128,7 @@ class NeptuneRuntime:
         for job in jobs:
             if job.state is JobState.RUNNING:
                 job.failures.setdefault(link, exc)
+                job.sources_done.set()
 
     # -- checkpointing -----------------------------------------------------
     def _checkpoint_job(self, job: _JobRuntime, quiesce: bool, timeout: float):
@@ -1135,6 +1175,7 @@ class NeptuneRuntime:
         if force_finish:
             for inst in job.all_instances():
                 inst.finished = True
+            job.sources_done.set()
         if self._resource is not None:
             job.prepare_drain(self._resource)
         deadline = time.monotonic() + timeout
@@ -1143,8 +1184,12 @@ class NeptuneRuntime:
             job.collect_failures()
             if job.failures:
                 break
-            if not all(inst.finished for inst in job.all_instances() if inst.spec.is_source):
-                time.sleep(0.005)
+            if not job.sources_done.is_set():
+                # Told, not polling: ``finish`` and a failure set it.
+                # The timeout is a safety net, not the mechanism.
+                job.sources_done.wait(min(_AWAIT_SAFETY_NET, deadline - time.monotonic()))
+                if job.sources_finished():
+                    job.sources_done.set()
                 continue
             for inst in job.all_instances():
                 inst.flush_all()

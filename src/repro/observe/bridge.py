@@ -132,6 +132,7 @@ def _scrape_buffers(
     totals = {
         "capacity_flushes": 0.0,
         "timer_flushes": 0.0,
+        "budget_flushes": 0.0,
         "manual_flushes": 0.0,
         "bytes_flushed": 0.0,
         "packets_flushed": 0.0,
@@ -146,6 +147,11 @@ def _scrape_buffers(
     for key, metric, help_ in (
         ("capacity_flushes", "neptune_buffer_capacity_flushes_total", "Flushes on capacity"),
         ("timer_flushes", "neptune_buffer_timer_flushes_total", "Flushes on max-delay timer"),
+        (
+            "budget_flushes",
+            "neptune_buffer_budget_flushes_total",
+            "Flushes by an operator out of input whose output had spent max-delay upstream",
+        ),
         ("manual_flushes", "neptune_buffer_manual_flushes_total", "Forced flushes (drain)"),
         ("bytes_flushed", "neptune_buffer_bytes_flushed_total", "Bytes flushed downstream"),
         ("packets_flushed", "neptune_buffer_packets_flushed_total", "Packets flushed"),

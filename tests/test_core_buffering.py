@@ -269,24 +269,73 @@ class TestStaleClockScan:
 
     def test_sleep_delay_rereads_clock_after_blocking_flushes(self):
         clock = ManualClock()
-        svc = FlushTimerService(clock=clock, max_poll=10.0)
+        svc = FlushTimerService(clock=clock)
 
         def slow_sink(body, count):
             clock.advance(0.4)
 
-        a = StreamBuffer(capacity=1 << 20, sink=slow_sink, max_delay=0.1, clock=clock)
+        a = StreamBuffer(capacity=1 << 20, sink=slow_sink, max_delay=20.0, clock=clock)
         b = StreamBuffer(
-            capacity=1 << 20, sink=lambda bd, c: None, max_delay=10.0, clock=clock
+            capacity=1 << 20, sink=lambda bd, c: None, max_delay=30.0, clock=clock
         )
         svc.register(a)
         svc.register(b)
-        a.append(b"a")  # due at t=0.1
-        b.append(b"b")  # due at t=10.0
-        clock.advance(0.2)  # A due now
+        a.append(b"a")  # due at t=20.0
+        b.append(b"b")  # due at t=30.0
+        clock.advance(20.2)  # A due now
         delay = svc.scan_once()  # flushing A advances the clock by 0.4
         # Sleep until B's deadline must be measured from the *post-flush*
-        # clock (t=0.6): 10.0 - 0.6, not 10.0 - 0.2.
-        assert delay == pytest.approx(10.0 - 0.6)
+        # clock (t=20.6): 30.0 - 20.6, not 30.0 - 20.2.  (A, emptied by
+        # the flush, cannot fall due before t=40.2.)
+        assert delay == pytest.approx(30.0 - 20.6)
+
+
+class TestSleepsToADeadline:
+    """The service does not poll: it sleeps to the nearest moment a
+    buffer could fall due."""
+
+    def test_nothing_registered_waits_to_be_poked(self):
+        svc = FlushTimerService(clock=ManualClock())
+        assert svc.scan_once() is None
+        before = svc.pokes
+        svc.register(StreamBuffer(capacity=10, sink=Sink()))
+        assert svc.pokes == before + 1
+
+    def test_an_empty_buffer_cannot_fall_due_before_its_own_max_delay(self):
+        clock = ManualClock(start=5.0)
+        svc = FlushTimerService(clock=clock)
+        for max_delay in (0.3, 0.1, 7.0):
+            svc.register(
+                StreamBuffer(capacity=10, sink=Sink(), max_delay=max_delay, clock=clock)
+            )
+        assert svc.scan_once() == pytest.approx(0.1)
+
+    def test_a_pending_deadline_nearer_than_that_wins(self):
+        clock = ManualClock()
+        svc = FlushTimerService(clock=clock)
+        slow = StreamBuffer(capacity=10, sink=Sink(), max_delay=1.0, clock=clock)
+        svc.register(slow)
+        svc.register(StreamBuffer(capacity=10, sink=Sink(), max_delay=0.4, clock=clock))
+        slow.append(b"x")  # due at t=1.0
+        clock.advance(0.7)
+        assert svc.scan_once() == pytest.approx(0.3)
+        clock.advance(0.2999)
+        assert svc.scan_once() == pytest.approx(0.0002)  # the floor
+
+    def test_a_first_append_right_after_the_scan_is_flushed_on_time(self):
+        clock = ManualClock()
+        sink = Sink()
+        svc = FlushTimerService(clock=clock)
+        buf = StreamBuffer(capacity=10, sink=sink, max_delay=0.5, clock=clock)
+        svc.register(buf)
+        delay = svc.scan_once()  # found empty at t=0
+        clock.advance(0.001)
+        buf.append(b"x")  # due at t=0.501
+        clock.advance(delay - 0.001)  # the service wakes: not due yet
+        assert svc.scan_once() == pytest.approx(0.001)
+        clock.advance(0.001)
+        svc.scan_once()
+        assert sink.flushes == [(b"x", 1)]
 
 
 class TestDeadlineShrinkWakeup:
@@ -326,7 +375,7 @@ class TestDeadlineShrinkWakeup:
     def test_shrunk_deadline_flushes_on_next_scan(self):
         clk = ManualClock()
         sink = Sink()
-        svc = FlushTimerService(clock=clk, max_poll=100.0)
+        svc = FlushTimerService(clock=clk)
         buf = StreamBuffer(capacity=1 << 20, sink=sink, max_delay=50.0, clock=clk)
         svc.register(buf)
         buf.append(b"x")
@@ -341,7 +390,7 @@ class TestDeadlineShrinkWakeup:
         retune to 10ms must flush promptly, not after the stale sleep."""
         sink = Sink()
         buf = StreamBuffer(capacity=1 << 20, sink=sink, max_delay=30.0)
-        svc = FlushTimerService(max_poll=30.0)
+        svc = FlushTimerService()
         svc.register(buf)
         svc.start()
         try:
@@ -359,7 +408,7 @@ class TestDeadlineShrinkWakeup:
             svc.stop()
 
     def test_stop_interrupts_long_sleep(self):
-        svc = FlushTimerService(max_poll=30.0)
+        svc = FlushTimerService()
         svc.start()
         start = time.monotonic()
         svc.stop()
@@ -387,7 +436,7 @@ class TestSwapStress:
             buf.recycle(body)
 
         buf = StreamBuffer(capacity=256, sink=sink, max_delay=0.001)
-        svc = FlushTimerService(max_poll=0.0005)
+        svc = FlushTimerService()
         svc.register(buf)
         svc.start()
         try:

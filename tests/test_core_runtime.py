@@ -469,6 +469,36 @@ class TestFailures:
             h.stop(timeout=10)
         assert h.state is JobState.FAILED
 
+    def test_await_is_told_not_polling(self, monkeypatch):
+        """``finish`` and a failure wake the awaiting thread: with the
+        safety-net re-check a minute away, both still return at once."""
+        from repro.core import runtime as runtime_mod
+
+        monkeypatch.setattr(runtime_mod, "_AWAIT_SAFETY_NET", 60.0)
+
+        class DiesLater(CountingSource):
+            def generate(self, ctx):
+                if self.emitted == 20:
+                    raise RuntimeError("source died")
+                super().generate(ctx)
+
+        for source, state in (
+            (lambda: CountingSource(total=20, interval=0.005), JobState.STOPPED),
+            (lambda: DiesLater(total=None, interval=0.005), JobState.FAILED),
+        ):
+            g = StreamProcessingGraph("told", config=small_config())
+            g.add_source("src", source)
+            g.add_processor("sink", CollectingSink)
+            g.link("src", "sink")
+            with NeptuneRuntime() as rt:
+                h = rt.submit(g)
+                started = time.monotonic()
+                # The thread is waiting well before the source is done.
+                quiesced = h.await_completion(timeout=45)
+                assert time.monotonic() - started < 30
+            assert h.state is state
+            assert quiesced is (state is JobState.STOPPED)
+
     def test_unstarted_job_await_raises(self):
         from repro.core.job import JobHandle
         from repro.core.runtime import _JobRuntime

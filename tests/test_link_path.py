@@ -346,18 +346,22 @@ class TestLocalLeg:
 
     def _leg(self, channel, emit_timeout=None):
         deliver = _local_leg(7, channel, self.INFO, emit_timeout)
-        return lambda body: deliver(body, 1, b"", None)
+        return lambda body, born=0.0: deliver(body, 1, b"", born, None)
 
     def test_delivery_order(self):
         channel = WatermarkChannel(high_watermark=1 << 20)
         send = self._leg(channel)
         for i in range(10):
-            assert send(bytes([i])) is True  # parked: the receiver recycles
+            # parked: the receiver recycles
+            assert send(bytes([i]), born=100.0 + i) is True
         items = channel.drain()
-        assert [frame.body for frame, _, _ in items] == [bytes([i]) for i in range(10)]
-        assert [frame.seq for frame, _, _ in items] == list(range(10))
-        assert {frame.link_id for frame, _, _ in items} == {7}
-        assert all(info is self.INFO for _, _, info in items)
+        assert [frame.body for frame, _, _, _ in items] == [bytes([i]) for i in range(10)]
+        assert [frame.seq for frame, _, _, _ in items] == list(range(10))
+        assert {frame.link_id for frame, _, _, _ in items} == {7}
+        assert all(info is self.INFO for _, _, info, _ in items)
+        # The batch's age rides along untouched; the put time is the leg's own.
+        assert [born for _, _, _, born in items] == [100.0 + i for i in range(10)]
+        assert all(put_at != born for _, put_at, _, born in items)
 
     def test_blocks_on_gated_channel(self):
         channel = WatermarkChannel(high_watermark=10, low_watermark=1)

@@ -248,7 +248,7 @@ class TestHandOver:
         sender.join(10.0)
         assert not sender.is_alive()
         assert store == list(range(8))
-        (buf,) = src._out_buffers()
+        (buf,) = src._out_buffers
         assert buf.capacity_flushes == 1 and buf.blocked_seconds > 0.0
 
     def test_only_the_thread_that_filled_the_batch_waits(self):
@@ -256,7 +256,7 @@ class TestHandOver:
         the thread awaiting the job): parking those would hold up every
         other buffer, and would not slow the sender down."""
         src, sink = _wired(lambda: _Scripted(), [], NeptuneConfig(**SMALL_BATCHES))
-        (buf,) = src._out_buffers()
+        (buf,) = src._out_buffers
         handed_over = []
         buf.after_capacity_flush = lambda budget: handed_over.append(budget) or 0.0
 
@@ -274,14 +274,14 @@ class TestHandOver:
 
     def test_a_remote_leg_does_not_wait(self):
         src, _ = _wired(lambda: _Scripted(), [], hosts=lambda op, idx: op == "src")
-        (buf,) = src._out_buffers()
+        (buf,) = src._out_buffers
         assert buf.after_capacity_flush is None
 
     def test_a_receiver_with_its_own_schedule_is_left_to_accumulate(self):
         src, _ = _wired(
             lambda: _Scripted(), [], scheduling=lambda: CountBasedStrategy(threshold=4)
         )
-        (buf,) = src._out_buffers()
+        (buf,) = src._out_buffers
         assert buf.after_capacity_flush is None
 
     def test_the_wait_lasts_at_most_twice_what_the_batch_took_to_fill(self):
@@ -314,7 +314,7 @@ class TestHandOver:
             for _ in range(100):
                 src._framework_execute()
         assert len(sink.channel) == 4 and sink.channel.gated
-        (buf,) = src._out_buffers()
+        (buf,) = src._out_buffers
         assert buf.capacity_flushes == 5 and buf.blocked_seconds > 0.0
 
     def test_one_batch_queues_in_front_of_a_receiver_that_is_waited_for(
