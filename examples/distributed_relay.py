@@ -6,7 +6,13 @@ whereas the message relay was deployed in a different resource" — here
 each worker is its own resource with its own thread pools; frames cross
 real TCP sockets (checksummed, sequence-verified), and backpressure
 propagates through the kernel's TCP flow control exactly as §III-B4
-describes.
+describes.  The two workers are co-hosted in this process
+(``DistributedJob``, the in-process harness the tests and the chaos
+scenarios use); the CLI deploys the same topology across worker
+*processes* (``repro run DESC.json --workers 2``, see
+``multiprocess_cluster.py``).  Waiting for the job does not change it:
+``await_completion`` parks until the sender finishes, and only then
+drains.
 
 Run:  python examples/distributed_relay.py
 """

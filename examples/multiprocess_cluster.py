@@ -6,15 +6,17 @@ example shards the Fig. 1 relay across two worker *processes* (their
 own interpreters — no shared GIL) and drives them from this parent
 process: the :class:`~repro.cluster.ClusterCoordinator` plans the
 shards, reserves ports, spawns the workers (``multiprocessing`` spawn
-context), wires their data planes together, and coordinates the global
-drain through each worker's control port.
+context), wires their data planes together, and takes the job through
+its lifecycle over each worker's control port: one blocking command per
+worker waits for its sources, then the global drain.
 
 Stream frames flow worker-to-worker over Unix-domain sockets here
 (``fabric="unix"`` — same framing/ack/replay protocol as TCP, no TCP
 stack in the path); switch to ``fabric="tcp"`` for the loopback-TCP
 data plane, which is what a multi-host deployment would use.
 
-The same topology runs from the command line:
+The same topology runs from the command line (``run --workers 2`` is
+the same deployment with the default TCP fabric):
 
     python -m repro.cli cluster launch examples/descriptors/fig1_relay.json \
         --workers 2 --fabric unix

@@ -831,9 +831,8 @@ def _policy_arm(profile: BenchProfile, on: bool) -> ArmRun:
                         apply_action(runtime, action)
                 hook_seconds += time.perf_counter() - t_hook
 
-            # Foreground 10 Hz scan loop.  Progress is polled off the
-            # sink's own counter: ``await_completion`` is a one-shot
-            # drain (it tears the job down on timeout), not a poll.
+            # Foreground 10 Hz scan loop, progress polled off the
+            # sink's own counter.
             scan_deadline = time.monotonic() + 600
             while sink.seen < total:
                 if handle.failures:

@@ -106,20 +106,15 @@ class RecoveryCoordinator:
         """
         deadline = time.monotonic() + timeout
         try:
-            while time.monotonic() < deadline:
-                remaining = deadline - time.monotonic()
+            while (remaining := deadline - time.monotonic()) > 0:
+                # A failure wakes the wait and cuts the drain short, so
+                # one call notices it whenever it happens.
+                drained = self.handle.await_completion(timeout=remaining)
                 failures = self.handle.failures
                 if failures:
                     if not self._recover(failures):
                         return False
-                    continue
-                # Probe completion in short slices so a failure during
-                # the drain is still noticed and recovered from.
-                if self.handle.await_completion(timeout=min(0.25, remaining)):
-                    if self.handle.failures:
-                        if not self._recover(self.handle.failures):
-                            return False
-                        continue
+                elif drained:
                     return True
             return False
         finally:

@@ -5,11 +5,12 @@
     python -m repro.cli validate graph.json
     python -m repro.cli analyze [--graph DESC.json ...] [--cluster SPEC.json ...]
                                 [--lint PATH ...] [--witness W.json ...]
-    python -m repro.cli run graph.json [--duration 10] [--workers 2]
-    python -m repro.cli trace [--example quickstart | DESC.json] [--sample-every N]
-    python -m repro.cli metrics [--example quickstart | DESC.json] [--format prometheus|json] [--cluster]
-    python -m repro.cli doctor [--example quickstart | DESC.json] [--json] [--cluster] [--from-dump SNAP.json|FLIGHT.json|DIR]
-    python -m repro.cli top [--example quickstart | DESC.json] [--workers N] [--frames N] [--state STATE.json]
+    python -m repro.cli run graph.json [--duration 10] [--workers N]
+    python -m repro.cli trace [--example quickstart | DESC.json] [--sample-every N] [--workers N]
+    python -m repro.cli metrics [--example quickstart | DESC.json] [--format prometheus|json] [--workers N]
+    python -m repro.cli doctor [--example quickstart | DESC.json] [--json] [--workers N] [--from-dump SNAP.json|FLIGHT.json|DIR]
+    python -m repro.cli profile [--example quickstart | DESC.json] [--hz HZ] [--workers N] [--from-dump ...]
+    python -m repro.cli top [DESC.json] [--workers N] [--frames N] [--state STATE.json]
     python -m repro.cli experiment fig2|table1|gc|fig4|fig5|fig6|fig7|fig9|fig10|headline
     python -m repro.cli chaos [--mode wire|pipeline] [--seed N] [...]
     python -m repro.cli cluster launch DESC.json [--workers N] [--fabric tcp|unix] [--policy]
@@ -18,35 +19,35 @@
     python -m repro.cli policy status|log --state STATE.json
     python -m repro.cli info
 
-``run`` deploys a JSON graph descriptor on the local runtime (or the
-distributed multi-resource runtime with ``--workers > 1``) and prints
-per-operator metrics; ``analyze`` runs the static analyzers — the
-stream-graph verifier over descriptors, the cluster deployment-plan
-verifier over cluster specs, the AST concurrency lint over runtime
-source, and sanitizer-witness cross-validation against the lint's
-static lock-order edges — and exits non-zero on findings (the CI
-gate);
-``experiment`` regenerates one of the paper's tables/figures on the
-simulator; ``chaos`` runs a seeded fault-injection scenario against
-the TCP recovery protocol and exits 0 iff delivery stayed
-exactly-once; ``cluster`` shards a descriptor across real worker
-*processes* (the multi-process data plane — ``launch`` runs it in the
-foreground, ``status``/``stop`` attach to a running cluster through
-the ``--state`` file ``launch`` wrote); ``trace`` runs a graph with
-causal packet tracing on and
-prints the per-stage latency breakdown; ``metrics`` runs a graph and
-exports the unified telemetry registry (Prometheus text exposition or
-a JSON snapshot); ``top`` renders a live cluster view — per-worker
-throughput, per-stage p99, open gates, SLO state — from the cluster
-collector (self-launched workers, or attached to a running cluster via
-``--state``).  ``metrics --cluster`` and ``doctor --cluster`` run the
-graph across real worker *processes* and operate on the merged
-worker-labeled cluster view; ``doctor --from-dump`` also accepts a
-flight-recorder dump (or a directory of them, merged), so a SIGKILLed
-cluster can be diagnosed from its black boxes.  ``cluster launch
---policy`` additionally runs the elasticity policy engine (SLO breach →
-diagnose → live retune/scale/migrate); ``policy status``/``policy log``
-read its persisted canonical action log through the state file.
+Every command that runs a graph deploys it one way: ``--workers 1``
+(the default) is this process's runtime, ``--workers N`` is N worker
+*processes* — one Granules resource each, framed TCP between them, the
+paper's deployment — which needs a JSON descriptor (a worker process
+rebuilds its operators from import paths, not from an example's Python
+callables), and ``trace``/``metrics``/``doctor``/``profile`` then
+operate on the merged worker-labeled cluster view.  ``run`` deploys a
+descriptor and prints per-operator metrics; ``cluster launch`` is
+``run`` across worker processes with the cluster's own knobs (fabric,
+logs, ``--policy`` for the elasticity engine — SLO breach → diagnose →
+live retune/scale/migrate, its canonical action log read back by
+``policy status``/``policy log`` — and a ``--state`` file through which
+``cluster status``/``cluster stop`` attach); ``analyze`` runs the
+static analyzers — the stream-graph verifier over descriptors, the
+deployment-plan verifier over cluster specs, the AST concurrency lint
+over runtime source, and sanitizer-witness cross-validation against
+the lint's static lock-order edges — and exits non-zero on findings
+(the CI gate); ``experiment`` regenerates one of the paper's
+tables/figures on the simulator; ``chaos`` runs a seeded
+fault-injection scenario against the TCP recovery protocol and exits 0
+iff delivery stayed exactly-once; ``trace`` prints the per-stage
+latency breakdown of causally traced packets; ``metrics`` exports the
+unified telemetry registry (Prometheus text exposition or a JSON
+snapshot); ``top`` renders a live cluster view — per-worker throughput,
+per-stage p99, open gates, SLO state — from the cluster collector
+(self-launched workers, or a running cluster via ``--state``);
+``doctor --from-dump`` also accepts a flight-recorder dump (or a
+directory of them, merged), so a SIGKILLed cluster can be diagnosed
+from its black boxes.
 """
 
 from __future__ import annotations
@@ -140,65 +141,184 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 class _Deployment:
-    """``graph`` running the way ``--workers`` says: on this process's
-    ``NeptuneRuntime``, or (``> 1``) across co-hosted ``DistributedJob``
-    workers over loopback TCP.  One surface over either for ``run``,
-    ``metrics`` and ``doctor``: ``job`` (``metrics()``), ``failures()``,
-    and ``scrape()`` — the job's instruments into ``observer``'s registry.
+    """``graph`` deployed the way ``--workers`` says, observed the way
+    the command asks: the one launch-and-observe helper.
+
+    ``--workers 1`` is a ``NeptuneRuntime`` in this process; ``N > 1``
+    is N worker processes under a ``ClusterCoordinator`` (``cluster``
+    keywords go to it).  One surface over either: ``job``, ``wait``,
+    ``failures`` and - given ``observe`` (a ``WorkerSpec`` observe
+    block) or ``slos`` - ``observer`` (the job's own, or the cluster
+    collector's merged one), ``health`` and ``profile()``.
     """
 
-    def __init__(self, graph, args: argparse.Namespace, observer=None) -> None:
-        from repro.observe import bridge
-
-        self._args = args
-        self._runtime = None
+    def __init__(self, graph, args, observe=None, slos=None, scan_interval=0.25, **cluster):
+        self.coordinator = self.observer = self.health = None
+        self._runtime = self._profiler = None
+        self._profiles: dict = {}
+        self._drain_timeout = args.drain_timeout
         if args.workers > 1:
-            from repro.core.distributed import DistributedJob
+            from repro.cluster import ClusterCoordinator
 
-            job = DistributedJob(graph, n_workers=args.workers, observer=observer)
-            job.start()
-            self.failures = job.failures
-            self.scrape = lambda: bridge.scrape_distributed(observer.registry, job)
-        else:
-            from repro.core import NeptuneRuntime
+            self.coordinator = ClusterCoordinator(
+                graph,
+                n_workers=args.workers,
+                observe=observe,
+                slos=slos,
+                collect_interval=max(0.1, scan_interval),
+                **cluster,
+            )
+            self.job = self.coordinator.launch(
+                connect_timeout=getattr(args, "connect_timeout", 60.0)
+            )
+            self.failures = self.job.failures
+            collector = self.coordinator.collector
+            if collector is not None:
+                self.observer, self.health = collector.observer, collector.health
+            if observe and observe.get("profile"):
+                self.job.pre_stop_hooks.append(self._grab_profiles)
+            return
+        from repro.core import NeptuneRuntime
 
-            self._runtime = NeptuneRuntime(observer=observer)
-            job = self._runtime.submit(graph)
-            self.failures = lambda: job.failures
-            self.scrape = lambda: bridge.scrape_job(observer.registry, job)
-        self.job = job
+        if observe is not None or slos:
+            from repro.observe import RuntimeObserver
+
+            observe = observe or {}
+            self.observer = RuntimeObserver(sample_every=observe.get("sample_every", 0))
+            if observe.get("profile"):
+                from repro.observe.profiler import SamplingProfiler
+
+                self._profiler = SamplingProfiler(hz=observe["profile"]["hz"])
+                self.observer.profiler = self._profiler
+                self._profiler.start()
+        self._runtime = NeptuneRuntime(observer=self.observer)
+        self.job = job = self._runtime.submit(graph)
+        self.failures = lambda: job.failures
+        if slos:
+            from repro.observe import bridge
+            from repro.observe.health import AdaptiveSampler, HealthEngine, graph_regions
+
+            self.health = HealthEngine(
+                self.observer,
+                slos,
+                scrape=lambda: bridge.scrape_job(self.observer.registry, job),
+                sampler=AdaptiveSampler(self.observer.tracer),
+                regions=graph_regions(graph),
+                interval=scan_interval,
+            )
+            self.health.start()
+
+    def _grab_profiles(self) -> None:  # pre-stop: the workers still answer
+        for handle in self.coordinator.handles:
+            snap = handle.proxy.profile() if handle.proxy is not None else None
+            if snap:
+                self._profiles[str(handle.worker_id)] = snap
 
     def wait(self, duration: float = 0.0) -> bool:
         """Stop after ``duration`` seconds, or (0) wait for the sources
-        to finish; True iff the job drained within ``--drain-timeout``."""
+        to finish; True iff the job drained within ``--drain-timeout``.
+        Then the observability plane, if any, takes its final reading."""
+        target = self.coordinator or self.job
         if duration > 0:
             time.sleep(duration)
-            return self.job.stop(timeout=self._args.drain_timeout)
-        return self.job.await_completion(timeout=self._args.drain_timeout)
+            ok = target.stop(timeout=self._drain_timeout)
+        else:
+            ok = target.await_completion(timeout=self._drain_timeout)
+        _print_hook_errors(getattr(self.job, "hook_errors", ()))  # pre-stop hooks
+        if self._profiler is not None:
+            self._profiler.stop()
+        if self.observer is not None:
+            from repro.observe import bridge
+
+            if self._runtime is not None:
+                if self.health is not None:
+                    self.health.stop()
+                bridge.scrape_job(self.observer.registry, self.job)
+            # else: the collector's last poll ran as a pre-stop hook.
+            if self.health is not None:
+                self.health.scan_once()  # the verdict over the drained job
+            bridge.scrape_observer(self.observer)
+        return ok
+
+    def profile(self) -> dict | None:
+        """The profiler's snapshot (every worker's, merged), if any."""
+        if self._profiler is not None:
+            return self._profiler.snapshot()
+        from repro.observe.profiler import merge_profile_snapshots
+
+        return merge_profile_snapshots(self._profiles) if self._profiles else None
 
     def __enter__(self) -> "_Deployment":
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._runtime is not None:  # a drain stops DistributedJob's workers
+        if self._runtime is not None:
             self._runtime.shutdown()
+        else:
+            self.coordinator.terminate()
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    """`run` subcommand: deploy a descriptor and print metrics."""
+    """`run` and `cluster launch`: deploy a descriptor, print metrics.
+
+    ``cluster launch`` is ``run`` across worker processes with the
+    cluster's own knobs; its ``--state`` writes a JSON handle that
+    ``cluster status`` / ``cluster stop`` (from another terminal) use
+    to attach to the live workers.
+    """
+    from repro.core.control import ControlError
+
     graph = _load_graph(args.descriptor)
-    with _Deployment(graph, args) as dep:
-        for w in getattr(dep.job, "workers", ()):
-            print(f"resource {w.worker_id} @ {w.address[0]}:{w.address[1]}: "
-                  f"{dep.job.plan.instances_on(w.worker_id)}")
+    slos = None
+    if args.policy:
+        from repro.observe.health import default_slos
+
+        slos = default_slos(
+            sorted(graph.operators), latency_budget=args.slo_latency, e2e_budget=None
+        )
+    with _Deployment(
+        graph,
+        args,
+        slos=slos,
+        fabric=args.fabric,
+        log_dir=args.log_dir,
+        policy=args.policy,
+    ) as dep:
+        coordinator = dep.coordinator
+        if coordinator is not None:
+            if args.state:
+                coordinator.write_state(args.state)
+                print(f"wrote cluster state to {args.state}")
+            for entry in coordinator.status():
+                host, port = entry["endpoint"]
+                print(
+                    f"worker {entry['worker_id']} pid={entry['pid']} "
+                    f"data={host}:{port} control=127.0.0.1:{entry['control_port']}"
+                )
         ok = dep.wait(args.duration)
-        failures = dep.failures()
-        metrics = dep.job.metrics()
-    _print_metrics(graph.name, ok, metrics, failures)
-    return 0 if ok and not failures else 1
+        try:
+            failures = dep.failures()
+            metrics = dep.job.metrics()
+        except ControlError:
+            # The workers are gone and no final snapshot exists - e.g.
+            # an external `cluster stop` already drained and stopped
+            # them (that terminal printed the final metrics).
+            print(f"job {graph.name!r}: workers already stopped")
+            return 0 if ok else 1
+        _print_metrics(graph.name, ok, metrics, failures)
+        if args.policy:
+            status = coordinator.policy_status()
+            print(
+                f"policy: {status['actions']} action(s), "
+                f"{status['no_cause']} unattributed breach(es), "
+                f"log={status['log']}"
+            )
+        return 0 if ok and not failures else 1
 
 
-def _print_metrics(name: str, ok: bool, metrics: dict, failures: dict) -> None:
+def _print_metrics(
+    name: str, ok: bool, metrics: dict, failures: dict, hook_errors=()
+) -> None:
     print(f"job {name!r} {'drained' if ok else 'DID NOT QUIESCE'}")
     for op, m in sorted(metrics.items()):
         print(
@@ -207,6 +327,29 @@ def _print_metrics(name: str, ok: bool, metrics: dict, failures: dict) -> None:
         )
     for key, exc in failures.items():
         print(f"  FAILED {key}: {exc!r}", file=sys.stderr)
+    _print_hook_errors(hook_errors)
+
+
+def _print_hook_errors(hook_errors) -> None:
+    for hook, exc in hook_errors:
+        print(f"  HOOK {hook} raised {exc!r}", file=sys.stderr)
+
+
+def _default_slos(graph, args: argparse.Namespace) -> list:
+    """The SLOs ``--latency-budget`` / ``--e2e-budget`` describe."""
+    from repro.observe.health import default_slos
+
+    return default_slos(
+        graph.operators,
+        latency_budget=args.latency_budget,
+        e2e_budget=args.e2e_budget,
+    )
+
+
+def _write_json(obj, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, default=str, sort_keys=True)
+    print(f"wrote {path}", file=sys.stderr)
 
 
 def _observed_graph(args: argparse.Namespace):
@@ -240,15 +383,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
     deserialize / execute) and how much of each trace's end-to-end time
     the stages account for (coverage).
     """
-    from repro.core import NeptuneRuntime
-    from repro.observe import RuntimeObserver
     from repro.observe.report import format_breakdown, format_timeline
 
     graph = _observed_graph(args)
-    obs = RuntimeObserver(sample_every=args.sample_every)
-    with NeptuneRuntime(observer=obs) as runtime:
-        handle = runtime.submit(graph)
-        ok = handle.await_completion(timeout=args.drain_timeout)
+    with _Deployment(graph, args, {"sample_every": args.sample_every}) as dep:
+        ok = dep.wait()
+    obs = dep.observer
     print(
         f"job {graph.name!r} {'drained' if ok else 'DID NOT QUIESCE'} "
         f"(tracing 1/{args.sample_every} packets)"
@@ -261,53 +401,19 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    """`metrics` subcommand: run a graph, export the telemetry registry.
-
-    With ``--workers > 1`` (default 2) the graph is deployed across
-    resources over real TCP, so the export covers transport and
+    """`metrics` subcommand: run a graph, export the telemetry registry
+    (with ``--workers N`` the merged worker-labeled one, transport and
     listener instruments alongside operator / flow-control / buffer /
-    compression ones.
-    """
-    from repro.observe import RuntimeObserver
-    from repro.observe import bridge, export
+    compression ones)."""
+    from repro.observe import export
 
     graph = _observed_graph(args)
-    if args.cluster:
-        return _metrics_cluster(args, graph)
-    obs = RuntimeObserver(sample_every=args.sample_every)
-    with _Deployment(graph, args, obs) as dep:
+    with _Deployment(graph, args, {"sample_every": args.sample_every}) as dep:
         ok = dep.wait()
-        dep.scrape()
-    bridge.scrape_observer(obs)
     if args.format == "prometheus":
-        sys.stdout.write(export.to_prometheus(obs.registry))
+        sys.stdout.write(export.to_prometheus(dep.observer.registry))
     else:
-        print(export.to_json(obs))
-    return 0 if ok else 1
-
-
-def _metrics_cluster(args: argparse.Namespace, graph) -> int:
-    """``metrics --cluster``: real worker processes, merged registry."""
-    from repro.cluster import ClusterCoordinator
-    from repro.observe import bridge, export
-
-    coordinator = ClusterCoordinator(
-        graph,
-        n_workers=max(2, args.workers),
-        observe={"sample_every": args.sample_every},
-    )
-    try:
-        coordinator.launch()
-        ok = coordinator.await_completion(timeout=args.drain_timeout)
-    finally:
-        coordinator.terminate()
-    collector = coordinator.collector
-    assert collector is not None
-    bridge.scrape_observer(collector.observer)
-    if args.format == "prometheus":
-        sys.stdout.write(export.to_prometheus(collector.observer.registry))
-    else:
-        print(export.to_json(collector.observer))
+        print(export.to_json(dep.observer))
     return 0 if ok else 1
 
 
@@ -462,27 +568,17 @@ def cmd_top(args: argparse.Namespace) -> int:
     """
     if args.state:
         return _top_attached(args)
-    from repro.cluster import ClusterCoordinator
-    from repro.observe.health import default_slos
-
     graph = _observed_graph(args)
-    slos = default_slos(
-        graph.operators,
-        latency_budget=args.latency_budget,
-        e2e_budget=args.e2e_budget,
-    )
-    coordinator = ClusterCoordinator(
-        graph,
-        n_workers=args.workers,
-        observe={"sample_every": max(1, args.sample_every)},
-        slos=slos,
-        collect_interval=max(0.05, min(args.refresh, 0.25)),
-    )
     frame = 0
     quiet_frames = 0
-    ok = True
-    try:
-        coordinator.launch(connect_timeout=args.connect_timeout)
+    with _Deployment(
+        graph,
+        args,
+        {"sample_every": max(1, args.sample_every)},
+        _default_slos(graph, args),
+        scan_interval=min(args.refresh, 0.25),
+    ) as dep:
+        coordinator = dep.coordinator
         try:
             while args.frames <= 0 or frame < args.frames:
                 time.sleep(args.refresh)
@@ -501,9 +597,7 @@ def cmd_top(args: argparse.Namespace) -> int:
                     quiet_frames = 0
         except KeyboardInterrupt:
             print("interrupted — draining", file=sys.stderr)
-        ok = coordinator.await_completion(timeout=args.drain_timeout)
-    finally:
-        coordinator.terminate()
+        ok = dep.wait()
     return 0 if ok else 1
 
 
@@ -532,40 +626,6 @@ def _load_doctor_dump(path: str) -> dict:
     return snap
 
 
-def _doctor_cluster(args: argparse.Namespace, graph, slos) -> int:
-    """``doctor --cluster``: diagnose the merged multi-process view."""
-    from repro.cluster import ClusterCoordinator
-    from repro.observe import bridge, export
-    from repro.observe import doctor as doctor_mod
-
-    coordinator = ClusterCoordinator(
-        graph,
-        n_workers=max(2, args.workers),
-        observe={"sample_every": max(1, args.sample_every)},
-        slos=slos,
-        collect_interval=max(0.1, args.scan_interval),
-    )
-    try:
-        coordinator.launch()
-        ok = coordinator.await_completion(timeout=args.drain_timeout)
-    finally:
-        coordinator.terminate()
-    collector = coordinator.collector
-    assert collector is not None
-    obs = collector.observer
-    if collector.health is not None:
-        collector.health.scan_once()  # final verdict over the merged view
-    bridge.scrape_observer(obs)
-    snap = export.snapshot(obs)
-    if args.dump:
-        with open(args.dump, "w", encoding="utf-8") as fh:
-            json.dump(snap, fh, indent=2, default=str, sort_keys=True)
-        print(f"wrote {args.dump}", file=sys.stderr)
-    report = doctor_mod.diagnose(snap, max_causes=args.max_causes)
-    _print_doctor(report, args.json)
-    return 0 if ok else 1
-
-
 def cmd_doctor(args: argparse.Namespace) -> int:
     """`doctor` subcommand: correlate signals into a root-cause report.
 
@@ -583,43 +643,16 @@ def cmd_doctor(args: argparse.Namespace) -> int:
         _print_doctor(report, args.json)
         return 0
 
-    from repro.observe import RuntimeObserver, bridge, export
-    from repro.observe.health import (
-        AdaptiveSampler,
-        HealthEngine,
-        default_slos,
-        graph_regions,
-    )
+    from repro.observe import export
 
     graph = _observed_graph(args)
-    obs = RuntimeObserver(sample_every=max(1, args.sample_every))
-    slos = default_slos(
-        graph.operators,
-        latency_budget=args.latency_budget,
-        e2e_budget=args.e2e_budget,
-    )
-    if args.cluster:
-        return _doctor_cluster(args, graph, slos)
-    with _Deployment(graph, args, obs) as dep:
-        engine = HealthEngine(
-            obs,
-            slos,
-            scrape=dep.scrape,
-            sampler=AdaptiveSampler(obs.tracer),
-            regions=graph_regions(graph),
-            interval=args.scan_interval,
-        )
-        engine.start()
+    observe = {"sample_every": max(1, args.sample_every)}
+    slos = _default_slos(graph, args)
+    with _Deployment(graph, args, observe, slos, args.scan_interval) as dep:
         ok = dep.wait()
-        engine.stop()
-        dep.scrape()
-    engine.scan_once()  # final verdict over the drained job's telemetry
-    bridge.scrape_observer(obs)
-    snap = export.snapshot(obs)
+    snap = export.snapshot(dep.observer)
     if args.dump:
-        with open(args.dump, "w", encoding="utf-8") as fh:
-            json.dump(snap, fh, indent=2, default=str, sort_keys=True)
-        print(f"wrote {args.dump}", file=sys.stderr)
+        _write_json(snap, args.dump)
     report = doctor_mod.diagnose(snap, max_causes=args.max_causes)
     _print_doctor(report, args.json)
     return 0 if ok else 1
@@ -705,12 +738,6 @@ def _print_profile_summary(snap: dict, top: int) -> None:
         )
 
 
-def _write_profile_snap(snap: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(snap, fh, indent=2, sort_keys=True)
-    print(f"wrote {path}", file=sys.stderr)
-
-
 def _write_profile_dump(snap: dict, path: str, fmt: str, name: str) -> None:
     from repro.observe.profiler import collapsed, speedscope
 
@@ -724,56 +751,12 @@ def _write_profile_dump(snap: dict, path: str, fmt: str, name: str) -> None:
     print(f"wrote {path}", file=sys.stderr)
 
 
-def _profile_cluster(args: argparse.Namespace, graph) -> int:
-    """``profile --cluster``: sample every worker, merge over control."""
-    from repro.cluster import ClusterCoordinator
-    from repro.observe.profiler import merge_profile_snapshots
-
-    coordinator = ClusterCoordinator(
-        graph,
-        n_workers=max(2, args.workers),
-        observe={"sample_every": 1, "profile": {"hz": args.hz}},
-    )
-    profiles: dict = {}
-
-    def grab() -> None:
-        # Runs after the cluster quiesces but before the workers are
-        # stopped (stopping severs the control sockets).
-        for handle in coordinator.handles:
-            proxy = getattr(handle, "proxy", None)
-            if proxy is None:
-                continue
-            try:
-                snap = proxy.profile()
-            except Exception:
-                continue
-            if snap:
-                profiles[str(handle.worker_id)] = snap
-
-    try:
-        job = coordinator.launch()
-        job.pre_stop_hooks.append(grab)
-        ok = coordinator.await_completion(timeout=args.drain_timeout)
-    finally:
-        coordinator.terminate()
-    if not profiles:
-        print("repro.cli profile: no worker returned a profile", file=sys.stderr)
-        return 1
-    snap = merge_profile_snapshots(profiles)
-    if args.snap:
-        _write_profile_snap(snap, args.snap)
-    if args.dump:
-        _write_profile_dump(snap, args.dump, args.format, graph.name)
-    _print_profile_summary(snap, args.top)
-    return 0 if ok else 1
-
-
 def cmd_profile(args: argparse.Namespace) -> int:
     """`profile` subcommand: run a graph under the sampling profiler.
 
     Prints the per-operator CPU attribution (on/off-CPU split where
     ``/proc`` allows) and optionally writes collapsed-stack or
-    speedscope-JSON dumps for flamegraph tooling.  ``--cluster``
+    speedscope-JSON dumps for flamegraph tooling.  ``--workers N``
     profiles every worker process and merges the snapshots over the
     control plane; ``--from-dump`` renders a profile recovered from
     flight-recorder dumps post-mortem.
@@ -785,24 +768,16 @@ def cmd_profile(args: argparse.Namespace) -> int:
         _print_profile_summary(snap, args.top)
         return 0
 
-    from repro.core import NeptuneRuntime
-    from repro.observe import RuntimeObserver
-    from repro.observe.profiler import SamplingProfiler
-
     graph = _observed_graph(args)
-    if args.cluster:
-        return _profile_cluster(args, graph)
-    obs = RuntimeObserver()
-    profiler = SamplingProfiler(hz=args.hz)
-    obs.profiler = profiler
-    with NeptuneRuntime(observer=obs) as runtime:
-        profiler.start()
-        handle = runtime.submit(graph)
-        ok = handle.await_completion(timeout=args.drain_timeout)
-        profiler.stop()
-    snap = profiler.snapshot()
+    observe = {"sample_every": args.sample_every, "profile": {"hz": args.hz}}
+    with _Deployment(graph, args, observe) as dep:
+        ok = dep.wait()
+    snap = dep.profile()
+    if snap is None:
+        print("repro.cli profile: no worker returned a profile", file=sys.stderr)
+        return 1
     if args.snap:
-        _write_profile_snap(snap, args.snap)
+        _write_json(snap, args.snap)
     if args.dump:
         _write_profile_dump(snap, args.dump, args.format, graph.name)
     _print_profile_summary(snap, args.top)
@@ -960,75 +935,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 1 if gates or regressions else 0
 
 
-def cmd_cluster_launch(args: argparse.Namespace) -> int:
-    """`cluster launch`: shard a descriptor across worker processes.
-
-    Runs in the foreground; ``--state`` additionally writes a JSON
-    handle that ``cluster status`` / ``cluster stop`` (from another
-    terminal) use to attach to the live workers.
-    """
-    from repro.cluster import ClusterCoordinator
-    from repro.core.control import ControlError
-
-    graph = _load_graph(args.descriptor)
-    extra: dict = {}
-    if getattr(args, "policy", False):
-        from repro.observe.health import default_slos
-
-        extra["observe"] = {}
-        extra["slos"] = default_slos(
-            sorted(graph.operators),
-            latency_budget=args.slo_latency,
-            e2e_budget=None,
-        )
-        extra["policy"] = True
-    coordinator = ClusterCoordinator(
-        graph,
-        n_workers=args.workers,
-        fabric=args.fabric,
-        log_dir=args.log_dir,
-        **extra,
-    )
-    try:
-        coordinator.launch(connect_timeout=args.connect_timeout)
-        if args.state:
-            coordinator.write_state(args.state)
-            print(f"wrote cluster state to {args.state}")
-        for entry in coordinator.status():
-            host, port = entry["endpoint"]
-            print(
-                f"worker {entry['worker_id']} pid={entry['pid']} "
-                f"data={host}:{port} control=127.0.0.1:{entry['control_port']}"
-            )
-        if args.duration > 0:
-            time.sleep(args.duration)
-            ok = coordinator.stop(timeout=args.drain_timeout)
-        else:
-            ok = coordinator.await_completion(timeout=args.drain_timeout)
-        try:
-            failures = (
-                coordinator.job.failures() if coordinator.job is not None else {}
-            )
-            metrics = coordinator.metrics()
-        except ControlError:
-            # The workers are gone and no final snapshot exists — e.g.
-            # an external `cluster stop` already drained and stopped
-            # them (that terminal printed the final metrics).
-            print(f"job {graph.name!r}: workers already stopped")
-            return 0 if ok else 1
-        _print_metrics(graph.name, ok, metrics, failures)
-        if coordinator.policy is not None:
-            status = coordinator.policy_status()
-            print(
-                f"policy: {status['actions']} action(s), "
-                f"{status['no_cause']} unattributed breach(es), "
-                f"log={status['log']}"
-            )
-        return 0 if ok and not failures else 1
-    finally:
-        coordinator.terminate()
-
-
 def _load_cluster_state(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -1111,7 +1017,7 @@ def cmd_cluster_stop(args: argparse.Namespace) -> int:
         raise SystemExit(f"repro.cli cluster: error: cannot attach: {exc}")
     job = RemoteDistributedJob(proxies)
     ok = job.stop(timeout=args.drain_timeout)
-    _print_metrics("cluster", ok, job.metrics(), {})
+    _print_metrics("cluster", ok, job.metrics(), {}, job.hook_errors)
     return 0 if ok else 1
 
 
@@ -1161,6 +1067,61 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(f"repro {repro.__version__} — NEPTUNE (IPPS 2016) reproduction")
     print(__doc__)
     return 0
+
+
+def _deployed(workers: int = 1, sample_every: int | None = None):
+    """The argparse parent of every command that deploys a graph
+    (``_Deployment``); they differ in defaults only.  A command whose
+    default is several ``workers`` is about worker processes and takes
+    no fewer than 2.  ``sample_every`` makes it one that observes the
+    graph too (``--example``, ``--sample-every``).  A fresh parser per
+    command: those built from one parent share its actions."""
+
+    def count(text: str) -> int:
+        if int(text) < min(workers, 2):
+            raise argparse.ArgumentTypeError(
+                "this command runs worker processes: at least 2 "
+                "(one worker is this process's runtime: `repro run`)"
+            )
+        return int(text)
+
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--workers",
+        type=count,
+        default=workers,
+        metavar="N",
+        help="1: run on this process's runtime; N > 1: across N worker "
+        "processes, one Granules resource each, over TCP (needs a JSON "
+        f"descriptor; default: {workers})",
+    )
+    parent.add_argument("--drain-timeout", type=float, default=60.0)
+    if sample_every is None:
+        parent.add_argument("descriptor")
+        parent.add_argument(
+            "--duration",
+            type=float,
+            default=0.0,
+            help="seconds to run before stopping (0 = wait for sources to finish)",
+        )
+        return parent
+    parent.add_argument(
+        "descriptor", nargs="?", default=None, help="JSON graph descriptor"
+    )
+    parent.add_argument(
+        "--example",
+        default="quickstart",
+        help="examples/<NAME>.py exposing build_graph() (default: quickstart)",
+    )
+    parent.add_argument(
+        "--sample-every",
+        type=int,
+        default=sample_every,
+        metavar="N",
+        help="trace every Nth source packet (0 = tracing off; "
+        f"default: {sample_every})",
+    )
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1216,42 +1177,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_an.set_defaults(fn=cmd_analyze)
 
-    p_run = sub.add_parser("run", help="run a JSON graph descriptor")
-    p_run.add_argument("descriptor")
-    p_run.add_argument(
-        "--duration",
-        type=float,
-        default=0.0,
-        help="seconds to run before stopping (0 = wait for sources to finish)",
+    p_run = sub.add_parser(
+        "run", parents=[_deployed()], help="run a JSON graph descriptor"
     )
-    p_run.add_argument("--drain-timeout", type=float, default=60.0)
-    p_run.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="deploy across N Granules resources over TCP (default: local)",
+    p_run.set_defaults(
+        fn=cmd_run, fabric="tcp", log_dir=None, state=None, policy=False
     )
-    p_run.set_defaults(fn=cmd_run)
 
     p_tr = sub.add_parser(
-        "trace", help="run a graph with causal tracing and print the breakdown"
+        "trace",
+        parents=[_deployed(sample_every=100)],
+        help="run a graph with causal tracing and print the breakdown",
     )
-    p_tr.add_argument(
-        "descriptor", nargs="?", default=None, help="JSON graph descriptor"
-    )
-    p_tr.add_argument(
-        "--example",
-        default="quickstart",
-        help="examples/<NAME>.py exposing build_graph() (default: quickstart)",
-    )
-    p_tr.add_argument(
-        "--sample-every",
-        type=int,
-        default=100,
-        metavar="N",
-        help="trace every Nth source packet (default: 100)",
-    )
-    p_tr.add_argument("--drain-timeout", type=float, default=60.0)
     p_tr.add_argument(
         "--timeline",
         type=int,
@@ -1264,15 +1201,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.set_defaults(fn=cmd_trace)
 
     p_met = sub.add_parser(
-        "metrics", help="run a graph and export the telemetry registry"
-    )
-    p_met.add_argument(
-        "descriptor", nargs="?", default=None, help="JSON graph descriptor"
-    )
-    p_met.add_argument(
-        "--example",
-        default="quickstart",
-        help="examples/<NAME>.py exposing build_graph() (default: quickstart)",
+        "metrics",
+        parents=[_deployed(sample_every=0)],
+        help="run a graph and export the telemetry registry",
     )
     p_met.add_argument(
         "--format",
@@ -1280,45 +1211,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="prometheus",
         help="export format (default: prometheus text exposition)",
     )
-    p_met.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="deploy across N resources over TCP so transport metrics "
-        "are exercised (1 = local runtime)",
-    )
-    p_met.add_argument(
-        "--sample-every",
-        type=int,
-        default=0,
-        metavar="N",
-        help="also trace every Nth packet (0 = tracing off)",
-    )
-    p_met.add_argument("--drain-timeout", type=float, default=60.0)
-    p_met.add_argument(
-        "--cluster",
-        action="store_true",
-        help="deploy across real worker processes and export the merged "
-        "worker-labeled cluster registry (uses --workers, min 2)",
-    )
     p_met.set_defaults(fn=cmd_metrics)
 
     p_top = sub.add_parser(
-        "top", help="live cluster view: throughput, p99/stage, gates, SLOs"
-    )
-    p_top.add_argument(
-        "descriptor", nargs="?", default=None, help="JSON graph descriptor"
-    )
-    p_top.add_argument(
-        "--example",
-        default="quickstart",
-        help="examples/<NAME>.py exposing build_graph() (default: quickstart)",
-    )
-    p_top.add_argument(
-        "--workers",
-        type=int,
-        default=3,
-        help="worker processes to launch (default: 3)",
+        "top",
+        parents=[_deployed(workers=3, sample_every=1)],
+        help="live cluster view: throughput, p99/stage, gates, SLOs",
     )
     p_top.add_argument(
         "--frames",
@@ -1342,29 +1240,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach to a running cluster (from `cluster launch --state`) "
         "instead of launching one",
     )
-    p_top.add_argument(
-        "--sample-every",
-        type=int,
-        default=1,
-        metavar="N",
-        help="trace every Nth source packet (default: 1)",
-    )
     p_top.add_argument("--latency-budget", type=float, default=0.05)
     p_top.add_argument("--e2e-budget", type=float, default=0.25)
-    p_top.add_argument("--drain-timeout", type=float, default=60.0)
     p_top.add_argument("--connect-timeout", type=float, default=60.0)
     p_top.set_defaults(fn=cmd_top)
 
     p_doc = sub.add_parser(
-        "doctor", help="correlate health signals into a root-cause report"
-    )
-    p_doc.add_argument(
-        "descriptor", nargs="?", default=None, help="JSON graph descriptor"
-    )
-    p_doc.add_argument(
-        "--example",
-        default="quickstart",
-        help="examples/<NAME>.py exposing build_graph() (default: quickstart)",
+        "doctor",
+        parents=[_deployed(sample_every=50)],
+        help="correlate health signals into a root-cause report (adaptive "
+        "sampling densifies breaching regions past --sample-every)",
     )
     p_doc.add_argument(
         "--from-dump",
@@ -1375,12 +1260,6 @@ def build_parser() -> argparse.ArgumentParser:
         "running a graph",
     )
     p_doc.add_argument(
-        "--cluster",
-        action="store_true",
-        help="deploy across real worker processes and diagnose the merged "
-        "cluster view (uses --workers, min 2)",
-    )
-    p_doc.add_argument(
         "--dump",
         default=None,
         metavar="SNAP.json",
@@ -1388,14 +1267,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_doc.add_argument(
         "--json", action="store_true", help="machine-readable report"
-    )
-    p_doc.add_argument(
-        "--sample-every",
-        type=int,
-        default=50,
-        metavar="N",
-        help="base trace sampling interval (adaptive sampling densifies "
-        "breaching regions; default: 50)",
     )
     p_doc.add_argument(
         "--latency-budget",
@@ -1424,45 +1295,19 @@ def build_parser() -> argparse.ArgumentParser:
         default=3,
         help="ranked causes reported per breach episode (default: 3)",
     )
-    p_doc.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="deploy across N resources over TCP (default: local runtime)",
-    )
-    p_doc.add_argument("--drain-timeout", type=float, default=60.0)
     p_doc.set_defaults(fn=cmd_doctor)
 
     p_prof = sub.add_parser(
         "profile",
+        parents=[_deployed(sample_every=0)],
         help="run a graph under the sampling profiler: per-operator CPU "
         "attribution, flamegraph dumps",
-    )
-    p_prof.add_argument(
-        "descriptor", nargs="?", default=None, help="JSON graph descriptor"
-    )
-    p_prof.add_argument(
-        "--example",
-        default="quickstart",
-        help="examples/<NAME>.py exposing build_graph() (default: quickstart)",
     )
     p_prof.add_argument(
         "--hz",
         type=float,
         default=50.0,
         help="target sampling rate (duty-cycled down under load; default: 50)",
-    )
-    p_prof.add_argument(
-        "--cluster",
-        action="store_true",
-        help="profile every worker process and merge the snapshots over "
-        "the control plane (uses --workers, min 2)",
-    )
-    p_prof.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker processes with --cluster (default: 2)",
     )
     p_prof.add_argument(
         "--dump",
@@ -1497,7 +1342,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=10,
         help="rows in the printed summary (default: 10)",
     )
-    p_prof.add_argument("--drain-timeout", type=float, default=60.0)
     p_prof.set_defaults(fn=cmd_profile)
 
     p_exp = sub.add_parser("experiment", help="regenerate a paper table/figure")
@@ -1573,14 +1417,9 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_sub = p_cluster.add_subparsers(dest="action", required=True)
 
     p_cl = cluster_sub.add_parser(
-        "launch", help="shard a descriptor across N worker processes"
-    )
-    p_cl.add_argument("descriptor")
-    p_cl.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker processes to spawn (default: 2)",
+        "launch",
+        parents=[_deployed(workers=2)],
+        help="shard a descriptor across N worker processes",
     )
     p_cl.add_argument(
         "--fabric",
@@ -1600,13 +1439,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="redirect each worker's stdout/stderr to DIR/worker-N.log",
     )
-    p_cl.add_argument(
-        "--duration",
-        type=float,
-        default=0.0,
-        help="seconds to run before stopping (0 = wait for sources to finish)",
-    )
-    p_cl.add_argument("--drain-timeout", type=float, default=60.0)
     p_cl.add_argument("--connect-timeout", type=float, default=60.0)
     p_cl.add_argument(
         "--policy",
@@ -1621,7 +1453,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="p99 stage-latency budget for --policy SLOs (default: 0.05)",
     )
-    p_cl.set_defaults(fn=cmd_cluster_launch)
+    p_cl.set_defaults(fn=cmd_run)
 
     p_cs = cluster_sub.add_parser(
         "status", help="probe a running cluster through its state file"

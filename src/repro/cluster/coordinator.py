@@ -33,6 +33,7 @@ from repro.cluster.worker import worker_entry
 from repro.core.control import ControlError, RemoteDistributedJob, RemoteWorker
 from repro.core.distributed import DeploymentPlan
 from repro.core.graph import StreamProcessingGraph
+from repro.core.job import JobState
 from repro.util.errors import NeptuneError
 
 
@@ -203,6 +204,13 @@ class ClusterCoordinator:
                 policy_dir = tempfile.mkdtemp(prefix="neptune-policy-")
             self.policy_log_path = os.path.join(policy_dir, "policy-actions.log")
         descriptor = graph.to_descriptor()
+        unnamed = [op["name"] for op in descriptor["operators"] if not op["class"]]
+        if unnamed:
+            raise NeptuneError(
+                f"operators {unnamed} are built by Python callables, not import "
+                "paths: a worker process cannot rebuild them (use "
+                "descriptor_factory or a JSON descriptor)"
+            )
         descriptor["config"] = config_to_dict(graph.config)
         plan_raw = {
             "n_workers": self.plan.n_workers,
@@ -568,15 +576,18 @@ class ClusterCoordinator:
         }
 
     def await_completion(self, timeout: float = 60.0) -> bool:
-        """Coordinated global drain after natural source completion."""
+        """Wait for the sources to finish, then the coordinated global
+        drain.  False on timeout: the cluster is still running and can
+        be awaited again; only a job that ended has its workers reaped."""
         if self.job is None:
             raise NeptuneError("cluster not launched")
         try:
             return self.job.await_completion(timeout=timeout)
         except (ControlError, OSError):
-            return False  # a worker vanished mid-drain: not quiesced
+            return False  # a worker vanished mid-wait: not quiesced
         finally:
-            self._join_all()
+            if self.job.state is not JobState.RUNNING:
+                self._join_all()
 
     def stop(self, timeout: float = 60.0) -> bool:
         """Force-drain, stop every worker, reap processes, clean up."""
@@ -599,7 +610,7 @@ class ClusterCoordinator:
             proxy, handle.proxy = handle.proxy, None
             if proxy is not None:
                 try:
-                    proxy._sock.close()
+                    proxy.close()
                 except OSError:
                     pass
         for handle in self.handles:
@@ -642,16 +653,6 @@ class ClusterCoordinator:
         if self.job is None:
             raise NeptuneError("cluster not launched")
         return self.job.metrics()
-
-    def scrape_into(self, registry: Any) -> None:
-        """Absorb every shard's worker-labelled telemetry series into
-        ``registry`` (the cross-process analogue of
-        :func:`repro.observe.bridge.scrape_distributed`)."""
-        from repro.observe.bridge import absorb_series
-
-        for handle in self.handles:
-            if handle.proxy is not None:
-                absorb_series(registry, handle.proxy.telemetry())
 
     def flight_paths(self) -> List[str]:
         """Per-worker flight-dump paths that exist on disk right now."""

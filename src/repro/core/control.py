@@ -5,13 +5,16 @@ module adds the coordination layer for workers living in *different*
 processes (or machines):
 
 - :class:`ControlServer` — a tiny JSON-lines TCP command endpoint
-  attached to a worker (``ping``/``finish_sources``/``flush_all``/
-  ``is_quiet``/``metrics``/``telemetry``/``failures``/``stop``).
+  attached to a worker (``ping``/``wait_sources``/``finish_sources``/
+  ``flush_all``/``is_quiet``/``metrics``/``telemetry``/``failures``/
+  ``stop``).
 - :class:`RemoteWorker` — the client proxy, duck-type compatible with
   :class:`DistributedWorker` for everything the coordinator needs.
-- :class:`RemoteDistributedJob` — the global-drain coordinator over
-  anything worker-shaped: proxies here, in-process workers under
-  :class:`~repro.core.distributed.DistributedJob` (its subclass).
+- :class:`RemoteDistributedJob` — one job over anything worker-shaped:
+  proxies here, in-process workers under
+  :class:`~repro.core.distributed.DistributedJob` (its subclass).  Its
+  lifecycle is :func:`repro.core.job.drain`, the same function a
+  single-resource job ends by.
 
 The process a :class:`ControlServer` runs in is started by
 :mod:`repro.cluster.worker` (``python -m repro.cluster.worker --spec
@@ -30,6 +33,7 @@ import threading
 import time
 from typing import Any
 
+from repro.core.job import JobState, drain
 from repro.net.transport import TcpListener  # noqa: F401  (doc cross-ref)
 from repro.util.errors import NeptuneError
 
@@ -102,15 +106,14 @@ class ControlServer:
         worker = self.worker
         if cmd == "ping":
             return {"ok": True, "worker_id": worker.worker_id}
-        if cmd == "finish_sources":
-            worker.finish_sources()
+        if cmd in ("finish_sources", "prepare_drain", "flush_all"):
+            getattr(worker, cmd)()
             return {"ok": True}
-        if cmd == "prepare_drain":
-            worker.prepare_drain()
-            return {"ok": True}
-        if cmd == "flush_all":
-            worker.flush_all()
-            return {"ok": True}
+        if cmd == "wait_sources":
+            # Blocks this connection's thread, and only it: the proxy
+            # sends it on a connection of its own.
+            done = worker.wait_sources(float(request.get("timeout", 0.0)))
+            return {"ok": True, "done": done}
         if cmd == "is_quiet":
             return {"ok": True, "quiet": worker.is_quiet()}
         if cmd == "metrics":
@@ -139,7 +142,7 @@ class ControlServer:
             }
         if cmd == "profile":
             # Full sampling-profiler snapshot (collapsed stacks and
-            # on/off-CPU totals) for `repro profile --cluster`.
+            # on/off-CPU totals) for `repro profile --workers N`.
             profiler = getattr(worker, "profiler", None)
             return {
                 "ok": True,
@@ -192,6 +195,8 @@ class RemoteWorker:
     """Coordinator-side proxy for a worker in another process."""
 
     def __init__(self, host: str, port: int, connect_timeout: float = 30.0) -> None:
+        self._address = (host, port)
+        self._waiter: RemoteWorker | None = None
         deadline = time.monotonic() + connect_timeout
         last_error: Exception | None = None
         while time.monotonic() < deadline:
@@ -211,15 +216,17 @@ class RemoteWorker:
         self.worker_id = self._call({"cmd": "ping"})["worker_id"]
 
     def _call(self, request: dict) -> dict:
+        message = json.dumps(request) + "\n"
         try:
             with self._lock:
-                self._wfile.write(json.dumps(request) + "\n")
+                self._wfile.write(message)
                 self._wfile.flush()
                 line = self._rfile.readline()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             # A worker stopped from elsewhere (external `cluster stop`,
-            # a crash) surfaces as EPIPE/ECONNRESET here; callers handle
-            # ControlError, so never leak the raw socket error.
+            # a crash) surfaces as EPIPE/ECONNRESET here, a proxy closed
+            # on this side as ValueError; callers handle ControlError,
+            # so never leak the raw socket error.
             raise ControlError(f"worker control connection lost: {exc}") from exc
         if not line:
             raise ControlError("worker control connection closed")
@@ -229,8 +236,19 @@ class RemoteWorker:
         return response
 
     # -- DistributedWorker-compatible surface -----------------------------
+    def wait_sources(self, timeout: float) -> bool:
+        """Block until the worker's sources finished or something
+        failed there; False after ``timeout`` seconds.  On a connection
+        of its own: the command blocks for as long as it is given, and
+        ``_lock`` is what the collector's ``collect`` and every other
+        command of this proxy take turns on."""
+        if self._waiter is None:
+            self._waiter = RemoteWorker(*self._address, connect_timeout=5.0)
+        reply = self._waiter._call({"cmd": "wait_sources", "timeout": timeout})
+        return bool(reply["done"])
+
     def finish_sources(self) -> None:
-        """Mark all local sources finished (drain begins)."""
+        """Mark all local sources finished (``stop``)."""
         self._call({"cmd": "finish_sources"})
 
     def prepare_drain(self) -> None:
@@ -290,36 +308,44 @@ class RemoteWorker:
             self._call({"cmd": "stop"})
         except (ControlError, OSError):
             pass  # worker may already be gone
-        self._sock.close()
+        self.close()
 
     def close(self) -> None:
-        """Detach: close the control socket WITHOUT stopping the worker
+        """Detach: close the control sockets WITHOUT stopping the worker
         (read-only attachments like ``repro cluster status``)."""
-        self._sock.close()
+        for end in (self._rfile, self._wfile, self._sock):
+            try:
+                end.close()  # the files hold the descriptor open otherwise
+            except OSError:
+                pass  # nothing left to flush to
+        if self._waiter is not None:
+            self._waiter.close()
 
 
 class RemoteDistributedJob:
-    """Global drain and metric merge over a job's workers: anything with
-    the :class:`~repro.core.distributed.DistributedWorker` drain surface
-    (``prepare_drain``/``finish_sources``/``flush_all``/``is_quiet``/
-    ``metrics``/``failures``/``stop``), in this process or behind a
-    :class:`RemoteWorker` proxy."""
+    """One job over its workers: the lifecycle and the metric merge.
+    A worker is a part of :func:`repro.core.job.drain` with ``metrics``
+    and ``stop``: a :class:`~repro.core.distributed.DistributedWorker`
+    in this process, or a :class:`RemoteWorker` proxy to one."""
 
     def __init__(self, workers: list) -> None:
         if not workers:
             raise NeptuneError("RemoteDistributedJob needs at least one worker")
         self.workers = workers
+        self.state = JobState.RUNNING  # whoever built the workers started them
         #: Zero-arg callables invoked after the cluster quiesces but
         #: before the workers are stopped (stopping severs the control
         #: sockets).  The cluster collector registers its final poll
         #: here so the merged view includes the drain's tail.
         self.pre_stop_hooks: list = []
+        #: ``(hook, exception)`` for every pre-stop hook that raised.
+        self.hook_errors: list[tuple[str, BaseException]] = []
         self._final_metrics: dict | None = None
         self._final_failures: dict | None = None
 
     def failures(self) -> dict:
         """Operator-instance failures keyed by 'operator[index]'.  After
-        the drain has stopped the workers, returns the final snapshot."""
+        the teardown has stopped the workers, returns the final snapshot."""
         if self._final_failures is not None:
             return self._final_failures
         out: dict = {}
@@ -328,7 +354,7 @@ class RemoteDistributedJob:
         return out
 
     def metrics(self) -> dict:
-        """Aggregated per-operator counters.  After the drain has
+        """Aggregated per-operator counters.  After the teardown has
         stopped the workers, returns the final pre-stop snapshot."""
         if self._final_metrics is not None:
             return self._final_metrics
@@ -343,40 +369,35 @@ class RemoteDistributedJob:
         return merged
 
     def await_completion(self, timeout: float = 60.0) -> bool:
-        """Wait for natural completion and global drain."""
+        """Wait for natural completion, then the global drain.  False on
+        timeout, with every worker still running as configured."""
         return self._drain(timeout, force=False)
 
     def stop(self, timeout: float = 60.0) -> bool:
-        """Stop and release resources. Idempotent."""
+        """Finish the sources now, drain, stop the workers. Idempotent."""
         return self._drain(timeout, force=True)
 
     def _drain(self, timeout: float, force: bool) -> bool:
-        for w in self.workers:
-            w.prepare_drain()
-        if force:
-            for w in self.workers:
-                w.finish_sources()
-        deadline = time.monotonic() + timeout
-        quiesced = False
-        while time.monotonic() < deadline:
-            if self.failures():
-                break
-            for w in self.workers:
-                w.flush_all()
-            if all(w.is_quiet() for w in self.workers):
-                # Allow in-flight TCP frames to land, then re-verify.
-                time.sleep(0.05)
-                for w in self.workers:
-                    w.flush_all()
-                if all(w.is_quiet() for w in self.workers):
-                    quiesced = True
-                    break
-            time.sleep(0.01)
+        if self.state is not JobState.RUNNING:
+            return True
+        # Frames in flight on a socket need longer to land than a
+        # worker thread needs to pick up a batch.
+        return drain(
+            self.workers,
+            timeout,
+            force=force,
+            teardown=self._teardown,
+            settle=0.05,
+            poll=0.01,
+        )
+
+    def _teardown(self) -> None:
         for hook in self.pre_stop_hooks:
             try:
                 hook()
-            except Exception:
-                pass  # a dying hook must not block the drain
+            except Exception as exc:  # noqa: BLE001 - reported below
+                # A dying hook must not block the teardown, nor vanish.
+                self.hook_errors.append((getattr(hook, "__name__", repr(hook)), exc))
         try:
             # Stopping severs the control connections: snapshot the
             # final counters first so post-run metrics()/failures()
@@ -387,4 +408,4 @@ class RemoteDistributedJob:
             pass
         for w in self.workers:
             w.stop()
-        return quiesced
+        self.state = JobState.FAILED if self._final_failures else JobState.STOPPED

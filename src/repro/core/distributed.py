@@ -173,25 +173,8 @@ class DistributedWorker:
             site=f"tcp.recv.w{worker_id}",
         )
         self._transports: dict[int, TcpTransport] = {}
-        #: Terminal link failures (retry budget exhausted), keyed by
-        #: destination worker id.
-        self.link_failures: dict[int, BaseException] = {}
-        self._link_failure_callbacks: list = []
         self._started = False
         self._lock = threading.Lock()
-
-    def on_link_failure(self, callback) -> None:
-        """Register ``callback(dest_worker_id, exc)`` fired when a link's
-        retry budget is exhausted (the checkpoint-replay trigger)."""
-        self._link_failure_callbacks.append(callback)
-
-    def _record_link_failure(self, worker: int, exc: BaseException) -> None:
-        self.link_failures.setdefault(worker, exc)
-        for cb in self._link_failure_callbacks:
-            try:
-                cb(worker, exc)
-            except Exception:
-                pass  # notification must not mask the link failure
 
     # -- addressing -----------------------------------------------------------
     @property
@@ -238,8 +221,10 @@ class DistributedWorker:
                     retry=self._retry,
                     injector=self._injector,
                     site=f"tcp.send.w{self.worker_id}->w{worker}",
-                    on_link_failure=lambda exc, w=worker: self._record_link_failure(
-                        w, exc
+                    # Retry budget exhausted: a failure of the job, which
+                    # wakes whoever awaits it.
+                    on_link_failure=lambda exc, w=worker: self.job.record_failure(
+                        f"link->worker{w}", exc
                     ),
                     observer=self.observer,
                 )
@@ -289,48 +274,43 @@ class DistributedWorker:
         self._resource.start()
         self.job.launch(self._resource)
 
+    # -- the part surface of repro.core.job.drain: the hosted job's,
+    # plus what only a resource with sockets has -----------------------------
+    def wait_sources(self, timeout: float) -> bool:
+        """Block until the hosted sources finished or something failed."""
+        return self.job.wait_sources(timeout)
+
     def finish_sources(self) -> None:
-        """Mark all local sources finished (drain begins)."""
-        for inst in self.job.all_instances():
-            if inst.spec.is_source:
-                inst.finished = True
+        """Mark all local sources finished (``stop``)."""
+        self.job.finish_sources()
 
     def prepare_drain(self) -> None:
         """Switch custom-scheduled processors to data-driven dispatch so
         sub-threshold leftovers cannot be stranded during the drain."""
-        if self._resource is not None:
-            self.job.prepare_drain(self._resource)
+        self.job.prepare_drain()
+
+    def _unacked(self) -> list[TcpTransport]:
+        with self._lock:
+            transports = list(self._transports.values())
+        return [t for t in transports if t.unacked_frames]
 
     def flush_all(self) -> None:
         """Force-flush every outbound buffer and nudge transport
         delivery (replay stalled/unacknowledged frames)."""
-        for inst in self.job.all_instances():
-            inst.flush_all()
-        with self._lock:
-            transports = list(self._transports.values())
-        for t in transports:
-            if t.unacked_frames:
-                t.ensure_delivered(timeout=0.05, stall=0.3)
+        self.job.flush_all()
+        for t in self._unacked():
+            t.ensure_delivered(timeout=0.05, stall=0.3)
 
     def is_quiet(self) -> bool:
-        """Locally quiescent: no running task, empty channels/buffers,
-        and every sent frame acknowledged by its receiver."""
-        if not self.job.sources_finished():
-            return False
-        if not self.job.quiet():
-            return False
-        with self._lock:
-            transports = list(self._transports.values())
-        return not any(t.unacked_frames for t in transports)
+        """Locally quiescent: sources finished, no running task, empty
+        channels/buffers, and every sent frame acknowledged."""
+        return self.job.is_quiet() and not self._unacked()
 
     @property
     def failures(self) -> dict[str, BaseException]:
         """Operator-instance failures keyed by 'operator[index]',
         plus terminal link failures keyed by 'link->workerN'."""
-        out = dict(self.job.collect_failures())
-        for worker, exc in self.link_failures.items():
-            out[f"link->worker{worker}"] = exc
-        return out
+        return dict(self.job.failures)
 
     def metrics(self) -> dict:
         """Aggregated per-operator counters."""

@@ -27,8 +27,9 @@ receiver lives on the same resource puts frames into its channel
 (:func:`_remote_leg`).  :class:`NeptuneRuntime` is the deployment in
 which one resource hosts every instance, so no leg is remote;
 :class:`~repro.core.distributed.DistributedWorker` hosts what its plan
-assigns it.  Launch, drain preparation, the quiescence check and live
-reconfiguration are shared the same way.
+assigns it.  Launch, live reconfiguration and the lifecycle are shared
+the same way: :class:`_JobRuntime` is one resource's *part* of a job,
+and :func:`repro.core.job.drain` takes one part or many to the end.
 
 Correctness: per-link-leg FIFO order with sequence verification at the
 receiver, checksummed frames on the wire, and blocking (never dropping)
@@ -51,7 +52,7 @@ from repro.compression import CompressionPolicy
 from repro.core.buffering import FlushTimerService, StreamBuffer, retune_matching
 from repro.core.config import NeptuneConfig
 from repro.core.graph import LinkSpec, OperatorSpec, StreamProcessingGraph
-from repro.core.job import JobHandle, JobState
+from repro.core.job import JobHandle, JobState, drain
 from repro.core.metrics import MetricsRegistry
 from repro.core.operators import StreamProcessor
 from repro.core.packet import PacketSchema, StreamPacket
@@ -164,12 +165,6 @@ _FREE_LIST_LIMIT = 256
 #: bench``'s relay graph pinned to one CPU (7.5-13.2 / 7.0-9.5 /
 #: 6.9-16.2 ms unpinned) - nothing to tune.
 _SOURCE_QUANTUM = 0.001
-
-#: How often the thread awaiting a job re-reads the sources' state with
-#: nobody having told it to: ``finish`` and a failure wake it at once,
-#: this only catches a ``finished`` flag set some other way.
-_AWAIT_SAFETY_NET = 0.25
-
 
 class _PacketFreeList(list[StreamPacket]):
     """One instance's free packets of one schema, with reuse counters.
@@ -575,7 +570,8 @@ class _InLinkInfo:
 
 
 class _JobRuntime:
-    """All runtime state for one submitted graph."""
+    """All runtime state for one submitted graph on one resource: one
+    *part* of the job, as :func:`repro.core.job.drain` sees it."""
 
     def __init__(self, graph: StreamProcessingGraph, observer: Any = None) -> None:
         self.graph = graph
@@ -583,7 +579,8 @@ class _JobRuntime:
         self.metrics = MetricsRegistry()
         self.instances: dict[str, list[_InstanceRuntime]] = {}
         self.state = JobState.CREATED
-        self.failures: dict[str, BaseException] = {}
+        self.resource: Resource | None = None  # set by launch()
+        self._failures: dict[str, BaseException] = {}
         self.buffers: list[StreamBuffer] = []
         # Set once every hosted source has finished - or something
         # failed: either way whoever awaits the job has work to do.
@@ -601,6 +598,7 @@ class _JobRuntime:
         """Schedule every hosted instance on ``resource``: sources poll
         until finished, a processor gets its declared ``scheduling``
         strategy, data-driven dispatch otherwise."""
+        self.resource = resource
         for inst in self.all_instances():
             strategy: SchedulingStrategy
             if inst.spec.is_source:
@@ -612,24 +610,60 @@ class _JobRuntime:
             resource.launch(inst, strategy)
         self.state = JobState.RUNNING
 
-    def prepare_drain(self, resource: Resource) -> None:
-        """Drain overrides custom scheduling (periodic/count-based): a
-        count threshold must not strand the final sub-threshold frames
-        in a channel forever."""
+    # -- the part surface of repro.core.job.drain ---------------------------
+    def wait_sources(self, timeout: float) -> bool:
+        """Block until every hosted source has finished or a failure
+        was recorded; False after ``timeout`` seconds.  Told, not
+        polling: ``finish``, a failing execution and a dead link set
+        the event; the re-read is for a part that hosts no source."""
+        if not self.sources_done.is_set() and self.sources_finished():
+            self.sources_done.set()
+        return self.sources_done.wait(timeout)
+
+    def finish_sources(self) -> None:
+        """Declare every hosted source finished (``stop``)."""
+        for inst in self.all_instances():
+            inst.finished = True
+        self.sources_done.set()
+
+    def prepare_drain(self) -> None:
+        """Enter the drain.  It overrides custom scheduling
+        (periodic/count-based): a count threshold must not strand the
+        final sub-threshold frames in a channel forever."""
+        if self.state is JobState.RUNNING:
+            self.state = JobState.DRAINING
+        if self.resource is None:
+            return
         for inst in self.all_instances():
             if not inst.spec.is_source and inst.spec.scheduling is not None:
                 try:
-                    resource.set_strategy(inst.task_id, DataDrivenStrategy())
+                    self.resource.set_strategy(inst.task_id, DataDrivenStrategy())
                 except KeyError:
                     pass  # already terminated
 
-    def collect_failures(self) -> dict[str, BaseException]:
-        """``failures``, after recording what hosted instances raised
-        under 'operator[index]'."""
+    def flush_all(self) -> None:
+        """Force-flush every hosted instance's outbound buffers."""
+        for inst in self.all_instances():
+            inst.flush_all()
+
+    def is_quiet(self) -> bool:
+        """Sources finished and nothing in flight on this resource."""
+        return self.sources_finished() and self.quiet()
+
+    @property
+    def failures(self) -> dict[str, BaseException]:
+        """What failed so far: hosted instances under 'operator[index]'
+        (read live), anything else under the key it was recorded with."""
         for inst in self.all_instances():
             if inst.failure is not None:
-                self.failures.setdefault(inst.op_label, inst.failure)
-        return self.failures
+                self._failures.setdefault(inst.op_label, inst.failure)
+        return self._failures
+
+    def record_failure(self, key: str, exc: BaseException) -> None:
+        """Record a failure no instance raised (a dead link) and wake
+        whoever awaits the job."""
+        self._failures.setdefault(key, exc)
+        self.sources_done.set()
 
     def quiet(self) -> bool:
         """No hosted instance executing, holding inbound frames, or
@@ -1023,8 +1057,7 @@ class NeptuneRuntime:
         with self._lock:
             jobs = list(self._jobs)
         for job in jobs:
-            if job.state is JobState.RUNNING:
-                self._await_job(job, timeout, force_finish=True)
+            self._await_job(job, timeout, force_finish=True)
         self._flush_service.stop()
         if self._resource is not None:
             self._resource.stop(timeout)
@@ -1116,9 +1149,7 @@ class NeptuneRuntime:
         """Record a terminal transport failure against every running job.
 
         Wire this as a :class:`~repro.net.transport.TcpTransport`
-        ``on_link_failure`` callback (or a
-        :meth:`DistributedWorker.on_link_failure` subscriber): an
-        exhausted reconnect budget then surfaces through
+        ``on_link_failure`` callback: an exhausted reconnect budget then surfaces through
         ``JobHandle.failures`` exactly like an operator crash, which is
         what checkpoint-based supervisors such as
         :class:`~repro.chaos.recovery.RecoveryCoordinator` key on.
@@ -1126,9 +1157,7 @@ class NeptuneRuntime:
         with self._lock:
             jobs = list(self._jobs)
         for job in jobs:
-            if job.state is JobState.RUNNING:
-                job.failures.setdefault(link, exc)
-                job.sources_done.set()
+            job.record_failure(link, exc)
 
     # -- checkpointing -----------------------------------------------------
     def _checkpoint_job(self, job: _JobRuntime, quiesce: bool, timeout: float):
@@ -1151,8 +1180,7 @@ class NeptuneRuntime:
         try:
             deadline = time.monotonic() + timeout
             while time.monotonic() < deadline:
-                for inst in job.all_instances():
-                    inst.flush_all()
+                job.flush_all()
                 if job.quiet():
                     break
                 time.sleep(0.002)
@@ -1171,42 +1199,12 @@ class NeptuneRuntime:
             return True
         if job.state is JobState.CREATED:
             raise JobStateError("job was never started")
-        job.state = JobState.DRAINING
-        if force_finish:
-            for inst in job.all_instances():
-                inst.finished = True
-            job.sources_done.set()
-        if self._resource is not None:
-            job.prepare_drain(self._resource)
-        deadline = time.monotonic() + timeout
-        quiesced = False
-        while time.monotonic() < deadline:
-            job.collect_failures()
-            if job.failures:
-                break
-            if not job.sources_done.is_set():
-                # Told, not polling: ``finish`` and a failure set it.
-                # The timeout is a safety net, not the mechanism.
-                job.sources_done.wait(min(_AWAIT_SAFETY_NET, deadline - time.monotonic()))
-                if job.sources_finished():
-                    job.sources_done.set()
-                continue
-            for inst in job.all_instances():
-                inst.flush_all()
-            if job.quiet():
-                # Double-check after a settle delay: a worker may have
-                # been between drain and process.
-                time.sleep(0.01)
-                for inst in job.all_instances():
-                    inst.flush_all()
-                if job.quiet():
-                    quiesced = True
-                    break
-            time.sleep(0.002)
-        self._teardown_job(job)
-        job.collect_failures()
-        job.state = JobState.FAILED if job.failures else JobState.STOPPED
-        return quiesced
+        return drain(
+            [job],
+            timeout,
+            force=force_finish,
+            teardown=lambda: self._teardown_job(job),
+        )
 
     def _teardown_job(self, job: _JobRuntime) -> None:
         res = self._resource
@@ -1218,3 +1216,4 @@ class NeptuneRuntime:
         with self._lock:
             if job in self._jobs:
                 self._jobs.remove(job)
+        job.state = JobState.FAILED if job.failures else JobState.STOPPED

@@ -38,11 +38,11 @@ visible without bespoke probes:
   worker-side :class:`DeltaSource` deltas over the control channel,
   coordinator-side :class:`ClusterCollector` merge (worker-labeled
   registry, cross-process trace stitching, cluster-scope HealthEngine)
-  behind ``repro top`` / ``repro doctor --cluster``.
+  behind ``repro top`` / ``repro doctor --workers N``.
 - :mod:`repro.observe.flightrec` — the black-box flight recorder:
   atomically-persisted periodic dumps of recent spans/events/metrics
   so SIGKILLed workers leave a post-mortem
-  (``repro doctor --cluster --from-dump``).
+  (``repro doctor --from-dump``).
 
 Everything is opt-in: a runtime without a :class:`RuntimeObserver`
 pays a single ``is None`` check on the hot paths, and an attached

@@ -23,7 +23,6 @@ from repro.observe.instruments import TelemetryRegistry
 __all__ = [
     "absorb_series",
     "registry_series",
-    "scrape_distributed",
     "scrape_job",
     "scrape_listener",
     "scrape_observer",
@@ -246,13 +245,6 @@ def scrape_worker(
     listener = getattr(worker, "_listener", None)
     if listener is not None:
         scrape_listener(registry, listener, wl)
-
-
-def scrape_distributed(registry: TelemetryRegistry, job: Any) -> None:
-    """Scrape a :class:`~repro.core.distributed.DistributedJob`: every
-    worker via :func:`scrape_worker`."""
-    for w in getattr(job, "workers", []):
-        scrape_worker(registry, w)
 
 
 def registry_series(

@@ -199,7 +199,7 @@ class ClusterCollector:
     the stitched cross-worker spans, and whose timeline holds every
     worker's events (original timestamps preserved).  An optional
     cluster-scope :class:`HealthEngine` evaluates SLOs against that
-    merged view after each poll, so ``repro doctor --cluster`` can
+    merged view after each poll, so ``repro doctor --workers N`` can
     attribute a breach observed on one worker to a gate on another.
     """
 

@@ -64,11 +64,46 @@ class TestRun:
         assert "drained" in out
         assert "in=       200" in out.replace("in=        200", "in=       200") or "200" in out
 
-    def test_run_distributed(self, descriptor_file, capsys):
+    @pytest.mark.cluster
+    def test_run_across_worker_processes(self, descriptor_file, capsys):
+        # ``--workers 2`` spawns two worker processes: tier-1 never does.
         assert main(["run", descriptor_file, "--workers", "2"]) == 0
         out = capsys.readouterr().out
-        assert "resource 0" in out and "resource 1" in out
+        assert "worker 0 pid=" in out and "worker 1 pid=" in out
         assert "drained" in out
+
+    def test_one_worker_through_every_command_that_deploys(
+        self, descriptor_file, tmp_path, capsys, monkeypatch
+    ):
+        """``run``, ``metrics``, ``doctor`` and ``profile`` launch and
+        observe through the same helper; at one worker that is this
+        process's runtime."""
+        from repro import cli
+
+        deployed = []
+
+        class Recording(cli._Deployment):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                deployed.append(self)
+
+        monkeypatch.setattr(cli, "_Deployment", Recording)
+        assert main(["run", descriptor_file]) == 0
+        assert "drained" in capsys.readouterr().out
+        assert main(["metrics", descriptor_file, "--format", "json"]) == 0
+        exported = json.loads(capsys.readouterr().out)
+        assert {"instruments", "timeline", "traces"} <= set(exported)
+        assert main(["doctor", descriptor_file, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["healthy"] is True
+        snap = tmp_path / "profile.json"
+        assert main(["profile", descriptor_file, "--snap", str(snap)]) == 0
+        assert "profile:" in capsys.readouterr().out
+        assert json.loads(snap.read_text())["schema"] == "neptune-profile/1"
+        assert len(deployed) == 4
+        assert all(dep.coordinator is None for dep in deployed)
+        assert [dep.observer is not None for dep in deployed] == [False, True, True, True]
+        assert [dep.health is not None for dep in deployed] == [False, False, True, False]
+        assert all(dep.job.metrics()["sink"]["packets_in"] == 200 for dep in deployed)
 
 
 class TestExperiment:

@@ -19,6 +19,7 @@ from repro.cluster.spec import WorkerSpec
 from repro.core import NeptuneConfig, StreamProcessingGraph
 from repro.core.graph import descriptor_factory
 from repro.observe import TelemetryRegistry
+from repro.observe.bridge import absorb_series
 from repro.util.errors import NeptuneError
 
 
@@ -234,7 +235,8 @@ class TestLiveCluster:
                 timeout=60.0,
             )
             registry = TelemetryRegistry()
-            coordinator.scrape_into(registry)
+            for handle in coordinator.handles:
+                absorb_series(registry, handle.proxy.telemetry())
             drain(coordinator)
             samples = registry.collect()
             workers_seen = {dict(s.labels).get("worker") for s in samples}

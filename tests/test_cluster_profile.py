@@ -114,7 +114,7 @@ def test_compute_bound_breach_attributed_live_and_from_sigkill_dump(tmp_path):
             lambda: bool(_breaches_absorbed(collector)), timeout=60.0
         ), "spin operator never breached its latency SLO"
 
-        # Live full-profile fetch (`repro profile --cluster` path).
+        # Live full-profile fetch (`repro profile --workers N` path).
         hot = coordinator.handles[1].proxy.profile()
         assert hot["schema"] == "neptune-profile/1"
         assert wait_until(
@@ -142,7 +142,7 @@ def test_compute_bound_breach_attributed_live_and_from_sigkill_dump(tmp_path):
         assert not coordinator.handles[1].alive
 
         # The hot worker is gone; the live merged view must already be
-        # diagnosable (this is `repro doctor --cluster`).
+        # diagnosable (this is `repro doctor --workers N`).
         from repro.observe import export
         from repro.observe.doctor import diagnose
 

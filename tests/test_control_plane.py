@@ -9,6 +9,7 @@ import time
 import pytest
 from procharness import reserve_ports
 
+from repro.cluster import ClusterCoordinator
 from repro.cluster.spec import WorkerSpec
 from repro.core import NeptuneConfig, StreamProcessingGraph
 from repro.core.control import (
@@ -19,6 +20,7 @@ from repro.core.control import (
 )
 from repro.core.distributed import DistributedWorker, round_robin_plan
 from repro.core.graph import descriptor_factory
+from repro.core.job import JobState
 from repro.util.errors import NeptuneError
 from repro.workloads import CollectingSink, CountingSource, RelayProcessor
 
@@ -76,6 +78,51 @@ class TestControlServerInProcess:
             for s in servers:
                 s.close()
         assert store == list(range(100))
+
+    def test_a_raising_hook_is_recorded_not_swallowed(self):
+        graph, store = relay_graph(50)
+        workers, servers, proxies = self._workers_with_control(graph)
+        ran = []
+
+        def dies():
+            raise RuntimeError("collector fell over")
+
+        try:
+            for w in workers:
+                w.start()
+            job = RemoteDistributedJob(proxies)
+            job.pre_stop_hooks += [dies, lambda: ran.append("after")]
+            assert job.await_completion(timeout=60)
+        finally:
+            for s in servers:
+                s.close()
+        assert store == list(range(50))
+        assert ran == ["after"]  # one dying hook does not stop the next
+        [(name, exc)] = job.hook_errors
+        assert name == "dies" and isinstance(exc, RuntimeError)
+
+    def test_a_worker_that_vanishes_mid_wait_is_a_control_error(self):
+        graph, _ = relay_graph(total=None)  # the wait would never end
+        workers, servers, proxies = self._workers_with_control(graph)
+        try:
+            for w in workers:
+                w.start()
+            job = RemoteDistributedJob(proxies)
+            assert not job.await_completion(timeout=0.3)
+            assert job.state is JobState.RUNNING
+            proxies[0].close()  # what a dead worker's socket looks like
+            with pytest.raises(ControlError):
+                job.await_completion(timeout=30)
+            # ClusterCoordinator.await_completion turns that into False.
+            coordinator = ClusterCoordinator.__new__(ClusterCoordinator)
+            coordinator.job = job
+            assert coordinator.await_completion(timeout=30) is False
+        finally:
+            for w in workers:
+                w.finish_sources()
+                w.stop()
+            for s in servers:
+                s.close()
 
     def test_ping_identifies_worker(self):
         graph, _ = relay_graph(10)

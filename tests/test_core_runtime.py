@@ -25,6 +25,7 @@ from repro.workloads import (
     RelayProcessor,
     VariableRateProcessor,
 )
+from waiters import wait_until
 
 
 def wait_for_failure(handle, timeout=10.0):
@@ -375,14 +376,55 @@ class TestLifecycle:
         assert len(store) == src.emitted  # everything emitted was processed
 
     def test_await_completion_timeout_on_endless_source(self):
+        store = []
+        src = CountingSource(total=None)
         g = StreamProcessingGraph("endless", config=small_config())
-        g.add_source("src", lambda: CountingSource(total=None))
-        g.add_processor("sink", CollectingSink)
+        g.add_source("src", lambda: src)
+        g.add_processor("sink", lambda: CollectingSink(store))
         g.link("src", "sink")
         with NeptuneRuntime() as rt:
             h = rt.submit(g)
             assert not h.await_completion(timeout=0.3)
+            # The wait gave up; the job did not notice.
+            assert h.state is JobState.RUNNING
+            before = src.emitted
+            assert wait_until(lambda: src.emitted > before)
             assert h.stop(timeout=30)
+        assert h.state is JobState.STOPPED
+        assert store == list(range(src.emitted))  # stop drained what was emitted
+
+    def _two_second_job(self, store):
+        g = StreamProcessingGraph("sliced", config=small_config())
+        g.add_source("src", lambda: CountingSource(total=400, interval=0.005))
+        g.add_processor("sink", lambda: CollectingSink(store))
+        g.link("src", "sink")
+        return g
+
+    def test_a_wait_that_times_out_does_not_end_the_job(self):
+        """Slicing ``await_completion`` is a poll, not a one-shot: the
+        first slice used to tear the job down and the second to report
+        True with an eighth of the packets delivered."""
+        store = []
+        with NeptuneRuntime() as rt:
+            h = rt.submit(self._two_second_job(store))
+            assert not h.await_completion(timeout=0.25)
+            assert h.state is JobState.RUNNING
+            assert not h.await_completion(timeout=0.25) or len(store) == 400
+            assert h.await_completion(timeout=30)
+            assert h.state is JobState.STOPPED
+        assert store == list(range(400))
+
+    def test_a_supervised_job_runs_to_its_end(self):
+        from repro.chaos import RecoveryCoordinator
+
+        store = []
+        with NeptuneRuntime() as rt:
+            supervisor = RecoveryCoordinator(rt, self._two_second_job(store))
+            supervisor.start()
+            assert supervisor.run_to_completion(timeout=30)
+            supervisor.stop()
+        assert supervisor.restarts == 0
+        assert store == list(range(400))
 
     def test_stop_twice_is_safe(self):
         g = StreamProcessingGraph("twice", config=small_config())
@@ -471,10 +513,11 @@ class TestFailures:
 
     def test_await_is_told_not_polling(self, monkeypatch):
         """``finish`` and a failure wake the awaiting thread: with the
-        safety-net re-check a minute away, both still return at once."""
-        from repro.core import runtime as runtime_mod
+        wait's next look at the clock a minute away, both still return
+        at once."""
+        from repro.core import job as job_mod
 
-        monkeypatch.setattr(runtime_mod, "_AWAIT_SAFETY_NET", 60.0)
+        monkeypatch.setattr(job_mod, "_WAIT_SLICE", 60.0)
 
         class DiesLater(CountingSource):
             def generate(self, ctx):

@@ -51,19 +51,20 @@ def small_config():
 
 @contextlib.contextmanager
 def one_resource(graph):
-    """Deploy on a NeptuneRuntime; yields the job's ``stop(timeout=)``."""
+    """Deploy on a NeptuneRuntime; yields the job (``stop`` /
+    ``await_completion`` / ``metrics``)."""
     with NeptuneRuntime() as rt:
-        yield rt.submit(graph).stop
+        yield rt.submit(graph)
 
 
 @contextlib.contextmanager
 def two_workers(graph):
     """Deploy over two co-hosted workers (the processor and its
-    neighbours land on different ones); yields ``stop(timeout=)``."""
+    neighbours land on different ones); yields the job."""
     job = DistributedJob(graph, n_workers=2)
     job.start()
     try:
-        yield job.stop
+        yield job
     finally:
         for w in job.workers:
             w.stop()
@@ -93,12 +94,32 @@ class TestPeriodicProcessor:
         )
         g.add_processor("sink", lambda: CollectingSink(beats, field="beat"))
         g.link("src", "heart").link("heart", "sink")
-        with deploy(g) as stop:
+        with deploy(g) as job:
             time.sleep(0.5)
-            stop(timeout=30)
+            job.stop(timeout=30)
         assert proc.data_packets == 5
         assert proc.beats >= 5  # periodic triggers kept firing
         assert beats == list(range(1, len(beats) + 1))
+
+    @pytest.mark.parametrize("deploy", [one_resource, two_workers])
+    def test_awaiting_the_job_keeps_the_declared_schedule(self, deploy):
+        """A processor declared periodic runs on its period while its
+        owner waits for the job, as every ``repro`` command does: the
+        wait used to switch it to data-driven dispatch on entry (151
+        executions of this one instead of five)."""
+        proc = HeartbeatProcessor()
+        g = StreamProcessingGraph("waited", config=small_config())
+        # ~1 s of stream, a frame every few milliseconds.
+        g.add_source("src", lambda: CountingSource(total=200, interval=0.005))
+        g.add_processor("heart", lambda: proc, scheduling=lambda: PeriodicStrategy(0.25))
+        g.add_processor("sink", lambda: CollectingSink(field="beat"))
+        g.link("src", "heart").link("heart", "sink")
+        with deploy(g) as job:
+            assert job.await_completion(timeout=30)
+            executions = job.metrics()["heart"]["executions"]
+        assert proc.data_packets == 200
+        # Four or five periods, plus the drain's data-driven tail.
+        assert 2 <= executions <= 10
 
     def test_paper_example_combination(self):
         """§II: 'run every 500 milliseconds or when data is available'."""
@@ -144,11 +165,11 @@ class TestPeriodicProcessor:
         )
         g.add_processor("sink", CollectingSink)
         g.link("src", "heart").link("heart", "sink")
-        with deploy(g) as stop:
+        with deploy(g) as job:
             deadline = time.monotonic() + 10
             while proc.data_packets == 0 and time.monotonic() < deadline:
                 time.sleep(0.005)
-            assert stop(timeout=60)
+            assert job.stop(timeout=60)
         assert proc.data_packets > 0
 
 

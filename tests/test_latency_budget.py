@@ -481,6 +481,34 @@ class TestAcrossASocket:
         assert len(seen_items) >= 2
         assert all(born == put_at for _, put_at, _, born in seen_items)
 
+    def test_waiting_for_the_job_leaves_the_flush_policy_alone(self):
+        """The same two workers, awaited from the start: until the
+        sources finish every batch is cut by the timer or the budget,
+        as configured - the coordinator's wait used to flush every
+        buffer every 10 ms (185 manual flushes of this job, no timer
+        flush), which made ``buffer_max_delay`` dead configuration."""
+        rows, at_finish = [], []
+
+        class _Watched(_Bursts):
+            def generate(self, ctx):
+                if not (self.left or ctx.pending_out_bytes or at_finish):
+                    at_finish.extend(
+                        (b.name, b.manual_flushes, b.timer_flushes + b.budget_flushes)
+                        for w in job.workers
+                        for b in w.job.buffers
+                    )
+                super().generate(ctx)
+
+        graph = _three_stage(lambda: _Watched(4, PER_BURST, 0.1), rows, 0.2)
+        job = DistributedJob(graph, n_workers=2)
+        job.start()
+        assert job.await_completion(timeout=30)
+        assert job.failures() == {}
+        assert [seq for seq, _, _ in rows] == list(range(4 * PER_BURST))
+        assert len(at_finish) == 2
+        assert [manual for _, manual, _ in at_finish] == [0, 0], at_finish
+        assert sum(cut for _, _, cut in at_finish) >= 2
+
     def test_the_wire_format_is_the_parents(self):
         # Age is not in the header: two hosts' monotonic clocks are not
         # comparable.  Golden bytes from the parent commit's encoder.

@@ -224,11 +224,12 @@ class TestStalledSinkAcceptance:
                 slos,
                 scrape=lambda: bridge.scrape_job(obs.registry, handle),
             )
+            # A 20 Hz scan loop over the live job: each timed-out wait
+            # leaves it running.
             deadline = time.monotonic() + 60.0
             while not handle.await_completion(timeout=0.05):
+                assert time.monotonic() < deadline, "stalled-sink job did not drain"
                 engine.scan_once()
-                if time.monotonic() > deadline:
-                    pytest.fail("stalled-sink job did not drain in 60s")
             engine.scan_once()
 
         gates = obs.timeline.snapshot("flowcontrol", "gate_closed")
