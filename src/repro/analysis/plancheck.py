@@ -383,23 +383,12 @@ class PlanVerifier:
 
     # -- pass 6: exactly-once feasibility (NEPG138) --------------------------
     def check_exactly_once(self) -> None:
-        """Cross-worker links need the recovery protocol and a replay
-        window that can hold at least one full flush batch."""
+        """Cross-worker links (always ack-replay) need a replay window
+        that can hold at least one full flush batch."""
         config = self.graph.config
         for lk in self._crossing_links():
             where = _link_where(lk.from_op, lk.to_op, lk.stream)
-            if not config.transport_recovery:
-                self.report.add(
-                    "NEPG138",
-                    Severity.ERROR,
-                    "transport_recovery is disabled but this link crosses "
-                    "a process boundary; a worker crash loses every "
-                    "in-flight frame with no ack-replay to recover them",
-                    where=where,
-                    hint="enable transport_recovery (the default) for "
-                    "cluster deployments",
-                )
-            elif config.transport_replay_window < config.buffer_capacity:
+            if config.transport_replay_window < config.buffer_capacity:
                 self.report.add(
                     "NEPG138",
                     Severity.ERROR,

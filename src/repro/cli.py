@@ -8,8 +8,8 @@
     python -m repro.cli run graph.json [--duration 10] [--workers N]
     python -m repro.cli trace [--example quickstart | DESC.json] [--sample-every N] [--workers N]
     python -m repro.cli metrics [--example quickstart | DESC.json] [--format prometheus|json] [--workers N]
-    python -m repro.cli doctor [--example quickstart | DESC.json] [--json] [--workers N] [--from-dump SNAP.json|FLIGHT.json|DIR]
-    python -m repro.cli profile [--example quickstart | DESC.json] [--hz HZ] [--workers N] [--from-dump ...]
+    python -m repro.cli doctor [--example quickstart | DESC.json] [--json] [--workers N] [--from-dump ENVELOPE.json|DIR]
+    python -m repro.cli profile [--example quickstart | DESC.json] [--hz HZ] [--workers N] [--from-dump ENVELOPE.json|DIR]
     python -m repro.cli top [DESC.json] [--workers N] [--frames N] [--state STATE.json]
     python -m repro.cli experiment fig2|table1|gc|fig4|fig5|fig6|fig7|fig9|fig10|headline
     python -m repro.cli chaos [--mode wire|pipeline] [--seed N] [...]
@@ -45,9 +45,11 @@ unified telemetry registry (Prometheus text exposition or a JSON
 snapshot); ``top`` renders a live cluster view — per-worker throughput,
 per-stage p99, open gates, SLO state — from the cluster collector
 (self-launched workers, or a running cluster via ``--state``);
-``doctor --from-dump`` also accepts a flight-recorder dump (or a
-directory of them, merged), so a SIGKILLed cluster can be diagnosed
-from its black boxes.
+``doctor``/``profile --from-dump`` read a telemetry envelope or a
+directory of them — what ``--dump``/``--snap`` wrote, or the workers'
+flight recorders — through the merge a running cluster's collector
+does, so a SIGKILLed cluster is diagnosed from its black boxes exactly
+as a live one is.
 """
 
 from __future__ import annotations
@@ -149,13 +151,11 @@ class _Deployment:
     keywords go to it).  One surface over either: ``job``, ``wait``,
     ``failures`` and - given ``observe`` (a ``WorkerSpec`` observe
     block) or ``slos`` - ``observer`` (the job's own, or the cluster
-    collector's merged one), ``health`` and ``profile()``.
+    collector's merged one), ``health`` and ``snapshot()``.
     """
 
     def __init__(self, graph, args, observe=None, slos=None, scan_interval=0.25, **cluster):
-        self.coordinator = self.observer = self.health = None
-        self._runtime = self._profiler = None
-        self._profiles: dict = {}
+        self.coordinator = self.observer = self.health = self._runtime = None
         self._drain_timeout = args.drain_timeout
         if args.workers > 1:
             from repro.cluster import ClusterCoordinator
@@ -188,9 +188,8 @@ class _Deployment:
             if observe.get("profile"):
                 from repro.observe.profiler import SamplingProfiler
 
-                self._profiler = SamplingProfiler(hz=observe["profile"]["hz"])
-                self.observer.profiler = self._profiler
-                self._profiler.start()
+                self.observer.profiler = SamplingProfiler(hz=observe["profile"]["hz"])
+                self.observer.profiler.start()
         self._runtime = NeptuneRuntime(observer=self.observer)
         self.job = job = self._runtime.submit(graph)
         self.failures = lambda: job.failures
@@ -209,10 +208,10 @@ class _Deployment:
             self.health.start()
 
     def _grab_profiles(self) -> None:  # pre-stop: the workers still answer
+        # Series and profile only: the polls already brought the rest.
         for handle in self.coordinator.handles:
-            snap = handle.proxy.profile() if handle.proxy is not None else None
-            if snap:
-                self._profiles[str(handle.worker_id)] = snap
+            if handle.proxy is not None:
+                self.coordinator.collector.absorb(handle.proxy.snapshot(0, 0))
 
     def wait(self, duration: float = 0.0) -> bool:
         """Stop after ``duration`` seconds, or (0) wait for the sources
@@ -225,11 +224,11 @@ class _Deployment:
         else:
             ok = target.await_completion(timeout=self._drain_timeout)
         _print_hook_errors(getattr(self.job, "hook_errors", ()))  # pre-stop hooks
-        if self._profiler is not None:
-            self._profiler.stop()
         if self.observer is not None:
             from repro.observe import bridge
 
+            if self.observer.profiler is not None:
+                self.observer.profiler.stop()
             if self._runtime is not None:
                 if self.health is not None:
                     self.health.stop()
@@ -240,13 +239,14 @@ class _Deployment:
             bridge.scrape_observer(self.observer)
         return ok
 
-    def profile(self) -> dict | None:
-        """The profiler's snapshot (every worker's, merged), if any."""
-        if self._profiler is not None:
-            return self._profiler.snapshot()
-        from repro.observe.profiler import merge_profile_snapshots
+    def snapshot(self) -> dict:
+        """What was observed, as one telemetry envelope (across worker
+        processes: the collector's merge of theirs)."""
+        if self.coordinator is not None:
+            return self.coordinator.collector.snapshot()
+        from repro.observe import export
 
-        return merge_profile_snapshots(self._profiles) if self._profiles else None
+        return export.snapshot(self.observer)
 
     def __enter__(self) -> "_Deployment":
         return self
@@ -404,7 +404,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     """`metrics` subcommand: run a graph, export the telemetry registry
     (with ``--workers N`` the merged worker-labeled one, transport and
     listener instruments alongside operator / flow-control / buffer /
-    compression ones)."""
+    compression ones) or, as JSON, the whole telemetry envelope."""
     from repro.observe import export
 
     graph = _observed_graph(args)
@@ -413,7 +413,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if args.format == "prometheus":
         sys.stdout.write(export.to_prometheus(dep.observer.registry))
     else:
-        print(export.to_json(dep.observer))
+        print(json.dumps(dep.snapshot(), indent=2, default=str, sort_keys=True))
     return 0 if ok else 1
 
 
@@ -601,58 +601,42 @@ def cmd_top(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _load_doctor_dump(path: str) -> dict:
-    """Resolve ``--from-dump``: an observer snapshot, one flight dump,
-    or a directory of flight dumps (merged into one snapshot)."""
-    import os
+def _from_dump(path: str, command: str) -> dict:
+    """``--from-dump``: the telemetry envelope(s) at ``path`` replayed
+    through a fresh collector — post-mortem is the live merge — and
+    read back as the one merged envelope a running cluster gives."""
+    from repro.observe.collector import ClusterCollector
+    from repro.observe.export import load_snapshots
 
-    from repro.observe.flightrec import (
-        FLIGHT_SCHEMA,
-        load_flight_dir,
-        merge_flight_dumps,
-    )
-
-    if os.path.isdir(path):
-        dumps = load_flight_dir(path)
-        if not dumps:
-            raise SystemExit(
-                f"repro.cli doctor: error: no flight dumps under {path!r}"
-            )
-        return merge_flight_dumps(dumps)
-    with open(path, "r", encoding="utf-8") as fh:
-        snap = json.load(fh)
-    if isinstance(snap, dict) and snap.get("schema") == FLIGHT_SCHEMA:
-        return merge_flight_dumps([snap])
-    return snap
+    try:
+        return ClusterCollector.replay(load_snapshots(path)).snapshot()
+    except ValueError as exc:  # nothing there is an envelope: says what is
+        raise SystemExit(f"repro.cli {command}: error: {exc}")
 
 
 def cmd_doctor(args: argparse.Namespace) -> int:
     """`doctor` subcommand: correlate signals into a root-cause report.
 
     Live mode runs a graph with the health engine attached (online SLO
-    monitors + adaptive trace sampling) and diagnoses the resulting
-    snapshot; ``--from-dump`` diagnoses a snapshot written earlier by
-    ``--dump`` (or any ``repro.observe.export.snapshot`` JSON), so a
-    production incident can be analyzed post-hoc.
+    monitors + adaptive trace sampling) and diagnoses what it observed;
+    ``--from-dump`` diagnoses what ``--dump`` (or a cluster's flight
+    recorders) wrote earlier, so a production incident can be analyzed
+    post-hoc.
     """
     from repro.observe import doctor as doctor_mod
 
+    ok = True
     if args.from_dump:
-        snap = _load_doctor_dump(args.from_dump)
-        report = doctor_mod.diagnose(snap, max_causes=args.max_causes)
-        _print_doctor(report, args.json)
-        return 0
-
-    from repro.observe import export
-
-    graph = _observed_graph(args)
-    observe = {"sample_every": max(1, args.sample_every)}
-    slos = _default_slos(graph, args)
-    with _Deployment(graph, args, observe, slos, args.scan_interval) as dep:
-        ok = dep.wait()
-    snap = export.snapshot(dep.observer)
-    if args.dump:
-        _write_json(snap, args.dump)
+        snap = _from_dump(args.from_dump, "doctor")
+    else:
+        graph = _observed_graph(args)
+        observe = {"sample_every": max(1, args.sample_every)}
+        slos = _default_slos(graph, args)
+        with _Deployment(graph, args, observe, slos, args.scan_interval) as dep:
+            ok = dep.wait()
+        snap = dep.snapshot()
+        if args.dump:
+            _write_json(snap, args.dump)
     report = doctor_mod.diagnose(snap, max_causes=args.max_causes)
     _print_doctor(report, args.json)
     return 0 if ok else 1
@@ -665,45 +649,6 @@ def _print_doctor(report: dict, as_json: bool) -> None:
         print(json.dumps(report, indent=2, default=str, sort_keys=True))
     else:
         print(render_report(report))
-
-
-def _load_profile_dump(path: str) -> dict:
-    """Resolve ``profile --from-dump``: a profile snapshot, one flight
-    dump, or a directory of flight dumps (profiles merged)."""
-    import os
-
-    from repro.observe.flightrec import (
-        FLIGHT_SCHEMA,
-        load_flight_dir,
-        merge_flight_dumps,
-    )
-    from repro.observe.profiler import PROFILE_SCHEMA, merge_profile_snapshots
-
-    if os.path.isdir(path):
-        profiles = merge_flight_dumps(load_flight_dir(path)).get("profiles") or {}
-        if not profiles:
-            raise SystemExit(
-                f"repro.cli profile: error: no profile sections under {path!r}"
-            )
-        return merge_profile_snapshots(profiles)
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise SystemExit(f"repro.cli profile: error: {path!r} is not a JSON object")
-    if data.get("schema") == PROFILE_SCHEMA:
-        return data
-    if data.get("schema") == FLIGHT_SCHEMA:
-        profiles = merge_flight_dumps([data]).get("profiles") or {}
-        if not profiles:
-            raise SystemExit(
-                f"repro.cli profile: error: flight dump {path!r} carries no "
-                "profile section"
-            )
-        return merge_profile_snapshots(profiles)
-    raise SystemExit(
-        f"repro.cli profile: error: {path!r} is neither a profile snapshot "
-        "nor a flight dump"
-    )
 
 
 def _print_profile_summary(snap: dict, top: int) -> None:
@@ -757,29 +702,28 @@ def cmd_profile(args: argparse.Namespace) -> int:
     Prints the per-operator CPU attribution (on/off-CPU split where
     ``/proc`` allows) and optionally writes collapsed-stack or
     speedscope-JSON dumps for flamegraph tooling.  ``--workers N``
-    profiles every worker process and merges the snapshots over the
-    control plane; ``--from-dump`` renders a profile recovered from
-    flight-recorder dumps post-mortem.
+    profiles every worker process and merges their profile sections;
+    ``--from-dump`` renders the profile of envelopes written earlier
+    (``--snap``, ``doctor --dump``, flight recorders) post-mortem.
     """
+    ok, name = True, "from-dump"
     if args.from_dump:
-        snap = _load_profile_dump(args.from_dump)
-        if args.dump:
-            _write_profile_dump(snap, args.dump, args.format, "from-dump")
-        _print_profile_summary(snap, args.top)
-        return 0
-
-    graph = _observed_graph(args)
-    observe = {"sample_every": args.sample_every, "profile": {"hz": args.hz}}
-    with _Deployment(graph, args, observe) as dep:
-        ok = dep.wait()
-    snap = dep.profile()
+        envelope = _from_dump(args.from_dump, "profile")
+    else:
+        graph = _observed_graph(args)
+        name = graph.name
+        observe = {"sample_every": args.sample_every, "profile": {"hz": args.hz}}
+        with _Deployment(graph, args, observe) as dep:
+            ok = dep.wait()
+        envelope = dep.snapshot()
+        if args.snap:
+            _write_json(envelope, args.snap)
+    snap = envelope["profile"]
     if snap is None:
-        print("repro.cli profile: no worker returned a profile", file=sys.stderr)
-        return 1
-    if args.snap:
-        _write_json(snap, args.snap)
+        print("repro.cli profile: nothing was profiled there", file=sys.stderr)
+        return 0 if args.from_dump else 1
     if args.dump:
-        _write_profile_dump(snap, args.dump, args.format, graph.name)
+        _write_profile_dump(snap, args.dump, args.format, name)
     _print_profile_summary(snap, args.top)
     return 0 if ok else 1
 
@@ -1254,16 +1198,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_doc.add_argument(
         "--from-dump",
         default=None,
-        metavar="SNAP.json|FLIGHT.json|DIR",
-        help="diagnose a snapshot written by --dump, a flight-recorder "
-        "dump, or a directory of flight dumps (merged), instead of "
-        "running a graph",
+        metavar="ENVELOPE.json|DIR",
+        help="diagnose a telemetry envelope or a directory of them (what "
+        "--dump wrote, or a cluster's flight recorders), merged as a "
+        "running cluster's would be, instead of running a graph",
     )
     p_doc.add_argument(
         "--dump",
         default=None,
         metavar="SNAP.json",
-        help="also write the raw observer snapshot for post-hoc diagnosis",
+        help="also write the telemetry envelope for post-hoc diagnosis",
     )
     p_doc.add_argument(
         "--json", action="store_true", help="machine-readable report"
@@ -1325,16 +1269,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument(
         "--from-dump",
         default=None,
-        metavar="PROFILE.json|FLIGHT.json|DIR",
-        help="render a profile snapshot, a flight dump's profile section, "
-        "or a directory of flight dumps (merged) instead of running",
+        metavar="ENVELOPE.json|DIR",
+        help="render the profile of a telemetry envelope or a directory "
+        "of them (merged) instead of running",
     )
     p_prof.add_argument(
         "--snap",
         default=None,
         metavar="FILE",
-        help="also write the raw profile snapshot for post-hoc rendering "
-        "with --from-dump",
+        help="also write the telemetry envelope (profile section "
+        "included) for post-hoc rendering with --from-dump",
     )
     p_prof.add_argument(
         "--top",

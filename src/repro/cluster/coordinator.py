@@ -173,9 +173,9 @@ class ClusterCoordinator:
             endpoints = {w: (host, data_ports[w]) for w in range(self.n_workers)}
         self.collector: Optional[Any] = None
         self.flight_dir: Optional[str] = None
-        obs_cfg: Optional[Dict[str, Any]] = None
+        self._obs_cfg: Optional[Dict[str, Any]] = None
         if observe is not None or slos:
-            obs_cfg = dict(observe or {})
+            self._obs_cfg = obs_cfg = dict(observe or {})
             obs_cfg.setdefault("sample_every", 1)
             flight_dir = obs_cfg.pop("flight_dir", None) or log_dir
             if flight_dir is None:
@@ -221,25 +221,38 @@ class ClusterCoordinator:
         }
         self.handles: List[WorkerHandle] = []
         for w in range(self.n_workers):
-            worker_obs: Optional[Dict[str, Any]] = None
-            if obs_cfg is not None and self.flight_dir is not None:
-                worker_obs = dict(obs_cfg)
-                worker_obs["flight_path"] = os.path.join(
-                    self.flight_dir, f"flight-w{w}.json"
-                )
             spec = WorkerSpec(
                 worker_id=w,
                 descriptor=descriptor,
                 plan=plan_raw,
                 endpoints=endpoints,
                 control_port=control_ports[w],
-                observe=worker_obs,
+                observe=self._observe_block(w, 0),
             )
             log_path = (
                 os.path.join(log_dir, f"worker-{w}.log") if log_dir else None
             )
             self.handles.append(WorkerHandle(spec=spec, log_path=log_path))
         self.job: Optional[RemoteDistributedJob] = None
+
+    def _flight_path(self, worker_id: int, incarnation: int) -> str:
+        # One file per incarnation: a restarted worker's recorder must
+        # not overwrite the black box of the process it replaces.
+        assert self.flight_dir is not None
+        return os.path.join(
+            self.flight_dir, f"flight-w{worker_id}-i{incarnation}.json"
+        )
+
+    def _observe_block(
+        self, worker_id: int, incarnation: int
+    ) -> Optional[Dict[str, Any]]:
+        """The WorkerSpec ``observe`` block of one worker incarnation."""
+        if self._obs_cfg is None:
+            return None
+        return {
+            **self._obs_cfg,
+            "flight_path": self._flight_path(worker_id, incarnation),
+        }
 
     # -- lifecycle -----------------------------------------------------------
     def launch(self, connect_timeout: float = 60.0) -> RemoteDistributedJob:
@@ -361,7 +374,9 @@ class ClusterCoordinator:
         (the migration path ships a re-planned spec); default is the
         identical spec.  Either way the spec's ``incarnation`` is
         bumped to the new restart count so the collector can fence the
-        dead incarnation's in-flight telemetry.
+        dead incarnation's in-flight telemetry, and its flight recorder
+        gets a file of its own: the dead incarnation's last dump is the
+        post-mortem of the failure being recovered from.
         """
         handle = self.handles[worker_id]
         if handle.alive:
@@ -370,6 +385,7 @@ class ClusterCoordinator:
         handle.spec = replace(
             spec if spec is not None else handle.spec,
             incarnation=new_incarnation,
+            observe=self._observe_block(worker_id, new_incarnation),
         )
         self._spawn(handle)
         handle.restarts += 1
@@ -395,9 +411,8 @@ class ClusterCoordinator:
         if self.policy is None or not transitions:
             return
         from repro.observe.doctor import diagnose
-        from repro.observe.export import snapshot
 
-        report = diagnose(snapshot(self.collector.observer))
+        report = diagnose(self.collector.snapshot())
         actions = self.policy.observe(
             scan, transitions, report, self.collector.observer
         )
@@ -655,13 +670,16 @@ class ClusterCoordinator:
         return self.job.metrics()
 
     def flight_paths(self) -> List[str]:
-        """Per-worker flight-dump paths that exist on disk right now."""
-        out: List[str] = []
-        for handle in self.handles:
-            path = (handle.spec.observe or {}).get("flight_path")
-            if path and os.path.exists(str(path)):
-                out.append(str(path))
-        return out
+        """The flight dumps on disk right now: one per worker
+        incarnation that got to write one."""
+        if self._obs_cfg is None:
+            return []
+        paths = [
+            self._flight_path(handle.worker_id, incarnation)
+            for handle in self.handles
+            for incarnation in range(handle.restarts + 1)
+        ]
+        return [path for path in paths if os.path.exists(path)]
 
     def status(self) -> List[Dict[str, Any]]:
         """Per-worker liveness/progress snapshot (the CLI's view)."""

@@ -12,10 +12,10 @@ When the spec carries an ``observe`` block the worker additionally
 builds its observability plane: a :class:`~repro.observe.RuntimeObserver`
 threaded through the runtime, a
 :class:`~repro.observe.collector.DeltaSource` answering the control
-plane's ``collect`` command, optionally a worker-local
-:class:`~repro.observe.HealthEngine` over its own shard, and a
-:class:`~repro.observe.flightrec.FlightRecorder` persisting a black-box
-window so even a SIGKILL leaves a post-mortem on disk.
+plane's ``collect`` and ``snapshot`` commands, optionally a
+worker-local :class:`~repro.observe.HealthEngine` over its own shard,
+and a :class:`~repro.observe.flightrec.FlightRecorder` persisting that
+source's snapshot so even a SIGKILL leaves a post-mortem on disk.
 """
 
 from __future__ import annotations
@@ -38,13 +38,14 @@ def _build_observability(
     Returns ``(health_engine, flight_recorder)`` (either may be None).
     The DeltaSource is attached as ``worker.delta_source`` and the
     recorder as ``worker.flight_recorder`` — the duck-typed attributes
-    the control server's ``collect`` / ``flight_dump`` commands read.
+    the control server's ``collect`` / ``snapshot`` / ``flight_dump``
+    commands read.
     """
     cfg = spec.observe or {}
     observer = worker.observer
     if observer is None:
         return None, None
-    from repro.observe.bridge import registry_series, scrape_worker, worker_series
+    from repro.observe.bridge import scrape_worker
     from repro.observe.collector import DeltaSource
 
     # Continuous profiler: on by default with an observer attached
@@ -59,7 +60,6 @@ def _build_observability(
             window_seconds=float(overrides.get("window_seconds", 5.0)),
         )
         observer.profiler = profiler
-        worker.profiler = profiler
         profiler.start()
 
     health = None
@@ -94,19 +94,9 @@ def _build_observability(
         from repro.observe.flightrec import FlightRecorder
 
         recorder = FlightRecorder(
-            observer,
+            worker.delta_source,
             str(flight_path),
-            worker_id=spec.worker_id,
             every=float(cfg.get("flight_every", 1.0)),
-            # Job metrics plus the observer registry (profiler and
-            # trace/timeline series), mirroring what DeltaSource ships.
-            series_fn=lambda: worker_series(worker)
-            + registry_series(observer.registry, {"worker": str(spec.worker_id)}),
-            monitors_fn=(
-                (lambda: [dict(m.as_dict()) for m in health.monitors])
-                if health is not None
-                else None
-            ),
         )
         recorder.install()  # SIGTERM/atexit/faulthandler (main thread)
         recorder.start()
@@ -152,9 +142,8 @@ def run_worker(spec: WorkerSpec) -> int:
     finally:
         if health is not None:
             health.stop()
-        profiler = getattr(worker, "profiler", None)
-        if profiler is not None:
-            profiler.stop()
+        if observer is not None and observer.profiler is not None:
+            observer.profiler.stop()
         if recorder is not None:
             recorder.stop()
             recorder.dump("shutdown")

@@ -44,13 +44,11 @@ class NeptuneConfig:
         How long a blocked emit waits before raising
         :class:`~repro.util.errors.BackpressureTimeout`.  None = wait
         forever (the paper's semantics: never drop).
-    transport_recovery:
-        Whether cross-resource TCP links run the recovery protocol
-        (ack-pruned replay window, reconnect with backoff, receiver
-        duplicate suppression).  Off = legacy fail-fast links.
     transport_max_retries / transport_backoff_base /
     transport_backoff_max / transport_backoff_jitter:
-        Reconnect schedule: up to ``max_retries`` attempts, attempt
+        Cross-resource TCP links always run the recovery protocol
+        (ack-pruned replay window, reconnect with backoff, receiver
+        duplicate suppression); this is its reconnect schedule: up to ``max_retries`` attempts, attempt
         ``n`` backing off ``min(max, base * 2**n)`` seconds with a
         ``±jitter`` random factor (seeded — see ``fault_seed``).
     transport_send_timeout:
@@ -81,7 +79,6 @@ class NeptuneConfig:
     compression_entropy_threshold: float = 6.0
     compression_min_size: int = 64
     emit_timeout: float | None = None
-    transport_recovery: bool = True
     transport_max_retries: int = 6
     transport_backoff_base: float = 0.05
     transport_backoff_max: float = 2.0
@@ -136,9 +133,7 @@ class NeptuneConfig:
 
     def retry_policy(self):
         """The transport :class:`~repro.net.transport.RetryPolicy` these
-        knobs describe, or None when recovery is disabled."""
-        if not self.transport_recovery:
-            return None
+        knobs describe."""
         from repro.net.transport import RetryPolicy
 
         return RetryPolicy(

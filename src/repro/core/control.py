@@ -6,8 +6,8 @@ processes (or machines):
 
 - :class:`ControlServer` — a tiny JSON-lines TCP command endpoint
   attached to a worker (``ping``/``wait_sources``/``finish_sources``/
-  ``flush_all``/``is_quiet``/``metrics``/``telemetry``/``failures``/
-  ``stop``).
+  ``flush_all``/``is_quiet``/``metrics``/``collect``/``snapshot``/
+  ``failures``/``stop``).
 - :class:`RemoteWorker` — the client proxy, duck-type compatible with
   :class:`DistributedWorker` for everything the coordinator needs.
 - :class:`RemoteDistributedJob` — one job over anything worker-shaped:
@@ -118,35 +118,36 @@ class ControlServer:
             return {"ok": True, "quiet": worker.is_quiet()}
         if cmd == "metrics":
             return {"ok": True, "metrics": worker.metrics()}
-        if cmd == "telemetry":
-            # Full worker-labelled instrument series (operators,
-            # transports, listener) — what `repro metrics` and the
-            # HealthEngine scrape across process boundaries.
-            from repro.observe.bridge import worker_series
-
-            return {"ok": True, "series": worker_series(worker)}
         if cmd == "collect":
-            # One bounded telemetry delta (series + new spans/events +
-            # SLO states) for the cluster collector.  None when the
-            # worker runs without an observability plane.
+            # The polled telemetry envelope (series + the spans/events
+            # since the last collect + SLO states) for the one cluster
+            # collector.  None when the worker runs without an
+            # observability plane.
             source = getattr(worker, "delta_source", None)
             return {
                 "ok": True,
                 "delta": None if source is None else source.collect(),
+            }
+        if cmd == "snapshot":
+            # The standing envelope, no cursor moved: what the flight
+            # recorder persists, profile included.  Without an
+            # observability plane it still carries the job's series.
+            source = getattr(worker, "delta_source", None)
+            if source is None:
+                from repro.observe import DeltaSource, RuntimeObserver
+
+                source = DeltaSource(RuntimeObserver(), worker.worker_id, worker)
+            return {
+                "ok": True,
+                "snapshot": source.snapshot(
+                    request.get("max_events"), request.get("max_spans")
+                ),
             }
         if cmd == "collect_info":
             source = getattr(worker, "delta_source", None)
             return {
                 "ok": True,
                 "info": None if source is None else source.info(),
-            }
-        if cmd == "profile":
-            # Full sampling-profiler snapshot (collapsed stacks and
-            # on/off-CPU totals) for `repro profile --workers N`.
-            profiler = getattr(worker, "profiler", None)
-            return {
-                "ok": True,
-                "profile": None if profiler is None else profiler.snapshot(),
             }
         if cmd == "flight_dump":
             # Coordinator-requested black-box dump (kill_worker asks
@@ -267,15 +268,20 @@ class RemoteWorker:
         """Aggregated per-operator counters."""
         return self._call({"cmd": "metrics"})["metrics"]
 
-    def telemetry(self) -> list:
-        """Worker-labelled instrument series (see
-        :func:`repro.observe.bridge.worker_series`)."""
-        return self._call({"cmd": "telemetry"})["series"]
-
     def collect(self) -> dict | None:
         """One telemetry delta from the worker's DeltaSource (None when
         the worker runs without an observability plane)."""
         return self._call({"cmd": "collect"})["delta"]
+
+    def snapshot(
+        self, max_events: int | None = None, max_spans: int | None = None
+    ) -> dict:
+        """The worker's standing telemetry envelope (see
+        :meth:`repro.observe.collector.DeltaSource.snapshot`): series,
+        profile, and the last ``max_events`` events / ``max_spans``
+        spans (None: every one retained).  Advances nothing."""
+        request = {"cmd": "snapshot", "max_events": max_events, "max_spans": max_spans}
+        return self._call(request)["snapshot"]
 
     def collect_info(self) -> dict | None:
         """Cheap DeltaSource status (last-collection age, counters)."""
@@ -291,11 +297,6 @@ class RemoteWorker:
         """Request an immediate flight-recorder dump; returns its path
         on the worker's filesystem (None without a recorder)."""
         return self._call({"cmd": "flight_dump"})["path"]
-
-    def profile(self) -> dict | None:
-        """Full profiler snapshot (None when the worker runs without a
-        sampling profiler)."""
-        return self._call({"cmd": "profile"})["profile"]
 
     @property
     def failures(self) -> dict:

@@ -158,17 +158,16 @@ class DistributedWorker:
         self._inbound: dict[int, tuple] = {}
         self._wired = threading.Event()
         self._injector = injector
-        # Recovery protocol (ack + replay + duplicate suppression) is
-        # symmetric: the listener speaks it iff our outbound transports
-        # do, and every worker derives that from the shared config.
+        # Recovery protocol (ack + replay + duplicate suppression) on
+        # every link, both ends: the listener acks and resumes, the
+        # outbound transports replay on the shared config's schedule.
         self._retry = graph.config.retry_policy()
-        recovery = self._retry is not None
         self._listener = TcpListener(
             listen_host,
             listen_port,
             sink=self._on_frame,
-            ack=recovery,
-            resume=recovery,
+            ack=True,
+            resume=True,
             injector=injector,
             site=f"tcp.recv.w{worker_id}",
         )

@@ -20,8 +20,9 @@ visible without bespoke probes:
 - :mod:`repro.observe.timeline` — a ring-buffered structured event log
   (watermark crossings, flush-timer fires, batch executions,
   reconnects, chaos injections) under one schema.
-- :mod:`repro.observe.export` — Prometheus text exposition and JSON
-  snapshot dumps; ``repro trace`` / ``repro metrics`` CLI front-ends.
+- :mod:`repro.observe.export` — Prometheus text exposition, and the
+  telemetry envelope as JSON, written and read back; ``repro trace`` /
+  ``repro metrics`` CLI front-ends.
 - :mod:`repro.observe.health` — the streaming health engine: online
   SLO monitors (breach/recover state machines over registry scans,
   exported as ``neptune_slo_*``) and the adaptive trace-sampling
@@ -34,15 +35,17 @@ visible without bespoke probes:
   buffer bound, scale the thread pool, migrate an operator) over the
   health engine's transitions and the doctor's root cause, closing the
   SLO loop without a restart.
-- :mod:`repro.observe.collector` — the cluster observability plane:
-  worker-side :class:`DeltaSource` deltas over the control channel,
-  coordinator-side :class:`ClusterCollector` merge (worker-labeled
-  registry, cross-process trace stitching, cluster-scope HealthEngine)
-  behind ``repro top`` / ``repro doctor --workers N``.
-- :mod:`repro.observe.flightrec` — the black-box flight recorder:
-  atomically-persisted periodic dumps of recent spans/events/metrics
-  so SIGKILLed workers leave a post-mortem
-  (``repro doctor --from-dump``).
+- :mod:`repro.observe.collector` — the telemetry envelope
+  (``neptune-telemetry/1``): :class:`DeltaSource`, its one builder on
+  every worker (polled deltas over the control channel, standing
+  snapshots), and :class:`ClusterCollector`, its one merge
+  (worker-labeled registry, cross-process trace stitching,
+  cluster-scope HealthEngine) behind ``repro top`` / ``repro doctor
+  --workers N`` — and, replaying envelopes read back from disk, behind
+  ``--from-dump`` (a telemetry envelope or a directory of them).
+- :mod:`repro.observe.flightrec` — the black-box flight recorder: the
+  worker's envelope persisted atomically and periodically, so
+  SIGKILLed workers leave a post-mortem.
 
 Everything is opt-in: a runtime without a :class:`RuntimeObserver`
 pays a single ``is None`` check on the hot paths, and an attached
@@ -59,11 +62,8 @@ from repro.observe.collector import (
     stitch_spans,
 )
 from repro.observe.doctor import diagnose, diagnose_observer, render_report
-from repro.observe.flightrec import (
-    FlightRecorder,
-    load_flight_dump,
-    merge_flight_dumps,
-)
+from repro.observe.export import load_snapshots
+from repro.observe.flightrec import FlightRecorder
 from repro.observe.health import (
     SLO,
     AdaptiveSampler,
@@ -105,8 +105,7 @@ __all__ = [
     "FlightRecorder",
     "HealthEngine",
     "StitchedTrace",
-    "load_flight_dump",
-    "merge_flight_dumps",
+    "load_snapshots",
     "stitch",
     "stitch_spans",
     "default_slos",

@@ -28,7 +28,6 @@ __all__ = [
     "scrape_observer",
     "scrape_transport",
     "scrape_worker",
-    "worker_series",
 ]
 
 _QUANTILES = (50.0, 95.0, 99.0)
@@ -257,7 +256,8 @@ def registry_series(
     remainder is implied by ``count``), so :func:`absorb_series` can
     reconstruct the exact bucket state on the other side.  ``extra``
     labels are merged into every sample (pass ``{"worker": "0"}`` when
-    exporting a worker-local registry for the cluster collector).
+    exporting a worker-local registry for the cluster collector).  The
+    one place ``registry.collect()`` becomes JSON.
     """
     out: List[Dict[str, Any]] = []
     for sample in registry.collect():
@@ -283,23 +283,8 @@ def registry_series(
     return out
 
 
-def worker_series(worker: Any) -> List[Dict[str, Any]]:
-    """One worker's full instrument state as JSON-able flat series.
-
-    This is what a worker process answers to the control plane's
-    ``telemetry`` command: every sample carries its ``worker=N`` label,
-    so a coordinator can :func:`absorb_series` from all shards into one
-    registry without collisions and feed ``repro metrics`` or the
-    HealthEngine exactly as in-process scraping would.
-    """
-    registry = TelemetryRegistry()
-    scrape_worker(registry, worker)
-    return registry_series(registry)
-
-
 def absorb_series(registry: TelemetryRegistry, series: Any) -> None:
-    """Merge :func:`worker_series`/:func:`registry_series` output into
-    ``registry``.
+    """Merge :func:`registry_series` output into ``registry``.
 
     Counters land via ``set_total`` and histograms via
     ``set_cumulative`` (both never-backwards, so idempotent re-scrapes
@@ -411,6 +396,11 @@ def scrape_observer(observer: Any) -> None:
     ).set_total(float(observer.collector.dropped))
     profiler = getattr(observer, "profiler", None)
     if profiler is not None:
-        # neptune_profile_* series ride every scrape path for free:
-        # DeltaSource deltas, flight dumps, metrics/doctor snapshots.
+        # neptune_profile_* series ride every telemetry envelope for
+        # free, and so does a sweep the sampler had to swallow.
         profiler.export(registry)
+        error = profiler.take_error()
+        if error is not None:
+            observer.timeline.record(
+                "internal", "error", site="profiler.sample", error=error
+            )

@@ -22,8 +22,10 @@ Every candidate cause is scored by temporal overlap/proximity with the
 breach episode and by how direct the mechanism is (injected fault >
 watermark cascade > transport stall); the ranked list plus the
 dominant traced stage inside the episode is the diagnosis.  Input is
-the :func:`repro.observe.export.snapshot` dict, so the same code runs
-live (against an in-memory observer) and post-hoc (``--from-dump``).
+a telemetry envelope (:func:`repro.observe.export.snapshot` of an
+observer, or :meth:`~repro.observe.collector.ClusterCollector.snapshot`
+of a merged one), so the same code runs live and post-hoc
+(``--from-dump``).
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def _gate_cascades(gates: List[_Episode]) -> Dict[str, Set[str]]:
 
 
 def _dominant_stage(
-    traces: Mapping[str, List[Dict[str, Any]]],
+    spans: List[Mapping[str, Any]],
     start: float,
     end: float,
     operator: Optional[str],
@@ -151,15 +153,14 @@ def _dominant_stage(
 
     def totals(only_op: Optional[str]) -> Dict[str, float]:
         acc: Dict[str, float] = {}
-        for spans in traces.values():
-            for span in spans:
-                s, e = _f(span.get("start")), _f(span.get("end"))
-                if e < start - _LOOKBACK or s > end:
-                    continue
-                if only_op is not None and _bare(str(span.get("operator", ""))) != only_op:
-                    continue
-                stage = str(span.get("stage", ""))
-                acc[stage] = acc.get(stage, 0.0) + max(0.0, e - s)
+        for span in spans:
+            s, e = _f(span.get("start")), _f(span.get("end"))
+            if e < start - _LOOKBACK or s > end:
+                continue
+            if only_op is not None and _bare(str(span.get("operator", ""))) != only_op:
+                continue
+            stage = str(span.get("stage", ""))
+            acc[stage] = acc.get(stage, 0.0) + max(0.0, e - s)
         return acc
 
     by_stage = totals(operator) if operator is not None else {}
@@ -173,42 +174,32 @@ def _dominant_stage(
 
 
 def _profile_attribution(snap: Mapping[str, Any]) -> Dict[str, Any]:
-    """Per-operator sampled CPU from the ``neptune_profile_*`` series.
-
-    Merged flight dumps can carry the same worker's series several
-    times (periodic + on-request dumps of one worker); the counters are
-    cumulative, so the *max* per (worker, operator) is the true total —
-    summing duplicates would double-count.
-    """
-    cpu: Dict[Tuple[str, str], float] = {}
-    frames: Dict[Tuple[str, str, str], float] = {}
-    for series in snap.get("instruments", []) or []:
+    """Per-operator sampled CPU from the ``neptune_profile_*`` series
+    (one per (worker, operator): the merge keeps each series once)."""
+    by_op: Dict[str, float] = {}
+    hottest: Dict[str, Tuple[float, Optional[str]]] = {}  # its busiest worker
+    frames: List[Tuple[str, str, str, float]] = []
+    for series in snap.get("series", []) or []:
         name = series.get("name")
         labels = series.get("labels") or {}
         worker = str(labels.get("worker", ""))
         operator = str(labels.get("operator", ""))
+        value = _f(series.get("value"))
         if (
             name == "neptune_profile_cpu_seconds_total"
             and labels.get("kind") == "operator"
         ):
-            key = (worker, operator)
-            cpu[key] = max(cpu.get(key, 0.0), _f(series.get("value")))
+            by_op[operator] = by_op.get(operator, 0.0) + value
+            if value >= hottest.get(operator, (-1.0, None))[0]:
+                hottest[operator] = (value, worker or None)
         elif name == "neptune_profile_top_frame_samples_total":
-            fkey = (worker, operator, str(labels.get("frame", "")))
-            frames[fkey] = max(frames.get(fkey, 0.0), _f(series.get("value")))
-    by_op: Dict[str, float] = {}
-    worker_of: Dict[str, Optional[str]] = {}
-    worker_cpu: Dict[str, float] = {}
-    for (worker, operator), seconds in cpu.items():
-        by_op[operator] = by_op.get(operator, 0.0) + seconds
-        if seconds >= worker_cpu.get(operator, -1.0):
-            worker_cpu[operator] = seconds
-            worker_of[operator] = worker or None
+            frames.append((operator, worker, str(labels.get("frame", "")), value))
+    worker_of = {op: worker for op, (_cpu, worker) in hottest.items()}
     frame_of: Dict[str, str] = {}
     frame_samples: Dict[str, float] = {}
-    for (worker, operator, frame), count in frames.items():
-        hottest = worker_of.get(operator)
-        if hottest is not None and worker and worker != hottest:
+    for operator, worker, frame, count in frames:
+        hot = worker_of.get(operator)
+        if hot is not None and worker and worker != hot:
             continue
         if count > frame_samples.get(operator, 0.0):
             frame_samples[operator] = count
@@ -224,12 +215,12 @@ def _profile_attribution(snap: Mapping[str, Any]) -> Dict[str, Any]:
 def diagnose(snap: Mapping[str, Any], max_causes: int = 3) -> Dict[str, Any]:
     """Correlate a snapshot into a ranked root-cause report.
 
-    ``snap`` is the :func:`repro.observe.export.snapshot` shape (also
-    what ``repro doctor --dump`` writes).  The report is JSON-friendly;
-    :func:`render_report` renders the human form.
+    ``snap`` is a telemetry envelope (also what ``repro doctor --dump``
+    writes).  The report is JSON-friendly; :func:`render_report`
+    renders the human form.
     """
     events = sorted(
-        (dict(e) for e in snap.get("timeline", [])),
+        (dict(e) for e in snap.get("events", [])),
         key=lambda e: (_f(e.get("ts")), str(e.get("category")), str(e.get("name"))),
     )
     horizon = _f(events[-1].get("ts")) if events else 0.0
@@ -253,7 +244,7 @@ def diagnose(snap: Mapping[str, Any], max_causes: int = 3) -> Dict[str, Any]:
         if e.get("category") == "transport"
         and e.get("name") in ("send_stall", "reconnect", "link_failed")
     ]
-    traces: Mapping[str, List[Dict[str, Any]]] = snap.get("traces", {})
+    spans: List[Mapping[str, Any]] = list(snap.get("spans") or [])
     profile = _profile_attribution(snap)
 
     episodes: List[Dict[str, Any]] = []
@@ -353,7 +344,7 @@ def diagnose(snap: Mapping[str, Any], max_causes: int = 3) -> Dict[str, Any]:
             )
             share = op_cpu / profile["total"]
             if share >= _COMPUTE_SHARE:
-                dom = _dominant_stage(traces, b_start, b_end, top_prof_op)
+                dom = _dominant_stage(spans, b_start, b_end, top_prof_op)
                 if dom is None or dom.get("stage") not in (
                     "serialize",
                     "enqueue",
@@ -393,18 +384,18 @@ def diagnose(snap: Mapping[str, Any], max_causes: int = 3) -> Dict[str, Any]:
                 "end": breach.end,
                 "duration": (breach.end - b_start) if breach.end is not None else None,
                 "causes": causes,
-                "dominant_stage": _dominant_stage(traces, b_start, b_end, top_op),
+                "dominant_stage": _dominant_stage(spans, b_start, b_end, top_op),
             }
         )
 
     warnings: List[str] = []
-    dropped = int(_f(snap.get("timeline_dropped", snap.get("timeline_evicted", 0))))
+    dropped = int(_f(snap.get("events_dropped", 0)))
     if dropped > 0:
         warnings.append(
             f"timeline dropped {dropped} events on ring wrap: early causes "
             "may be missing and this diagnosis may be incomplete"
         )
-    dropped_spans = int(_f(snap.get("traces_dropped_spans", 0)))
+    dropped_spans = int(_f(snap.get("spans_dropped", 0)))
     if dropped_spans > 0:
         warnings.append(
             f"trace collector dropped {dropped_spans} spans past its cap: "
@@ -429,6 +420,9 @@ def diagnose(snap: Mapping[str, Any], max_causes: int = 3) -> Dict[str, Any]:
         "gate_episodes": len(gates),
         "chaos_events": len(chaos),
         "warnings": warnings,
+        # What a merged envelope was merged from: per worker
+        # incarnation, why it last reported (SIGKILLed: "periodic").
+        "sources": list(snap.get("sources") or []),
     }
 
 
@@ -479,6 +473,12 @@ def render_report(report: Mapping[str, Any]) -> str:
             f"root cause: [{root.get('type')}] {root.get('operator')!r}"
             f"{where} — {root.get('detail')}"
         )
+    for src in report.get("sources") or []:
+        if src.get("worker") is not None:  # else: not merged from workers
+            lines.append(
+                f"source: worker {src.get('worker')} incarnation "
+                f"{src.get('incarnation')}, last envelope {src.get('reason')!r}"
+            )
     for warning in report.get("warnings", []):
         lines.append(f"warning: {warning}")
     return "\n".join(lines)

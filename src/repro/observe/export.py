@@ -1,14 +1,18 @@
-"""Exporters: Prometheus text exposition and JSON snapshots."""
+"""Exporters: Prometheus text exposition, and the telemetry envelope
+as JSON — written (:func:`snapshot`) and read back
+(:func:`load_snapshots`)."""
 
 from __future__ import annotations
 
 import json
+import os
 from typing import Any, Dict, List
 
+from repro.observe.collector import TELEMETRY_SCHEMA, DeltaSource
 from repro.observe.instruments import InstrumentSample, LabelsKey, TelemetryRegistry
 from repro.observe.observer import RuntimeObserver
 
-__all__ = ["snapshot", "to_json", "to_prometheus"]
+__all__ = ["load_snapshots", "snapshot", "to_prometheus"]
 
 
 def _escape_label_value(value: str) -> str:
@@ -69,37 +73,44 @@ def _render_histogram(lines: List[str], sample: InstrumentSample) -> None:
 
 
 def snapshot(observer: RuntimeObserver) -> Dict[str, Any]:
-    """JSON-friendly dump of instruments, timeline, and traces."""
-    instruments: List[Dict[str, Any]] = []
-    for sample in observer.registry.collect():
-        entry: Dict[str, Any] = {
-            "name": sample.name,
-            "kind": sample.kind,
-            "labels": dict(sample.labels),
-            "value": sample.value,
-        }
-        if sample.histogram is not None:
-            entry["count"] = sample.histogram.count
-            entry["buckets"] = [
-                {"le": bound, "cumulative": c}
-                for bound, c in sample.histogram.cumulative_buckets()
-                if bound != float("inf")
-            ]
-        instruments.append(entry)
-    traces = {
-        str(tid): [span.as_dict() for span in spans]
-        for tid, spans in sorted(observer.collector.traces().items())
-    }
-    return {
-        "instruments": instruments,
-        "timeline": [e.as_dict() for e in observer.timeline.snapshot()],
-        "timeline_evicted": observer.timeline.evicted,
-        "timeline_dropped": observer.timeline.dropped,
-        "traces": traces,
-        "traces_dropped_spans": observer.collector.dropped,
-    }
+    """``observer``'s telemetry envelope: what a worker answers to the
+    ``snapshot`` control command and its flight recorder persists,
+    built the same way for an observer that is nobody's shard (this
+    process's runtime, a collector's merged view)."""
+    return DeltaSource(observer).snapshot()
 
 
-def to_json(observer: RuntimeObserver, indent: int = 2) -> str:
-    """The :func:`snapshot` serialized (non-JSON attrs stringified)."""
-    return json.dumps(snapshot(observer), indent=indent, default=str, sort_keys=True)
+def load_snapshots(path: str) -> List[Dict[str, Any]]:
+    """Every telemetry envelope at ``path``: the one reader of what
+    ``--dump``, a flight recorder or a saved ``snapshot`` reply wrote.
+
+    A directory yields the envelopes among its ``*.json`` files in name
+    order, skipping what is not one (a flight directory also holds the
+    half-written dumps of workers that died mid-write, and files that
+    are somebody else's).  When nothing at ``path`` is an envelope,
+    everything there is refused by name (``ValueError``): unreadable,
+    another schema, an older one — there is no converter.
+    """
+    files = [path]
+    if os.path.isdir(path):
+        files = [os.path.join(path, n) for n in sorted(os.listdir(path))]
+        files = [file for file in files if file.endswith(".json")]
+    envelopes: List[Dict[str, Any]] = []
+    refused: List[str] = []
+    for file in files:
+        try:
+            with open(file, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+            schema = data.get("schema") if isinstance(data, dict) else None
+        except (OSError, ValueError) as exc:
+            schema = f"unreadable: {exc}"
+        if schema == TELEMETRY_SCHEMA:
+            envelopes.append(data)
+        else:
+            refused.append(f"{file} ({schema or 'no schema tag'})")
+    if not envelopes:
+        raise ValueError(
+            f"no {TELEMETRY_SCHEMA} envelope at {path!r}"
+            + (f": refused {', '.join(refused)}" if refused else "")
+        )
+    return envelopes

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.observe.instruments import TelemetryRegistry
+from repro.observe.instruments import Counter, TelemetryRegistry
 from repro.observe.profiler import SamplingProfiler
 from repro.observe.timeline import EventTimeline
 from repro.observe.tracing import TraceCollector, Tracer
@@ -56,6 +56,27 @@ class RuntimeObserver:
     def event(self, category: str, name: str, **attrs: object) -> None:
         """Record a timeline event (convenience passthrough)."""
         self.timeline.record(category, name, **attrs)
+
+    def internal_error(self, site: str, exc: BaseException, event: bool = True) -> None:
+        """An exception the observability plane swallowed at ``site``
+        (it must never kill the job it watches): counted in
+        ``neptune_internal_errors_total{site}`` and, unless the caller
+        already put this site on the timeline this dump or poll,
+        recorded as an ``internal.error`` event — never silent."""
+        self._error_counter(site).inc()
+        if event:
+            self.timeline.record("internal", "error", site=site, error=repr(exc))
+
+    def internal_errors(self, *sites: str) -> int:
+        """Swallowed exceptions so far, summed over ``sites``."""
+        return int(sum(self._error_counter(site).value for site in sites))
+
+    def _error_counter(self, site: str) -> Counter:
+        return self.registry.counter(
+            "neptune_internal_errors_total",
+            {"site": site},
+            "Exceptions swallowed by the observability plane, by site",
+        )
 
     @staticmethod
     def for_tracing(sample_every: int = 1) -> "RuntimeObserver":

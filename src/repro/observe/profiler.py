@@ -36,13 +36,13 @@ collapsed stacks per label (overflow folds into ``(other)``), and
 ``max_frames`` leaf frames per label.  Export paths:
 
 - :meth:`SamplingProfiler.export` publishes ``neptune_profile_*``
-  series into a :class:`TelemetryRegistry` (ridden by the DeltaSource /
-  ClusterCollector path with worker labels);
-- :meth:`SamplingProfiler.snapshot` is the JSON-able full profile the
-  control plane's ``profile`` command ships and ``repro profile``
-  renders (collapsed stacks or speedscope JSON via :func:`speedscope`);
-- :meth:`SamplingProfiler.flight_section` is the compact last-window
-  block embedded in flight-recorder dumps.
+  series into a :class:`TelemetryRegistry` (ridden by every telemetry
+  envelope with worker labels);
+- :meth:`SamplingProfiler.snapshot` is the envelope's ``profile``
+  section: the JSON-able per-operator profile ``repro profile`` renders
+  (collapsed stacks or speedscope JSON via :func:`speedscope`), with
+  the stacks left out where they would be too heavy (every flight
+  dump).
 """
 
 from __future__ import annotations
@@ -53,12 +53,11 @@ import sys
 import threading
 import time
 from types import FrameType
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.observe.instruments import TelemetryRegistry
 
 __all__ = [
-    "PROFILE_SCHEMA",
     "SamplingProfiler",
     "set_thread_owner",
     "clear_thread_owner",
@@ -66,8 +65,6 @@ __all__ = [
     "speedscope",
     "merge_profile_snapshots",
 ]
-
-PROFILE_SCHEMA = "neptune-profile/1"
 
 #: Reserved label for operators past the ``max_operators`` bound.
 OVERFLOW_LABEL = "(overflow)"
@@ -163,6 +160,10 @@ def read_task_cpu(native_id: int) -> float:
 #: Injectable reader, faultable in tests (non-Linux fallback coverage).
 StatReader = Callable[[int], float]
 
+#: How a task-stat read fails: no ``/proc``, a thread that just exited,
+#: a stat line of another shape.
+_STAT_ERRORS = (OSError, ValueError, IndexError)
+
 
 def _bare_operator(label: str) -> str:
     """``relay[3]`` -> ``relay`` — byte-stable across instance counts."""
@@ -255,6 +256,7 @@ class SamplingProfiler:
         self.cpu_mode = "wall"
         self.samples = 0
         self.errors = 0
+        self._error: Optional[str] = None  # first sweep exception not yet reported
         self.stat_errors = 0
         self.sample_seconds = 0.0
         self._profiles: Dict[str, _OperatorProfile] = {}
@@ -265,8 +267,6 @@ class SamplingProfiler:
         self._started_at = 0.0
         self._window_index = 0
         self._window_started = 0.0
-        self._window_base: Dict[str, Tuple[int, float, float]] = {}
-        self._last_window: Optional[Dict[str, Any]] = None
         self._last_window_ts = 0.0
 
     # -- lifecycle ---------------------------------------------------------
@@ -283,7 +283,7 @@ class SamplingProfiler:
             try:
                 statfn(threading.get_native_id())
                 self.cpu_mode = "task-stat"
-            except Exception:
+            except _STAT_ERRORS:  # no /proc here: a mode, not a failure
                 self.cpu_mode = "wall"
             self._statfn = statfn
             self._stop = threading.Event()
@@ -328,9 +328,10 @@ class SamplingProfiler:
             t0 = time.perf_counter()
             try:
                 self._sample_once(elapsed)
-            except Exception:
+            except Exception as exc:
                 with self._lock:
                     self.errors += 1
+                    self._error = self._error or repr(exc)
             cost = time.perf_counter() - t0
             with self._lock:
                 self.sample_seconds += cost
@@ -405,7 +406,7 @@ class SamplingProfiler:
         assert statfn is not None  # set by start()
         try:
             cur = statfn(native_id)
-        except Exception:
+        except _STAT_ERRORS:
             self.stat_errors += 1
             self._cpu_cursor.pop(native_id, None)
             return elapsed
@@ -416,30 +417,9 @@ class SamplingProfiler:
         return max(0.0, cur - prev)
 
     def _rotate_window(self, now: float) -> None:
-        """Close the current window: store per-operator deltas."""
+        """Close the current window (the sampler's sign of life)."""
         with self._lock:
-            ops: Dict[str, Any] = {}
-            base = self._window_base
-            new_base: Dict[str, Tuple[int, float, float]] = {}
-            for label, prof in self._profiles.items():
-                b = base.get(label, (0, 0.0, 0.0))
-                d_samples = prof.samples - b[0]
-                d_cpu = prof.cpu_seconds - b[1]
-                d_wall = prof.wall_seconds - b[2]
-                new_base[label] = (prof.samples, prof.cpu_seconds, prof.wall_seconds)
-                if d_samples <= 0:
-                    continue
-                top = max(prof.top_frames.items(), key=lambda kv: kv[1], default=None)
-                ops[label] = {
-                    "kind": prof.kind,
-                    "samples": d_samples,
-                    "cpu_seconds": d_cpu,
-                    "wall_seconds": d_wall,
-                    "top_frame": top[0] if top else None,
-                }
-            self._window_base = new_base
             self._window_index += 1
-            self._last_window = {"index": self._window_index, "operators": ops}
             self._last_window_ts = now
             self._window_started = now
 
@@ -451,81 +431,86 @@ class SamplingProfiler:
         return max(0.0, time.monotonic() - self._last_window_ts)
 
     def export(self, registry: TelemetryRegistry) -> None:
-        """Publish ``neptune_profile_*`` series (monotonic totals)."""
-        with self._lock:
-            rows = [
+        """Publish ``neptune_profile_*`` series (monotonic totals): the
+        :meth:`snapshot`, stacks aside, as instruments."""
+        snap = self.snapshot(stacks=False)
+        for label, op in snap["operators"].items():
+            labels = {"operator": label, "kind": op["kind"]}
+            for name, key, what in (
+                ("neptune_profile_samples_total", "samples", "Stack samples"),
+                ("neptune_profile_cpu_seconds_total", "cpu_seconds", "Sampled on-CPU seconds"),
+                ("neptune_profile_wall_seconds_total", "wall_seconds", "Sampled wall seconds"),
                 (
-                    label,
-                    prof.kind,
-                    prof.samples,
-                    prof.cpu_seconds,
-                    prof.wall_seconds,
-                    sorted(prof.top_frames.items(), key=lambda kv: (-kv[1], kv[0]))[:5],
-                )
-                for label, prof in self._profiles.items()
-            ]
-            samples, errors, stat_errors = self.samples, self.errors, self.stat_errors
-            sample_seconds = self.sample_seconds
-        for label, kind, n, cpu, wall, top in rows:
-            labels = {"operator": label, "kind": kind}
-            registry.counter(
-                "neptune_profile_samples_total", labels, "Stack samples per operator."
-            ).set_total(n)
-            registry.counter(
-                "neptune_profile_cpu_seconds_total",
-                labels,
-                "Sampled on-CPU seconds per operator.",
-            ).set_total(cpu)
-            registry.counter(
-                "neptune_profile_wall_seconds_total",
-                labels,
-                "Sampled wall seconds per operator.",
-            ).set_total(wall)
-            registry.counter(
-                "neptune_profile_off_cpu_seconds_total",
-                labels,
-                "Sampled off-CPU (blocked) seconds per operator.",
-            ).set_total(max(0.0, wall - cpu))
-            for frame, count in top:
+                    "neptune_profile_off_cpu_seconds_total",
+                    "off_cpu_seconds",
+                    "Sampled off-CPU (blocked) seconds",
+                ),
+            ):
+                registry.counter(name, labels, f"{what} per operator.").set_total(op[key])
+            top = sorted(op["top_frames"].items(), key=lambda kv: (-kv[1], kv[0]))
+            for frame, count in top[:5]:
                 registry.counter(
                     "neptune_profile_top_frame_samples_total",
                     {"operator": label, "frame": frame},
                     "Samples per leaf frame (top frames only).",
                 ).set_total(count)
-        registry.gauge(
-            "neptune_profile_sampler_state",
-            None,
-            "1 while the profiler samples, 0 dormant.",
-        ).set(1.0 if self._thread is not None else 0.0)
-        registry.gauge(
-            "neptune_profile_cpu_mode",
-            None,
-            "1 when per-thread /proc accounting is live, 0 in wall-only mode.",
-        ).set(1.0 if self.cpu_mode == "task-stat" else 0.0)
-        registry.gauge(
-            "neptune_profile_window_age_seconds",
-            None,
-            "Seconds since the last closed profile window.",
-        ).set(self.window_age())
-        registry.counter(
-            "neptune_profile_sampler_samples_total", None, "Sampler sweeps taken."
-        ).set_total(samples)
-        registry.counter(
-            "neptune_profile_sampler_errors_total", None, "Sampler sweep errors."
-        ).set_total(errors)
-        registry.counter(
-            "neptune_profile_stat_errors_total",
-            None,
-            "Failed /proc task-stat reads (fell back to wall attribution).",
-        ).set_total(stat_errors)
-        registry.counter(
-            "neptune_profile_sampler_cpu_seconds_total",
-            None,
-            "Compute spent inside the sampler itself.",
-        ).set_total(sample_seconds)
+        for name, value, help_ in (
+            (
+                "neptune_profile_sampler_state",
+                snap["state"] == "sampling",
+                "1 while the profiler samples, 0 dormant.",
+            ),
+            (
+                "neptune_profile_cpu_mode",
+                snap["cpu_mode"] == "task-stat",
+                "1 when per-thread /proc accounting is live, 0 in wall-only mode.",
+            ),
+            (
+                "neptune_profile_window_age_seconds",
+                snap["window"]["age_seconds"],
+                "Seconds since the last closed profile window.",
+            ),
+        ):
+            registry.gauge(name, None, help_).set(float(value))
+        for name, site, total, help_ in (
+            (
+                "neptune_profile_sampler_samples_total",
+                None,
+                snap["samples"],
+                "Sampler sweeps taken.",
+            ),
+            (
+                "neptune_internal_errors_total",
+                {"site": "profiler.sample"},
+                snap["errors"],
+                "Exceptions swallowed by the observability plane, by site",
+            ),
+            (
+                "neptune_profile_stat_errors_total",
+                None,
+                snap["stat_errors"],
+                "Failed /proc task-stat reads (fell back to wall attribution).",
+            ),
+            (
+                "neptune_profile_sampler_cpu_seconds_total",
+                None,
+                snap["sample_seconds"],
+                "Compute spent inside the sampler itself.",
+            ),
+        ):
+            registry.counter(name, site, help_).set_total(total)
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Full JSON-able profile (stacks included) for the control plane."""
+    def take_error(self) -> Optional[str]:
+        """The first sweep exception since the last call, if any (the
+        scrape puts it on the timeline; ``errors`` counts them all)."""
+        with self._lock:
+            error, self._error = self._error, None
+        return error
+
+    def snapshot(self, stacks: bool = True) -> Dict[str, Any]:
+        """The JSON-able profile: per-operator totals and leaf frames
+        and — unless ``stacks`` is off — the collapsed stacks a
+        flamegraph needs."""
         with self._lock:
             operators: Dict[str, Any] = {}
             for label, prof in sorted(self._profiles.items()):
@@ -535,11 +520,11 @@ class SamplingProfiler:
                     "cpu_seconds": prof.cpu_seconds,
                     "wall_seconds": prof.wall_seconds,
                     "off_cpu_seconds": max(0.0, prof.wall_seconds - prof.cpu_seconds),
-                    "stacks": dict(prof.stacks),
                     "top_frames": dict(prof.top_frames),
                 }
+                if stacks:
+                    operators[label]["stacks"] = dict(prof.stacks)
             return {
-                "schema": PROFILE_SCHEMA,
                 "state": self.state,
                 "hz": self.hz,
                 "cpu_mode": self.cpu_mode,
@@ -567,37 +552,6 @@ class SamplingProfiler:
             "operators": len(self._profiles),
             "window_age_seconds": self.window_age(),
         }
-
-    def flight_section(self) -> Dict[str, Any]:
-        """Compact last-window block for flight-recorder dumps.
-
-        Same shape as :meth:`snapshot` minus the per-stack detail (only
-        the top 3 leaf frames per operator survive), so
-        :func:`merge_profile_snapshots` and ``repro profile
-        --from-dump`` consume it unchanged.
-        """
-        with self._lock:
-            operators: Dict[str, Any] = {}
-            for label, prof in sorted(self._profiles.items()):
-                top = sorted(prof.top_frames.items(), key=lambda kv: (-kv[1], kv[0]))[:3]
-                operators[label] = {
-                    "kind": prof.kind,
-                    "samples": prof.samples,
-                    "cpu_seconds": prof.cpu_seconds,
-                    "wall_seconds": prof.wall_seconds,
-                    "off_cpu_seconds": max(0.0, prof.wall_seconds - prof.cpu_seconds),
-                    "top_frames": dict(top),
-                }
-            window = self._last_window
-            return {
-                "schema": PROFILE_SCHEMA,
-                "state": self.state,
-                "cpu_mode": self.cpu_mode,
-                "samples": self.samples,
-                "window": dict(window) if window else None,
-                "window_age_seconds": self.window_age(),
-                "operators": operators,
-            }
 
 
 # ---------------------------------------------------------------------------
@@ -670,20 +624,23 @@ def speedscope(operators: Dict[str, Any], name: str = "neptune") -> Dict[str, An
     }
 
 
-def merge_profile_snapshots(snaps: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
-    """Merge per-worker profile snapshots into one cluster-wide snapshot.
+def merge_profile_snapshots(snaps: Mapping[str, Mapping[str, Any]]) -> Dict[str, Any]:
+    """Merge profile sections into one cluster-wide profile.
 
-    ``snaps`` maps worker id -> :meth:`SamplingProfiler.snapshot` dict.
-    Operators are summed across workers; each merged operator records
-    which workers contributed.
+    ``snaps`` maps a worker label -> :meth:`SamplingProfiler.snapshot`
+    dict (or an already merged one: merging is idempotent).  Operators
+    are summed across workers; each merged operator records which
+    workers contributed.
     """
     operators: Dict[str, Any] = {}
     modes = set()
     samples = 0
+    workers: Set[str] = set()
     for wid in sorted(snaps):
         snap = snaps[wid]
         modes.add(str(snap.get("cpu_mode", "wall")))
         samples += int(snap.get("samples", 0))
+        workers.update(snap.get("workers") or [wid])
         for label, info in (snap.get("operators") or {}).items():
             agg = operators.get(label)
             if agg is None:
@@ -705,13 +662,12 @@ def merge_profile_snapshots(snaps: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
                 agg["stacks"][stack] = agg["stacks"].get(stack, 0) + int(count)
             for frame, count in (info.get("top_frames") or {}).items():
                 agg["top_frames"][frame] = agg["top_frames"].get(frame, 0) + int(count)
-            agg["workers"].append(str(wid))
+            agg["workers"].extend(info.get("workers") or [wid])
     mode = modes.pop() if len(modes) == 1 else ("mixed" if modes else "wall")
     return {
-        "schema": PROFILE_SCHEMA,
         "state": "merged",
         "cpu_mode": mode,
         "samples": samples,
-        "workers": sorted(snaps),
+        "workers": sorted(workers),
         "operators": dict(sorted(operators.items())),
     }

@@ -16,6 +16,7 @@ buffer         ``timer_flush`` (flush-timer fired on a stale buffer)
 runtime        ``batch_executed`` (instance drained a frame)
 transport      ``reconnect`` / ``replay`` (link recovery)
 chaos          ``fault_injected`` / ``node_killed`` / ``link_*``
+internal       ``error`` (an exception observability swallowed)
 =============  ====================================================
 """
 

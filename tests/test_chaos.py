@@ -431,7 +431,7 @@ class TestChaosTimeline:
         injector = FaultInjector(plan, observer=obs)
         assert injector.should_kill_node("node.relay")
 
-        events = snapshot(obs)["timeline"]
+        events = snapshot(obs)["events"]
         kills = [
             e for e in events
             if e["category"] == "chaos" and e["name"] == "node_killed"

@@ -92,13 +92,21 @@ class TestRun:
         assert "drained" in capsys.readouterr().out
         assert main(["metrics", descriptor_file, "--format", "json"]) == 0
         exported = json.loads(capsys.readouterr().out)
-        assert {"instruments", "timeline", "traces"} <= set(exported)
+        assert exported["schema"] == "neptune-telemetry/1"
+        assert {"series", "events", "spans"} <= set(exported)
         assert main(["doctor", descriptor_file, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["healthy"] is True
         snap = tmp_path / "profile.json"
         assert main(["profile", descriptor_file, "--snap", str(snap)]) == 0
         assert "profile:" in capsys.readouterr().out
-        assert json.loads(snap.read_text())["schema"] == "neptune-profile/1"
+        written = json.loads(snap.read_text())
+        assert written["schema"] == "neptune-telemetry/1"
+        assert written["profile"]["state"] == "dormant"  # ran, and was stopped
+        # One file format, two views of it.
+        assert main(["profile", "--from-dump", str(snap)]) == 0
+        assert "profile: state=merged" in capsys.readouterr().out
+        assert main(["doctor", "--from-dump", str(snap), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["healthy"] is True
         assert len(deployed) == 4
         assert all(dep.coordinator is None for dep in deployed)
         assert [dep.observer is not None for dep in deployed] == [False, True, True, True]
@@ -289,8 +297,9 @@ class TestProfileCommand:
         assert any(line.startswith("spin;") for line in text.splitlines())
 
     def test_from_dump_renders_a_profile_snapshot(self, tmp_path, capsys):
-        snap = {
-            "schema": "neptune-profile/1",
+        from envelopes import envelope
+
+        profile = {
             "state": "dormant",
             "cpu_mode": "task-stat",
             "samples": 42,
@@ -307,7 +316,7 @@ class TestProfileCommand:
             },
         }
         path = tmp_path / "profile.json"
-        path.write_text(json.dumps(snap))
+        path.write_text(json.dumps(envelope(worker=1, profile=profile)))
         out = tmp_path / "out.speedscope.json"
         assert main(["profile", "--from-dump", str(path), "--dump", str(out)]) == 0
         summary = capsys.readouterr().out
@@ -319,8 +328,11 @@ class TestProfileCommand:
     def test_from_dump_rejects_non_profile_json(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text(json.dumps({"schema": "something-else"}))
-        with pytest.raises(SystemExit, match="neither a profile snapshot"):
+        with pytest.raises(SystemExit, match=r"junk\.json \(something-else\)"):
             main(["profile", "--from-dump", str(path)])
+        # The same reader behind the other view.
+        with pytest.raises(SystemExit, match="no neptune-telemetry/1 envelope"):
+            main(["doctor", "--from-dump", str(path)])
 
 
 class TestTopProfileColumns:

@@ -236,7 +236,7 @@ class TestLiveCluster:
             )
             registry = TelemetryRegistry()
             for handle in coordinator.handles:
-                absorb_series(registry, handle.proxy.telemetry())
+                absorb_series(registry, handle.proxy.snapshot()["series"])
             drain(coordinator)
             samples = registry.collect()
             workers_seen = {dict(s.labels).get("worker") for s in samples}

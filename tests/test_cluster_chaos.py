@@ -111,7 +111,7 @@ def test_sigkill_worker_mid_stream_keeps_delivery_exactly_once(tmp_path):
         ), "restarted source never finished re-emitting"
 
         # The surviving listener saw the replayed prefix and dropped it.
-        series = survivor.proxy.telemetry()
+        series = survivor.proxy.snapshot()["series"]
         suppressed = sum(
             s["value"]
             for s in series

@@ -25,6 +25,7 @@ Everything here imports :mod:`procharness`, so it stays behind
 """
 
 import json
+import os
 
 import pytest
 from procharness import drain, live_cluster, wait_until
@@ -217,7 +218,7 @@ def test_restart_and_replay_do_not_double_count_telemetry(tmp_path):
             timeout=90.0,
         ), "restarted source never finished re-emitting"
 
-        series = survivor.proxy.telemetry()
+        series = survivor.proxy.snapshot()["series"]
         suppressed = sum(
             s["value"]
             for s in series
@@ -253,6 +254,77 @@ def test_restart_and_replay_do_not_double_count_telemetry(tmp_path):
     for trace in collector.stitched():
         keys = [(s.hop, s.stage) for s in trace.spans]
         assert len(keys) == len(set(keys)), f"duplicate spans in {trace!r}"
+
+
+@pytest.mark.chaos
+def test_restart_keeps_the_killed_incarnations_flight_dump(tmp_path, capsys):
+    """Regression: the respawned worker's recorder used the dead one's
+    file name, so recovering from a failure erased its post-mortem
+    within ``flight_every``.  One file per incarnation, and the one
+    merge reads both."""
+    graph = replay_graph(tmp_path / "delivered.txt")
+    plan = build_plan(graph, n_workers=2, pin={"source": 0, "sink": 1})
+    flight_dir = tmp_path / "flight"
+    flight_dir.mkdir()
+    black_box = flight_dir / "flight-w0-i0.json"
+    successor = flight_dir / "flight-w0-i1.json"
+
+    def successor_seq():
+        try:
+            return json.loads(successor.read_text())["seq"]
+        except (OSError, ValueError):
+            return 0
+
+    with live_cluster(
+        graph,
+        n_workers=2,
+        plan=plan,
+        observe={
+            "sample_every": 1,
+            "flight_every": 0.2,
+            "flight_dir": str(flight_dir),
+        },
+    ) as coordinator:
+        assert wait_until(
+            lambda: len(coordinator.flight_paths()) == 2, timeout=30.0
+        ), "periodic flight dumps never appeared"
+        assert wait_until(
+            lambda: _sink_packets(coordinator.handles[1]) >= KILL_AT, timeout=90.0
+        ), "sink never reached the kill threshold"
+        coordinator.kill_worker(0, dump=False)
+        left_behind = black_box.read_text()
+        coordinator.restart_worker(0)
+        # Several periods of the successor's recorder: on the parent the
+        # first of them replaced the black box.
+        assert wait_until(lambda: successor_seq() >= 3, timeout=30.0)
+        assert wait_until(
+            lambda: coordinator.handles[0]
+            .proxy.metrics()
+            .get("source", {})
+            .get("packets_out", 0)
+            >= REPLAY_TOTAL,
+            timeout=90.0,
+        ), "restarted source never finished re-emitting"
+        drain(coordinator)
+
+    assert [os.path.basename(p) for p in coordinator.flight_paths()] == [
+        "flight-w0-i0.json",
+        "flight-w0-i1.json",
+        "flight-w1-i0.json",
+    ]
+    assert black_box.read_text() == left_behind
+    killed = json.loads(left_behind)
+    assert (killed["incarnation"], killed["reason"]) == (0, "periodic")
+    assert (flight_dir / "flight-w0-i0.json.crash").exists()
+    assert (flight_dir / "flight-w0-i1.json.crash").exists()
+
+    from repro.cli import main as cli_main
+
+    assert cli_main(["doctor", "--from-dump", str(flight_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "worker 0 incarnation 0, last envelope 'periodic'" in out
+    assert "worker 0 incarnation 1, last envelope" in out
+    assert "worker 1 incarnation 0, last envelope" in out
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +401,9 @@ def test_doctor_attributes_breach_to_stalled_sink_on_other_worker():
         drain(coordinator)
         assert coordinator.job.failures() == {}
 
-    from repro.observe import export
     from repro.observe.doctor import diagnose, render_report
 
-    collector = coordinator.collector
-    snap = export.snapshot(collector.observer)
-    report = diagnose(snap)
+    report = diagnose(coordinator.collector.snapshot())
 
     assert report["gate_episodes"] > 0, "sink stall never closed a gate"
     assert not report["healthy"], "no SLO breach episode reached the timeline"
@@ -398,27 +467,24 @@ def test_sigkill_leaves_flight_dump_readable_by_doctor(tmp_path):
         coordinator.kill_worker(0, dump=False)
         assert not coordinator.handles[0].alive
 
+    from repro.observe import ClusterCollector, load_snapshots
+    from repro.observe.collector import TELEMETRY_SCHEMA
     from repro.observe.doctor import diagnose
-    from repro.observe.flightrec import (
-        FLIGHT_SCHEMA,
-        load_flight_dump,
-        merge_flight_dumps,
-    )
 
     paths = coordinator.flight_paths()
     assert len(paths) == 2, f"flight dumps missing after teardown: {paths}"
-    dumps = [load_flight_dump(p) for p in paths]
+    dumps = load_snapshots(str(flight_dir))
     by_worker = {d["worker"]: d for d in dumps}
     assert set(by_worker) == {0, 1}
     for dump in dumps:
-        assert dump["schema"] == FLIGHT_SCHEMA
-        assert dump["dumps"] >= 1
+        assert dump["schema"] == TELEMETRY_SCHEMA
+        assert dump["seq"] >= 1
     # The killed worker got no goodbye: its last dump is a periodic one.
     assert by_worker[0]["reason"] == "periodic"
 
-    merged = merge_flight_dumps(dumps)
-    assert merged["flight"]["workers"] == [0, 1]
-    assert set(merged["flight"]["reasons"]) == {"0", "1"}
+    merged = ClusterCollector.replay(dumps).snapshot()
+    assert [s["worker"] for s in merged["sources"]] == [0, 1]
+    assert merged["sources"][0]["reason"] == "periodic"
     report = diagnose(merged)  # consumable post-mortem, healthy or not
     assert report["schema"] == "neptune-doctor/1"
 

@@ -115,13 +115,15 @@ def test_compute_bound_breach_attributed_live_and_from_sigkill_dump(tmp_path):
         ), "spin operator never breached its latency SLO"
 
         # Live full-profile fetch (`repro profile --workers N` path).
-        hot = coordinator.handles[1].proxy.profile()
-        assert hot["schema"] == "neptune-profile/1"
+        def hot_profile():  # series and profile only: no spans, no events
+            return coordinator.handles[1].proxy.snapshot(0, 0)["profile"]
+
+        hot = hot_profile()
+        assert hot["state"] == "sampling"
         assert wait_until(
-            lambda: "spin"
-            in (coordinator.handles[1].proxy.profile() or {}).get("operators", {}),
-            timeout=30.0,
-        ), f"spin never sampled; operators={sorted(hot.get('operators', {}))}"
+            lambda: "spin" in hot_profile()["operators"], timeout=30.0
+        ), f"spin never sampled; operators={sorted(hot['operators'])}"
+        assert hot_profile()["operators"]["spin"]["stacks"]
         info = coordinator.handles[1].proxy.collect_info()["profiler"]
         assert info["cpu_mode"] in ("task-stat", "wall")
         assert info["samples"] > 0
@@ -143,10 +145,9 @@ def test_compute_bound_breach_attributed_live_and_from_sigkill_dump(tmp_path):
 
         # The hot worker is gone; the live merged view must already be
         # diagnosable (this is `repro doctor --workers N`).
-        from repro.observe import export
         from repro.observe.doctor import diagnose
 
-        live_report = diagnose(export.snapshot(collector.observer))
+        live_report = diagnose(collector.snapshot())
 
     assert live_report["gate_episodes"] == 0, "pacing failed: a gate closed"
     assert not live_report["healthy"]
@@ -163,18 +164,19 @@ def test_compute_bound_breach_attributed_live_and_from_sigkill_dump(tmp_path):
     assert "operators.py" in top["detail"], top["detail"]
 
     # ---- post-mortem: the SIGKILLed worker's periodic dump ----------------
-    from repro.observe.flightrec import FLIGHT_SCHEMA, load_flight_dump, merge_flight_dumps
+    from repro.observe import ClusterCollector, load_snapshots
 
     paths = coordinator.flight_paths()
     assert len(paths) == 2, f"flight dumps missing: {paths}"
-    dumps = [load_flight_dump(p) for p in paths]
+    dumps = load_snapshots(str(flight_dir))
     by_worker = {d["worker"]: d for d in dumps}
-    assert by_worker[1]["schema"] == FLIGHT_SCHEMA
+    assert by_worker[1]["schema"] == "neptune-telemetry/1"
     assert by_worker[1]["reason"] == "periodic"  # SIGKILL: no goodbye dump
     assert by_worker[1]["profile"]["operators"], "dump carries no profile section"
+    assert "stacks" not in by_worker[1]["profile"]["operators"]["spin"]
 
-    merged = merge_flight_dumps(dumps)
-    assert "1" in (merged.get("profiles") or {})
+    merged = ClusterCollector.replay(dumps).snapshot()
+    assert "1" in merged["profile"]["operators"]["spin"]["workers"]
     report = diagnose(merged)
     assert not report["healthy"]
     causes = [

@@ -1,21 +1,29 @@
-"""Unit tests for the cluster observability plane (tier-1, in-process).
+"""Unit tests for the telemetry envelope (tier-1, in-process).
 
-Covers the collector protocol end to end without spawning processes:
-delta building (cursors, seq), merge idempotency under re-delivery
-(the satellite-1 regression: histogram series absorb never-backwards,
-whole deltas dedup by seq, spans dedup by identity), cross-worker
-trace stitching invariants (tiling: zero gap, zero overlap), the
-flight recorder's atomic dumps and multi-dump merge, and the doctor's
-cross-worker cause attribution.  The real-process versions live in
+Covers the one builder and the one merge without spawning processes:
+envelope building (cursors, seq, the non-advancing snapshot), merge
+idempotency under re-delivery and reordering (histogram series absorb
+never-backwards, series last-writer by seq, spans dedup by identity,
+events by ordinal), cross-worker trace stitching invariants (tiling:
+zero gap, zero overlap), the flight recorder's atomic dumps, the one
+reader, live = post-mortem, and the doctor's cross-worker cause
+attribution.  The real-process versions live in
 ``tests/test_cluster_observe.py`` behind ``@pytest.mark.cluster``.
 """
 
 import json
 import math
 import os
+import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from envelopes import envelope, event
+from repro.core import NeptuneConfig, StreamProcessingGraph
+from repro.core.control import RemoteDistributedJob
+from repro.core.distributed import DistributedWorker, round_robin_plan
 from repro.observe import (
     STAGES,
     ClusterCollector,
@@ -24,16 +32,15 @@ from repro.observe import (
     RuntimeObserver,
     SpanRecord,
     TelemetryRegistry,
-    load_flight_dump,
-    merge_flight_dumps,
+    load_snapshots,
     stitch,
     stitch_spans,
 )
 from repro.observe.bridge import absorb_series, registry_series
-from repro.observe.collector import COLLECT_SCHEMA
+from repro.observe.collector import TELEMETRY_SCHEMA
 from repro.observe.doctor import diagnose, render_report
-from repro.observe.flightrec import FLIGHT_SCHEMA
 from repro.observe.health import SLO
+from repro.workloads import CollectingSink, CountingSource, RelayProcessor
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +113,10 @@ def test_delta_source_ships_each_span_and_event_once():
     source = DeltaSource(obs, 3)
 
     d1 = source.collect()
-    assert d1["schema"] == COLLECT_SCHEMA
+    assert d1["schema"] == TELEMETRY_SCHEMA
     assert d1["worker"] == 3
     assert d1["seq"] == 1
+    assert d1["reason"] == "collect" and d1["profile"] is None
     assert [s["stage"] for s in d1["spans"]] == ["serialize"]
     assert d1["spans"][0]["worker"] == "3"
     assert any(e["name"] == "started" for e in d1["events"])
@@ -136,6 +144,28 @@ def test_delta_source_ships_each_span_and_event_once():
     assert info["last_collect_age"] is not None
 
 
+def test_snapshot_shows_everything_and_advances_nothing():
+    obs = RuntimeObserver()
+    obs.collector.add([_span(1, 0, "serialize", 0.0, 0.5)])
+    obs.timeline.record("runtime", "started")
+    source = DeltaSource(obs, 3)
+    first, again = source.snapshot(), source.snapshot(reason="request")
+    for snap in (first, again):
+        assert [s["stage"] for s in snap["spans"]] == ["serialize"]
+        assert [(e["name"], e["n"]) for e in snap["events"]] == [("started", 1)]
+        assert all(s["labels"].get("worker") == "3" for s in snap["series"])
+    assert (first["seq"], again["seq"]) == (1, 2)  # one order for a replay
+    assert (first["reason"], again["reason"]) == ("snapshot", "request")
+    # Whatever a snapshot showed, the next collect still ships.
+    delta = source.collect()
+    assert [s["stage"] for s in delta["spans"]] == ["serialize"]
+    assert [(e["name"], e["n"]) for e in delta["events"]] == [("started", 1)]
+    # An observer that is nobody's shard labels nothing.
+    local = DeltaSource(obs).snapshot(max_events=0, max_spans=0)
+    assert local["worker"] is None and local["events"] == local["spans"] == []
+    assert not any("worker" in s["labels"] for s in local["series"])
+
+
 # ---------------------------------------------------------------------------
 # ClusterCollector merge semantics
 # ---------------------------------------------------------------------------
@@ -151,7 +181,7 @@ def test_collector_drops_stale_seq_redelivery():
 
     assert collector.absorb(delta) is True
     assert collector.absorb(delta) is False  # same seq: stale
-    assert collector.stale == 1
+    assert collector.stale == 1 and collector.absorbed == 1
     assert len(collector.observer.collector.all_spans()) == 1
     assert len(collector.observer.timeline) == 1
 
@@ -266,6 +296,11 @@ def test_poll_once_survives_fetch_failures():
     assert ages[0] is not None and ages[1] is None and ages[2] is None
     status = collector.status()
     assert status["polls"] == 1 and status["absorbed"] == 1
+    # Swallowed, never silently: counted by site, and on the timeline.
+    assert status["fetch_errors"] == 1
+    (error,) = collector.observer.timeline.snapshot("internal", "error")
+    assert error.attrs["site"] == "collector.fetch"
+    assert "control socket gone" in error.attrs["error"]
 
 
 def test_collector_health_scans_merged_series():
@@ -285,16 +320,8 @@ def test_collector_health_scans_merged_series():
         ).inc(total)
         return registry_series(reg, {"worker": worker})
 
-    collector.absorb({
-        "schema": COLLECT_SCHEMA, "worker": 0, "seq": 1,
-        "series": series_for("0", 10), "spans": [], "events": [],
-        "monitors": [],
-    })
-    collector.absorb({
-        "schema": COLLECT_SCHEMA, "worker": 1, "seq": 1,
-        "series": series_for("1", 32), "spans": [], "events": [],
-        "monitors": [],
-    })
+    collector.absorb(envelope(worker=0, series=series_for("0", 10)))
+    collector.absorb(envelope(worker=1, series=series_for("1", 32)))
     collector.health.scan_once()  # first sighting primes the rate
     collector.health.scan_once()
     monitor = collector.health.monitors[0]
@@ -305,11 +332,9 @@ def test_collector_health_scans_merged_series():
 
 def test_worker_monitors_reported_per_worker():
     collector = ClusterCollector()
-    collector.absorb({
-        "schema": COLLECT_SCHEMA, "worker": 2, "seq": 1, "series": [],
-        "spans": [], "events": [],
-        "monitors": [{"slo": "sink.p99_latency", "status": "breach"}],
-    })
+    collector.absorb(
+        envelope(worker=2, monitors=[{"slo": "sink.p99_latency", "status": "breach"}])
+    )
     monitors = collector.worker_monitors()
     assert monitors == [
         {"slo": "sink.p99_latency", "status": "breach", "worker": 2}
@@ -376,27 +401,31 @@ def test_flight_recorder_dump_atomic_and_loadable(tmp_path):
     obs = RuntimeObserver()
     obs.timeline.record("runtime", "started")
     obs.collector.add([_span(1, 0, "serialize", 0.0, 0.5)])
-    path = str(tmp_path / "flight-w0.json")
-    recorder = FlightRecorder(obs, path, worker_id=0)
+    path = str(tmp_path / "flight-w0-i0.json")
+    recorder = FlightRecorder(DeltaSource(obs, 0), path)
     assert recorder.dump("test") == path
     assert not os.path.exists(path + ".tmp"), "tmp file must be replaced"
-    dump = load_flight_dump(path)
-    assert dump["schema"] == FLIGHT_SCHEMA
+    (dump,) = load_snapshots(path)
+    assert dump["schema"] == TELEMETRY_SCHEMA
     assert dump["reason"] == "test"
-    assert dump["dumps"] == 1
+    assert dump["seq"] == 1 and recorder.dumps == 1
     assert dump["spans"][0]["worker"] == "0"
-    assert dump["events"][0]["attrs"]["worker"] == "0"
-    assert dump["instruments"], "instrument snapshot must be present"
+    assert dump["events"][0]["name"] == "started"
+    assert dump["series"], "instrument series must be present"
     # A later dump overwrites with fresh state, never appends.
     assert recorder.dump("periodic") == path
-    assert load_flight_dump(path)["dumps"] == 2
+    assert load_snapshots(path)[0]["seq"] == 2
 
 
 def test_flight_recorder_never_raises_on_bad_path(tmp_path):
     obs = RuntimeObserver()
-    recorder = FlightRecorder(obs, str(tmp_path / "no-such-dir" / "f.json"))
+    recorder = FlightRecorder(
+        DeltaSource(obs), str(tmp_path / "no-such-dir" / "f.json")
+    )
     assert recorder.dump("test") is None
     assert recorder.dump_errors == 1
+    (error,) = obs.timeline.snapshot("internal", "error")
+    assert error.attrs["site"] == "flightrec.write"
 
 
 def test_flight_recorder_bounds_window(tmp_path):
@@ -405,50 +434,310 @@ def test_flight_recorder_bounds_window(tmp_path):
         obs.timeline.record("runtime", f"e{i}")
     obs.collector.add(_tiled_spans(1, 2))
     path = str(tmp_path / "flight.json")
-    recorder = FlightRecorder(obs, path, max_events=5, max_spans=4)
+    recorder = FlightRecorder(DeltaSource(obs, 0), path, max_events=5, max_spans=4)
     recorder.dump("test")
-    dump = load_flight_dump(path)
+    (dump,) = load_snapshots(path)
     assert len(dump["events"]) == 5
     assert dump["events"][-1]["name"] == "e19"  # most recent kept
+    assert dump["events"][-1]["n"] == 20  # ordinals survive the cut
     assert len(dump["spans"]) == 4
     # Most-recently-closed spans survive the cap.
     assert {s["hop"] for s in dump["spans"]} == {1}
 
 
-def test_merge_flight_dumps_dedups_and_shapes_for_doctor(tmp_path):
+def test_dump_carries_the_errors_building_it_swallowed(tmp_path):
+    """A source whose job scrape raises still yields a dump, and the
+    dump itself says so: the counter and the event are in it."""
+
+    class TornDown:
+        worker_id = 0
+
+        @property
+        def job(self):
+            raise RuntimeError("runtime already torn down")
+
+    obs = RuntimeObserver()
+    path = str(tmp_path / "flight.json")
+    recorder = FlightRecorder(DeltaSource(obs, 0, worker=TornDown()), path)
+    assert recorder.dump("periodic") == path
+    assert recorder.dump_errors == 0  # the dump itself went fine
+    (dump,) = load_snapshots(path)
+    (counter,) = [
+        s for s in dump["series"] if s["name"] == "neptune_internal_errors_total"
+    ]
+    assert counter["labels"] == {"site": "source.scrape_worker", "worker": "0"}
+    assert counter["value"] == 1.0
+    (error,) = [e for e in dump["events"] if e["category"] == "internal"]
+    assert error["name"] == "error"
+    assert error["attrs"]["site"] == "source.scrape_worker"
+    assert "torn down" in error["attrs"]["error"]
+
+
+def test_replayed_flight_dumps_dedup_and_diagnose(tmp_path):
     def dump_for(worker, spans, reason):
         obs = RuntimeObserver()
         obs.collector.add(spans)
         obs.timeline.record("runtime", f"w{worker}-event")
-        path = str(tmp_path / f"flight-w{worker}.json")
-        FlightRecorder(obs, path, worker_id=worker).dump(reason)
-        return load_flight_dump(path)
+        path = str(tmp_path / f"flight-w{worker}-i0.json")
+        FlightRecorder(DeltaSource(obs, worker), path).dump(reason)
 
     tiled = _tiled_spans(7, 2)
     hop0, hop1 = tiled[:6], tiled[6:]
     # Overlapping windows: both workers persisted hop0's serialize span.
-    d0 = dump_for(0, hop0, "periodic")
-    d1 = dump_for(1, [hop0[0]] + hop1, "sigterm")
-    merged = merge_flight_dumps([d0, d1, {"schema": "other/1"}])
-    assert merged["flight"]["workers"] == [0, 1]
-    assert merged["flight"]["reasons"] == {"0": "periodic", "1": "sigterm"}
-    spans = merged["traces"]["7"]
+    dump_for(0, hop0, "periodic")
+    dump_for(1, [hop0[0]] + hop1, "sigterm")
+    # What a flight directory also holds: a dump torn mid-write, and
+    # files that are somebody else's.
+    (tmp_path / "flight-w2-i0.json").write_text('{"schema": "neptune-telem')
+    (tmp_path / "state.json").write_text(json.dumps({"workers": []}))
+    merged = ClusterCollector.replay(load_snapshots(str(tmp_path))).snapshot()
+    assert [(s["worker"], s["reason"]) for s in merged["sources"]] == [
+        (0, "periodic"),
+        (1, "sigterm"),
+    ]
+    spans = [s for s in merged["spans"] if s["trace_id"] == 7]
     assert len(spans) == 12, "duplicate span must merge away"
-    hops_stages = [(s["hop"], s["stage"]) for s in spans]
-    assert hops_stages == [(h, st) for h in (0, 1) for st in STAGES]
-    names = [e["name"] for e in merged["timeline"]]
+    assert sorted((s["hop"], STAGES.index(s["stage"])) for s in spans) == [
+        (h, i) for h in (0, 1) for i in range(len(STAGES))
+    ]
+    names = [e["name"] for e in merged["events"]]
     assert "w0-event" in names and "w1-event" in names
-    # The merged shape is directly diagnosable.
+    # The merged envelope is directly diagnosable.
     report = diagnose(merged)
     assert report["schema"] == "neptune-doctor/1"
     assert report["healthy"]
+    assert "worker 1 incarnation 0, last envelope 'sigterm'" in render_report(report)
 
 
-def test_load_flight_dump_rejects_non_object(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps([1, 2, 3]))
-    with pytest.raises(ValueError):
-        load_flight_dump(str(path))
+def test_two_dumps_of_one_worker_replay_to_one_of_everything(tmp_path):
+    """A periodic and an on-request dump of the same worker overlap in
+    everything; replayed, every series appears once with the later
+    value, and every span and event once."""
+    obs = RuntimeObserver()
+    packets = obs.registry.counter("neptune_x_packets_total", {"operator": "a"}, "t")
+    packets.inc(5)
+    obs.collector.add(_tiled_spans(3, 1))
+    obs.timeline.record("runtime", "started")
+    path = str(tmp_path / "flight-w0-i0.json")
+    recorder = FlightRecorder(DeltaSource(obs, 0), path)
+    recorder.dump("periodic")
+    shutil.copy(path, str(tmp_path / "flight-w0-i0.kept.json"))
+    packets.inc(2)
+    obs.timeline.record("runtime", "later")
+    recorder.dump("request")
+
+    dumps = load_snapshots(str(tmp_path))
+    assert sorted(d["reason"] for d in dumps) == ["periodic", "request"]
+    merged = ClusterCollector.replay(dumps).snapshot()
+    keys = [(s["name"], tuple(sorted(s["labels"].items()))) for s in merged["series"]]
+    assert len(keys) == len(set(keys)), "a series came back twice"
+    (value,) = [
+        s["value"] for s in merged["series"] if s["name"] == "neptune_x_packets_total"
+    ]
+    assert value == 7.0
+    assert len(merged["spans"]) == len(STAGES)
+    assert [e["name"] for e in merged["events"]] == ["started", "later"]
+    assert [s["reason"] for s in merged["sources"]] == ["request"]
+
+
+def test_a_restarted_incarnation_keeps_its_predecessors_black_box(tmp_path):
+    """One file per incarnation, one merge for both: the dead
+    incarnation's spans and events are the post-mortem, not fenced."""
+    from repro.cluster import ClusterCoordinator
+    from repro.core.graph import descriptor_factory
+
+    graph = StreamProcessingGraph("two-incarnations")
+    ops = "repro.workloads.operators:"
+    graph.add_source("source", descriptor_factory(ops + "CountingSource", total=10))
+    graph.add_processor("sink", descriptor_factory(ops + "CollectingSink"))
+    graph.link("source", "sink")
+    coordinator = ClusterCoordinator(
+        graph, n_workers=2, observe={"flight_dir": str(tmp_path)}
+    )
+    first = coordinator.handles[0].spec.observe["flight_path"]
+    second = coordinator._observe_block(0, 1)["flight_path"]
+    assert os.path.basename(first) == "flight-w0-i0.json"
+    assert os.path.basename(second) == "flight-w0-i1.json"
+
+    dead, fresh = RuntimeObserver(), RuntimeObserver()
+    dead.collector.add(_tiled_spans(5, 1))
+    dead.timeline.record("chaos", "node_killed", target="w0")
+    fresh.timeline.record("runtime", "restarted")
+    FlightRecorder(DeltaSource(dead, 0, incarnation=0), first).dump("periodic")
+    for _ in range(3):  # the successor's recorder keeps running
+        FlightRecorder(DeltaSource(fresh, 0, incarnation=1), second).dump("periodic")
+    assert json.loads(open(first).read())["incarnation"] == 0  # still there
+
+    collector = ClusterCollector.replay(load_snapshots(str(tmp_path)))
+    assert collector.fenced == 0
+    merged = collector.snapshot()
+    assert [(s["worker"], s["incarnation"]) for s in merged["sources"]] == [
+        (0, 0),
+        (0, 1),
+    ]
+    assert len(merged["spans"]) == len(STAGES)
+    assert {"node_killed", "restarted"} <= {e["name"] for e in merged["events"]}
+    # Live, the same sequence is a restart: the coordinator arms the
+    # fence, and from then on the dead incarnation is refused.
+    assert collector.absorb(DeltaSource(dead, 0, incarnation=0).collect()) is False
+    assert collector.fenced == 1
+
+
+def test_load_snapshots_refuses_what_is_not_an_envelope_by_name(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([1, 2, 3]))
+    with pytest.raises(ValueError, match="bad.json"):
+        load_snapshots(str(bad))
+    old = tmp_path / "old.json"  # the retired flight-dump schema: no converter
+    old.write_text(json.dumps({"schema": "neptune-flight/1", "instruments": []}))
+    with pytest.raises(ValueError, match=r"old\.json \(neptune-flight/1\)"):
+        load_snapshots(str(old))
+    with pytest.raises(ValueError, match="no schema tag"):
+        load_snapshots(str(tmp_path))  # a directory of nothing but those
+    with pytest.raises(ValueError, match=r"missing\.json \(unreadable"):
+        load_snapshots(str(tmp_path / "missing.json"))
+
+
+# ---------------------------------------------------------------------------
+# Live = post-mortem
+# ---------------------------------------------------------------------------
+
+def _registry_state(registry):
+    state = {}
+    for sample in registry.collect():
+        hist = sample.histogram
+        state[(sample.name, sample.labels)] = (
+            sample.value if hist is None else (hist.count, hist.cumulative_buckets())
+        )
+    return state
+
+
+def test_live_merge_equals_replayed_flight_dumps(tmp_path):
+    """Two co-hosted workers on a traced relay, seen two ways: polled
+    by a collector while they run, and replayed from the flight dumps
+    they leave.  Same series, same stitched traces, same diagnosis."""
+    graph = StreamProcessingGraph(
+        "live-vs-postmortem",
+        config=NeptuneConfig(buffer_capacity=512, buffer_max_delay=0.003),
+    )
+    delivered = []
+    graph.add_source("source", lambda: CountingSource(total=300, payload_size=24))
+    graph.add_processor("relay", RelayProcessor)
+    graph.add_processor("sink", lambda: CollectingSink(delivered))
+    graph.link("source", "relay").link("relay", "sink")
+    plan = round_robin_plan(graph, 2)
+    workers = [
+        DistributedWorker(w, graph, plan, observer=RuntimeObserver(sample_every=7))
+        for w in range(2)
+    ]
+    # A seeded incident: the sink's gate (worker 0) throttles the relay,
+    # whose SLO breach is observed on worker 1.
+    workers[0].observer.event(
+        "flowcontrol", "gate_closed", operator="w0:sink[0]", throttles=["w1:relay[0]"]
+    )
+    workers[1].observer.event(
+        "health", "slo_breach",
+        slo="relay.p99_latency", kind="p99_latency", operator="relay",
+        value=0.5, threshold=0.01,
+    )
+    sources = [DeltaSource(w.observer, w.worker_id, worker=w) for w in workers]
+    recorders = [
+        FlightRecorder(
+            source,
+            str(tmp_path / f"flight-w{source.worker_id}-i0.json"),
+            max_events=1 << 16,
+            max_spans=1 << 16,
+        )
+        for source in sources
+    ]
+    live = ClusterCollector()
+    for source in sources:
+        live.attach(source.worker_id, source.collect)
+
+    def last_look():  # quiesced, not yet stopped: what the coordinator's hook sees
+        live.poll_once()
+        for recorder in recorders:
+            assert recorder.dump("shutdown") is not None
+
+    endpoints = {w.worker_id: w.address for w in workers}
+    for w in workers:
+        w.connect(endpoints)
+    for w in workers:
+        w.start()
+    job = RemoteDistributedJob(workers)
+    job.pre_stop_hooks.append(last_look)
+    live.poll_once()  # mid-run: the live view is built from many deltas
+    assert job.await_completion(timeout=60.0)
+    assert job.hook_errors == [] and sorted(delivered) == list(range(300))
+    assert live.polls >= 2
+
+    replayed = ClusterCollector.replay(load_snapshots(str(tmp_path)))
+    assert _registry_state(replayed.observer.registry) == _registry_state(
+        live.observer.registry
+    )
+    assert live.fetch_errors == 0
+    traces = live.stitched()
+    assert len(traces) == 300 // 7
+    for trace in traces:
+        assert trace.complete and trace.workers == ["0", "1"]
+        assert trace.gap_seconds == 0.0 and trace.overlap_seconds == 0.0
+    assert [t.as_dict() for t in replayed.stitched()] == [t.as_dict() for t in traces]
+    report = diagnose(live.snapshot())
+    assert report["root_cause"]["operator"] == "sink"
+    assert report["root_cause"]["worker"] == "0"
+    assert diagnose(replayed.snapshot())["breaches"] == report["breaches"]
+
+
+# ---------------------------------------------------------------------------
+# Absorb: any order, any repeats
+# ---------------------------------------------------------------------------
+
+_SPAN_POOL = [
+    {"trace_id": t, "hop": h, "stage": stage, "operator": "op",
+     "start": float(h), "end": h + 0.5}
+    for t in (1, 2) for h in (0, 1) for stage in STAGES[:2]
+]
+
+
+@st.composite
+def _one_workers_envelopes(draw):
+    """1..5 envelopes of one worker in ``seq`` order — absolute series
+    (a counter that only grows, a gauge that wanders), any spans — and
+    an order to absorb them in: every one at least once, any repeated."""
+    n = draw(st.integers(1, 5))
+    total, envelopes = 0.0, []
+    for seq in range(1, n + 1):
+        total += draw(st.integers(0, 9))
+        series = [
+            {"name": "c_total", "kind": "counter", "labels": {"worker": "0"},
+             "value": total},
+            {"name": "g", "kind": "gauge", "labels": {"worker": "0"},
+             "value": float(draw(st.integers(-5, 5)))},
+        ]
+        spans = draw(st.lists(st.sampled_from(_SPAN_POOL), max_size=6))
+        envelopes.append(envelope(worker=0, seq=seq, series=series, spans=spans))
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    return envelopes, draw(st.permutations(list(range(n)) + repeats))
+
+
+def _merged_state(collector):
+    spans = sorted(
+        (s.trace_id, s.hop, s.stage) for s in collector.observer.collector.all_spans()
+    )
+    return _registry_state(collector.observer.registry), spans
+
+
+@settings(max_examples=60, deadline=None)
+@given(_one_workers_envelopes())
+def test_absorb_is_insensitive_to_order_and_repeats(case):
+    envelopes, order = case
+    in_order, shuffled = ClusterCollector(), ClusterCollector()
+    for env in envelopes:
+        assert in_order.absorb(env) is True
+    for index in order:
+        shuffled.absorb(envelopes[index])
+    assert _merged_state(shuffled) == _merged_state(in_order)
+    assert shuffled.absorbed + shuffled.stale == len(order)
 
 
 # ---------------------------------------------------------------------------
@@ -459,23 +748,18 @@ def test_doctor_attributes_breach_to_gate_on_other_worker():
     """Breach observed on worker 1, root cause the stalled sink gate on
     worker 2 (its throttle cascade reaches the breaching operator)."""
     timeline = [
-        {"ts": 1.0, "category": "flowcontrol", "name": "gate_closed",
-         "attrs": {"operator": "w2:sink[0]", "throttles": ["w1:relay[0]"],
-                   "worker": "2"}},
-        {"ts": 1.2, "category": "flowcontrol", "name": "gate_closed",
-         "attrs": {"operator": "w1:relay[0]", "throttles": ["w0:src[0]"],
-                   "worker": "1"}},
-        {"ts": 2.0, "category": "health", "name": "slo_breach",
-         "attrs": {"slo": "relay.p99_latency", "operator": "relay",
-                   "worker": "1", "value": 0.2, "threshold": 0.05}},
-        {"ts": 4.0, "category": "health", "name": "slo_recover",
-         "attrs": {"slo": "relay.p99_latency"}},
-        {"ts": 5.0, "category": "flowcontrol", "name": "gate_opened",
-         "attrs": {"operator": "w1:relay[0]"}},
-        {"ts": 5.1, "category": "flowcontrol", "name": "gate_opened",
-         "attrs": {"operator": "w2:sink[0]"}},
+        event(1.0, "flowcontrol", "gate_closed",
+              operator="w2:sink[0]", throttles=["w1:relay[0]"], worker="2"),
+        event(1.2, "flowcontrol", "gate_closed",
+              operator="w1:relay[0]", throttles=["w0:src[0]"], worker="1"),
+        event(2.0, "health", "slo_breach",
+              slo="relay.p99_latency", operator="relay", worker="1",
+              value=0.2, threshold=0.05),
+        event(4.0, "health", "slo_recover", slo="relay.p99_latency"),
+        event(5.0, "flowcontrol", "gate_opened", operator="w1:relay[0]"),
+        event(5.1, "flowcontrol", "gate_opened", operator="w2:sink[0]"),
     ]
-    report = diagnose({"timeline": timeline, "traces": {}, "instruments": []})
+    report = diagnose(envelope(timeline))
     assert not report["healthy"]
     episode = report["breaches"][0]
     assert episode["observed_on_worker"] == "1"

@@ -4,6 +4,7 @@ chaos/SLO shared-clock regression (NEPTUNE §III-B4 backpressure made
 diagnosable)."""
 
 import json
+import threading
 import time
 
 import pytest
@@ -20,20 +21,14 @@ from repro.observe import (
     diagnose_observer,
     render_report,
 )
+from envelopes import envelope as _snap
+from envelopes import event as _event
+from repro.observe.collector import ClusterCollector
 from repro.observe.doctor import DOCTOR_SCHEMA, _bare, _gate_cascades, _pair_episodes
 from repro.observe.export import snapshot
+from repro.observe.profiler import SamplingProfiler
 from repro.sim import SimClock, Simulator
 from repro.workloads import CountingSource, RelayProcessor, VariableRateProcessor
-
-
-def _event(ts, category, name, **attrs):
-    return {"ts": ts, "category": category, "name": name, "attrs": attrs}
-
-
-def _snap(events, **extra):
-    snap = {"instruments": [], "timeline": events, "traces": {}}
-    snap.update(extra)
-    return snap
 
 
 class TestHelpers:
@@ -165,18 +160,15 @@ class TestDiagnoseSynthetic:
         assert len(ep["causes"]) == 2
 
     def test_drop_warnings(self):
-        report = diagnose(_snap([], timeline_dropped=7, traces_dropped_spans=3))
+        report = diagnose(_snap([], events_dropped=7, spans_dropped=3))
         assert any("7 events" in w for w in report["warnings"])
         assert any("3 spans" in w for w in report["warnings"])
-        # Pre-drop-counter dumps still warn via the evicted count.
-        legacy = diagnose(_snap([], timeline_evicted=4))
-        assert any("4 events" in w for w in legacy["warnings"])
 
     def test_report_is_json_serializable_and_renders(self):
         events = self._breach_events() + [
             _event(5.0, "chaos", "node_killed", target="nodeB"),
         ]
-        report = diagnose(_snap(events, timeline_dropped=2))
+        report = diagnose(_snap(events, events_dropped=2))
         json.dumps(report)  # CLI --json contract
         text = render_report(report)
         assert "1 SLO breach episode(s)" in text
@@ -257,9 +249,19 @@ class TestStalledSinkAcceptance:
         assert report["root_cause"]["operator"] == "sink"
 
     def test_post_hoc_dump_diagnoses_identically(self):
-        # diagnose() consumes the snapshot dict, so a JSON round-trip
-        # (what --dump / --from-dump do) must not change the verdict.
+        # What --dump writes, --from-dump replays through a fresh
+        # collector: neither the JSON round-trip nor the merge may
+        # change the verdict, and the same file's other view (`profile
+        # --from-dump` of a `doctor --dump`) is the profile it was
+        # written with.
         obs = RuntimeObserver()
+        obs.profiler = SamplingProfiler()
+        parked = threading.Event()  # a thread for the one sweep to see
+        thread = threading.Thread(target=parked.wait, name="neptune-parked")
+        thread.start()
+        obs.profiler._sample_once(0.01)
+        parked.set()
+        thread.join()
         obs.event(
             "flowcontrol", "gate_closed", operator="sink[0]", throttles=["relay"]
         )
@@ -268,10 +270,19 @@ class TestStalledSinkAcceptance:
             slo="relay.p99_latency", kind="p99_latency", operator="relay",
             value=0.5, threshold=0.01,
         )
-        live = diagnose(snapshot(obs))
-        dumped = diagnose(json.loads(json.dumps(snapshot(obs), default=str)))
+        written = snapshot(obs)
+        live = diagnose(written)
+        replayed = ClusterCollector.replay(
+            [json.loads(json.dumps(written, default=str))]
+        ).snapshot()
+        dumped = diagnose(replayed)
         assert dumped["root_cause"]["operator"] == "sink"
         assert dumped["root_cause"] == live["root_cause"]
+        assert dumped["breaches"] == live["breaches"]
+        assert written["profile"]["operators"], "the sweep saw no thread"
+        for label, info in written["profile"]["operators"].items():
+            merged = replayed["profile"]["operators"][label]
+            assert {k: merged[k] for k in info} == info
 
 
 class TestComputeBound:
@@ -319,7 +330,7 @@ class TestComputeBound:
     def test_hot_operator_without_gate_is_compute_bound(self):
         snap = _snap(
             self._breach_events(),
-            instruments=self._profile_series(
+            series=self._profile_series(
                 [("1", "spin", 5.0), ("0", "relay", 0.5)],
                 frames=[("1", "spin", "operators.py:SpinProcessor._spin", 120)],
             ),
@@ -341,7 +352,7 @@ class TestComputeBound:
                    gated_seconds=3.0),
         ]
         snap = _snap(
-            events, instruments=self._profile_series([("1", "spin", 5.0)])
+            events, series=self._profile_series([("1", "spin", 5.0)])
         )
         (ep,) = diagnose(snap)["breaches"]
         assert all(c["type"] != "compute_bound" for c in ep["causes"])
@@ -349,40 +360,23 @@ class TestComputeBound:
     def test_share_below_threshold_is_not_compute_bound(self):
         snap = _snap(
             self._breach_events(),
-            instruments=self._profile_series(
+            series=self._profile_series(
                 [("1", "spin", 1.0), ("0", "relay", 1.0)]
             ),
         )
         (ep,) = diagnose(snap)["breaches"]
         assert all(c["type"] != "compute_bound" for c in ep["causes"])
 
-    def test_duplicate_worker_series_use_max_not_sum(self):
-        # Merged flight dumps repeat one worker's cumulative counters
-        # (periodic + on-request dump); summing would double-count.
-        snap = _snap(
-            self._breach_events(),
-            instruments=self._profile_series(
-                [("1", "spin", 5.0), ("1", "spin", 5.0), ("0", "relay", 2.0)]
-            ),
-        )
-        (ep,) = diagnose(snap)["breaches"]
-        (cause,) = [c for c in ep["causes"] if c["type"] == "compute_bound"]
-        # max() keeps spin at 5.0 of 7.0 total = 71%; a sum would have
-        # reported 10.0 of 12.0 = 83%.
-        assert "71% of sampled CPU (5.00s)" in cause["detail"]
-
     def test_non_execute_dominant_stage_suppresses(self):
-        traces = {
-            "t1": [
-                {"operator": "spin[0]", "stage": "flush", "start": 6.0, "end": 8.0},
-                {"operator": "spin[0]", "stage": "execute", "start": 6.0, "end": 6.1},
-            ]
-        }
+        spans = [
+            {"operator": "spin[0]", "stage": "flush", "start": 6.0, "end": 8.0},
+            {"operator": "spin[0]", "stage": "execute", "start": 6.0, "end": 6.1},
+        ]
         snap = _snap(
             self._breach_events(),
-            instruments=self._profile_series([("1", "spin", 5.0)]),
+            series=self._profile_series([("1", "spin", 5.0)]),
+            spans=spans,
         )
-        snap["traces"] = traces
         (ep,) = diagnose(snap)["breaches"]
         assert all(c["type"] != "compute_bound" for c in ep["causes"])
 
@@ -403,7 +397,7 @@ class TestComputeBound:
                 "value": 50.0,
             }
         )
-        (ep,) = diagnose(_snap(self._breach_events(), instruments=series))["breaches"]
+        (ep,) = diagnose(_snap(self._breach_events(), series=series))["breaches"]
         causes = [c for c in ep["causes"] if c["type"] == "compute_bound"]
         # spin holds 100% of *operator* CPU; the runtime series is inert.
         assert causes and causes[0]["operator"] == "spin"
@@ -411,7 +405,7 @@ class TestComputeBound:
     def test_render_names_compute_bound(self):
         snap = _snap(
             self._breach_events(),
-            instruments=self._profile_series([("1", "spin", 5.0)]),
+            series=self._profile_series([("1", "spin", 5.0)]),
         )
         text = render_report(diagnose(snap))
         assert "compute_bound" in text

@@ -102,7 +102,7 @@ class TestTimelineDropAccounting:
         for i in range(5):
             obs.event("t", "e", i=i)
         snap = snapshot(obs)
-        assert snap["timeline_dropped"] == 3
+        assert snap["events_dropped"] == 3
         bridge.scrape_observer(obs)
         text = to_prometheus(obs.registry)
         assert "neptune_timeline_dropped_total 3" in text

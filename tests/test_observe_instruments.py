@@ -11,7 +11,7 @@ import pytest
 from repro.core.metrics import LatencyRecorder, MetricsRegistry
 from repro.observe import EventTimeline, RuntimeObserver, TelemetryRegistry
 from repro.observe.instruments import DEFAULT_BUCKETS, RegistryFull
-from repro.observe.export import snapshot, to_json, to_prometheus
+from repro.observe.export import snapshot, to_prometheus
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +168,19 @@ class TestJsonExport:
         obs = RuntimeObserver(sample_every=1)
         obs.registry.counter("neptune_x_total", None, "h").inc(3)
         obs.event("chaos", "node_killed", site="sim.node")
-        data = json.loads(to_json(obs))
-        assert data["instruments"][0]["name"] == "neptune_x_total"
-        assert data["timeline"][0]["category"] == "chaos"
-        assert data["timeline"][0]["name"] == "node_killed"
+        data = json.loads(json.dumps(snapshot(obs), default=str))
+        assert "neptune_x_total" in [s["name"] for s in data["series"]]
+        assert data["events"][0]["category"] == "chaos"
+        assert data["events"][0]["name"] == "node_killed"
 
     def test_snapshot_shape(self):
         obs = RuntimeObserver()
         snap = snapshot(obs)
-        assert set(snap) >= {"instruments", "timeline", "traces"}
+        assert snap["schema"] == "neptune-telemetry/1"
+        assert set(snap) >= {
+            "worker", "incarnation", "seq", "ts", "reason", "series", "spans",
+            "events", "monitors", "profile", "events_dropped", "spans_dropped",
+        }
 
 
 # ---------------------------------------------------------------------------

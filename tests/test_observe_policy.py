@@ -15,17 +15,9 @@ from repro.observe import (
     apply_action,
     diagnose,
 )
+from envelopes import envelope as _snap
+from envelopes import event as _event
 from repro.observe.export import snapshot
-
-
-def _event(ts, category, name, **attrs):
-    return {"ts": ts, "category": category, "name": name, "attrs": attrs}
-
-
-def _snap(events, **extra):
-    snap = {"instruments": [], "timeline": events, "traces": {}}
-    snap.update(extra)
-    return snap
 
 
 def stalled_sink_snapshot():
@@ -94,7 +86,7 @@ class TestDoctorHandoff:
         assert engine.no_cause == 1
         assert engine.warnings and "no attributable root cause" in engine.warnings[0]
         events = [
-            e for e in snapshot(observer)["timeline"] if e["category"] == "policy"
+            e for e in snapshot(observer)["events"] if e["category"] == "policy"
         ]
         assert any(e["name"] == "no_action" for e in events)
 
@@ -104,7 +96,7 @@ class TestDoctorHandoff:
         report = diagnose(stalled_sink_snapshot())
         engine.observe(10, [("relay.p99_latency", "breach")], report, observer)
         events = [
-            e for e in snapshot(observer)["timeline"] if e["category"] == "policy"
+            e for e in snapshot(observer)["events"] if e["category"] == "policy"
         ]
         assert any(
             e["name"] == "action" and e["attrs"]["kind"] == "retune" for e in events

@@ -16,7 +16,6 @@ from repro.observe.export import to_prometheus
 from repro.observe.profiler import (
     OTHER_STACK,
     OVERFLOW_LABEL,
-    PROFILE_SCHEMA,
     SamplingProfiler,
     _bare_operator,
     _generic_label,
@@ -28,6 +27,7 @@ from repro.observe.profiler import (
     speedscope,
 )
 from repro.workloads import CountingSource, RelayProcessor
+from waiters import wait_until
 
 
 class _OwnedSpinner:
@@ -145,7 +145,7 @@ class TestAttribution:
         with _OwnedSpinner("hot[0]"):
             _sweep(prof, 5, elapsed=0.01)
         snap = prof.snapshot()
-        assert snap["schema"] == PROFILE_SCHEMA
+        assert "schema" not in snap  # a section of the envelope, not a file
         hot = snap["operators"]["hot"]
         assert hot["kind"] == "operator"
         assert hot["samples"] == 5
@@ -271,6 +271,32 @@ class TestProcFallback:
         assert prof.samples > 0
 
 
+class TestSweepErrors:
+    def test_a_swallowed_sweep_is_counted_and_lands_on_the_timeline(self):
+        obs = RuntimeObserver()
+        prof = SamplingProfiler(hz=500.0)
+        obs.profiler = prof
+
+        def boom(elapsed):
+            raise RuntimeError("frame walk failed")
+
+        prof._sample_once = boom
+        with prof:
+            assert wait_until(lambda: prof.errors >= 2, timeout=10.0)
+        bridge.scrape_observer(obs)
+        (counter,) = [
+            s for s in obs.registry.collect()
+            if s.name == "neptune_internal_errors_total"
+        ]
+        assert dict(counter.labels) == {"site": "profiler.sample"}
+        assert counter.value == prof.errors
+        # Every one counted; the first per scrape on the timeline.
+        (error,) = obs.timeline.snapshot("internal", "error")
+        assert "frame walk failed" in error.attrs["error"]
+        bridge.scrape_observer(obs)
+        assert len(obs.timeline.snapshot("internal", "error")) == 1
+
+
 class TestBounds:
     def test_operator_overflow_folds(self):
         prof = SamplingProfiler(max_operators=1)
@@ -315,23 +341,19 @@ class TestWindows:
                 # the suite, so sweep cadence is not ours to assume.
                 deadline = time.monotonic() + 30.0
                 while time.monotonic() < deadline:
-                    section = prof.flight_section()
-                    if (
-                        section["window"] is not None
-                        and section["window"]["index"] >= 1
-                        and "hot" in section["operators"]
-                    ):
+                    section = prof.snapshot(stacks=False)
+                    if section["window"]["index"] >= 1 and "hot" in section["operators"]:
                         break
                     time.sleep(0.05)
-        section = prof.flight_section()
-        assert section["window"] is not None
+        section = prof.snapshot(stacks=False)
         assert section["window"]["index"] >= 1
-        assert section["window_age_seconds"] >= 0.0
-        # The flight section is snapshot-shaped (mergeable as-is) but
-        # compact: no stacks, at most 3 frames per operator.
+        assert section["window"]["age_seconds"] >= 0.0
+        # What a flight dump carries: the same profile (mergeable
+        # as-is) without the stacks, leaf frames bounded.
         hot = section["operators"]["hot"]
         assert "stacks" not in hot
-        assert len(hot["top_frames"]) <= 3
+        assert 1 <= len(hot["top_frames"]) <= prof.max_frames
+        assert prof.snapshot()["operators"]["hot"]["stacks"]
 
 
 class TestRenderers:
@@ -416,7 +438,6 @@ class TestExportAgreement:
 class TestMerge:
     def _snap(self, label, cpu, samples=10, mode="task-stat"):
         return {
-            "schema": PROFILE_SCHEMA,
             "state": "dormant",
             "cpu_mode": mode,
             "samples": samples,
