@@ -41,7 +41,10 @@ def build_graph(source=None, sink=None):
     graph.add_source("source", lambda: source)
     graph.add_processor("relay", RelayProcessor)
     graph.add_processor("slow-sink", lambda: sink)
-    graph.link("source", "relay").link("relay", "slow-sink")
+    # The sink sleeps - it waits outside the interpreter - so it keeps a
+    # thread, a buffer and a watermark gate of its own (chain=False);
+    # source -> relay is chained: a relay adds no parallelism.
+    graph.link("source", "relay").link("relay", "slow-sink", chain=False)
     return graph
 
 

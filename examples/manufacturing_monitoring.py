@@ -170,8 +170,11 @@ def build_graph(monitor=None):
     graph.add_processor("detect", StateChangeDetector)
     graph.add_processor("match", DelayMatcher, parallelism=3)
     graph.add_processor("monitor", lambda: monitor)
-    # Telemetry is low-entropy → compress this high-volume link.
-    graph.link("ingest", "detect", compression=True)
+    # Telemetry is low-entropy → compress this high-volume link.  In
+    # production ingest and detect sit on different machines; in this one
+    # process the link would be chained (two single-instance operators:
+    # no buffer, no bytes), so chain=False keeps the wire the example shows.
+    graph.link("ingest", "detect", compression=True, chain=False)
     graph.link(
         "detect", "match", partitioning={"scheme": "fields", "fields": ["sensor"]}
     )

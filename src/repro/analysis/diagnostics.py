@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import asdict, dataclass, field
+from typing import Any
 
 
 class Severity(enum.IntEnum):
@@ -54,6 +55,9 @@ class DiagnosticReport:
     diagnostics: list[Diagnostic] = field(default_factory=list)
     #: What was analyzed (descriptor path, source root, ...).
     subject: str = ""
+    #: ``(graph, plan)`` a graph or cluster verifier built on its way
+    #: (``plan`` None without a deployment), for passes that follow it.
+    verified: tuple[Any, Any] | None = field(default=None, repr=False, compare=False)
 
     def add(
         self,
@@ -111,14 +115,15 @@ class DiagnosticReport:
         lines = []
         if self.subject:
             lines.append(f"analyze {self.subject}:")
-        if not self.diagnostics:
-            lines.append("  clean — no findings")
-            return "\n".join(lines)
         for diag in self.diagnostics:
             for row in diag.render().splitlines():
                 lines.append(f"  {row}")
         n_err = len(self.errors())
         n_warn = len(self.warnings())
+        if not n_err and not n_warn:
+            # Info findings (chain verdicts) are facts, not problems.
+            lines.append("  clean — no findings")
+            return "\n".join(lines)
         lines.append(
             f"  {len(self.diagnostics)} finding(s): "
             f"{n_err} error(s), {n_warn} warning(s)"

@@ -31,12 +31,17 @@ NEPG119      error     latency budget infeasible for the deepest path
 NEPG120      warning   partitioning scheme pointless at parallelism 1
 NEPG121      warning   source has no outgoing links
 NEPG122      warning   non-deterministic partitioning cannot be sharded
+NEPG140      info      a link's chain verdict (``repro analyze`` adds them)
 ===========  ========  =====================================================
 
 ``StreamProcessingGraph.validate()`` delegates its structural, schema,
 and partitioning checking here (the error-severity passes) and raises
 :class:`~repro.util.errors.GraphValidationError` on the first error;
-``repro analyze --graph`` runs every pass and renders the full report.
+``repro analyze --graph`` runs every pass and renders the full report,
+with each link's chain verdict (:func:`chain_verdicts`: is the link
+chained, and if not, which barrier of
+:func:`repro.core.graph.chain_barrier` - the predicate the runtime
+wires by - stands in the way).
 """
 
 from __future__ import annotations
@@ -515,6 +520,45 @@ def verify_graph(graph: Any, deep: bool = True) -> DiagnosticReport:
     return GraphVerifier(graph).run(deep=deep)
 
 
+def chain_verdicts(report: DiagnosticReport) -> None:
+    """NEPG140: one info finding per link of the graph ``report``
+    verified, if it built and has no error, saying whether the runtime
+    chains the link - under the plan that was verified with it (a
+    ``DeploymentPlan``), on one resource otherwise."""
+    from repro.core.graph import chain_barrier
+
+    if report.verified is None or report.errors():
+        return
+    graph, plan = report.verified
+    for lk in graph.links:
+        barrier = chain_barrier(graph, lk, plan.worker_of if plan is not None else None)
+        hint = ""
+        if barrier is None:
+            where_to = "" if plan is None else f" on worker {plan.worker_of(lk.to_op, 0)}"
+            message = (
+                f"chained{where_to}: {lk.to_op!r} runs on the thread of "
+                f"{lk.from_op!r}, its batches handed over as rows"
+            )
+            hint = (
+                f"declare chain=False on this link if {lk.to_op!r} blocks "
+                "outside the interpreter (sleep, fsync, a socket)"
+            )
+        elif barrier == "crosses resources":
+            message = (
+                f"split by the plan: {lk.from_op}\u2192w{plan.worker_of(lk.from_op, 0)}, "
+                f"{lk.to_op}\u2192w{plan.worker_of(lk.to_op, 0)}; a buffered leg over a socket"
+            )
+        else:
+            message = f"not chained ({barrier}): a buffered leg"
+        report.add(
+            "NEPG140",
+            Severity.INFO,
+            message,
+            where=_link_where(lk.from_op, lk.to_op, lk.stream),
+            hint=hint,
+        )
+
+
 def verify_descriptor(
     desc: Any, config: NeptuneConfig | None = None
 ) -> DiagnosticReport:
@@ -545,6 +589,7 @@ def verify_descriptor(
     verifier = GraphVerifier(graph)
     verifier.report = report
     verifier.run(deep=True)
+    report.verified = (graph, None)
     return report
 
 

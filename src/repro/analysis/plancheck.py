@@ -491,6 +491,7 @@ def verify_cluster(
             continue
         report.diagnostics.append(diag)
     report.extend(verifier.report)
+    report.verified = (graph, plan)
     return report
 
 

@@ -34,7 +34,8 @@ class BenchProfile:
     repeats: int
     #: Appends driven through the StreamBuffer flush scenario.
     buffer_appends: int
-    #: Packets pushed through the end-to-end relay pipeline.
+    #: Packets pushed through the end-to-end relay pipeline in process
+    #: (both links chained: one thread, no buffer).
     relay_packets: int
     #: StreamBuffer.max_delay bound used (and checked) by the relay.
     relay_max_delay: float
@@ -52,19 +53,25 @@ class BenchProfile:
     #: stalled pipeline (kept small: every pre-heal frame pays the
     #: sink's fixed batch overhead, so this bounds the control arm).
     policy_packets: int = 600
+    #: Packets pushed through the relay by the planes whose links stay
+    #: buffered - the two ``collector`` planes (the links cross
+    #: workers) and ``profiler`` (``chain=False``): about half the
+    #: chained relay's rate, or less.
+    buffered_packets: int = 2_000
 
 
 PROFILES: dict[str, BenchProfile] = {
     "smoke": BenchProfile("smoke", 2_000, 1, 4_000, 2_000, 0.005),
-    # relay_packets keeps one relay run at two to three seconds (~190k
-    # packets/s in process, ~140k over two workers, since sources run a
-    # quantum per execution): every plane gate divides by that window,
-    # and it has to hold ten of the collector's 0.25 s polls.
+    # relay_packets and buffered_packets keep one relay run at two to
+    # three seconds (~300k packets/s chained in process, ~140k over two
+    # workers): every plane gate divides by that window, and it has to
+    # hold ten of the collector's 0.25 s polls and of the health
+    # engine's 0.1 s scans with room to spare.
     "quick": BenchProfile(
-        "quick", 20_000, 3, 100_000, 360_000, 0.005, 2_400, 0.002, (1, 4), 6_000
+        "quick", 20_000, 3, 100_000, 720_000, 0.005, 2_400, 0.002, (1, 4), 6_000, 360_000
     ),
     "full": BenchProfile(
-        "full", 100_000, 5, 400_000, 450_000, 0.005, 6_000, 0.002, (1, 2, 4), 12_000
+        "full", 100_000, 5, 400_000, 900_000, 0.005, 6_000, 0.002, (1, 2, 4), 12_000, 450_000
     ),
 }
 

@@ -306,7 +306,7 @@ class _LatencySink(StreamProcessor):
 #: hands often enough for the profiler's throttled sweep to run 40 times
 #: in a trial where 32 KiB batches allow 2-14 (each sweep waits out the
 #: GIL holder's 5 ms turn several times), and two worker *processes*
-#: take ten collector polls, not five, to move ``relay_packets``.
+#: take ten collector polls, not five, to move ``buffered_packets``.
 SMALL_BATCH = 1024
 
 
@@ -321,11 +321,15 @@ def _relay_graph(
     packets: int,
     config: NeptuneConfig,
     sink: "OperatorFactory | None" = None,
+    buffered: tuple[str, ...] = (),
 ) -> StreamProcessingGraph:
     """The one source → relay → sink graph behind ``relay`` and every
     plane arm.  Operators are named by import path so worker processes
     can build them; an in-process caller passes the factory of a
-    ``sink`` it holds, to read its counters afterwards."""
+    ``sink`` it holds, to read its counters afterwards.  On one
+    resource both links chain; an arm whose subject is a buffered leg
+    (its gate, its retune, its hand-overs) names the receivers that
+    keep one in ``buffered`` (``chain=False`` on the link into each)."""
     graph = StreamProcessingGraph(name, config=config)
     graph.add_source(
         "source", descriptor_factory(f"{__name__}:_RelaySource", total=packets)
@@ -334,7 +338,8 @@ def _relay_graph(
     graph.add_processor(
         "sink", sink or descriptor_factory(f"{__name__}:_LatencySink")
     )
-    graph.link("source", "relay").link("relay", "sink")
+    graph.link("source", "relay", chain="relay" not in buffered)
+    graph.link("relay", "sink", chain="sink" not in buffered)
     return graph
 
 
@@ -345,16 +350,20 @@ def _local_relay(
     start: "Callable[[JobHandle], Callable[[], object]] | None" = None,
     capacity: int = 32 * 1024,
     sink: "_LatencySink | None" = None,
+    buffered: tuple[str, ...] = (),
 ) -> float:
     """Wall seconds of one in-process relay run under ``observer``.
 
     ``start(handle)`` switches a plane on once the job is submitted and
     returns what switches it off again after the drain; a caller that
-    wants the latencies passes the ``sink`` to fill.
+    wants the latencies passes the ``sink`` to fill.  With ``buffered``
+    legs (:func:`_relay_graph`) the run is ``profile.buffered_packets``
+    long, chained ``profile.relay_packets``.
     """
     held = _LatencySink() if sink is None else sink
+    packets = profile.buffered_packets if buffered else profile.relay_packets
     graph = _relay_graph(
-        name, profile.relay_packets, _relay_config(profile, capacity), lambda: held
+        name, packets, _relay_config(profile, capacity), lambda: held, buffered
     )
     t0 = time.perf_counter()
     with NeptuneRuntime(observer=observer) as runtime:
@@ -366,10 +375,8 @@ def _local_relay(
     wall = time.perf_counter() - t0
     if not ok:
         raise RuntimeError(f"{name}: relay did not complete in 300s")
-    if held.count != profile.relay_packets:
-        raise RuntimeError(
-            f"{name}: relay lost packets: {held.count}/{profile.relay_packets}"
-        )
+    if held.count != packets:
+        raise RuntimeError(f"{name}: relay lost packets: {held.count}/{packets}")
     return wall
 
 
@@ -616,7 +623,16 @@ def _profiler_arm(profile: BenchProfile, on: bool) -> ArmRun:
     the ownership hook on every execute) vs sampling at 50 Hz.  Its
     ``sample_seconds`` — walking ``sys._current_frames`` and folding
     stacks — is what the profiler's own ``max_duty`` throttle budgets,
-    so the row checks the throttle's arithmetic against a real run."""
+    so the row checks the throttle's arithmetic against a real run.
+
+    The relay keeps its buffered legs here.  The sampler is metered in
+    wall time and reads ``/proc`` per thread, and every read gives the
+    interpreter away: against a chained relay - one thread that never
+    lets go of it - each read waits out a 5 ms switch interval, a sweep
+    costs ~100 ms, the throttle stretches the next one to ~3 s and a
+    trial holds one sweep.  Buffered hand-overs make the interpreter
+    change hands often enough for ~30 (ROADMAP 3(d): meter the sweep in
+    thread CPU time, then chain this arm too)."""
     from repro.observe import RuntimeObserver
     from repro.observe.profiler import SamplingProfiler
 
@@ -628,7 +644,12 @@ def _profiler_arm(profile: BenchProfile, on: bool) -> ArmRun:
         return profiler.stop
 
     wall = _local_relay(
-        profile, "bench-profiler", observer, start if on else None, SMALL_BATCH
+        profile,
+        "bench-profiler",
+        observer,
+        start if on else None,
+        SMALL_BATCH,
+        buffered=("relay", "sink"),
     )
     if profiler.errors:
         raise RuntimeError(f"profiler sweep errors: {profiler.errors}")
@@ -653,7 +674,7 @@ def _collector_arm(profile: BenchProfile, on: bool) -> ArmRun:
     sink = _LatencySink()
     graph = _relay_graph(
         "bench-collector",
-        profile.relay_packets,
+        profile.buffered_packets,
         _relay_config(profile),
         lambda: sink,
     )
@@ -675,10 +696,10 @@ def _collector_arm(profile: BenchProfile, on: bool) -> ArmRun:
     wall = time.perf_counter() - t0
     if not ok:
         raise RuntimeError("bench-collector: relay did not complete in 300s")
-    if sink.count != profile.relay_packets:
+    if sink.count != profile.buffered_packets:
         raise RuntimeError(
             f"bench-collector: relay lost packets: "
-            f"{sink.count}/{profile.relay_packets}"
+            f"{sink.count}/{profile.buffered_packets}"
         )
     if collector is None or source is None:
         return ArmRun(wall)
@@ -705,7 +726,7 @@ def _collector_cluster_arm(profile: BenchProfile, on: bool) -> ArmRun:
     complete, so interpreter start-up, alike in both arms, cancels."""
     from repro.cluster import ClusterCoordinator
 
-    total = profile.relay_packets
+    total = profile.buffered_packets
     coordinator = ClusterCoordinator(
         _relay_graph(
             "bench-collector-cluster", total, _relay_config(profile, SMALL_BATCH)
@@ -785,6 +806,9 @@ def _policy_arm(profile: BenchProfile, on: bool) -> ArmRun:
             inbound_high_watermark=16384,
         ),
         lambda: sink,
+        # The sink sleeps per batch, and what heals it is a retune of
+        # the buffer in front of it: it keeps that buffer.
+        buffered=("sink",),
     )
     observer = RuntimeObserver(sample_every=0) if on else None
     hook_seconds = 0.0
@@ -869,8 +893,9 @@ def _policy_arm(profile: BenchProfile, on: bool) -> ArmRun:
 
 #: Every observability/analysis plane, as (off arm -> on arm) and the
 #: budgets it is held to.  All relay-shaped arms run
-#: :func:`_relay_graph` at ``profile.relay_packets``; ``policy`` runs it
-#: at ``policy_packets`` behind a stalling sink.
+#: :func:`_relay_graph`: chained, in process, at ``profile.relay_packets``;
+#: the two collector planes across workers at ``buffered_packets``;
+#: ``policy`` at ``policy_packets`` behind a stalling sink.
 PLANES: tuple[Plane, ...] = (
     Plane(
         "observe",
@@ -910,6 +935,7 @@ PLANES: tuple[Plane, ...] = (
         on="+collector",
         cost="poll CPU",
         tick="polls",
+        packets="buffered_packets",
         keys={
             "packets_per_sec_off": "packets_per_sec_collector_off",
             "packets_per_sec_on": "packets_per_sec_collector_on",
@@ -926,6 +952,7 @@ PLANES: tuple[Plane, ...] = (
         cost="delta build + merge CPU",
         tick="polls",
         statistic="min",
+        packets="buffered_packets",
         spawns=True,
     ),
     Plane(
@@ -936,6 +963,7 @@ PLANES: tuple[Plane, ...] = (
         cost="sample seconds",
         tick="sweeps",
         statistic="min",
+        packets="buffered_packets",
     ),
     Plane(
         "policy",

@@ -84,7 +84,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     """`analyze` subcommand: graph verifier / plan verifier / lint.
 
     Exit code 0 iff no report reaches the ``--fail-on`` severity
-    (default: error; warnings still print).  ``--cluster SPEC.json``
+    (default: error; warnings still print, and so does each link's
+    chain verdict, NEPG140 at info severity).  ``--cluster SPEC.json``
     runs the NEPG130–139 deployment-plan verifier (the same pass
     ``ClusterCoordinator.launch`` gates on); ``--witness W.json``
     cross-validates a sanitizer witness file against the static
@@ -96,6 +97,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         verify_cluster_file,
         verify_descriptor_file,
     )
+    from repro.analysis.graphcheck import chain_verdicts
 
     if not args.graph and not args.lint and not args.cluster:
         raise SystemExit(
@@ -110,6 +112,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     fail_on = Severity.WARNING if args.fail_on == "warning" else Severity.ERROR
     reports = [verify_descriptor_file(path) for path in args.graph]
     reports += [verify_cluster_file(path) for path in args.cluster]
+    for report in reports:
+        chain_verdicts(report)
     if args.lint:
         reports.append(lint_paths(args.lint))
     if args.witness:
@@ -442,10 +446,15 @@ def _render_top(collector, entries, title: str, frame: int) -> str:
     stage_hists: dict = {}
     prof_cpu: dict = {}
     prof_off: dict = {}
+    chains: dict = {}  # leg -> [handoffs, packets]
     for s in samples:
         labels = dict(s.labels)
         worker = labels.get("worker")
-        if s.name == "neptune_operator_packets_in_total" and worker is not None:
+        if s.name == "neptune_chain_handoffs_total":
+            chains.setdefault(labels.get("leg", "?"), [0, 0])[0] = s.value
+        elif s.name == "neptune_chain_packets_total":
+            chains.setdefault(labels.get("leg", "?"), [0, 0])[1] = s.value
+        elif s.name == "neptune_operator_packets_in_total" and worker is not None:
             per_in[worker] = per_in.get(worker, 0.0) + s.value
         elif s.name == "neptune_operator_packets_out_total" and worker is not None:
             per_out[worker] = per_out.get(worker, 0.0) + s.value
@@ -496,6 +505,11 @@ def _render_top(collector, entries, title: str, frame: int) -> str:
         lines.append(
             f"  cpu {op:14s} {share:5.1f}%  on={prof_cpu[op]:.2f}s "
             f"off={prof_off.get(op, 0.0):.2f}s"
+        )
+    for leg in sorted(chains):
+        lines.append(
+            f"  chained {leg}: handoffs={chains[leg][0]:.0f} "
+            f"packets={chains[leg][1]:.0f} (no buffer)"
         )
     lines.append(
         "  gates open: " + (", ".join(sorted(gates)) if gates else "none")

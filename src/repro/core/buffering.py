@@ -462,6 +462,15 @@ class StreamBuffer:
             )
 
 
+def leg_matches(name: str, operator: str, where: str) -> bool:
+    """Whether the leg ``[w{id}:]{from}[{s}]->{to}[{r}]/{stream}`` runs
+    into (``where="into"``) or out of (``"from"``) ``operator``."""
+    if where == "into":
+        return f"->{operator}[" in name
+    head = name.split("->", 1)[0]
+    return head.split(":", 1)[-1].startswith(f"{operator}[")
+
+
 def retune_matching(
     buffers: "list[StreamBuffer]",
     operator: str,
@@ -484,12 +493,7 @@ def retune_matching(
     out: list[dict[str, Any]] = []
     for buf in buffers:
         name = buf.name
-        if where == "into":
-            matched = f"->{operator}[" in name
-        else:
-            head = name.split("->", 1)[0]
-            matched = head.split(":", 1)[-1].startswith(f"{operator}[")
-        if not matched:
+        if not leg_matches(name, operator, where):
             continue
         applied = buf.retune(max_delay=max_delay, capacity=capacity)
         if applied:

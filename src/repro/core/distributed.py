@@ -267,7 +267,7 @@ class DistributedWorker:
             return
         self._started = True
         self._flush_service.start()
-        hosted = len(self.job.all_instances())
+        hosted = len(self.job.tasks())
         workers = self.graph.config.effective_workers(max(hosted, 1))
         self._resource = Resource(f"worker-{self.worker_id}", workers=workers)
         self._resource.start()
@@ -327,14 +327,13 @@ class DistributedWorker:
         a JSON-able report of what was applied — an empty ``applied``
         list when this shard owns none of the named operator's legs.
         """
-        applied = _apply_reconfigure(changes, self.job.buffers, self._resource)
+        applied = _apply_reconfigure(changes, [self.job], self._resource)
         return {"worker": self.worker_id, "applied": applied}
 
     def stop(self, timeout: float = 10.0) -> None:
         """Stop and release resources. Idempotent."""
         if self._resource is not None:
-            for inst in self.job.all_instances():
-                self._resource.terminate_task(inst.task_id)
+            self.job.terminate()
             self._resource.stop(timeout)
             self._resource = None
         self._flush_service.stop()

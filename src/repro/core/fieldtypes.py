@@ -348,6 +348,75 @@ def compile_fieldtypes(types: tuple[FieldType, ...]) -> CompiledSchema:
     return CompiledSchema(types)
 
 
+# -- a hop without the bytes (operator chaining) -----------------------------
+#
+# A chained leg (``core/runtime.py::_ChainedLeg``) hands field values to
+# the receiver without encoding them, so it owes the receiver what an
+# encode followed by a decode would have done to each value besides
+# moving it: refuse an int the wire type cannot hold, round a FLOAT32,
+# make a float of an int in a float field, and snapshot a mutable value
+# (``bytearray``/``memoryview``, a list) that the sender may go on
+# changing.  It also wants to know what the record would have weighed,
+# to hand over where a buffer would have flushed.  Both are one function
+# per schema, generated like the codec's fused struct so that a packet
+# pays one call and no per-field dispatch (as a loop over per-type
+# functions this read +1.0 us a packet on the relay workloads,
+# EXPERIMENTS.md "Chain 1:1 local links").  The statements below run
+# with ``v`` bound to field ``I`` of ``row``; a field type that is not
+# here comes back from a decode as it went in: BOOL (``set_at`` only
+# lets a bool in).  A STRING is only weighed, at a byte a character: it
+# is immutable, and the one thing skipped is utf-8 refusing a lone
+# surrogate, which the next real buffer still does.
+
+_AS_DECODED_SOURCE = {
+    FieldType.INT32: (
+        f"if not {_INT32_MIN} <= v <= {_INT32_MAX}:\n"
+        "    raise SerializationError(f'int32 out of range: {v}')"
+    ),
+    FieldType.INT64: (
+        f"if not {_INT64_MIN} <= v <= {_INT64_MAX}:\n"
+        "    raise SerializationError(f'int64 out of range: {v}')"
+    ),
+    FieldType.FLOAT32: "row[I] = unpack_f32(pack_f32(v))[0]",
+    FieldType.FLOAT64: "if type(v) is not float:\n    row[I] = float(v)",
+    FieldType.STRING: "size += len(v)",
+    FieldType.BYTES: "if type(v) is not bytes:\n    row[I] = v = bytes(v)\nsize += len(v)",
+    FieldType.FLOAT64_LIST: "row[I] = v = [float(x) for x in v]\nsize += 8 * len(v)",
+    FieldType.INT64_LIST: "row[I] = v = int64_list(v)\nsize += 8 * len(v)",
+}
+
+
+def _int64_list(value: Any) -> list[int]:
+    out = list(value)
+    if out and not (_INT64_MIN <= min(out) and max(out) <= _INT64_MAX):
+        raise SerializationError(f"cannot encode {value!r} as int64_list")
+    return out
+
+
+@lru_cache(maxsize=256)
+def compile_as_decoded(types: tuple[FieldType, ...]) -> Callable[[list[Any]], int]:
+    """``as_decoded(row) -> size`` for records of ``types``: leaves in
+    ``row`` (a list of validated, complete field values) what encoding
+    and decoding it would have, raises what the encode would have
+    raised for an int out of range, and returns the encoded size."""
+    width = sum(ftype.fixed_size or 4 for ftype in types)
+    lines = ["def as_decoded(row):", f"    size = {width}"]
+    for i, ftype in enumerate(types):
+        source = _AS_DECODED_SOURCE.get(ftype)
+        if source is not None:
+            lines.append(f"    v = row[{i}]")
+            lines += ["    " + line for line in source.replace("row[I]", f"row[{i}]").split("\n")]
+    lines.append("    return size")
+    scope: dict[str, Any] = {
+        "SerializationError": SerializationError,
+        "pack_f32": _F32.pack,
+        "unpack_f32": _F32.unpack,
+        "int64_list": _int64_list,
+    }
+    exec("\n".join(lines), scope)  # noqa: S102 - source is the table above
+    return scope["as_decoded"]  # type: ignore[no-any-return]
+
+
 #: Classes whose instances :func:`validate_value` accepts without
 #: looking any further, per field type: ``StreamPacket.set_at`` tests
 #: ``type(value)`` against the schema's precomputed row of these and

@@ -76,6 +76,9 @@ class LinkSpec:
     #: Per-link compression override: None = job default, True/False =
     #: force on/off, or a dict of CompressionPolicy kwargs.
     compression: Any = None
+    #: False keeps a buffered leg where the link could be chained (see
+    #: :func:`chain_barrier`): the receiver keeps its own thread.
+    chain: bool = True
     link_id: int = -1  # assigned at validation
     schema: PacketSchema | None = None  # resolved at validation
 
@@ -146,10 +149,20 @@ class StreamProcessingGraph:
         stream: str = "default",
         partitioning: Any = "round-robin",
         compression: Any = None,
+        chain: bool = True,
     ) -> "StreamProcessingGraph":
-        """Connect ``from_op``'s ``stream`` to ``to_op`` (§III-A4)."""
+        """Connect ``from_op``'s ``stream`` to ``to_op`` (§III-A4).
+
+        A link between two single-instance operators on one resource is
+        *chained* (:func:`chain_barrier`): the receiver runs on the
+        sender's thread, batch by batch, with no buffer in between.
+        That trades pipelining for hand-off cost.  Say ``chain=False``
+        when ``to_op`` blocks outside the interpreter (sleeps, fsyncs,
+        waits on a socket) and should overlap with its sender on a
+        thread of its own.
+        """
         self.links.append(
-            LinkSpec(from_op, to_op, stream, partitioning, compression)
+            LinkSpec(from_op, to_op, stream, partitioning, compression, chain)
         )
         self._validated = False
         return self
@@ -223,6 +236,7 @@ class StreamProcessingGraph:
                     "to": lk.to_op,
                     "stream": lk.stream,
                     "partitioning": part,
+                    **({} if lk.chain else {"chain": False}),
                 }
             )
         return {"name": self.name, "operators": ops, "links": links}
@@ -306,6 +320,11 @@ class StreamProcessingGraph:
                 ) from exc
             stream = lk.get("stream", "default")
             partitioning = lk.get("partitioning", "round-robin")
+            chain = lk.get("chain", True)
+            if not isinstance(chain, bool):
+                raise DescriptorError(
+                    f"link 'chain' must be true or false, got {chain!r}: {lk!r}"
+                )
             if validate_wiring:
                 for endpoint in (from_op, to_op):
                     if endpoint not in graph.operators:
@@ -325,6 +344,7 @@ class StreamProcessingGraph:
                 stream=stream,
                 partitioning=partitioning,
                 compression=lk.get("compression"),
+                chain=chain,
             )
         return graph
 
@@ -332,6 +352,38 @@ class StreamProcessingGraph:
     def from_json(cls, text: str, config: NeptuneConfig | None = None) -> "StreamProcessingGraph":
         """Build a graph from a JSON descriptor string."""
         return cls.from_descriptor(json.loads(text), config=config)
+
+
+def chain_barrier(
+    graph: StreamProcessingGraph,
+    link: LinkSpec,
+    placed: Callable[[str, int], object] | None = None,
+) -> str | None:
+    """Why ``link`` is wired as a buffered leg, or None when it is
+    chained (DESIGN.md section 6).
+
+    A chained receiver runs on its sender's thread, so a link chains
+    only where a thread of its own buys the receiver nothing and costs
+    nobody else: one sender instance, one receiver instance, nobody
+    else sending to it, no schedule of its own, both on one resource.
+    ``placed(op, index)`` says where an instance runs - a worker id
+    under a plan, or, asked by the resource doing the wiring, whether
+    the instance is its own; None is one resource hosting everything.
+    The one predicate: the runtime wires by it and ``repro analyze``
+    reports it (NEPG140).
+    """
+    sender, receiver = graph.operators[link.from_op], graph.operators[link.to_op]
+    if not link.chain:
+        return "chain=False"
+    if sender.parallelism != 1 or receiver.parallelism != 1:
+        return "parallelism"
+    if len(graph.incoming_links(link.to_op)) != 1:
+        return "fan-in"
+    if receiver.scheduling is not None:
+        return "scheduled receiver"
+    if placed is not None and placed(link.from_op, 0) != placed(link.to_op, 0):
+        return "crosses resources"
+    return None
 
 
 def descriptor_factory(class_path: str, /, **kwargs: Any) -> OperatorFactory:

@@ -24,8 +24,11 @@ There is one engine.  :func:`_wire_partition` builds one resource's
 share of a graph and is the only place a link is wired; a leg whose
 receiver lives on the same resource puts frames into its channel
 (:func:`_local_leg`), any other leg sends them over a transport
-(:func:`_remote_leg`).  :class:`NeptuneRuntime` is the deployment in
-which one resource hosts every instance, so no leg is remote;
+(:func:`_remote_leg`) - and a leg between two single-instance operators
+on one resource, where a hop buys no parallelism, is no hop at all
+(:class:`_ChainedLeg`: the receiver runs on the sender's thread).
+:class:`NeptuneRuntime` is the deployment in which one resource hosts
+every instance, so no leg is remote;
 :class:`~repro.core.distributed.DistributedWorker` hosts what its plan
 assigns it.  Launch, live reconfiguration and the lifecycle are shared
 the same way: :class:`_JobRuntime` is one resource's *part* of a job,
@@ -49,9 +52,20 @@ import time
 from typing import Any, Callable
 
 from repro.compression import CompressionPolicy
-from repro.core.buffering import FlushTimerService, StreamBuffer, retune_matching
+from repro.core.buffering import (
+    FlushTimerService,
+    StreamBuffer,
+    leg_matches,
+    retune_matching,
+)
 from repro.core.config import NeptuneConfig
-from repro.core.graph import LinkSpec, OperatorSpec, StreamProcessingGraph
+from repro.core.fieldtypes import compile_as_decoded
+from repro.core.graph import (
+    LinkSpec,
+    OperatorSpec,
+    StreamProcessingGraph,
+    chain_barrier,
+)
 from repro.core.job import JobHandle, JobState, drain
 from repro.core.metrics import MetricsRegistry
 from repro.core.operators import StreamProcessor
@@ -130,7 +144,9 @@ class _OutLinkRuntime:
         self.link = link
         self.scheme = link.resolved_partitioning()
         self.codec = PacketCodec(link.schema)
-        self.buffers: list[StreamBuffer] = []
+        #: One leg per destination instance, indexed by what the
+        #: partitioning scheme routes to.
+        self.buffers: list[StreamBuffer | _ChainedLeg] = []
         self.policy: CompressionPolicy | None = None
 
 
@@ -198,6 +214,7 @@ class _InstanceRuntime(ComputationalTask):
         job: "_JobRuntime",
         spec: OperatorSpec,
         index: int,
+        chained: bool = False,
     ) -> None:
         super().__init__(f"{job.graph.name}/{spec.name}[{index}]")
         self.job = job
@@ -226,8 +243,14 @@ class _InstanceRuntime(ComputationalTask):
         self._default_links: list[_OutLinkRuntime] | None = None
         self._default_free: _PacketFreeList | None = None
         self._out_buffers: tuple[StreamBuffer, ...] = ()
+        self._chained: tuple[_ChainedLeg, ...] = ()
         self._free_lists: dict[PacketSchema, _PacketFreeList] = {}
-        if not spec.is_source:
+        # A chained receiver is no Granules task: it has no channel, no
+        # strategy and no worker thread, and runs when the instance
+        # that sends to it (``chained_from``, set when the leg is
+        # wired) hands a batch over.
+        self.chained_from: _InstanceRuntime | None = None
+        if not (spec.is_source or chained):
             cfg = job.graph.config
             self.channel = WatermarkChannel(
                 high_watermark=cfg.inbound_high_watermark,
@@ -240,11 +263,15 @@ class _InstanceRuntime(ComputationalTask):
 
         Resolves, per instance instead of per packet, which links the
         default stream means and which packet free-list serves it, and
-        every outbound stream buffer of this instance.
+        every outbound leg of this instance: stream buffers, which the
+        flush paths walk, apart from chained legs, which only this
+        instance's own executions hand over.
         """
-        self._out_buffers = tuple(
-            buf for links in self.out_links.values() for out in links for buf in out.buffers
-        )
+        legs = [
+            leg for links in self.out_links.values() for out in links for leg in out.buffers
+        ]
+        self._out_buffers = tuple(leg for leg in legs if isinstance(leg, StreamBuffer))
+        self._chained = tuple(leg for leg in legs if isinstance(leg, _ChainedLeg))
         if len(self.out_links) == 1:
             self._default_links = next(iter(self.out_links.values()))
             self._default_free = self._free_list_for(self._default_links)
@@ -289,6 +316,12 @@ class _InstanceRuntime(ComputationalTask):
             self.job.sources_done.set()
             raise
         finally:
+            # The end of this execution unit (a source's quantum, an
+            # ``on_schedule``): chained receivers run now, on this
+            # thread.  In the ``finally`` so that what an operator
+            # emitted before it raised is still delivered.
+            for leg in self._chained:
+                leg.hand_over()
             if profiled:
                 _profiler.clear_thread_owner()
 
@@ -311,17 +344,21 @@ class _InstanceRuntime(ComputationalTask):
         self.metrics.executions += 1
 
     def _process_available(self) -> None:
-        assert self.channel is not None
+        if self.channel is None:
+            return  # chained: input arrives by hand-over, not by schedule
         # One drain = one channel lock acquisition for the whole
         # inbound batch (paper §III-B2: batched scheduling amortizes
         # per-packet synchronization into per-batch synchronization).
         frames = self.channel.drain()
         out_bufs = self._out_buffers
+        chained = self._chained
         if not frames:
             # Time/count-triggered execution with no pending data.
             if self.spec.scheduling is not None:
                 for buf in out_bufs:
                     buf.inherit(None)  # what a schedule emits is born now
+                for leg in chained:
+                    leg.inherit(None)
                 self.operator.on_schedule(self)  # type: ignore[union-attr]
                 self.metrics.executions += 1
             return
@@ -336,6 +373,8 @@ class _InstanceRuntime(ComputationalTask):
             # What this batch's processing emits is as old as the batch.
             for buf in out_bufs:
                 buf.inherit(born)
+            for leg in chained:
+                leg.inherit(born)
             now = time.monotonic()
             body = frame.body
             total_bytes += len(body)
@@ -362,28 +401,14 @@ class _InstanceRuntime(ComputationalTask):
                 n = 0
                 for packet in codec.iter_decode(body, count=frame.count, reuse=True):
                     note = note_map.get(n)
-                    if note is not None:
-                        self._active_trace = _ActiveTrace(
-                            note, drain_ts, time.monotonic()
-                        )
-                    op.process(packet, ctx)
-                    if note is not None:
-                        active = self._active_trace
-                        self._active_trace = None
-                        if active is not None and not active.consumed:
-                            # Terminal hop (no derived emit): execute ends here.
-                            assert obs is not None
-                            obs.collector.add(
-                                close_hop(
-                                    note,
-                                    active.drain_ts,
-                                    active.deser_ts,
-                                    time.monotonic(),
-                                    self.op_label,
-                                )
-                            )
+                    if note is None:
+                        op.process(packet, ctx)
+                    else:
+                        self._process_traced(op, packet, note, drain_ts)
                     n += 1
             op.on_batch_end(ctx)
+            for leg in chained:
+                leg.hand_over()  # this batch's output, as one batch
             total_packets += n
             # Zero-copy flush protocol: an in-process sender parked its
             # pooled bytearray in the frame; hand it back now that the
@@ -391,20 +416,7 @@ class _InstanceRuntime(ComputationalTask):
             recycle = in_link.recycle
             if recycle is not None:
                 recycle(frame.body)
-        # One telemetry update per scheduled execution, not per packet.
-        metrics = self.metrics
-        metrics.batches_in += len(frames)
-        metrics.bytes_in += total_bytes
-        metrics.packets_in += total_packets
-        metrics.executions += 1
-        if obs is not None:
-            obs.event(
-                "runtime",
-                "batch_executed",
-                operator=self.op_label,
-                frames=len(frames),
-                packets=total_packets,
-            )
+        self._count_execution(len(frames), total_packets, total_bytes)
         if out_bufs and not len(self.channel):
             # Out of input, about to go idle: output whose packets have
             # already spent ``buffer_max_delay`` on this resource leaves
@@ -415,6 +427,108 @@ class _InstanceRuntime(ComputationalTask):
             now = time.monotonic()
             for buf in out_bufs:
                 buf.flush_if_spent(now)
+
+    def _count_execution(self, frames: int, packets: int, nbytes: int) -> None:
+        """One telemetry update per execution, not per packet."""
+        metrics = self.metrics
+        metrics.batches_in += frames
+        metrics.bytes_in += nbytes
+        metrics.packets_in += packets
+        metrics.executions += 1
+        obs = self._observer
+        if obs is not None:
+            obs.event(
+                "runtime",
+                "batch_executed",
+                operator=self.op_label,
+                frames=frames,
+                packets=packets,
+            )
+
+    def _process_traced(
+        self, op: StreamProcessor, packet: StreamPacket, note: TraceNote, drain_ts: float
+    ) -> None:
+        """``process`` for a sampled packet: its hop's execute stage
+        ends at the first derived emit, or here on a terminal hop."""
+        self._active_trace = _ActiveTrace(note, drain_ts, time.monotonic())
+        op.process(packet, self)
+        active = self._active_trace
+        self._active_trace = None
+        if active is not None and not active.consumed:
+            self._observer.collector.add(
+                close_hop(
+                    note, active.drain_ts, active.deser_ts, time.monotonic(), self.op_label
+                )
+            )
+
+    def _run_chained(
+        self,
+        rows: list[list[Any]],
+        packet: StreamPacket,
+        born: float | None,
+        notes: list[TraceNote],
+        now: float,
+    ) -> None:
+        """One batch handed over by the chained leg into this instance,
+        on the sender's thread (:meth:`_ChainedLeg.hand_over`, which
+        also lends ``packet``, the leg's scratch).
+
+        The batch model of :meth:`_process_available` without the hop:
+        this instance's output inherits ``born``, the operator sees
+        ``on_batch_start(len(rows))``, one ``process`` per row over one
+        scratch packet re-pointed at each, ``on_batch_end``; then its
+        own chained legs hand over in turn.  What the operator raises
+        is this instance's failure and goes no further: the sender
+        carries on as it would with a failed receiver behind a buffer,
+        and later batches are dropped like frames in a dead task's
+        channel.
+        """
+        if self.state in (TaskState.FAILED, TaskState.TERMINATED):
+            return
+        sender = self.chained_from
+        assert sender is not None
+        profiled = _profiler._ACTIVE
+        if profiled:
+            _profiler.set_thread_owner(self.op_label)
+        op: StreamProcessor = self.operator  # type: ignore[assignment]
+        ctx = self
+        chained = self._chained
+        try:
+            for buf in self._out_buffers:
+                buf.inherit(born)
+            for leg in chained:
+                leg.inherit(born)
+            op.on_batch_start(len(rows), ctx)
+            if not notes:
+                for row in rows:
+                    packet._values = row
+                    op.process(packet, ctx)
+            else:
+                note_map = {note.batch_index: note for note in notes}
+                for i, row in enumerate(rows):
+                    packet._values = row
+                    note = note_map.get(i)
+                    if note is None:
+                        op.process(packet, ctx)
+                    else:
+                        self._process_traced(op, packet, note, now)
+            op.on_batch_end(ctx)
+            self._count_execution(1, len(rows), 0)
+            self.executions += 1  # the framework's count, for a task it runs
+            # Never more input queued behind a hand-over: output that
+            # has spent its budget upstream leaves now (see
+            # ``_process_available``).
+            for buf in self._out_buffers:
+                buf.flush_if_spent()
+        except BaseException as exc:
+            self.failure = exc
+            self.state = TaskState.FAILED
+            self.job.sources_done.set()
+        finally:
+            for leg in chained:
+                leg.hand_over()
+            if profiled:
+                _profiler.set_thread_owner(sender.op_label)
 
     def _verify_sequence(self, frame: Frame) -> None:
         expected = self._expected_seq.get(frame.link_id, 0)
@@ -525,7 +639,7 @@ class _InstanceRuntime(ComputationalTask):
         thread; the emit path itself counts nothing per packet)."""
         packets = size = 0
         blocked = 0.0
-        for buf in self._out_buffers:
+        for buf in self._out_buffers + self._chained:
             n, nbytes = buf.appended()
             packets += n
             size += nbytes
@@ -582,6 +696,7 @@ class _JobRuntime:
         self.resource: Resource | None = None  # set by launch()
         self._failures: dict[str, BaseException] = {}
         self.buffers: list[StreamBuffer] = []
+        self.chains: list[_ChainedLeg] = []  # the legs that got no buffer
         # Set once every hosted source has finished - or something
         # failed: either way whoever awaits the job has work to do.
         self.sources_done = threading.Event()
@@ -590,6 +705,11 @@ class _JobRuntime:
         """Every operator instance of this job, flattened."""
         return [i for group in self.instances.values() for i in group]
 
+    def tasks(self) -> list[_InstanceRuntime]:
+        """The hosted instances that are Granules tasks - each may hold
+        a worker thread; a chained receiver borrows its sender's."""
+        return [i for i in self.all_instances() if i.chained_from is None]
+
     def sources_finished(self) -> bool:
         """Every hosted source has declared itself finished."""
         return all(i.finished for i in self.all_instances() if i.spec.is_source)
@@ -597,9 +717,16 @@ class _JobRuntime:
     def launch(self, resource: Resource) -> None:
         """Schedule every hosted instance on ``resource``: sources poll
         until finished, a processor gets its declared ``scheduling``
-        strategy, data-driven dispatch otherwise."""
+        strategy, data-driven dispatch otherwise.  A chained receiver
+        is initialized and left to its sender - every one of them
+        before the first task is launched, because a launched task may
+        hand a batch over at once, and ``setup`` comes before
+        ``process``."""
         self.resource = resource
         for inst in self.all_instances():
+            if inst.chained_from is not None:
+                inst._framework_initialize()
+        for inst in self.tasks():
             strategy: SchedulingStrategy
             if inst.spec.is_source:
                 strategy = _SourceStrategy(inst)
@@ -609,6 +736,16 @@ class _JobRuntime:
                 strategy = DataDrivenStrategy()
             resource.launch(inst, strategy)
         self.state = JobState.RUNNING
+
+    def terminate(self) -> None:
+        """Terminate every hosted instance (teardown of a job that was
+        launched)."""
+        assert self.resource is not None
+        for inst in self.all_instances():
+            if inst.chained_from is None:
+                self.resource.terminate_task(inst.task_id)
+            else:
+                inst._framework_terminate()
 
     # -- the part surface of repro.core.job.drain ---------------------------
     def wait_sources(self, timeout: float) -> bool:
@@ -810,6 +947,173 @@ def _remote_leg(
     return deliver
 
 
+class _ChainedLeg:
+    """The leg a link gets when :func:`~repro.core.graph.chain_barrier`
+    finds no barrier: no buffer, no frame, no thread for the receiver.
+
+    Between two single-instance operators on one resource a hop buys no
+    parallelism, so this leg is not one.  It sits in
+    ``_OutLinkRuntime.buffers`` where the :class:`StreamBuffer` would -
+    ``emit``, routing and the free-list lease are the same code for
+    every leg kind - and ``append_packet`` makes the buffered leg's
+    schema and completeness checks, then keeps the packet's field
+    values as a row: each as an encode and a decode would have left it
+    (:func:`~repro.core.fieldtypes.compile_as_decoded` - an out-of-range int
+    raises here, under the sender's label; a FLOAT32 is rounded; a
+    ``bytearray`` or a list is copied, so a sender may reuse it), which
+    for a float, a str, a bool or ``bytes`` is the value itself.
+    Nothing is encoded.  The rows are handed to the receiver **on the
+    sender's thread** (:meth:`hand_over`) at the end of the sender's
+    execution unit - a source's quantum, a processor's inbound batch,
+    an ``on_schedule`` - or sooner, when what they would weigh encoded
+    reaches ``buffer_capacity`` (a str counted at one byte a
+    character), so batches are the size a buffer would have made them
+    and memory stays bounded.
+
+    ``born`` is a buffer's: the first row of a batch stamps it, with
+    what the sender inherited if it inherited anything, and the
+    receiver's output inherits it - the chain spends none of
+    ``buffer_max_delay``.  ``blocked_seconds`` is the time the sender
+    spent inside hand-overs: "held up by downstream", as on a buffered
+    leg.  Only the sender's thread touches a leg; readers of the
+    counters may be a batch stale.
+    """
+
+    __slots__ = (
+        "name",
+        "receiver",
+        "capacity",
+        "born",
+        "handoffs",
+        "packets",
+        "blocked_seconds",
+        "cpu_seconds",
+        "_rows",
+        "_count",
+        "_bytes",
+        "_as_decoded",
+        "_notes",
+        "_inherited",
+        "_packet",
+        "_timed",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        receiver: _InstanceRuntime,
+        schema: PacketSchema,
+        capacity: int,
+        timed: bool,
+    ) -> None:
+        self.name = name
+        self.receiver = receiver
+        self.capacity = capacity
+        # Leaves a row as an encode and a decode would have, and says
+        # what it would have weighed between the two.
+        self._as_decoded = compile_as_decoded(schema.types)
+        self.born: float | None = None
+        self.handoffs = 0
+        self.packets = 0  # handed over
+        self.blocked_seconds = 0.0
+        # Thread CPU seconds inside hand-overs, kept only under an
+        # observer: against ``blocked_seconds`` it shows a receiver that
+        # waits off the CPU (``repro doctor``: ``chained_off_cpu``).
+        self.cpu_seconds = 0.0
+        self._timed = timed
+        # The rows are reused from batch to batch (object reuse,
+        # §III-B3): ``_count`` of them are pending.  A fresh list per
+        # packet would be two container allocations per packet on a
+        # relay - a gen-0 collection every few hundred packets, where
+        # the buffered path allocates only bytes.
+        self._rows: list[list[Any]] = []
+        self._count = 0
+        self._bytes = 0
+        self._notes: list[TraceNote] = []
+        self._inherited: float | None = None
+        self._packet = StreamPacket(schema)  # lent to ``process``, row by row
+
+    def append_packet(self, codec: Any, packet: Any, note: Any = None) -> bool:
+        """Keep ``packet``'s values as a row; True if that handed the
+        batch over.  Raises what ``StreamBuffer.append_packet`` raises
+        for a packet of another schema or with an unset field."""
+        values = packet._values
+        schema = codec.schema
+        if (packet.schema is not schema and packet.schema != schema) or None in values:
+            codec.reject(packet)
+        rows = self._rows
+        count = self._count
+        if count < len(rows):
+            row = rows[count]
+            row[:] = values
+        else:
+            row = values[:]
+            rows.append(row)
+        # A value that cannot cross raises here, with nothing counted:
+        # the slot is overwritten by the next append.
+        size = self._as_decoded(row)
+        if not count:
+            inherited = self._inherited
+            self.born = time.monotonic() if inherited is None else inherited
+        if note is not None:
+            note.batch_index = count
+            note.append_ts = time.monotonic()
+            self._notes.append(note)
+        self._count = count + 1
+        self._bytes = size = self._bytes + size
+        if size < self.capacity:
+            return False
+        self.hand_over()
+        return True
+
+    def inherit(self, born: float | None) -> None:
+        """What the rows that follow are made from (see
+        :meth:`StreamBuffer.inherit`).  Called at the sender's batch
+        boundaries, where a hand-over has just left nothing pending."""
+        self._inherited = born
+
+    def hand_over(self) -> None:
+        """Run the receiver over the pending rows, here and now."""
+        count = self._count
+        if not count:
+            return
+        self._count = self._bytes = 0
+        rows = self._rows
+        if count < len(rows):
+            rows = rows[:count]
+        notes = self._notes
+        started = time.monotonic()
+        if notes:
+            self._notes = []
+            # Nothing is taken, sent or drained: those stages of the
+            # hop are empty, and the six still tile.
+            for note in notes:
+                note.take_ts = note.send_ts = started
+        self.handoffs += 1
+        self.packets += count
+        cpu = time.thread_time() if self._timed else 0.0
+        self.receiver._run_chained(rows, self._packet, self.born, notes, started)
+        self.blocked_seconds += time.monotonic() - started
+        if self._timed:
+            self.cpu_seconds += time.thread_time() - cpu
+
+    def appended(self) -> tuple[int, int]:
+        """``(packets, bytes)`` ever appended; nothing is serialised."""
+        return self.packets + self._count, 0
+
+    def receiver_seconds(self) -> tuple[float, float]:
+        """``(wall, thread CPU)`` seconds the receiver's *own* batches
+        took: the hand-overs, less what the receiver spent inside its
+        own chained legs and held up by its own buffers."""
+        receiver = self.receiver
+        nested = receiver._chained
+        wall = self.blocked_seconds - sum(
+            out.blocked_seconds for out in receiver._out_buffers + nested
+        )
+        cpu = self.cpu_seconds - sum(out.cpu_seconds for out in nested)
+        return max(wall, 0.0), max(cpu, 0.0)
+
+
 def _leg_buffer(
     name: str,
     cfg: NeptuneConfig,
@@ -885,7 +1189,9 @@ def _wire_partition(
     Each gets its runtime; each (sender instance, link, destination
     instance) leg whose sender is hosted gets one buffer and, by where
     its receiver lives, a local or a remote leg (``reach``, see
-    :func:`_remote_leg`; never called when every receiver is hosted).
+    :func:`_remote_leg`; never called when every receiver is hosted) -
+    unless :func:`~repro.core.graph.chain_barrier` finds no barrier on
+    the link, and it gets a :class:`_ChainedLeg` and no buffer.
     ``prefix`` labels this resource's buffers and gate events
     (``"w3:"``; empty when there is only one resource).
 
@@ -897,10 +1203,16 @@ def _wire_partition(
     cfg = graph.config
     observer = job.observer
     _check_wire_ranges(graph)
+    # Receivers of the links chained here (one instance, one link in).
+    chained_ops = {
+        link.to_op
+        for link in graph.links
+        if chain_barrier(graph, link, hosts) is None and hosts(link.to_op, 0)
+    }
     local: dict[tuple[str, int], _InstanceRuntime] = {}
     for spec in graph.operators.values():
         job.instances[spec.name] = [
-            _InstanceRuntime(job, spec, i)
+            _InstanceRuntime(job, spec, i, chained=spec.name in chained_ops)
             for i in range(spec.parallelism)
             if hosts(spec.name, i)
         ]
@@ -910,7 +1222,8 @@ def _wire_partition(
     inbound: dict[int, tuple[WatermarkChannel, _InLinkInfo]] = {}
     for link in graph.links:
         receivers = graph.operators[link.to_op].parallelism
-        compression_on = _compression_enabled(cfg, link)
+        chained = link.to_op in chained_ops
+        compression_on = not chained and _compression_enabled(cfg, link)
         for s_idx in range(graph.operators[link.from_op].parallelism):
             sender = local.get((link.from_op, s_idx))
             out = None
@@ -926,6 +1239,19 @@ def _wire_partition(
             for r_idx in range(receivers):
                 wire_id = _wire_id(link.link_id, s_idx, r_idx)
                 receiver = local.get((link.to_op, r_idx))
+                name = (
+                    f"{prefix}{link.from_op}[{s_idx}]->"
+                    f"{link.to_op}[{r_idx}]/{link.stream}"
+                )
+                if chained:
+                    assert out is not None and receiver is not None
+                    leg = _ChainedLeg(
+                        name, receiver, link.schema, cfg.buffer_capacity, observer is not None
+                    )
+                    receiver.chained_from = sender
+                    out.buffers.append(leg)
+                    job.chains.append(leg)
+                    continue
                 in_info = None
                 if receiver is not None:
                     assert receiver.channel is not None
@@ -941,8 +1267,7 @@ def _wire_partition(
                     assert reach is not None
                     deliver = _remote_leg(wire_id, reach, link.to_op, r_idx)
                 buf = _leg_buffer(
-                    f"{prefix}{link.from_op}[{s_idx}]->"
-                    f"{link.to_op}[{r_idx}]/{link.stream}",
+                    name,
                     cfg,
                     deliver,
                     out.policy,
@@ -965,6 +1290,12 @@ def _wire_partition(
                 flush_service.register(buf)
     for inst in local.values():
         inst.bind_links()
+        # A chain executes under its head's run lock: that is what
+        # "not executing" means for every instance in it (checkpoints).
+        head = inst
+        while head.chained_from is not None:
+            head = head.chained_from
+        inst._run_lock = head._run_lock
 
     # Backpressure visibility: watermark gate transitions land on
     # the observer's event timeline, carrying the upstream operators
@@ -987,7 +1318,7 @@ def _wire_partition(
 
 
 def _apply_reconfigure(
-    changes: dict, buffers: list[StreamBuffer], resource: Resource | None
+    changes: dict, jobs: list[_JobRuntime], resource: Resource | None
 ) -> list[dict]:
     """Apply ``changes`` (see :meth:`NeptuneRuntime.reconfigure`) to one
     resource's buffers and worker pool; returns what was applied."""
@@ -996,14 +1327,26 @@ def _apply_reconfigure(
     if retune:
         md = retune.get("max_delay")
         cap = retune.get("capacity")
+        operator = str(retune.get("operator", ""))
+        where = str(retune.get("where", "into"))
+        buffers = [buf for job in jobs for buf in job.buffers]
         for entry in retune_matching(
             buffers,
-            str(retune.get("operator", "")),
-            where=str(retune.get("where", "into")),
+            operator,
+            where=where,
             max_delay=None if md is None else float(md),
             capacity=None if cap is None else int(cap),
         ):
             applied.append({"kind": "retune", **entry})
+        chained = [
+            leg.name
+            for job in jobs
+            for leg in job.chains
+            if leg_matches(leg.name, operator, where)
+        ]
+        if chained and not any(leg_matches(b.name, operator, where) for b in buffers):
+            # Nothing to retune and nothing healed: say so, not "[]".
+            applied.append({"kind": "retune", "skipped": "chained", "legs": chained})
     scale = changes.get("scale")
     if scale and resource is not None:
         old = resource.workers
@@ -1102,9 +1445,8 @@ class NeptuneRuntime:
         return JobHandle(self, job)
 
     def _ensure_resource(self, job: _JobRuntime) -> None:
-        """(Re)size the worker pool to cover all hosted instances."""
-        hosted = sum(len(g) for j in self._jobs for g in j.instances.values())
-        hosted += len(job.all_instances())
+        """(Re)size the worker pool to cover every hosted task."""
+        hosted = sum(len(j.tasks()) for j in self._jobs) + len(job.tasks())
         cfg = job.graph.config
         if self._explicit_workers is not None:
             workers = max(self._explicit_workers, hosted)
@@ -1132,7 +1474,9 @@ class NeptuneRuntime:
           bytes, "where": "into"|"from"}`` — retune every
           :class:`StreamBuffer` on the legs into (default) or out of
           the named operator, across all hosted jobs.  A shrinking
-          deadline pokes the flush-timer service automatically.
+          deadline pokes the flush-timer service automatically.  When
+          the only legs that match are chained - no buffer to retune -
+          the report says ``{"kind": "retune", "skipped": "chained"}``.
         - ``scale``: ``{"workers": n}`` or ``{"workers_delta": d}`` —
           resize the Granules worker-thread pool to ``n`` (or by ``d``
           relative to the current size, floored at 1 thread; up or
@@ -1141,8 +1485,8 @@ class NeptuneRuntime:
         Returns a JSON-able report of what was actually applied.
         """
         with self._lock:
-            buffers = [buf for job in self._jobs for buf in job.buffers]
-        return {"applied": _apply_reconfigure(changes, buffers, self._resource)}
+            jobs = list(self._jobs)
+        return {"applied": _apply_reconfigure(changes, jobs, self._resource)}
 
     # -- link failures ------------------------------------------------------
     def notify_link_failure(self, exc: BaseException, link: str = "link") -> None:
@@ -1207,10 +1551,7 @@ class NeptuneRuntime:
         )
 
     def _teardown_job(self, job: _JobRuntime) -> None:
-        res = self._resource
-        for inst in job.all_instances():
-            if res is not None:
-                res.terminate_task(inst.task_id)
+        job.terminate()
         for buf in job.buffers:
             self._flush_service.unregister(buf)
         with self._lock:

@@ -40,9 +40,9 @@ def scrape_job(
 ) -> None:
     """Scrape one job runtime (``_JobRuntime`` or a ``JobHandle``).
 
-    Populates operator, flow-control, buffer, compression, and
-    object-pool instruments.  Safe to call repeatedly (counters mirror
-    via ``set_total`` and never move backwards).  ``extra`` labels are
+    Populates operator, flow-control, buffer, chained-leg,
+    compression, and object-pool instruments.  Safe to call repeatedly
+    (counters mirror via ``set_total`` and never move backwards).  ``extra`` labels are
     merged into every instrument — pass ``{"worker": "0"}`` when
     scraping the per-worker jobs of a distributed deployment so
     partial counts from different workers never collide on one series.
@@ -54,6 +54,7 @@ def scrape_job(
     _scrape_operators(registry, job, base)
     _scrape_flowcontrol(registry, job, base)
     _scrape_buffers(registry, job, base)
+    _scrape_chains(registry, job, base)
     _scrape_compression_and_pools(registry, job, base)
 
 
@@ -168,6 +169,36 @@ def _scrape_buffers(
     registry.gauge(
         "neptune_buffer_pending_bytes", lbl, "Unflushed bytes across all link legs"
     ).set(pending)
+
+
+def _scrape_chains(
+    registry: TelemetryRegistry, job: Any, base: Dict[str, str]
+) -> None:
+    """Where the buffers went: one series set per chained leg, labelled
+    with the name its buffer would have had.
+
+    The two ``receiver`` series are the receiver's *own* share of the
+    hand-overs (``receiver_seconds``), which is what ``repro doctor``
+    compares (``chained_off_cpu``).
+    """
+    for leg in getattr(job, "chains", []):
+        labels = {**base, "leg": leg.name}
+        wall, cpu = leg.receiver_seconds()
+        for value, metric, help_ in (
+            (leg.handoffs, "neptune_chain_handoffs_total", "Batches handed over on the sender's thread"),
+            (leg.packets, "neptune_chain_packets_total", "Packets handed over as rows"),
+            (
+                wall,
+                "neptune_chain_receiver_wall_seconds_total",
+                "Seconds the chained receiver's own batches took",
+            ),
+            (
+                cpu,
+                "neptune_chain_receiver_cpu_seconds_total",
+                "Thread CPU seconds the chained receiver's own batches took",
+            ),
+        ):
+            registry.counter(metric, labels, help_).set_total(float(value))
 
 
 def _scrape_compression_and_pools(

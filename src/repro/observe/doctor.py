@@ -18,6 +18,11 @@ the causal events the runtime now emits:
   **compute_bound**, naming the operator, its worker, and its hottest
   frame.
 
+One advisory needs no breach: ``chained_off_cpu`` names a chained
+receiver (``neptune_chain_receiver_*`` series) whose batches took more
+than half again their thread-CPU time - it waits off the CPU, on its
+sender's thread - and says which link to declare ``chain=False``.
+
 Every candidate cause is scored by temporal overlap/proximity with the
 breach episode and by how direct the mechanism is (injected fault >
 watermark cascade > transport stall); the ranked list plus the
@@ -42,6 +47,12 @@ DOCTOR_SCHEMA = "neptune-doctor/1"
 
 #: How far before a breach's onset a cause may lie and still count (s).
 _LOOKBACK = 30.0
+
+#: A chained receiver is advised off its sender's thread when its own
+#: batches' wall time exceeds their thread-CPU time by this factor, and
+#: by enough seconds to be more than clock noise.
+_OFF_CPU_RATIO = 1.5
+_OFF_CPU_FLOOR = 0.05
 
 #: One operator must hold at least this share of all sampled operator
 #: CPU for a breach to be attributed as compute-bound.
@@ -210,6 +221,46 @@ def _profile_attribution(snap: Mapping[str, Any]) -> Dict[str, Any]:
         "worker_of": worker_of,
         "frame_of": frame_of,
     }
+
+
+def _chained_off_cpu(snap: Mapping[str, Any]) -> List[Dict[str, Any]]:
+    """Advisories for chained receivers that wait off the CPU."""
+    seconds: Dict[Tuple[str, str], Dict[str, float]] = {}
+    for series in snap.get("series", []) or []:
+        name = str(series.get("name", ""))
+        if not name.startswith("neptune_chain_receiver_"):
+            continue
+        labels = series.get("labels") or {}
+        key = (str(labels.get("worker", "")), str(labels.get("leg", "")))
+        kind = "wall" if "_wall_" in name else "cpu"
+        seconds.setdefault(key, {})[kind] = _f(series.get("value"))
+    advisories: List[Dict[str, Any]] = []
+    for (worker, leg), took in sorted(seconds.items()):
+        wall, cpu = took.get("wall", 0.0), took.get("cpu", 0.0)
+        if wall - cpu < _OFF_CPU_FLOOR or wall <= _OFF_CPU_RATIO * cpu:
+            continue
+        sender, _, rest = leg.partition("->")
+        receiver = _bare(rest.split("/", 1)[0])
+        advisories.append(
+            {
+                "type": "chained_off_cpu",
+                "operator": receiver,
+                "worker": worker or None,
+                "leg": leg,
+                "wall_seconds": wall,
+                "cpu_seconds": cpu,
+                "detail": (
+                    f"chained operator {receiver!r} spent {wall:.3f}s in its "
+                    f"batches for {cpu:.3f}s of CPU, on the thread of "
+                    f"{_bare(sender)!r}, which waited with it"
+                ),
+                "fix": (
+                    f"declare chain=False on the link {_bare(sender)!r}->"
+                    f"{receiver!r} so that it waits on a thread of its own"
+                ),
+            }
+        )
+    return advisories
 
 
 def diagnose(snap: Mapping[str, Any], max_causes: int = 3) -> Dict[str, Any]:
@@ -419,6 +470,7 @@ def diagnose(snap: Mapping[str, Any], max_causes: int = 3) -> Dict[str, Any]:
         "root_cause": root_cause,
         "gate_episodes": len(gates),
         "chaos_events": len(chaos),
+        "advisories": _chained_off_cpu(snap),
         "warnings": warnings,
         # What a merged envelope was merged from: per worker
         # incarnation, why it last reported (SIGKILLed: "periodic").
@@ -472,6 +524,11 @@ def render_report(report: Mapping[str, Any]) -> str:
         lines.append(
             f"root cause: [{root.get('type')}] {root.get('operator')!r}"
             f"{where} — {root.get('detail')}"
+        )
+    for advisory in report.get("advisories") or []:
+        lines.append(
+            f"advisory: [{advisory.get('type')}] {advisory.get('detail')}; "
+            f"{advisory.get('fix')}"
         )
     for src in report.get("sources") or []:
         if src.get("worker") is not None:  # else: not merged from workers

@@ -67,11 +67,12 @@ class TestLinearPipeline:
             assert rt.submit(g).await_completion(timeout=30)
         assert store == list(range(100))
 
-    def test_metrics_reflect_flow(self):
+    @staticmethod
+    def _flow_metrics(chain):
         g = StreamProcessingGraph("m", config=small_config())
         g.add_source("src", lambda: CountingSource(total=500))
         g.add_processor("sink", CollectingSink)
-        g.link("src", "sink")
+        g.link("src", "sink", chain=chain)
         with NeptuneRuntime() as rt:
             h = rt.submit(g)
             assert h.await_completion(timeout=30)
@@ -79,9 +80,18 @@ class TestLinearPipeline:
         assert m["src"]["packets_out"] == 500
         assert m["sink"]["packets_in"] == 500
         assert m["sink"]["batches_in"] >= 1
-        assert m["sink"]["bytes_in"] > 0
         # Batching: far fewer scheduled batches than packets.
         assert m["sink"]["batches_in"] < 500
+        return m
+
+    def test_metrics_reflect_flow(self):
+        m = self._flow_metrics(chain=True)
+        # A chained hop serialises nothing: rows are handed over.
+        assert m["sink"]["bytes_in"] == 0 and m["src"]["bytes_out"] == 0
+
+    def test_metrics_reflect_flow_on_a_buffered_leg(self):
+        m = self._flow_metrics(chain=False)
+        assert m["sink"]["bytes_in"] > 0 and m["src"]["bytes_out"] > 0
 
     def test_latency_bounded_by_timer_flush(self):
         """A trickle stream must still see ~max_delay latency, not ∞."""
@@ -334,7 +344,7 @@ class TestCompression:
         # Zero payloads → low entropy → compression engages.
         g.add_source("src", lambda: CountingSource(total=400, payload_size=200))
         g.add_processor("sink", lambda: CollectingSink(store))
-        g.link("src", "sink")
+        g.link("src", "sink", chain=False)  # only a buffered leg compresses
         with NeptuneRuntime() as rt:
             h = rt.submit(g)
             assert h.await_completion(timeout=30)
@@ -349,7 +359,7 @@ class TestCompression:
         g = StreamProcessingGraph("comp-link", config=small_config())
         g.add_source("src", lambda: CountingSource(total=100, payload_size=300))
         g.add_processor("sink", lambda: CollectingSink(store))
-        g.link("src", "sink", compression=True)
+        g.link("src", "sink", compression=True, chain=False)
         with NeptuneRuntime() as rt:
             h = rt.submit(g)
             assert h.await_completion(timeout=30)

@@ -258,7 +258,7 @@ class TestLegErrorContract:
         )
         g.add_source("src", lambda: CountingSource(total=None))
         g.add_processor("sink", lambda: _BlockedSink(release))
-        g.link("src", "sink")
+        g.link("src", "sink", chain=False)  # the buffered local leg's contract
         if deployment == "runtime":
             runtime = NeptuneRuntime()
             handle = runtime.submit(g)
@@ -334,17 +334,20 @@ def keyed_graph(store, total, keys, stage_parallelism):
 def observed_run(graph, store, n_workers):
     """Run ``graph`` to completion on a NeptuneRuntime (``n_workers``
     None) or that many co-hosted workers; what an equivalence check
-    compares: per-key output, counters, buffer names, gate labels."""
+    compares: per-key output, counters, leg names (a link the
+    deployment chains has a leg and no buffer), gate labels."""
     obs = RuntimeObserver(sample_every=0)
     if n_workers is None:
         with NeptuneRuntime(observer=obs) as runtime:
             handle = runtime.submit(graph)
-            buffers = [b.name for b in handle._job.buffers]
+            buffers = [b.name for b in handle._job.buffers + handle._job.chains]
             assert handle.await_completion(timeout=60) and not handle.failures
             metrics = handle.metrics()
     else:
         job = DistributedJob(graph, n_workers=n_workers, observer=obs)
-        buffers = [b.name for w in job.workers for b in w.job.buffers]
+        buffers = [
+            b.name for w in job.workers for b in w.job.buffers + w.job.chains
+        ]
         job.start()
         assert job.await_completion(timeout=60) and not job.failures()
         metrics = job.metrics()

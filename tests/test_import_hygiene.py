@@ -41,7 +41,8 @@ def submit(compression):
     )
     graph.add_source("source", lambda: GatedSource(total=50))
     graph.add_processor("sink", CollectingSink)
-    graph.link("source", "sink")
+    # Only a buffered leg compresses: chained, nothing is serialised.
+    graph.link("source", "sink", chain=not compression)
     with NeptuneRuntime() as runtime:
         handle = runtime.submit(graph)
         loaded = heavy()  # wired and scheduled, nothing emitted yet

@@ -259,8 +259,9 @@ def _three_stage(source_factory, rows, max_delay, seen=None):
     graph.add_source("src", source_factory)
     graph.add_processor("relay", lambda: _Relay(seen))
     graph.add_processor("sink", lambda: _AgeSink(rows))
-    graph.link("src", "relay")
-    graph.link("relay", "sink")
+    # The budget is about buffers: chained, these hops would have none.
+    graph.link("src", "relay", chain=False)
+    graph.link("relay", "sink", chain=False)
     return graph
 
 

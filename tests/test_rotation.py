@@ -57,16 +57,17 @@ class _Scripted(StreamSource):
             self.script(self, ctx, seq)
 
 
-def _wired(source_factory, store, config=None, scheduling=None, hosts=None):
+def _wired(source_factory, store, config=None, scheduling=None, hosts=None, chain=True):
     """A src -> sink job wired on one resource and never launched;
     returns ``(src_instance, sink_instance)`` (None for one that
-    ``hosts`` places elsewhere)."""
+    ``hosts`` places elsewhere).  ``chain=False`` keeps the buffered
+    leg the hand-over tests are about."""
     graph = StreamProcessingGraph("rotation", config=config or NeptuneConfig())
     graph.add_source("src", source_factory)
     graph.add_processor(
         "sink", lambda: CollectingSink(store, field="seq"), scheduling=scheduling
     )
-    graph.link("src", "sink")
+    graph.link("src", "sink", chain=chain)
     graph.validate()
     job = _JobRuntime(graph)
     _wire_partition(
@@ -236,6 +237,7 @@ class TestHandOver:
             lambda: _Scripted(lambda s, ctx, seq: ctx.finish() if seq == 7 else None),
             store,
             NeptuneConfig(**SMALL_BATCHES),
+            chain=False,
         )
         waits = _recorded_waits(sink.channel)
         sender = threading.Thread(target=src._framework_execute, daemon=True)
@@ -255,7 +257,9 @@ class TestHandOver:
         """Timer and manual flushes run on other threads (flush timer,
         the thread awaiting the job): parking those would hold up every
         other buffer, and would not slow the sender down."""
-        src, sink = _wired(lambda: _Scripted(), [], NeptuneConfig(**SMALL_BATCHES))
+        src, sink = _wired(
+            lambda: _Scripted(), [], NeptuneConfig(**SMALL_BATCHES), chain=False
+        )
         (buf,) = src._out_buffers
         handed_over = []
         buf.after_capacity_flush = lambda budget: handed_over.append(budget) or 0.0
@@ -309,6 +313,7 @@ class TestHandOver:
             NeptuneConfig(
                 inbound_high_watermark=4 * 64, emit_timeout=0.05, **SMALL_BATCHES
             ),
+            chain=False,
         )
         with pytest.raises(BackpressureTimeout):
             for _ in range(100):
@@ -333,7 +338,7 @@ class TestHandOver:
         )
         graph.add_processor("relay", _Forward)
         graph.add_processor("sink", lambda: CollectingSink(store, field="seq"))
-        graph.link("src", "relay").link("relay", "sink")
+        graph.link("src", "relay", chain=False).link("relay", "sink", chain=False)
         with NeptuneRuntime() as rt:
             handle = rt.submit(graph)
             assert handle.await_completion(timeout=60)
