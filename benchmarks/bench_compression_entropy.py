@@ -17,14 +17,18 @@ performs the receiver's real work (decoding every packet with the
 reusable codec), timing actual CPython throughput, then applies our
 Tukey HSD implementation.
 
-Substitution note (DESIGN.md §2): our LZ4 is pure Python, ~3 orders of
-magnitude slower than the native library, so "compression is free on
-sensor data" cannot hold on wall-clock here.  The *decision structure*
-does reproduce and is asserted: forcing compression on random data is
-catastrophically and significantly worse; the entropy gate removes
-almost all of that penalty (selective ≈ off on random data, relative to
-the forced penalty); and the sensor stream's wire bytes collapse while
-the random stream's are untouched.
+Substitution note (DESIGN.md §2): the codec is CPython's C ``zlib`` as
+raw deflate at level 1 (~15 ns/B to compress, ~4 ns/B to decode), a
+native codec in the paper's LZ4 role, so compressing a sensor batch
+costs a fraction of decoding its packets in Python.  Compression is
+cheap on sensor data, not free: ``selective`` keeps over half of
+``off``'s throughput there (the pure-Python LZ4 it replaced kept 17 %),
+and that shape is asserted, but the paper's "no evidence of any impact"
+is not.  The *decision structure* reproduces and is asserted: forcing
+compression on random data is significantly worse; the entropy gate
+removes almost all of that penalty (selective ≈ off on random data,
+relative to the forced penalty); and the sensor stream's wire bytes
+collapse while the random stream's are untouched.
 """
 
 import random
@@ -161,6 +165,12 @@ def test_compression_entropy_study(benchmark):
     p_sensor = res_sensor.comparison("off", "selective").p_value
     print(f"sensor data: off vs selective p = {p_sensor:.4f} "
           "(paper: >0.1561 with native-speed LZ4; see docstring)")
+    # A native codec: compressing the sensor stream costs under half of
+    # the uncompressed arm's throughput.
+    sensor_off = res_sensor.means["off"]
+    sensor_cost = (sensor_off - res_sensor.means["selective"]) / sensor_off
+    print(f"sensor data: selective costs {sensor_cost:.0%} of off's throughput")
+    assert sensor_cost < 0.5
 
     # Wire bytes: selective compression slashes the sensor stream but
     # leaves the random stream untouched.

@@ -10,9 +10,10 @@ IoT and sensing environments.  This package contains:
 - :mod:`repro.granules` — the Granules substrate NEPTUNE builds on
   (computational tasks, datasets, resources, scheduling strategies).
 - :mod:`repro.net` — framing and transports (in-process and TCP).
-- :mod:`repro.lz4` — a pure-Python LZ4 block-format codec.
+- :mod:`repro.lz4` — xxHash32 (key hashing, chaos decisions) and a
+  pure-Python LZ4 block codec the data plane no longer runs.
 - :mod:`repro.compression` — entropy estimation and the selective
-  compression policy.
+  compression policy (entropy-gated raw deflate via C ``zlib``).
 - :mod:`repro.sim` — a discrete-event cluster simulator used to
   regenerate the paper's evaluation (Figures 2, 4-7, 9, 10; Table I),
   including a faithful Apache Storm baseline model.

@@ -5,19 +5,32 @@ effectiveness "depends on the nature of the stream data, hence should be
 enabled and configured for each stream individually even within the same
 stream processing job").  ``encode`` prepends a one-byte flag so the
 receiver knows whether to decompress; ``decode`` inverts it.
+
+The codec is CPython's C ``zlib`` as raw deflate at level 1: a fast
+native codec, which is what the paper's cost argument rests on
+(DESIGN.md §2).
 """
 
 from __future__ import annotations
 
 import time
+import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.compression.entropy import preload as preload_entropy, sampled_entropy
-from repro.lz4 import compress as lz4_compress, decompress as lz4_decompress
 
 FLAG_RAW = 0x00
-FLAG_LZ4 = 0x01
+FLAG_DEFLATE = 0x02
+
+# Raw deflate: the flag byte says what the body is and a wire frame's
+# CRC-32 covers it, so a zlib header and Adler-32 trailer would only add
+# 6 bytes and a second checksum.
+WBITS = -15
+# Level 1: ~15 ns/B for ratio 0.175 on 8 KiB sensor batches; level 6
+# buys 0.15 for 1.7x the CPU (EXPERIMENTS.md "Selective compression at
+# native speed").
+LEVEL = 1
 
 # Hard cap guarding decompression of hostile / corrupted wire data.
 MAX_DECOMPRESSED = 1 << 30
@@ -61,7 +74,7 @@ class CompressionStats:
 
 
 class CompressionPolicy:
-    """Entropy-gated LZ4 compression for outbound buffers.
+    """Entropy-gated deflate compression for outbound buffers.
 
     Parameters
     ----------
@@ -101,7 +114,7 @@ class CompressionPolicy:
         """
         t0 = time.perf_counter()
         decision, body = self._encode_body(payload)
-        flag = FLAG_LZ4 if decision is CompressionDecision.COMPRESSED else FLAG_RAW
+        flag = FLAG_DEFLATE if decision is CompressionDecision.COMPRESSED else FLAG_RAW
         out = b"".join((bytes((flag,)), body))
         self.stats.record(decision, len(payload), len(out), time.perf_counter() - t0)
         return out
@@ -115,7 +128,8 @@ class CompressionPolicy:
             return CompressionDecision.TOO_SMALL, payload
         if sampled_entropy(payload) >= self.entropy_threshold:
             return CompressionDecision.ENTROPY_TOO_HIGH, payload
-        packed = lz4_compress(payload)
+        deflater = zlib.compressobj(LEVEL, zlib.DEFLATED, WBITS)
+        packed = deflater.compress(payload) + deflater.flush()
         if len(packed) >= len(payload):
             return CompressionDecision.INCOMPRESSIBLE, payload
         return CompressionDecision.COMPRESSED, packed
@@ -126,6 +140,9 @@ class CompressionPolicy:
 
         A raw frame comes back as a view of ``data`` past the flag byte
         (no copy of the batch); a compressed one as fresh ``bytes``.
+        Every malformed body (an unknown flag, corrupt, truncated or
+        trailing bytes, more than ``MAX_DECOMPRESSED`` inflated) raises
+        ``ValueError``.
         """
         if not data:
             raise ValueError("empty compressed frame")
@@ -133,6 +150,17 @@ class CompressionPolicy:
         body = memoryview(data)[1:]
         if flag == FLAG_RAW:
             return body
-        if flag == FLAG_LZ4:
-            return lz4_decompress(body, max_size=MAX_DECOMPRESSED)
-        raise ValueError(f"unknown compression flag: {flag:#x}")
+        if flag != FLAG_DEFLATE:
+            raise ValueError(f"unknown compression flag: {flag:#x}")
+        inflater = zlib.decompressobj(WBITS)
+        try:
+            out = inflater.decompress(body, MAX_DECOMPRESSED)
+        except zlib.error as exc:
+            raise ValueError(f"corrupt deflate body: {exc}") from None
+        if not inflater.eof:
+            if len(out) >= MAX_DECOMPRESSED:
+                raise ValueError(f"deflate body inflates past {MAX_DECOMPRESSED} bytes")
+            raise ValueError("truncated deflate body")
+        if inflater.unused_data:
+            raise ValueError(f"{len(inflater.unused_data)} trailing bytes after deflate body")
+        return out

@@ -513,7 +513,7 @@ class _InstanceRuntime(ComputationalTask):
                     else:
                         self._process_traced(op, packet, note, now)
             op.on_batch_end(ctx)
-            self._count_execution(1, len(rows), 0)
+            self._count_execution(0, len(rows), 0)  # a hand-over, not a frame
             self.executions += 1  # the framework's count, for a task it runs
             # Never more input queued behind a hand-over: output that
             # has spent its budget upstream leaves now (see

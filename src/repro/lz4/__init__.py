@@ -11,6 +11,10 @@ little-endian 2-byte match offsets.
 :func:`compress` / :func:`decompress` round-trip arbitrary byte strings
 and honour the format's end-of-block constraints (final sequence is
 literals-only; matches must not begin within the last 12 bytes).
+
+The data plane no longer runs this codec: selective compression
+deflates with CPython's C ``zlib`` (:mod:`repro.compression.policy`).
+:func:`xxh32` remains the hash of key partitioning and chaos decisions.
 """
 
 from repro.lz4.block import compress, decompress, max_compressed_length

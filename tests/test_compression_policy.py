@@ -1,6 +1,7 @@
 """Tests for entropy estimation and the selective compression policy."""
 
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,8 @@ from repro.compression import (
     sampled_entropy,
     shannon_entropy,
 )
+from repro.compression import policy as policy_module
+from repro.compression.policy import FLAG_DEFLATE
 
 
 class TestShannonEntropy:
@@ -66,7 +69,7 @@ class TestCompressionPolicy:
         policy = CompressionPolicy(entropy_threshold=6.0)
         payload = b"sensor=21.5;valve=open;" * 100
         out = policy.encode(payload)
-        assert out[0] == 0x01
+        assert out[0] == FLAG_DEFLATE
         assert len(out) < len(payload)
         assert CompressionPolicy.decode(out) == payload
 
@@ -93,7 +96,7 @@ class TestCompressionPolicy:
         assert policy.stats.decisions[CompressionDecision.TOO_SMALL] == 1
 
     def test_incompressible_falls_back_to_raw(self):
-        # Low entropy threshold satisfied but LZ4 can't shrink it:
+        # Low entropy threshold satisfied but deflate can't shrink it:
         # short non-repeating payload with a tiny alphabet still repeats,
         # so use threshold 8.0 and random-ish data instead.
         rng = random.Random(4)
@@ -134,3 +137,64 @@ class TestCompressionPolicy:
 def test_policy_roundtrip_property(payload, threshold):
     policy = CompressionPolicy(entropy_threshold=threshold, min_size=0)
     assert CompressionPolicy.decode(policy.encode(payload)) == payload
+
+
+def _deflated(payload: bytes) -> bytes:
+    """A compressed frame body as the policy writes one."""
+    out = CompressionPolicy(entropy_threshold=8.0, min_size=0).encode(payload)
+    assert out[0] == FLAG_DEFLATE
+    return out
+
+
+class TestDeflateDecodeGuards:
+    """Every malformed compressed body is a ``ValueError``, never a
+    ``zlib.error`` and never wrong bytes."""
+
+    PAYLOAD = b"sensor=21.5;valve=open;" * 200
+
+    def test_the_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(policy_module, "MAX_DECOMPRESSED", 1 << 20)
+        payload = b"\x00" * (1 << 20)
+        assert CompressionPolicy.decode(_deflated(payload)) == payload
+        with pytest.raises(ValueError, match="inflates past 1048576 bytes"):
+            CompressionPolicy.decode(_deflated(payload + b"\x00"))
+
+    def test_truncated_stream(self):
+        encoded = _deflated(self.PAYLOAD)
+        with pytest.raises(ValueError, match="truncated"):
+            CompressionPolicy.decode(encoded[:-3])
+
+    def test_trailing_bytes(self):
+        encoded = _deflated(self.PAYLOAD)
+        with pytest.raises(ValueError, match="2 trailing bytes"):
+            CompressionPolicy.decode(encoded + b"\x00\x00")
+
+    def test_old_lz4_flag_is_refused_by_name(self):
+        """0x01 was the pure-Python LZ4 body: one codec per tree, no
+        compat path."""
+        body = _deflated(self.PAYLOAD)[1:]
+        with pytest.raises(ValueError, match="unknown compression flag: 0x1"):
+            CompressionPolicy.decode(b"\x01" + body)
+
+    def test_body_is_raw_deflate(self):
+        encoded = _deflated(self.PAYLOAD)
+        assert zlib.decompress(encoded[1:], wbits=-15) == self.PAYLOAD
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.binary(max_size=4096),
+    st.sampled_from((bytes, bytearray, memoryview)),
+    st.booleans(),
+)
+def test_deflate_roundtrip_over_bytes_likes(payload, kind, repetitive):
+    """Any bytes-like payload, compressible or not, comes back equal;
+    ``repetitive`` sends about half the examples down the deflate
+    path."""
+    if repetitive:
+        payload = payload[:16] * 64
+    policy = CompressionPolicy(entropy_threshold=8.0, min_size=0)
+    encoded = policy.encode(kind(payload))
+    assert isinstance(encoded, bytes)
+    assert CompressionPolicy.decode(encoded) == payload
+    assert CompressionPolicy.decode(kind(encoded)) == payload

@@ -79,19 +79,22 @@ class TestLinearPipeline:
         m = h.metrics()
         assert m["src"]["packets_out"] == 500
         assert m["sink"]["packets_in"] == 500
-        assert m["sink"]["batches_in"] >= 1
+        assert m["sink"]["executions"] >= 1
         # Batching: far fewer scheduled batches than packets.
-        assert m["sink"]["batches_in"] < 500
+        assert m["sink"]["executions"] < 500
         return m
 
     def test_metrics_reflect_flow(self):
         m = self._flow_metrics(chain=True)
-        # A chained hop serialises nothing: rows are handed over.
+        # A chained hop serialises nothing: rows are handed over, and a
+        # hand-over is not a frame.
         assert m["sink"]["bytes_in"] == 0 and m["src"]["bytes_out"] == 0
+        assert m["sink"]["batches_in"] == 0
 
     def test_metrics_reflect_flow_on_a_buffered_leg(self):
         m = self._flow_metrics(chain=False)
         assert m["sink"]["bytes_in"] > 0 and m["src"]["bytes_out"] > 0
+        assert 1 <= m["sink"]["batches_in"] < 500
 
     def test_latency_bounded_by_timer_flush(self):
         """A trickle stream must still see ~max_delay latency, not ∞."""

@@ -8,9 +8,10 @@ import threading
 import pytest
 
 from repro.core import PacketCodec
-from repro.lz4 import compress
 from repro.net import FrameDecoder, FrameEncoder, TcpListener
 from repro.compression import CompressionPolicy
+from repro.compression import policy as policy_module
+from repro.compression.policy import FLAG_DEFLATE
 from repro.util.errors import SerializationError
 from repro.workloads import RELAY_SCHEMA
 
@@ -87,7 +88,7 @@ class TestWireCorruption:
 
 
 class TestCompressedPayloadCorruption:
-    def test_corrupt_lz4_body_never_silently_correct(self):
+    def test_corrupt_deflate_body_never_silently_correct(self):
         """A flipped byte either trips the decoder's structural checks
         or yields different bytes — it can never masquerade as the
         original payload.  (On the wire, the frame checksum catches it
@@ -95,23 +96,24 @@ class TestCompressedPayloadCorruption:
         payload = b"aaaabbbbcccc" * 50
         policy = CompressionPolicy(entropy_threshold=8.0, min_size=0)
         encoded = bytearray(policy.encode(payload))
-        assert encoded[0] == 0x01  # actually compressed
-        for position in range(1, len(encoded), 7):
+        assert encoded[0] == FLAG_DEFLATE  # actually compressed
+        for position in range(1, len(encoded)):
             mutated = bytearray(encoded)
             mutated[position] ^= 0xFF
             try:
                 decoded = CompressionPolicy.decode(bytes(mutated))
             except ValueError:
                 continue  # structural violation detected
-            assert decoded != payload or bytes(mutated) == bytes(encoded)
+            assert decoded != payload
 
-    def test_decompression_bomb_guard(self):
-        # A tiny block claiming to expand hugely must hit the cap.
-        huge = compress(b"\x00" * (10 << 20))
-        from repro.lz4 import decompress
-
-        with pytest.raises(ValueError):
-            decompress(huge, max_size=1 << 20)
+    def test_decompression_bomb_guard(self, monkeypatch):
+        # A tiny body claiming to expand hugely must hit the cap.
+        monkeypatch.setattr(policy_module, "MAX_DECOMPRESSED", 1 << 20)
+        policy = CompressionPolicy(entropy_threshold=8.0, min_size=0)
+        huge = policy.encode(b"\x00" * (10 << 20))
+        assert huge[0] == FLAG_DEFLATE and len(huge) < 64 << 10
+        with pytest.raises(ValueError, match="inflates past"):
+            CompressionPolicy.decode(huge)
 
 
 class TestSerdeCorruption:

@@ -71,8 +71,9 @@ class TestManufacturingStream:
     def test_compresses_much_better_than_random(self):
         import random
 
-        from repro.lz4 import compress
+        from repro.compression import CompressionPolicy
 
+        compress = CompressionPolicy(entropy_threshold=8.0, min_size=0).encode
         stream = ManufacturingStream()
         body = stream.serialized_stream(300)
         rng = random.Random(0)
