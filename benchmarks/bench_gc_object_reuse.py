@@ -2,20 +2,12 @@
 
 Paper: "Object reuse helped reduce the percentage of time spent by the
 JVM on garbage collection over the time spent on actual processing from
-8.63% to 0.79%."  Two measurements:
-
-1. the simulated relay's GC model (reproduces the paper's percentages);
-2. a *real* CPython microbenchmark: serializing a batch with pooled,
-   reused packets/codecs vs fresh allocations per message.
+8.63% to 0.79%."  Measured on the simulated relay's GC model, which
+reproduces the paper's percentages.  The real runtime's packet reuse on
+the emit path is pinned by ``tests/test_link_path.py``.
 """
 
-import gc
-import time
-
-from repro.core import ObjectPool, PacketCodec
-from repro.core.packet import StreamPacket
 from repro.sim import experiments as exp
-from repro.workloads import RELAY_SCHEMA
 
 
 def test_gc_fraction_sim(benchmark, sim_budget):
@@ -33,73 +25,3 @@ def test_gc_fraction_sim(benchmark, sim_budget):
     assert 0.1 < reuse < 3.0
     assert 4.0 < no_reuse < 25.0
     assert no_reuse > 5 * reuse
-
-
-def _encode_with_reuse(codec, pool, payload, n):
-    out = bytearray()
-    for i in range(n):
-        pkt = pool.acquire()
-        pkt.set("seq", i)
-        pkt.set("emitted_at", 0.0)
-        pkt.set("payload", payload)
-        codec.encode_into(pkt, out)
-        pool.release(pkt)
-    return out
-
-
-def _encode_fresh(payload, n):
-    out = bytearray()
-    for i in range(n):
-        codec = PacketCodec(RELAY_SCHEMA)  # fresh codec per message
-        pkt = StreamPacket(RELAY_SCHEMA)  # fresh packet per message
-        pkt.set("seq", i)
-        pkt.set("emitted_at", 0.0)
-        pkt.set("payload", payload)
-        codec.encode_into(pkt, out)
-    return out
-
-
-def test_object_reuse_real_runtime(benchmark):
-    """Real CPython: pooled packets + shared codec vs per-message
-    allocation.  Reuse must allocate far fewer objects."""
-    payload = bytes(50)
-    n = 2000
-    codec = PacketCodec(RELAY_SCHEMA)
-    pool = ObjectPool(
-        factory=lambda: StreamPacket(RELAY_SCHEMA),
-        reset=StreamPacket.reset,
-        max_size=16,
-        preallocate=4,
-    )
-
-    result = benchmark(_encode_with_reuse, codec, pool, payload, n)
-    assert len(result) == n * (8 + 8 + 4 + 50)
-    assert pool.reuse_ratio > 0.99
-
-    # CPython analogue of "reduced strain on the garbage collector":
-    # refcounting retires short-lived objects without cycle-GC runs, so
-    # the observable cost is allocation volume.  The reuse path serves
-    # the whole workload from ~pool-size objects versus 2 per message.
-    gc.collect()
-    created_before = pool.created
-    t0 = time.perf_counter()
-    _encode_with_reuse(codec, pool, payload, n)
-    t_reuse = time.perf_counter() - t0
-    reuse_created = pool.created - created_before
-
-    t0 = time.perf_counter()
-    _encode_fresh(payload, n)
-    t_fresh = time.perf_counter() - t0
-
-    print(
-        f"\nobjects created: reuse={reuse_created} vs fresh={2 * n}; "
-        f"time: reuse={t_reuse * 1e3:.1f}ms vs fresh={t_fresh * 1e3:.1f}ms"
-    )
-    # The robust CPython claim is allocation *volume*: the pool serves
-    # the whole workload from a handful of objects, where the fresh
-    # path allocates 2 per message.  Wall time can go either way here —
-    # refcounting makes CPython allocation cheap while the thread-safe
-    # pool pays two lock crossings per message — which is exactly why
-    # the paper's GC-strain claim is evaluated on the JVM-calibrated
-    # simulator (test_gc_fraction_sim) rather than this micro path.
-    assert reuse_created <= 16  # bounded by the pool, not the workload

@@ -1,49 +1,24 @@
-"""Hot-path benchmark harness behind ``repro bench``.
+"""The overhead gate behind ``repro bench``.
 
-The paper's headline claims are throughput numbers (§III-B: buffering,
-batched scheduling, object reuse exist to make the small-packet path
-fast), so the repo measures itself continuously: pinned scenarios over
-the serialize → buffer → flush → dispatch path produce a
-machine-readable ``BENCH_hotpath.json`` that CI diffs against a
-checked-in baseline with a ±10% guardrail.
+Every row reaches its verdict inside one run: the observability and
+analysis planes as plane-off/plane-on arms held to their duty, A/B and
+heal budgets, and ``cluster_scaling`` held to its scale-up floor.
+Nothing is compared against a stored baseline; end-to-end throughput,
+latency and bandwidth are measured by ``perf/`` (``BENCHMARK.json``).
 
 Layout
 ------
-- :mod:`repro.bench.harness` — profiles, timing loops, and the
-  machine-speed calibration score that makes cross-machine regression
-  checks meaningful.
-- :mod:`repro.bench.scenarios` — the pinned scenarios (codec
-  encode/decode throughput, buffer flush rate, end-to-end relay
-  packets/sec with p50/p99 latency vs the ``max_delay`` bound) and the
-  overhead gate: one table of observability/analysis planes as
-  plane-off/plane-on arms, and the one A/B protocol that holds each to
-  its duty, A/B and heal budgets.
-- :mod:`repro.bench.report` — the ``neptune-bench/1`` JSON schema,
-  writer, and the regression checker CI runs.
+- :mod:`repro.bench.harness` — profiles and the result record.
+- :mod:`repro.bench.scenarios` — the plane table, the one A/B protocol
+  that judges it, and ``cluster_scaling``.
 """
 
-from repro.bench.harness import (
-    PROFILES,
-    BenchProfile,
-    BenchResult,
-    calibration_score,
-)
-from repro.bench.report import (
-    BENCH_SCHEMA,
-    build_report,
-    check_regression,
-    write_report,
-)
+from repro.bench.harness import PROFILES, BenchProfile, BenchResult
 from repro.bench.scenarios import run_scenarios
 
 __all__ = [
-    "BENCH_SCHEMA",
     "PROFILES",
     "BenchProfile",
     "BenchResult",
-    "build_report",
-    "calibration_score",
-    "check_regression",
     "run_scenarios",
-    "write_report",
 ]

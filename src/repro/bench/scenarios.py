@@ -1,32 +1,14 @@
-"""The pinned hot-path benchmark scenarios.
+"""The overhead gate: every row reaches its verdict inside one run.
 
-Layer scenarios cover what the paper optimizes (§III-B):
-
-- ``codec`` — encode/decode messages/sec for the schema-compiled codec
-  *and* the per-field reference codec on a fixed-width-dominated
-  schema, plus the speedup ratios between them (the acceptance metric
-  for the compiled-codec work); the compiled codec again on a
-  variable-width sensor record (STRING, fixed run, STRING: the shaped
-  layouts), and LZ4 compress/decompress MB/s and ratio on a batch of
-  those records (the keyed, compressed link's kernels).
-- ``buffer`` — appends/sec through a capacity-flushing
-  :class:`~repro.core.buffering.StreamBuffer` whose sink recycles, so
-  the double-buffer swap path (not the allocator) is what's measured.
-- ``relay`` — end-to-end packets/sec and p50/p99 emit-to-process
-  latency through a real source → relay → sink job on the local
-  runtime, reported against the ``max_delay`` latency bound.
-- ``cluster_scaling`` — aggregate relay throughput through real worker
-  *processes* (the ``repro.cluster`` coordinator) at each worker count
-  in the profile; the guarded metric is the scale-up ratio between the
-  largest and smallest count.  Skipped on the smoke tier: tier-1 test
-  runs must never spawn processes.
-
-The overhead gate bounds what every observability/analysis plane costs
-the job it rides on: :data:`PLANES` is one table — ``observe``,
-``health``, ``sanitizer``, ``collector`` (in-process and, on the
-process-spawning tiers, over real workers), ``profiler``, ``policy`` —
-of (plane-off arm, plane-on arm) pairs with their budgets, and
-:func:`run_plane` is the one A/B protocol that judges them all.
+:data:`PLANES` is one table — ``observe``, ``health``, ``sanitizer``,
+``collector`` (in-process and, on the process-spawning tiers, over real
+workers), ``profiler``, ``policy`` — of (plane-off arm, plane-on arm)
+pairs with their budgets, and :func:`run_plane` is the one A/B protocol
+that judges them all.  ``cluster_scaling`` runs the relay through real
+worker *processes* at each worker count in the profile and holds the
+scale-up between the largest and smallest count to its floor; it is
+skipped on the smoke tier, because tier-1 test runs must never spawn
+processes.
 """
 
 from __future__ import annotations
@@ -35,10 +17,9 @@ import gc
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable
 
-from repro.bench.harness import BenchProfile, BenchResult, best_rate, percentile
-from repro.core.buffering import StreamBuffer
+from repro.bench.harness import BenchProfile, BenchResult
 from repro.core.config import NeptuneConfig
 from repro.core.fieldtypes import FieldType
 from repro.core.graph import (
@@ -49,39 +30,11 @@ from repro.core.graph import (
 from repro.core.operators import EmitContext, StreamProcessor, StreamSource
 from repro.core.packet import PacketSchema, StreamPacket
 from repro.core.runtime import NeptuneRuntime
-from repro.core.serde import PacketCodec
-from repro.lz4 import compress as lz4_compress, decompress as lz4_decompress
 from repro.util.errors import NeptuneError
 
 if TYPE_CHECKING:  # the planes themselves are imported by the arms that run them
     from repro.core.job import JobHandle
     from repro.observe import RuntimeObserver
-
-#: Fixed-width-dominated schema: the compiled codec's best case and the
-#: shape the paper's sensing workloads actually have (ids + readings).
-FIXED_SCHEMA = PacketSchema(
-    [
-        ("valid", FieldType.BOOL),
-        ("sensor", FieldType.INT32),
-        ("seq", FieldType.INT64),
-        ("ts", FieldType.FLOAT64),
-        ("reading", FieldType.FLOAT64),
-        ("temperature", FieldType.FLOAT32),
-        ("station", FieldType.INT32),
-        ("flags", FieldType.INT64),
-    ]
-)
-
-#: Variable-width sensor record (a keyed DEBS-like reading): every
-#: record of a stream like this has the same shape, the case the
-#: codec's shaped layouts are for.
-SENSOR_SCHEMA = PacketSchema(
-    [("sensor_id", FieldType.STRING), ("ts", FieldType.INT64)]
-    + [(f"r{i}", FieldType.FLOAT32) for i in range(6)]
-    + [("status", FieldType.STRING)]
-)
-#: Records per LZ4 batch: 56-byte records, one 8 KiB flush.
-SENSOR_BATCH = 147
 
 #: Relay-pipeline schema: one stamp, one payload value.
 RELAY_SCHEMA = PacketSchema(
@@ -91,159 +44,6 @@ RELAY_SCHEMA = PacketSchema(
         ("reading", FieldType.FLOAT64),
     ]
 )
-
-
-def _fixed_packet() -> StreamPacket:
-    pkt = StreamPacket(FIXED_SCHEMA)
-    pkt.set("valid", True)
-    pkt.set("sensor", 1234)
-    pkt.set("seq", 2**40 + 7)
-    pkt.set("ts", 1_722_000_000.25)
-    pkt.set("reading", 21.75)
-    pkt.set("temperature", 3.5)
-    pkt.set("station", -8)
-    pkt.set("flags", 0x5A5A)
-    return pkt
-
-
-def _sensor_packets(count: int) -> list[StreamPacket]:
-    """Low-entropy keyed readings: 16 sensors in a fixed interleaving,
-    levels (eighths, exact in float32) that step rarely."""
-    packets: list[StreamPacket] = []
-    for i in range(count):
-        key = (i * 7) % 16
-        pkt = StreamPacket(SENSOR_SCHEMA)
-        pkt.set("sensor_id", f"sensor-{key:02d}")
-        pkt.set("ts", 40_000_000_000_000 + i * 60_000)
-        for r in range(6):
-            pkt.set(f"r{r}", (160 + 29 * key + 3 * r + i // 97) / 8.0)
-        pkt.set("status", "warning" if i % 41 == 40 else "nominal")
-        packets.append(pkt)
-    return packets
-
-
-def _codec_sensor_metrics(profile: BenchProfile, result: BenchResult) -> None:
-    """The variable-width arm and the LZ4 kernels, on sensor records."""
-    n_msgs = profile.codec_messages
-    packets = _sensor_packets(1000)
-    codec = PacketCodec(SENSOR_SCHEMA)
-    body = codec.encode_batch(packets)
-    rounds = max(1, n_msgs // 1000)
-
-    def encode_run() -> int:
-        out = bytearray()
-        for _ in range(rounds):
-            for pkt in packets:
-                codec.encode_into(pkt, out)
-        return rounds * 1000
-
-    def decode_run() -> int:
-        n = 0
-        for _ in range(rounds):
-            for _pkt in codec.iter_decode(body, count=1000, reuse=True):
-                n += 1
-        return n
-
-    result.metrics["encode_var_msgs_per_sec"] = best_rate(
-        encode_run, profile.repeats
-    )
-    result.metrics["decode_var_msgs_per_sec"] = best_rate(
-        decode_run, profile.repeats
-    )
-    batch = codec.encode_batch(packets[:SENSOR_BATCH])
-    block = lz4_compress(batch)
-    if lz4_decompress(block) != batch:
-        raise RuntimeError("codec: LZ4 round trip changed the sensor batch")
-    lz4_rounds = max(1, n_msgs // SENSOR_BATCH)
-
-    def compress_run() -> int:
-        for _ in range(lz4_rounds):
-            lz4_compress(batch)
-        return lz4_rounds * len(batch)
-
-    def decompress_run() -> int:
-        for _ in range(lz4_rounds):
-            lz4_decompress(block)
-        return lz4_rounds * len(batch)
-
-    result.metrics["lz4_compress_mb_per_sec"] = (
-        best_rate(compress_run, profile.repeats) / 1e6
-    )
-    result.metrics["lz4_decompress_mb_per_sec"] = (
-        best_rate(decompress_run, profile.repeats) / 1e6
-    )
-    result.metrics["lz4_ratio"] = len(block) / len(batch)
-
-
-def scenario_codec(profile: BenchProfile) -> BenchResult:
-    """Encode/decode throughput, compiled vs per-field reference."""
-    result = BenchResult("codec")
-    pkt = _fixed_packet()
-    n_msgs = profile.codec_messages
-    # One shared batch body for the decode side (built once; both
-    # codecs decode identical bytes — the wire format is shared).
-    body = PacketCodec(FIXED_SCHEMA).encode_batch([pkt] * 1000)
-    decode_rounds = max(1, n_msgs // 1000)
-    for label, compiled in (("compiled", True), ("legacy", False)):
-        codec = PacketCodec(FIXED_SCHEMA, compiled=compiled)
-
-        def encode_run(codec: PacketCodec = codec) -> int:
-            out = bytearray()
-            for _ in range(n_msgs):
-                codec.encode_into(pkt, out)
-            return n_msgs
-
-        def decode_run(codec: PacketCodec = codec) -> int:
-            n = 0
-            for _ in range(decode_rounds):
-                for _pkt in codec.iter_decode(body, count=1000, reuse=True):
-                    n += 1
-            return n
-
-        result.metrics[f"encode_{label}_msgs_per_sec"] = best_rate(
-            encode_run, profile.repeats
-        )
-        result.metrics[f"decode_{label}_msgs_per_sec"] = best_rate(
-            decode_run, profile.repeats
-        )
-    result.metrics["encode_speedup"] = result.metrics[
-        "encode_compiled_msgs_per_sec"
-    ] / max(result.metrics["encode_legacy_msgs_per_sec"], 1e-9)
-    result.metrics["decode_speedup"] = result.metrics[
-        "decode_compiled_msgs_per_sec"
-    ] / max(result.metrics["decode_legacy_msgs_per_sec"], 1e-9)
-    result.metrics["record_size_bytes"] = float(len(body) // 1000)
-    _codec_sensor_metrics(profile, result)
-    return result
-
-
-def scenario_buffer(profile: BenchProfile) -> BenchResult:
-    """Capacity-flush append rate through the double-buffer swap path."""
-    result = BenchResult("buffer")
-    payload = bytes(64)
-    flushes = 0
-
-    def run() -> int:
-        nonlocal flushes
-
-        def sink(body: "bytes | bytearray | memoryview", count: int) -> None:
-            nonlocal flushes
-            flushes += 1
-            buf.recycle(body)
-
-        buf = StreamBuffer(capacity=64 * 1024, sink=sink, max_delay=60.0)
-        for _ in range(profile.buffer_appends):
-            buf.append(payload)
-        buf.flush()
-        # Steady state must run on the two pooled bytearrays: more than
-        # a handful of fresh allocations means the swap protocol broke.
-        result.metrics["spare_allocs"] = float(buf.spare_allocs)
-        result.metrics["buffers_recycled"] = float(buf.buffers_recycled)
-        return profile.buffer_appends
-
-    result.metrics["appends_per_sec"] = best_rate(run, profile.repeats)
-    result.metrics["flushes"] = float(flushes)
-    return result
 
 
 class _RelaySource(StreamSource):
@@ -284,7 +84,9 @@ class _Relay(StreamProcessor):
 
 
 class _LatencySink(StreamProcessor):
-    """Terminal stage recording source-emit → process latency."""
+    """Terminal stage recording source-emit → process latency.  Nothing
+    reads the latencies: recording them is part of the per-packet work
+    every plane's budget was measured against."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -300,13 +102,10 @@ class _LatencySink(StreamProcessor):
         raise KeyError(stream)  # terminal stage: no outputs
 
 
-#: Buffer cut for the two plane rows whose tick is not a fixed-rate
-#: timer in this process.  ~40 packets a batch (what ``perf``'s
-#: ``relay_paced`` timer cuts) instead of ~1 300: the interpreter changes
-#: hands often enough for the profiler's throttled sweep to run 40 times
-#: in a trial where 32 KiB batches allow 2-14 (each sweep waits out the
-#: GIL holder's 5 ms turn several times), and two worker *processes*
-#: take ten collector polls, not five, to move ``buffered_packets``.
+#: Buffer cut for ``collector_cluster``: ~40 packets a batch (what
+#: ``perf``'s ``relay_paced`` timer cuts) instead of ~1 300, so that two
+#: worker *processes* take ten collector polls, not five, to move
+#: ``buffered_packets``.
 SMALL_BATCH = 1024
 
 
@@ -323,9 +122,9 @@ def _relay_graph(
     sink: "OperatorFactory | None" = None,
     buffered: tuple[str, ...] = (),
 ) -> StreamProcessingGraph:
-    """The one source → relay → sink graph behind ``relay`` and every
-    plane arm.  Operators are named by import path so worker processes
-    can build them; an in-process caller passes the factory of a
+    """The one source → relay → sink graph behind every plane arm.
+    Operators are named by import path so worker processes can build
+    them; an in-process caller passes the factory of a
     ``sink`` it holds, to read its counters afterwards.  On one
     resource both links chain; an arm whose subject is a buffered leg
     (its gate, its retune, its hand-overs) names the receivers that
@@ -348,23 +147,16 @@ def _local_relay(
     name: str,
     observer: "RuntimeObserver | None" = None,
     start: "Callable[[JobHandle], Callable[[], object]] | None" = None,
-    capacity: int = 32 * 1024,
-    sink: "_LatencySink | None" = None,
-    buffered: tuple[str, ...] = (),
 ) -> float:
-    """Wall seconds of one in-process relay run under ``observer``.
+    """Wall seconds of one in-process, chained relay run of
+    ``profile.relay_packets`` under ``observer``.
 
     ``start(handle)`` switches a plane on once the job is submitted and
-    returns what switches it off again after the drain; a caller that
-    wants the latencies passes the ``sink`` to fill.  With ``buffered``
-    legs (:func:`_relay_graph`) the run is ``profile.buffered_packets``
-    long, chained ``profile.relay_packets``.
+    returns what switches it off again after the drain.
     """
-    held = _LatencySink() if sink is None else sink
-    packets = profile.buffered_packets if buffered else profile.relay_packets
-    graph = _relay_graph(
-        name, packets, _relay_config(profile, capacity), lambda: held, buffered
-    )
+    sink = _LatencySink()
+    packets = profile.relay_packets
+    graph = _relay_graph(name, packets, _relay_config(profile), lambda: sink)
     t0 = time.perf_counter()
     with NeptuneRuntime(observer=observer) as runtime:
         handle = runtime.submit(graph)
@@ -375,22 +167,9 @@ def _local_relay(
     wall = time.perf_counter() - t0
     if not ok:
         raise RuntimeError(f"{name}: relay did not complete in 300s")
-    if held.count != packets:
-        raise RuntimeError(f"{name}: relay lost packets: {held.count}/{packets}")
+    if sink.count != packets:
+        raise RuntimeError(f"{name}: relay lost packets: {sink.count}/{packets}")
     return wall
-
-
-def scenario_relay(profile: BenchProfile) -> BenchResult:
-    """End-to-end source → relay → sink throughput and latency."""
-    result = BenchResult("relay")
-    sink = _LatencySink()
-    elapsed = _local_relay(profile, "bench-relay", sink=sink)
-    result.metrics["packets_per_sec"] = sink.count / elapsed if elapsed else 0.0
-    result.metrics["p50_latency_sec"] = percentile(sink.latencies, 0.50)
-    result.metrics["p99_latency_sec"] = percentile(sink.latencies, 0.99)
-    result.metrics["max_delay_bound_sec"] = profile.relay_max_delay
-    result.metrics["packets"] = float(sink.count)
-    return result
 
 
 # --------------------------------------------------------------------------
@@ -408,6 +187,9 @@ AB_BACKSTOP = 0.25
 OBSERVE_AB_BUDGET = 0.03
 #: The policed drain must beat the stalled control by this factor.
 HEAL_FLOOR = 1.25
+#: Four worker processes must move the cluster relay this much faster
+#: than one.
+SCALEUP_FLOOR = 2.5
 #: Fewer periodic ticks than this in an on arm and its duty is a ratio
 #: of two small numbers: the trial was too short to judge.
 MIN_TICKS = 10
@@ -452,9 +234,6 @@ class Plane:
     #: Arms that launch worker processes: skipped, like
     #: ``cluster_scaling``, on tiers without ``cluster_worker_counts``.
     spawns: bool = False
-    #: Metric names this section had before it was a table row
-    #: (``BENCH_hotpath.json`` and ``GUARDED_RATIOS`` carry them).
-    keys: Mapping[str, str] = field(default_factory=dict)
 
 
 def run_plane(plane: Plane, profile: BenchProfile) -> BenchResult:
@@ -531,9 +310,7 @@ def run_plane(plane: Plane, profile: BenchProfile) -> BenchResult:
         )
     for key in ons[0].extra:
         metrics[key] = max(on.extra[key] for on in ons)
-    result = BenchResult(
-        plane.name, {plane.keys.get(k, k): v for k, v in metrics.items()}
-    )
+    result = BenchResult(plane.name, metrics)
     if profile.name == "smoke":
         result.verdict = f"{verdict}: not gated on this tier"
     else:
@@ -621,18 +398,10 @@ def _profiler_arm(profile: BenchProfile, on: bool) -> ArmRun:
     """A :class:`~repro.observe.profiler.SamplingProfiler` attached but
     never started (what production carries when nobody is profiling:
     the ownership hook on every execute) vs sampling at 50 Hz.  Its
-    ``sample_seconds`` — walking ``sys._current_frames`` and folding
-    stacks — is what the profiler's own ``max_duty`` throttle budgets,
-    so the row checks the throttle's arithmetic against a real run.
-
-    The relay keeps its buffered legs here.  The sampler is metered in
-    wall time and reads ``/proc`` per thread, and every read gives the
-    interpreter away: against a chained relay - one thread that never
-    lets go of it - each read waits out a 5 ms switch interval, a sweep
-    costs ~100 ms, the throttle stretches the next one to ~3 s and a
-    trial holds one sweep.  Buffered hand-overs make the interpreter
-    change hands often enough for ~30 (ROADMAP 3(d): meter the sweep in
-    thread CPU time, then chain this arm too)."""
+    ``sample_seconds`` — the sampler thread's CPU time walking
+    ``sys._current_frames`` and folding stacks — is what the profiler's
+    own ``max_duty`` throttle budgets, so the row checks the throttle's
+    arithmetic against a real run."""
     from repro.observe import RuntimeObserver
     from repro.observe.profiler import SamplingProfiler
 
@@ -643,14 +412,7 @@ def _profiler_arm(profile: BenchProfile, on: bool) -> ArmRun:
         profiler.start()
         return profiler.stop
 
-    wall = _local_relay(
-        profile,
-        "bench-profiler",
-        observer,
-        start if on else None,
-        SMALL_BATCH,
-        buffered=("relay", "sink"),
-    )
+    wall = _local_relay(profile, "bench-profiler", observer, start if on else None)
     if profiler.errors:
         raise RuntimeError(f"profiler sweep errors: {profiler.errors}")
     return ArmRun(wall, profiler.sample_seconds, profiler.samples)
@@ -892,10 +654,10 @@ def _policy_arm(profile: BenchProfile, on: bool) -> ArmRun:
 
 
 #: Every observability/analysis plane, as (off arm -> on arm) and the
-#: budgets it is held to.  All relay-shaped arms run
-#: :func:`_relay_graph`: chained, in process, at ``profile.relay_packets``;
-#: the two collector planes across workers at ``buffered_packets``;
-#: ``policy`` at ``policy_packets`` behind a stalling sink.
+#: budgets it is held to.  All arms run :func:`_relay_graph`: chained,
+#: in process, at ``profile.relay_packets``; the two collector planes
+#: across workers at ``buffered_packets``; ``policy`` at
+#: ``policy_packets`` behind a stalling sink.
 PLANES: tuple[Plane, ...] = (
     Plane(
         "observe",
@@ -913,12 +675,6 @@ PLANES: tuple[Plane, ...] = (
         on="+10 Hz health engine",
         cost="scan CPU",
         tick="scans",
-        keys={
-            "packets_per_sec_off": "packets_per_sec_monitors_off",
-            "packets_per_sec_on": "packets_per_sec_monitors_on",
-            "duty_frac": "overhead_frac",
-            "ticks": "health_scans",
-        },
     ),
     Plane(
         "sanitizer",
@@ -936,13 +692,6 @@ PLANES: tuple[Plane, ...] = (
         cost="poll CPU",
         tick="polls",
         packets="buffered_packets",
-        keys={
-            "packets_per_sec_off": "packets_per_sec_collector_off",
-            "packets_per_sec_on": "packets_per_sec_collector_on",
-            "ab_overhead_frac": "collector_ab_overhead_frac",
-            "duty_frac": "collector_overhead_frac",
-            "ticks": "collector_polls",
-        },
     ),
     Plane(
         "collector_cluster",
@@ -963,7 +712,6 @@ PLANES: tuple[Plane, ...] = (
         cost="sample seconds",
         tick="sweeps",
         statistic="min",
-        packets="buffered_packets",
     ),
     Plane(
         "policy",
@@ -976,12 +724,6 @@ PLANES: tuple[Plane, ...] = (
         heal_floor=HEAL_FLOOR,
         min_ticks=1,
         packets="policy_packets",
-        keys={
-            "wall_sec_off": "drain_sec_policy_off",
-            "wall_sec_on": "drain_sec_policy_on",
-            "speedup": "heal_speedup",
-            "duty_frac": "plane_duty_frac",
-        },
     ),
 )
 
@@ -1059,45 +801,42 @@ def scenario_cluster_scaling(profile: BenchProfile) -> BenchResult:
     .ExclusiveServiceProcessor`) — a portable model of GIL-bound work,
     so the measured scale-up tracks process-level parallelism rather
     than core count and is stable across 1-core dev containers and
-    multi-core CI runners.  ``relay_pps_wN`` rates are sleep-bound, not
-    CPU-bound, hence recorded unguarded (calibration normalization
-    would be meaningless); the ``scaleup_wN`` ratio is the guarded
-    acceptance metric (≥2.5× at 4 workers).
+    multi-core CI runners.  The rates are sleep-bound, not CPU-bound;
+    the row judges their ratio between the smallest and the largest
+    count (1 and 4 workers on every spawning tier) against
+    :data:`SCALEUP_FLOOR`, inside the one run.
     """
     result = BenchResult("cluster_scaling")
     rates: dict[int, float] = {}
     for n_workers in profile.cluster_worker_counts:
         rates[n_workers] = _cluster_rate(profile, n_workers)
         result.metrics[f"relay_pps_w{n_workers}"] = rates[n_workers]
-    if len(rates) >= 2:
-        low = min(rates)
-        high = max(rates)
-        scaleup = rates[high] / max(rates[low], 1e-9)
-        result.metrics[f"scaleup_w{high}"] = scaleup
-        result.metrics["packets"] = float(profile.cluster_packets)
-        if high >= 4 and low == 1 and scaleup < 2.5:
-            result.failures.append(
-                f"cluster_scaling: scale-up collapsed: {rates[high]:.0f} pkts/s "
-                f"at {high} workers vs {rates[low]:.0f} at {low} "
-                f"({scaleup:.2f}x; acceptance floor is 2.5x)"
-            )
+    low, high = min(rates), max(rates)
+    scaleup = rates[high] / max(rates[low], 1e-9)
+    result.metrics[f"scaleup_w{high}"] = scaleup
+    result.metrics["packets"] = float(profile.cluster_packets)
+    reading = (
+        f"{rates[low]:.0f} pkts/s at {low} workers -> {rates[high]:.0f} "
+        f"at {high}; scale-up {scaleup:.2f}x (floor {SCALEUP_FLOOR}x)"
+    )
+    if scaleup < SCALEUP_FLOOR:
+        result.failures.append(f"cluster_scaling: {reading}")
+    result.verdict = f"{reading}: {'FAIL' if result.failures else 'OK'}"
     return result
 
 
 def run_scenarios(profile: BenchProfile) -> list[BenchResult]:
-    """Run every pinned scenario and every plane under ``profile`` in a
-    fixed order.  One that breaks (lost packets, a stalled job, workers
-    that never came up) becomes a failure line of its own, empty,
-    result: the rest still run."""
+    """Run every row under ``profile`` in a fixed order: each plane of
+    :data:`PLANES`, then ``cluster_scaling`` on the tiers that spawn.
+    One that breaks (lost packets, a stalled job, workers that never
+    came up) becomes a failure line of its own, empty, result: the rest
+    still run."""
     spawn = bool(profile.cluster_worker_counts)
     runs: list[tuple[str, Callable[[BenchProfile], BenchResult]]] = [
-        ("codec", scenario_codec),
-        ("buffer", scenario_buffer),
-        ("relay", scenario_relay),
+        (plane.name, partial(run_plane, plane))
+        for plane in PLANES
+        if spawn or not plane.spawns
     ]
-    for plane in PLANES:
-        if spawn or not plane.spawns:
-            runs.append((plane.name, partial(run_plane, plane)))
     if spawn:
         runs.append(("cluster_scaling", scenario_cluster_scaling))
     results: list[BenchResult] = []

@@ -844,53 +844,26 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """`bench` subcommand: run hot-path scenarios, write/check BENCH json."""
-    from repro.bench import (
-        PROFILES,
-        build_report,
-        calibration_score,
-        check_regression,
-        run_scenarios,
-        write_report,
-    )
-    from repro.bench.report import load_report
+    """`bench` subcommand: run the overhead gate, exit 1 on any red row."""
+    from repro.bench import PROFILES, run_scenarios
 
     profile = PROFILES[args.profile]
-    baseline = None
-    if args.check:
-        # Load the baseline BEFORE writing: --check and --out usually
-        # name the same file.
-        baseline = load_report(args.check)
     print(f"repro bench: profile={profile.name}")
-    calibration = calibration_score()
     results = run_scenarios(profile)
-    report = build_report(results, profile.name, calibration)
     for result in results:
         print(f"  [{result.name}]")
         for key, value in sorted(result.metrics.items()):
             print(f"    {key:32s} {value:,.4g}")
         if result.verdict:
             print(f"    {result.verdict}")
-    if args.out:
-        write_report(report, args.out)
-        print(f"wrote {args.out}")
     # Every verdict is in before any of them can fail the run: one red
-    # gate must not hide the next, nor a regression behind it.
+    # gate must not hide the next.
     gates = [line for result in results for line in result.failures]
     if gates:
         print("GATE FAILURES:")
         for line in gates:
             print(f"  {line}")
-    regressions: list[str] = []
-    if baseline is not None:
-        regressions = check_regression(report, baseline, tolerance=args.tolerance)
-        if regressions:
-            print(f"REGRESSION vs {args.check} (tolerance {args.tolerance:.0%}):")
-            for line in regressions:
-                print(f"  {line}")
-        else:
-            print(f"no regression vs {args.check} (tolerance {args.tolerance:.0%})")
-    return 1 if gates or regressions else 0
+    return 1 if gates else 0
 
 
 def _load_cluster_state(path: str) -> dict:
@@ -1342,30 +1315,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.set_defaults(fn=cmd_chaos)
 
     p_bench = sub.add_parser(
-        "bench", help="run hot-path benchmarks and write BENCH_hotpath.json"
+        "bench",
+        help="overhead gate: every plane's budgets and the cluster scale-up",
     )
     p_bench.add_argument(
         "--profile",
         choices=["smoke", "quick", "full"],
         default="quick",
-        help="workload tier (smoke: tests, quick: CI, full: local)",
-    )
-    p_bench.add_argument(
-        "--out",
-        default="BENCH_hotpath.json",
-        help="report path ('' to skip writing)",
-    )
-    p_bench.add_argument(
-        "--check",
-        default=None,
-        metavar="BASELINE.json",
-        help="fail when guarded metrics regress vs this baseline report",
-    )
-    p_bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="allowed fractional drop before --check fails (default 0.10)",
+        help="workload tier (smoke: tests, un-gated; quick: CI; full: local)",
     )
     p_bench.set_defaults(fn=cmd_bench)
 

@@ -8,7 +8,7 @@ depending on the number of cores in the machine it is running on."
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -44,16 +44,13 @@ class NeptuneConfig:
         How long a blocked emit waits before raising
         :class:`~repro.util.errors.BackpressureTimeout`.  None = wait
         forever (the paper's semantics: never drop).
-    transport_max_retries / transport_backoff_base /
-    transport_backoff_max / transport_backoff_jitter:
+    transport_backoff_base / transport_backoff_max:
         Cross-resource TCP links always run the recovery protocol
         (ack-pruned replay window, reconnect with backoff, receiver
-        duplicate suppression); this is its reconnect schedule: up to ``max_retries`` attempts, attempt
-        ``n`` backing off ``min(max, base * 2**n)`` seconds with a
-        ``±jitter`` random factor (seeded — see ``fault_seed``).
-    transport_send_timeout:
-        Bound on how long one send may block on a full replay window
-        (i.e. on a receiver that stopped acknowledging).
+        duplicate suppression); this is its reconnect schedule: attempt
+        ``n`` backs off ``min(max, base * 2**n)`` seconds, with
+        :class:`~repro.net.transport.RetryPolicy`'s retry count, jitter
+        (seeded — see ``fault_seed``) and send timeout.
     transport_replay_window:
         Replay-buffer capacity in bytes per TCP peer; unacknowledged
         frames beyond it block the sender (never evicted — eviction
@@ -79,15 +76,11 @@ class NeptuneConfig:
     compression_entropy_threshold: float = 6.0
     compression_min_size: int = 64
     emit_timeout: float | None = None
-    transport_max_retries: int = 6
     transport_backoff_base: float = 0.05
     transport_backoff_max: float = 2.0
-    transport_backoff_jitter: float = 0.25
-    transport_send_timeout: float | None = 10.0
     transport_replay_window: int = 8 << 20
     fault_seed: int = 0
     latency_budget: float | None = None
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.buffer_capacity <= 0:
@@ -105,10 +98,6 @@ class NeptuneConfig:
             )
         if self.worker_threads is not None and self.worker_threads <= 0:
             raise ValueError(f"worker_threads must be positive: {self.worker_threads}")
-        if self.transport_max_retries < 0:
-            raise ValueError(
-                f"transport_max_retries must be >= 0: {self.transport_max_retries}"
-            )
         if self.transport_replay_window <= 0:
             raise ValueError(
                 f"transport_replay_window must be positive: {self.transport_replay_window}"
@@ -137,11 +126,8 @@ class NeptuneConfig:
         from repro.net.transport import RetryPolicy
 
         return RetryPolicy(
-            max_retries=self.transport_max_retries,
             backoff_base=self.transport_backoff_base,
             backoff_max=self.transport_backoff_max,
-            backoff_jitter=self.transport_backoff_jitter,
-            send_timeout=self.transport_send_timeout,
             replay_window_bytes=self.transport_replay_window,
             seed=self.fault_seed,
         )

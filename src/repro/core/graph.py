@@ -74,8 +74,8 @@ class LinkSpec:
     stream: str = "default"
     partitioning: Any = "round-robin"
     #: Per-link compression override: None = job default, True/False =
-    #: force on/off, or a dict of CompressionPolicy kwargs.
-    compression: Any = None
+    #: force on/off.
+    compression: bool | None = None
     #: False keeps a buffered leg where the link could be chained (see
     #: :func:`chain_barrier`): the receiver keeps its own thread.
     chain: bool = True
@@ -148,7 +148,7 @@ class StreamProcessingGraph:
         to_op: str,
         stream: str = "default",
         partitioning: Any = "round-robin",
-        compression: Any = None,
+        compression: bool | None = None,
         chain: bool = True,
     ) -> "StreamProcessingGraph":
         """Connect ``from_op``'s ``stream`` to ``to_op`` (§III-A4).
@@ -325,6 +325,12 @@ class StreamProcessingGraph:
                 raise DescriptorError(
                     f"link 'chain' must be true or false, got {chain!r}: {lk!r}"
                 )
+            compression = lk.get("compression")
+            if compression is not None and not isinstance(compression, bool):
+                raise DescriptorError(
+                    f"link {from_op!r}->{to_op!r}: 'compression' must be "
+                    f"true, false or null, got {compression!r}"
+                )
             if validate_wiring:
                 for endpoint in (from_op, to_op):
                     if endpoint not in graph.operators:
@@ -343,7 +349,7 @@ class StreamProcessingGraph:
                 to_op,
                 stream=stream,
                 partitioning=partitioning,
-                compression=lk.get("compression"),
+                compression=compression,
                 chain=chain,
             )
         return graph

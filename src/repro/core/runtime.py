@@ -847,9 +847,7 @@ def _check_wire_ranges(graph: StreamProcessingGraph) -> None:
 def _compression_enabled(cfg: NeptuneConfig, link: LinkSpec) -> bool:
     if link.compression is None:
         return cfg.compression_enabled
-    if isinstance(link.compression, bool):
-        return link.compression
-    return True  # dict spec → enabled with overrides (future use)
+    return link.compression
 
 
 def _gate_callback(

@@ -27,8 +27,9 @@ Overhead discipline follows the lock-order sanitizer: the ownership
 hooks are gated on a module-level ``_ACTIVE`` flag (a dormant profiler
 costs one attribute test per execute), all registry mutation is
 GIL-atomic so the hot path takes no lock, and the sampler stretches its
-own interval whenever a sample's cost would push its duty cycle past
-``max_duty`` (3% by default).
+own interval whenever a sweep's CPU cost (its thread's
+``time.thread_time``) would push its duty cycle past ``max_duty`` (3%
+by default).
 
 Aggregates are bounded everywhere: at most ``max_operators`` labels
 (new labels past the cap fold into ``(overflow)``), ``max_stacks``
@@ -325,14 +326,17 @@ class SamplingProfiler:
             now = time.monotonic()
             elapsed = now - last
             last = now
-            t0 = time.perf_counter()
+            # Thread CPU time, not wall: a sweep's waits for the
+            # interpreter behind a busy thread are not the sampler's
+            # compute and must not stretch its interval.
+            t0 = time.thread_time()
             try:
                 self._sample_once(elapsed)
             except Exception as exc:
                 with self._lock:
                     self.errors += 1
                     self._error = self._error or repr(exc)
-            cost = time.perf_counter() - t0
+            cost = time.thread_time() - t0
             with self._lock:
                 self.sample_seconds += cost
             # Duty discipline: if one sample cost c, the next interval

@@ -1,5 +1,7 @@
 """Tests for the reusable packet codec (object reuse, §III-B3)."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -281,3 +283,60 @@ def test_compiled_codec_byte_identical_to_per_field(data):
     # (catches float32 widening / bool canonicalization divergence).
     assert compiled.encode_batch(via_compiled) == body
     assert legacy.encode_batch(via_legacy) == body
+
+
+#: Fixed-width-dominated record: the compiled codec's best case and the
+#: shape the paper's sensing workloads have (ids + readings).
+SENSOR_FIXED = PacketSchema(
+    [
+        ("valid", FieldType.BOOL),
+        ("sensor", FieldType.INT32),
+        ("seq", FieldType.INT64),
+        ("ts", FieldType.FLOAT64),
+        ("reading", FieldType.FLOAT64),
+        ("temperature", FieldType.FLOAT32),
+        ("station", FieldType.INT32),
+        ("flags", FieldType.INT64),
+    ]
+)
+
+
+def test_compiled_codec_beats_the_per_field_reference():
+    """The point of the compiled codec: on a fixed-width-dominated
+    record it encodes and decodes more than 1.2x faster than the
+    per-field reference.  Best of 5 per side, sides interleaved, so
+    machine drift hits both alike."""
+    pkt = SENSOR_FIXED.new_packet(
+        valid=True,
+        sensor=1234,
+        seq=2**40 + 7,
+        ts=1_722_000_000.25,
+        reading=21.75,
+        temperature=3.5,
+        station=-8,
+        flags=0x5A5A,
+    )
+    body = PacketCodec(SENSOR_FIXED).encode_batch([pkt] * 1000)
+    codecs = {c: PacketCodec(SENSOR_FIXED, compiled=c) for c in (True, False)}
+
+    def encode(codec):
+        out = bytearray()
+        for _ in range(2000):
+            codec.encode_into(pkt, out)
+
+    def decode(codec):
+        for _ in range(2):
+            for _row in codec.iter_decode(body, count=1000, reuse=True):
+                pass
+
+    best = {}
+    for _ in range(5):
+        for compiled, codec in codecs.items():
+            for op in (encode, decode):
+                t0 = time.perf_counter()
+                op(codec)
+                elapsed = time.perf_counter() - t0
+                key = (op.__name__, compiled)
+                best[key] = min(best.get(key, elapsed), elapsed)
+    assert best["encode", False] / best["encode", True] > 1.2
+    assert best["decode", False] / best["decode", True] > 1.2

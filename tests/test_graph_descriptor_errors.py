@@ -98,6 +98,10 @@ def test_unbuildable_partitioning_spec_is_typed():
             {"name": "x", "operators": [], "config": {"no_such_field": 1}},
             "bad descriptor config",
         ),
+        (
+            _desc([{"from": "src", "to": "sink", "compression": {"level": 9}}]),
+            "link 'src'->'sink': 'compression' must be true, false or null",
+        ),
     ],
 )
 def test_malformed_descriptors_raise_descriptor_error(desc, match):

@@ -327,6 +327,24 @@ class TestBounds:
         assert prof.samples < 1_000  # nominal would be ~4 000
         assert prof.sample_seconds <= 0.4 * 0.05  # generous 5x slack
 
+    def test_a_sweep_waiting_off_cpu_is_not_sampler_compute(self, monkeypatch):
+        # A sweep that waits (for the interpreter, for /proc) costs the
+        # sampler's thread no CPU: it neither counts as the sampler's
+        # compute nor stretches the next interval past the period.
+        prof = SamplingProfiler(hz=50.0, max_duty=0.03)
+        monkeypatch.setattr(prof, "_sample_once", lambda elapsed: time.sleep(0.02))
+        waits = []
+
+        class _ThreeSweeps:
+            def wait(self, timeout):
+                waits.append(timeout)
+                return len(waits) > 3
+
+        prof._stop = _ThreeSweeps()
+        prof._run()
+        assert prof.sample_seconds < 0.005
+        assert waits == [pytest.approx(1 / 50.0)] * 4
+
 
 class TestWindows:
     def test_window_age_before_any_window(self):
