@@ -14,8 +14,8 @@ with compression on/off, validating with Tukey's HSD:
 This benchmark runs the *real* codec + policy path (not the simulator):
 each arm round-trips batches through ``CompressionPolicy`` and then
 performs the receiver's real work (decoding every packet with the
-reusable codec), timing actual CPython throughput, then applies our
-Tukey HSD implementation.
+reusable codec), timing actual CPython throughput, then applies Tukey's HSD
+(``scipy.stats.tukey_hsd``, Tukey-Kramer).
 
 Substitution note (DESIGN.md §2): the codec is CPython's C ``zlib`` as
 raw deflate at level 1 (~15 ns/B to compress, ~4 ns/B to decode), a
@@ -32,12 +32,14 @@ collapse while the random stream's are untouched.
 """
 
 import random
+import statistics
 import time
+
+from scipy import stats
 
 from repro.compression import CompressionPolicy
 from repro.core.serde import PacketCodec
 from repro.sim.experiments import format_rows
-from repro.stats import summarize, tukey_hsd
 from repro.workloads.debs import MANUFACTURING_SCHEMA, ManufacturingStream
 
 PACKETS_PER_BATCH = 400
@@ -119,13 +121,12 @@ def test_compression_entropy_study(benchmark):
 
     rows = []
     for (kind, mode), (samples, wire) in results.items():
-        s = summarize(samples)
         rows.append(
             {
                 "dataset": kind,
                 "compression": mode,
-                "throughput_pkt_s_mean": s.mean,
-                "throughput_pkt_s_std": s.std,
+                "throughput_pkt_s_mean": statistics.fmean(samples),
+                "throughput_pkt_s_std": statistics.stdev(samples),
                 "wire_bytes": wire,
             }
         )
@@ -133,42 +134,37 @@ def test_compression_entropy_study(benchmark):
     print(format_rows(rows, title="COMP: selective compression study"))
 
     # --- omnibus ANOVA, then Tukey HSD (the paper's validation) ---
-    from repro.stats import one_way_anova
-
-    random_groups = {
-        mode: results[("random", mode)][0] for mode in ("off", "selective", "forced")
-    }
-    omnibus = one_way_anova(random_groups)
-    print(f"\nrandom data omnibus ANOVA: F={omnibus.f_statistic:.1f}, "
-          f"p={omnibus.p_value:.2e}, eta^2={omnibus.eta_squared:.2f}")
-    assert omnibus.significant()  # the forced arm separates the groups
-    res_random = tukey_hsd(random_groups)
-    p_forced = res_random.comparison("off", "forced").p_value
-    p_selective = res_random.comparison("off", "selective").p_value
+    random_groups = [
+        results[("random", mode)][0] for mode in ("off", "selective", "forced")
+    ]
+    omnibus = stats.f_oneway(*random_groups)
+    print(f"\nrandom data omnibus ANOVA: F={omnibus.statistic:.1f}, "
+          f"p={omnibus.pvalue:.2e}")
+    assert omnibus.pvalue < 0.05  # the forced arm separates the groups
+    # tukey_hsd(...).statistic[i, j] is mean(group i) - mean(group j).
+    res_random = stats.tukey_hsd(*random_groups)
+    p_forced = res_random.pvalue[0, 2]
+    p_selective = res_random.pvalue[0, 1]
     print(f"\nrandom data: off vs forced    p = {p_forced:.2e}")
     print(f"random data: off vs selective p = {p_selective:.4f}")
 
     # Paper: forcing compression on random data is significantly worse.
-    comp_forced = res_random.comparison("off", "forced")
-    assert comp_forced.significant and comp_forced.mean_diff > 0
+    assert p_forced < 0.05 and res_random.statistic[0, 2] > 0
     # The entropy gate removes almost all of that penalty: whatever
     # throughput the probe costs is a small fraction of the forced loss.
-    off_mean = res_random.means["off"]
-    selective_penalty = off_mean - res_random.means["selective"]
-    forced_penalty = off_mean - res_random.means["forced"]
+    selective_penalty = res_random.statistic[0, 1]
+    forced_penalty = res_random.statistic[0, 2]
     assert selective_penalty < 0.25 * forced_penalty
 
-    sensor_groups = {
-        mode: results[("sensor", mode)][0] for mode in ("off", "selective")
-    }
-    res_sensor = tukey_hsd(sensor_groups)
-    p_sensor = res_sensor.comparison("off", "selective").p_value
+    sensor_groups = [results[("sensor", mode)][0] for mode in ("off", "selective")]
+    res_sensor = stats.tukey_hsd(*sensor_groups)
+    p_sensor = res_sensor.pvalue[0, 1]
     print(f"sensor data: off vs selective p = {p_sensor:.4f} "
           "(paper: >0.1561 with native-speed LZ4; see docstring)")
     # A native codec: compressing the sensor stream costs under half of
     # the uncompressed arm's throughput.
-    sensor_off = res_sensor.means["off"]
-    sensor_cost = (sensor_off - res_sensor.means["selective"]) / sensor_off
+    sensor_off = statistics.fmean(sensor_groups[0])
+    sensor_cost = res_sensor.statistic[0, 1] / sensor_off
     print(f"sensor data: selective costs {sensor_cost:.0%} of off's throughput")
     assert sensor_cost < 0.5
 

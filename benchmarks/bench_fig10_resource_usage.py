@@ -8,19 +8,12 @@ systems (p-value for the two-tailed t-test = 0.0863)."
 """
 
 from repro.sim import experiments as exp
-from repro.stats import summarize
 
 
 def test_fig10_resource_usage(benchmark):
     fig10 = benchmark.pedantic(lambda: exp.fig10_resource_usage(), rounds=1, iterations=1)
     print()
-    print("FIG10: per-node resource consumption (50 jobs / 50 nodes)")
-    print(f"  NEPTUNE CPU: {summarize(fig10['neptune_cpu_pct'])}")
-    print(f"  Storm   CPU: {summarize(fig10['storm_cpu_pct'])}")
-    print(f"  CPU one-tailed t-test (Storm > NEPTUNE): p = {fig10['cpu_one_tailed_p']:.2e}")
-    print(f"  NEPTUNE mem: {summarize(fig10['neptune_mem_pct'])}")
-    print(f"  Storm   mem: {summarize(fig10['storm_mem_pct'])}")
-    print(f"  memory two-tailed t-test: p = {fig10['mem_two_tailed_p']:.4f}")
+    print(exp.format_fig10(fig10))
 
     # Storm burns more CPU while delivering ~8x less (Fig. 9).
     assert fig10["cpu_mean_storm"] > fig10["cpu_mean_neptune"]

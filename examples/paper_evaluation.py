@@ -12,7 +12,6 @@ Run:  python examples/paper_evaluation.py [--quick]
 import sys
 
 from repro.sim import experiments as exp
-from repro.stats import summarize
 
 
 def main(quick: bool = True):
@@ -65,14 +64,7 @@ def main(quick: bool = True):
     print(exp.format_rows(exp.fig9_manufacturing()))
 
     print("=" * 72)
-    print("Figure 10 — cluster-wide resource consumption (50 jobs)")
-    fig10 = exp.fig10_resource_usage()
-    print(f"  NEPTUNE CPU per node: {summarize(fig10['neptune_cpu_pct'])}")
-    print(f"  Storm   CPU per node: {summarize(fig10['storm_cpu_pct'])}")
-    print(f"  one-tailed t-test (Storm > NEPTUNE): p = {fig10['cpu_one_tailed_p']:.2e}")
-    print(f"  NEPTUNE mem per node: {summarize(fig10['neptune_mem_pct'])}")
-    print(f"  Storm   mem per node: {summarize(fig10['storm_mem_pct'])}")
-    print(f"  two-tailed t-test (memory): p = {fig10['mem_two_tailed_p']:.4f}")
+    print(exp.format_fig10(exp.fig10_resource_usage()))
 
     print("=" * 72)
     print("Headline numbers (paper §VI)")

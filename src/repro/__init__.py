@@ -16,10 +16,9 @@ IoT and sensing environments.  This package contains:
   compression policy (entropy-gated raw deflate via C ``zlib``).
 - :mod:`repro.sim` — a discrete-event cluster simulator used to
   regenerate the paper's evaluation (Figures 2, 4-7, 9, 10; Table I),
-  including a faithful Apache Storm baseline model.
+  including a faithful Apache Storm baseline model; its significance
+  tests call ``scipy.stats`` directly.
 - :mod:`repro.workloads` — IoT / DEBS-2012 / synthetic stream generators.
-- :mod:`repro.stats` — Tukey HSD and t-test helpers used by the paper's
-  statistical validation.
 """
 
 __version__ = "1.0.0"

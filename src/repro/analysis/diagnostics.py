@@ -99,12 +99,6 @@ class DiagnosticReport:
         """How many findings carry ``code``."""
         return sum(1 for d in self.diagnostics if d.code == code)
 
-    def max_severity(self) -> Severity | None:
-        """The most serious severity present, or None when clean."""
-        if not self.diagnostics:
-            return None
-        return max(d.severity for d in self.diagnostics)
-
     def exit_code(self, fail_on: Severity = Severity.ERROR) -> int:
         """0 when no finding reaches ``fail_on``; 1 otherwise."""
         return int(any(d.severity >= fail_on for d in self.diagnostics))

@@ -14,7 +14,7 @@ code         severity  meaning
 NEPG130      error     malformed cluster spec / unsound instance assignment
 NEPG131      error     pin override names an unknown operator
 NEPG132      error     pin override targets an out-of-range worker
-NEPG133      error     TCP port collision (data/control/reserved) across workers
+NEPG133      error     TCP port collision (data/control) across workers
 NEPG134      error     unix-socket path collision (or malformed unix endpoint)
 NEPG135      error     worker spec set inconsistent (ids/endpoints/plan drift)
 NEPG136      error     non-deterministic partitioning on a cross-worker link
@@ -44,7 +44,7 @@ A cluster spec file names either a planner input::
     {"descriptor_path": "fig1_relay.json", "workers": 2,
      "scheme": "round-robin", "pin": {"sender": 0},
      "endpoints": {"0": ["127.0.0.1", 7001], "1": ["127.0.0.1", 7002]},
-     "control_ports": [7101, 7102], "reserved_ports": [9090]}
+     "control_ports": [7101, 7102]}
 
 (``descriptor`` may be inline; ``endpoints``/``control_ports`` are
 optional — without them port checks are skipped, because the
@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import DiagnosticReport, Severity
 from repro.analysis.graphcheck import verify_descriptor
@@ -92,8 +92,6 @@ class PlanVerifier:
         Optional :class:`~repro.cluster.spec.WorkerSpec` sequence; when
         given, endpoint/control-port collision checks and the spec-set
         consistency + config-drift passes run too.
-    reserved_ports:
-        TCP ports the deployment must not touch (externally owned).
     """
 
     def __init__(
@@ -101,12 +99,10 @@ class PlanVerifier:
         graph: Any,
         plan: Any,
         specs: Optional[Sequence[Any]] = None,
-        reserved_ports: Iterable[int] = (),
     ) -> None:
         self.graph = graph
         self.plan = plan
         self.specs = list(specs) if specs is not None else None
-        self.reserved_ports = sorted(set(reserved_ports))
         self.report = DiagnosticReport(
             subject=f"deployment plan for graph {graph.name!r}"
         )
@@ -313,9 +309,6 @@ class PlanVerifier:
             tcp_claims.setdefault(("127.0.0.1", int(spec.control_port)), []).append(
                 f"worker {spec.worker_id} control"
             )
-        for port in self.reserved_ports:
-            for host in {h for h, _ in tcp_claims}:
-                tcp_claims.setdefault((host, port), []).append("reserved")
         for (host, port), claimants in sorted(tcp_claims.items()):
             if len(claimants) > 1:
                 rep.add(
@@ -423,12 +416,9 @@ def verify_plan(
     graph: Any,
     plan: Any,
     specs: Optional[Sequence[Any]] = None,
-    reserved_ports: Iterable[int] = (),
 ) -> DiagnosticReport:
     """Verify one deployment plan (graph must already be error-free)."""
-    return PlanVerifier(
-        graph, plan, specs=specs, reserved_ports=reserved_ports
-    ).run()
+    return PlanVerifier(graph, plan, specs=specs).run()
 
 
 def verify_cluster(
@@ -466,12 +456,7 @@ def verify_cluster(
     graph = StreamProcessingGraph.from_descriptor(descriptor, validate_wiring=False)
     if explicit_specs is not None:
         plan = explicit_specs[0].deployment_plan()
-        verifier = PlanVerifier(
-            graph,
-            plan,
-            specs=explicit_specs,
-            reserved_ports=spec.get("reserved_ports", ()),
-        )
+        verifier = PlanVerifier(graph, plan, specs=explicit_specs)
     else:
         plan = _lenient_plan(graph, spec, report)
         if plan is None:
@@ -481,7 +466,6 @@ def verify_cluster(
             graph,
             plan,
             specs=_synthesized_specs(spec, descriptor, plan, report),
-            reserved_ports=spec.get("reserved_ports", ()),
         )
     verifier.run()
     # Fold graph findings, dropping NEPG122 warnings superseded by the

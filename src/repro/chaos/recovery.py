@@ -29,7 +29,7 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.core.checkpoint import Checkpoint, CheckpointStore
+from repro.core.checkpoint import CheckpointStore
 from repro.util.errors import JobStateError
 
 
@@ -89,7 +89,7 @@ class RecoveryCoordinator:
             try:
                 if handle.failures:
                     continue  # recovery (not checkpointing) is due
-                ckpt = handle.checkpoint(quiesce=True, timeout=10.0)
+                ckpt = handle.checkpoint(timeout=10.0)
                 self.store.put(ckpt)
             except Exception:
                 # A checkpoint racing a crash/drain may legitimately
@@ -133,10 +133,6 @@ class RecoveryCoordinator:
         ckpt = self.store.latest(self.graph.name)
         self.handle = self.runtime.submit(self.graph, restore_from=ckpt)
         return True
-
-    def latest_checkpoint(self) -> Checkpoint | None:
-        """Most recent stored checkpoint for the supervised job."""
-        return self.store.latest(self.graph.name)
 
     def stop(self) -> None:
         """Stop the checkpoint thread (the job is left to its handle)."""

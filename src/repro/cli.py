@@ -745,7 +745,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     """`experiment` subcommand: regenerate a paper artefact."""
     from repro.sim import experiments as exp
-    from repro.stats import summarize
 
     name = args.name
     quick = not args.full
@@ -781,12 +780,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     elif name == "fig9":
         print(exp.format_rows(exp.fig9_manufacturing(), "FIG9: manufacturing"))
     elif name == "fig10":
-        out = exp.fig10_resource_usage()
-        print("FIG10: per-node resource consumption")
-        print(f"  NEPTUNE CPU: {summarize(out['neptune_cpu_pct'])}")
-        print(f"  Storm   CPU: {summarize(out['storm_cpu_pct'])}")
-        print(f"  CPU one-tailed p = {out['cpu_one_tailed_p']:.2e}; "
-              f"memory two-tailed p = {out['mem_two_tailed_p']:.4f}")
+        print(exp.format_fig10(exp.fig10_resource_usage()))
     elif name == "headline":
         head = exp.headline_numbers()
         for key, value in head.items():

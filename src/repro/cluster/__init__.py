@@ -18,7 +18,7 @@ from repro.cluster.coordinator import (
     attach_proxies,
 )
 from repro.cluster.faults import ProcessFaultDriver, worker_site
-from repro.cluster.ports import reserve_port, reserve_ports
+from repro.cluster.ports import reserve_ports
 from repro.cluster.spec import WorkerSpec, build_plan, config_to_dict
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "attach_proxies",
     "build_plan",
     "config_to_dict",
-    "reserve_port",
     "reserve_ports",
     "worker_site",
 ]

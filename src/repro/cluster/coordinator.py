@@ -139,8 +139,19 @@ class ClusterCoordinator:
         policy: Any = None,
     ) -> None:
         graph.validate()
+        # Refuse before creating anything (socket and flight directories).
         if fabric not in ("tcp", "unix"):
             raise NeptuneError(f"unknown fabric {fabric!r} (tcp or unix)")
+        if policy and not slos:
+            raise NeptuneError("policy requires cluster-scope SLOs (pass slos=[...])")
+        descriptor = graph.to_descriptor()
+        unnamed = [op["name"] for op in descriptor["operators"] if not op["class"]]
+        if unnamed:
+            raise NeptuneError(
+                f"operators {unnamed} are built by Python callables, not import "
+                "paths: a worker process cannot rebuild them (use "
+                "descriptor_factory or a JSON descriptor)"
+            )
         self._graph = graph
         self.verify = verify
         self.plan = plan if plan is not None else build_plan(graph, n_workers)
@@ -191,10 +202,6 @@ class ClusterCoordinator:
         self.policy_applied: List[Dict[str, Any]] = []
         self.policy_errors = 0
         if policy:
-            if self.collector is None or self.collector.health is None:
-                raise NeptuneError(
-                    "policy requires cluster-scope SLOs (pass slos=[...])"
-                )
             from repro.observe.policy import PolicyConfig, PolicyEngine
 
             config = policy if isinstance(policy, PolicyConfig) else None
@@ -203,14 +210,6 @@ class ClusterCoordinator:
             if policy_dir is None:
                 policy_dir = tempfile.mkdtemp(prefix="neptune-policy-")
             self.policy_log_path = os.path.join(policy_dir, "policy-actions.log")
-        descriptor = graph.to_descriptor()
-        unnamed = [op["name"] for op in descriptor["operators"] if not op["class"]]
-        if unnamed:
-            raise NeptuneError(
-                f"operators {unnamed} are built by Python callables, not import "
-                "paths: a worker process cannot rebuild them (use "
-                "descriptor_factory or a JSON descriptor)"
-            )
         descriptor["config"] = config_to_dict(graph.config)
         plan_raw = {
             "n_workers": self.plan.n_workers,

@@ -20,11 +20,6 @@ from __future__ import annotations
 import socket
 
 
-def reserve_port(host: str = "127.0.0.1") -> int:
-    """Reserve one free TCP port on ``host`` and return it."""
-    return reserve_ports(1, host)[0]
-
-
 def reserve_ports(n: int, host: str = "127.0.0.1") -> list[int]:
     """Reserve ``n`` distinct free TCP ports on ``host``.
 

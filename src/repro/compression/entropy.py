@@ -14,6 +14,9 @@ job.
 
 from __future__ import annotations
 
+#: Bytes :func:`sampled_entropy` histograms at most.
+SAMPLE_SIZE = 4096
+
 
 def preload() -> None:
     """Import numpy now rather than inside the first entropy estimate."""
@@ -35,23 +38,17 @@ def shannon_entropy(data: bytes | bytearray | memoryview) -> float:
     return float(-(probs * np.log2(probs)).sum())
 
 
-def sampled_entropy(
-    data: bytes | bytearray | memoryview,
-    sample_size: int = 4096,
-    stride: int | None = None,
-) -> float:
+def sampled_entropy(data: bytes | bytearray | memoryview) -> float:
     """Entropy estimate from a strided sample of ``data``.
 
     For large buffered batches an exact histogram is unnecessary; a
-    deterministic strided sample of ``sample_size`` bytes is within a
+    deterministic strided sample of :data:`SAMPLE_SIZE` bytes is within a
     few percent for the payloads NEPTUNE carries while costing O(sample)
     instead of O(n).  Deterministic (no RNG) so repeated calls on the
     same buffer always agree — the compression decision must be stable.
     """
     buf = bytes(data)
     n = len(buf)
-    if n <= sample_size:
+    if n <= SAMPLE_SIZE:
         return shannon_entropy(buf)
-    if stride is None:
-        stride = max(1, n // sample_size)
-    return shannon_entropy(buf[::stride][:sample_size])
+    return shannon_entropy(buf[:: n // SAMPLE_SIZE][:SAMPLE_SIZE])

@@ -32,7 +32,7 @@ from repro.core.graph import StreamProcessingGraph, OperatorSpec, LinkSpec
 from repro.core.config import NeptuneConfig
 from repro.core.runtime import NeptuneRuntime
 from repro.core.job import JobHandle, JobState
-from repro.core.windows import SlidingWindow, TumblingCountWindow
+from repro.core.windows import SlidingWindow
 from repro.core.checkpoint import Checkpoint
 
 __all__ = [
@@ -61,6 +61,5 @@ __all__ = [
     "JobHandle",
     "JobState",
     "SlidingWindow",
-    "TumblingCountWindow",
     "Checkpoint",
 ]

@@ -32,7 +32,6 @@ offsets, which :class:`ReplayableSource` sketches).
 
 from __future__ import annotations
 
-import os
 import pickle
 import threading
 import time
@@ -95,21 +94,20 @@ def take_checkpoint(job_runtime) -> Checkpoint:
     return ckpt
 
 
+#: Checkpoints a :class:`CheckpointStore` retains per job.
+KEEP = 3
+
+
 class CheckpointStore:
-    """Bounded in-memory (optionally disk-backed) checkpoint history.
+    """Bounded in-memory checkpoint history.
 
     The recovery path (:class:`~repro.chaos.recovery.RecoveryCoordinator`,
     link-failure notifications) needs "the last good checkpoint" without
     threading a Checkpoint object through every call site.  The store
-    keeps the most recent ``keep`` checkpoints per job and can mirror
-    each one to ``directory`` (pickle files) for cross-process recovery.
+    keeps the most recent :data:`KEEP` checkpoints per job.
     """
 
-    def __init__(self, keep: int = 3, directory: str | None = None) -> None:
-        if keep <= 0:
-            raise ValueError(f"keep must be positive: {keep}")
-        self._keep = keep
-        self._dir = directory
+    def __init__(self) -> None:
         self._history: dict[str, list[Checkpoint]] = {}
         self._lock = threading.Lock()
 
@@ -118,12 +116,7 @@ class CheckpointStore:
         with self._lock:
             history = self._history.setdefault(ckpt.job_name, [])
             history.append(ckpt)
-            del history[: -self._keep]
-        if self._dir is not None:
-            path = os.path.join(
-                self._dir, f"{ckpt.job_name}-{ckpt.taken_at:.6f}.ckpt"
-            )
-            ckpt.save(path)
+            del history[:-KEEP]
 
     def latest(self, job_name: str) -> Checkpoint | None:
         """Most recent checkpoint for ``job_name``, or None."""

@@ -87,14 +87,20 @@ class ControlServer:
                 line = line.strip()
                 if not line:
                     continue
+                cmd = None
                 try:
                     request = json.loads(line)
+                    if not isinstance(request, dict):
+                        raise ValueError(
+                            f"a control request is a JSON object, not {line[:80]!r}"
+                        )
+                    cmd = request.get("cmd")
                     response = self._dispatch(request)
                 except Exception as exc:  # noqa: BLE001 — report to caller
                     response = {"ok": False, "error": repr(exc)}
                 wfile.write(json.dumps(response) + "\n")
                 wfile.flush()
-                if request.get("cmd") == "stop":
+                if cmd == "stop":
                     return
         except OSError:
             pass

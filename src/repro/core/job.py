@@ -131,19 +131,17 @@ class JobHandle:
         """Aggregated per-operator counters (see MetricsRegistry)."""
         return self._job.metrics.snapshot()
 
-    def checkpoint(self, quiesce: bool = True, timeout: float = 30.0):
+    def checkpoint(self, timeout: float = 30.0):
         """Snapshot all opted-in operator state (§VI future work).
 
-        ``quiesce=True`` pauses sources and drains in-flight packets
-        first, yielding a globally consistent cut (exactly-once on
-        recovery when sources checkpoint replay positions); sources
-        resume afterwards.  ``quiesce=False`` snapshots live — cheap
-        but fuzzy across instances.
+        Sources are paused and in-flight packets drained first, yielding
+        a globally consistent cut (exactly-once on recovery when sources
+        checkpoint replay positions); sources resume afterwards.
 
         Returns a :class:`~repro.core.checkpoint.Checkpoint`; resubmit
         with ``runtime.submit(graph, restore_from=ckpt)`` to recover.
         """
-        return self._runtime._checkpoint_job(self._job, quiesce, timeout)
+        return self._runtime._checkpoint_job(self._job, timeout)
 
     def await_completion(self, timeout: float = 30.0) -> bool:
         """Block until every source finished naturally and the graph

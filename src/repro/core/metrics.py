@@ -104,25 +104,6 @@ class OperatorMetrics:
     refresh: Callable[[], None] | None = field(default=None, repr=False, compare=False)
 
 
-@dataclass
-class ThroughputWindow:
-    """Rate computation over an observation window."""
-
-    packets: int = 0
-    bytes: int = 0
-    seconds: float = 0.0
-
-    @property
-    def packets_per_second(self) -> float:
-        """Packet rate over the observation window."""
-        return self.packets / self.seconds if self.seconds > 0 else 0.0
-
-    @property
-    def megabits_per_second(self) -> float:
-        """Byte rate over the window, in Mbit/s."""
-        return self.bytes * 8 / 1e6 / self.seconds if self.seconds > 0 else 0.0
-
-
 class MetricsRegistry:
     """All metrics for one runtime; snapshot-able for monitoring."""
 

@@ -1502,19 +1502,17 @@ class NeptuneRuntime:
             job.record_failure(link, exc)
 
     # -- checkpointing -----------------------------------------------------
-    def _checkpoint_job(self, job: _JobRuntime, quiesce: bool, timeout: float):
+    def _checkpoint_job(self, job: _JobRuntime, timeout: float):
         """Snapshot operator state (see repro.core.checkpoint).
 
-        With ``quiesce=True`` (the consistent mode) sources are paused
-        and the pipeline drained before the snapshot, so the cut
-        contains no in-flight packets: restored state + source replay
-        positions cover the stream exactly once.  ``quiesce=False``
-        snapshots live (cheap, per-instance-consistent but fuzzy
-        across instances — fine for monitoring).
+        A running job's sources are paused and the pipeline drained
+        before the snapshot, so the cut contains no in-flight packets:
+        restored state + source replay positions cover the stream
+        exactly once.  A job that is not running is snapshotted as it is.
         """
         from repro.core.checkpoint import take_checkpoint
 
-        if not quiesce or job.state is not JobState.RUNNING:
+        if job.state is not JobState.RUNNING:
             return take_checkpoint(job)
         sources = [i for i in job.all_instances() if i.spec.is_source]
         for inst in sources:

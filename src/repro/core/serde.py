@@ -281,12 +281,6 @@ class PacketCodec:
         return bytes(scratch)
 
     # -- decoding -----------------------------------------------------------
-    def decode_one(self, buf: bytes | memoryview, offset: int = 0) -> tuple[StreamPacket, int]:
-        """Decode one *fresh* packet at ``offset``; return (packet, end)."""
-        pkt = StreamPacket(self.schema)
-        end = self._fill(pkt, buf, offset)
-        return pkt, end
-
     def iter_decode(
         self,
         body: bytes | bytearray | memoryview,
@@ -409,22 +403,3 @@ class PacketCodec:
                 values[i], offset = decode_field(ftype, buf, offset)
         self.packets_decoded += 1
         return offset
-
-    # -- sizing -------------------------------------------------------------
-    def encoded_size(self, packet: StreamPacket) -> int:
-        """Exact wire size of ``packet`` (cheap for fixed-width schemas)."""
-        plan = self._plan
-        if plan is not None and plan.record_size is not None:
-            return plan.record_size
-        size = 0
-        for value, ftype in zip(packet.values, self.schema.types):
-            fixed = ftype.fixed_size
-            if fixed is not None:
-                size += fixed
-            elif ftype is FieldType.STRING:
-                size += 4 + len(value.encode("utf-8"))
-            elif ftype is FieldType.BYTES:
-                size += 4 + len(value)
-            else:  # lists
-                size += 4 + 8 * len(value)
-        return size

@@ -2,9 +2,9 @@
 
 The paper's manufacturing-equipment job monitors "the delay between the
 sensor state change and actuation of the corresponding valve over a
-24-hour time window" — a time-based sliding window; a count-based
-tumbling window covers the common descriptive-statistics stage the
-buffering discussion mentions (§III-B1).
+24-hour time window" — a time-based sliding window, which also serves
+the descriptive-statistics stage the buffering discussion mentions
+(§III-B1).
 """
 
 from __future__ import annotations
@@ -59,30 +59,3 @@ class SlidingWindow:
     def aggregate(self, fn: Callable[[list[Any]], Any]) -> Any:
         """Apply ``fn`` to the window's values (e.g. statistics.mean)."""
         return fn([v for _, v in self._items])
-
-
-class TumblingCountWindow:
-    """Fixed-count tumbling window: emits a full batch every N adds."""
-
-    def __init__(self, count: int) -> None:
-        if count <= 0:
-            raise ValueError(f"window count must be positive: {count}")
-        self.count = count
-        self._items: list[Any] = []
-
-    def add(self, value: Any) -> list[Any] | None:
-        """Add a value; returns the completed batch when full else None."""
-        self._items.append(value)
-        if len(self._items) >= self.count:
-            batch = self._items
-            self._items = []
-            return batch
-        return None
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def flush(self) -> list[Any]:
-        """Return and clear any partial batch (stream shutdown)."""
-        batch, self._items = self._items, []
-        return batch

@@ -14,7 +14,7 @@ abstractions, reimplemented here:
 """
 
 from repro.granules.task import ComputationalTask, TaskState
-from repro.granules.dataset import Dataset, QueueDataset, IterableDataset, FileDataset
+from repro.granules.dataset import Dataset, QueueDataset, FileDataset
 from repro.granules.scheduler import (
     SchedulingStrategy,
     DataDrivenStrategy,
@@ -29,7 +29,6 @@ __all__ = [
     "TaskState",
     "Dataset",
     "QueueDataset",
-    "IterableDataset",
     "FileDataset",
     "SchedulingStrategy",
     "DataDrivenStrategy",

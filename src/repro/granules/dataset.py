@@ -7,10 +7,10 @@ framework manages the initializations and closures of datasets and
 provides notifications on the availability of data." (§II)
 
 The two concrete datasets here cover NEPTUNE's needs: a thread-safe
-bounded queue (stream links) and a pull-based iterable wrapper
-(file/replay ingestion).  Availability notifications are delivered to a
-registered listener callback, which the Resource uses for data-driven
-scheduling.
+bounded queue (stream links) and a lazily read file with checkpointable
+byte positions (file/replay ingestion).  Availability notifications
+are delivered to a registered listener callback, which the Resource
+uses for data-driven scheduling.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable
 
 
 class Dataset(ABC):
@@ -207,49 +207,3 @@ class FileDataset(Dataset):
         fh = self._ensure_open()
         self._peeked = None
         fh.seek(position)
-
-
-class IterableDataset(Dataset):
-    """Pull-based dataset over any Python iterable.
-
-    Used by stream sources replaying files or synthetic generators; the
-    paper's sources "ingest streams using a pull-based approach from an
-    IoT gateway".
-    """
-
-    def __init__(self, name: str, iterable: Iterable[Any]) -> None:
-        super().__init__(name)
-        self._iterable = iterable
-        self._iterator: Iterator[Any] | None = None
-        self._exhausted = False
-        self._peeked: list[Any] = []
-
-    def initialize(self) -> None:
-        """Prepare for use (framework-managed lifecycle)."""
-        super().initialize()
-        if self._iterator is None:
-            self._iterator = iter(self._iterable)
-
-    def next(self) -> Any:
-        """Return the next item, or raise StopIteration when exhausted."""
-        if self._peeked:
-            return self._peeked.pop()
-        if self._iterator is None:
-            self.initialize()
-        try:
-            return next(self._iterator)  # type: ignore[arg-type]
-        except StopIteration:
-            self._exhausted = True
-            raise
-
-    def has_data(self) -> bool:
-        """Whether a read would currently yield data."""
-        if self._peeked:
-            return True
-        if self._exhausted or self._closed:
-            return False
-        try:
-            self._peeked.append(self.next())
-            return True
-        except StopIteration:
-            return False

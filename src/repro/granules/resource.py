@@ -14,7 +14,7 @@ worker tier).  Dispatch rules:
   dataset-availability notification or from a timer deadline;
 - executions drained from the ready queue amortize context switches: a
   worker keeps re-executing a task while its strategy still fires,
-  up to ``max_consecutive`` runs, before yielding the worker.
+  up to :data:`MAX_CONSECUTIVE` runs, before yielding the worker.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ from dataclasses import dataclass, field
 from repro.granules.scheduler import SchedulingStrategy
 from repro.granules.task import ComputationalTask, TaskState
 from repro.util.clock import Clock, SYSTEM_CLOCK
+
+#: How many back-to-back executions a worker grants one task before
+#: rotating to the next ready task (fairness vs. batching).
+MAX_CONSECUTIVE = 16
 
 
 class _SchedState(enum.Enum):
@@ -57,9 +61,6 @@ class Resource:
         depending on the number of cores"; pass ``None`` for that.
     clock:
         Injectable time source for deterministic tests.
-    max_consecutive:
-        How many back-to-back executions a worker grants one task before
-        rotating to the next ready task (fairness vs. batching).
     """
 
     def __init__(
@@ -67,7 +68,6 @@ class Resource:
         name: str,
         workers: int | None = None,
         clock: Clock = SYSTEM_CLOCK,
-        max_consecutive: int = 16,
     ) -> None:
         # Thread names carry this; force the stable runtime-wide prefix
         # so profiler / flight-recorder output never shows bare pool
@@ -76,10 +76,7 @@ class Resource:
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         if self.workers <= 0:
             raise ValueError(f"workers must be positive: {workers}")
-        if max_consecutive <= 0:
-            raise ValueError(f"max_consecutive must be positive: {max_consecutive}")
         self._clock = clock
-        self._max_consecutive = max_consecutive
         self._entries: dict[str, _TaskEntry] = {}
         self._ready: deque[_TaskEntry] = deque()
         self._lock = threading.Lock()
@@ -264,7 +261,7 @@ class Resource:
                 if not again:
                     entry.state = _SchedState.IDLE
                     return
-                if consecutive >= self._max_consecutive:
+                if consecutive >= MAX_CONSECUTIVE:
                     # Yield the worker; stay queued for fairness.
                     entry.state = _SchedState.QUEUED
                     self._ready.append(entry)

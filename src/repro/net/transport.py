@@ -62,6 +62,10 @@ _ACK = struct.Struct("<IQ")
 #: Host-string prefix selecting a Unix-domain socket endpoint.
 UNIX_PREFIX = "unix:"
 
+#: Seconds a graceful :meth:`TcpTransport.close` waits for the replay
+#: window to drain.
+CLOSE_DRAIN_TIMEOUT = 5.0
+
 
 def is_unix_endpoint(host: str) -> bool:
     """True when ``host`` names a Unix-domain socket (``"unix:/path"``).
@@ -577,15 +581,15 @@ class TcpTransport:
         with self._state:
             return not self._unacked
 
-    def close(self, drain_timeout: float = 5.0) -> None:
+    def close(self) -> None:
         """Release underlying resources. Idempotent.
 
-        In retry mode, first waits up to ``drain_timeout`` for the
-        replay window to drain (recovering if needed) so a graceful
+        In retry mode, first waits up to :data:`CLOSE_DRAIN_TIMEOUT` for
+        the replay window to drain (recovering if needed) so a graceful
         close never abandons in-flight frames.
         """
         if self._retry is not None and not self._closed:
-            self.ensure_delivered(drain_timeout)
+            self.ensure_delivered(CLOSE_DRAIN_TIMEOUT)
         with self._lock:
             if self._closed:
                 return

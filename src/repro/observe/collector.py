@@ -86,6 +86,10 @@ _STAGE_ORDER: Dict[str, int] = {stage: i for i, stage in enumerate(STAGES)}
 #: twice — but never with a different (trace, hop, stage, operator).
 _SpanKey = Tuple[int, int, str, str]
 
+#: Span identities a :class:`ClusterCollector` remembers for dedup; past
+#: this many, new spans are merged without being remembered.
+MAX_SPAN_KEYS = 65536
+
 _DROPPED = ("events_dropped", "spans_dropped")
 
 #: ``neptune_internal_errors_total`` sites :attr:`fetch_errors` sums.
@@ -285,7 +289,6 @@ class ClusterCollector:
         observer: Optional[RuntimeObserver] = None,
         slos: Sequence[SLO] = (),
         interval: float = 0.25,
-        max_span_keys: int = 65536,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive: {interval}")
@@ -313,7 +316,6 @@ class ClusterCollector:
         #: unpolluted by scheduler noise — what the overhead guardrail
         #: charges the coordinator side of the plane with.
         self.poll_cpu_seconds = 0.0
-        self._max_span_keys = max_span_keys
         self._fetch: Dict[int, Callable[[], Optional[Mapping[str, Any]]]] = {}
         self._last_seq: Dict[int, int] = {}
         # Expected incarnation per worker.  Absent → learn from the
@@ -463,7 +465,7 @@ class ClusterCollector:
             with self._lock:
                 if key in self._seen_spans:
                     continue
-                if len(self._seen_spans) < self._max_span_keys:
+                if len(self._seen_spans) < MAX_SPAN_KEYS:
                     self._seen_spans.add(key)
             by_tid.setdefault(key[0], []).append(span)
         for spans in by_tid.values():

@@ -189,9 +189,10 @@ class AdaptiveSampler:
 
     While a source feeds a breaching region its rate is pinned to
     ``hot_every``; once the region is healthy the rate decays by
-    ``decay``× per scan until it reaches the base rate again, at which
-    point the override is dropped.  No randomness anywhere: the same
-    breach schedule yields the same decision sequence.
+    ``decay``× per scan until it reaches the base rate (the tracer's own
+    ``sample_every``) again, at which point the override is dropped.  No
+    randomness anywhere: the same breach schedule yields the same
+    decision sequence.
 
     Note the tracer must be *enabled* (``sample_every >= 1``) when the
     job is submitted — instances cache the on/off bit at construction,
@@ -204,13 +205,12 @@ class AdaptiveSampler:
         tracer: Any,
         hot_every: int = 1,
         decay: int = 4,
-        base_every: Optional[int] = None,
     ) -> None:
         if hot_every < 1:
             raise ValueError(f"hot_every must be >= 1: {hot_every}")
         if decay < 2:
             raise ValueError(f"decay must be >= 2: {decay}")
-        base = int(tracer.sample_every) if base_every is None else base_every
+        base = int(tracer.sample_every)
         if base < 1:
             raise ValueError(
                 f"base sampling rate must be >= 1 for adaptive sampling: {base}"

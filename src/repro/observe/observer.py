@@ -48,11 +48,6 @@ class RuntimeObserver:
         # runtime; scrape_observer exports its series when present.
         self.profiler: Optional[SamplingProfiler] = None
 
-    @property
-    def tracing_enabled(self) -> bool:
-        """Whether the tracer is sampling any packets."""
-        return self.tracer.enabled
-
     def event(self, category: str, name: str, **attrs: object) -> None:
         """Record a timeline event (convenience passthrough)."""
         self.timeline.record(category, name, **attrs)
@@ -77,8 +72,3 @@ class RuntimeObserver:
             {"site": site},
             "Exceptions swallowed by the observability plane, by site",
         )
-
-    @staticmethod
-    def for_tracing(sample_every: int = 1) -> "RuntimeObserver":
-        """An observer that traces every ``sample_every``-th packet."""
-        return RuntimeObserver(sample_every=sample_every)

@@ -71,6 +71,8 @@ __all__ = [
 OVERFLOW_LABEL = "(overflow)"
 #: Reserved collapsed-stack key for stacks past the ``max_stacks`` bound.
 OTHER_STACK = "(other)"
+#: Frames a collapsed stack keeps, counted from the leaf.
+STACK_DEPTH = 24
 
 _TRAILING_NUM = re.compile(r"(-\d+)+\Z")
 _INSTANCE_SUFFIX = re.compile(r"\[\d+\]\Z")
@@ -176,11 +178,11 @@ def _generic_label(name: str) -> str:
     return _TRAILING_NUM.sub("", name) or name
 
 
-def _collapse(frame: Optional[FrameType], depth: int) -> Tuple[str, str]:
+def _collapse(frame: Optional[FrameType]) -> Tuple[str, str]:
     """Collapsed root->leaf stack plus the leaf frame label."""
     parts: List[str] = []
     f = frame
-    while f is not None and len(parts) < depth:
+    while f is not None and len(parts) < STACK_DEPTH:
         code = f.f_code
         qualname = getattr(code, "co_qualname", code.co_name)
         parts.append(f"{os.path.basename(code.co_filename)}:{qualname}")
@@ -239,7 +241,6 @@ class SamplingProfiler:
         max_operators: int = 48,
         max_stacks: int = 256,
         max_frames: int = 24,
-        stack_depth: int = 24,
         max_duty: float = 0.03,
         window_seconds: float = 5.0,
         statfn: Optional[StatReader] = None,
@@ -250,7 +251,6 @@ class SamplingProfiler:
         self.max_operators = max_operators
         self.max_stacks = max_stacks
         self.max_frames = max_frames
-        self.stack_depth = stack_depth
         self.max_duty = max_duty
         self.window_seconds = window_seconds
         self._statfn = statfn
@@ -385,7 +385,7 @@ class SamplingProfiler:
                 prof.samples += 1
                 prof.wall_seconds += elapsed
                 prof.cpu_seconds += self._cpu_delta(native, elapsed)
-                stack, leaf = _collapse(frame, self.stack_depth)
+                stack, leaf = _collapse(frame)
                 prof.note(stack, leaf, self.max_stacks, self.max_frames)
             # Prune cursors/owners of threads that no longer exist, so
             # a churny pool cannot grow either map without bound.

@@ -10,10 +10,10 @@ table says so instead of silently under-reporting.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.observe.timeline import EventTimeline
-from repro.observe.tracing import STAGES, SpanRecord, TraceCollector
+from repro.observe.tracing import STAGES, TraceCollector
 
 __all__ = [
     "format_breakdown",
@@ -108,18 +108,6 @@ def format_breakdown(collector: TraceCollector) -> str:
         f"mean stage sum: {mean_sum * 1e3:.3f}ms  "
         f"coverage: {mean_cov * 100:.1f}%"
     )
-    return "\n".join(lines)
-
-
-def format_trace(trace_id: int, spans: List[SpanRecord]) -> str:
-    """One trace, hop by hop, stage by stage."""
-    lines = [f"trace {trace_id}:"]
-    for span in spans:
-        lines.append(
-            f"  hop {span.hop} {span.stage:<12} {_ms(span.duration)}ms  op={span.operator}"
-        )
-    total = sum(s.duration for s in spans)
-    lines.append(f"  total {_ms(total)}ms")
     return "\n".join(lines)
 
 

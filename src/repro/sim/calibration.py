@@ -116,22 +116,11 @@ class Calibration:
         frames = -(-payload // self.mss)  # ceil
         return payload + frames * (self.ip_tcp_overhead + self.ethernet_overhead)
 
-    def transfer_seconds(self, payload: int) -> float:
-        """Serialization (wire clocking) time for ``payload`` bytes."""
-        return self.wire_bytes(payload) * 8.0 / self.link_rate_bps
-
     def goodput_efficiency(self, message_size: int, batch: int) -> float:
         """Fraction of link bits that are application payload when
         ``batch`` messages of ``message_size`` share TCP segments."""
         payload = message_size * batch
         return payload / self.wire_bytes(payload) if payload else 0.0
-
-    def message_cpu(self, size: int, batched: bool) -> float:
-        """User CPU to process one message of ``size`` bytes."""
-        cost = self.per_message_cpu + size * self.per_byte_cpu
-        if not batched:
-            cost += self.cold_schedule_penalty
-        return cost
 
     def with_overrides(self, **kw) -> "Calibration":
         """A copy with selected constants replaced (ablation studies)."""

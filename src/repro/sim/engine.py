@@ -16,7 +16,7 @@ traces — a property the experiment harness relies on.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 
 class Interrupt(Exception):
@@ -187,19 +187,6 @@ class Simulator:
             raise ValueError(f"cannot schedule in the past: {when} < {self.now}")
         self.call_at(when, lambda: proc.interrupt(cause))
 
-    def any_of(self, waitables: Iterable[Event | Process]) -> Event:
-        """Event that fires when the first of ``waitables`` does."""
-        combined = self.event()
-
-        def arm(w):
-            """Forward the first completion into the combined event."""
-            probe = self.process(_forward(w, combined), name="any_of")
-            del probe
-
-        for w in waitables:
-            arm(w)
-        return combined
-
     # -- execution ---------------------------------------------------------------
     def _schedule(self, delay: float, target: Any, payload: Any) -> None:
         heapq.heappush(self._heap, (self.now + delay, self._seq, target, payload))
@@ -229,8 +216,3 @@ class Simulator:
         if until is not None:
             self.now = until
 
-
-def _forward(waitable, combined: Event):
-    value = yield waitable
-    if not combined.triggered:
-        combined.succeed(value)

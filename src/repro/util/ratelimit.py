@@ -1,7 +1,7 @@
 """Token-bucket rate limiting.
 
-Stream sources use a :class:`TokenBucket` to emit at a target rate, and
-the simulator's workload generators reuse it to shape arrival processes.
+:class:`~repro.workloads.stdlib.ThrottledSource` paces a wrapped
+source with a :class:`TokenBucket`: one token per scheduling quantum.
 """
 
 from __future__ import annotations
@@ -51,29 +51,14 @@ class TokenBucket:
     # deficit and the follow-up delay underflows to ~0.
     _EPS = 1e-9
 
-    def try_acquire(self, tokens: float = 1.0) -> bool:
-        """Take ``tokens`` if available; return whether they were taken."""
-        self._refill()
-        if self._tokens >= tokens - self._EPS:
-            self._tokens = max(0.0, self._tokens - tokens)
-            return True
-        return False
-
-    def acquire(self, tokens: float = 1.0) -> float:
-        """Block until ``tokens`` are available; return seconds waited."""
+    def acquire(self) -> float:
+        """Block until a token is available, take it; return seconds waited."""
         waited = 0.0
         while True:
             self._refill()
-            if self._tokens >= tokens - self._EPS:
-                self._tokens = max(0.0, self._tokens - tokens)
+            if self._tokens >= 1.0 - self._EPS:
+                self._tokens = max(0.0, self._tokens - 1.0)
                 return waited
-            deficit = tokens - self._tokens
-            delay = max(deficit / self.rate, 1e-6)
+            delay = max((1.0 - self._tokens) / self.rate, 1e-6)
             self._clock.sleep(delay)
             waited += delay
-
-    @property
-    def available(self) -> float:
-        """Tokens currently available (refilled as of now)."""
-        self._refill()
-        return self._tokens

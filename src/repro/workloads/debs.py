@@ -36,6 +36,10 @@ for _i in range(N_EXTRA_FIELDS):
 #: The full 66-field manufacturing record.
 MANUFACTURING_SCHEMA = PacketSchema(_fields)
 
+#: Mean sensor→valve actuation delay being monitored (the job's output
+#: metric); jittered ±50 %.
+ACTUATION_DELAY_MS = 40.0
+
 
 class ManufacturingStream:
     """Generates the synthetic equipment-telemetry stream.
@@ -49,16 +53,12 @@ class ManufacturingStream:
         Per-record probability that one additive sensor flips state.
         Low by design — "sensor readings do not change frequently over
         time which results in a low entropy" (§III-B5).
-    actuation_delay_ms:
-        Mean sensor→valve actuation delay being monitored (the job's
-        output metric); jittered ±50 %.
     """
 
     def __init__(
         self,
         period_ms: int = 10,
         state_change_prob: float = 0.001,
-        actuation_delay_ms: float = 40.0,
         start_ms: int = 1_600_000_000_000,
         seed: int = 11,
     ) -> None:
@@ -68,7 +68,6 @@ class ManufacturingStream:
             raise ValueError(f"state_change_prob must be in [0,1]: {state_change_prob}")
         self.period_ms = period_ms
         self.state_change_prob = state_change_prob
-        self.actuation_delay_ms = actuation_delay_ms
         self.start_ms = start_ms
         self._rng = random.Random(seed)
         self._sensor_state = [False, False, False]
@@ -91,7 +90,7 @@ class ManufacturingStream:
                 if s not in self._pending_actuation:
                     self._sensor_state[s] = not self._sensor_state[s]
                     jitter = rng.uniform(0.5, 1.5)
-                    delay = max(self.period_ms, int(self.actuation_delay_ms * jitter))
+                    delay = max(self.period_ms, int(ACTUATION_DELAY_MS * jitter))
                     self._pending_actuation[s] = t_ms + delay
                     self.actuation_log.append((s, t_ms, t_ms + delay))
             # Fire due actuations.

@@ -103,7 +103,6 @@ class WindowedAggregateProcessor(StreamProcessor):
         window_seconds: float,
         aggregate: Callable[[list], float],
         fill: Callable[[StreamPacket, str, float], Any],
-        time_scale: float = 1.0,
         emit_every: int = 1,
     ) -> None:
         super().__init__()
@@ -116,7 +115,6 @@ class WindowedAggregateProcessor(StreamProcessor):
         self.window_seconds = window_seconds
         self.aggregate = aggregate
         self.fill = fill
-        self.time_scale = time_scale
         self.emit_every = emit_every
         self._windows: dict[Any, SlidingWindow] = {}
         self._since_emit: dict[Any, int] = {}
@@ -124,7 +122,7 @@ class WindowedAggregateProcessor(StreamProcessor):
     def process(self, packet, ctx) -> None:
         """Handle one stream packet (StreamProcessor contract)."""
         key = packet.get(self.key_field)
-        ts = packet.get(self.time_field) * self.time_scale
+        ts = packet.get(self.time_field)
         window = self._windows.get(key)
         if window is None:
             window = self._windows[key] = SlidingWindow(self.window_seconds)
@@ -189,7 +187,7 @@ class ThrottledSource(StreamSource):
 
     def generate(self, ctx) -> None:
         """Produce packets for one scheduling quantum (StreamSource contract)."""
-        self._bucket.acquire(1.0)
+        self._bucket.acquire()
         self.inner.generate(ctx)
 
     def output_schema(self, stream: str) -> PacketSchema:

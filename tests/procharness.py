@@ -13,7 +13,7 @@ here exists to close those gaps:
   On launch failure the captured worker logs are attached to the
   raised error, so CI shows the child's traceback, not just
   "connect timed out".
-- :func:`reserve_port` / :func:`reserve_ports` — ephemeral-port
+- :func:`reserve_ports` — ephemeral-port
   allocation (re-exported from :mod:`repro.cluster.ports`), the fix
   for the hardcoded-port TIME_WAIT flake this suite used to have.
 - :func:`wait_until` — condition polling (re-exported from
@@ -33,7 +33,7 @@ from typing import Iterator, Optional
 from waiters import wait_until  # noqa: F401  (re-export)
 
 from repro.cluster import ClusterCoordinator
-from repro.cluster.ports import reserve_port, reserve_ports  # noqa: F401
+from repro.cluster.ports import reserve_ports  # noqa: F401
 
 #: Generous spawn+connect budget: a 1-core CI runner importing the
 #: package in N fresh interpreters is slow, a hung worker is hung —

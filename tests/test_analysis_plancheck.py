@@ -163,40 +163,6 @@ def test_verify_plan_clean_deployment():
     assert not report.diagnostics, report.render()
 
 
-def test_verify_plan_reserved_port_collision():
-    # reserved_ports only matter when specs expose real endpoints, so
-    # route through verify_cluster's synthesized-spec path.
-    report = verify_cluster(
-        {
-            "descriptor": {
-                "name": "pair",
-                "operators": [
-                    {
-                        "name": "sender",
-                        "type": "source",
-                        "class": "repro.workloads.operators:CountingSource",
-                        "kwargs": {"total": 100, "payload_size": 16},
-                    },
-                    {
-                        "name": "sink",
-                        "type": "processor",
-                        "class": "repro.workloads.operators:LatencySink",
-                    },
-                ],
-                "links": [
-                    {"from": "sender", "to": "sink", "partitioning": "round-robin"}
-                ],
-            },
-            "workers": 2,
-            "endpoints": {"0": ["127.0.0.1", 7001], "1": ["127.0.0.1", 7002]},
-            "control_ports": [7101, 7102],
-            "reserved_ports": [7002],
-        }
-    )
-    assert report.count("NEPG133") == 1, report.render()
-    assert "reserved" in report.diagnostics[0].message
-
-
 def test_verify_plan_broken_assignment_short_circuits():
     # An unsound assignment gates the placement-dependent passes: one
     # NEPG130 per defect and nothing derived from the bogus placement.

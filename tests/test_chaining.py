@@ -663,7 +663,7 @@ def test_a_chained_pipeline_checkpoints_and_restores_exactly_once():
         handle = rt.submit(build(first_rows, park))
         assert len(handle._job.chains) == 2
         assert reached.wait(30)
-        ckpt = handle.checkpoint(quiesce=True)
+        ckpt = handle.checkpoint()
         assert handle.await_completion(timeout=60) and not handle.failures
     assert ckpt.state_for("src", 0) == {"seq": 1_000}
     # A consistent cut: everything the source had made was at the sink.

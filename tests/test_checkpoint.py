@@ -86,7 +86,7 @@ class TestCheckpointCapture:
 
 class TestQuiescedConsistency:
     def test_quiesced_checkpoint_has_no_inflight_gap(self):
-        """With quiesce=True, the source's emitted count and the
+        """At a quiesced checkpoint, the source's emitted count and the
         processor's processed count agree exactly — the consistent cut
         that makes recovery exactly-once."""
         sinks = {}
@@ -108,7 +108,7 @@ class TestQuiescedConsistency:
             deadline = time.monotonic() + 10
             while (not sinks or sinks["op"].count < 200) and time.monotonic() < deadline:
                 time.sleep(0.005)
-            ckpt = h.checkpoint(quiesce=True)
+            ckpt = h.checkpoint()
             emitted_at_ckpt = src_holder["src"].emitted
             state = ckpt.state_for("count", 0)
             # The source resumes afterwards (paused only during the cut).
@@ -143,7 +143,7 @@ class TestQuiescedConsistency:
             h = rt.submit(g)
             time.sleep(0.2)
             with _pytest.raises(JobStateError, match="quiesce"):
-                h.checkpoint(quiesce=True, timeout=0.3)
+                h.checkpoint(timeout=0.3)
             h.stop(timeout=60)
 
 

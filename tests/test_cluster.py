@@ -12,7 +12,7 @@ Two tiers live in this module:
 import os
 
 import pytest
-from procharness import drain, live_cluster, reserve_port, reserve_ports, wait_until
+from procharness import drain, live_cluster, reserve_ports, wait_until
 
 from repro.cluster import ClusterCoordinator, attach_proxies, build_plan
 from repro.cluster.spec import WorkerSpec
@@ -182,10 +182,33 @@ class TestLaunchVerification:
             coordinator.job = None
             coordinator.terminate()
 
+    @pytest.mark.parametrize(
+        "refusal", ["callable_operators", "policy_without_slos"]
+    )
+    def test_a_refused_coordinator_leaves_no_temp_directories(
+        self, refusal, tmp_path, monkeypatch
+    ):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        if refusal == "callable_operators":
+            from repro.workloads import CollectingSink, CountingSource
+
+            graph = StreamProcessingGraph("callables")
+            graph.add_source("source", lambda: CountingSource(total=10))
+            graph.add_processor("sink", CollectingSink)
+            graph.link("source", "sink")
+            kwargs = {"observe": {}}
+        else:
+            graph, kwargs = relay_graph(), {"observe": {}, "policy": True}
+        with pytest.raises(NeptuneError):
+            ClusterCoordinator(graph, n_workers=2, fabric="unix", **kwargs)
+        assert list(tmp_path.iterdir()) == []
+
     def test_reserved_port_is_immediately_bindable(self):
         import socket
 
-        port = reserve_port()
+        port = reserve_ports(1)[0]
         with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             sock.bind(("127.0.0.1", port))

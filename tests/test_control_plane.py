@@ -2,6 +2,8 @@
 proxies, coordinated drain, and the ``repro.cluster.worker`` process
 entry point run by hand)."""
 
+import json
+import socket
 import subprocess
 import sys
 import time
@@ -183,6 +185,24 @@ class TestControlServerInProcess:
             proxy.stop()
         finally:
             server.close()
+
+    def test_a_malformed_line_gets_an_error_and_the_connection_serves_on(self):
+        graph, _ = relay_graph(10)
+        worker = DistributedWorker(0, graph, round_robin_plan(graph, 1))
+        server = ControlServer(worker)
+        try:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=10) as conn:
+                conn.sendall(b'not json\n[1]\n{"cmd": "ping"}\n')
+                rfile = conn.makefile("r", encoding="utf-8")
+                lines = [rfile.readline() for _ in range(3)]
+            assert all(lines), f"the connection was closed early: {lines!r}"
+            replies = [json.loads(line) for line in lines]
+            assert [r["ok"] for r in replies] == [False, False, True]
+            assert "JSON object" in replies[1]["error"]
+            assert replies[2]["worker_id"] == 0
+        finally:
+            server.close()
+            worker.stop()
 
     def test_close_wakes_the_accept_thread(self):
         # Closing a listening socket does not wake accept(): close()

@@ -1,4 +1,4 @@
-"""Tests for metrics: latency recorder, registry, throughput windows."""
+"""Tests for metrics: latency recorder and registry."""
 
 import math
 import threading
@@ -9,7 +9,6 @@ from repro.core.metrics import (
     LatencyRecorder,
     MetricsRegistry,
     OperatorMetrics,
-    ThroughputWindow,
 )
 
 
@@ -72,18 +71,6 @@ class TestLatencyRecorder:
             t.join(10)
         assert not errors
         assert rec.count == 8000
-
-
-class TestThroughputWindow:
-    def test_rates(self):
-        w = ThroughputWindow(packets=1000, bytes=125_000, seconds=2.0)
-        assert w.packets_per_second == 500.0
-        assert w.megabits_per_second == pytest.approx(0.5)
-
-    def test_zero_window(self):
-        w = ThroughputWindow()
-        assert w.packets_per_second == 0.0
-        assert w.megabits_per_second == 0.0
 
 
 class TestMetricsRegistry:

@@ -26,8 +26,7 @@ class TestEncodeDecode:
         codec = PacketCodec(SCHEMA)
         pkt = make(123, "valve-1", 0.75)
         body = codec.encode(pkt)
-        decoded, end = codec.decode_one(body)
-        assert end == len(body)
+        (decoded,) = codec.iter_decode(body, count=1, reuse=False)
         assert decoded == pkt
 
     def test_batch_roundtrip_fresh(self):
@@ -94,11 +93,6 @@ class TestEncodeDecode:
         n = codec.encode_into(make(1, "ab", 0.0), out)
         assert n == len(out) == 8 + 4 + 2 + 8
 
-    def test_encoded_size_matches(self):
-        codec = PacketCodec(SCHEMA)
-        for pkt in (make(1, "", 0.0), make(2, "日本語", 1.5), make(3, "x" * 100, -2.0)):
-            assert codec.encoded_size(pkt) == len(codec.encode(pkt))
-
     def test_encode_view_roundtrip(self):
         codec = PacketCodec(SCHEMA)
         pkt = make(7, "v", 0.25)
@@ -138,13 +132,8 @@ class TestVariableWidth:
     def test_lists_and_bytes(self):
         codec = PacketCodec(LIST_SCHEMA)
         pkt = LIST_SCHEMA.new_packet(vals=[1.5, 2.5], tags=[7, 8, 9], blob=b"\x00\x01")
-        decoded, _ = codec.decode_one(codec.encode(pkt))
+        (decoded,) = codec.iter_decode(codec.encode(pkt), count=1, reuse=False)
         assert decoded == pkt
-
-    def test_encoded_size_variable(self):
-        codec = PacketCodec(LIST_SCHEMA)
-        pkt = LIST_SCHEMA.new_packet(vals=[0.0] * 3, tags=[], blob=b"abcd")
-        assert codec.encoded_size(pkt) == len(codec.encode(pkt))
 
 
 @settings(max_examples=100, deadline=None)

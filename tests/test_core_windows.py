@@ -5,7 +5,7 @@ import statistics
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import SlidingWindow, TumblingCountWindow
+from repro.core import SlidingWindow
 
 
 class TestSlidingWindow:
@@ -57,26 +57,6 @@ class TestSlidingWindow:
     def test_validation(self):
         with pytest.raises(ValueError):
             SlidingWindow(size=0)
-
-
-class TestTumblingCountWindow:
-    def test_emits_every_n(self):
-        w = TumblingCountWindow(count=3)
-        assert w.add(1) is None
-        assert w.add(2) is None
-        assert w.add(3) == [1, 2, 3]
-        assert len(w) == 0
-
-    def test_flush_partial(self):
-        w = TumblingCountWindow(count=10)
-        w.add("a")
-        w.add("b")
-        assert w.flush() == ["a", "b"]
-        assert w.flush() == []
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TumblingCountWindow(count=0)
 
 
 @settings(max_examples=100, deadline=None)

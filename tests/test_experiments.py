@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from repro.sim import experiments as exp
 
 
@@ -93,6 +95,16 @@ class TestDrivers:
         assert len(out["neptune_cpu_pct"]) == 50
         assert 0 <= out["cpu_one_tailed_p"] <= 1
         assert 0 <= out["mem_two_tailed_p"] <= 1
+
+    def test_fig10_p_values_are_pinned(self):
+        # The seeded simulator makes Fig. 10's samples, and so its
+        # Welch t-tests, the same on every run: a change to the test
+        # procedure shows here as a changed p-value.
+        out = exp.fig10_resource_usage()
+        assert out["cpu_one_tailed_p"] == pytest.approx(0.0001384948474853902, rel=1e-9)
+        assert out["mem_two_tailed_p"] == pytest.approx(0.5363537148917747, rel=1e-9)
+        text = exp.format_fig10(out)
+        assert "p = 1.38e-04" in text and "p = 0.5364" in text
 
     def test_headline_keys(self):
         head = exp.headline_numbers()

@@ -10,7 +10,6 @@ from repro.granules import (
     ComputationalTask,
     CountBasedStrategy,
     DataDrivenStrategy,
-    IterableDataset,
     PeriodicStrategy,
     QueueDataset,
     Resource,
@@ -124,26 +123,6 @@ class TestQueueDataset:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             QueueDataset("q", capacity=0)
-
-
-class TestIterableDataset:
-    def test_iteration(self):
-        ds = IterableDataset("it", [1, 2, 3])
-        ds.initialize()
-        assert ds.has_data()
-        assert [ds.next(), ds.next(), ds.next()] == [1, 2, 3]
-        assert not ds.has_data()
-
-    def test_has_data_does_not_lose_items(self):
-        ds = IterableDataset("it", iter([7]))
-        assert ds.has_data()
-        assert ds.next() == 7
-
-    def test_exhaustion_raises(self):
-        ds = IterableDataset("it", [])
-        ds.initialize()
-        with pytest.raises(StopIteration):
-            ds.next()
 
 
 class TestStrategies:

@@ -2,8 +2,9 @@
 
 Every process of a job (coordinator, each worker) pays the runtime's
 imports in ``setup_s`` and resident memory.  numpy is only needed by
-the entropy gate of a compressing link, scipy only by ``repro.stats``,
-and networkx by nothing — a module-level import of any of them on the
+the entropy gate of a compressing link, scipy only by the paper's
+significance tests (``repro.sim.experiments`` and the COMP study), and
+networkx by nothing — a module-level import of any of them on the
 runtime path would put a few hundred milliseconds and tens of MiB back
 without a test failing, so this one does.
 """

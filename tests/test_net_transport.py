@@ -21,7 +21,7 @@ from repro.net import (
 )
 from repro.util.errors import TransportError
 
-from procharness import reserve_port
+from procharness import reserve_ports
 from waiters import FrameCollector, wait_stalled, wait_until
 
 
@@ -106,7 +106,7 @@ class TestReservedPorts:
         """The shared helper's reservation survives the probe socket's
         close (SO_REUSEADDR): the listener binds the exact port without
         a TIME_WAIT race — the fix for the old hardcoded-port flake."""
-        port = reserve_port()
+        port = reserve_ports(1)[0]
         lst = TcpListener("127.0.0.1", port, sink=lambda f: None)
         try:
             assert lst.port == port

@@ -43,7 +43,6 @@ class TestSubpackagesImportable:
             "repro.broker",
             "repro.sim",
             "repro.workloads",
-            "repro.stats",
             "repro.cli",
             "repro.core.distributed",
             "repro.core.checkpoint",

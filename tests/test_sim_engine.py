@@ -138,17 +138,6 @@ class TestEvents:
         assert got == ["late"]
         assert sim.now == 3.0
 
-    def test_any_of_first_wins(self):
-        sim = Simulator()
-        got = []
-
-        def waiter():
-            got.append((yield sim.any_of([sim.timeout(5.0, "slow"), sim.timeout(1.0, "fast")])))
-
-        sim.process(waiter())
-        sim.run()
-        assert got == ["fast"]
-
 
 class TestProcesses:
     def test_wait_on_process_result(self):

@@ -47,32 +47,35 @@ class TestMonotonicClock:
 class TestTokenBucket:
     def test_initial_burst_available(self):
         tb = TokenBucket(rate=10, burst=5, clock=ManualClock())
-        assert tb.available == pytest.approx(5)
+        assert [tb.acquire() for _ in range(5)] == [0.0] * 5
 
-    def test_try_acquire_drains(self):
+    def test_acquire_drains_the_burst(self):
         tb = TokenBucket(rate=10, burst=5, clock=ManualClock())
-        assert tb.try_acquire(5)
-        assert not tb.try_acquire(1)
+        for _ in range(5):
+            tb.acquire()
+        assert tb.acquire() == pytest.approx(0.1)
 
     def test_refill_over_time(self):
         clk = ManualClock()
         tb = TokenBucket(rate=10, burst=10, clock=clk)
-        assert tb.try_acquire(10)
+        for _ in range(10):
+            tb.acquire()
         clk.advance(0.5)
-        assert tb.available == pytest.approx(5)
-        assert tb.try_acquire(5)
+        assert [tb.acquire() for _ in range(5)] == [0.0] * 5
+        assert tb.acquire() == pytest.approx(0.1)
 
     def test_refill_capped_at_burst(self):
         clk = ManualClock()
         tb = TokenBucket(rate=100, burst=10, clock=clk)
         clk.advance(100)
-        assert tb.available == pytest.approx(10)
+        assert [tb.acquire() for _ in range(10)] == [0.0] * 10
+        assert tb.acquire() == pytest.approx(0.01)
 
     def test_acquire_blocks_until_refill(self):
         clk = ManualClock()
         tb = TokenBucket(rate=10, burst=1, clock=clk)
-        assert tb.try_acquire(1)
-        waited = tb.acquire(1)  # ManualClock.sleep advances the clock
+        assert tb.acquire() == 0.0
+        waited = tb.acquire()  # ManualClock.sleep advances the clock
         assert waited == pytest.approx(0.1)
 
     def test_rate_validation(self):
@@ -88,7 +91,7 @@ class TestTokenBucket:
         tb = TokenBucket(rate=100, burst=1, clock=clk)
         start = clk.now()
         for _ in range(50):
-            tb.acquire(1)
+            tb.acquire()
         elapsed = clk.now() - start
         # 50 tokens at 100/s with burst 1: ~0.49s of simulated waiting.
         assert elapsed == pytest.approx(0.49, abs=0.02)
