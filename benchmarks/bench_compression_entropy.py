@@ -80,7 +80,7 @@ def _run_arm(batches: list[bytes], policy: CompressionPolicy | None) -> tuple[fl
         encoded = (b"\x00" + body) if policy is None else policy.encode(body)
         wire += len(encoded)
         decoded = CompressionPolicy.decode(encoded)
-        for _pkt in codec.iter_decode(decoded, reuse=True):
+        for _pkt in codec.iter_decode(decoded, count=PACKETS_PER_BATCH, reuse=True):
             packets += 1
     elapsed = time.perf_counter() - t0
     return packets / elapsed, wire

@@ -90,9 +90,9 @@ class BrokerSource(StreamSource):
             if not messages:
                 continue
             for msg in messages:
-                pkt = ctx.new_packet()
-                self._codec._fill(pkt, msg.value, 0)
-                ctx.emit(pkt)
+                # A message is the body of one packet.
+                for pkt in self._codec.iter_decode(msg.value, count=1):
+                    ctx.emit(pkt)
             # Commit only after NEPTUNE owns the packets (never-drop
             # pipeline downstream of here).
             self.broker.consumer_group(self.group, self.topic).commit(

@@ -14,6 +14,8 @@ job.
 
 from __future__ import annotations
 
+from typing import Any
+
 #: Bytes :func:`sampled_entropy` histograms at most.
 SAMPLE_SIZE = 4096
 
@@ -30,25 +32,32 @@ def shannon_entropy(data: bytes | bytearray | memoryview) -> float:
     """
     import numpy as np
 
-    buf = np.frombuffer(bytes(data), dtype=np.uint8)
-    if buf.size == 0:
-        return 0.0
-    counts = np.bincount(buf, minlength=256)
-    probs = counts[counts > 0] / buf.size
-    return float(-(probs * np.log2(probs)).sum())
+    return _entropy(np.frombuffer(data, dtype=np.uint8))
 
 
 def sampled_entropy(data: bytes | bytearray | memoryview) -> float:
     """Entropy estimate from a strided sample of ``data``.
 
-    For large buffered batches an exact histogram is unnecessary; a
-    deterministic strided sample of :data:`SAMPLE_SIZE` bytes is within a
-    few percent for the payloads NEPTUNE carries while costing O(sample)
-    instead of O(n).  Deterministic (no RNG) so repeated calls on the
+    For large buffered batches an exact histogram is unnecessary; every
+    ⌈n / :data:`SAMPLE_SIZE`⌉-th byte, across the whole payload, is
+    within a few percent for the payloads NEPTUNE carries while costing
+    O(sample) instead of O(n).  The sample is a strided view of the
+    buffer, not a copy.  Deterministic (no RNG) so repeated calls on the
     same buffer always agree — the compression decision must be stable.
     """
-    buf = bytes(data)
-    n = len(buf)
-    if n <= SAMPLE_SIZE:
-        return shannon_entropy(buf)
-    return shannon_entropy(buf[:: n // SAMPLE_SIZE][:SAMPLE_SIZE])
+    import numpy as np
+
+    buf = np.frombuffer(data, dtype=np.uint8)
+    stride = -(-buf.size // SAMPLE_SIZE)
+    return _entropy(buf[::stride] if stride > 1 else buf)
+
+
+def _entropy(buf: Any) -> float:
+    import numpy as np
+
+    if buf.size == 0:
+        return 0.0
+    counts = np.bincount(buf, minlength=256)
+    probs = counts[counts > 0] / buf.size
+    # 0.0 - x, not -x: a one-symbol histogram sums to 0.0, not -0.0.
+    return float(0.0 - (probs * np.log2(probs)).sum())

@@ -9,12 +9,12 @@ of the buffer after a certain time period since arrival of the first
 message."
 
 One :class:`StreamBuffer` exists per (operator instance → destination
-instance) link leg.  ``append_packet`` encodes a packet and appends it
-to the accumulation buffer (``append`` takes bytes serialized
-elsewhere); the buffer flushes
+instance) link leg.  ``append_packet`` encodes a packet into the
+pending batch (a body of :mod:`repro.core.serde`; ``append`` takes
+bytes serialized elsewhere); the buffer flushes
 
-- immediately when accumulated bytes reach ``capacity`` (flush happens
-  on the appending worker thread — the batch is already in cache), or
+- immediately when the pending records' row-form bytes reach
+  ``capacity`` (on the appending worker thread), or
 - from the runtime's :class:`FlushTimerService` (the IO tier) when
   ``max_delay`` elapses after the *first* append since the last flush,
   bounding end-to-end latency for slow streams, or
@@ -80,6 +80,15 @@ class StreamBuffer:
       whose timeline receives ``buffer.timer_flush`` events.
     """
 
+    # Slots: past 29 attributes CPython 3.11 drops the compact instance
+    # dict, and every ``self.x`` on the append path reads ~20 % slower.
+    __slots__ = ("capacity", "max_delay", "name", "_sink", "_clock", "_trace_leg", "_observer")
+    __slots__ += ("_notes", "_buf", "_spares", "_count", "_columns", "_extra", "_first_append_at")
+    __slots__ += ("born", "taken_born", "_inherited", "_lock", "_service", "_flush_lock")
+    __slots__ += ("capacity_flushes", "timer_flushes", "budget_flushes", "manual_flushes")
+    __slots__ += ("bytes_flushed", "packets_flushed", "buffers_recycled", "spare_allocs")
+    __slots__ += ("retunes", "after_capacity_flush", "blocked_seconds")
+
     def __init__(
         self,
         capacity: int,
@@ -105,6 +114,10 @@ class StreamBuffer:
         self._buf = bytearray()
         self._spares: list[bytearray] = []
         self._count = 0
+        # The batch's columns (False: no variable-width field) and the
+        # row-form bytes in them; the capacity counts ``len(_buf) + _extra``.
+        self._columns: Any = None
+        self._extra = 0
         self._first_append_at: float | None = None
         # The latency budget (see ``flush_if_spent``).  ``born`` is when
         # the oldest pending packet entered the job on this resource,
@@ -157,9 +170,9 @@ class StreamBuffer:
     def append(self, payload: bytes | bytearray | memoryview) -> bool:
         """Add one serialized packet; returns True if this append flushed."""
         with self._lock:
-            buf = self._buf
-            if not buf:
+            if not self._count:
                 self._first_append_locked()
+            buf = self._buf
             buf += payload
             self._count += 1
             if len(buf) < self.capacity:
@@ -169,15 +182,14 @@ class StreamBuffer:
     def append_packet(self, codec: Any, packet: Any, note: Any = None) -> bool:
         """Encode and append ``packet``; returns True if this flushed.
 
-        The link's send path: the record goes from the packet's values
-        into the accumulation buffer in one append under the one
-        ``_lock`` hold.  ``codec`` is the link's
+        The link's send path.  ``codec`` is the link's
         :class:`~repro.core.serde.PacketCodec` (duck-typed: ``schema``,
-        ``pack``, ``record``, ``reject``).  Every check
-        ``PacketCodec.encode_into`` makes is made here and raises the
-        same errors — schema match, completeness, and value validation
-        by the encode itself, all before the lock — so a failed encode
-        leaves bytes, count and timer exactly as they were.
+        ``pack``, ``columns``, ``reject``, ``refuse``).  Every check
+        ``PacketCodec.encode_into`` makes, and its error, comes before
+        the lock, so a failed encode leaves bytes, count, dictionaries
+        and timer as they were.  The hold is one append, the columns'
+        commit and the bookkeeping: the flush timer and every metrics
+        scrape take the same lock and wait out a GIL switch interval.
 
         A ``note`` (observe trace note for a sampled packet) is stamped
         with its position and enqueue time and will ride the flushed
@@ -187,24 +199,25 @@ class StreamBuffer:
         schema = codec.schema
         if (packet.schema is not schema and packet.schema != schema) or None in values:
             codec.reject(packet)
-        # The record is encoded before the lock, so the hold is one
-        # append and its bookkeeping: the flush timer and every metrics
-        # scrape take the same lock, and a thread that finds it held
-        # waits out a GIL switch interval.  A compiled codec makes the
-        # record with one Struct.pack (an all-fixed schema's own, or
-        # the layout of this record's shape); the reference codec, and
-        # the replay of a failed pack, go through the codec's scratch.
-        pack = codec.pack
-        if pack is None:
-            record = codec.record(values)
-        else:
-            try:
-                record = pack(*values)
-            except Exception:
-                # Per step: raises naming the bad value, or encodes
-                # what only that path accepts.
-                record = codec.record(values)
+        try:
+            record = codec.pack(*values)
+        except Exception:
+            codec.refuse(values)  # raises, naming the field
+        columns = self._columns
+        if columns:
+            taken = columns.taken
+            extra = columns.prepare(values)
+        elif columns is None:
+            self._columns = codec.columns() or False
+            return self.append_packet(codec, packet, note)
         with self._lock:
+            if columns:
+                if columns.taken != taken:
+                    # A take on another thread started a new batch (and
+                    # emptied its dictionaries) since the prepare.
+                    extra = columns.prepare(values)
+                columns.commit()
+                self._extra += extra
             buf = self._buf
             buf += record
             count = self._count
@@ -215,7 +228,7 @@ class StreamBuffer:
                 note.append_ts = self._clock.now()
                 self._notes.append(note)
             self._count = count + 1
-            if len(buf) < self.capacity:
+            if len(buf) + self._extra < self.capacity:
                 return False
         return self._flush_capacity()
 
@@ -291,7 +304,7 @@ class StreamBuffer:
             with self._lock:
                 # Re-check: the timer thread may have flushed meanwhile
                 # (and may be what kept us waiting for the flush lock).
-                if len(self._buf) >= self.capacity:
+                if len(self._buf) + self._extra >= self.capacity:
                     if hand_over is not None:
                         assert self._first_append_at is not None
                         filled_in = self._clock.now() - self._first_append_at
@@ -393,20 +406,22 @@ class StreamBuffer:
             return self._first_append_at + self.max_delay
 
     def _take_locked(self) -> tuple[bytearray | None, int]:
-        if not self._buf:
+        if not self._count:
             return None, 0
         # Double-buffer swap: hand the accumulation buffer itself to
         # the caller (NO copy) and continue accumulating into a pooled
         # spare.  The sink's consumer returns the bytearray through
         # recycle() when done with it.
         body = self._buf
+        if self._columns:
+            self._columns.take(body)
         if self._spares:
             self._buf = self._spares.pop()
         else:
             self._buf = bytearray()
             self.spare_allocs += 1
         count = self._count
-        self._count = 0
+        self._count = self._extra = 0
         self._first_append_at = None
         self.taken_born = self.born
         self.born = None
@@ -443,9 +458,10 @@ class StreamBuffer:
 
     @property
     def pending_bytes(self) -> int:
-        """Bytes accumulated and not yet flushed."""
+        """Bytes accumulated and not yet flushed, in row form (what
+        ``capacity`` is compared with)."""
         with self._lock:
-            return len(self._buf)
+            return len(self._buf) + self._extra
 
     @property
     def pending_count(self) -> int:
@@ -454,11 +470,12 @@ class StreamBuffer:
             return self._count
 
     def appended(self) -> tuple[int, int]:
-        """``(packets, bytes)`` ever appended: flushed plus pending."""
+        """``(packets, bytes)`` ever appended: flushed (the bodies as
+        taken) plus pending (in row form)."""
         with self._lock:
             return (
                 self.packets_flushed + self._count,
-                self.bytes_flushed + len(self._buf),
+                self.bytes_flushed + len(self._buf) + self._extra,
             )
 
 

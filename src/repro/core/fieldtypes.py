@@ -3,11 +3,12 @@
 "NEPTUNE natively supports a set of primitive data types and data
 structures to aid in defining data fields within a stream packet."
 
-Each type knows its wire encoding.  Fixed-width types use
-:mod:`struct`; variable-width types are length-prefixed with a u32.
-Validation is strict: writing a value outside a type's domain raises
-:class:`~repro.util.errors.SerializationError` at encode time, not a
-corrupt packet at the receiver.
+Each type knows its encoding.  Fixed-width types use :mod:`struct`; a
+variable-width value is its payload behind a u32 length (its *row
+form*; :mod:`repro.core.serde` lays a batch's lengths and payloads out
+in columns).  Validation is strict: writing a value outside a type's
+domain raises :class:`~repro.util.errors.SerializationError` at encode
+time, not a corrupt packet at the receiver.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from __future__ import annotations
 import enum
 import struct
 from functools import lru_cache
-from operator import itemgetter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.util.errors import SerializationError
 
@@ -81,8 +81,9 @@ def encode_field(ftype: FieldType, value: Any, out: bytearray) -> None:
             out += _U32.pack(len(raw))
             out += raw
         elif ftype is FieldType.BYTES:
-            out += _U32.pack(len(value))
-            out += value
+            raw = memoryview(value).tobytes()
+            out += _U32.pack(len(raw))
+            out += raw
         elif ftype is FieldType.FLOAT64_LIST:
             out += _U32.pack(len(value))
             for v in value:
@@ -93,7 +94,7 @@ def encode_field(ftype: FieldType, value: Any, out: bytearray) -> None:
                 out += _I64.pack(v)
         else:  # pragma: no cover — exhaustive over the enum
             raise SerializationError(f"unsupported field type: {ftype}")
-    except (struct.error, AttributeError, TypeError) as exc:
+    except (struct.error, AttributeError, TypeError, OverflowError, UnicodeError) as exc:
         raise SerializationError(f"cannot encode {value!r} as {ftype.value}") from exc
 
 
@@ -145,20 +146,10 @@ def decode_field(ftype: FieldType, buf: bytes | memoryview, offset: int) -> tupl
         raise SerializationError(f"truncated {ftype.value} field at offset {offset}") from exc
 
 
-# -- schema compilation (hot-path codec, §III-B3) ---------------------------
-#
-# The per-field functions above dispatch on the FieldType enum once per
-# field per packet.  For schemas dominated by fixed-width fields that
-# dispatch *is* the encode cost, so a :class:`CompiledSchema` fuses every
-# maximal run of consecutive fixed-width fields into one precompiled
-# ``struct.Struct``: a record with k fixed fields costs one pack/unpack
-# instead of k enum dispatches.  Variable-width fields fall back to the
-# per-field path between runs.  The wire format is byte-identical to the
-# per-field codec (little-endian standard sizes, no padding; BOOL uses
-# the "?" format, which packs any truthy value as 0x01 — exactly what
-# ``_I8.pack(1 if value else 0)`` produced).
-
-_RUN_FORMATS = {
+#: The ``struct`` format of each fixed-width type: little-endian,
+#: standard sizes, no padding.  BOOL's "?" packs any truthy value as
+#: 0x01 — what ``_I8.pack(1 if value else 0)`` writes.
+FIXED_FORMATS = {
     FieldType.BOOL: "?",
     FieldType.INT32: "i",
     FieldType.INT64: "q",
@@ -166,186 +157,8 @@ _RUN_FORMATS = {
     FieldType.FLOAT64: "d",
 }
 
-# A step is ("F", struct.Struct, start, end) for a fused fixed-width run
-# over schema fields [start, end), or ("V", FieldType, index, None) for
-# one variable-width field.
-_Step = tuple[str, Any, int, Any]
-
-# Variable-width records, one shape at a time.  The u32 length prefixes
-# of a record's variable fields are its *shape*, and every record of
-# one shape has the same fixed layout (STRING fields of 9 and 7 bytes
-# around a fixed run: ``<I9sq6fI7s``), so it is one ``Struct.pack`` /
-# ``unpack_from`` like an all-fixed record.  In that layout a variable
-# field is the pair (prefix, payload bytes); a list's payload is its
-# elements packed with the format below.
+#: The ``struct`` format of one element of each list type.
 LIST_ELEMENTS = {FieldType.FLOAT64_LIST: "d", FieldType.INT64_LIST: "q"}
-
-
-def _picker(positions: Sequence[int]) -> Callable[[tuple], tuple]:
-    """``itemgetter`` that returns a tuple for a single position too."""
-    if len(positions) == 1:
-        only = positions[0]
-        return lambda row: (row[only],)
-    return itemgetter(*positions)
-
-
-class CompiledSchema:
-    """Fused encode/decode plan for one ordered tuple of field types.
-
-    Obtain via :func:`compile_fieldtypes` (cached per type tuple — the
-    plan is immutable and shared by every codec of the schema).
-    """
-
-    __slots__ = (
-        "types",
-        "steps",
-        "fixed_total",
-        "record_size",
-        "record_struct",
-        "var_items",
-        "string_fields",
-        "list_fields",
-        "prefixes",
-        "fields",
-        "_layout_format",
-        "_payload_widths",
-    )
-
-    def __init__(self, types: Sequence[FieldType]) -> None:
-        self.types = tuple(types)
-        steps: list[_Step] = []
-        run_start = -1
-        fmt = ""
-        fixed_total = 0
-        var_fields = 0
-        for i, ftype in enumerate(self.types):
-            ch = _RUN_FORMATS.get(ftype)
-            if ch is not None:
-                if run_start < 0:
-                    run_start = i
-                fmt += ch
-                continue
-            if run_start >= 0:
-                s = struct.Struct("<" + fmt)
-                steps.append(("F", s, run_start, i))
-                fixed_total += s.size
-                run_start, fmt = -1, ""
-            steps.append(("V", ftype, i, None))
-            var_fields += 1
-        if run_start >= 0:
-            s = struct.Struct("<" + fmt)
-            steps.append(("F", s, run_start, len(self.types)))
-            fixed_total += s.size
-        self.steps: tuple[_Step, ...] = tuple(steps)
-        #: Total bytes contributed by fixed-width fields per record.
-        self.fixed_total = fixed_total
-        #: Exact record size when every field is fixed-width, else None.
-        self.record_size = fixed_total if var_fields == 0 else None
-        #: The one ``struct.Struct`` covering a whole all-fixed record
-        #: (a record is then one ``pack``, a batch one ``iter_unpack``).
-        self.record_struct: struct.Struct | None = (
-            steps[0][1] if var_fields == 0 else None
-        )
-        # -- shaped layouts (see LIST_ELEMENTS) --------------------------
-        var = [(i, t) for i, t in enumerate(self.types) if t not in _RUN_FORMATS]
-        # A layout's items are the record's values with each variable
-        # field's prefix put before it: field i sits k places later
-        # when k variable fields come before it.
-        prefix_at = [i + k for k, (i, _) in enumerate(var)]
-        #: ``(position of its prefix in a layout's items, type)`` of
-        #: each variable field, in field order.
-        self.var_items = tuple(zip(prefix_at, (t for _, t in var)))
-        #: Fields that a layout's items hold as bytes still to convert.
-        self.string_fields = tuple(i for i, t in var if t is FieldType.STRING)
-        self.list_fields = tuple(
-            (i, struct.Struct("<" + LIST_ELEMENTS[t]).iter_unpack)
-            for i, t in var
-            if t in LIST_ELEMENTS
-        )
-        #: Layout items -> the length prefixes / the field values
-        #: (None for an all-fixed schema: it has no layouts).
-        self.prefixes = self.fields = None
-        if var:
-            self.prefixes = _picker(prefix_at)
-            self.fields = _picker(
-                [p for p in range(len(self.types) + len(var)) if p not in prefix_at]
-            )
-        self._layout_format = "<" + "".join(
-            a.format[1:] if kind == "F" else "I%ds" for kind, a, _, _ in steps
-        )
-        self._payload_widths = tuple(8 if t in LIST_ELEMENTS else 1 for _, t in var)
-
-    def encode_values(self, values: Sequence[Any], out: bytearray) -> None:
-        """Append the wire form of one record's ``values`` to ``out``.
-
-        Raises :class:`SerializationError` on any bad value; the caller
-        (``PacketCodec.encode_into``) truncates ``out`` back to the
-        record start so a failed encode never leaves partial bytes.
-        """
-        for kind, a, start, end in self.steps:
-            if kind == "F":
-                try:
-                    out += a.pack(*values[start:end])
-                except (struct.error, OverflowError, TypeError) as exc:
-                    # Replay the run per-field for the canonical
-                    # diagnostic (names the first offending value).
-                    for i in range(start, end):
-                        encode_field(self.types[i], values[i], out)
-                    raise SerializationError(
-                        f"cannot encode fixed-width run at field {start}"
-                    ) from exc  # pragma: no cover — per-field replay raises first
-            else:
-                encode_field(a, values[start], out)
-
-    def layout(self, shape: tuple[int, ...]) -> struct.Struct:
-        """The fixed layout of the records whose variable fields carry
-        the length prefixes ``shape``."""
-        return struct.Struct(
-            self._layout_format
-            % tuple(n * width for n, width in zip(shape, self._payload_widths))
-        )
-
-    def shape_at(
-        self, buf: bytes | bytearray | memoryview, offset: int
-    ) -> tuple[int, ...]:
-        """The length prefixes of the well-formed record at ``offset``."""
-        shape = []
-        widths = iter(self._payload_widths)
-        for kind, a, _, _ in self.steps:
-            if kind == "F":
-                offset += a.size
-            else:
-                n = _U32.unpack_from(buf, offset)[0]
-                shape.append(n)
-                offset += 4 + n * next(widths)
-        return tuple(shape)
-
-    def decode_into(
-        self, values: list[Any], buf: bytes | bytearray | memoryview, offset: int
-    ) -> int:
-        """Fill ``values`` with one record decoded at ``offset``.
-
-        Returns the offset one past the record.  Raises
-        :class:`SerializationError` on truncation.
-        """
-        for kind, a, start, end in self.steps:
-            if kind == "F":
-                try:
-                    values[start:end] = a.unpack_from(buf, offset)
-                except struct.error as exc:
-                    raise SerializationError(
-                        f"truncated record at offset {offset}"
-                    ) from exc
-                offset += a.size
-            else:
-                values[start], offset = decode_field(a, buf, offset)
-        return offset
-
-
-@lru_cache(maxsize=256)
-def compile_fieldtypes(types: tuple[FieldType, ...]) -> CompiledSchema:
-    """The (cached) fused codec plan for an ordered field-type tuple."""
-    return CompiledSchema(types)
 
 
 # -- a hop without the bytes (operator chaining) -----------------------------

@@ -13,13 +13,19 @@ Frame layout (all integers little-endian)::
     count      4 bytes   number of packets in the batch
     length     4 bytes   body length in bytes
     checksum   4 bytes   CRC-32 of every other byte of the frame
-    [trace_len 2 bytes   version 4 only: trace block length]
-    [trace     `trace_len` bytes   version 4 only: observe trace notes]
+    [trace_len 2 bytes   version 6 only: trace block length]
+    [trace     `trace_len` bytes   version 6 only: observe trace notes]
     body       `length` bytes
 
-Version 3 frames carry no trace block; version 4 frames insert one
+The body is the batch of ``count`` packets laid out by
+:mod:`repro.core.serde`: the records' fixed-width fields as one block,
+then one column per variable-width field (strings as a per-batch
+dictionary).  It carries no count of its own; the header's is the one
+the decoder uses.
+
+Version 5 frames carry no trace block; version 6 frames insert one
 between header and body (see :mod:`repro.observe.tracing`).  The
-encoder emits version 3 whenever the trace block is empty, so tracing
+encoder emits version 5 whenever the trace block is empty, so tracing
 is zero wire overhead unless a sampled packet is actually aboard, and
 decoders accept both versions.
 
@@ -34,10 +40,12 @@ but magic, version and the two lengths, which it must read first to
 know how many bytes to wait for (a corrupted length is caught when the
 bytes it asked for arrive and the CRC fails).
 
-Versions 1 and 2 (body-only xxh32 checksum) are refused as
-"unsupported frame version".  There is no compatibility path: every
-peer of a job is spawned from one source tree and replay windows live
-in memory, so no frame in the old format can reach this decoder.
+Versions 1 and 2 (body-only xxh32 checksum) and 3 and 4 (a body of
+records back to back, each variable-width field behind its own length)
+are refused as "unsupported frame version".  There is no compatibility
+path: every peer of a job is spawned from one source tree and replay
+windows live in memory, so no frame in an old format can reach this
+decoder.
 
 The sequence number and checksum implement the paper's correctness
 requirements: no corrupted, dropped, duplicated, or reordered packets.
@@ -53,8 +61,8 @@ from zlib import crc32
 from repro.util.errors import SerializationError
 
 MAGIC = 0x4E50
-VERSION = 3
-VERSION_TRACED = 4
+VERSION = 5
+VERSION_TRACED = 6
 # The header fields the checksum covers, then the checksum itself.
 _HEAD = struct.Struct("<HBIQII")
 _CHECKSUM = struct.Struct("<I")

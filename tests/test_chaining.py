@@ -32,7 +32,7 @@ from repro.core import (
 )
 from repro.core.buffering import FlushTimerService
 from repro.core.distributed import round_robin_plan
-from repro.core.fieldtypes import compile_as_decoded
+from repro.core.fieldtypes import compile_as_decoded, encode_field
 from repro.core.graph import chain_barrier
 from repro.core.runtime import _ChainedLeg, _JobRuntime, _wire_partition
 from repro.core.serde import PacketCodec
@@ -319,9 +319,15 @@ def test_as_decoded_is_what_the_codec_does_without_the_bytes(drawn):
         row = list(record)
         size = as_decoded(row)
         assert [_typed(v) for v in row] == [_typed(v) for v in decoded.values]
-        # A str weighs a byte a character: exact for ASCII, under for the rest.
+        # The weight is the record's row form, what a buffer counts
+        # against its capacity.  A str weighs a byte a character: exact
+        # for ASCII, under for the rest.
+        row_form = bytearray()
+        for ftype, value in zip(schema.types, record):
+            encode_field(ftype, value, row_form)
         text = [v for v in record if isinstance(v, str)]
-        assert size <= len(body) and (size == len(body) or not all(v.isascii() for v in text))
+        assert size <= len(row_form)
+        assert size == len(row_form) or not all(v.isascii() for v in text)
 
 
 @given(drawn=_schema_and_records(), capacity=st.integers(16, 4096))

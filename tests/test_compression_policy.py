@@ -1,5 +1,6 @@
 """Tests for entropy estimation and the selective compression policy."""
 
+import math
 import random
 import zlib
 
@@ -55,6 +56,20 @@ class TestSampledEntropy:
         rng = random.Random(2)
         data = bytes(rng.getrandbits(8) for _ in range(50_000))
         assert sampled_entropy(data) == sampled_entropy(data)
+
+    @pytest.mark.parametrize("size", [8096, 12_287])
+    def test_the_sample_spans_the_whole_payload(self, size):
+        # Zeros, then noise: a sample of the first 4 096 bytes (or of
+        # the first 4 096 strides) reads only the zeros.
+        rng = random.Random(4)
+        zeros = 4096 if size == 8096 else 8192
+        data = bytes(zeros) + bytes(rng.getrandbits(8) for _ in range(size - zeros))
+        for view in (data, bytearray(data), memoryview(data)):
+            assert abs(sampled_entropy(view) - shannon_entropy(data)) < 0.2
+
+    def test_a_constant_payload_reads_positive_zero(self):
+        for size in (100, 10_000):
+            assert math.copysign(1.0, sampled_entropy(bytes(size))) == 1.0
 
 
 @settings(max_examples=100, deadline=None)

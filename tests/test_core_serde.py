@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import FieldType, PacketCodec, PacketSchema, StreamPacket
+from repro.core.buffering import StreamBuffer
 from repro.util.errors import SerializationError
 
 SCHEMA = PacketSchema(
@@ -41,7 +42,7 @@ class TestEncodeDecode:
         body = codec.encode_batch([make(1, "a", 0.0), make(2, "b", 1.0)])
         seen_ids = set()
         values = []
-        for pkt in codec.iter_decode(body, reuse=True):
+        for pkt in codec.iter_decode(body, count=2, reuse=True):
             seen_ids.add(id(pkt))
             values.append(pkt.to_dict())
         assert len(seen_ids) == 1  # the pooled packet is reused
@@ -53,7 +54,7 @@ class TestEncodeDecode:
     def test_reuse_clone_detaches(self):
         codec = PacketCodec(SCHEMA)
         body = codec.encode_batch([make(1, "a", 0.0), make(2, "b", 1.0)])
-        retained = [p.clone() for p in codec.iter_decode(body, reuse=True)]
+        retained = [p.clone() for p in codec.iter_decode(body, count=2, reuse=True)]
         assert [p["ts"] for p in retained] == [1, 2]
 
     def test_count_mismatch_detected(self):
@@ -78,12 +79,12 @@ class TestEncodeDecode:
         codec = PacketCodec(SCHEMA)
         body = codec.encode(make(1, "abc", 0.5))
         with pytest.raises(SerializationError):
-            list(codec.iter_decode(body[:-3]))
+            list(codec.iter_decode(body[:-3], count=1))
 
     def test_counters(self):
         codec = PacketCodec(SCHEMA)
         body = codec.encode_batch([make(i, "x", 0.0) for i in range(5)])
-        list(codec.iter_decode(body))
+        list(codec.iter_decode(body, count=5))
         assert codec.packets_encoded == 5
         assert codec.packets_decoded == 5
 
@@ -91,7 +92,9 @@ class TestEncodeDecode:
         codec = PacketCodec(SCHEMA)
         out = bytearray()
         n = codec.encode_into(make(1, "ab", 0.0), out)
-        assert n == len(out) == 8 + 4 + 2 + 8
+        # ts and reading, then the dictionary of one string and its
+        # one u8 index.
+        assert n == len(out) == 8 + 8 + 4 + (4 + 2) + 1
 
     def test_encode_view_roundtrip(self):
         codec = PacketCodec(SCHEMA)
@@ -158,6 +161,14 @@ FIXED_SCHEMA = PacketSchema(
 )
 
 
+def _buffer(flushes):
+    return StreamBuffer(
+        capacity=1 << 30,
+        sink=lambda body, count: flushes.append((bytes(body), count)),
+        max_delay=3600.0,
+    )
+
+
 class TestEncodeExceptionSafety:
     """Regression: a mid-record encode failure must not strand partial
     bytes in the shared stream buffer (they corrupt every later packet
@@ -166,36 +177,43 @@ class TestEncodeExceptionSafety:
     @pytest.mark.parametrize("compiled", [True, False])
     def test_failed_encode_leaves_no_partial_bytes(self, compiled):
         codec = PacketCodec(SCHEMA, compiled=compiled)
-        out = bytearray()
-        codec.encode_into(make(1, "ok", 0.5), out)
-        clean = len(out)
-        # int64 range is checked at encode time, after earlier fields
-        # of the record may already have been appended.
+        flushes = []
+        buf = _buffer(flushes)
+        good = [make(1, "ok", 0.5), make(2, "after", 1.5)]
+        buf.append_packet(codec, good[0])
+        clean = (buf.pending_bytes, buf.pending_count)
+        # int64 range is checked at encode time, and the string is new
+        # to the batch's dictionary.
         bad = SCHEMA.new_packet(ts=2**70, name="boom", reading=1.0)
         with pytest.raises(SerializationError):
-            codec.encode_into(bad, out)
-        assert len(out) == clean, "partial record bytes left in buffer"
-        codec.encode_into(make(2, "after", 1.5), out)
-        decoded = list(codec.iter_decode(out, count=2, reuse=False))
-        assert [p["ts"] for p in decoded] == [1, 2]
-        assert [p["name"] for p in decoded] == ["ok", "after"]
+            buf.append_packet(codec, bad)
+        assert (buf.pending_bytes, buf.pending_count) == clean, "partial record left"
+        buf.append_packet(codec, good[1])
+        buf.flush()
+        ((body, count),) = flushes
+        assert body == PacketCodec(SCHEMA, compiled=False).encode_batch(good)
+        decoded = list(codec.iter_decode(body, count=count, reuse=False))
+        assert decoded == good
 
     @pytest.mark.parametrize("compiled", [True, False])
     def test_bad_list_element_after_length_prefix(self, compiled):
-        # The length prefix is written before the elements are packed,
-        # so an un-encodable element used to leave prefix + partial
-        # elements behind.
+        # The bad element is in the second variable-width column; the
+        # first one's cells must not be kept either.
         codec = PacketCodec(LIST_SCHEMA, compiled=compiled)
-        out = bytearray()
+        flushes = []
+        buf = _buffer(flushes)
         good = LIST_SCHEMA.new_packet(vals=[1.0], tags=[1, 2], blob=b"ok")
-        codec.encode_into(good, out)
-        clean = len(out)
+        buf.append_packet(codec, good)
+        clean = (buf.pending_bytes, buf.pending_count)
         bad = LIST_SCHEMA.new_packet(vals=[0.5], tags=[1, 2**70], blob=b"x")
-        with pytest.raises(SerializationError):
-            codec.encode_into(bad, out)
-        assert len(out) == clean
-        codec.encode_into(good, out)
-        decoded = list(codec.iter_decode(out, count=2, reuse=False))
+        with pytest.raises(SerializationError, match="'tags'"):
+            buf.append_packet(codec, bad)
+        assert (buf.pending_bytes, buf.pending_count) == clean
+        buf.append_packet(codec, good)
+        buf.flush()
+        ((body, count),) = flushes
+        assert body == PacketCodec(LIST_SCHEMA, compiled=False).encode_batch([good, good])
+        decoded = list(codec.iter_decode(body, count=count, reuse=False))
         assert decoded == [good, good]
 
 
@@ -215,9 +233,9 @@ class TestEagerCountValidation:
         codec = PacketCodec(SCHEMA)
         body = codec.encode_batch([make(1, "a", 0.0), make(2, "b", 1.0)])
         it = codec.iter_decode(body, count=3)
-        assert next(it)["ts"] == 1
-        # The body ends after record 2 of a declared 3: the error must
-        # surface here, not only after full exhaustion.
+        # The body of 2 declared as 3: the columns are read before the
+        # first record is yielded, so the error surfaces then, not only
+        # after full exhaustion.
         with pytest.raises(SerializationError, match="declared 3"):
             next(it)
 
@@ -225,7 +243,6 @@ class TestEagerCountValidation:
         codec = PacketCodec(SCHEMA)
         body = codec.encode_batch([make(1, "a", 0.0), make(2, "b", 1.0)])
         it = codec.iter_decode(body, count=1)
-        assert next(it)["ts"] == 1
         with pytest.raises(SerializationError, match="declared 1"):
             next(it)
 

@@ -126,13 +126,13 @@ class TestSerdeCorruption:
             ]
         )
         with pytest.raises(SerializationError):
-            list(codec.iter_decode(body[:-7]))
+            list(codec.iter_decode(body[:-7], count=10))
 
     def test_garbage_batch_detected(self):
         codec = PacketCodec(RELAY_SCHEMA)
-        # A bytes field whose length prefix exceeds the buffer.
+        # A bytes column whose lengths run past the buffer.
         with pytest.raises(SerializationError):
-            list(codec.iter_decode(b"\xff" * 40))
+            list(codec.iter_decode(b"\xff" * 40, count=2))
 
 
 class TestBlockedShutdown:

@@ -102,12 +102,13 @@ class TestValidation:
         with pytest.raises(SerializationError, match="version"):
             dec.feed(bytes(wire))
 
-    @pytest.mark.parametrize("old", [1, 2])
+    @pytest.mark.parametrize("old", [1, 2, 3, 4])
     def test_body_only_checksum_versions_refused(self, old):
-        # Versions 1/2 carried xxh32(body); nothing that speaks them can
-        # exist in a job, so they are refused, not dual-decoded.
+        # Versions 1/2 carried xxh32(body), 3/4 a row-major body;
+        # nothing that speaks them can exist in a job, so they are
+        # refused, not dual-decoded.
         enc, dec = FrameEncoder(), FrameDecoder()
-        wire = bytearray(enc.encode(1, b"body", 1, b"t" if old == 2 else b""))
+        wire = bytearray(enc.encode(1, b"body", 1, b"t" if old % 2 == 0 else b""))
         wire[2] = old
         with pytest.raises(SerializationError, match=f"unsupported frame version: {old}"):
             dec.feed(bytes(wire))
