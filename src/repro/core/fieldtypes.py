@@ -14,6 +14,7 @@ time, not a corrupt packet at the receiver.
 from __future__ import annotations
 
 import enum
+import re
 import struct
 from functools import lru_cache
 from typing import Any, Callable
@@ -175,11 +176,14 @@ LIST_ELEMENTS = {FieldType.FLOAT64_LIST: "d", FieldType.INT64_LIST: "q"}
 # pays one call and no per-field dispatch (as a loop over per-type
 # functions this read +1.0 us a packet on the relay workloads,
 # EXPERIMENTS.md "Chain 1:1 local links").  The statements below run
-# with ``v`` bound to field ``I`` of ``row``; a field type that is not
-# here comes back from a decode as it went in: BOOL (``set_at`` only
-# lets a bool in).  A STRING is only weighed, at a byte a character: it
-# is immutable, and the one thing skipped is utf-8 refusing a lone
-# surrogate, which the next real buffer still does.
+# with ``v`` bound to field ``I`` of ``row`` and leave in ``v`` what the
+# decode would have; every field's are run before any value is stored
+# back, so a row that raises is left as it came (a chained leg may take
+# a leased packet's own values list as its row).  A field type that is
+# not here comes back from a decode as it went in: BOOL (``set_at``
+# only lets a bool in).  A STRING is only weighed, at a byte a
+# character: it is immutable, and the one thing skipped is utf-8
+# refusing a lone surrogate, which the next real buffer still does.
 
 _AS_DECODED_SOURCE = {
     FieldType.INT32: (
@@ -190,13 +194,16 @@ _AS_DECODED_SOURCE = {
         f"if not {_INT64_MIN} <= v <= {_INT64_MAX}:\n"
         "    raise SerializationError(f'int64 out of range: {v}')"
     ),
-    FieldType.FLOAT32: "row[I] = unpack_f32(pack_f32(v))[0]",
-    FieldType.FLOAT64: "if type(v) is not float:\n    row[I] = float(v)",
+    FieldType.FLOAT32: "v = unpack_f32(pack_f32(v))[0]",
+    FieldType.FLOAT64: "if type(v) is not float:\n    v = float(v)",
     FieldType.STRING: "size += len(v)",
-    FieldType.BYTES: "if type(v) is not bytes:\n    row[I] = v = bytes(v)\nsize += len(v)",
-    FieldType.FLOAT64_LIST: "row[I] = v = [float(x) for x in v]\nsize += 8 * len(v)",
-    FieldType.INT64_LIST: "row[I] = v = int64_list(v)\nsize += 8 * len(v)",
+    FieldType.BYTES: "if type(v) is not bytes:\n    v = bytes(v)\nsize += len(v)",
+    FieldType.FLOAT64_LIST: "v = [float(x) for x in v]\nsize += 8 * len(v)",
+    FieldType.INT64_LIST: "v = int64_list(v)\nsize += 8 * len(v)",
 }
+
+#: The field types whose value the statements above may replace.
+_AS_DECODED_STORED = {FieldType.FLOAT32, FieldType.FLOAT64, FieldType.BYTES, *LIST_ELEMENTS}
 
 
 def _int64_list(value: Any) -> list[int]:
@@ -211,14 +218,19 @@ def compile_as_decoded(types: tuple[FieldType, ...]) -> Callable[[list[Any]], in
     """``as_decoded(row) -> size`` for records of ``types``: leaves in
     ``row`` (a list of validated, complete field values) what encoding
     and decoding it would have, raises what the encode would have
-    raised for an int out of range, and returns the encoded size."""
+    raised for an int out of range - with ``row`` untouched - and
+    returns the encoded size."""
     width = sum(ftype.fixed_size or 4 for ftype in types)
     lines = ["def as_decoded(row):", f"    size = {width}"]
+    stores = []
     for i, ftype in enumerate(types):
         source = _AS_DECODED_SOURCE.get(ftype)
         if source is not None:
-            lines.append(f"    v = row[{i}]")
-            lines += ["    " + line for line in source.replace("row[I]", f"row[{i}]").split("\n")]
+            lines.append(f"    v{i} = row[{i}]")
+            lines += ["    " + line for line in re.sub(r"\bv\b", f"v{i}", source).split("\n")]
+        if ftype in _AS_DECODED_STORED:
+            stores.append(f"    row[{i}] = v{i}")
+    lines += stores
     lines.append("    return size")
     scope: dict[str, Any] = {
         "SerializationError": SerializationError,

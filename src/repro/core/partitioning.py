@@ -17,6 +17,7 @@ import random
 from abc import ABC, abstractmethod
 from typing import Sequence
 
+from repro.core.fieldtypes import FieldType
 from repro.core.packet import PacketSchema, StreamPacket
 from repro.lz4 import xxh32
 from repro.util.errors import GraphValidationError, PartitioningError
@@ -94,6 +95,9 @@ class ShufflePartitioning(PartitioningScheme):
         return {"scheme": self.name, "seed": self.seed}
 
 
+#: Key field types whose values are hashed as ``float``s.
+_FLOATS = (FieldType.FLOAT32, FieldType.FLOAT64)
+
 #: Distinct keys a :class:`FieldsPartitioning` remembers the hash of.
 #: A full memo is emptied, not frozen: the keys in use may have moved on.
 _KEY_MEMO_LIMIT = 4096
@@ -105,11 +109,10 @@ class FieldsPartitioning(PartitioningScheme):
     Required whenever a processor keeps per-key state (e.g. the DEBS
     monitoring job keys by sensor id).  The key's hash is xxh32 over
     the UTF-8 of each named field's ``repr``, chained through the seed
-    — a stable, platform-independent assignment, but one that follows
-    the Python value, not the field's wire form: ``1``, ``1.0`` and
-    ``True`` in a FLOAT64 field encode to the same bytes and hash
-    differently, as do ``0.0`` and ``-0.0``.  Write a key field with
-    one type.
+    — a stable, platform-independent assignment.  A FLOAT32/FLOAT64
+    field is hashed as ``float(v)`` with ``-0.0`` taken as ``0.0``, so
+    keys equal as floats (``1`` and ``1.0``, ``0.0`` and ``-0.0``) land
+    on the same instance.
 
     The hash is computed once per distinct key: the field indices are
     resolved once per schema and the key's 32-bit hash is memoised
@@ -123,18 +126,20 @@ class FieldsPartitioning(PartitioningScheme):
         if not fields:
             raise GraphValidationError("fields partitioning needs at least one field")
         self.fields = tuple(fields)
-        # (schema, indices of the key fields in it); one attribute so a
-        # reader never sees one schema's indices beside another's.
-        self._bound: tuple[PacketSchema | None, tuple[int, ...]] = (None, ())
+        # (schema, indices of the key fields in it, which of those are
+        # floats); one attribute so a reader never sees one schema's
+        # indices beside another's.
+        self._bound: tuple[PacketSchema | None, tuple[int, ...], tuple[int, ...]] = (None, (), ())
         self._hashes: dict[object, int] = {}
 
     def route(self, packet: StreamPacket, n_instances: int) -> Sequence[int]:
         """Destination instance indices for one packet."""
-        schema, indices = self._bound
+        schema, indices, floats = self._bound
         if packet.schema is not schema:
             schema = packet.schema
             indices = tuple(schema.index_of(fname) for fname in self.fields)
-            self._bound = (schema, indices)
+            floats = tuple(i for i in indices if schema.types[i] in _FLOATS)
+            self._bound = (schema, indices, floats)
         values = packet._values
         # Two keys share a memo entry only if they hash alike: a str
         # stands for itself (equal strs have equal reprs); any other
@@ -155,7 +160,8 @@ class FieldsPartitioning(PartitioningScheme):
         if h is None:
             h = 0
             for i in indices:
-                h = xxh32(repr(values[i]).encode("utf-8"), seed=h)
+                v = float(values[i]) + 0.0 if i in floats else values[i]  # -0.0 + 0.0 is 0.0
+                h = xxh32(repr(v).encode("utf-8"), seed=h)
             if len(self._hashes) >= _KEY_MEMO_LIMIT:
                 self._hashes.clear()
             self._hashes[key] = h

@@ -11,11 +11,12 @@ This is where the paper's §III-B machinery composes:
   §III-B1) feeding a transport, with an optional per-link selective
   compression policy (§III-B5);
 - serde uses per-link reusable codecs and pooled packets (object
-  reuse, §III-B3), and each link's send path is *compiled* when the
-  graph is wired (:meth:`_InstanceRuntime.bind_links`): everything a
-  packet's journey does not depend on is resolved once, so an emit is
-  routing plus one encode-and-append ``StreamBuffer.append_packet`` per
-  destination;
+  reuse, §III-B3), and each instance's send path is compiled when the
+  graph is wired (:meth:`_InstanceRuntime.bind_links`): ``ctx.emit``
+  and ``ctx.new_packet`` are functions generated per outgoing stream
+  for the legs it has (:func:`_compile_sender`), so an emit is one
+  append per destination - routing only where there is a choice - and
+  the packet's return to its free list;
 - threads form two tiers: the Granules worker pool executes operators,
   and the IO tier (flush-timer thread plus, in distributed mode,
   socket reader threads) moves bytes.
@@ -70,6 +71,12 @@ from repro.core.job import JobHandle, JobState, drain
 from repro.core.metrics import MetricsRegistry
 from repro.core.operators import StreamProcessor
 from repro.core.packet import PacketSchema, StreamPacket
+from repro.core.partitioning import (
+    BroadcastPartitioning,
+    FieldsPartitioning,
+    RoundRobinPartitioning,
+    ShufflePartitioning,
+)
 from repro.core.serde import PacketCodec
 from repro.granules.dataset import Dataset
 from repro.granules.resource import Resource
@@ -90,6 +97,7 @@ from repro.util.errors import (
     GraphValidationError,
     JobStateError,
     NeptuneError,
+    SerializationError,
 )
 
 
@@ -205,9 +213,13 @@ class _InstanceRuntime(ComputationalTask):
     """One operator instance as a Granules computational task.
 
     It is also the :class:`~repro.core.operators.EmitContext` handed to
-    the operator: ``ctx.emit`` and ``ctx.new_packet`` are this
-    instance's methods, with no forwarding object in between.
+    the operator: ``ctx.emit`` and ``ctx.new_packet`` are the functions
+    :meth:`bind_links` compiled for this instance, with no forwarding
+    object or method in between.
     """
+
+    emit: Callable[..., None]
+    new_packet: Callable[..., StreamPacket]
 
     def __init__(
         self,
@@ -238,10 +250,12 @@ class _InstanceRuntime(ComputationalTask):
         self.out_links: dict[str, list[_OutLinkRuntime]] = {}
         self.channel: WatermarkChannel | None = None
         self._expected_seq: dict[int, int] = {}
-        # Resolved by bind_links() once the out-links are wired: what
-        # ``stream=None`` means, and the free-list behind each stream.
-        self._default_links: list[_OutLinkRuntime] | None = None
-        self._default_free: _PacketFreeList | None = None
+        # Compiled by bind_links() once the out-links are wired: each
+        # stream's ``(emit, new_packet)``; with one stream they are
+        # ``ctx.emit``/``ctx.new_packet`` themselves.
+        self._streams: dict[str, tuple[Callable[..., None], Callable[..., StreamPacket]]] = {}
+        self.emit = self._emit_named
+        self.new_packet = self._new_named
         self._out_buffers: tuple[StreamBuffer, ...] = ()
         self._chained: tuple[_ChainedLeg, ...] = ()
         self._free_lists: dict[PacketSchema, _PacketFreeList] = {}
@@ -261,20 +275,31 @@ class _InstanceRuntime(ComputationalTask):
     def bind_links(self) -> None:
         """Compile the send path; call once ``out_links`` is complete.
 
-        Resolves, per instance instead of per packet, which links the
-        default stream means and which packet free-list serves it, and
-        every outbound leg of this instance: stream buffers, which the
-        flush paths walk, apart from chained legs, which only this
-        instance's own executions hand over.
+        Per stream, a sender (:func:`_compile_sender`) and a leaser over
+        the free list of its schema (:func:`_compile_leaser`); with one
+        stream they become ``ctx.emit`` and ``ctx.new_packet``, and a
+        named stream is one dict lookup away.  Also sorts every outbound
+        leg of this instance: stream buffers, which the flush paths
+        walk, apart from chained legs, which only this instance's own
+        executions hand over.
         """
         legs = [
             leg for links in self.out_links.values() for out in links for leg in out.buffers
         ]
         self._out_buffers = tuple(leg for leg in legs if isinstance(leg, StreamBuffer))
         self._chained = tuple(leg for leg in legs if isinstance(leg, _ChainedLeg))
-        if len(self.out_links) == 1:
-            self._default_links = next(iter(self.out_links.values()))
-            self._default_free = self._free_list_for(self._default_links)
+        mint = self._mint_note if self._tracing else None
+        for stream, links in self.out_links.items():
+            schema = links[0].link.schema
+            free = self._free_lists.get(schema)
+            if free is None:
+                free = self._free_lists[schema] = _PacketFreeList(schema)
+            self._streams[stream] = (
+                _compile_sender(links, self._emit_named, mint),
+                _compile_leaser(free, self._new_named),
+            )
+        if len(self._streams) == 1:
+            self.emit, self.new_packet = next(iter(self._streams.values()))
 
     # -- EmitContext -------------------------------------------------------
     @property
@@ -500,9 +525,10 @@ class _InstanceRuntime(ComputationalTask):
                 leg.inherit(born)
             op.on_batch_start(len(rows), ctx)
             if not notes:
+                process = op.process
                 for row in rows:
                     packet._values = row
-                    op.process(packet, ctx)
+                    process(packet, ctx)
             else:
                 note_map = {note.batch_index: note for note in notes}
                 for i, row in enumerate(rows):
@@ -540,39 +566,37 @@ class _InstanceRuntime(ComputationalTask):
         self._expected_seq[frame.link_id] = frame.seq + 1
 
     # -- emission ------------------------------------------------------------
-    def emit(self, packet: StreamPacket, stream: str | None = None) -> None:
-        """Send a packet downstream (blocking under backpressure).
+    def _stream(
+        self, stream: str | None
+    ) -> tuple[Callable[..., None], Callable[..., StreamPacket]]:
+        """The compiled ``(emit, new_packet)`` of a named stream."""
+        if stream is None:
+            if not self.out_links:
+                raise NeptuneError(f"{self.task_id}: emit with no outgoing links")
+            raise NeptuneError(
+                f"{self.task_id}: multiple outgoing streams "
+                f"{sorted(self.out_links)}; name one explicitly"
+            )
+        try:
+            return self._streams[stream]
+        except KeyError:
+            raise NeptuneError(
+                f"{self.task_id}: no outgoing stream {stream!r}; "
+                f"declared: {sorted(self.out_links)}"
+            ) from None
 
-        One sender path for traced, untraced and fan-out packets: route,
-        then one encode-and-append per destination.  Output counters
-        and blocked time are the buffers' (per batch), read back by
-        ``_refresh_output_metrics``.
-        """
-        links = self._default_links if stream is None else None
-        if links is None:
-            links = self._links_for(stream)
-        note = self._mint_note(self._observer) if self._tracing else None
-        for out in links:
-            buffers = out.buffers
-            codec = out.codec
-            for dest in out.scheme.route(packet, len(buffers)):
-                # On fan-out only the first leg carries the trace: a
-                # packet's journey stays a single stage chain.
-                buffers[dest].append_packet(codec, packet, note)
-                note = None
-        home = packet._home
-        if home is not None:
-            # Lease over: back to the free-list it came from, once.
-            packet._home = None
-            packet._values[:] = home.schema._blank
-            if len(home) < _FREE_LIST_LIMIT:
-                home.append(packet)
-            else:
-                home.overflow += 1
+    def _emit_named(self, packet: StreamPacket, stream: str | None = None) -> None:
+        """``ctx.emit`` on a named stream, or with no stream to default to."""
+        self._stream(stream)[0](packet)
 
-    def _mint_note(self, obs: Any) -> TraceNote | None:
+    def _new_named(self, stream: str | None = None) -> StreamPacket:
+        """``ctx.new_packet`` on a named stream, or with no default."""
+        return self._stream(stream)[1]()
+
+    def _mint_note(self) -> TraceNote | None:
         """Trace context for this emit: fresh at sources (sampled),
         inherited at hop+1 when processing a traced packet."""
+        obs = self._observer
         now = time.monotonic()
         active = self._active_trace
         if active is not None:
@@ -592,47 +616,6 @@ class _InstanceRuntime(ComputationalTask):
             if ctx is not None:
                 return TraceNote(ctx.trace_id, 0, now)
         return None
-
-    def _links_for(self, stream: str | None) -> list[_OutLinkRuntime]:
-        if stream is None:
-            if len(self.out_links) == 1:
-                return next(iter(self.out_links.values()))
-            if not self.out_links:
-                raise NeptuneError(
-                    f"{self.task_id}: emit with no outgoing links"
-                )
-            raise NeptuneError(
-                f"{self.task_id}: multiple outgoing streams "
-                f"{sorted(self.out_links)}; name one explicitly"
-            )
-        try:
-            return self.out_links[stream]
-        except KeyError:
-            raise NeptuneError(
-                f"{self.task_id}: no outgoing stream {stream!r}; "
-                f"declared: {sorted(self.out_links)}"
-            ) from None
-
-    def _free_list_for(self, links: list[_OutLinkRuntime]) -> _PacketFreeList:
-        schema = links[0].link.schema
-        free = self._free_lists.get(schema)
-        if free is None:
-            free = self._free_lists[schema] = _PacketFreeList(schema)
-        return free
-
-    def new_packet(self, stream: str | None = None) -> StreamPacket:
-        """A pooled packet bound to the outgoing stream's schema."""
-        free = self._default_free if stream is None else None
-        if free is None:
-            free = self._free_list_for(self._links_for(stream))
-        if free:
-            pkt = free.pop()
-            free.reused += 1
-        else:
-            pkt = StreamPacket(free.schema)
-            free.created += 1
-        pkt._home = free
-        return pkt
 
     def _refresh_output_metrics(self) -> None:
         """Derive the output counters from the stream buffers (any
@@ -951,21 +934,21 @@ class _ChainedLeg:
 
     Between two single-instance operators on one resource a hop buys no
     parallelism, so this leg is not one.  It sits in
-    ``_OutLinkRuntime.buffers`` where the :class:`StreamBuffer` would -
-    ``emit``, routing and the free-list lease are the same code for
-    every leg kind - and ``append_packet`` makes the buffered leg's
-    schema and completeness checks, then keeps the packet's field
-    values as a row: each as an encode and a decode would have left it
-    (:func:`~repro.core.fieldtypes.compile_as_decoded` - an out-of-range int
-    raises here, under the sender's label; a FLOAT32 is rounded; a
-    ``bytearray`` or a list is copied, so a sender may reuse it), which
-    for a float, a str, a bool or ``bytes`` is the value itself.
-    Nothing is encoded.  The rows are handed to the receiver **on the
-    sender's thread** (:meth:`hand_over`) at the end of the sender's
-    execution unit - a source's quantum, a processor's inbound batch,
-    an ``on_schedule`` - or sooner, when what they would weigh encoded
-    reaches ``buffer_capacity`` (a str counted at one byte a
-    character), so batches are the size a buffer would have made them
+    ``_OutLinkRuntime.buffers`` where the :class:`StreamBuffer` would,
+    and the sender calls its :meth:`appender` where it would call
+    ``StreamBuffer.append_packet``: the buffered leg's schema and
+    completeness checks, then the packet's field values kept as a row,
+    each as an encode and a decode would have left it
+    (:func:`~repro.core.fieldtypes.compile_as_decoded` - an out-of-range
+    int raises here, naming the field, under the sender's label; a
+    FLOAT32 is rounded; a ``bytearray`` or a list is copied, so a sender
+    may reuse it), which for a float, a str, a bool or ``bytes`` is the
+    value itself.  Nothing is encoded.  The rows are handed to the
+    receiver **on the sender's thread** (:meth:`hand_over`) at the end
+    of the sender's execution unit - a source's quantum, a processor's
+    inbound batch, an ``on_schedule`` - or sooner, when what they would
+    weigh encoded reaches ``buffer_capacity`` (a str counted at one byte
+    a character), so batches are the size a buffer would have made them
     and memory stays bounded.
 
     ``born`` is a buffer's: the first row of a batch stamps it, with
@@ -1031,38 +1014,73 @@ class _ChainedLeg:
         self._inherited: float | None = None
         self._packet = StreamPacket(schema)  # lent to ``process``, row by row
 
-    def append_packet(self, codec: Any, packet: Any, note: Any = None) -> bool:
-        """Keep ``packet``'s values as a row; True if that handed the
-        batch over.  Raises what ``StreamBuffer.append_packet`` raises
-        for a packet of another schema or with an unset field."""
-        values = packet._values
-        schema = codec.schema
-        if (packet.schema is not schema and packet.schema != schema) or None in values:
-            codec.reject(packet)
+    def appender(self, swap: bool) -> Callable[[Any, Any, Any], bool]:
+        """This leg's ``append(codec, packet, note)``: keep ``packet``'s
+        values as a row; True if that handed the batch over.  Raises
+        what ``StreamBuffer.append_packet`` raises for a packet of
+        another schema or with an unset field, and a value that cannot
+        cross with nothing changed: not the packet, the pending rows,
+        their count, weight or ``born``.
+
+        A packet built by hand is copied into a consumed row, so its
+        values stay its own.  With ``swap`` - the sender's only leg, and
+        a sender that returns a leased packet to its free list without
+        blanking it - a *leased* packet's own values list becomes the
+        row, and the packet takes back a consumed row, blanked: one
+        copy fewer a hop.
+        """
+        leg = self
         rows = self._rows
-        count = self._count
-        if count < len(rows):
-            row = rows[count]
-            row[:] = values
-        else:
-            row = values[:]
-            rows.append(row)
-        # A value that cannot cross raises here, with nothing counted:
-        # the slot is overwritten by the next append.
-        size = self._as_decoded(row)
-        if not count:
-            inherited = self._inherited
-            self.born = time.monotonic() if inherited is None else inherited
-        if note is not None:
-            note.batch_index = count
-            note.append_ts = time.monotonic()
-            self._notes.append(note)
-        self._count = count + 1
-        self._bytes = size = self._bytes + size
-        if size < self.capacity:
-            return False
-        self.hand_over()
-        return True
+        schema = self._packet.schema
+        blank = schema._blank
+        as_decoded = self._as_decoded
+        capacity = self.capacity
+        monotonic = time.monotonic
+        hand_over = self.hand_over
+
+        def append(codec: Any, packet: Any, note: Any) -> bool:
+            values = packet._values
+            if (packet.schema is not schema and packet.schema != schema) or None in values:
+                codec.reject(packet)
+            count = leg._count
+            try:
+                if swap and packet._home is not None:
+                    size = as_decoded(values)  # leaves a row it refuses as it was
+                    if count < len(rows):
+                        row = rows[count]
+                        rows[count] = values
+                        row[:] = blank
+                    else:
+                        rows.append(values)
+                        row = list(blank)
+                    packet._values = row
+                else:
+                    if count < len(rows):
+                        row = rows[count]
+                        row[:] = values
+                    else:
+                        row = values[:]
+                        rows.append(row)
+                    # A refused row is overwritten by the next append.
+                    size = as_decoded(row)
+            except Exception:
+                _refuse_row(schema, values)
+                raise
+            if not count:
+                inherited = leg._inherited
+                leg.born = monotonic() if inherited is None else inherited
+            if note is not None:
+                note.batch_index = count
+                note.append_ts = monotonic()
+                leg._notes.append(note)
+            leg._count = count + 1
+            leg._bytes = size = leg._bytes + size
+            if size < capacity:
+                return False
+            hand_over()
+            return True
+
+        return append
 
     def inherit(self, born: float | None) -> None:
         """What the rows that follow are made from (see
@@ -1110,6 +1128,116 @@ class _ChainedLeg:
         )
         cpu = self.cpu_seconds - sum(out.cpu_seconds for out in nested)
         return max(wall, 0.0), max(cpu, 0.0)
+
+
+def _refuse_row(schema: PacketSchema, values: list[Any]) -> None:
+    """Raise what refused a chained row, naming the first field that
+    refuses on its own (returns if none does)."""
+    for name, ftype, value in zip(schema.names, schema.types, values):
+        try:
+            compile_as_decoded((ftype,))([value])
+        except Exception as exc:
+            raise SerializationError(f"field {name!r}: {exc}") from exc
+
+
+#: Schemes that send everything to instance 0 when there is one
+#: instance - so a sender to one receiver need not ask them.  A custom
+#: scheme is always asked, and so is ``direct``: it validates a field.
+_ONE_RECEIVER_SCHEMES = (
+    RoundRobinPartitioning,
+    ShufflePartitioning,
+    FieldsPartitioning,
+    BroadcastPartitioning,
+)
+
+
+def _compile_sender(
+    links: list[_OutLinkRuntime],
+    named: Callable[..., None],
+    mint: Callable[[], TraceNote | None] | None,
+) -> Callable[..., None]:
+    """``emit(packet, stream=None)`` for one outgoing stream, generated
+    for the legs ``links`` have (``named`` takes a named ``stream``).
+
+    Per link: a one-receiver link whose scheme is built in appends to
+    its leg without routing; any other asks the scheme once and appends
+    to the legs it names.  An append is ``StreamBuffer.append_packet``
+    or a chained leg's :meth:`_ChainedLeg.appender`.  Only a traced
+    sender (``mint``) has note code: the note goes to the first leg a
+    packet reaches, so its journey stays one stage chain.  Then a
+    leased packet goes back to its free list, blanked - by the append
+    itself when it is the sender's one unrouted append, to a chained
+    leg, which swaps a consumed row in (``swap``).
+    """
+    note = "None" if mint is None else "note"
+    scope: dict[str, Any] = {"named": named, "mint": mint}
+    lines = [
+        "def emit(packet, stream=None):",
+        "    if stream is not None:",
+        "        return named(packet, stream)",
+    ]
+    if mint is not None:
+        lines.append("    note = mint()")
+    unrouted = [
+        len(out.buffers) == 1 and type(out.scheme) in _ONE_RECEIVER_SCHEMES for out in links
+    ]
+    swap = (
+        mint is None and unrouted == [True] and isinstance(links[0].buffers[0], _ChainedLeg)
+    )
+    for k, out in enumerate(links):
+        appends = [
+            leg.appender(swap) if isinstance(leg, _ChainedLeg) else leg.append_packet
+            for leg in out.buffers
+        ]
+        scope[f"codec{k}"] = out.codec
+        if unrouted[k]:
+            scope[f"append{k}"] = appends[0]
+            lines.append(f"    append{k}(codec{k}, packet, {note})")
+            indent = "    "
+        else:
+            scope[f"route{k}"] = out.scheme.route
+            scope[f"append{k}"] = tuple(appends)
+            lines += [
+                f"    for dest in route{k}(packet, {len(appends)}):",
+                f"        append{k}[dest](codec{k}, packet, {note})",
+            ]
+            indent = "        "
+        if mint is not None:
+            lines.append(indent + "note = None")
+    lines += [
+        "    home = packet._home",
+        "    if home is not None:",
+        "        packet._home = None",
+        *([] if swap else ["        packet._values[:] = home.schema._blank"]),
+        f"        if len(home) < {_FREE_LIST_LIMIT}:",
+        "            home.append(packet)",
+        "        else:",
+        "            home.overflow += 1",
+    ]
+    exec("\n".join(lines), scope)  # noqa: S102 - source is built above
+    return scope["emit"]  # type: ignore[no-any-return]
+
+
+def _compile_leaser(
+    free: _PacketFreeList, named: Callable[..., StreamPacket]
+) -> Callable[..., StreamPacket]:
+    """``new_packet(stream=None)``: a packet leased from ``free``,
+    which ``emit`` hands back (``named`` takes a named ``stream``)."""
+    schema = free.schema
+
+    def new_packet(stream: str | None = None) -> StreamPacket:
+        if stream is not None:
+            return named(stream)
+        if free:
+            pkt = free.pop()
+            free.reused += 1
+        else:
+            pkt = StreamPacket(schema)
+            free.created += 1
+        pkt._home = free
+        return pkt
+
+    return new_packet
 
 
 def _leg_buffer(

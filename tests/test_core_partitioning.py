@@ -79,22 +79,63 @@ class TestFields:
         assert isinstance(again, FieldsPartitioning)
         assert again.fields == ("key",)
 
+    def test_equal_floats_land_on_one_instance(self):
+        # Both pairs cross a buffered leg as the same float; hashed as
+        # Python values they went to instances 2 and 6, and 0 and 7.
+        for ftype in (FieldType.FLOAT64, FieldType.FLOAT32):
+            schema = PacketSchema([("tag", FieldType.STRING), ("reading", ftype)])
+            fp = FieldsPartitioning(["reading"])
+            for pair in ((1, 1.0), (0.0, -0.0), (0, -0.0), (-3, -3.0)):
+                routes = {fp.route(schema.new_packet(tag="t", reading=v), 8) for v in pair}
+                assert len(routes) == 1, (ftype, pair, routes)
+        schema = PacketSchema([("reading", FieldType.FLOAT64)])
+        fp = FieldsPartitioning(["reading"])
+        assert fp.route(schema.new_packet(reading=1), 8) == (6,)
+        assert fp.route(schema.new_packet(reading=-0.0), 8) == (0,)
+
+    def test_float_keys_route_as_without_the_memo(self):
+        schema = PacketSchema([("k", FieldType.STRING), ("x", FieldType.FLOAT64)])
+        fp = FieldsPartitioning(["x", "k"])
+        values = [1, 1.0, 0, 0.0, -0.0, 2.5, -7, 1e300, float("inf"), float("nan")]
+        for n in (16, 5):
+            for v in values:
+                p = schema.new_packet(k="a", x=v)
+                assert fp.route(p, n) == _unmemoised_route(fp.fields, p, n)
+
+    def test_sensor_names_keep_their_instances(self):
+        # What sensor_keyed's 64 keys hash to over its 4 aggregates: a
+        # STRING key routes exactly as it always has.
+        expected = "0103212111220010230231233320031211011331222003323303202000003020"
+        schema = PacketSchema([("sensor_id", FieldType.STRING), ("ts", FieldType.INT64)])
+        fp = FieldsPartitioning(["sensor_id"])
+        routes = [
+            fp.route(schema.new_packet(sensor_id=f"sensor-{i:02d}", ts=i), 4)[0]
+            for i in range(64)
+        ]
+        assert "".join(map(str, routes)) == expected
+
 
 def _unmemoised_route(fields, packet, n_instances):
-    """``FieldsPartitioning.route`` as it was before the memo: the
-    chained xxh32 of each key field's ``repr``, every time."""
+    """``FieldsPartitioning.route`` without the memo: the chained xxh32
+    of each key field's ``repr``, every time - a float field's value as
+    ``float(v)`` with ``-0.0`` taken as ``0.0``."""
     from repro.lz4 import xxh32
 
     h = 0
     for fname in fields:
-        h = xxh32(repr(packet.get(fname)).encode("utf-8"), seed=h)
+        value = packet.get(fname)
+        if packet.schema.type_of(fname) in (FieldType.FLOAT32, FieldType.FLOAT64):
+            value = 0.0 if value == 0 else float(value)
+        h = xxh32(repr(value).encode("utf-8"), seed=h)
     return (h % n_instances,)
 
 
 class TestFieldsMemo:
     """The memo changes what a route costs, never where it goes."""
 
-    ANY = PacketSchema([("a", FieldType.FLOAT64), ("b", FieldType.STRING)])
+    # ``a`` is an int field: a float field hashes the float a value
+    # decodes to (TestFields), which not every value below has.
+    ANY = PacketSchema([("a", FieldType.INT64), ("b", FieldType.STRING)])
 
     def _packet(self, a, b="-"):
         pkt = self.ANY.new_packet()
