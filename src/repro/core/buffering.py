@@ -9,9 +9,13 @@ of the buffer after a certain time period since arrival of the first
 message."
 
 One :class:`StreamBuffer` exists per (operator instance → destination
-instance) link leg.  ``append_packet`` encodes a packet into the
-pending batch (a body of :mod:`repro.core.serde`; ``append`` takes
-bytes serialized elsewhere); the buffer flushes
+instance) link leg.  Its send path is one function generated for the
+leg's schema when the leg is wired (:meth:`StreamBuffer.appender`):
+:mod:`repro.core.serde` writes the encoding, this module the lock, the
+counters and the capacity check around it, and ``append_packet`` runs
+the same function.  It encodes a packet into the pending batch (a body
+of :mod:`repro.core.serde`; ``append`` takes bytes serialized
+elsewhere); the buffer flushes
 
 - immediately when the pending records' row-form bytes reach
   ``capacity`` (on the appending worker thread), or
@@ -41,6 +45,7 @@ import threading
 from typing import Any, Callable
 
 from repro.util.clock import Clock, SYSTEM_CLOCK, timed_acquire
+from repro.util.codegen import indent
 
 #: ``sink(body, packet_count)``.  A sink that waited on backpressure
 #: (a gated channel, a full replay window) returns the seconds it
@@ -64,6 +69,51 @@ _SPARE_LIMIT = 2
 _HANDOVER_PATIENCE = 2.0
 
 
+def _append_frame(encode: list[str], lookup: list[str], enter: list[str]) -> list[str]:
+    """The buffer's frame of the append generated per schema (a frame of
+    :mod:`repro.core.serde`): ``encode`` and ``lookup`` before the lock,
+    then under it ``enter``, the bytes, the count, the note, the first
+    append's stamps and the capacity check.  ``capacity`` is read live,
+    so a ``retune`` applies to the next append.
+
+    A take on another thread between the lookups and the lock (the flush
+    timer's) starts a new batch with empty dictionaries: ``taken``
+    changed, and the lookups run again under the lock.  The lock is
+    taken with ``acquire``/``release``, not ``with``: on CPython 3.11 a
+    ``with`` costs twice as much.
+    """
+    lines = ["lock = leg._lock", "def append(packet, note):"]
+    if lookup:
+        lines.append("    taken = columns.taken")
+    lines += indent(encode + lookup, 1)
+    lines += ["    lock.acquire()", "    try:"]
+    if lookup:
+        lines += [
+            "        if columns.taken != taken:",
+            *indent(lookup, 3),
+            *indent(enter, 2),
+            "        extra = leg._extra = leg._extra + extra",
+        ]
+    lines += [
+        "        buf = leg._buf",
+        "        buf += record",
+        "        count = leg._count",
+        "        if not count:",
+        "            leg._first_append_locked()",
+        "        if note is not None:",
+        "            note.batch_index = count",
+        "            note.append_ts = leg._clock.now()",
+        "            leg._notes.append(note)",
+        "        leg._count = count + 1",
+        f"        if len(buf){' + extra' if lookup else ''} < leg.capacity:",
+        "            return False",
+        "    finally:",
+        "        lock.release()",
+        "    return leg._flush_capacity()",
+    ]
+    return lines
+
+
 class StreamBuffer:
     """Capacity-triggered, timer-bounded accumulation buffer.
 
@@ -71,8 +121,8 @@ class StreamBuffer:
     never imports :mod:`repro.observe`):
 
     - ``trace_leg`` — a :class:`~repro.observe.tracing.LegTrace`
-      shared with this buffer's flush sink.  ``append_packet(codec,
-      packet, note)`` stamps the note's ``append_ts``/``batch_index``;
+      shared with this buffer's flush sink.  An append's ``note``
+      gets its ``append_ts``/``batch_index`` stamped;
       the take stamps ``take_ts`` and deposits the note on the leg,
       from which the sink claims it (all under ``_flush_lock``, so no
       extra locking).
@@ -87,7 +137,7 @@ class StreamBuffer:
     __slots__ += ("born", "taken_born", "_inherited", "_lock", "_service", "_flush_lock")
     __slots__ += ("capacity_flushes", "timer_flushes", "budget_flushes", "manual_flushes")
     __slots__ += ("bytes_flushed", "packets_flushed", "buffers_recycled", "spare_allocs")
-    __slots__ += ("retunes", "after_capacity_flush", "blocked_seconds")
+    __slots__ += ("retunes", "after_capacity_flush", "blocked_seconds", "_append")
 
     def __init__(
         self,
@@ -114,8 +164,10 @@ class StreamBuffer:
         self._buf = bytearray()
         self._spares: list[bytearray] = []
         self._count = 0
-        # The batch's columns (False: no variable-width field) and the
+        # The append generated on first use (``appender``), the batch's
+        # columns it fills (None: no variable-width field) and the
         # row-form bytes in them; the capacity counts ``len(_buf) + _extra``.
+        self._append: Callable[[Any, Any], bool] | None = None
         self._columns: Any = None
         self._extra = 0
         self._first_append_at: float | None = None
@@ -182,55 +234,26 @@ class StreamBuffer:
     def append_packet(self, codec: Any, packet: Any, note: Any = None) -> bool:
         """Encode and append ``packet``; returns True if this flushed.
 
-        The link's send path.  ``codec`` is the link's
-        :class:`~repro.core.serde.PacketCodec` (duck-typed: ``schema``,
-        ``pack``, ``columns``, ``reject``, ``refuse``).  Every check
-        ``PacketCodec.encode_into`` makes, and its error, comes before
-        the lock, so a failed encode leaves bytes, count, dictionaries
-        and timer as they were.  The hold is one append, the columns'
-        commit and the bookkeeping: the flush timer and every metrics
-        scrape take the same lock and wait out a GIL switch interval.
-
+        Runs this buffer's append (:meth:`appender`), generated for
+        ``codec``'s schema on first use; a sender calls that directly.
         A ``note`` (observe trace note for a sampled packet) is stamped
         with its position and enqueue time and will ride the flushed
         batch to the sink via ``trace_leg``.
         """
-        values = packet._values
-        schema = codec.schema
-        if (packet.schema is not schema and packet.schema != schema) or None in values:
-            codec.reject(packet)
-        try:
-            record = codec.pack(*values)
-        except Exception:
-            codec.refuse(values)  # raises, naming the field
-        columns = self._columns
-        if columns:
-            taken = columns.taken
-            extra = columns.prepare(values)
-        elif columns is None:
-            self._columns = codec.columns() or False
-            return self.append_packet(codec, packet, note)
-        with self._lock:
-            if columns:
-                if columns.taken != taken:
-                    # A take on another thread started a new batch (and
-                    # emptied its dictionaries) since the prepare.
-                    extra = columns.prepare(values)
-                columns.commit()
-                self._extra += extra
-            buf = self._buf
-            buf += record
-            count = self._count
-            if not count:
-                self._first_append_locked()
-            if note is not None:
-                note.batch_index = count
-                note.append_ts = self._clock.now()
-                self._notes.append(note)
-            self._count = count + 1
-            if len(buf) + self._extra < self.capacity:
-                return False
-        return self._flush_capacity()
+        return (self._append or self.appender(codec))(packet, note)
+
+    def appender(self, codec: Any) -> Callable[[Any, Any], bool]:
+        """This leg's send path, ``append(packet, note) -> flushed``:
+        one function generated for ``codec``'s schema
+        (:class:`~repro.core.serde.PacketCodec`, duck-typed: its
+        ``appender``) around :func:`_append_frame`, built on first call
+        and kept.  It raises what ``PacketCodec.encode_into`` raises
+        for a packet it refuses, with bytes, count, dictionaries,
+        ``born`` and timer as they were.
+        """
+        if self._append is None:
+            self._append, self._columns = codec.appender(_append_frame, self)
+        return self._append
 
     def _first_append_locked(self) -> None:
         """Start the timer's clock and stamp the new batch's ``born``."""
@@ -413,7 +436,7 @@ class StreamBuffer:
         # spare.  The sink's consumer returns the bytearray through
         # recycle() when done with it.
         body = self._buf
-        if self._columns:
+        if self._columns is not None:
             self._columns.take(body)
         if self._spares:
             self._buf = self._spares.pop()

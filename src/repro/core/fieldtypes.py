@@ -19,6 +19,7 @@ import struct
 from functools import lru_cache
 from typing import Any, Callable
 
+from repro.util.codegen import run_generated
 from repro.util.errors import SerializationError
 
 _I8 = struct.Struct("<b")
@@ -238,7 +239,7 @@ def compile_as_decoded(types: tuple[FieldType, ...]) -> Callable[[list[Any]], in
         "unpack_f32": _F32.unpack,
         "int64_list": _int64_list,
     }
-    exec("\n".join(lines), scope)  # noqa: S102 - source is the table above
+    run_generated(lines, "fieldtypes.as_decoded", ",".join(t.value for t in types), scope)
     return scope["as_decoded"]  # type: ignore[no-any-return]
 
 

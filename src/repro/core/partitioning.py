@@ -14,8 +14,9 @@ Custom schemes subclass :class:`PartitioningScheme` and register with
 from __future__ import annotations
 
 import random
+import struct
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from repro.core.fieldtypes import FieldType
 from repro.core.packet import PacketSchema, StreamPacket
@@ -95,8 +96,25 @@ class ShufflePartitioning(PartitioningScheme):
         return {"scheme": self.name, "seed": self.seed}
 
 
-#: Key field types whose values are hashed as ``float``s.
-_FLOATS = (FieldType.FLOAT32, FieldType.FLOAT64)
+_F32 = struct.Struct("<f")
+
+
+def _float64(value: Any) -> float:
+    return float(value) + 0.0  # -0.0 + 0.0 is 0.0
+
+
+def _float32(value: Any) -> float:
+    """The float32 ``value`` crosses a buffered leg as; a value float32
+    cannot hold (which no leg lets through) hashes as a FLOAT64's."""
+    try:
+        rounded: float = _F32.unpack(_F32.pack(value))[0] + 0.0
+    except (struct.error, OverflowError):
+        return _float64(value)
+    return rounded
+
+
+#: What a key field of each float type is hashed as.
+_FLOATS = {FieldType.FLOAT32: _float32, FieldType.FLOAT64: _float64}
 
 #: Distinct keys a :class:`FieldsPartitioning` remembers the hash of.
 #: A full memo is emptied, not frozen: the keys in use may have moved on.
@@ -109,10 +127,12 @@ class FieldsPartitioning(PartitioningScheme):
     Required whenever a processor keeps per-key state (e.g. the DEBS
     monitoring job keys by sensor id).  The key's hash is xxh32 over
     the UTF-8 of each named field's ``repr``, chained through the seed
-    — a stable, platform-independent assignment.  A FLOAT32/FLOAT64
-    field is hashed as ``float(v)`` with ``-0.0`` taken as ``0.0``, so
-    keys equal as floats (``1`` and ``1.0``, ``0.0`` and ``-0.0``) land
-    on the same instance.
+    — a stable, platform-independent assignment.  A float field is
+    hashed as the float it crosses a buffered leg as - a FLOAT32 as its
+    float32 value, a FLOAT64 as ``float(v)`` - with ``-0.0`` taken as
+    ``0.0``, so keys that arrive equal (``1`` and ``1.0``, ``0.0`` and
+    ``-0.0``, a source's FLOAT32 ``0.1`` and the ``0.10000000149011612``
+    a relay forwards) land on the same instance.
 
     The hash is computed once per distinct key: the field indices are
     resolved once per schema and the key's 32-bit hash is memoised
@@ -126,20 +146,40 @@ class FieldsPartitioning(PartitioningScheme):
         if not fields:
             raise GraphValidationError("fields partitioning needs at least one field")
         self.fields = tuple(fields)
-        # (schema, indices of the key fields in it, which of those are
-        # floats); one attribute so a reader never sees one schema's
-        # indices beside another's.
-        self._bound: tuple[PacketSchema | None, tuple[int, ...], tuple[int, ...]] = (None, (), ())
+        # (schema, indices of the key fields in it, what each is hashed
+        # as - None: itself); one attribute so a reader never sees one
+        # schema's indices beside another's.
+        self._bound: tuple[
+            PacketSchema | None, tuple[int, ...], tuple[Callable[[Any], float] | None, ...]
+        ] = (None, (), ())
+        # Emptied in place, never replaced: ``string_key`` hands out
+        # its lookup.
         self._hashes: dict[object, int] = {}
+
+    def string_key(self, schema: PacketSchema) -> tuple[int, Callable[[str], int | None]] | None:
+        """A sender's fast path for packets of ``schema``, when the key
+        is one STRING field: ``(index, lookup)``, where ``lookup(key)``
+        is the memoised hash of a ``str`` key (``type(key) is str``)
+        that ``route`` has met, or None; the instance is then
+        ``hash % n_instances``, as ``route`` would return it.  A miss
+        goes to ``route``, which enters the key.  None for any other
+        key, which always goes to ``route``.
+        """
+        if len(self.fields) != 1 or self.fields[0] not in schema.names:
+            return None
+        index = schema.index_of(self.fields[0])
+        if schema.types[index] is not FieldType.STRING:
+            return None
+        return index, self._hashes.get
 
     def route(self, packet: StreamPacket, n_instances: int) -> Sequence[int]:
         """Destination instance indices for one packet."""
-        schema, indices, floats = self._bound
+        schema, indices, casts = self._bound
         if packet.schema is not schema:
             schema = packet.schema
             indices = tuple(schema.index_of(fname) for fname in self.fields)
-            floats = tuple(i for i in indices if schema.types[i] in _FLOATS)
-            self._bound = (schema, indices, floats)
+            casts = tuple(_FLOATS.get(schema.types[i]) for i in indices)
+            self._bound = (schema, indices, casts)
         values = packet._values
         # Two keys share a memo entry only if they hash alike: a str
         # stands for itself (equal strs have equal reprs); any other
@@ -159,8 +199,8 @@ class FieldsPartitioning(PartitioningScheme):
         h = self._hashes.get(key)
         if h is None:
             h = 0
-            for i in indices:
-                v = float(values[i]) + 0.0 if i in floats else values[i]  # -0.0 + 0.0 is 0.0
+            for i, cast in zip(indices, casts):
+                v = values[i] if cast is None else cast(values[i])
                 h = xxh32(repr(v).encode("utf-8"), seed=h)
             if len(self._hashes) >= _KEY_MEMO_LIMIT:
                 self._hashes.clear()

@@ -15,8 +15,10 @@ This is where the paper's §III-B machinery composes:
   graph is wired (:meth:`_InstanceRuntime.bind_links`): ``ctx.emit``
   and ``ctx.new_packet`` are functions generated per outgoing stream
   for the legs it has (:func:`_compile_sender`), so an emit is one
-  append per destination - routing only where there is a choice - and
-  the packet's return to its free list;
+  append per destination - routing only where there is a choice, and
+  for a key of one string through the scheme's memo - and the packet's
+  return to its free list; each buffered leg's append is generated for
+  its schema too (:meth:`StreamBuffer.appender`);
 - threads form two tiers: the Granules worker pool executes operators,
   and the IO tier (flush-timer thread plus, in distributed mode,
   socket reader threads) moves bytes.
@@ -92,6 +94,7 @@ from repro.observe.tracing import (
     decode_notes,
     encode_notes,
 )
+from repro.util.codegen import indent, run_generated
 from repro.util.errors import (
     BackpressureTimeout,
     GraphValidationError,
@@ -295,7 +298,7 @@ class _InstanceRuntime(ComputationalTask):
             if free is None:
                 free = self._free_lists[schema] = _PacketFreeList(schema)
             self._streams[stream] = (
-                _compile_sender(links, self._emit_named, mint),
+                _compile_sender(links, self._emit_named, mint, f"{self.op_label}.{stream}"),
                 _compile_leaser(free, self._new_named),
             )
         if len(self._streams) == 1:
@@ -935,10 +938,10 @@ class _ChainedLeg:
     Between two single-instance operators on one resource a hop buys no
     parallelism, so this leg is not one.  It sits in
     ``_OutLinkRuntime.buffers`` where the :class:`StreamBuffer` would,
-    and the sender calls its :meth:`appender` where it would call
-    ``StreamBuffer.append_packet``: the buffered leg's schema and
-    completeness checks, then the packet's field values kept as a row,
-    each as an encode and a decode would have left it
+    and the sender calls its :meth:`appender` where it would call a
+    buffered leg's (:meth:`StreamBuffer.appender`): the buffered leg's
+    schema and completeness checks, then the packet's field values kept
+    as a row, each as an encode and a decode would have left it
     (:func:`~repro.core.fieldtypes.compile_as_decoded` - an out-of-range
     int raises here, naming the field, under the sender's label; a
     FLOAT32 is rounded; a ``bytearray`` or a list is copied, so a sender
@@ -1014,11 +1017,11 @@ class _ChainedLeg:
         self._inherited: float | None = None
         self._packet = StreamPacket(schema)  # lent to ``process``, row by row
 
-    def appender(self, swap: bool) -> Callable[[Any, Any, Any], bool]:
-        """This leg's ``append(codec, packet, note)``: keep ``packet``'s
-        values as a row; True if that handed the batch over.  Raises
-        what ``StreamBuffer.append_packet`` raises for a packet of
-        another schema or with an unset field, and a value that cannot
+    def appender(self, codec: PacketCodec, swap: bool) -> Callable[[Any, Any], bool]:
+        """This leg's ``append(packet, note)``: keep ``packet``'s values
+        as a row; True if that handed the batch over.  Raises what a
+        buffered leg's append raises for a packet of another schema or
+        with an unset field (``codec.reject``), and a value that cannot
         cross with nothing changed: not the packet, the pending rows,
         their count, weight or ``born``.
 
@@ -1037,11 +1040,12 @@ class _ChainedLeg:
         capacity = self.capacity
         monotonic = time.monotonic
         hand_over = self.hand_over
+        reject = codec.reject
 
-        def append(codec: Any, packet: Any, note: Any) -> bool:
+        def append(packet: Any, note: Any) -> bool:
             values = packet._values
             if (packet.schema is not schema and packet.schema != schema) or None in values:
-                codec.reject(packet)
+                reject(packet)
             count = leg._count
             try:
                 if swap and packet._home is not None:
@@ -1155,19 +1159,25 @@ def _compile_sender(
     links: list[_OutLinkRuntime],
     named: Callable[..., None],
     mint: Callable[[], TraceNote | None] | None,
+    label: str,
 ) -> Callable[..., None]:
     """``emit(packet, stream=None)`` for one outgoing stream, generated
-    for the legs ``links`` have (``named`` takes a named ``stream``).
+    for the legs ``links`` have (``named`` takes a named ``stream``);
+    ``label`` names the generated code.
 
     Per link: a one-receiver link whose scheme is built in appends to
     its leg without routing; any other asks the scheme once and appends
-    to the legs it names.  An append is ``StreamBuffer.append_packet``
-    or a chained leg's :meth:`_ChainedLeg.appender`.  Only a traced
-    sender (``mint``) has note code: the note goes to the first leg a
-    packet reaches, so its journey stays one stage chain.  Then a
-    leased packet goes back to its free list, blanked - by the append
-    itself when it is the sender's one unrouted append, to a chained
-    leg, which swaps a consumed row in (``swap``).
+    to the legs it names - but a ``fields`` link keyed on one STRING
+    field looks a packet of its schema up in the scheme's memo first
+    (:meth:`~repro.core.partitioning.FieldsPartitioning.string_key`)
+    and asks only on a miss.  An append is the leg's own, generated
+    when it is wired: :meth:`StreamBuffer.appender` or
+    :meth:`_ChainedLeg.appender`.  Only a traced sender (``mint``) has
+    note code: the note goes to the first leg a packet reaches, so its
+    journey stays one stage chain.  Then a leased packet goes back to
+    its free list, blanked - by the append itself when it is the
+    sender's one unrouted append, to a chained leg, which swaps a
+    consumed row in (``swap``).
     """
     note = "None" if mint is None else "note"
     scope: dict[str, Any] = {"named": named, "mint": mint}
@@ -1184,26 +1194,45 @@ def _compile_sender(
     swap = (
         mint is None and unrouted == [True] and isinstance(links[0].buffers[0], _ChainedLeg)
     )
+    forget = ["note = None"] if mint is not None else []
     for k, out in enumerate(links):
         appends = [
-            leg.appender(swap) if isinstance(leg, _ChainedLeg) else leg.append_packet
+            leg.appender(out.codec, swap)
+            if isinstance(leg, _ChainedLeg)
+            else leg.appender(out.codec)
             for leg in out.buffers
         ]
-        scope[f"codec{k}"] = out.codec
         if unrouted[k]:
             scope[f"append{k}"] = appends[0]
-            lines.append(f"    append{k}(codec{k}, packet, {note})")
-            indent = "    "
-        else:
-            scope[f"route{k}"] = out.scheme.route
-            scope[f"append{k}"] = tuple(appends)
-            lines += [
-                f"    for dest in route{k}(packet, {len(appends)}):",
-                f"        append{k}[dest](codec{k}, packet, {note})",
-            ]
-            indent = "        "
-        if mint is not None:
-            lines.append(indent + "note = None")
+            lines += indent([f"append{k}(packet, {note})", *forget], 1)
+            continue
+        n = len(appends)
+        scope[f"route{k}"] = out.scheme.route
+        scope[f"append{k}"] = tuple(appends)
+        routed = [
+            f"for dest in route{k}(packet, {n}):",
+            *indent([f"append{k}[dest](packet, {note})", *forget], 1),
+        ]
+        keyed = (
+            out.scheme.string_key(out.link.schema)
+            if type(out.scheme) is FieldsPartitioning
+            else None
+        )
+        if keyed is None:
+            lines += indent(routed, 1)
+            continue
+        scope[f"schema{k}"] = out.link.schema
+        scope[f"memo{k}"] = keyed[1]
+        lines += indent(
+            [
+                f"if packet.schema is schema{k} and type(key := packet._values[{keyed[0]}]) is str"
+                f" and (h := memo{k}(key)) is not None:",
+                *indent([f"append{k}[h % {n}](packet, {note})", *forget], 1),
+                "else:",
+                *indent(routed, 1),
+            ],
+            1,
+        )
     lines += [
         "    home = packet._home",
         "    if home is not None:",
@@ -1214,7 +1243,7 @@ def _compile_sender(
         "        else:",
         "            home.overflow += 1",
     ]
-    exec("\n".join(lines), scope)  # noqa: S102 - source is built above
+    run_generated(lines, "runtime.emit", label, scope)
     return scope["emit"]  # type: ignore[no-any-return]
 
 

@@ -24,13 +24,16 @@ schema (the frame header carries ``count``, the body does not) is:
 This module is the only one that knows that layout.  A
 :class:`PacketCodec` is created once per (schema, link) and reused:
 
-- The send path, ``StreamBuffer.append_packet``, packs each packet's
-  fixed-width fields with ``pack`` (one ``Struct.pack``) before its
-  lock, appends them to the buffer's bytearray, and hands the
-  variable-width values to the buffer's :meth:`PacketCodec.columns`:
-  one dictionary lookup per STRING field (a string is UTF-8-encoded
-  once per batch, when it enters the dictionary) and one list append
-  per field.  The take appends the columns behind the fixed block.
+- The send path is one function per (leg, schema), generated when the
+  leg is wired (:meth:`PacketCodec.appender`; ``StreamBuffer.appender``
+  calls it, and ``append_packet`` runs what it returns).  Before the
+  buffer's lock it packs the packet's fixed-width fields (one
+  ``Struct.pack``) and looks its variable-width values up: one
+  dictionary lookup per STRING field (a string is UTF-8-encoded once
+  per batch, when it enters the dictionary).  Under the lock it appends
+  the fixed block to the buffer's bytearray and enters the values in
+  the buffer's columns, one list append per field.  The take appends
+  the columns behind the fixed block.  ``encode*`` runs the same code.
 - ``iter_decode`` walks the fixed block with one ``Struct.iter_unpack``
   and decodes every column once per batch (each distinct string once),
   checking every length, index and count before the first yield.  With
@@ -62,6 +65,7 @@ from repro.core.fieldtypes import (
     encode_field,
 )
 from repro.core.packet import PacketSchema, StreamPacket
+from repro.util.codegen import indent, run_generated
 from repro.util.errors import SerializationError
 
 _U32 = struct.Struct("<I")
@@ -83,21 +87,30 @@ def _encode(schema: PacketSchema, i: int, value: Any, out: bytearray) -> None:
 
 # -- code generated per schema ----------------------------------------------
 #
-# A sender takes a record's variable-width values in two steps.
-# ``prepare(row)`` runs before the buffer's lock and changes nothing:
-# a STRING looks itself up in its dictionary (a miss is encoded, to be
-# entered later), BYTES snapshots a mutable buffer, a list packs its
-# elements, and it returns their row-form size; anything they raise is
-# handed to ``diagnose``, the per-field prepare, which raises the error
-# naming the field.
-# ``commit()`` runs under the lock and enters what ``prepare`` found:
-# a new string, the cells and the payloads.  Per type: what ``prepare``
-# does (its results kept for ``commit`` in the names listed), what
-# ``commit`` does, and the row-form size.  ``{k}`` is the column,
-# ``{i}`` its field.
+# An append is generated per schema, and a *frame* puts it together:
+# the buffer's (``StreamBuffer.appender``), or ``_write_frame`` below
+# for this codec's own bodies.  This module writes the codec's three
+# sections of it:
+#
+# - ``encode`` checks the packet's schema and packs its fixed-width
+#   fields into ``record``.  Completeness is checked only when an
+#   encode fails - ``struct.pack`` refuses None for every fixed type
+#   but BOOL (``'?'`` packs it as False), and a column refuses it in
+#   its lookup - so only BOOL fields are tested for None up front.
+# - ``lookup`` takes the variable-width values and leaves their
+#   row-form size in ``extra``, changing nothing: a STRING looks itself
+#   up in its column's dictionary (a miss is encoded, to be entered
+#   later), BYTES snapshots a mutable buffer, a list packs its elements.
+# - ``enter`` enters what ``lookup`` found: a new string, the cells and
+#   the payloads.  A buffer runs it under its lock, the rest before.
+#
+# A failed encode or lookup is handed to ``PacketCodec.refuse``, which
+# raises what the per-field reference raises for the packet.  Per
+# column type: its lookup, its entry and its row-form size.  ``{k}`` is
+# the column, ``{i}`` its field.
 _COLUMN_SOURCE = {
     _STRING: (
-        "v = row[{i}]\n"
+        "v = values[{i}]\n"
         "e{k} = d{k}.get(v)\n"
         "if e{k} is None:\n"
         "    b = v.encode('utf-8')\n"
@@ -105,20 +118,17 @@ _COLUMN_SOURCE = {
         "    n{k} = v\n"
         "else:\n"
         "    n{k} = None",
-        "e{k} n{k}",
         "if n{k} is not None:\n    d{k}[n{k}] = e{k}\nx{k}.append(e{k}[0])",
         "e{k}[1]",
     ),
     FieldType.BYTES: (
-        "b{k} = row[{i}]\nif type(b{k}) is not bytes:\n    b{k} = memoryview(b{k}).tobytes()",
-        "b{k}",
+        "b{k} = values[{i}]\nif type(b{k}) is not bytes:\n    b{k} = memoryview(b{k}).tobytes()",
         "x{k}.append(len(b{k}))\np{k}.append(b{k})",
         "4 + len(b{k})",
     ),
     **{
         ftype: (
-            f"v = row[{{i}}]\nn{{k}} = len(v)\nb{{k}} = spack('<%d{element}' % n{{k}}, *v)",
-            "n{k} b{k}",
+            f"v = values[{{i}}]\nn{{k}} = len(v)\nb{{k}} = spack('<%d{element}' % n{{k}}, *v)",
             "x{k}.append(n{k})\np{k}.append(b{k})",
             "4 + len(b{k})",
         )
@@ -126,61 +136,117 @@ _COLUMN_SOURCE = {
     },
 }
 
-
-def _indent(source: str, depth: int) -> list[str]:
-    return ["    " * depth + line for line in source.split("\n")]
+#: A frame: ``frame(encode, lookup, enter)`` is the source, at depth 0,
+#: of ``append`` around the codec's sections (``lookup`` and ``enter``
+#: are empty for a schema without a variable-width field).  It may use
+#: ``leg``, ``codec`` and ``columns``, the arguments of
+#: :meth:`PacketCodec.appender`.
+Frame = Callable[[list[str], list[str], list[str]], list[str]]
 
 
 class _Plan:
-    """A schema's layout, and the code generated for it (immutable,
-    shared by every codec of the schema)."""
+    """A schema's layout, and the code generated for it (immutable but
+    for the cache of appends, shared by every codec of the schema)."""
 
-    __slots__ = ("fixed", "fixed_at", "var", "pack", "bind", "rows")
+    __slots__ = ("types", "fixed", "fixed_at", "var", "rows", "_makers")
 
     def __init__(self, types: tuple[FieldType, ...]) -> None:
+        self.types = types
         self.fixed_at = tuple(i for i, t in enumerate(types) if t in FIXED_FORMATS)
         #: ``(field, type)`` of each variable-width field: the columns.
         self.var = tuple((i, t) for i, t in enumerate(types) if t not in FIXED_FORMATS)
         #: One record's fixed-width fields.
         self.fixed = struct.Struct("<" + "".join(FIXED_FORMATS[types[i]] for i in self.fixed_at))
+        self._makers: dict[tuple[Frame, bool], Callable[..., Callable[..., Any]]] = {}
         scope: dict[str, Any] = dict(
-            fixed=self.fixed.pack, iter_unpack=self.fixed.iter_unpack, size=self.fixed.size,
-            repeat=repeat, u32=_U32.pack, spack=struct.pack, SerializationError=SerializationError,
+            iter_unpack=self.fixed.iter_unpack, size=self.fixed.size, repeat=repeat
         )
         lines = _rows_source(self.fixed_at, tuple(i for i, _ in self.var))
-        if self.var:
-            args = ", ".join(f"v{i}" for i in range(len(types)))
-            parts = [
-                [source.format(k=k, i=i) for source in _COLUMN_SOURCE[t]]
-                for k, (i, t) in enumerate(self.var)
-            ]
-            kept = " ".join(part[1] for part in parts).replace(" ", ", ")
-            lines += [
-                f"def pack({args}):",
-                f"    return fixed({', '.join(f'v{i}' for i in self.fixed_at)})",
-                "def bind(columns, diagnose):",
-                *(f"    d{k}, x{k}, p{k} = columns[{k}]" for k in range(len(parts))),
-                f"    {kept} = {', '.join(['None'] * (kept.count(',') + 1))}",
-                "    def prepare(row):",
-                f"        nonlocal {kept}",
-                "        try:",
-                *(line for part in parts for line in _indent(part[0], 3)),
-                "        except Exception as exc:",
-                "            diagnose(row)",
-                "            raise SerializationError('cannot encode the record') from exc",
-                f"        return {' + '.join(part[3] for part in parts)}",
-                "    def commit():",
-                *(line for part in parts for line in _indent(part[2], 2)),
-                "    return prepare, commit",
-            ]
-        exec("\n".join(lines), scope)  # noqa: S102 - source is built above
-        #: ``pack(*values)``: one record's fixed-width fields as bytes.
-        self.pack: Callable[..., bytes] = scope.get("pack", self.fixed.pack)
-        #: ``bind(columns, diagnose)``: ``(prepare, commit)`` of a set
-        #: of columns.
-        self.bind = scope.get("bind")
+        run_generated(lines, "serde.rows", _subject(types), scope)
         #: ``rows(codec, body, count)``: the compiled ``iter_decode``.
         self.rows = scope["rows"]
+
+    def maker(self, frame: Frame, compiled: bool) -> Callable[..., Callable[..., Any]]:
+        """``make(leg, codec, columns)``: the append ``frame`` puts
+        together, over the generated sections (``compiled``) or the
+        per-field reference's - generated once per plan and frame."""
+        make = self._makers.get((frame, compiled))
+        if make is not None:
+            return make
+        lines = [
+            "def make(leg, codec, columns):",
+            "    schema, reject, refuse = codec.schema, codec.reject, codec.refuse",
+        ]
+        if compiled:
+            lines += [
+                f"    d{k}, x{k}, p{k} = columns._columns[{k}]" for k in range(len(self.var))
+            ]
+            encode, lookup, enter = self._sections()
+        else:
+            lines.append("    pack = codec._pack_fields")
+            encode = [
+                "values = packet._values",
+                "if packet.schema is not schema and packet.schema != schema or None in values:",
+                "    reject(packet)",
+                "record = pack(*values)",
+            ]
+            lookup = enter = []
+            if self.var:
+                lines.append("    prepare, commit = columns._prepare, columns._commit")
+                lookup, enter = ["extra = prepare(values)"], ["commit()"]
+        lines += indent(frame(encode, lookup, enter), 1)
+        lines.append("    return append")
+        scope: dict[str, Any] = dict(fixed=self.fixed.pack, u32=_U32.pack, spack=struct.pack)
+        module = frame.__module__.rpartition(".")[2]
+        generator = f"{module}.{frame.__name__.strip('_').removesuffix('_frame')}"
+        subject = _subject(self.types) + ("" if compiled else ",reference")
+        run_generated(lines, generator, subject, scope)
+        make = self._makers[(frame, compiled)] = scope["make"]
+        return make
+
+    def _sections(self) -> tuple[list[str], list[str], list[str]]:
+        """The generated ``(encode, lookup, enter)``."""
+        types, fixed_at = self.types, self.fixed_at
+        test = "packet.schema is not schema and packet.schema != schema"
+        test += "".join(f" or values[{i}] is None" for i in fixed_at if types[i] is FieldType.BOOL)
+        encode = ["values = packet._values", f"if {test}:", "    reject(packet)"]
+        if not fixed_at:
+            encode.append("record = b''")
+        else:
+            args = "*values" if not self.var else ", ".join(f"values[{i}]" for i in fixed_at)
+            encode += [
+                "try:",
+                f"    record = fixed({args})",
+                "except Exception:",
+                "    refuse(packet)",
+            ]
+        if not self.var:
+            return encode, [], []
+        parts = [
+            [source.format(k=k, i=i) for source in _COLUMN_SOURCE[t]]
+            for k, (i, t) in enumerate(self.var)
+        ]
+        lookup = [
+            "try:",
+            *indent([line for part in parts for line in part[0].split("\n")], 1),
+            f"    extra = {' + '.join(part[2] for part in parts)}",
+            "except Exception:",
+            "    refuse(packet, True)",
+        ]
+        enter = [line for part in parts for line in part[1].split("\n")]
+        return encode, lookup, enter
+
+
+def _subject(types: tuple[FieldType, ...]) -> str:
+    """A schema's field types, as generated code is named after them."""
+    return ",".join(t.value for t in types)
+
+
+def _write_frame(encode: list[str], lookup: list[str], enter: list[str]) -> list[str]:
+    """:meth:`PacketCodec._write`'s frame: ``append(packet, out)``
+    appends the record's fixed block to ``out`` and enters its columns
+    (nothing on another thread takes them)."""
+    return ["def append(packet, out):", *indent(encode + lookup + enter, 1), "    out += record"]
 
 
 def _rows_source(fixed_at: tuple[int, ...], var_at: tuple[int, ...]) -> list[str]:
@@ -222,24 +288,22 @@ class _Columns:
     column maps each string of the batch to its entry ``(index,
     row-form size, u32 length + UTF-8)`` and its cells are indexes; any
     other column's cells are lengths and its payloads the bytes.  A
-    record goes in by ``prepare(row)`` then ``commit()`` (see "code
-    generated per schema"); :meth:`take` writes the batch.  ``taken``
-    counts the takes: a sender whose ``prepare`` (outside the buffer's
-    lock) a take overtook prepares again before its ``commit``.
+    record goes in by the append generated for the schema (see "code
+    generated per schema"), or by the per-field reference's
+    ``_prepare(row)`` then ``_commit()``; :meth:`take` writes the
+    batch.  ``taken`` counts the takes: an append whose lookups
+    (outside the buffer's lock) a take overtook looks up again before
+    it enters them.
     """
 
-    __slots__ = ("prepare", "commit", "taken", "_schema", "_var", "_columns", "_kept")
+    __slots__ = ("taken", "_schema", "_var", "_columns", "_kept")
 
-    def __init__(self, schema: PacketSchema, var: tuple, bind: Callable | None) -> None:
+    def __init__(self, schema: PacketSchema, var: tuple) -> None:
         self._schema = schema
         self._var = var
         self._columns: list[tuple[dict, list, list]] = [({}, [], []) for _ in var]
         self._kept: list[tuple[Any, tuple]] = []
         self.taken = 0
-        self.prepare: Callable[[list[Any]], int] = self._prepare
-        self.commit: Callable[[], None] = self._commit
-        if bind is not None:
-            self.prepare, self.commit = bind(self._columns, self._prepare)
 
     def _prepare(self, row: list[Any]) -> int:
         """The per-field prepare: every value through ``encode_field``."""
@@ -354,31 +418,28 @@ class PacketCodec:
     slower).
     """
 
-    __slots__ = ("schema", "pack", "_plan", "_compiled", "_own", "_scratch", "_reused_packet")
+    __slots__ = ("schema", "_plan", "_compiled", "_own", "_append", "_scratch", "_reused_packet")
     __slots__ += ("packets_encoded", "packets_decoded")
 
     def __init__(self, schema: PacketSchema, compiled: bool = True) -> None:
         self.schema = schema
         self._compiled = compiled
-        plan = self._plan = _compile(schema.types)
-        #: ``pack(*values)``: one record's fixed-width fields as bytes —
-        #: for a schema of nothing else, ``Struct.pack`` itself.  It
-        #: raises on anything it cannot pack; :meth:`refuse` says what.
-        self.pack: Callable[..., bytes] = plan.pack if compiled else self._pack_fields
-        # The columns of this codec's own bodies (``encode*``).
-        self._own = self.columns()
+        self._plan = _compile(schema.types)
+        # This codec's own bodies (``encode*``): an append into ``out``
+        # and the columns it fills.
+        self._append, self._own = self.appender(_write_frame, None)
         self._scratch = bytearray()
         self._reused_packet = StreamPacket(schema)
         self.packets_encoded = 0
         self.packets_decoded = 0
 
-    def columns(self) -> _Columns | None:
-        """Fresh columns for one sender's batches of this schema (see
-        :class:`_Columns`); None when it has no variable-width field."""
+    def appender(self, frame: Frame, leg: Any) -> tuple[Callable[..., Any], _Columns | None]:
+        """The append ``frame`` puts together for ``leg`` (see "code
+        generated per schema"), and the fresh columns it fills - None
+        when the schema has no variable-width field."""
         plan = self._plan
-        if not plan.var:
-            return None
-        return _Columns(self.schema, plan.var, plan.bind if self._compiled else None)
+        columns = _Columns(self.schema, plan.var) if plan.var else None
+        return plan.maker(frame, self._compiled)(leg, self, columns), columns
 
     def _clear_scratch(self) -> bytearray:
         """Reset the scratch buffer, surviving live memoryview exports.
@@ -410,11 +471,21 @@ class PacketCodec:
         missing = [n for n, v in zip(self.schema.names, packet.values) if v is None]
         raise SerializationError(f"packet incomplete; unset fields: {missing}")
 
-    def refuse(self, values: list[Any]) -> NoReturn:
-        """Raise for a record whose fixed-width fields ``pack`` refused,
-        naming the first field ``encode_field`` refuses."""
+    def refuse(self, packet: StreamPacket, columns: bool = False) -> NoReturn:
+        """Raise for a packet whose fixed-width fields the generated
+        encode refused (with ``columns``: whose variable-width values
+        its lookup refused) what the reference raises: :meth:`reject`
+        for another schema or an unset field, else naming the first
+        field ``encode_field`` refuses."""
+        values = packet._values
+        if packet.schema != self.schema or None in values:
+            self.reject(packet)
         self._pack_fields(*values)
-        raise SerializationError("cannot encode the record's fixed-width fields")
+        if not columns:
+            raise SerializationError("cannot encode the record's fixed-width fields")
+        for i, _ in self._plan.var:
+            _encode(self.schema, i, values[i], bytearray())
+        raise SerializationError("cannot encode the record")
 
     def _pack_fields(self, *values: Any) -> bytes:
         out = bytearray()
@@ -425,21 +496,11 @@ class PacketCodec:
     def _write(self, packets: list[StreamPacket], out: bytearray) -> None:
         """Append the body of ``packets`` to ``out``: all of it, or —
         raising what the first bad packet raises — nothing."""
-        schema, pack, columns = self.schema, self.pack, self._own
+        append, columns = self._append, self._own
         start = len(out)
         try:
             for packet in packets:
-                values = packet._values
-                if (packet.schema is not schema and packet.schema != schema) or None in values:
-                    self.reject(packet)
-                try:
-                    record = pack(*values)
-                except Exception:
-                    self.refuse(values)
-                if columns is not None:
-                    columns.prepare(values)
-                    columns.commit()
-                out += record
+                append(packet, out)
         except BaseException:
             del out[start:]
             if columns is not None:

@@ -1,6 +1,7 @@
 """Tests for stream partitioning schemes (§III-A6)."""
 
 import collections
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from repro.core import (
     BroadcastPartitioning,
     FieldsPartitioning,
     FieldType,
+    PacketCodec,
     PacketSchema,
     PartitioningScheme,
     RoundRobinPartitioning,
@@ -102,6 +104,33 @@ class TestFields:
                 p = schema.new_packet(k="a", x=v)
                 assert fp.route(p, n) == _unmemoised_route(fp.fields, p, n)
 
+    def test_float32_keys_route_as_they_arrive_after_a_hop(self):
+        # A source's FLOAT32 0.1 and the 0.10000000149011612 a relay
+        # forwards after a buffered leg went to instances 7 and 2 of 8
+        # when the key was hashed as float(v).
+        schema = PacketSchema([("x", FieldType.FLOAT32)])
+        codec = PacketCodec(schema)
+        for v in (0.1, 0.2, 0.3, 1.1, 3.3, 0.7):
+            sent = schema.new_packet(x=v)
+            (arrived,) = codec.iter_decode(codec.encode(sent), 1, reuse=False)
+            assert arrived["x"] != v
+            routes = {FieldsPartitioning(["x"]).route(p, 8) for p in (sent, arrived)}
+            assert len(routes) == 1, (v, routes)
+        assert FieldsPartitioning(["x"]).route(schema.new_packet(x=0.1), 8) == (2,)
+        # A FLOAT64 key is its own value: 0.1 stays apart from the float32's.
+        wide = PacketSchema([("x", FieldType.FLOAT64)])
+        fp = FieldsPartitioning(["x"])
+        assert [fp.route(wide.new_packet(x=v), 8) for v in (0.1, 0.10000000149011612)] == [
+            (7,),
+            (2,),
+        ]
+
+    def test_a_float32_key_no_leg_lets_through_routes_as_a_float64(self):
+        schema = PacketSchema([("x", FieldType.FLOAT32)])
+        for v in (1e39, -1e300):
+            p = schema.new_packet(x=v)
+            assert FieldsPartitioning(["x"]).route(p, 16) == _unmemoised_route(["x"], p, 16)
+
     def test_sensor_names_keep_their_instances(self):
         # What sensor_keyed's 64 keys hash to over its 4 aggregates: a
         # STRING key routes exactly as it always has.
@@ -118,13 +147,17 @@ class TestFields:
 def _unmemoised_route(fields, packet, n_instances):
     """``FieldsPartitioning.route`` without the memo: the chained xxh32
     of each key field's ``repr``, every time - a float field's value as
-    ``float(v)`` with ``-0.0`` taken as ``0.0``."""
+    the float it decodes to (a FLOAT32 rounded to float32 when it can
+    be), with ``-0.0`` taken as ``0.0``."""
     from repro.lz4 import xxh32
 
     h = 0
     for fname in fields:
         value = packet.get(fname)
-        if packet.schema.type_of(fname) in (FieldType.FLOAT32, FieldType.FLOAT64):
+        ftype = packet.schema.type_of(fname)
+        if ftype is FieldType.FLOAT32 and abs(value) <= 3.4028234663852886e38:
+            value = struct.unpack("<f", struct.pack("<f", value))[0]
+        if ftype in (FieldType.FLOAT32, FieldType.FLOAT64):
             value = 0.0 if value == 0 else float(value)
         h = xxh32(repr(value).encode("utf-8"), seed=h)
     return (h % n_instances,)

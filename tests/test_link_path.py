@@ -7,6 +7,7 @@ per-field reference codec (``PacketCodec(schema, compiled=False)``),
 """
 
 import enum
+import functools
 import threading
 
 import pytest
@@ -37,6 +38,22 @@ def _buffer(flushes, capacity=1 << 30):
     )
 
 
+def _entries(codec, capacity=1 << 30):
+    """``(buffer, its flushes, send)`` once per way into a buffer's
+    generated append: ``append_packet``, and the bound append a
+    generated sender calls (``StreamBuffer.appender``)."""
+    out = []
+    for bound in (False, True):
+        flushes = []
+        buf = _buffer(flushes, capacity)
+        if bound:
+            send = functools.partial(buf.appender(codec), note=None)
+        else:
+            send = functools.partial(buf.append_packet, codec)
+        out.append((buf, flushes, send))
+    return out
+
+
 # -- (a) append_packet == reference codec; batch decode == per record --------
 
 
@@ -46,20 +63,18 @@ class TestAppendPacket:
     def test_accumulated_bytes_equal_reference_codec(self, case):
         schema, batch = case
         reference = PacketCodec(schema, compiled=False)
-        flushes = []
-        buf = _buffer(flushes)
-        codec = PacketCodec(schema)
-        for pkt in batch:
-            assert buf.append_packet(codec, pkt) is False
         # Pending bytes are counted in row form: what the capacity
         # compares, so batches are cut where a row-major body would be.
         row_form = bytearray()
         for pkt in batch:
             for ftype, value in zip(schema.types, pkt.values):
                 encode_field(ftype, value, row_form)
-        assert buf.appended() == (len(batch), len(row_form))
-        buf.flush()
-        assert flushes == [(reference.encode_batch(batch), len(batch))]
+        for buf, flushes, send in _entries(PacketCodec(schema)):
+            for pkt in batch:
+                assert send(pkt) is False
+            assert buf.appended() == (len(batch), len(row_form))
+            buf.flush()
+            assert flushes == [(reference.encode_batch(batch), len(batch))]
 
     @settings(max_examples=80, deadline=None)
     @given(schema_with_batches())
@@ -78,18 +93,15 @@ class TestAppendPacket:
     def test_capacity_flush_hands_over_whole_records(self):
         schema = PacketSchema([("a", FieldType.INT64), ("b", FieldType.FLOAT64)])
         codec = PacketCodec(schema)
-        flushes = []
-        buf = _buffer(flushes, capacity=48)
-        flushed = [
-            buf.append_packet(codec, schema.new_packet(a=i, b=i / 2)) for i in range(7)
-        ]
-        assert flushed == [False, False, True, False, False, True, False]
-        assert [count for _, count in flushes] == [3, 3]
-        rows = [
-            p.values for body, count in flushes for p in codec.iter_decode(body, count=count)
-        ]
-        assert rows == [(i, i / 2) for i in range(6)]
-        assert buf.appended() == (7, 7 * 16)
+        for buf, flushes, send in _entries(codec, capacity=48):
+            flushed = [send(schema.new_packet(a=i, b=i / 2)) for i in range(7)]
+            assert flushed == [False, False, True, False, False, True, False]
+            assert [count for _, count in flushes] == [3, 3]
+            rows = [
+                p.values for body, count in flushes for p in codec.iter_decode(body, count=count)
+            ]
+            assert rows == [(i, i / 2) for i in range(6)]
+            assert buf.appended() == (7, 7 * 16)
 
 
 FIXED = PacketSchema(
@@ -163,34 +175,32 @@ class TestFailedEncode:
         bad = _bad_packets(schema)[kind]
         codec = PacketCodec(schema)
         with pytest.raises(Exception) as reference:
-            codec.encode_into(bad, bytearray())
-        flushes = []
-        buf = _buffer(flushes)
-        for i in range(already):
-            buf.append_packet(codec, _good(schema, i))
-        before = (buf.pending_bytes, buf.pending_count, buf.next_deadline())
-        with pytest.raises(type(reference.value)) as raised:
-            buf.append_packet(codec, bad)
-        assert str(raised.value) == str(reference.value)
-        assert (buf.pending_bytes, buf.pending_count, buf.next_deadline()) == before
-        # The link carries on: later packets land after the earlier ones.
-        buf.append_packet(codec, _good(schema, 7))
-        buf.flush()
-        ((body, count),) = flushes
-        assert count == already + 1
-        decoded = [p.values for p in codec.iter_decode(body, count=count)]
-        assert decoded == [_good(schema, i).values for i in (*range(already), 7)]
+            PacketCodec(schema, compiled=False).encode_into(bad, bytearray())
+        for buf, flushes, send in _entries(codec):
+            for i in range(already):
+                send(_good(schema, i))
+            before = (buf.pending_bytes, buf.pending_count, buf.next_deadline(), buf.born)
+            with pytest.raises(type(reference.value)) as raised:
+                send(bad)
+            assert str(raised.value) == str(reference.value)
+            assert (buf.pending_bytes, buf.pending_count, buf.next_deadline(), buf.born) == before
+            # The link carries on: later packets land after the earlier ones.
+            send(_good(schema, 7))
+            buf.flush()
+            ((body, count),) = flushes
+            assert count == already + 1
+            decoded = [p.values for p in codec.iter_decode(body, count=count)]
+            assert decoded == [_good(schema, i).values for i in (*range(already), 7)]
 
     def test_messages_are_the_documented_ones(self):
-        codec = PacketCodec(FIXED)
-        buf = _buffer([])
         bad = _bad_packets(FIXED)
-        with pytest.raises(SerializationError, match="int32 out of range"):
-            buf.append_packet(codec, bad["out_of_range"])
-        with pytest.raises(SerializationError, match=r"unset fields: \['level', 'ok'\]"):
-            buf.append_packet(codec, bad["unset"])
-        with pytest.raises(SerializationError, match="does not match codec schema"):
-            buf.append_packet(codec, bad["wrong_schema"])
+        for _, _, send in _entries(PacketCodec(FIXED)):
+            with pytest.raises(SerializationError, match="int32 out of range"):
+                send(bad["out_of_range"])
+            with pytest.raises(SerializationError, match=r"unset fields: \['level', 'ok'\]"):
+                send(bad["unset"])
+            with pytest.raises(SerializationError, match="does not match codec schema"):
+                send(bad["wrong_schema"])
 
     def test_equal_schema_from_another_object_is_accepted(self):
         # Identity is only the fast answer; equality still decides.

@@ -7,7 +7,10 @@ delivered are the same, a scheme with a choice to make is asked, and a
 stream that is not there raises what it always raised.
 """
 
+import random
+import re
 import struct
+import traceback
 
 from repro.core import (
     FieldType,
@@ -18,6 +21,7 @@ from repro.core import (
     StreamProcessor,
     StreamSource,
 )
+from repro.core import partitioning
 from repro.core.partitioning import DirectPartitioning, FieldsPartitioning, PartitioningScheme
 from repro.core.runtime import _ChainedLeg
 from repro.observe import RuntimeObserver
@@ -324,3 +328,120 @@ def test_a_scheme_with_a_choice_to_make_is_asked_even_for_one_receiver():
             assert refused == list(range(0, 40, 5))
         else:
             assert _Counting.calls == [1] * 40
+
+
+class _Keys(StreamSource):
+    """A seeded stream of ``total`` rows over more distinct keys than a
+    ``fields`` scheme's memo holds, 500 a quantum."""
+
+    def __init__(self, total, seed=7):
+        super().__init__()
+        self.rows = _seeded_rows(total, seed)
+        self.at = 0
+
+    def output_schema(self, stream):
+        return RECORD
+
+    def generate(self, ctx):
+        for key, seq, x, n in self.rows[self.at : self.at + 500]:
+            ctx.emit(ctx.new_packet().set_at(0, key).set_at(1, seq).set_at(2, x).set_at(3, n))
+        self.at += 500
+        if self.at >= len(self.rows):
+            ctx.finish()
+
+
+def _seeded_rows(total, seed):
+    rng = random.Random(seed)
+    floats = [0.1, 0.2, -0.0, 0.0, 1.5, 3.3]
+    return [
+        (f"k{rng.randrange(6000)}", seq, rng.choice(floats), rng.randrange(100))
+        for seq in range(total)
+    ]
+
+
+def test_a_keyed_sender_sends_every_packet_where_route_would(monkeypatch):
+    total = 12_000
+    rows = _seeded_rows(total, 7)
+    keys = [key for key, _, _, _ in rows]
+    # The memo a STRING key is looked up in fills and is emptied.
+    assert len(set(keys)) > partitioning._KEY_MEMO_LIMIT
+    misses, memo = 0, set()
+    for key in keys:
+        if key not in memo:
+            misses += 1
+            if len(memo) >= partitioning._KEY_MEMO_LIMIT:
+                memo.clear()
+            memo.add(key)
+    route = FieldsPartitioning.route
+    for fields, asked in (
+        (["key"], misses),  # the fast path: route() only on a miss
+        (["n"], total),
+        (["x"], total),
+        (["key", "n"], total),
+    ):
+        calls = []
+
+        def counting(self, packet, n_instances):
+            calls.append(n_instances)
+            return route(self, packet, n_instances)
+
+        monkeypatch.setattr(FieldsPartitioning, "route", counting)
+        got = []
+        graph = StreamProcessingGraph("keyed", config=NeptuneConfig(buffer_capacity=512))
+        graph.add_source("src", lambda: _Keys(total))
+        graph.add_processor("sink", lambda: _Collect(got), parallelism=4)
+        graph.link("src", "sink", partitioning=FieldsPartitioning(fields))
+        with NeptuneRuntime() as rt:
+            handle = rt.submit(graph)
+            assert handle.await_completion(timeout=60) and not handle.failures
+        monkeypatch.undo()
+        assert len(calls) == asked, fields
+        reference = FieldsPartitioning(fields)
+        expected = {
+            row[1]: reference.route(RECORD.new_packet(**dict(zip(RECORD.names, row))), 4)[0]
+            for row in rows
+        }
+        assert {values[1]: index for index, values in got} == expected, fields
+        assert len(got) == total
+
+
+class _RefusedOnce(StreamSource):
+    """Emits one packet whose ``n`` is out of range and keeps the
+    traceback of its refusal."""
+
+    def __init__(self, seen):
+        super().__init__()
+        self.seen = seen
+
+    def output_schema(self, stream):
+        return RECORD
+
+    def generate(self, ctx):
+        pkt = ctx.new_packet().set_at(0, "k").set_at(1, 0).set_at(2, 0.5).set_at(3, 2**31)
+        try:
+            ctx.emit(pkt)
+        except SerializationError:
+            self.seen.append(traceback.format_exc())
+        ctx.finish()
+
+
+def test_a_refused_buffered_emit_names_the_generated_code():
+    seen = []
+    graph = StreamProcessingGraph("named")
+    graph.add_source("src", lambda: _RefusedOnce(seen))
+    graph.add_processor("sink", lambda: _Collect([]))
+    graph.link("src", "sink", chain=False)
+    with NeptuneRuntime() as rt:
+        handle = rt.submit(graph)
+        assert handle.await_completion(timeout=30) and not handle.failures
+    (tb,) = seen
+    types = "string,int64,float32,int32"
+    # The sender, generated for the instance's stream, and the leg's
+    # append, generated for the schema: each file named, each line shown.
+    assert re.search(r'File "<runtime\.emit:src\[0\]\.default:[0-9a-f]{8}>", line \d+, in emit\n'
+                     r"\s+append0\(packet, None\)\n", tb), tb
+    assert re.search(rf'File "<buffering\.append:{types}:[0-9a-f]{{8}}>", line \d+, in append\n'
+                     r"\s+record = fixed\(values\[1\], values\[2\], values\[3\]\)\n", tb), tb
+    assert re.search(rf'File "<buffering\.append:{types}:[0-9a-f]{{8}}>", line \d+, in append\n'
+                     r"\s+refuse\(packet\)\n", tb), tb
+    assert tb.rstrip().endswith("SerializationError: field 'n': int32 out of range: 2147483648")

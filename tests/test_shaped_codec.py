@@ -7,6 +7,7 @@ Everything here is stated against the per-field reference codec
 against hand-written bytes for the layout itself.
 """
 
+import functools
 import struct
 import threading
 
@@ -112,6 +113,36 @@ def _buffer(flushes):
     )
 
 
+def _entries(codec, before=lambda buf: None):
+    """``(buffer, its flushes, send)`` once per way into a buffer's
+    generated append: ``append_packet``, and the bound append a
+    generated sender calls (``StreamBuffer.appender``).  ``before(buf)``
+    runs before either is generated."""
+    out = []
+    for bound in (False, True):
+        flushes = []
+        buf = _buffer(flushes)
+        before(buf)
+        if bound:
+            send = functools.partial(buf.appender(codec), note=None)
+        else:
+            send = functools.partial(buf.append_packet, codec)
+        out.append((buf, flushes, send))
+    return out
+
+
+def _state(buf):
+    """Everything a refused append must leave as it was: bytes, count,
+    dictionaries (and cells), ``born`` and the timer."""
+    columns = [] if buf._columns is None else buf._columns._columns
+    dictionaries = [
+        (k, dict(index), list(cells), list(payloads))
+        for k, (index, cells, payloads) in enumerate(columns)
+        if index or cells or payloads
+    ]
+    return buf.pending_bytes, buf.pending_count, dictionaries, buf.born, buf.next_deadline()
+
+
 class TestLayout:
     def test_an_all_fixed_batch_is_the_parents_bytes(self):
         # Golden bytes from the row-major codec this layout replaced:
@@ -201,12 +232,11 @@ class TestSameBytesSameValues:
         assert [codec.encode_into(p, out) for p in batch] == [len(s) for s in singles]
         assert out == b"kept" + b"".join(singles)
         for sender in (codec, reference):
-            flushes = []
-            buf = _buffer(flushes)
-            for p in batch:
-                buf.append_packet(sender, p)
-            buf.flush()
-            assert flushes == [(body, len(batch))]
+            for buf, flushes, send in _entries(sender):
+                for p in batch:
+                    send(p)
+                buf.flush()
+                assert flushes == [(body, len(batch))]
 
     @settings(max_examples=150, deadline=None)
     @given(shaped_cases())
@@ -249,6 +279,11 @@ class TestSameBytesSameValues:
         batch = [schema.new_packet(**dict(zip(schema.names, row))) for row in rows]
         body = PacketCodec(schema).encode_batch(batch)
         assert body == PacketCodec(schema, compiled=False).encode_batch(batch)
+        for buf, flushes, send in _entries(PacketCodec(schema)):
+            for p in batch:
+                send(p)
+            buf.flush()
+            assert flushes == [(body, len(batch))]
         as_decoded = compile_as_decoded(schema.types)
         expected = []
         for row in rows:
@@ -395,6 +430,42 @@ class TestMalformedBodies:
                 list(PacketCodec(schema, compiled=compiled).iter_decode(body, count=1))
 
 
+ALL = PacketSchema([(t.value, t) for t in FieldType])
+
+
+def _every_type(i):
+    return ALL.new_packet(
+        bool=i % 2 == 0, int32=-i, int64=2**40 + i, float32=i / 4, float64=i / 3,
+        string=f"s{i % 2}", bytes=b"\x00" * (i % 3), float64_list=[i / 2], int64_list=[i, -i],
+    )
+
+
+def _with(field, value):
+    def bad(pkt):
+        pkt._values[ALL.index_of(field)] = value
+        return pkt
+
+    return bad
+
+
+#: Refusals of a packet of every type, and the references' messages
+#: for them (the parent's, word for word).
+_REFUSALS = {
+    "wrong_schema": lambda pkt: MIXED.new_packet(id="s0", n=1, blob=b"", xs=[], tag="t"),
+    "int32_out_of_range": _with("int32", 2**31),
+    "int64_out_of_range": _with("int64", -(2**63) - 1),
+    "float32_overflow": _with("float32", 1e39),
+    "lone_surrogate_string": _with("string", "s\udc80"),
+}
+_REFUSAL_MESSAGES = {
+    "wrong_schema": f"packet schema {MIXED!r} does not match codec schema {ALL!r}",
+    "int32_out_of_range": "field 'int32': int32 out of range: 2147483648",
+    "int64_out_of_range": "field 'int64': int64 out of range: -9223372036854775809",
+    "float32_overflow": "field 'float32': cannot encode 1e+39 as float32",
+    "lone_surrogate_string": "field 'string': cannot encode 's\\udc80' as string",
+}
+
+
 class TestFailedEncode:
     """A record that cannot be encoded raises what the reference
     raises, and nothing of it is left behind: not in ``out``, not in a
@@ -437,16 +508,46 @@ class TestFailedEncode:
         assert out == b"kept"
         assert codec.encode_batch(good) == reference.encode_batch(good)
 
-        flushes = []
-        buf = _buffer(flushes)
-        for pkt in good[:2]:
-            buf.append_packet(codec, pkt)
-        state = (buf.pending_bytes, buf.pending_count, buf.next_deadline())
-        assert _outcome(lambda: buf.append_packet(codec, bad)) == expected
-        assert (buf.pending_bytes, buf.pending_count, buf.next_deadline()) == state
-        buf.append_packet(codec, good[2])
-        buf.flush()
-        assert flushes == [(reference.encode_batch(good), 3)]
+        for buf, flushes, send in _entries(codec):
+            for pkt in good[:2]:
+                send(pkt)
+            state = _state(buf)
+            assert _outcome(lambda: send(bad)) == expected
+            assert _state(buf) == state
+            send(good[2])
+            buf.flush()
+            assert flushes == [(reference.encode_batch(good), 3)]
+
+    @pytest.mark.parametrize("kind", [*_REFUSALS, *(f"unset_{t.value}" for t in FieldType)])
+    def test_every_refusal_is_the_references_and_changes_nothing(self, kind):
+        # Into an empty batch and a pending one, whose dictionaries
+        # already hold the bad packet's other strings.
+        bad = _every_type(9)
+        if kind.startswith("unset_"):
+            bad._values[ALL.index_of(kind.removeprefix("unset_"))] = None
+        else:
+            bad = _REFUSALS[kind](bad)
+        reference = PacketCodec(ALL, compiled=False)
+        expected = _outcome(lambda: reference.encode_into(bad, bytearray()))
+        assert expected[0] is SerializationError
+        if kind.startswith("unset_"):
+            unset = kind.removeprefix("unset_")
+            assert expected[1] == f"packet incomplete; unset fields: [{unset!r}]"
+        else:
+            assert expected[1] == _REFUSAL_MESSAGES[kind]
+        codec = PacketCodec(ALL)
+        assert _outcome(lambda: codec.encode_into(bad, bytearray())) == expected
+        for already in (0, 2):
+            for buf, flushes, send in _entries(codec):
+                good = [_every_type(i) for i in range(already)]
+                for pkt in good:
+                    send(pkt)
+                state = _state(buf)
+                assert _outcome(lambda: send(bad)) == expected
+                assert _state(buf) == state
+                send(_every_type(7))
+                buf.flush()
+                assert flushes == [(reference.encode_batch([*good, _every_type(7)]), already + 1)]
 
     def test_inputs_only_the_per_step_path_accepts_still_encode(self):
         # BYTES takes any flat buffer: its bytes, not its items, are
@@ -470,35 +571,57 @@ class TestFailedEncode:
                 assert decoded["b"] == payload
 
 
+class _RacingLock:
+    """A buffer's lock whose next ``acquire``, once armed, first runs
+    ``take``: a take on another thread landing between an append's
+    lookups, made before the lock, and the lock."""
+
+    def __init__(self, lock, take):
+        self._lock = lock
+        self._take = take
+        self.armed = False
+
+    def acquire(self, *args):
+        if self.armed:
+            self.armed = False
+            self._take()
+        return self._lock.acquire(*args)
+
+    __enter__ = acquire
+
+    def release(self):
+        self._lock.release()
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
 class TestATakeOnAnotherThread:
-    """A sender prepares a record's columns before the buffer's lock and
-    commits them under it; a take (the flush timer's) in between starts
-    a new batch with empty dictionaries, and the record must land in
-    that batch, entered afresh."""
+    """A buffer's append looks a record's variable-width values up
+    before the buffer's lock and enters them under it; a take (the flush
+    timer's) in between starts a new batch with empty dictionaries, and
+    the record must land in that batch, looked up afresh."""
 
-    def test_a_take_between_prepare_and_commit_is_prepared_again(self):
-        codec = PacketCodec(MIXED)
-        flushes = []
-        buf = _buffer(flushes)
-        buf.append_packet(codec, _mixed(0))
-        columns = buf._columns
-        prepare = columns.prepare
+    @staticmethod
+    def _racing(buf):
+        buf._lock = _RacingLock(buf._lock, buf.flush)
 
-        def racing(row):
-            size = prepare(row)
-            columns.prepare = prepare
-            buf.flush()  # the take lands between this prepare and its commit
-            return size
-
-        columns.prepare = racing
-        buf.append_packet(codec, _mixed(1))  # the same strings as packet 0
-        buf.append_packet(codec, _mixed(2, tag="new"))
-        buf.flush()
+    def test_a_take_between_the_lookups_and_the_lock_is_looked_up_again(self):
         reference = PacketCodec(MIXED, compiled=False)
-        assert flushes == [
-            (reference.encode_batch([_mixed(0)]), 1),
-            (reference.encode_batch([_mixed(1), _mixed(2, tag="new")]), 2),
-        ]
+        for codec in (PacketCodec(MIXED), reference):
+            # Swapped before the append is generated: it binds the lock.
+            for buf, flushes, send in _entries(codec, before=self._racing):
+                lock = buf._lock
+                send(_mixed(0))
+                lock.armed = True
+                send(_mixed(1))  # the same strings as packet 0
+                assert not lock.armed  # the take landed
+                send(_mixed(2, tag="new"))
+                buf.flush()
+                assert flushes == [
+                    (reference.encode_batch([_mixed(0)]), 1),
+                    (reference.encode_batch([_mixed(1), _mixed(2, tag="new")]), 2),
+                ]
 
     def test_concurrent_takes_lose_and_corrupt_nothing(self):
         codec = PacketCodec(MIXED)
