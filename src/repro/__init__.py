@@ -21,6 +21,10 @@ IoT and sensing environments.  This package contains:
 - :mod:`repro.workloads` — IoT / DEBS-2012 / synthetic stream generators.
 """
 
+from typing import Any
+
+from repro.util.lazy import lazy_export
+
 __version__ = "1.0.0"
 
 # Lazy re-exports (PEP 562): `import repro` stays cheap; the runtime is
@@ -36,9 +40,5 @@ _EXPORTS = {
 __all__ = [*_EXPORTS, "__version__"]
 
 
-def __getattr__(name: str):
-    if name in _EXPORTS:
-        import importlib
-
-        return getattr(importlib.import_module(_EXPORTS[name]), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def __getattr__(name: str) -> Any:
+    return lazy_export(__name__, _EXPORTS, name)

@@ -33,35 +33,33 @@ as a gate.  The package is stdlib-only (``ast`` + the repro core) so it
 can run anywhere the code parses.
 """
 
-from repro.analysis.diagnostics import Diagnostic, DiagnosticReport, Severity
-from repro.analysis.graphcheck import (
-    GraphVerifier,
-    verify_descriptor,
-    verify_descriptor_file,
-    verify_graph,
-)
-from repro.analysis.lint import lint_paths
-from repro.analysis.plancheck import (
-    PlanVerifier,
-    verify_cluster,
-    verify_cluster_file,
-    verify_plan,
-)
-from repro.analysis.schemaflow import is_assignable, unsatisfied_requirements
+from __future__ import annotations
 
-__all__ = [
-    "Diagnostic",
-    "DiagnosticReport",
-    "GraphVerifier",
-    "PlanVerifier",
-    "Severity",
-    "is_assignable",
-    "lint_paths",
-    "unsatisfied_requirements",
-    "verify_cluster",
-    "verify_cluster_file",
-    "verify_descriptor",
-    "verify_descriptor_file",
-    "verify_graph",
-    "verify_plan",
-]
+from typing import Any
+
+from repro.util.lazy import lazy_export
+
+# Imported on first use: validating a graph loads ``graphcheck`` and
+# what it needs, not the AST lint or the plan verifier.
+_EXPORTS = {
+    "Diagnostic": "repro.analysis.diagnostics",
+    "DiagnosticReport": "repro.analysis.diagnostics",
+    "Severity": "repro.analysis.diagnostics",
+    "GraphVerifier": "repro.analysis.graphcheck",
+    "verify_descriptor": "repro.analysis.graphcheck",
+    "verify_descriptor_file": "repro.analysis.graphcheck",
+    "verify_graph": "repro.analysis.graphcheck",
+    "lint_paths": "repro.analysis.lint",
+    "PlanVerifier": "repro.analysis.plancheck",
+    "verify_cluster": "repro.analysis.plancheck",
+    "verify_cluster_file": "repro.analysis.plancheck",
+    "verify_plan": "repro.analysis.plancheck",
+    "is_assignable": "repro.analysis.schemaflow",
+    "unsatisfied_requirements": "repro.analysis.schemaflow",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return lazy_export(__name__, _EXPORTS, name)

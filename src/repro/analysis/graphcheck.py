@@ -84,7 +84,12 @@ class GraphVerifier:
     def __init__(self, graph: Any) -> None:
         self.graph = graph
         self.report = DiagnosticReport(subject=f"graph {graph.name!r}")
-        self._probes: dict[str, StreamOperator | None] = {}
+        #: Operator name -> the object its factory built to read schemas
+        #: and contracts (None when building it failed).
+        #: ``StreamProcessingGraph.validate()`` keeps the ones that built,
+        #: and each becomes its operator's instance 0 when the graph is
+        #: wired.
+        self.probes: dict[str, StreamOperator | None] = {}
 
     # -- entry points --------------------------------------------------------
     def run(self, deep: bool = True) -> DiagnosticReport:
@@ -263,8 +268,8 @@ class GraphVerifier:
 
     def _probe(self, name: str) -> StreamOperator | None:
         """Instantiate (once) an operator for schema/contract probing."""
-        if name in self._probes:
-            return self._probes[name]
+        if name in self.probes:
+            return self.probes[name]
         spec = self.graph.operators[name]
         probe: StreamOperator | None
         try:
@@ -277,7 +282,7 @@ class GraphVerifier:
                 where=f"operator {name!r}",
                 hint="the factory must build an operator with no side effects",
             )
-            self._probes[name] = None
+            self.probes[name] = None
             return None
         if not isinstance(built, StreamOperator):
             self.report.add(
@@ -302,7 +307,7 @@ class GraphVerifier:
                 probe = None
             else:
                 probe = built
-        self._probes[name] = probe
+        self.probes[name] = probe
         return probe
 
     def _check_partitioning(

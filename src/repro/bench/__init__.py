@@ -13,12 +13,23 @@ Layout
   that judges it, and ``cluster_scaling``.
 """
 
-from repro.bench.harness import PROFILES, BenchProfile, BenchResult
-from repro.bench.scenarios import run_scenarios
+from __future__ import annotations
 
-__all__ = [
-    "PROFILES",
-    "BenchProfile",
-    "BenchResult",
-    "run_scenarios",
-]
+from typing import Any
+
+from repro.util.lazy import lazy_export
+
+# Imported on first use: ``perf``'s operators take ``harness.percentile``
+# and nothing of the scenarios.
+_EXPORTS = {
+    "PROFILES": "repro.bench.harness",
+    "BenchProfile": "repro.bench.harness",
+    "BenchResult": "repro.bench.harness",
+    "run_scenarios": "repro.bench.scenarios",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return lazy_export(__name__, _EXPORTS, name)

@@ -12,23 +12,28 @@ control ports.  The data plane between shards is the existing
 sockets for same-host fabrics.
 """
 
-from repro.cluster.coordinator import (
-    ClusterCoordinator,
-    WorkerHandle,
-    attach_proxies,
-)
-from repro.cluster.faults import ProcessFaultDriver, worker_site
-from repro.cluster.ports import reserve_ports
-from repro.cluster.spec import WorkerSpec, build_plan, config_to_dict
+from __future__ import annotations
 
-__all__ = [
-    "ClusterCoordinator",
-    "ProcessFaultDriver",
-    "WorkerHandle",
-    "WorkerSpec",
-    "attach_proxies",
-    "build_plan",
-    "config_to_dict",
-    "reserve_ports",
-    "worker_site",
-]
+from typing import Any
+
+from repro.util.lazy import lazy_export
+
+# Imported on first use: a spawned worker process loads its own modules
+# (``worker``, ``spec``), not the coordinator and the chaos plane.
+_EXPORTS = {
+    "ClusterCoordinator": "repro.cluster.coordinator",
+    "WorkerHandle": "repro.cluster.coordinator",
+    "attach_proxies": "repro.cluster.coordinator",
+    "ProcessFaultDriver": "repro.cluster.faults",
+    "worker_site": "repro.cluster.faults",
+    "reserve_ports": "repro.cluster.ports",
+    "WorkerSpec": "repro.cluster.spec",
+    "build_plan": "repro.cluster.spec",
+    "config_to_dict": "repro.cluster.spec",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return lazy_export(__name__, _EXPORTS, name)

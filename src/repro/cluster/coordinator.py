@@ -25,6 +25,7 @@ import signal
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
+from multiprocessing.connection import wait as wait_any
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.cluster.ports import reserve_ports
@@ -46,6 +47,9 @@ class WorkerHandle:
     process: Optional[Any] = None
     proxy: Optional[RemoteWorker] = None
     restarts: int = field(default=0)
+    #: Read end of the pipe the spawned process says "listening" on,
+    #: until ``_connect`` has heard it.
+    ready: Optional[Any] = None
 
     @property
     def worker_id(self) -> int:
@@ -313,23 +317,55 @@ class ClusterCoordinator:
             self.collector.poll_once()
 
     def _spawn(self, handle: WorkerHandle) -> None:
+        ready, told = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=worker_entry,
-            args=(handle.spec.to_json(), handle.log_path),
+            args=(handle.spec.to_json(), handle.log_path, told),
             name=f"neptune-worker-{handle.worker_id}",
         )
         process.start()
+        # The child holds the only write end now: its exit reads as EOF.
+        told.close()
         handle.process = process
         handle.proxy = None
+        handle.ready = ready
 
     def _connect(self, handle: WorkerHandle, timeout: float) -> None:
+        """Wait until the worker's control server listens, then dial it.
+
+        A worker that exits first - a data port already taken, a graph
+        it cannot build - is reported at once, not after ``timeout``
+        seconds of refused connections."""
         try:
+            self._await_ready(handle, timeout)
             handle.proxy = RemoteWorker(
                 "127.0.0.1", handle.spec.control_port, connect_timeout=timeout
             )
         except ControlError:
             self.terminate()
             raise
+
+    def _await_ready(self, handle: WorkerHandle, timeout: float) -> None:
+        ready, handle.ready = handle.ready, None
+        process = handle.process
+        assert ready is not None and process is not None
+        try:
+            if not wait_any([ready, process.sentinel], timeout):
+                raise ControlError(
+                    f"worker {handle.worker_id} did not listen within {timeout}s"
+                )
+            if not ready.poll():
+                raise EOFError  # the process ended first
+            ready.recv()  # EOFError too: its end closed unwritten
+        except EOFError:
+            process.join(5.0)
+            raise ControlError(
+                f"worker {handle.worker_id} exited with code "
+                f"{process.exitcode} before it listened"
+                + (f" (log: {handle.log_path})" if handle.log_path else "")
+            ) from None
+        finally:
+            ready.close()
 
     def kill_worker(
         self,
@@ -627,6 +663,9 @@ class ClusterCoordinator:
                     proxy.close()
                 except OSError:
                     pass
+            ready, handle.ready = handle.ready, None
+            if ready is not None:  # launch failed before this one was heard
+                ready.close()
         for handle in self.handles:
             process = handle.process
             if process is None:

@@ -104,8 +104,11 @@ def _build_observability(
     return health, recorder
 
 
-def run_worker(spec: WorkerSpec) -> int:
-    """Build, wire, start, and serve one worker shard until stopped."""
+def run_worker(spec: WorkerSpec, ready: Any = None) -> int:
+    """Build, wire, start, and serve one worker shard until stopped.
+
+    ``ready`` (the write end of a pipe from the spawning coordinator, or
+    None) is told once the control server listens, and closed."""
     graph = StreamProcessingGraph.from_descriptor(spec.descriptor)
     graph.validate()
     plan = spec.deployment_plan()
@@ -127,6 +130,9 @@ def run_worker(spec: WorkerSpec) -> int:
     )
     health, recorder = _build_observability(worker, spec, plan)
     control = ControlServer(worker, port=spec.control_port)
+    if ready is not None:
+        ready.send(control.port)
+        ready.close()
     try:
         worker.connect(spec.endpoints)
         worker.start()
@@ -151,14 +157,16 @@ def run_worker(spec: WorkerSpec) -> int:
     return 0
 
 
-def worker_entry(spec_json: str, log_path: Optional[str] = None) -> None:
+def worker_entry(
+    spec_json: str, log_path: Optional[str] = None, ready: Any = None
+) -> None:
     """Spawn target: optionally redirect output to ``log_path``, then
     :func:`run_worker`.  Module-level so the spawn context can pickle it."""
     if log_path:
         log = open(log_path, "a", buffering=1, encoding="utf-8")
         sys.stdout = log
         sys.stderr = log
-    raise SystemExit(run_worker(WorkerSpec.from_json(spec_json)))
+    raise SystemExit(run_worker(WorkerSpec.from_json(spec_json), ready))
 
 
 def main(argv: Optional[list] = None) -> int:

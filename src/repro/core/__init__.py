@@ -8,58 +8,45 @@ executed on a two-tier (worker + IO) thread model over the Granules
 substrate.
 """
 
-from repro.core.fieldtypes import FieldType
-from repro.core.packet import PacketSchema, StreamPacket
-from repro.core.serde import PacketCodec
-from repro.core.object_pool import ObjectPool
-from repro.core.buffering import StreamBuffer
-from repro.core.partitioning import (
-    PartitioningScheme,
-    RoundRobinPartitioning,
-    ShufflePartitioning,
-    FieldsPartitioning,
-    BroadcastPartitioning,
-    register_partitioning,
-    resolve_partitioning,
-)
-from repro.core.operators import (
-    StreamSource,
-    StreamProcessor,
-    FunctionProcessor,
-    EmitContext,
-)
-from repro.core.graph import StreamProcessingGraph, OperatorSpec, LinkSpec
-from repro.core.config import NeptuneConfig
-from repro.core.runtime import NeptuneRuntime
-from repro.core.job import JobHandle, JobState
-from repro.core.windows import SlidingWindow
-from repro.core.checkpoint import Checkpoint
+from __future__ import annotations
 
-__all__ = [
-    "FieldType",
-    "PacketSchema",
-    "StreamPacket",
-    "PacketCodec",
-    "ObjectPool",
-    "StreamBuffer",
-    "PartitioningScheme",
-    "RoundRobinPartitioning",
-    "ShufflePartitioning",
-    "FieldsPartitioning",
-    "BroadcastPartitioning",
-    "register_partitioning",
-    "resolve_partitioning",
-    "StreamSource",
-    "StreamProcessor",
-    "FunctionProcessor",
-    "EmitContext",
-    "StreamProcessingGraph",
-    "OperatorSpec",
-    "LinkSpec",
-    "NeptuneConfig",
-    "NeptuneRuntime",
-    "JobHandle",
-    "JobState",
-    "SlidingWindow",
-    "Checkpoint",
-]
+from typing import Any
+
+from repro.util.lazy import lazy_export
+
+# Imported on first use: ``import repro.core.runtime`` loads what the
+# runtime imports, not the object pool, windows or checkpoints.
+_EXPORTS = {
+    "FieldType": "repro.core.fieldtypes",
+    "PacketSchema": "repro.core.packet",
+    "StreamPacket": "repro.core.packet",
+    "PacketCodec": "repro.core.serde",
+    "ObjectPool": "repro.core.object_pool",
+    "StreamBuffer": "repro.core.buffering",
+    "PartitioningScheme": "repro.core.partitioning",
+    "RoundRobinPartitioning": "repro.core.partitioning",
+    "ShufflePartitioning": "repro.core.partitioning",
+    "FieldsPartitioning": "repro.core.partitioning",
+    "BroadcastPartitioning": "repro.core.partitioning",
+    "register_partitioning": "repro.core.partitioning",
+    "resolve_partitioning": "repro.core.partitioning",
+    "StreamSource": "repro.core.operators",
+    "StreamProcessor": "repro.core.operators",
+    "FunctionProcessor": "repro.core.operators",
+    "EmitContext": "repro.core.operators",
+    "StreamProcessingGraph": "repro.core.graph",
+    "OperatorSpec": "repro.core.graph",
+    "LinkSpec": "repro.core.graph",
+    "NeptuneConfig": "repro.core.config",
+    "NeptuneRuntime": "repro.core.runtime",
+    "JobHandle": "repro.core.job",
+    "JobState": "repro.core.job",
+    "SlidingWindow": "repro.core.windows",
+    "Checkpoint": "repro.core.checkpoint",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return lazy_export(__name__, _EXPORTS, name)

@@ -10,7 +10,10 @@ descriptor file."
 Operators are declared with a *factory* (each instance of a parallel
 operator gets its own object).  Validation checks structure (names,
 sources present, acyclic — backpressure over a pressure cycle would
-deadlock), per-stream schemas, and partitioning specs.
+deadlock), per-stream schemas, and partitioning specs.  The operator it
+builds to read a schema is not thrown away: it becomes that operator's
+instance 0 when the graph is wired (:meth:`StreamProcessingGraph.build`),
+so a job calls each factory once per instance.
 """
 
 from __future__ import annotations
@@ -107,6 +110,9 @@ class StreamProcessingGraph:
         self.operators: dict[str, OperatorSpec] = {}
         self.links: list[LinkSpec] = []
         self._validated = False
+        # Operators validate() built, by name, with the factory that
+        # built each: handed out once, as instance 0 (build()).
+        self._built: dict[str, tuple[OperatorFactory, StreamOperator]] = {}
 
     # -- construction -----------------------------------------------------------
     def add_source(
@@ -182,12 +188,31 @@ class StreamProcessingGraph:
         # Local import: repro.analysis depends on repro.core types.
         from repro.analysis.graphcheck import GraphVerifier
 
-        report = GraphVerifier(self).run(deep=False)
-        errors = report.errors()
+        verifier = GraphVerifier(self)
+        errors = verifier.run(deep=False).errors()
         if errors:
             raise GraphValidationError(errors[0].message)
+        self._built = {
+            name: (self.operators[name].factory, op)
+            for name, op in verifier.probes.items()
+            if op is not None
+        }
         self._validated = True
         return self
+
+    def build(self, spec: OperatorSpec, index: int) -> StreamOperator:
+        """A new operator object for instance ``index`` of ``spec``.
+
+        Instance 0 is the object :meth:`validate` built to read the
+        operator's schema, if it still holds one built by this factory;
+        each such object is handed out once, so two jobs of one graph
+        never share an operator.  Everything else is a factory call.
+        """
+        if index == 0:
+            built = self._built.pop(spec.name, None)
+            if built is not None and built[0] is spec.factory:
+                return built[1]
+        return spec.factory()
 
     # -- queries ---------------------------------------------------------------
     def outgoing_links(self, op: str) -> list[LinkSpec]:

@@ -20,7 +20,7 @@ from typing import Any, Callable, Sequence
 
 from repro.core.fieldtypes import FieldType
 from repro.core.packet import PacketSchema, StreamPacket
-from repro.lz4 import xxh32
+from repro.lz4.xxh import xxh32
 from repro.util.errors import GraphValidationError, PartitioningError
 
 

@@ -86,7 +86,7 @@ from repro.granules.scheduler import DataDrivenStrategy, SchedulingStrategy
 from repro.granules.task import ComputationalTask, TaskState
 from repro.net.flowcontrol import ChannelClosed, WatermarkChannel
 from repro.net.framing import Frame, FrameHeader
-from repro.observe import profiler as _profiler
+from repro.observe import owners as _owners
 from repro.observe.tracing import (
     LegTrace,
     TraceNote,
@@ -244,7 +244,7 @@ class _InstanceRuntime(ComputationalTask):
         self._tracing = (
             self._observer is not None and self._observer.tracer.sample_every > 0
         )
-        self.operator = spec.factory()
+        self.operator = job.graph.build(spec, index)
         self.operator.name = spec.name
         self.metrics = job.metrics.for_operator(spec.name, index)
         self.metrics.refresh = self._refresh_output_metrics
@@ -329,9 +329,9 @@ class _InstanceRuntime(ComputationalTask):
         """One scheduled execution (ComputationalTask contract)."""
         # Thread-ownership window for the sampling profiler: a dormant
         # profiler costs exactly this one flag test per execution.
-        profiled = _profiler._ACTIVE
+        profiled = _owners._ACTIVE
         if profiled:
-            _profiler.set_thread_owner(self.op_label)
+            _owners.set_thread_owner(self.op_label)
         try:
             if self.spec.is_source:
                 self._generate_quantum()
@@ -351,7 +351,7 @@ class _InstanceRuntime(ComputationalTask):
             for leg in self._chained:
                 leg.hand_over()
             if profiled:
-                _profiler.clear_thread_owner()
+                _owners.clear_thread_owner()
 
     def _generate_quantum(self) -> None:
         """Run ``generate`` back to back for one time-bounded quantum
@@ -515,9 +515,9 @@ class _InstanceRuntime(ComputationalTask):
             return
         sender = self.chained_from
         assert sender is not None
-        profiled = _profiler._ACTIVE
+        profiled = _owners._ACTIVE
         if profiled:
-            _profiler.set_thread_owner(self.op_label)
+            _owners.set_thread_owner(self.op_label)
         op: StreamProcessor = self.operator  # type: ignore[assignment]
         ctx = self
         chained = self._chained
@@ -557,7 +557,7 @@ class _InstanceRuntime(ComputationalTask):
             for leg in chained:
                 leg.hand_over()
             if profiled:
-                _profiler.set_thread_owner(sender.op_label)
+                _owners.set_thread_owner(sender.op_label)
 
     def _verify_sequence(self, frame: Frame) -> None:
         expected = self._expected_seq.get(frame.link_id, 0)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 import os
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -84,6 +83,8 @@ class Resource:
         self._threads: list[threading.Thread] = []
         self._timer_thread: threading.Thread | None = None
         self._running = False
+        # Set by stop(): cuts the timer thread's poll wait short.
+        self._stopping = threading.Event()
         # Worker threads asked to retire at their next wakeup (live
         # scale-down); monotonically named via _thread_seq.
         self._retire = 0
@@ -135,6 +136,7 @@ class Resource:
             if self._running:
                 return
             self._running = True
+            self._stopping.clear()
         for _ in range(self.workers):
             self._spawn_worker()
         self._timer_thread = threading.Thread(
@@ -147,6 +149,7 @@ class Resource:
         with self._work_available:
             self._running = False
             self._work_available.notify_all()
+        self._stopping.set()
         for t in self._threads:
             t.join(timeout)
         if self._timer_thread is not None:
@@ -288,6 +291,6 @@ class Resource:
                     next_deadline = dl
             # Pace the poll loop in *real* time (never via self._clock:
             # a ManualClock's sleep advances simulated time, and the
-            # timer thread must not own the clock).
+            # timer thread must not own the clock); stop() ends the wait.
             delay = 0.01 if next_deadline is None else min(max(next_deadline - now, 0.0005), 0.05)
-            time.sleep(delay)
+            self._stopping.wait(delay)

@@ -17,7 +17,23 @@ deflates with CPython's C ``zlib`` (:mod:`repro.compression.policy`).
 :func:`xxh32` remains the hash of key partitioning and chaos decisions.
 """
 
-from repro.lz4.block import compress, decompress, max_compressed_length
-from repro.lz4.xxh import xxh32
+from __future__ import annotations
 
-__all__ = ["compress", "decompress", "max_compressed_length", "xxh32"]
+from typing import Any
+
+from repro.util.lazy import lazy_export
+
+# Imported on first use: key partitioning hashes with ``xxh32`` and
+# never loads the block codec.
+_EXPORTS = {
+    "compress": "repro.lz4.block",
+    "decompress": "repro.lz4.block",
+    "max_compressed_length": "repro.lz4.block",
+    "xxh32": "repro.lz4.xxh",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return lazy_export(__name__, _EXPORTS, name)

@@ -13,31 +13,27 @@ realized here as:
   batches over through a channel, with no transport in between.
 """
 
-from repro.net.framing import (
-    Frame,
-    FrameEncoder,
-    FrameDecoder,
-    FrameHeader,
-    SequenceTracker,
-)
-from repro.net.flowcontrol import WatermarkChannel, ChannelClosed
-from repro.net.transport import (
-    RetryPolicy,
-    TcpTransport,
-    TcpListener,
-    is_unix_endpoint,
-)
+from typing import Any
 
-__all__ = [
-    "Frame",
-    "FrameHeader",
-    "FrameEncoder",
-    "FrameDecoder",
-    "SequenceTracker",
-    "WatermarkChannel",
-    "ChannelClosed",
-    "RetryPolicy",
-    "TcpTransport",
-    "TcpListener",
-    "is_unix_endpoint",
-]
+from repro.util.lazy import lazy_export
+
+# Imported on first use: an in-process job never loads the transport.
+_EXPORTS = {
+    "Frame": "repro.net.framing",
+    "FrameHeader": "repro.net.framing",
+    "FrameEncoder": "repro.net.framing",
+    "FrameDecoder": "repro.net.framing",
+    "SequenceTracker": "repro.net.framing",
+    "WatermarkChannel": "repro.net.flowcontrol",
+    "ChannelClosed": "repro.net.flowcontrol",
+    "RetryPolicy": "repro.net.transport",
+    "TcpTransport": "repro.net.transport",
+    "TcpListener": "repro.net.transport",
+    "is_unix_endpoint": "repro.net.transport",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return lazy_export(__name__, _EXPORTS, name)

@@ -54,83 +54,52 @@ observer with ``sample_every=0`` records no spans.
 
 from __future__ import annotations
 
-from repro.observe.collector import (
-    ClusterCollector,
-    DeltaSource,
-    StitchedTrace,
-    stitch,
-    stitch_spans,
-)
-from repro.observe.doctor import diagnose, diagnose_observer, render_report
-from repro.observe.export import load_snapshots
-from repro.observe.flightrec import FlightRecorder
-from repro.observe.health import (
-    SLO,
-    AdaptiveSampler,
-    HealthEngine,
-    default_slos,
-    graph_regions,
-)
-from repro.observe.instruments import (
-    Counter,
-    Gauge,
-    Histogram,
-    TelemetryRegistry,
-)
-from repro.observe.observer import RuntimeObserver
-from repro.observe.policy import (
-    PolicyConfig,
-    PolicyEngine,
-    ReconfigAction,
-    action_to_changes,
-    apply_action,
-)
-from repro.observe.timeline import EventTimeline, RuntimeEvent
-from repro.observe.tracing import (
-    STAGES,
-    SpanRecord,
-    TraceCollector,
-    TraceContext,
-    TraceNote,
-    Tracer,
-    decode_notes,
-    encode_notes,
-)
+from typing import Any
 
-__all__ = [
-    "SLO",
-    "AdaptiveSampler",
-    "ClusterCollector",
-    "DeltaSource",
-    "FlightRecorder",
-    "HealthEngine",
-    "StitchedTrace",
-    "load_snapshots",
-    "stitch",
-    "stitch_spans",
-    "default_slos",
-    "diagnose",
-    "diagnose_observer",
-    "graph_regions",
-    "render_report",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "TelemetryRegistry",
-    "EventTimeline",
-    "PolicyConfig",
-    "PolicyEngine",
-    "ReconfigAction",
-    "RuntimeEvent",
-    "RuntimeObserver",
-    "action_to_changes",
-    "apply_action",
-    "STAGES",
-    "SpanRecord",
-    "TraceCollector",
-    "TraceContext",
-    "TraceNote",
-    "Tracer",
-    "decode_notes",
-    "encode_notes",
-]
+from repro.util.lazy import lazy_export
+
+# Imported on first use: the runtime loads only the submodules it runs
+# (``tracing``, ``owners``), not the whole plane.
+_EXPORTS = {
+    "ClusterCollector": "repro.observe.collector",
+    "DeltaSource": "repro.observe.collector",
+    "StitchedTrace": "repro.observe.collector",
+    "stitch": "repro.observe.collector",
+    "stitch_spans": "repro.observe.collector",
+    "diagnose": "repro.observe.doctor",
+    "diagnose_observer": "repro.observe.doctor",
+    "render_report": "repro.observe.doctor",
+    "load_snapshots": "repro.observe.export",
+    "FlightRecorder": "repro.observe.flightrec",
+    "SLO": "repro.observe.health",
+    "AdaptiveSampler": "repro.observe.health",
+    "HealthEngine": "repro.observe.health",
+    "default_slos": "repro.observe.health",
+    "graph_regions": "repro.observe.health",
+    "Counter": "repro.observe.instruments",
+    "Gauge": "repro.observe.instruments",
+    "Histogram": "repro.observe.instruments",
+    "TelemetryRegistry": "repro.observe.instruments",
+    "RuntimeObserver": "repro.observe.observer",
+    "PolicyConfig": "repro.observe.policy",
+    "PolicyEngine": "repro.observe.policy",
+    "ReconfigAction": "repro.observe.policy",
+    "action_to_changes": "repro.observe.policy",
+    "apply_action": "repro.observe.policy",
+    "EventTimeline": "repro.observe.timeline",
+    "RuntimeEvent": "repro.observe.timeline",
+    "STAGES": "repro.observe.tracing",
+    "SpanRecord": "repro.observe.tracing",
+    "TraceCollector": "repro.observe.tracing",
+    "TraceContext": "repro.observe.tracing",
+    "TraceNote": "repro.observe.tracing",
+    "Tracer": "repro.observe.tracing",
+    "decode_notes": "repro.observe.tracing",
+    "encode_notes": "repro.observe.tracing",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return lazy_export(__name__, _EXPORTS, name)

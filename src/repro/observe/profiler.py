@@ -7,9 +7,10 @@ thread walks :func:`sys._current_frames` at a configurable rate
 
 - **operator** threads — a worker thread currently inside
   ``_InstanceRuntime.execute`` announces itself through the
-  thread-ownership registry (:func:`set_thread_owner` /
-  :func:`clear_thread_owner`), so its samples are attributed to the
-  operator it is running, not to the pool thread's name;
+  thread-ownership registry (:mod:`repro.observe.owners`:
+  :func:`set_thread_owner` / :func:`clear_thread_owner`), so its
+  samples are attributed to the operator it is running, not to the
+  pool thread's name;
 - **runtime** threads — everything else (flush timers, transport
   readers, control servers …) is attributed to its thread name with
   trailing ``-<digits>`` segments stripped, so labels are byte-stable
@@ -24,7 +25,7 @@ mode: the full sample period is attributed as on-CPU so per-operator
 ``cpu_mode`` says so).
 
 Overhead discipline follows the lock-order sanitizer: the ownership
-hooks are gated on a module-level ``_ACTIVE`` flag (a dormant profiler
+hooks are gated on the registry's ``_ACTIVE`` flag (a dormant profiler
 costs one attribute test per execute), all registry mutation is
 GIL-atomic so the hot path takes no lock, and the sampler stretches its
 own interval whenever a sweep's CPU cost (its thread's
@@ -57,6 +58,13 @@ from types import FrameType
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.observe.instruments import TelemetryRegistry
+from repro.observe.owners import (
+    _OWNERS,
+    _activate,
+    _deactivate,
+    clear_thread_owner,
+    set_thread_owner,
+)
 
 __all__ = [
     "SamplingProfiler",
@@ -81,66 +89,6 @@ try:  # pragma: no cover - platform constant
     _CLK_TCK = float(os.sysconf("SC_CLK_TCK"))
 except (AttributeError, ValueError, OSError):  # pragma: no cover
     _CLK_TCK = 100.0
-
-
-# ---------------------------------------------------------------------------
-# Thread-ownership registry (hot path)
-# ---------------------------------------------------------------------------
-
-
-class _Owner:
-    """Per-thread ownership slot: current operator label + native tid.
-
-    The native id is cached on first registration so the steady-state
-    hot path never repeats the ``gettid`` syscall.
-    """
-
-    __slots__ = ("label", "native_id")
-
-    def __init__(self, label: Optional[str], native_id: Optional[int]) -> None:
-        self.label = label
-        self.native_id = native_id
-
-
-#: True while at least one profiler is sampling.  The runtime tests this
-#: before calling the ownership hooks, so a dormant profiler costs one
-#: attribute lookup per execute.
-_ACTIVE: bool = False
-_ACTIVE_COUNT = 0
-#: ident -> _Owner.  Mutated GIL-atomically (dict get/set on the owning
-#: thread, list() iteration on the sampler) — no lock on the hot path.
-_OWNERS: Dict[int, _Owner] = {}
-
-
-def set_thread_owner(label: str) -> None:
-    """Attribute the calling thread's samples to operator ``label``."""
-    ident = threading.get_ident()
-    owner = _OWNERS.get(ident)
-    if owner is None:
-        _OWNERS[ident] = _Owner(label, threading.get_native_id())
-    else:
-        owner.label = label
-
-
-def clear_thread_owner() -> None:
-    """The calling thread left operator code (back to runtime work)."""
-    owner = _OWNERS.get(threading.get_ident())
-    if owner is not None:
-        owner.label = None
-
-
-def _activate() -> None:
-    global _ACTIVE, _ACTIVE_COUNT
-    _ACTIVE_COUNT += 1
-    _ACTIVE = True
-
-
-def _deactivate() -> None:
-    global _ACTIVE, _ACTIVE_COUNT
-    _ACTIVE_COUNT = max(0, _ACTIVE_COUNT - 1)
-    if _ACTIVE_COUNT == 0:
-        _ACTIVE = False
-        _OWNERS.clear()
 
 
 # ---------------------------------------------------------------------------

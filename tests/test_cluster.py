@@ -10,6 +10,8 @@ Two tiers live in this module:
 """
 
 import os
+import socket
+import time
 
 import pytest
 from procharness import drain, live_cluster, reserve_ports, wait_until
@@ -17,6 +19,7 @@ from procharness import drain, live_cluster, reserve_ports, wait_until
 from repro.cluster import ClusterCoordinator, attach_proxies, build_plan
 from repro.cluster.spec import WorkerSpec
 from repro.core import NeptuneConfig, StreamProcessingGraph
+from repro.core.control import ControlError
 from repro.core.graph import descriptor_factory
 from repro.observe import TelemetryRegistry
 from repro.observe.bridge import absorb_series
@@ -268,6 +271,26 @@ class TestLiveCluster:
             # Operator and transport instruments both crossed the
             # process boundary.
             assert any("operator" in n or "packets" in n for n in names)
+
+    def test_launch_reports_a_worker_that_died_before_listening(self, tmp_path):
+        """Worker 1's data port is taken, so it exits at start: launch()
+        says so at once instead of dialling its control port until
+        ``connect_timeout``."""
+        coordinator = ClusterCoordinator(
+            relay_graph(), n_workers=2, log_dir=str(tmp_path)
+        )
+        host, port = coordinator.handles[1].spec.endpoints[1]
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as taken:
+            taken.bind((host, port))
+            taken.listen(1)
+            t0 = time.monotonic()
+            try:
+                with pytest.raises(ControlError, match="worker 1 exited"):
+                    coordinator.launch(connect_timeout=60.0)
+            finally:
+                coordinator.terminate()
+            assert time.monotonic() - t0 < 20.0
+        assert not any(h.alive for h in coordinator.handles)
 
     def test_status_and_state_attach(self):
         with live_cluster(relay_graph(total=200), n_workers=2) as coordinator:

@@ -13,6 +13,7 @@ from repro.granules import (
     PeriodicStrategy,
     QueueDataset,
     Resource,
+    SchedulingStrategy,
     TaskState,
 )
 from repro.util import ManualClock
@@ -283,6 +284,54 @@ class TestResource:
     def test_worker_validation(self):
         with pytest.raises(ValueError):
             Resource("r", workers=0)
+
+
+class HourAway(SchedulingStrategy):
+    """Never due: next due in an hour.  Counts the timer's polls."""
+
+    def __init__(self):
+        self.polls = 0
+        self.polled = threading.Event()
+
+    def should_run(self, task, now):
+        return False
+
+    def next_deadline(self, task, now):
+        self.polls += 1
+        self.polled.set()
+        return now + 3600.0
+
+
+class TestStop:
+    def test_stop_does_not_wait_out_the_timer_poll(self):
+        """The timer polls a deadline an hour away every 50 ms; stop()
+        right after a poll must not sleep out the rest of it."""
+        strategy = HourAway()
+        res = Resource("r", workers=1)
+        res.start()
+        res.launch(TickTask(), strategy)
+        strategy.polled.clear()
+        assert strategy.polled.wait(5)
+        t0 = time.monotonic()
+        res.stop()
+        assert time.monotonic() - t0 < 0.025
+
+    def test_a_restarted_resource_runs_and_paces_its_timer(self):
+        res = Resource("r", workers=1)
+        res.start()
+        res.stop()
+        res.start()
+        try:
+            task = TickTask()
+            res.launch(task, PeriodicStrategy(interval=0.01))
+            assert wait_for(lambda: task.ticks >= 5)
+            strategy = HourAway()
+            res.launch(TickTask("idle"), strategy)
+            time.sleep(0.2)
+            # Paced by the poll cap (<= 50 ms), not spinning on a set event.
+            assert strategy.polls < 100
+        finally:
+            res.stop()
 
 
 class TestResize:

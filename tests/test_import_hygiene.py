@@ -6,7 +6,10 @@ the entropy gate of a compressing link, scipy only by the paper's
 significance tests (``repro.sim.experiments`` and the COMP study), and
 networkx by nothing — a module-level import of any of them on the
 runtime path would put a few hundred milliseconds and tens of MiB back
-without a test failing, so this one does.
+without a test failing, so this one does.  The same holds, a few
+milliseconds at a time, for the repo's own planes: an in-process job
+loads no observability plane beyond tracing, no TCP transport, no AST
+lint or plan verifier, and no cluster package.
 """
 
 import json
@@ -76,3 +79,58 @@ def test_runtime_path_imports_no_numpy_scipy_networkx_until_a_link_compresses():
     # An enabled CompressionPolicy is constructed while wiring, and
     # that — not the first flush of the running job — imports numpy.
     assert loaded["wired_compressed"] == ["numpy"]
+
+
+PLANES_SCRIPT = """
+import json, sys
+import repro.core.runtime
+from repro.core.graph import StreamProcessingGraph
+from repro.core.runtime import NeptuneRuntime
+from repro.workloads.operators import CollectingSink, CountingSource, RelayProcessor
+
+graph = StreamProcessingGraph("planes")
+graph.add_source("source", lambda: CountingSource(total=200))
+graph.add_processor("relay", RelayProcessor, parallelism=2)
+graph.add_processor("sink", CollectingSink)
+graph.link("source", "relay").link("relay", "sink")
+with NeptuneRuntime() as runtime:
+    handle = runtime.submit(graph)
+    assert handle.await_completion(timeout=30) and not handle.failures
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro"))))
+"""
+
+#: Modules an uncompressed in-process job has no use for.
+UNUSED_PLANES = [
+    *(
+        f"repro.observe.{m}"
+        for m in (
+            "collector",
+            "health",
+            "doctor",
+            "policy",
+            "flightrec",
+            "export",
+            "bridge",
+            "observer",
+        )
+    ),
+    "repro.net.transport",
+    *(f"repro.analysis.{m}" for m in ("lint", "lintrules", "threadmodel", "plancheck")),
+    "repro.cluster",
+]
+
+
+def test_an_in_process_job_imports_only_the_planes_it_runs():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", PLANES_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.strip().splitlines()[-1]))
+    # The job did validate its graph and trace-gate its hops.
+    assert {"repro.analysis.graphcheck", "repro.observe.tracing"} <= loaded
+    assert [m for m in UNUSED_PLANES if m in loaded] == []

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import NeptuneConfig, NeptuneRuntime, StreamProcessingGraph
 from repro.observe import RuntimeObserver, bridge
+from repro.observe import owners
 from repro.observe import profiler as profiler_mod
 from repro.observe.export import to_prometheus
 from repro.observe.profiler import (
@@ -91,15 +92,15 @@ class TestOwnershipRegistry:
         assert owner.label == "b"
 
     def test_activation_refcount_gates_the_hot_path_flag(self):
-        assert profiler_mod._ACTIVE is False
+        assert owners._ACTIVE is False
         profiler_mod._activate()
         profiler_mod._activate()
-        assert profiler_mod._ACTIVE is True
+        assert owners._ACTIVE is True
         profiler_mod._deactivate()
-        assert profiler_mod._ACTIVE is True  # one profiler still live
+        assert owners._ACTIVE is True  # one profiler still live
         set_thread_owner("x")
         profiler_mod._deactivate()
-        assert profiler_mod._ACTIVE is False
+        assert owners._ACTIVE is False
         assert profiler_mod._OWNERS == {}  # registry swept at zero
 
     def test_start_stop_toggle_active(self):
@@ -108,11 +109,11 @@ class TestOwnershipRegistry:
         prof.start()
         try:
             assert prof.state == "sampling"
-            assert profiler_mod._ACTIVE is True
+            assert owners._ACTIVE is True
         finally:
             prof.stop()
         assert prof.state == "dormant"
-        assert profiler_mod._ACTIVE is False
+        assert owners._ACTIVE is False
 
 
 class TestLabelStability:
