@@ -42,7 +42,7 @@ Three entry points:
 A cluster spec file names either a planner input::
 
     {"descriptor_path": "fig1_relay.json", "workers": 2,
-     "scheme": "round-robin", "pin": {"sender": 0},
+     "pin": {"sender": 0},
      "endpoints": {"0": ["127.0.0.1", 7001], "1": ["127.0.0.1", 7002]},
      "control_ports": [7101, 7102]}
 
@@ -51,7 +51,9 @@ optional — without them port checks are skipped, because the
 coordinator reserves kernel-assigned ports at launch) — or an explicit
 ``worker_specs`` list of :class:`WorkerSpec` JSON objects, the
 inspect-by-hand form, which additionally enables the spec-set
-consistency (NEPG135) and config-drift (NEPG137) passes.
+consistency (NEPG135) and config-drift (NEPG137) passes.  A key outside
+the form it uses is an NEPG130 error: a misspelt ``pin`` would
+otherwise verify a plan that ignores it.
 """
 
 from __future__ import annotations
@@ -74,6 +76,9 @@ __all__ = [
 #: Unix-domain socket and the port is ignored.
 Endpoint = Tuple[str, int]
 
+#: The keys of each cluster-spec form (module docstring).
+_PLANNER_KEYS = {"descriptor", "descriptor_path", "workers", "pin", "endpoints", "control_ports"}
+_WORKER_SPECS_KEYS = {"worker_specs"}
 
 def _link_where(from_op: str, to_op: str, stream: str) -> str:
     return f"link {from_op!r}->{to_op!r}/{stream!r}"
@@ -513,6 +518,9 @@ def _cluster_shape_ok(spec: Any, report: DiagnosticReport) -> bool:
     if not isinstance(spec, dict):
         bad(f"cluster spec must be an object, got {type(spec).__name__}")
         return False
+    known = _WORKER_SPECS_KEYS if "worker_specs" in spec else _PLANNER_KEYS
+    for key in sorted(set(spec) - known, key=str):
+        bad(f"unknown cluster-spec key {key!r} (known: {', '.join(sorted(known))})")
     if "worker_specs" in spec:
         if not isinstance(spec["worker_specs"], list) or not spec["worker_specs"]:
             bad("'worker_specs' must be a non-empty list of WorkerSpec objects")
@@ -527,8 +535,6 @@ def _cluster_shape_ok(spec: Any, report: DiagnosticReport) -> bool:
     workers = spec.get("workers", 2)
     if not isinstance(workers, int) or isinstance(workers, bool) or workers <= 0:
         bad(f"'workers' must be a positive integer, got {workers!r}")
-    if spec.get("scheme", "round-robin") not in ("round-robin", "capability"):
-        bad(f"unknown plan scheme {spec.get('scheme')!r}")
     if "pin" in spec and not isinstance(spec["pin"], dict):
         bad("'pin' must map operator names to worker indexes")
     if "endpoints" in spec and not isinstance(spec["endpoints"], dict):
@@ -623,13 +629,7 @@ def _lenient_plan(
         else:
             valid_pin[op] = worker
     try:
-        return build_plan(
-            graph,
-            n_workers,
-            scheme=str(spec.get("scheme", "round-robin")),
-            capabilities=spec.get("capabilities"),
-            pin=valid_pin,
-        )
+        return build_plan(graph, n_workers, pin=valid_pin)
     except NeptuneError as exc:
         report.add(
             "NEPG130",
@@ -667,13 +667,7 @@ def _synthesized_specs(
         )
         return None
     control_ports_raw = spec.get("control_ports", [])
-    plan_raw = {
-        "n_workers": plan.n_workers,
-        "assignment": [
-            [op, idx, worker]
-            for (op, idx), worker in sorted(plan.assignment.items())
-        ],
-    }
+    plan_raw = plan.to_dict()
     specs: List[Any] = []
     for w in range(int(plan.n_workers)):
         control = (

@@ -400,7 +400,7 @@ def _profiler_arm(profile: BenchProfile, on: bool) -> ArmRun:
     the ownership hook on every execute) vs sampling at 50 Hz.  Its
     ``sample_seconds`` — the sampler thread's CPU time walking
     ``sys._current_frames`` and folding stacks — is what the profiler's
-    own ``max_duty`` throttle budgets, so the row checks the throttle's
+    own ``MAX_DUTY`` throttle budgets, so the row checks the throttle's
     arithmetic against a real run."""
     from repro.observe import RuntimeObserver
     from repro.observe.profiler import SamplingProfiler
@@ -589,9 +589,6 @@ def _policy_arm(profile: BenchProfile, on: bool) -> ArmRun:
                 "buffer_occupancy",
                 threshold=2048.0,
                 operator="sink",
-                for_scans=2,
-                clear_scans=2,
-                warmup_scans=1,
             )
             engine = HealthEngine(
                 observer,

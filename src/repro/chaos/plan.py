@@ -25,7 +25,7 @@ index)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.lz4 import xxh32
 
@@ -68,6 +68,10 @@ class FaultDecision:
     param: float = 0.0
 
 
+#: Mean injected delay in seconds when a ``delay`` fault fires.
+DELAY_SECONDS = 0.005
+
+
 @dataclass(frozen=True)
 class FaultRates:
     """Independent per-interception fire probabilities for one site.
@@ -84,24 +88,12 @@ class FaultRates:
     bitflip: float = 0.0
     kill_connection: float = 0.0
     kill_node: float = 0.0
-    #: Mean injected delay in seconds when ``delay`` fires.
-    delay_seconds: float = 0.005
 
     def __post_init__(self) -> None:
-        for name in (
-            "drop",
-            "delay",
-            "duplicate",
-            "truncate",
-            "bitflip",
-            "kill_connection",
-            "kill_node",
-        ):
-            p = getattr(self, name)
+        for f in fields(self):
+            p = getattr(self, f.name)
             if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be a probability in [0, 1]: {p}")
-        if self.delay_seconds < 0:
-            raise ValueError(f"delay_seconds must be >= 0: {self.delay_seconds}")
+                raise ValueError(f"{f.name} must be a probability in [0, 1]: {p}")
 
     def _ordered(self) -> tuple[tuple[str, float], ...]:
         return (
@@ -205,7 +197,7 @@ class FaultPlan:
         v = _uniform(self.seed, site, index, _PARAM_DOMAIN)
         if action == FaultAction.DELAY:
             # 0.5x–1.5x the configured mean: bounded, never pathological.
-            return rates.delay_seconds * (0.5 + v)
+            return DELAY_SECONDS * (0.5 + v)
         if action == FaultAction.TRUNCATE:
             # Keep a strictly partial prefix.
             return 0.1 + 0.8 * v

@@ -7,7 +7,7 @@ checkpoint and replay the sources from their checkpointed positions.
 :class:`RecoveryCoordinator` packages that loop:
 
 1. a background thread takes a quiesced checkpoint of the supervised
-   job every ``checkpoint_interval`` seconds into a
+   job every :data:`CHECKPOINT_INTERVAL` seconds into a
    :class:`~repro.core.checkpoint.CheckpointStore`;
 2. when the job fails (any operator-instance exception, including an
    injected ``kill_node`` fault or an exhausted transport retry budget
@@ -32,6 +32,11 @@ import time
 from repro.core.checkpoint import CheckpointStore
 from repro.util.errors import JobStateError
 
+#: Seconds between quiesced checkpoints.
+CHECKPOINT_INTERVAL = 0.5
+#: Recovery budget; exceeding it surfaces the last failure set.
+MAX_RESTARTS = 3
+
 
 class RecoveryCoordinator:
     """Supervises one job: periodic checkpoints + restore-on-failure.
@@ -44,10 +49,10 @@ class RecoveryCoordinator:
         The graph to run (resubmitted verbatim on recovery).
     store:
         Checkpoint store; defaults to a fresh in-memory store.
-    checkpoint_interval:
-        Seconds between quiesced checkpoints.
-    max_restarts:
-        Recovery budget; exceeding it surfaces the last failure set.
+
+    A failed checkpoint or teardown does not stop supervision, and is
+    counted (:attr:`checkpoint_errors`, :attr:`teardown_errors`) with
+    the last exception of each kept.
     """
 
     def __init__(
@@ -55,17 +60,18 @@ class RecoveryCoordinator:
         runtime,
         graph,
         store: CheckpointStore | None = None,
-        checkpoint_interval: float = 0.5,
-        max_restarts: int = 3,
     ) -> None:
         self.runtime = runtime
         self.graph = graph
         self.store = store if store is not None else CheckpointStore()
-        self.checkpoint_interval = checkpoint_interval
-        self.max_restarts = max_restarts
         self.handle = None
         self.restarts = 0
         self.last_failures: dict[str, BaseException] = {}
+        self.checkpoint_errors = 0
+        self.last_checkpoint_error: BaseException | None = None
+        self.teardown_errors = 0
+        self.last_teardown_error: BaseException | None = None
+        self._errors_lock = threading.Lock()
         self._stop = threading.Event()
         self._ckpt_thread: threading.Thread | None = None
 
@@ -82,19 +88,22 @@ class RecoveryCoordinator:
         return self.handle
 
     def _checkpoint_loop(self) -> None:
-        while not self._stop.wait(self.checkpoint_interval):
+        while not self._stop.wait(CHECKPOINT_INTERVAL):
             handle = self.handle
-            if handle is None:
-                continue
+            if handle is None or handle.failures:
+                continue  # recovery (not checkpointing) is due
             try:
-                if handle.failures:
-                    continue  # recovery (not checkpointing) is due
                 ckpt = handle.checkpoint(timeout=10.0)
-                self.store.put(ckpt)
-            except Exception:
+            except Exception as exc:
                 # A checkpoint racing a crash/drain may legitimately
-                # fail; the supervisor loop handles the job state.
+                # fail (JobStateError), and an operator's snapshot_state
+                # may raise anything; the supervisor loop handles the
+                # job state.
+                with self._errors_lock:
+                    self.checkpoint_errors += 1
+                    self.last_checkpoint_error = exc
                 continue
+            self.store.put(ckpt)
 
     # -- supervision --------------------------------------------------------
     def run_to_completion(self, timeout: float = 60.0) -> bool:
@@ -123,13 +132,16 @@ class RecoveryCoordinator:
     def _recover(self, failures: dict[str, BaseException]) -> bool:
         """Restore from the last checkpoint; False when out of budget."""
         self.last_failures = dict(failures)
-        if self.restarts >= self.max_restarts:
+        if self.restarts >= MAX_RESTARTS:
             return False
         self.restarts += 1
         try:
             self.handle.stop(timeout=5.0)
-        except Exception:
-            pass  # the job is already a wreck; teardown is best-effort
+        except Exception as exc:
+            # The job is already a wreck and teardown is best-effort:
+            # an operator's teardown hook may raise anything.
+            self.teardown_errors += 1
+            self.last_teardown_error = exc
         ckpt = self.store.latest(self.graph.name)
         self.handle = self.runtime.submit(self.graph, restore_from=ckpt)
         return True

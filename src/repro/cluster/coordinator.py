@@ -90,12 +90,6 @@ class ClusterCoordinator:
         When set, each worker appends stdout/stderr to
         ``<log_dir>/worker-<id>.log`` instead of inheriting the
         coordinator's streams.
-    verify:
-        Run the NEPG130–139 deployment-plan verifier before spawning
-        (:mod:`repro.analysis.plancheck`); :meth:`launch` raises
-        :class:`~repro.util.errors.PlanVerificationError` on any error
-        finding, before any process exists.  ``False`` opts out (e.g.
-        to deliberately deploy a degraded plan in a chaos test).
     observe:
         When set (even ``{}``), every worker runs its observability
         plane (see :class:`~repro.cluster.spec.WorkerSpec`) and the
@@ -112,11 +106,10 @@ class ClusterCoordinator:
     collect_interval:
         Background poll period of the cluster collector, seconds.
     policy:
-        Enable the elasticity policy engine
-        (:class:`~repro.observe.policy.PolicyEngine`): ``True`` for the
-        default :class:`~repro.observe.policy.PolicyConfig`, or a
-        config instance.  Requires ``slos`` (the engine reacts to their
-        breach/recover transitions).  After every collector poll's
+        Run the elasticity policy engine
+        (:class:`~repro.observe.policy.PolicyEngine`).  Requires
+        ``slos`` (the engine reacts to their breach/recover
+        transitions).  After every collector poll's
         health scan, breaches are diagnosed
         (:func:`~repro.observe.doctor.diagnose`) and the engine's
         actions applied live: retunes/scales through the workers'
@@ -136,11 +129,10 @@ class ClusterCoordinator:
         host: str = "127.0.0.1",
         socket_dir: Optional[str] = None,
         log_dir: Optional[str] = None,
-        verify: bool = True,
         observe: Optional[Mapping[str, Any]] = None,
         slos: Optional[Sequence[Any]] = None,
         collect_interval: float = 0.25,
-        policy: Any = None,
+        policy: bool = False,
     ) -> None:
         graph.validate()
         # Refuse before creating anything (socket and flight directories).
@@ -157,7 +149,6 @@ class ClusterCoordinator:
                 "descriptor_factory or a JSON descriptor)"
             )
         self._graph = graph
-        self.verify = verify
         self.plan = plan if plan is not None else build_plan(graph, n_workers)
         self.n_workers = self.plan.n_workers
         self.fabric = fabric
@@ -206,22 +197,15 @@ class ClusterCoordinator:
         self.policy_applied: List[Dict[str, Any]] = []
         self.policy_errors = 0
         if policy:
-            from repro.observe.policy import PolicyConfig, PolicyEngine
+            from repro.observe.policy import PolicyEngine
 
-            config = policy if isinstance(policy, PolicyConfig) else None
-            self.policy = PolicyEngine(config)
+            self.policy = PolicyEngine()
             policy_dir = log_dir or self.flight_dir
             if policy_dir is None:
                 policy_dir = tempfile.mkdtemp(prefix="neptune-policy-")
             self.policy_log_path = os.path.join(policy_dir, "policy-actions.log")
         descriptor["config"] = config_to_dict(graph.config)
-        plan_raw = {
-            "n_workers": self.plan.n_workers,
-            "assignment": [
-                [op, idx, worker]
-                for (op, idx), worker in sorted(self.plan.assignment.items())
-            ],
-        }
+        plan_raw = self.plan.to_dict()
         self.handles: List[WorkerHandle] = []
         for w in range(self.n_workers):
             spec = WorkerSpec(
@@ -261,20 +245,11 @@ class ClusterCoordinator:
     def launch(self, connect_timeout: float = 60.0) -> RemoteDistributedJob:
         """Spawn every worker, connect control proxies, return the job.
 
-        When ``verify`` is on (the default), the NEPG130–139 plan
-        verifier runs first and a failing plan raises
-        :class:`~repro.util.errors.PlanVerificationError` *before* any
-        worker process is spawned — fail-fast, nothing to tear down.
+        The plan is verified first (:meth:`_verify`): a failing plan
+        raises before any worker process is spawned — nothing to tear
+        down.
         """
-        if self.verify:
-            from repro.analysis.plancheck import verify_plan
-            from repro.util.errors import PlanVerificationError
-
-            report = verify_plan(
-                self._graph, self.plan, specs=[h.spec for h in self.handles]
-            )
-            if report.errors():
-                raise PlanVerificationError(report)
+        self._verify(self.plan, [h.spec for h in self.handles])
         for handle in self.handles:
             self._spawn(handle)
         for handle in self.handles:
@@ -295,6 +270,16 @@ class ClusterCoordinator:
                 self.collector.on_scan = self._on_health_scan
             self.collector.start()
         return self.job
+
+    def _verify(self, plan: DeploymentPlan, specs: List[WorkerSpec]) -> None:
+        """Run the NEPG130–139 plan verifier (:mod:`repro.analysis.plancheck`);
+        raise :class:`~repro.util.errors.PlanVerificationError` on an error."""
+        from repro.analysis.plancheck import verify_plan
+        from repro.util.errors import PlanVerificationError
+
+        report = verify_plan(self._graph, plan, specs=specs)
+        if report.errors():
+            raise PlanVerificationError(report)
 
     def _attach_collect(self, handle: WorkerHandle) -> None:
         collector = self.collector
@@ -590,20 +575,8 @@ class ClusterCoordinator:
                 f"sink(s) {sorted(sinks & replay_ops)!r} — sink effects are "
                 "external and cannot be replayed exactly-once"
             )
-        plan_raw = {
-            "n_workers": new_plan.n_workers,
-            "assignment": [
-                [op, idx, worker]
-                for (op, idx), worker in sorted(new_plan.assignment.items())
-            ],
-        }
-        new_specs = [replace(h.spec, plan=plan_raw) for h in self.handles]
-        from repro.analysis.plancheck import verify_plan
-        from repro.util.errors import PlanVerificationError
-
-        report = verify_plan(self._graph, new_plan, specs=new_specs)
-        if report.errors():
-            raise PlanVerificationError(report)
+        new_specs = [replace(h.spec, plan=new_plan.to_dict()) for h in self.handles]
+        self._verify(new_plan, new_specs)
         # Commit: every future (re)spawn — including unrelated crash
         # restarts — uses the converged plan.
         self.plan = new_plan

@@ -14,14 +14,10 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.core.config import NeptuneConfig
-from repro.core.distributed import (
-    DeploymentPlan,
-    capability_weighted_plan,
-    round_robin_plan,
-)
+from repro.core.distributed import DeploymentPlan, round_robin_plan
 from repro.core.graph import StreamProcessingGraph
 from repro.util.errors import NeptuneError
 
@@ -35,28 +31,16 @@ def config_to_dict(config: NeptuneConfig) -> Dict[str, Any]:
 def build_plan(
     graph: StreamProcessingGraph,
     n_workers: int,
-    scheme: str = "round-robin",
-    capabilities: Optional[Sequence[float]] = None,
     pin: Optional[Mapping[str, int]] = None,
 ) -> DeploymentPlan:
     """Plan operator shards for ``n_workers`` processes.
 
-    ``scheme`` picks the base planner (``round-robin`` or
-    ``capability``); ``pin`` then overrides the placement of whole
-    operators (every instance of that operator) onto a named worker —
-    chaos tests use this to isolate a source on its own process.
+    The base plan is round-robin; ``pin`` then overrides the placement
+    of whole operators (every instance of that operator) onto a named
+    worker — chaos tests use this to isolate a source on its own
+    process.
     """
-    if scheme == "round-robin":
-        plan = round_robin_plan(graph, n_workers)
-    elif scheme == "capability":
-        caps = list(capabilities) if capabilities is not None else [1.0] * n_workers
-        if len(caps) != n_workers:
-            raise NeptuneError(
-                f"capability list has {len(caps)} entries for {n_workers} workers"
-            )
-        plan = capability_weighted_plan(graph, caps)
-    else:
-        raise NeptuneError(f"unknown plan scheme: {scheme!r}")
+    plan = round_robin_plan(graph, n_workers)
     if not pin:
         return plan
     known = set(graph.operators)
@@ -132,10 +116,4 @@ class WorkerSpec:
             raise NeptuneError(f"bad worker spec: {exc}") from exc
 
     def deployment_plan(self) -> DeploymentPlan:
-        assignment = {
-            (str(op), int(idx)): int(worker)
-            for op, idx, worker in self.plan["assignment"]
-        }
-        return DeploymentPlan(
-            n_workers=int(self.plan["n_workers"]), assignment=assignment
-        )
+        return DeploymentPlan.from_dict(self.plan)

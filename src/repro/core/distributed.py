@@ -64,6 +64,26 @@ class DeploymentPlan:
         """The (operator, instance) pairs hosted by a worker."""
         return sorted(k for k, w in self.assignment.items() if w == worker)
 
+    def to_dict(self) -> dict:
+        """The wire form (a ``WorkerSpec.plan``): ``{"n_workers": N,
+        "assignment": [[op, idx, worker], ...]}``, sorted by (op, idx)."""
+        return {
+            "n_workers": self.n_workers,
+            "assignment": [
+                [op, idx, worker]
+                for (op, idx), worker in sorted(self.assignment.items())
+            ],
+        }
+
+    @classmethod
+    def from_dict(cls, raw: Any) -> "DeploymentPlan":
+        """The plan a :meth:`to_dict` form describes."""
+        assignment = {
+            (str(op), int(idx)): int(worker)
+            for op, idx, worker in raw["assignment"]
+        }
+        return cls(n_workers=int(raw["n_workers"]), assignment=assignment)
+
 
 def round_robin_plan(graph: StreamProcessingGraph, n_workers: int) -> DeploymentPlan:
     """Spread instances across workers round-robin, stage-major.
@@ -81,49 +101,6 @@ def round_robin_plan(graph: StreamProcessingGraph, n_workers: int) -> Deployment
         for idx in range(spec.parallelism):
             assignment[(spec.name, idx)] = cursor % n_workers
             cursor += 1
-    return DeploymentPlan(n_workers=n_workers, assignment=assignment)
-
-
-def capability_weighted_plan(
-    graph: StreamProcessingGraph, capabilities: list[float]
-) -> DeploymentPlan:
-    """Assign instances proportional to per-worker capability.
-
-    The paper's §VI future work: "a dynamic deployment model that
-    leverages the available capabilities of cluster nodes".  A worker
-    with capability 2.0 receives roughly twice the instances of one
-    with 1.0 (largest-remainder apportionment, then stage-major fill),
-    so a heterogeneous cluster (the testbed's DL160s vs DL320es) is not
-    bottlenecked by its weakest machine.
-    """
-    if not capabilities:
-        raise GraphValidationError("capabilities must name at least one worker")
-    if any(c <= 0 for c in capabilities):
-        raise GraphValidationError(f"capabilities must be positive: {capabilities}")
-    graph.validate()
-    n_workers = len(capabilities)
-    total_instances = graph.total_instances()
-    total_cap = sum(capabilities)
-    # Largest-remainder apportionment of instance counts.
-    quotas = [c / total_cap * total_instances for c in capabilities]
-    counts = [int(q) for q in quotas]
-    remainders = sorted(
-        range(n_workers), key=lambda w: quotas[w] - counts[w], reverse=True
-    )
-    for w in remainders:
-        if sum(counts) >= total_instances:
-            break
-        counts[w] += 1
-    # Place instance by instance on the worker with the most remaining
-    # quota, so each operator's instances spread across workers instead
-    # of clustering on one.
-    remaining = counts[:]
-    assignment = {}
-    for spec in graph.operators.values():
-        for idx in range(spec.parallelism):
-            w = max(range(n_workers), key=lambda i: (remaining[i], capabilities[i]))
-            remaining[w] -= 1
-            assignment[(spec.name, idx)] = w
     return DeploymentPlan(n_workers=n_workers, assignment=assignment)
 
 

@@ -18,20 +18,25 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 
+#: A :class:`LatencyRecorder`'s reservoir size and its sampling seed.
+MAX_SAMPLES = 8192
+SEED = 17
+
+
 class LatencyRecorder:
     """Reservoir of latency samples with percentile queries.
 
-    Keeps up to ``max_samples`` via reservoir sampling so long runs
+    Keeps up to :data:`MAX_SAMPLES` via reservoir sampling so long runs
     don't grow memory while percentiles stay representative.
     """
 
-    def __init__(self, max_samples: int = 8192, seed: int = 17) -> None:
+    def __init__(self) -> None:
         import random
 
-        self._max = max_samples
+        self._max = MAX_SAMPLES
         self._samples: list[float] = []
         self._seen = 0
-        self._rng = random.Random(seed)
+        self._rng = random.Random(SEED)
         self._lock = threading.Lock()
 
     def record(self, seconds: float) -> None:

@@ -101,6 +101,14 @@ def _connect_endpoint(host: str, port: int, timeout: float | None) -> socket.soc
     return sock
 
 
+#: A reconnect backoff's random factor lies in ``1 ± BACKOFF_JITTER``.
+BACKOFF_JITTER = 0.25
+#: Longest one retrying ``send`` waits for replay-window space (acks).
+SEND_TIMEOUT = 10.0
+#: ``SO_RCVBUF`` of a :class:`TcpListener`; None keeps the kernel's.
+RECV_BUFFER: int | None = None
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Reconnect/retry behaviour for a :class:`TcpTransport`.
@@ -113,15 +121,12 @@ class RetryPolicy:
         the ``on_link_failure`` callback).
     backoff_base / backoff_max:
         Exponential backoff: attempt ``n`` sleeps
-        ``min(backoff_max, backoff_base * 2**n)`` seconds ...
-    backoff_jitter:
-        ... multiplied by a random factor in ``[1-j, 1+j]`` drawn from
-        a generator seeded by ``seed`` (and the endpoint), so backoff
-        sequences are reproducible under a fixed fault schedule while
-        still decorrelating concurrent links.
-    send_timeout:
-        Upper bound on how long one ``send`` may block waiting for
-        replay-window space (i.e. for acks).  None = wait forever.
+        ``min(backoff_max, backoff_base * 2**n)`` seconds, multiplied
+        by a random factor in ``[1-j, 1+j]`` (``j`` =
+        :data:`BACKOFF_JITTER`) drawn from a generator seeded by
+        ``seed`` (and the endpoint), so backoff sequences are
+        reproducible under a fixed fault schedule while still
+        decorrelating concurrent links.
     replay_window_bytes:
         Replay-buffer capacity.  A send blocks (flow control on
         unacknowledged data) rather than evicting — eviction would
@@ -133,8 +138,6 @@ class RetryPolicy:
     max_retries: int = 6
     backoff_base: float = 0.05
     backoff_max: float = 2.0
-    backoff_jitter: float = 0.25
-    send_timeout: float | None = 10.0
     replay_window_bytes: int = 8 << 20
     seed: int = 0
 
@@ -147,10 +150,6 @@ class RetryPolicy:
             raise ValueError(
                 f"backoff_max must be >= backoff_base: {self.backoff_max}"
             )
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ValueError(
-                f"backoff_jitter must be in [0, 1]: {self.backoff_jitter}"
-            )
         if self.replay_window_bytes <= 0:
             raise ValueError(
                 f"replay_window_bytes must be positive: {self.replay_window_bytes}"
@@ -159,9 +158,7 @@ class RetryPolicy:
     def backoff(self, attempt: int, rng: random.Random) -> float:
         """Backoff delay before reconnect ``attempt`` (0-based)."""
         raw = min(self.backoff_max, self.backoff_base * (2**attempt))
-        if self.backoff_jitter <= 0:
-            return raw
-        return raw * (1.0 - self.backoff_jitter + 2.0 * self.backoff_jitter * rng.random())
+        return raw * (1.0 - BACKOFF_JITTER + 2.0 * BACKOFF_JITTER * rng.random())
 
 
 class TcpTransport:
@@ -414,11 +411,7 @@ class TcpTransport:
         timeline so ``repro doctor`` can fold them into cascades.
         """
         assert self._retry is not None
-        deadline = (
-            None
-            if self._retry.send_timeout is None
-            else time.monotonic() + self._retry.send_timeout
-        )
+        deadline = time.monotonic() + SEND_TIMEOUT
         stalled_at: float | None = None
         with self._state:
             while self._unacked_bytes + incoming > self._retry.replay_window_bytes:
@@ -427,10 +420,10 @@ class TcpTransport:
                 if stalled_at is None:
                     stalled_at = time.monotonic()
                     self.send_stalls += 1
-                remaining = 0.05 if deadline is None else min(0.05, deadline - time.monotonic())
-                if deadline is not None and remaining <= 0:
+                remaining = min(0.05, deadline - time.monotonic())
+                if remaining <= 0:
                     raise TransportError(
-                        f"replay window full for {self._retry.send_timeout}s "
+                        f"replay window full for {SEND_TIMEOUT}s "
                         f"({self._unacked_bytes} unacked bytes): receiver not acking"
                     )
                 self._acks.wait(remaining)
@@ -618,9 +611,6 @@ class TcpListener:
     sink:
         Callback invoked with each received frame, per connection in
         arrival order.
-    recv_buffer:
-        ``SO_RCVBUF`` hint; a small kernel buffer makes backpressure
-        propagate after less in-flight data.
     ack:
         Send a 12-byte ``(link_id, seq)`` ack record back on the same
         connection after each frame is delivered to the sink (the
@@ -644,7 +634,6 @@ class TcpListener:
         host: str,
         port: int,
         sink: Callable[[Frame], None],
-        recv_buffer: int | None = None,
         ack: bool = False,
         resume: bool = False,
         injector=None,
@@ -661,8 +650,8 @@ class TcpListener:
         )
         if self._unix_path is not None:
             self._server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            if recv_buffer is not None:
-                self._server.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, recv_buffer)
+            if RECV_BUFFER is not None:
+                self._server.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, RECV_BUFFER)
             # A crashed listener leaves its socket file behind; rebinding
             # the same path must not fail because of that residue.
             try:
@@ -679,8 +668,8 @@ class TcpListener:
         else:
             self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            if recv_buffer is not None:
-                self._server.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, recv_buffer)
+            if RECV_BUFFER is not None:
+                self._server.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, RECV_BUFFER)
             self._server.bind((host, port))
             self._server.listen(64)
             self.host, self.port = self._server.getsockname()[:2]

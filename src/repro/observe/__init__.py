@@ -81,7 +81,6 @@ _EXPORTS = {
     "Histogram": "repro.observe.instruments",
     "TelemetryRegistry": "repro.observe.instruments",
     "RuntimeObserver": "repro.observe.observer",
-    "PolicyConfig": "repro.observe.policy",
     "PolicyEngine": "repro.observe.policy",
     "ReconfigAction": "repro.observe.policy",
     "action_to_changes": "repro.observe.policy",

@@ -22,7 +22,7 @@ kind                breach condition (evaluated per scan)
 
 An attached :class:`AdaptiveSampler` closes the feedback loop the
 paper leaves open: while a region is in breach, the sources feeding it
-are sampled at ``hot_every`` (dense per-hop spans exactly where
+are sampled at :data:`HOT_EVERY` (dense per-hop spans exactly where
 diagnosis needs them); once healthy, rates decay multiplicatively back
 to the base rate.  The controller is deterministic — counters, not
 randomness — so identical scan sequences produce identical sampling
@@ -70,6 +70,18 @@ SLO_KINDS: Tuple[str, ...] = (
     "buffer_occupancy",
 )
 
+#: Hysteresis: consecutive breaching scans before a breach fires, and
+#: consecutive healthy scans before it clears.
+FOR_SCANS = 2
+CLEAR_SCANS = 2
+#: Scans skipped before an objective is evaluated (rates need a delta,
+#: and a job's first packets always look slow).
+WARMUP_SCANS = 1
+#: The sampling rate a source feeding a breached region is pinned to,
+#: and the factor it decays by per healthy scan back to the base rate.
+HOT_EVERY = 1
+DECAY = 4
+
 
 class SLO:
     """One declarative service-level objective.
@@ -86,23 +98,12 @@ class SLO:
     operator:
         Target operator (bare graph name).  ``e2e_delay`` is job-wide
         and ignores it.
-    for_scans / clear_scans:
-        Hysteresis: consecutive breaching scans before a breach fires,
-        and consecutive healthy scans before it clears.
-    warmup_scans:
-        Scans skipped before evaluation starts (rates need a delta,
-        and a job's first packets always look slow).
+
+    Every objective shares the hysteresis :data:`FOR_SCANS` /
+    :data:`CLEAR_SCANS` and the :data:`WARMUP_SCANS` skip.
     """
 
-    __slots__ = (
-        "name",
-        "kind",
-        "threshold",
-        "operator",
-        "for_scans",
-        "clear_scans",
-        "warmup_scans",
-    )
+    __slots__ = ("name", "kind", "threshold", "operator")
 
     def __init__(
         self,
@@ -110,27 +111,17 @@ class SLO:
         kind: str,
         threshold: float,
         operator: Optional[str] = None,
-        for_scans: int = 2,
-        clear_scans: int = 2,
-        warmup_scans: int = 1,
     ) -> None:
         if kind not in SLO_KINDS:
             raise ValueError(f"unknown SLO kind {kind!r}; expected one of {SLO_KINDS}")
         if threshold <= 0:
             raise ValueError(f"threshold must be positive: {threshold}")
-        if for_scans < 1 or clear_scans < 1:
-            raise ValueError("for_scans and clear_scans must be >= 1")
-        if warmup_scans < 0:
-            raise ValueError(f"warmup_scans must be >= 0: {warmup_scans}")
         if kind != "e2e_delay" and operator is None:
             raise ValueError(f"SLO kind {kind!r} needs a target operator")
         self.name = name
         self.kind = kind
         self.threshold = threshold
         self.operator = operator
-        self.for_scans = for_scans
-        self.clear_scans = clear_scans
-        self.warmup_scans = warmup_scans
 
 
 class MonitorState:
@@ -188,8 +179,8 @@ class AdaptiveSampler:
     """Deterministic feedback controller over a tracer's sampling rates.
 
     While a source feeds a breaching region its rate is pinned to
-    ``hot_every``; once the region is healthy the rate decays by
-    ``decay``× per scan until it reaches the base rate (the tracer's own
+    :data:`HOT_EVERY`; once the region is healthy the rate decays by
+    :data:`DECAY`× per scan until it reaches the base rate (the tracer's own
     ``sample_every``) again, at which point the override is dropped.  No
     randomness anywhere: the same breach schedule yields the same
     decision sequence.
@@ -200,28 +191,13 @@ class AdaptiveSampler:
     that started dark.
     """
 
-    def __init__(
-        self,
-        tracer: Any,
-        hot_every: int = 1,
-        decay: int = 4,
-    ) -> None:
-        if hot_every < 1:
-            raise ValueError(f"hot_every must be >= 1: {hot_every}")
-        if decay < 2:
-            raise ValueError(f"decay must be >= 2: {decay}")
+    def __init__(self, tracer: Any) -> None:
         base = int(tracer.sample_every)
         if base < 1:
             raise ValueError(
                 f"base sampling rate must be >= 1 for adaptive sampling: {base}"
             )
-        if hot_every > base:
-            raise ValueError(
-                f"hot_every ({hot_every}) must not be sparser than base ({base})"
-            )
         self.tracer = tracer
-        self.hot_every = hot_every
-        self.decay = decay
         self.base_every = base
         self.decisions: List[SamplingDecision] = []
         self._current: Dict[str, int] = {}
@@ -242,9 +218,9 @@ class AdaptiveSampler:
         for source in sorted(hot | set(self._current)):
             old = self._current.get(source, self.base_every)
             if source in hot:
-                new = self.hot_every
+                new = HOT_EVERY
             else:
-                new = min(self.base_every, old * self.decay)
+                new = min(self.base_every, old * DECAY)
             if new == old:
                 continue
             if new >= self.base_every:
@@ -392,7 +368,7 @@ class HealthEngine:
         slo = monitor.slo
         monitor.scans += 1
         value = self._value_for(monitor, index, now)
-        if value is None or monitor.scans <= slo.warmup_scans:
+        if value is None or monitor.scans <= WARMUP_SCANS:
             return None
         monitor.last_value = value
         if slo.kind == "throughput_floor":
@@ -402,7 +378,7 @@ class HealthEngine:
         if breaching:
             monitor.bad_scans += 1
             monitor.good_scans = 0
-            if monitor.status == "ok" and monitor.bad_scans >= slo.for_scans:
+            if monitor.status == "ok" and monitor.bad_scans >= FOR_SCANS:
                 monitor.status = "breach"
                 monitor.breaches += 1
                 monitor.breached_at = now
@@ -419,7 +395,7 @@ class HealthEngine:
         else:
             monitor.good_scans += 1
             monitor.bad_scans = 0
-            if monitor.status == "breach" and monitor.good_scans >= slo.clear_scans:
+            if monitor.status == "breach" and monitor.good_scans >= CLEAR_SCANS:
                 monitor.status = "ok"
                 duration = (
                     now - monitor.breached_at

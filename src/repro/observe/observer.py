@@ -19,6 +19,12 @@ from repro.util.clock import SYSTEM_CLOCK, Clock
 
 __all__ = ["RuntimeObserver"]
 
+#: Bounds of an observer's facilities: timeline events kept, distinct
+#: traces held, named instruments registered.
+TIMELINE_CAPACITY = 4096
+MAX_TRACES = 2048
+MAX_INSTRUMENTS = 4096
+
 
 class RuntimeObserver:
     """Aggregates the four observability facilities for one runtime.
@@ -34,16 +40,13 @@ class RuntimeObserver:
     def __init__(
         self,
         sample_every: int = 0,
-        timeline_capacity: int = 4096,
-        max_traces: int = 2048,
-        max_instruments: int = 4096,
         clock: Clock = SYSTEM_CLOCK,
     ) -> None:
         self.clock = clock
         self.tracer = Tracer(sample_every=sample_every)
-        self.collector = TraceCollector(max_traces=max_traces)
-        self.registry = TelemetryRegistry(max_instruments=max_instruments)
-        self.timeline = EventTimeline(capacity=timeline_capacity, clock=clock)
+        self.collector = TraceCollector(max_traces=MAX_TRACES)
+        self.registry = TelemetryRegistry(max_instruments=MAX_INSTRUMENTS)
+        self.timeline = EventTimeline(capacity=TIMELINE_CAPACITY, clock=clock)
         # Attached by whoever builds a SamplingProfiler for this
         # runtime; scrape_observer exports its series when present.
         self.profiler: Optional[SamplingProfiler] = None

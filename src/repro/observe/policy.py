@@ -47,7 +47,6 @@ from repro.observe.observer import RuntimeObserver
 
 __all__ = [
     "ACTION_KINDS",
-    "PolicyConfig",
     "PolicyEngine",
     "ReconfigAction",
     "action_to_changes",
@@ -105,64 +104,19 @@ class ReconfigAction:
         return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
 
 
-@dataclass
-class PolicyConfig:
-    """Tunables for :class:`PolicyEngine` (all decisions flow from
-    these plus the observed counters — nothing else).
-
-    Parameters
-    ----------
-    cooldown_scans:
-        Scans that must pass after acting on an operator before the
-        engine may act on it again (lets the previous action take
-        effect before judging it insufficient).
-    max_actions_per_operator:
-        Lifetime cap on actions targeting one operator — the runaway
-        brake if a breach simply cannot be healed by reconfiguration.
-    retune_max_delay / retune_capacity:
-        Absolute targets a ``batch_up`` retune applies to the buffer
-        legs feeding the overwhelmed operator.  Absolute (not
-        multiplicative) so the action log is identical no matter what
-        the buffers currently hold.
-    scale_step:
-        Worker threads added by one ``scale`` action (and removed
-        again by its recovery revert).
-    execute_stage_fraction:
-        When the doctor's dominant traced stage for the breach episode
-        is ``execute`` with at least this fraction of traced time, the
-        breach is judged CPU-bound and ``scale`` is preferred over
-        ``retune``.
-    revert_scale_on_recover:
-        Emit the compensating scale-down when the SLO that triggered a
-        scale-up recovers.  Retunes are never reverted: the wider
-        batching regime *is* the steady-state fix.
-    """
-
-    cooldown_scans: int = 10
-    max_actions_per_operator: int = 3
-    retune_max_delay: float = 0.05
-    retune_capacity: int = 64 * 1024
-    scale_step: int = 1
-    execute_stage_fraction: float = 0.6
-    revert_scale_on_recover: bool = True
-
-    def __post_init__(self) -> None:
-        if self.cooldown_scans < 0:
-            raise ValueError(f"cooldown_scans must be >= 0: {self.cooldown_scans}")
-        if self.max_actions_per_operator < 1:
-            raise ValueError(
-                f"max_actions_per_operator must be >= 1: {self.max_actions_per_operator}"
-            )
-        if self.retune_max_delay <= 0:
-            raise ValueError(f"retune_max_delay must be positive: {self.retune_max_delay}")
-        if self.retune_capacity <= 0:
-            raise ValueError(f"retune_capacity must be positive: {self.retune_capacity}")
-        if self.scale_step < 1:
-            raise ValueError(f"scale_step must be >= 1: {self.scale_step}")
-        if not 0.0 < self.execute_stage_fraction <= 1.0:
-            raise ValueError(
-                f"execute_stage_fraction must be in (0, 1]: {self.execute_stage_fraction}"
-            )
+#: Scans between two actions on one operator (the first takes effect),
+#: and the lifetime cap on actions per operator (the runaway brake).
+COOLDOWN_SCANS = 10
+MAX_ACTIONS_PER_OPERATOR = 3
+#: Absolute targets of a ``batch_up`` retune, so the action log does not
+#: depend on what the buffers hold.  Retunes are never reverted.
+RETUNE_MAX_DELAY = 0.05
+RETUNE_CAPACITY = 64 * 1024
+#: Worker threads one ``scale`` adds (its recovery revert removes them).
+SCALE_STEP = 1
+#: A breach whose dominant traced stage is ``execute`` with at least
+#: this fraction of traced time is CPU-bound: ``scale``, not ``retune``.
+EXECUTE_STAGE_FRACTION = 0.6
 
 
 class PolicyEngine:
@@ -177,8 +131,7 @@ class PolicyEngine:
     decide side trivially replayable.
     """
 
-    def __init__(self, config: Optional[PolicyConfig] = None) -> None:
-        self.config = config if config is not None else PolicyConfig()
+    def __init__(self) -> None:
         #: Every action ever decided, in decision order.
         self.decisions: List[ReconfigAction] = []
         #: Human-readable warnings (breaches the engine declined to act
@@ -284,10 +237,10 @@ class PolicyEngine:
                     cause=cause_type,
                     reason=(
                         f"execute-stage-bound breach of {slo}: add "
-                        f"{self.config.scale_step} worker thread(s)"
+                        f"{SCALE_STEP} worker thread(s)"
                     ),
                     worker=worker,
-                    params={"workers_delta": self.config.scale_step},
+                    params={"workers_delta": SCALE_STEP},
                 )
                 self._scaled_for[slo] = action
                 return action
@@ -305,8 +258,8 @@ class PolicyEngine:
                 params={
                     "operator": operator,
                     "where": "into",
-                    "max_delay": self.config.retune_max_delay,
-                    "capacity": self.config.retune_capacity,
+                    "max_delay": RETUNE_MAX_DELAY,
+                    "capacity": RETUNE_CAPACITY,
                 },
             )
         if cause_type == "compute_bound":
@@ -321,11 +274,11 @@ class PolicyEngine:
                 cause=cause_type,
                 reason=(
                     f"compute-bound breach of {slo}: {operator} dominates "
-                    f"sampled CPU; add {self.config.scale_step} worker "
+                    f"sampled CPU; add {SCALE_STEP} worker "
                     "thread(s)"
                 ),
                 worker=worker,
-                params={"workers_delta": self.config.scale_step},
+                params={"workers_delta": SCALE_STEP},
             )
             self._scaled_for[slo] = action
             return action
@@ -363,7 +316,7 @@ class PolicyEngine:
 
     def _on_recover(self, scan: int, slo: str) -> Optional[ReconfigAction]:
         scaled = self._scaled_for.pop(slo, None)
-        if scaled is None or not self.config.revert_scale_on_recover:
+        if scaled is None:
             return None
         delta = int(scaled.params.get("workers_delta", 0))
         if delta <= 0:
@@ -380,10 +333,10 @@ class PolicyEngine:
         )
 
     def _may_act(self, scan: int, operator: str) -> bool:
-        if self._actions_for.get(operator, 0) >= self.config.max_actions_per_operator:
+        if self._actions_for.get(operator, 0) >= MAX_ACTIONS_PER_OPERATOR:
             return False
         last = self._last_action_scan.get(operator)
-        return last is None or scan - last >= self.config.cooldown_scans
+        return last is None or scan - last >= COOLDOWN_SCANS
 
     def _execute_bound(self, report: Mapping[str, Any], slo: str) -> bool:
         for episode in report.get("breaches", ()):
@@ -396,7 +349,7 @@ class PolicyEngine:
             return (
                 stage.get("stage") == "execute"
                 and isinstance(fraction, (int, float))
-                and float(fraction) >= self.config.execute_stage_fraction
+                and float(fraction) >= EXECUTE_STAGE_FRACTION
             )
         return False
 

@@ -29,13 +29,13 @@ hooks are gated on the registry's ``_ACTIVE`` flag (a dormant profiler
 costs one attribute test per execute), all registry mutation is
 GIL-atomic so the hot path takes no lock, and the sampler stretches its
 own interval whenever a sweep's CPU cost (its thread's
-``time.thread_time``) would push its duty cycle past ``max_duty`` (3%
-by default).
+``time.thread_time``) would push its duty cycle past :data:`MAX_DUTY`
+(3%).
 
-Aggregates are bounded everywhere: at most ``max_operators`` labels
-(new labels past the cap fold into ``(overflow)``), ``max_stacks``
+Aggregates are bounded everywhere: at most :data:`MAX_OPERATORS` labels
+(new labels past the cap fold into ``(overflow)``), :data:`MAX_STACKS`
 collapsed stacks per label (overflow folds into ``(other)``), and
-``max_frames`` leaf frames per label.  Export paths:
+:data:`MAX_FRAMES` leaf frames per label.  Export paths:
 
 - :meth:`SamplingProfiler.export` publishes ``neptune_profile_*``
   series into a :class:`TelemetryRegistry` (ridden by every telemetry
@@ -75,9 +75,18 @@ __all__ = [
     "merge_profile_snapshots",
 ]
 
-#: Reserved label for operators past the ``max_operators`` bound.
+#: The aggregate bounds: operator labels, collapsed stacks per label,
+#: leaf frames per label.
+MAX_OPERATORS = 48
+MAX_STACKS = 256
+MAX_FRAMES = 24
+#: Ceiling on the sampler's own compute as a fraction of wall time;
+#: sample cost above it stretches the next interval.
+MAX_DUTY = 0.03
+
+#: Reserved label for operators past the :data:`MAX_OPERATORS` bound.
 OVERFLOW_LABEL = "(overflow)"
-#: Reserved collapsed-stack key for stacks past the ``max_stacks`` bound.
+#: Reserved collapsed-stack key for stacks past the :data:`MAX_STACKS` bound.
 OTHER_STACK = "(other)"
 #: Frames a collapsed stack keeps, counted from the leaf.
 STACK_DEPTH = 24
@@ -155,14 +164,14 @@ class _OperatorProfile:
         self.stacks: Dict[str, int] = {}
         self.top_frames: Dict[str, int] = {}
 
-    def note(self, stack: str, leaf: str, max_stacks: int, max_frames: int) -> None:
+    def note(self, stack: str, leaf: str) -> None:
         stacks = self.stacks
-        if stack in stacks or len(stacks) < max_stacks:
+        if stack in stacks or len(stacks) < MAX_STACKS:
             stacks[stack] = stacks.get(stack, 0) + 1
         else:
             stacks[OTHER_STACK] = stacks.get(OTHER_STACK, 0) + 1
         frames = self.top_frames
-        if leaf in frames or len(frames) < max_frames:
+        if leaf in frames or len(frames) < MAX_FRAMES:
             frames[leaf] = frames.get(leaf, 0) + 1
 
 
@@ -172,10 +181,8 @@ class SamplingProfiler:
     Parameters
     ----------
     hz:
-        Target sampling rate while the duty budget allows it.
-    max_duty:
-        Ceiling on the sampler's own compute as a fraction of wall
-        time; sample cost above it stretches the next interval.
+        Target sampling rate while the duty budget allows it
+        (:data:`MAX_DUTY`).
     statfn:
         Per-thread CPU reader, injectable for fault tests.  ``None``
         probes :func:`read_task_cpu` at :meth:`start` and falls back to
@@ -186,20 +193,12 @@ class SamplingProfiler:
         self,
         hz: float = 50.0,
         *,
-        max_operators: int = 48,
-        max_stacks: int = 256,
-        max_frames: int = 24,
-        max_duty: float = 0.03,
         window_seconds: float = 5.0,
         statfn: Optional[StatReader] = None,
     ) -> None:
         if hz <= 0:
             raise ValueError(f"hz must be positive: {hz}")
         self.hz = float(hz)
-        self.max_operators = max_operators
-        self.max_stacks = max_stacks
-        self.max_frames = max_frames
-        self.max_duty = max_duty
         self.window_seconds = window_seconds
         self._statfn = statfn
         self.cpu_mode = "wall"
@@ -288,11 +287,9 @@ class SamplingProfiler:
             with self._lock:
                 self.sample_seconds += cost
             # Duty discipline: if one sample cost c, the next interval
-            # must be at least c/max_duty for the sampler's own compute
+            # must be at least c/MAX_DUTY for the sampler's own compute
             # to stay under budget.
-            sleep = period
-            if self.max_duty > 0 and cost / self.max_duty > period:
-                sleep = cost / self.max_duty
+            sleep = max(period, cost / MAX_DUTY)
             if now - self._window_started >= self.window_seconds:
                 self._rotate_window(now)
 
@@ -324,7 +321,7 @@ class SamplingProfiler:
                     kind = "runtime"
                 prof = self._profiles.get(label)
                 if prof is None:
-                    if len(self._profiles) >= self.max_operators:
+                    if len(self._profiles) >= MAX_OPERATORS:
                         label = OVERFLOW_LABEL
                         prof = self._profiles.get(label)
                     if prof is None:
@@ -334,7 +331,7 @@ class SamplingProfiler:
                 prof.wall_seconds += elapsed
                 prof.cpu_seconds += self._cpu_delta(native, elapsed)
                 stack, leaf = _collapse(frame)
-                prof.note(stack, leaf, self.max_stacks, self.max_frames)
+                prof.note(stack, leaf)
             # Prune cursors/owners of threads that no longer exist, so
             # a churny pool cannot grow either map without bound.
             live = frames.keys()

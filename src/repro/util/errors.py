@@ -78,8 +78,7 @@ class PlanVerificationError(NeptuneError):
         codes = sorted({d.code for d in report.errors()})
         super().__init__(
             f"deployment plan failed verification ({', '.join(codes)}); "
-            "run `repro analyze --cluster` for the full report, or pass "
-            "verify=False to deploy anyway"
+            "run `repro analyze --cluster` for the full report"
         )
         self.report = report
 

@@ -72,7 +72,7 @@ def live_cluster(
     observe=None,
     slos=None,
     collect_interval: float = 0.25,
-    policy=None,
+    policy: bool = False,
 ) -> Iterator[ClusterCoordinator]:
     """Launch a real-process cluster; terminate it no matter what.
 

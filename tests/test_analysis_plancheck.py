@@ -176,6 +176,26 @@ def test_verify_plan_broken_assignment_short_circuits():
     assert {d.code for d in report.diagnostics} == {"NEPG130"}
 
 
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"descriptor": _unseeded_relay_descriptor(), "pins": {"relay": 1}}, "pins"),
+        ({"descriptor": _unseeded_relay_descriptor(), "scheme": "round-robin"}, "scheme"),
+        ({"descriptor": _unseeded_relay_descriptor(), "capabilities": [2, 1]}, "capabilities"),
+        ({"worker_specs": [{}], "pin": {"relay": 1}}, "pin"),
+    ],
+    ids=["misspelt-pin", "stale-scheme", "stale-capabilities", "worker-specs-form"],
+)
+def test_unknown_spec_key_is_refused_by_name(spec, key):
+    # A key the spec format does not have is never silently ignored: a
+    # misspelt ``pin`` would verify a plan that does not pin anything.
+    report = verify_cluster(spec)
+    named = [d for d in report.diagnostics if repr(key) in d.message]
+    assert len(named) == 1, report.render()
+    assert named[0].code == "NEPG130" and named[0].severity is Severity.ERROR
+    assert report.verified is None
+
+
 def test_verify_cluster_rejects_non_dict():
     report = verify_cluster(["not", "a", "spec"])
     assert report.count("NEPG130") == 1

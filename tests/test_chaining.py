@@ -694,11 +694,24 @@ class _Sleeper(_Rows):
         time.sleep(NAP)  # off the CPU, on its sender's thread
 
 
+class _Tens(_Numbers):
+    """Ten rows a call: one 160-byte capacity batch, so a source quantum
+    can end only between batches (never with a part-filled hand-over)."""
+
+    def generate(self, ctx):
+        if self.seq >= self.total:
+            ctx.finish()
+            return
+        for _ in range(10):
+            ctx.emit(ctx.new_packet().set_at(0, self.seq).set_at(1, 0))
+            self.seq += 1
+
+
 def _sleepy_job(observer=None):
     rows = []
     # Ten 16-byte rows to a hand-over: twenty naps.
     graph = StreamProcessingGraph("sleepy", config=NeptuneConfig(buffer_capacity=160))
-    graph.add_source("src", lambda: _Numbers(200))
+    graph.add_source("src", lambda: _Tens(200))
     graph.add_processor("sink", lambda: _Sleeper(rows))
     graph.link("src", "sink")
     with NeptuneRuntime(observer=observer) as rt:

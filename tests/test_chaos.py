@@ -20,6 +20,8 @@ from repro.chaos.scenario import (
     wire_payload,
 )
 from repro.net.framing import HEADER_SIZE, SequenceTracker
+from repro.chaos import plan as chaos_plan
+from repro.net import transport
 from repro.net.transport import RetryPolicy
 from repro.sim.engine import Interrupt, Simulator
 
@@ -73,10 +75,9 @@ class TestFaultPlan:
         plan = FaultPlan(seed=3).with_rates("a", FaultRates(drop=1.0))
         assert plan.decide("b", 0) is None
 
-    def test_delay_param_bounded(self):
-        plan = FaultPlan(seed=0).with_rates(
-            "s", FaultRates(delay=1.0, delay_seconds=0.01)
-        )
+    def test_delay_param_bounded(self, monkeypatch):
+        monkeypatch.setattr(chaos_plan, "DELAY_SECONDS", 0.01)
+        plan = FaultPlan(seed=0).with_rates("s", FaultRates(delay=1.0))
         for i in range(100):
             d = plan.decide("s", i)
             assert d.action == FaultAction.DELAY
@@ -91,8 +92,6 @@ class TestFaultPlan:
     def test_rates_validation(self):
         with pytest.raises(ValueError):
             FaultRates(drop=1.5)
-        with pytest.raises(ValueError):
-            FaultRates(delay_seconds=-1.0)
 
     def test_scripted_validation(self):
         with pytest.raises(ValueError):
@@ -232,10 +231,11 @@ class TestSequenceTracker:
 
 
 class TestRetryPolicy:
-    def test_backoff_exponential_and_capped(self):
+    def test_backoff_exponential_and_capped(self, monkeypatch):
         import random
 
-        p = RetryPolicy(backoff_base=0.1, backoff_max=0.5, backoff_jitter=0.0)
+        monkeypatch.setattr(transport, "BACKOFF_JITTER", 0.0)
+        p = RetryPolicy(backoff_base=0.1, backoff_max=0.5)
         rng = random.Random(0)
         delays = [p.backoff(n, rng) for n in range(6)]
         assert delays == [0.1, 0.2, 0.4, 0.5, 0.5, 0.5]
@@ -243,7 +243,7 @@ class TestRetryPolicy:
     def test_jitter_bounds_and_determinism(self):
         import random
 
-        p = RetryPolicy(backoff_base=0.1, backoff_max=10.0, backoff_jitter=0.25)
+        p = RetryPolicy(backoff_base=0.1, backoff_max=10.0)
         a = [p.backoff(n, random.Random(7)) for n in range(8)]
         b = [p.backoff(n, random.Random(7)) for n in range(8)]
         assert a == b  # same seed, same jitter sequence

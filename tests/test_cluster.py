@@ -149,26 +149,6 @@ class TestLaunchVerification:
         finally:
             coordinator.terminate()
 
-    def test_verify_false_opts_out(self, monkeypatch):
-        # With verify=False the gate is skipped and launch() proceeds
-        # straight to spawning (stubbed out — tier-1 spawns nothing).
-        coordinator = ClusterCoordinator(
-            self.unseeded_graph(), n_workers=2, verify=False
-        )
-        spawned = []
-        monkeypatch.setattr(
-            ClusterCoordinator, "_spawn", lambda self, h: spawned.append(h)
-        )
-        monkeypatch.setattr(
-            ClusterCoordinator, "_connect", lambda self, h, t: None
-        )
-        try:
-            coordinator.launch()
-            assert len(spawned) == 2
-        finally:
-            coordinator.job = None
-            coordinator.terminate()
-
     def test_clean_plan_passes_the_gate(self, monkeypatch):
         coordinator = ClusterCoordinator(relay_graph(), n_workers=2)
         spawned = []

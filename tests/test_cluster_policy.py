@@ -104,9 +104,6 @@ def test_policy_heals_stalled_sink_without_restart(tmp_path):
         "buffer_occupancy",
         threshold=OCCUPANCY_THRESHOLD,
         operator="sink",
-        for_scans=2,
-        clear_scans=2,
-        warmup_scans=1,
     )
 
     with live_cluster(

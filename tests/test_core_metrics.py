@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.core import metrics
 from repro.core.metrics import (
     LatencyRecorder,
     MetricsRegistry,
@@ -33,15 +34,18 @@ class TestLatencyRecorder:
         with pytest.raises(ValueError):
             rec.percentile(101)
 
-    def test_reservoir_bounds_memory(self):
-        rec = LatencyRecorder(max_samples=100)
+    def test_reservoir_bounds_memory(self, monkeypatch):
+        monkeypatch.setattr(metrics, "MAX_SAMPLES", 100)
+        rec = LatencyRecorder()
         for i in range(10_000):
             rec.record(float(i))
         assert rec.count == 10_000
         assert len(rec._samples) == 100
 
-    def test_reservoir_stays_representative(self):
-        rec = LatencyRecorder(max_samples=500, seed=1)
+    def test_reservoir_stays_representative(self, monkeypatch):
+        monkeypatch.setattr(metrics, "MAX_SAMPLES", 500)
+        monkeypatch.setattr(metrics, "SEED", 1)
+        rec = LatencyRecorder()
         for i in range(20_000):
             rec.record(i / 20_000)
         # Median of uniform[0,1) should be ~0.5.
@@ -53,8 +57,9 @@ class TestLatencyRecorder:
             rec.record(v)
         assert rec.mean() == pytest.approx(2.0)
 
-    def test_thread_safety(self):
-        rec = LatencyRecorder(max_samples=64)
+    def test_thread_safety(self, monkeypatch):
+        monkeypatch.setattr(metrics, "MAX_SAMPLES", 64)
+        rec = LatencyRecorder()
         errors = []
 
         def hammer():

@@ -439,6 +439,29 @@ class TestLifecycle:
         assert supervisor.restarts == 0
         assert store == list(range(400))
 
+    def test_a_failed_checkpoint_is_counted_and_the_job_completes(self, monkeypatch):
+        from repro.chaos import RecoveryCoordinator, recovery
+
+        class Unsnapshottable(CountingSource):
+            def snapshot_state(self):
+                raise RuntimeError("state cannot be snapshotted")
+
+        monkeypatch.setattr(recovery, "CHECKPOINT_INTERVAL", 0.02)
+        store = []
+        g = StreamProcessingGraph("unsnapshottable", config=small_config())
+        g.add_source("src", lambda: Unsnapshottable(total=400, interval=0.005))
+        g.add_processor("sink", lambda: CollectingSink(store))
+        g.link("src", "sink")
+        with NeptuneRuntime() as rt:
+            supervisor = RecoveryCoordinator(rt, g)
+            supervisor.start()
+            assert supervisor.run_to_completion(timeout=30)
+            supervisor.stop()
+        assert supervisor.checkpoint_errors > 0
+        assert isinstance(supervisor.last_checkpoint_error, RuntimeError)
+        assert supervisor.restarts == 0 and supervisor.teardown_errors == 0
+        assert store == list(range(400))
+
     def test_stop_twice_is_safe(self):
         g = StreamProcessingGraph("twice", config=small_config())
         g.add_source("src", lambda: CountingSource(total=10))

@@ -19,6 +19,7 @@ from repro.net import (
     WatermarkChannel,
     is_unix_endpoint,
 )
+from repro.net import transport
 from repro.util.errors import TransportError
 
 from procharness import reserve_ports
@@ -167,7 +168,7 @@ class TestUnixTransport:
 
 
 class TestTcpBackpressure:
-    def test_gated_sink_throttles_sender(self):
+    def test_gated_sink_throttles_sender(self, monkeypatch):
         """A slow/gated receiver must stall the TCP sender (no drops)."""
         ch = WatermarkChannel(high_watermark=4096, low_watermark=512)
 
@@ -177,7 +178,8 @@ class TestTcpBackpressure:
             except ChannelClosed:
                 pass
 
-        lst = TcpListener("127.0.0.1", 0, sink=sink, recv_buffer=4096)
+        monkeypatch.setattr(transport, "RECV_BUFFER", 4096)
+        lst = TcpListener("127.0.0.1", 0, sink=sink)
         sent_count = [0]
         done = [False]
 
@@ -360,7 +362,7 @@ class TestSendWaitReporting:
         tx = TcpTransport(
             "127.0.0.1",
             lst.port,
-            retry=RetryPolicy(replay_window_bytes=1000, send_timeout=10.0),
+            retry=RetryPolicy(replay_window_bytes=1000),
         )
         waits: dict[str, list[float]] = {"first": [], "stalled": [], "behind": []}
         try:

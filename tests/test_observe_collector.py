@@ -39,6 +39,7 @@ from repro.observe import (
 from repro.observe.bridge import absorb_series, registry_series
 from repro.observe.collector import TELEMETRY_SCHEMA
 from repro.observe.doctor import diagnose, render_report
+from repro.observe import health
 from repro.observe.health import SLO
 from repro.workloads import CollectingSink, CountingSource, RelayProcessor
 
@@ -303,13 +304,12 @@ def test_poll_once_survives_fetch_failures():
     assert "control socket gone" in error.attrs["error"]
 
 
-def test_collector_health_scans_merged_series():
+def test_collector_health_scans_merged_series(monkeypatch):
     """A cluster-scope SLO evaluates against worker-labeled series
     (subset label matching sums across workers)."""
-    slo = SLO(
-        "relay.floor", "throughput_floor", 1e9, operator="relay",
-        for_scans=1, warmup_scans=0,
-    )
+    monkeypatch.setattr(health, "FOR_SCANS", 1)
+    monkeypatch.setattr(health, "WARMUP_SCANS", 0)
+    slo = SLO("relay.floor", "throughput_floor", 1e9, operator="relay")
     collector = ClusterCollector(slos=[slo])
     assert collector.health is not None
 

@@ -23,6 +23,7 @@ from repro.observe import (
 )
 from envelopes import envelope as _snap
 from envelopes import event as _event
+from repro.observe import health
 from repro.observe.collector import ClusterCollector
 from repro.observe.doctor import DOCTOR_SCHEMA, _bare, _gate_cascades, _pair_episodes
 from repro.observe.export import snapshot
@@ -184,7 +185,9 @@ class TestStalledSinkAcceptance:
     """ISSUE acceptance: a chaos-stalled sink must be named root cause
     of the upstream SLO breaches in the doctor's JSON report."""
 
-    def test_doctor_names_stalled_sink(self):
+    def test_doctor_names_stalled_sink(self, monkeypatch):
+        monkeypatch.setattr(health, "FOR_SCANS", 1)
+        monkeypatch.setattr(health, "WARMUP_SCANS", 0)
         sleep_holder = [0.004]  # stalled sink: 4 ms/packet
         obs = RuntimeObserver(sample_every=8)
         g = StreamProcessingGraph(
@@ -202,14 +205,8 @@ class TestStalledSinkAcceptance:
         # own its backlog builds behind a gate, which is what is diagnosed.
         g.link("src", "relay", chain=False).link("relay", "sink", chain=False)
         slos = [
-            SLO(
-                "relay.p99_latency", "p99_latency", 1e-6, operator="relay",
-                for_scans=1, warmup_scans=0,
-            ),
-            SLO(
-                "sink.backlog", "buffer_occupancy", 4096.0, operator="sink",
-                for_scans=1, warmup_scans=0,
-            ),
+            SLO("relay.p99_latency", "p99_latency", 1e-6, operator="relay"),
+            SLO("sink.backlog", "buffer_occupancy", 4096.0, operator="sink"),
         ]
         with NeptuneRuntime(observer=obs) as rt:
             handle = rt.submit(g)

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from repro.observe import EventTimeline, RuntimeObserver, TelemetryRegistry
-from repro.observe import bridge
+from repro.observe import bridge, observer
 from repro.observe.export import snapshot, to_prometheus
 
 #: Text format 0.0.4 grammar (what a scraper's parser enforces).
@@ -97,8 +97,9 @@ class TestTimelineDropAccounting:
             tl.record("t", "e", i=i)
         assert tl.dropped == 0
 
-    def test_snapshot_and_scrape_carry_drops(self):
-        obs = RuntimeObserver(timeline_capacity=2)
+    def test_snapshot_and_scrape_carry_drops(self, monkeypatch):
+        monkeypatch.setattr(observer, "TIMELINE_CAPACITY", 2)
+        obs = RuntimeObserver()
         for i in range(5):
             obs.event("t", "e", i=i)
         snap = snapshot(obs)

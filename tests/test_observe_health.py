@@ -14,6 +14,7 @@ from repro.observe import (
     default_slos,
     graph_regions,
 )
+from repro.observe import health
 from repro.observe.export import to_prometheus
 from repro.observe.health import SLO_KINDS
 from repro.util.clock import ManualClock
@@ -37,8 +38,6 @@ class TestSLOValidation:
     def test_thresholds_and_hysteresis_validated(self):
         with pytest.raises(ValueError):
             SLO("x", "p99_latency", 0.0, operator="a")
-        with pytest.raises(ValueError):
-            SLO("x", "p99_latency", 0.1, operator="a", for_scans=0)
 
     def test_duplicate_names_rejected(self):
         obs = _observer()
@@ -64,10 +63,7 @@ class TestBreachRecoverStateMachine:
             {"operator": "relay", "quantile": "p99"},
             "test",
         )
-        slo = SLO(
-            "relay.p99", "p99_latency", threshold, operator="relay",
-            for_scans=2, clear_scans=2, warmup_scans=1,
-        )
+        slo = SLO("relay.p99", "p99_latency", threshold, operator="relay")
         return obs, gauge, HealthEngine(obs, [slo])
 
     def test_hysteresis_breach_then_recover(self):
@@ -76,13 +72,13 @@ class TestBreachRecoverStateMachine:
         gauge.set(0.5)  # way over the 10 ms budget
         assert engine.scan_once() == []  # scan 1: warmup
         clock.advance(1.0)
-        assert engine.scan_once() == []  # scan 2: bad_scans=1 < for_scans
+        assert engine.scan_once() == []  # scan 2: bad_scans=1 < FOR_SCANS
         clock.advance(1.0)
         assert engine.scan_once() == [("relay.p99", "breach")]
         assert engine.breached_monitors()[0].slo.name == "relay.p99"
         gauge.set(0.001)
         clock.advance(1.0)
-        assert engine.scan_once() == []  # good_scans=1 < clear_scans
+        assert engine.scan_once() == []  # good_scans=1 < CLEAR_SCANS
         clock.advance(1.0)
         assert engine.scan_once() == [("relay.p99", "recover")]
         assert engine.breached_monitors() == []
@@ -132,16 +128,16 @@ class TestBreachRecoverStateMachine:
 
 
 class TestThroughputFloor:
-    def test_rate_is_a_clock_delta(self):
+    def test_rate_is_a_clock_delta(self, monkeypatch):
+        monkeypatch.setattr(health, "FOR_SCANS", 1)
+        monkeypatch.setattr(health, "CLEAR_SCANS", 1)
+        monkeypatch.setattr(health, "WARMUP_SCANS", 0)
         clock = ManualClock()
         obs = _observer(clock)
         counter = obs.registry.counter(
             "neptune_operator_packets_in_total", {"operator": "src"}, "test"
         )
-        slo = SLO(
-            "src.rate", "throughput_floor", 100.0, operator="src",
-            for_scans=1, clear_scans=1, warmup_scans=0,
-        )
+        slo = SLO("src.rate", "throughput_floor", 100.0, operator="src")
         engine = HealthEngine(obs, [slo])
         counter.set_total(0)
         assert engine.scan_once() == []  # first sighting: no delta yet
@@ -190,19 +186,12 @@ class TestScanRobustness:
 
 class TestAdaptiveSampler:
     def test_validation(self):
-        tracer = Tracer(sample_every=8)
-        with pytest.raises(ValueError):
-            AdaptiveSampler(tracer, hot_every=0)
-        with pytest.raises(ValueError):
-            AdaptiveSampler(tracer, decay=1)
         with pytest.raises(ValueError, match="base sampling rate"):
             AdaptiveSampler(Tracer(sample_every=0))
-        with pytest.raises(ValueError, match="sparser"):
-            AdaptiveSampler(tracer, hot_every=16)
 
     def test_raise_then_multiplicative_decay(self):
         tracer = Tracer(sample_every=8)
-        sampler = AdaptiveSampler(tracer, hot_every=1, decay=4)
+        sampler = AdaptiveSampler(tracer)
         sampler.observe(1, {"src"})
         assert sampler.rate_for("src") == 1
         assert tracer.rates() == {"src": 1}
@@ -243,7 +232,9 @@ class TestAdaptiveSampler:
             pattern.append(tracer2.maybe_sample("other") is not None)
         assert pattern == baseline
 
-    def test_engine_drives_sampler_from_breached_regions(self):
+    def test_engine_drives_sampler_from_breached_regions(self, monkeypatch):
+        monkeypatch.setattr(health, "FOR_SCANS", 1)
+        monkeypatch.setattr(health, "WARMUP_SCANS", 0)
         clock = ManualClock()
         obs = _observer(clock)
         tracer = Tracer(sample_every=8)
@@ -254,9 +245,8 @@ class TestAdaptiveSampler:
         )
         engine = HealthEngine(
             obs,
-            [SLO("sink.p99", "p99_latency", 0.01, operator="sink",
-                 for_scans=1, warmup_scans=0)],
-            sampler=AdaptiveSampler(tracer, hot_every=1),
+            [SLO("sink.p99", "p99_latency", 0.01, operator="sink")],
+            sampler=AdaptiveSampler(tracer),
             regions={"sink": ["src"]},
         )
         gauge.set(0.5)
@@ -271,9 +261,13 @@ class TestDeterminism:
         {"a"}, {"a", "b"}, {"b"}, set(), set(), {"a"}, set(), set(), set(), set()
     ]
 
+    @pytest.fixture(autouse=True)
+    def _hot_every_two(self, monkeypatch):
+        monkeypatch.setattr(health, "HOT_EVERY", 2)
+
     def _run(self):
         tracer = Tracer(sample_every=16)
-        sampler = AdaptiveSampler(tracer, hot_every=2, decay=4)
+        sampler = AdaptiveSampler(tracer)
         rate_trail = []
         for scan, hot in enumerate(self.SCHEDULE, start=1):
             sampler.observe(scan, hot)

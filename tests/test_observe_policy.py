@@ -6,8 +6,8 @@ import json
 
 import pytest
 
+from repro.observe import policy
 from repro.observe import (
-    PolicyConfig,
     PolicyEngine,
     ReconfigAction,
     RuntimeObserver,
@@ -64,8 +64,8 @@ class TestDoctorHandoff:
         assert action.kind == "retune"
         assert action.operator == "sink"
         assert action.params["where"] == "into"
-        assert action.params["max_delay"] == engine.config.retune_max_delay
-        assert action.params["capacity"] == engine.config.retune_capacity
+        assert action.params["max_delay"] == policy.RETUNE_MAX_DELAY
+        assert action.params["capacity"] == policy.RETUNE_CAPACITY
         # The same breach re-reported next scan is inside the cooldown:
         # exactly one retune total.
         again = engine.observe(11, [("relay.p99_latency", "breach")], report)
@@ -135,11 +135,11 @@ class TestDecisionTable:
         engine = PolicyEngine()
         actions = engine.observe(5, [("s.p99_latency", "breach")], report)
         assert [a.kind for a in actions] == ["scale"]
-        assert actions[0].params["workers_delta"] == engine.config.scale_step
+        assert actions[0].params["workers_delta"] == policy.SCALE_STEP
         assert actions[0].worker == 1
         revert = engine.observe(40, [("s.p99_latency", "recover")], report)
         assert [a.kind for a in revert] == ["scale"]
-        assert revert[0].params["workers_delta"] == -engine.config.scale_step
+        assert revert[0].params["workers_delta"] == -policy.SCALE_STEP
         assert revert[0].cause == "recovered"
 
     def test_buffer_bound_breach_retunes_not_scales(self):
@@ -160,11 +160,11 @@ class TestDecisionTable:
         assert [a.kind for a in actions] == ["scale"]
         assert actions[0].operator == "spin"
         assert actions[0].worker == 1  # engine normalizes worker ids to int
-        assert actions[0].params["workers_delta"] == engine.config.scale_step
+        assert actions[0].params["workers_delta"] == policy.SCALE_STEP
         assert "dominates sampled CPU" in actions[0].reason
         revert = engine.observe(40, [("s.p99_latency", "recover")], report)
         assert [a.kind for a in revert] == ["scale"]
-        assert revert[0].params["workers_delta"] == -engine.config.scale_step
+        assert revert[0].params["workers_delta"] == -policy.SCALE_STEP
         assert revert[0].cause == "recovered"
 
     def test_injected_fault_with_worker_migrates(self):
@@ -185,9 +185,11 @@ class TestDecisionTable:
         assert engine.observe(5, [("s.p99_latency", "breach")], report) == []
         assert engine.warnings and "not actionable" in engine.warnings[0]
 
-    def test_per_operator_cap_is_a_lifetime_brake(self):
+    def test_per_operator_cap_is_a_lifetime_brake(self, monkeypatch):
+        monkeypatch.setattr(policy, "COOLDOWN_SCANS", 0)
+        monkeypatch.setattr(policy, "MAX_ACTIONS_PER_OPERATOR", 2)
         report = self._report("backpressure_cascade")
-        engine = PolicyEngine(PolicyConfig(cooldown_scans=0, max_actions_per_operator=2))
+        engine = PolicyEngine()
         for scan in range(5):
             engine.observe(scan, [("s.p99_latency", "breach")], report)
         assert len(engine.decisions) == 2
@@ -205,9 +207,13 @@ class TestDecisionTable:
 
 
 class TestDeterminism:
+    @pytest.fixture(autouse=True)
+    def _short_cooldown(self, monkeypatch):
+        monkeypatch.setattr(policy, "COOLDOWN_SCANS", 3)
+
     def _drive(self):
         """One synthetic breach/recover schedule over several scans."""
-        engine = PolicyEngine(PolicyConfig(cooldown_scans=3))
+        engine = PolicyEngine()
         stalled = diagnose(stalled_sink_snapshot())
         empty = diagnose(no_cause_snapshot())
         schedule = [
@@ -294,21 +300,3 @@ class TestApply:
         report = apply_action(target, action)
         assert target.calls == [{"scale": {"workers_delta": 1}}]
         assert report["applied"] == [{"kind": "noop"}]
-
-
-class TestConfigValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"cooldown_scans": -1},
-            {"max_actions_per_operator": 0},
-            {"retune_max_delay": 0.0},
-            {"retune_capacity": 0},
-            {"scale_step": 0},
-            {"execute_stage_fraction": 0.0},
-            {"execute_stage_fraction": 1.5},
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            PolicyConfig(**kwargs)

@@ -299,8 +299,9 @@ class TestSweepErrors:
 
 
 class TestBounds:
-    def test_operator_overflow_folds(self):
-        prof = SamplingProfiler(max_operators=1)
+    def test_operator_overflow_folds(self, monkeypatch):
+        monkeypatch.setattr(profiler_mod, "MAX_OPERATORS", 1)
+        prof = SamplingProfiler()
         with _OwnedSpinner("a[0]", name="neptune-sp-a"):
             with _OwnedSpinner("b[0]", name="neptune-sp-b"):
                 _sweep(prof, 2)
@@ -308,21 +309,24 @@ class TestBounds:
         assert OVERFLOW_LABEL in ops
         assert len(ops) <= 2  # the one real slot + the fold
 
-    def test_stack_overflow_folds_into_other(self):
+    def test_stack_overflow_folds_into_other(self, monkeypatch):
+        monkeypatch.setattr(profiler_mod, "MAX_STACKS", 2)
+        monkeypatch.setattr(profiler_mod, "MAX_FRAMES", 2)
         prof = _OperatorProfile("operator")
-        prof.note("s1", "l1", max_stacks=2, max_frames=2)
-        prof.note("s2", "l2", max_stacks=2, max_frames=2)
-        prof.note("s3", "l3", max_stacks=2, max_frames=2)
-        prof.note("s1", "l1", max_stacks=2, max_frames=2)
+        prof.note("s1", "l1")
+        prof.note("s2", "l2")
+        prof.note("s3", "l3")
+        prof.note("s1", "l1")
         assert prof.stacks == {"s1": 2, "s2": 1, OTHER_STACK: 1}
         # Frame cap silently drops new leaves past the bound.
         assert set(prof.top_frames) == {"l1", "l2"}
         assert prof.top_frames["l1"] == 2
 
-    def test_duty_discipline_stretches_interval(self):
+    def test_duty_discipline_stretches_interval(self, monkeypatch):
         # At hz=10 000 the per-sample cost alone forces the sampler to
         # run far below nominal rate: effective duty stays bounded.
-        prof = SamplingProfiler(hz=10_000.0, max_duty=0.01)
+        monkeypatch.setattr(profiler_mod, "MAX_DUTY", 0.01)
+        prof = SamplingProfiler(hz=10_000.0)
         with prof:
             time.sleep(0.4)
         assert prof.samples < 1_000  # nominal would be ~4 000
@@ -332,7 +336,7 @@ class TestBounds:
         # A sweep that waits (for the interpreter, for /proc) costs the
         # sampler's thread no CPU: it neither counts as the sampler's
         # compute nor stretches the next interval past the period.
-        prof = SamplingProfiler(hz=50.0, max_duty=0.03)
+        prof = SamplingProfiler(hz=50.0)
         monkeypatch.setattr(prof, "_sample_once", lambda elapsed: time.sleep(0.02))
         waits = []
 
@@ -371,7 +375,7 @@ class TestWindows:
         # as-is) without the stacks, leaf frames bounded.
         hot = section["operators"]["hot"]
         assert "stacks" not in hot
-        assert 1 <= len(hot["top_frames"]) <= prof.max_frames
+        assert 1 <= len(hot["top_frames"]) <= profiler_mod.MAX_FRAMES
         assert prof.snapshot()["operators"]["hot"]["stacks"]
 
 
