@@ -80,6 +80,7 @@ Endpoint = Tuple[str, int]
 _PLANNER_KEYS = {"descriptor", "descriptor_path", "workers", "pin", "endpoints", "control_ports"}
 _WORKER_SPECS_KEYS = {"worker_specs"}
 
+
 def _link_where(from_op: str, to_op: str, stream: str) -> str:
     return f"link {from_op!r}->{to_op!r}/{stream!r}"
 
