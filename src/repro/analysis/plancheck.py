@@ -27,7 +27,7 @@ NEPG136 is the *promotion* of the single-process NEPG122 warning: an
 unseeded shuffle into a parallel stage is merely non-reproducible
 inside one process, but once the plan assigns the link across worker
 processes, replay after a crash re-routes packets onto different wire
-ids and the :class:`~repro.net.framing.SequenceTracker` dedup can no
+ids and the :class:`~repro.net.protocol.Receiver` dedup can no
 longer guarantee exactly-once — so the warning becomes an error and
 the NEPG122 finding for that link is superseded.
 

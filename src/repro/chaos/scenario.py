@@ -136,9 +136,7 @@ def run_wire_scenario(
         with recv_lock:
             received.append(frame)
 
-    listener = TcpListener(
-        "127.0.0.1", 0, sink, ack=True, resume=True, injector=injector
-    )
+    listener = TcpListener("127.0.0.1", 0, sink, injector=injector)
     transport = TcpTransport(
         listener.host,
         listener.port,

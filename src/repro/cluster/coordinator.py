@@ -11,7 +11,7 @@ over loopback TCP, or over Unix-domain sockets when ``fabric="unix"``.
 
 Failure semantics: a worker that dies mid-stream can be respawned with
 the *identical* spec (:meth:`ClusterCoordinator.restart_worker`); its
-peers' listeners keep their :class:`~repro.net.framing.SequenceTracker`
+peers' listeners keep their :class:`~repro.net.protocol.Receiver`
 state, so the restarted shard's replayed frames are suppressed as
 duplicates and delivery stays exactly-once (see DESIGN.md §12).
 """
@@ -515,12 +515,12 @@ class ClusterCoordinator:
            ``operator`` or any operator transitively upstream of it.
            Restarted shards replay deterministically from their
            sources; surviving receivers' link-id-keyed
-           :class:`~repro.net.framing.SequenceTracker` state suppresses
+           :class:`~repro.net.protocol.Receiver` state suppresses
            the replayed prefix, so delivery stays exactly-once (the
            same mechanism as :meth:`restart_worker`; DESIGN.md §12).
         3. No worker in the restart set may host a sink: a sink's
            external effects have already escaped, so replaying into a
-           *fresh* tracker would emit duplicates.  Such a migration is
+           *fresh* receiver would emit duplicates.  Such a migration is
            refused.
 
         Returns a JSON-able report of what moved and what restarted.

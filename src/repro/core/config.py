@@ -49,7 +49,7 @@ class NeptuneConfig:
         (ack-pruned replay window, reconnect with backoff, receiver
         duplicate suppression); this is its reconnect schedule: attempt
         ``n`` backs off ``min(max, base * 2**n)`` seconds, with
-        :class:`~repro.net.transport.RetryPolicy`'s retry count, jitter
+        :class:`~repro.net.protocol.RetryPolicy`'s retry count, jitter
         (seeded — see ``fault_seed``) and send timeout.
     transport_replay_window:
         Replay-buffer capacity in bytes per TCP peer; unacknowledged
@@ -121,9 +121,9 @@ class NeptuneConfig:
         return self.inbound_high_watermark // 2
 
     def retry_policy(self):
-        """The transport :class:`~repro.net.transport.RetryPolicy` these
+        """The transport :class:`~repro.net.protocol.RetryPolicy` these
         knobs describe."""
-        from repro.net.transport import RetryPolicy
+        from repro.net.protocol import RetryPolicy
 
         return RetryPolicy(
             backoff_base=self.transport_backoff_base,

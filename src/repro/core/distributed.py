@@ -143,8 +143,6 @@ class DistributedWorker:
             listen_host,
             listen_port,
             sink=self._on_frame,
-            ack=True,
-            resume=True,
             injector=injector,
             site=f"tcp.recv.w{worker_id}",
         )
@@ -230,8 +228,8 @@ class DistributedWorker:
                 f"worker {self.worker_id}: frame for unknown wire {frame.link_id}"
             )
         channel, info = entry
-        # Strip the already-verified TCP sequence and renumber locally:
-        # the instance runtime re-verifies per-wire continuity.  The
+        # The frame passes on unchanged: the listener's receiver took
+        # it in order, and the instance runtime checks it again.  The
         # batch is born here: the sender's monotonic clock is not ours,
         # so a socket crossing starts a fresh ``buffer_max_delay``.
         now = time.monotonic()

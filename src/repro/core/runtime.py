@@ -117,6 +117,10 @@ class _ChannelDataset(Dataset):
         """Whether a read would currently yield data."""
         return len(self.channel) > 0
 
+    def __len__(self) -> int:
+        """Frames queued in the channel (what a count-based strategy counts)."""
+        return len(self.channel)
+
     def close(self) -> None:
         """Release underlying resources. Idempotent."""
         super().close()

@@ -25,7 +25,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.granules.scheduler import SchedulingStrategy
+from repro.granules.scheduler import DataDrivenStrategy, SchedulingStrategy
 from repro.granules.task import ComputationalTask, TaskState
 from repro.util.clock import Clock, SYSTEM_CLOCK
 
@@ -217,7 +217,12 @@ class Resource:
         now = self._clock.now()
         with self._work_available:
             if entry.state is _SchedState.RUNNING:
-                entry.rerun = True
+                # A data-driven task runs again when this run ends, even
+                # if the run took the data (an empty run is a no-op). Any
+                # other strategy is only asked again: a forced rerun would
+                # run a count-based task below its threshold.
+                if isinstance(entry.strategy, DataDrivenStrategy):
+                    entry.rerun = True
                 return
             if entry.state is _SchedState.QUEUED:
                 return

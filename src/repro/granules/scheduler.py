@@ -85,7 +85,8 @@ class PeriodicStrategy(SchedulingStrategy):
 class CountBasedStrategy(SchedulingStrategy):
     """Run when at least ``threshold`` items are queued in any dataset.
 
-    Only meaningful over datasets with a length (QueueDataset).
+    Counts what a dataset's length counts (a runtime channel's queued
+    frames, a ``QueueDataset``'s items); a dataset without one is skipped.
     """
 
     def __init__(self, threshold: int) -> None:

@@ -8,9 +8,11 @@ realized here as:
 - :mod:`repro.net.flowcontrol` — credit/watermark bounded channels: the
   in-process analogue of TCP receive-window flow control, the mechanism
   NEPTUNE's backpressure rides on.
+- :mod:`repro.net.protocol` — the link protocol (sequence, ack, replay,
+  backoff) as a sender and a receiver state machine, with no IO.
 - :mod:`repro.net.transport` — TCP (or Unix-domain) socket endpoints
-  between resources/machines; operators of the same resource hand
-  batches over through a channel, with no transport in between.
+  between resources/machines that drive it; operators of the same
+  resource hand batches over through a channel, with no transport.
 """
 
 from typing import Any
@@ -23,10 +25,11 @@ _EXPORTS = {
     "FrameHeader": "repro.net.framing",
     "FrameEncoder": "repro.net.framing",
     "FrameDecoder": "repro.net.framing",
-    "SequenceTracker": "repro.net.framing",
     "WatermarkChannel": "repro.net.flowcontrol",
     "ChannelClosed": "repro.net.flowcontrol",
-    "RetryPolicy": "repro.net.transport",
+    "RetryPolicy": "repro.net.protocol",
+    "Sender": "repro.net.protocol",
+    "Receiver": "repro.net.protocol",
     "TcpTransport": "repro.net.transport",
     "TcpListener": "repro.net.transport",
     "is_unix_endpoint": "repro.net.transport",

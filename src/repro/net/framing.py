@@ -54,7 +54,6 @@ requirements: no corrupted, dropped, duplicated, or reordered packets.
 from __future__ import annotations
 
 import struct
-import threading
 from dataclasses import dataclass
 from zlib import crc32
 
@@ -135,8 +134,8 @@ class FrameEncoder:
     ) -> bytes:
         """Encode one batch into a single wire-frame byte string.
 
-        Materializes header+body in one buffer — use when the caller
-        needs the whole frame as one object (e.g. a replay window).
+        Materializes header+body in one buffer: the form a replay
+        window keeps.
         """
         header, _ = self.encode_parts(link_id, body, count, trace)
         return b"".join((header, body))
@@ -151,10 +150,8 @@ class FrameEncoder:
         """Encode one batch as ``(header, body)`` and bump the link's seq.
 
         The header part includes any trace block; the body is returned
-        as given — zero-copy for the common send path, which can write
-        the two parts to a socket without concatenating them.  A
-        non-empty ``trace`` block upgrades the frame to the traced
-        version.
+        as given, uncopied.  A non-empty ``trace`` block upgrades the
+        frame to the traced version.
         """
         if link_id < 0 or link_id > 0xFFFFFFFF:
             raise SerializationError(f"link_id out of range: {link_id}")
@@ -180,15 +177,17 @@ class FrameEncoder:
 class FrameDecoder:
     """Incremental decoder over a byte stream.
 
-    Feed arbitrary chunks with :meth:`feed`; complete frames come out of
-    :meth:`frames`.  Verifies magic, version, length bounds, checksum,
-    and per-link sequence continuity.
+    Feed arbitrary chunks with :meth:`feed`; the frames they complete
+    come out.  Verifies magic, version, length bounds and checksum;
+    sequence continuity is the receiver's
+    (:class:`repro.net.protocol.Receiver`), across connections.
+    ``verify_sequence`` is accepted only as False.
     """
 
-    def __init__(self, verify_sequence: bool = True) -> None:
+    def __init__(self, verify_sequence: bool = False) -> None:
+        if verify_sequence is not False:
+            raise ValueError("FrameDecoder does not check sequence numbers")
         self._buf = bytearray()
-        self._expected: dict[int, int] = {}
-        self._verify_sequence = verify_sequence
 
     def feed(self, data: bytes) -> list[Frame]:
         """Append ``data`` and return all frames completed by it."""
@@ -242,82 +241,9 @@ class FrameDecoder:
             raise SerializationError(
                 f"checksum mismatch on link {link_id} seq {seq}: packet corrupted"
             )
-        if self._verify_sequence:
-            expected = self._expected.get(link_id, 0)
-            if seq != expected:
-                raise SerializationError(
-                    f"out-of-order frame on link {link_id}: got seq {seq}, expected {expected}"
-                )
-            self._expected[link_id] = seq + 1
         return Frame(FrameHeader(link_id, seq, count, length, checksum), body, trace)
 
     @property
     def pending_bytes(self) -> int:
         """Bytes buffered awaiting a complete frame."""
         return len(self._buf)
-
-
-class SequenceTracker:
-    """Cross-connection per-link sequence bookkeeping for resumable links.
-
-    A :class:`FrameDecoder` lives for one TCP connection; when a
-    transport reconnects after a failure and *replays* its unacked
-    frames, the receiver must carry its per-link expectations across
-    connections and classify each arriving frame:
-
-    - ``DELIVER`` — ``seq`` is exactly the next expected frame;
-      the expectation advances once it is delivered.
-    - ``DUPLICATE`` — ``seq`` was already delivered (a replay of a
-      frame that survived the failure); suppressed, never re-delivered.
-    - ``GAP`` — ``seq`` skips ahead: at least one frame was lost and
-      has not (yet) been replayed.  The caller severs the connection,
-      which makes the sender reconnect and replay from its oldest
-      unacknowledged frame — turning detected loss into retransmission
-      instead of an error.
-
-    One tracker per listener, shared by all reader threads.
-    """
-
-    DELIVER = "deliver"
-    DUPLICATE = "duplicate"
-    GAP = "gap"
-
-    def __init__(self) -> None:
-        self._expected: dict[int, int] = {}
-        self._lock = threading.Lock()
-        self.delivered = 0
-        self.duplicates = 0
-        self.gaps = 0
-
-    def check(self, link_id: int, seq: int, commit: bool = True) -> str:
-        """Classify one frame and advance expectations on delivery.
-
-        With ``commit=False`` a ``DELIVER`` verdict is only a verdict:
-        the caller hands the frame over first and calls :meth:`commit`
-        once that succeeded, so a frame whose delivery raised is still
-        expected when the sender replays it.
-        """
-        with self._lock:
-            expected = self._expected.get(link_id, 0)
-            if seq == expected:
-                if commit:
-                    self._expected[link_id] = seq + 1
-                    self.delivered += 1
-                return self.DELIVER
-            if seq < expected:
-                self.duplicates += 1
-                return self.DUPLICATE
-            self.gaps += 1
-            return self.GAP
-
-    def commit(self, link_id: int, seq: int) -> None:
-        """Record that the frame ``check(..., commit=False)`` called
-        ``DELIVER`` has been delivered."""
-        with self._lock:
-            self._expected[link_id] = seq + 1
-            self.delivered += 1
-
-    def expected(self, link_id: int) -> int:
-        """Next sequence number that will be accepted for ``link_id``."""
-        with self._lock:
-            return self._expected.get(link_id, 0)

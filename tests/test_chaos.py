@@ -19,10 +19,10 @@ from repro.chaos.scenario import (
     run_wire_scenario,
     wire_payload,
 )
-from repro.net.framing import HEADER_SIZE, SequenceTracker
+from repro.net.framing import HEADER_SIZE, FrameDecoder, FrameEncoder
 from repro.chaos import plan as chaos_plan
-from repro.net import transport
-from repro.net.transport import RetryPolicy
+from repro.net import protocol
+from repro.net.protocol import DELIVER, DUPLICATE, GAP, Receiver, RetryPolicy
 from repro.sim.engine import Interrupt, Simulator
 
 
@@ -197,32 +197,43 @@ class TestFaultInjector:
 
 
 # ---------------------------------------------------------------------------
-# SequenceTracker: cross-connection dedup verdicts
+# Sequence tracking: the protocol Receiver's cross-connection verdicts
 # ---------------------------------------------------------------------------
+
+
+def _frame(link_id, seq):
+    encoder = FrameEncoder()
+    for _ in range(seq):
+        encoder.encode(link_id, b"", 0)
+    return FrameDecoder().feed(encoder.encode(link_id, b"x", 1))[0]
+
+
+def _check(receiver, link_id, seq):
+    return receiver.receive(_frame(link_id, seq), lambda frame: None)[0]
 
 
 class TestSequenceTracker:
     def test_in_order_delivery(self):
-        t = SequenceTracker()
-        assert [t.check(1, s) for s in range(3)] == [SequenceTracker.DELIVER] * 3
+        t = Receiver()
+        assert [_check(t, 1, s) for s in range(3)] == [DELIVER] * 3
         assert t.delivered == 3 and t.expected(1) == 3
 
     def test_replay_is_duplicate(self):
-        t = SequenceTracker()
-        t.check(1, 0)
-        assert t.check(1, 0) == SequenceTracker.DUPLICATE
+        t = Receiver()
+        _check(t, 1, 0)
+        assert _check(t, 1, 0) == DUPLICATE
         assert t.duplicates == 1
         assert t.expected(1) == 1  # expectation did not advance
 
     def test_skip_is_gap(self):
-        t = SequenceTracker()
-        assert t.check(1, 2) == SequenceTracker.GAP
+        t = Receiver()
+        assert _check(t, 1, 2) == GAP
         assert t.gaps == 1 and t.expected(1) == 0
 
     def test_links_tracked_independently(self):
-        t = SequenceTracker()
-        t.check(1, 0)
-        assert t.check(2, 0) == SequenceTracker.DELIVER
+        t = Receiver()
+        _check(t, 1, 0)
+        assert _check(t, 2, 0) == DELIVER
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +245,7 @@ class TestRetryPolicy:
     def test_backoff_exponential_and_capped(self, monkeypatch):
         import random
 
-        monkeypatch.setattr(transport, "BACKOFF_JITTER", 0.0)
+        monkeypatch.setattr(protocol, "BACKOFF_JITTER", 0.0)
         p = RetryPolicy(backoff_base=0.1, backoff_max=0.5)
         rng = random.Random(0)
         delays = [p.backoff(n, rng) for n in range(6)]

@@ -19,8 +19,8 @@ Determinism contract that makes kill-and-replay byte-compatible:
 - the drain is only started after the restarted source has re-emitted
   everything (a forced flush mid-replay would cut a frame at a
   different boundary inside the suppressed range and lose records);
-- the sink worker survives, so its listener keeps the
-  :class:`~repro.net.framing.SequenceTracker` — the replayed prefix is
+- the sink worker survives, so its listener keeps its
+  :class:`~repro.net.protocol.Receiver` — the replayed prefix is
   suppressed as duplicates (and re-acked), the rest is delivered once.
 
 The audit trail is a :class:`~repro.workloads.FileSink` on the

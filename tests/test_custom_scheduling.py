@@ -169,6 +169,9 @@ class TestPeriodicProcessor:
             deadline = time.monotonic() + 10
             while proc.data_packets == 0 and time.monotonic() < deadline:
                 time.sleep(0.005)
+            # The threshold fired while the job ran, not only in the
+            # drain's data-driven switch.
+            assert proc.data_packets > 0
             assert job.stop(timeout=60)
         assert proc.data_packets > 0
 

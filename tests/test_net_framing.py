@@ -1,4 +1,5 @@
-"""Tests for wire framing: encode/decode, corruption and ordering checks."""
+"""Tests for wire framing: encode/decode and corruption checks, and
+where the ordering checks went."""
 
 import struct
 import zlib
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net import FrameDecoder, FrameEncoder
 from repro.net.framing import HEADER_SIZE, MAX_BODY, VERSION, VERSION_TRACED
+from repro.net.protocol import DELIVER, DUPLICATE, GAP, Receiver
 from repro.util.errors import SerializationError
 
 
@@ -145,25 +147,32 @@ class TestValidation:
                     for _ in range(21):  # doubling: enough for a 32 MiB length
                         dec.feed(bytes(dec.pending_bytes))
 
+    # Sequence continuity is the receiver's, across connections: the
+    # decoder passes a frame on whatever its seq, and the protocol's
+    # Receiver refuses the gap and suppresses the duplicate.
     def test_dropped_frame_detected(self):
-        enc, dec = FrameEncoder(), FrameDecoder()
+        enc, dec, receiver = FrameEncoder(), FrameDecoder(), Receiver()
         enc.encode(1, b"lost", 1)  # seq 0 never delivered
-        wire = enc.encode(1, b"arrives", 1)  # seq 1
-        with pytest.raises(SerializationError, match="out-of-order"):
-            dec.feed(wire)
+        (frame,) = dec.feed(enc.encode(1, b"arrives", 1))  # seq 1
+        got = []
+        assert receiver.receive(frame, got.append) == (GAP, b"")
+        assert got == [] and receiver.expected(1) == 0
 
     def test_duplicate_frame_detected(self):
-        enc, dec = FrameEncoder(), FrameDecoder()
+        enc, dec, receiver = FrameEncoder(), FrameDecoder(), Receiver()
         wire = enc.encode(1, b"once", 1)
-        dec.feed(wire)
-        with pytest.raises(SerializationError, match="out-of-order"):
-            dec.feed(wire)
+        got = []
+        assert receiver.receive(dec.feed(wire)[0], got.append)[0] == DELIVER
+        assert receiver.receive(dec.feed(wire)[0], got.append)[0] == DUPLICATE
+        assert [f.body for f in got] == [b"once"]
 
-    def test_sequence_check_optional(self):
+    def test_decoder_leaves_sequence_to_the_receiver(self):
         enc = FrameEncoder()
         dec = FrameDecoder(verify_sequence=False)
         wire = enc.encode(1, b"x", 1)
         assert len(dec.feed(wire) + dec.feed(wire)) == 2
+        with pytest.raises(ValueError):
+            FrameDecoder(verify_sequence=True)
 
     def test_oversized_body_rejected_on_encode(self):
         enc = FrameEncoder()

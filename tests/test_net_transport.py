@@ -102,6 +102,38 @@ class TestTcpTransport:
             lst.close()
 
 
+class TestOneMode:
+    """Every link acks, replays and resumes: the keywords of the modes
+    that used to exist are accepted only with the one mode's values."""
+
+    def test_listener_refuses_the_non_acking_and_non_resuming_modes(self):
+        for kwargs in ({"ack": False}, {"resume": False}):
+            with pytest.raises(ValueError):
+                TcpListener("127.0.0.1", 0, sink=lambda f: None, **kwargs)
+        TcpListener("127.0.0.1", 0, sink=lambda f: None, ack=True, resume=True).close()
+
+    def test_a_failing_link_failure_callback_is_counted_not_swallowed(self):
+        def callback(exc):
+            raise RuntimeError("observer down")
+
+        lst = TcpListener("127.0.0.1", 0, sink=lambda f: None)
+        tx = TcpTransport(
+            "127.0.0.1",
+            lst.port,
+            retry=RetryPolicy(max_retries=1, backoff_base=0.01, backoff_max=0.01),
+            on_link_failure=callback,
+        )
+        lst.close()
+        # The ack reader sees the listener hang up; the next send must
+        # reconnect, and nothing listens any more.
+        assert wait_until(lambda: tx._conn_dead)
+        with pytest.raises(TransportError, match="reconnect attempts failed"):
+            tx.send(1, b"x", 1)
+        assert tx.link_failure_callback_errors == 1
+        assert str(tx.last_link_failure_callback_error) == "observer down"
+        tx.close()
+
+
 class TestReservedPorts:
     def test_listener_binds_a_reserved_port(self):
         """The shared helper's reservation survives the probe socket's
@@ -289,8 +321,8 @@ class TestResumeListenerSinkFailure:
                     assert _read_ack(second) == (9, seq)
             assert delivered == list(range(total))
             assert lst.duplicates_suppressed == 1
-            assert lst.tracker.expected(9) == total
-            assert lst.tracker.delivered == total
+            assert lst.receiver.expected(9) == total
+            assert lst.receiver.delivered == total
         finally:
             lst.close()
 
@@ -341,7 +373,7 @@ class TestResumeListenerHeaderCorruption:
             assert delivered == expected
             assert lst.duplicates_suppressed == 0
             assert lst.gap_resets == 0
-            assert lst.tracker.delivered == total
+            assert lst.receiver.delivered == total
         finally:
             lst.close()
 
