@@ -98,10 +98,8 @@ class RetryPolicy:
 
 class Sender:
     """Sequence numbers, replay window, acks and backoff of one
-    outbound connection (see the module docstring).
-
-    Not thread-safe: its transport calls it under one lock.
-    """
+    outbound connection (see the module docstring).  Not thread-safe:
+    its transport guards every call but :meth:`encode` with one lock."""
 
     def __init__(self, endpoint: str, retry: RetryPolicy) -> None:
         self.retry = retry
@@ -127,23 +125,24 @@ class Sender:
         does not fit until acks prune the window."""
         return self.window_bytes + size > self.retry.replay_window_bytes
 
-    def send(
+    def encode(
         self,
         link_id: int,
         body: bytes | bytearray | memoryview,
         count: int,
         trace: bytes = b"",
-    ) -> bytes:
-        """Number one batch on ``link_id`` and keep its frame for replay.
+    ) -> tuple[int, bytes]:
+        """Number one batch on ``link_id``: ``(seq, wire bytes)``, one
+        materialized copy, so ``body`` may be recycled at once.  Acks
+        never touch the sequence counters: a driver that serializes its
+        sends may encode outside the lock that guards the window."""
+        seq = self._encoder.sequence(link_id)
+        return seq, self._encoder.encode(link_id, body, count, trace)
 
-        Returns the frame's wire bytes, one materialized copy — the
-        price of replayability: a trace block survives retransmission
-        byte-identically, and ``body`` may be recycled at once.
-        """
-        wire = self._encoder.encode(link_id, body, count, trace)
-        self._window.append((link_id, self._encoder.sequence(link_id) - 1, wire))
+    def keep(self, link_id: int, seq: int, wire: bytes) -> None:
+        """Hold an encoded frame for replay, in encode order, until acked."""
+        self._window.append((link_id, seq, wire))
         self.window_bytes += len(wire)
-        return wire
 
     def on_acks(self, buf: bytes | bytearray, now: float) -> int:
         """Apply every whole ack record in ``buf``; prune the window.
@@ -172,11 +171,14 @@ class Sender:
         later frame to trip the receiver's gap check)."""
         return bool(self._window) and now - self.last_ack_at > stall
 
-    def connected(self, now: float) -> list[bytes]:
-        """A new connection is up: the frames to replay on it, oldest
-        first (an empty list on the first connection)."""
-        self.last_ack_at = now
+    def replay(self) -> list[bytes]:
+        """The frames to write on a new connection, oldest first."""
         return [wire for _link, _seq, wire in self._window]
+
+    def connected(self, now: float) -> None:
+        """A connection is up and its :meth:`replay` written: the stall
+        clock restarts, so a slow replay is not itself a stall."""
+        self.last_ack_at = now
 
     def retry_at(self, failures: int, now: float) -> float | None:
         """After ``failures`` (>= 1) consecutive failed reconnects: when

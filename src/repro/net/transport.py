@@ -239,8 +239,9 @@ class TcpTransport:
             # number: a window timeout must not strand a gap in the
             # link's sequence space.
             self._wait_window(HEADER_SIZE + len(trace) + len(body), on_wait)
+            seq, wire = self._sender.encode(link_id, body, count, trace)
             with self._state:
-                wire = self._sender.send(link_id, body, count, trace)
+                self._sender.keep(link_id, seq, wire)
             chunks, kill_after = [wire], False
             if self._injector is not None:
                 chunks, kill_after, _ = self._injector.apply_to_wire(self._site, wire)
@@ -330,7 +331,7 @@ class TcpTransport:
                 sock = _connect_endpoint(self._host, self._port, self._connect_timeout)
                 sock.settimeout(None)
                 with self._state:
-                    replay = self._sender.connected(time.monotonic())
+                    replay = self._sender.replay()
                     self._sock = sock
                     self._conn_gen += 1
                     gen = self._conn_gen
@@ -341,6 +342,7 @@ class TcpTransport:
                 for wire in replay:
                     sock.sendall(wire)
                 with self._state:
+                    self._sender.connected(time.monotonic())
                     self.reconnects += 1
                     self.replayed_frames += len(replay)
                 if self._observer is not None:
@@ -375,8 +377,6 @@ class TcpTransport:
             try:
                 self._on_link_failure(err)
             except Exception as callback_exc:
-                # A notification must not mask the transport error; it
-                # is counted and kept instead of dropped.
                 with self._state:
                     self.link_failure_callback_errors += 1
                     self.last_link_failure_callback_error = callback_exc
@@ -420,8 +420,11 @@ class TcpTransport:
             with self._lock:
                 if self._closed:
                     return False
+                with self._state:  # again: a recovery may have run meanwhile
+                    now = time.monotonic()
+                    sever = self._conn_dead or self._sender.stalled(now, stall)
                 try:
-                    if self._conn_dead or sever:
+                    if sever:
                         self._recover()
                 except TransportError:
                     return False

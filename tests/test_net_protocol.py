@@ -14,20 +14,27 @@ from repro.net.protocol import ACK, DELIVER, GAP, Receiver, RetryPolicy, Sender
 from repro.util.errors import SerializationError
 
 
+def _send(sender, link, body):
+    """Number and keep one frame, as the transport does; its wire bytes."""
+    seq, wire = sender.encode(link, body, 1)
+    sender.keep(link, seq, wire)
+    return wire
+
+
 class TestSender:
     def test_window_holds_frames_until_acked(self):
         sender = Sender("h:1", RetryPolicy(replay_window_bytes=3 * (HEADER_SIZE + 4)))
-        wires = [sender.send(1, b"abcd", 1) for _ in range(3)]
+        wires = [_send(sender, 1, b"abcd") for _ in range(3)]
         assert sender.window_full(HEADER_SIZE + 4)  # the wait-for-window verdict
         assert sender.on_acks(ACK.pack(1, 1), now=5.0) == ACK.size
         assert sender.unacked_frames == 1 and sender.acked_frames == 2
         assert not sender.window_full(HEADER_SIZE + 4)
-        assert sender.connected(now=6.0) == wires[2:]
+        assert sender.replay() == wires[2:]
 
     def test_ack_records_split_across_reads(self):
         sender = Sender("h:1", RetryPolicy())
         for _ in range(3):
-            sender.send(7, b"x", 1)
+            _send(sender, 7, b"x")
         stream = ACK.pack(7, 0) + ACK.pack(7, 2)
         buf = bytearray(stream[:5])
         assert sender.on_acks(buf, now=1.0) == 0  # no whole record yet
@@ -41,8 +48,8 @@ class TestSender:
 
     def test_window_is_pruned_in_send_order_across_links(self):
         sender = Sender("h:1", RetryPolicy())
-        sender.send(1, b"a", 1)
-        sender.send(2, b"b", 1)
+        _send(sender, 1, b"a")
+        _send(sender, 2, b"b")
         sender.on_acks(ACK.pack(2, 0), now=1.0)
         assert sender.unacked_frames == 2  # link 1's frame heads the window
         sender.on_acks(ACK.pack(1, 0), now=1.0)
@@ -52,11 +59,20 @@ class TestSender:
         sender = Sender("h:1", RetryPolicy())
         sender.connected(now=10.0)
         assert not sender.stalled(now=20.0, stall=0.5)  # nothing outstanding
-        sender.send(1, b"a", 1)
+        _send(sender, 1, b"a")
         assert not sender.stalled(now=10.4, stall=0.5)
         assert sender.stalled(now=10.6, stall=0.5)
         sender.on_acks(ACK.pack(1, 0), now=10.6)
         assert not sender.stalled(now=10.7, stall=0.5)
+
+    def test_stall_clock_restarts_once_the_replay_is_written(self):
+        sender = Sender("h:1", RetryPolicy())
+        sender.connected(now=10.0)
+        _send(sender, 1, b"a")
+        assert sender.replay() and sender.stalled(now=11.0, stall=0.5)
+        sender.connected(now=11.0)  # the replay took a second to write
+        assert not sender.stalled(now=11.4, stall=0.5)
+        assert sender.stalled(now=11.6, stall=0.5)
 
     def test_retry_budget_then_give_up(self):
         policy = RetryPolicy(max_retries=3, backoff_base=0.1, backoff_max=0.3)
@@ -144,9 +160,10 @@ class Pipe:
 
 
 class WireProtocolMachine(RuleBasedStateMachine):
-    """Invariant: each link's delivered frames are a prefix of its sent
-    frames, with no duplicate.  Once the faults stop, everything sent
-    is delivered after at most one reconnect, or the sender gave up."""
+    """Invariants: each link's delivered frames are a prefix of its sent
+    frames, with no duplicate, and only delivered frames have left the
+    replay window.  Once the faults stop, everything sent is delivered
+    after at most one reconnect, or the sender gave up."""
 
     def __init__(self):
         super().__init__()
@@ -181,8 +198,9 @@ class WireProtocolMachine(RuleBasedStateMachine):
                 continue
             self.current = Pipe()
             self.pipes.append(self.current)
-            for wire in self.sender.connected(self.now):
+            for wire in self.sender.replay():
                 self.current.down += wire
+            self.sender.connected(self.now)
             return
 
     def _sender_hangs_up(self):
@@ -246,29 +264,34 @@ class WireProtocolMachine(RuleBasedStateMachine):
         size=st.integers(0, 300),
         fault=st.sampled_from(WIRE_FAULTS),
         param=st.floats(0.0, 1.0),
+        more=st.integers(0, 2),
     )
-    def send(self, link, size, fault, param):
-        if self.gave_up:
-            return
-        if self.current is None:
-            self._connect()
+    def send(self, link, size, fault, param, more):
+        """One frame with ``fault``, then ``more`` clean ones on its link
+        (a burst: after a drop, what lets the receiver see the gap)."""
+        for fault in [fault] + [None] * more:
             if self.gave_up:
                 return
-        if self.sender.window_full(HEADER_SIZE + size):
-            return  # the transport would wait for acks
-        seq = len(self.sent.get(link, []))
-        body = (b"%d:%d;" % (link, seq) * (size // 4 + 1))[:size]
-        wire = self.sender.send(link, body, 1)
-        self.sent.setdefault(link, []).append(body)
-        if fault is not None:
-            self.injector.plan.at(SITE, self.injector.interceptions(SITE), fault, param)
-        chunks, kill_after, _ = self.injector.apply_to_wire(SITE, wire)
-        if self.current.reading:
-            for chunk in chunks:
-                self.current.down += chunk
-        if kill_after:
-            self._sender_hangs_up()
-            self._connect()
+            if self.current is None:
+                self._connect()
+                if self.gave_up:
+                    return
+            if self.sender.window_full(HEADER_SIZE + size):
+                return  # the transport would wait for acks
+            seq = len(self.sent.get(link, []))
+            body = (b"%d:%d;" % (link, seq) * (size // 4 + 1))[:size]
+            wire = _send(self.sender, link, body)
+            self.sent.setdefault(link, []).append(body)
+            if fault is not None:
+                at = self.injector.interceptions(SITE)
+                self.injector.plan.at(SITE, at, fault, param)
+            chunks, kill_after, _ = self.injector.apply_to_wire(SITE, wire)
+            if self.current.reading:
+                for chunk in chunks:
+                    self.current.down += chunk
+            if kill_after:
+                self._sender_hangs_up()
+                self._connect()
 
     @rule(which=st.integers(0, 3), n=st.integers(1, 400))
     def receive(self, which, n):
@@ -318,6 +341,17 @@ class WireProtocolMachine(RuleBasedStateMachine):
     def delivered_is_a_prefix_of_sent(self):
         for link, got in self.delivered.items():
             assert got == self.sent.get(link, [])[: len(got)], link
+
+    @invariant()
+    def only_delivered_frames_leave_the_window(self):
+        # Each link's frames leave the window in order, so what is left
+        # of a link is its sent frames from the oldest one still held.
+        held = {}
+        for frame in FrameDecoder().feed(b"".join(self.sender.replay())):
+            held.setdefault(frame.link_id, frame.seq)
+        for link, sent in self.sent.items():
+            released = held.get(link, len(sent))
+            assert released <= len(self.delivered.get(link, [])), link
 
     def _settle(self):
         moved, rounds = True, 0
