@@ -72,6 +72,17 @@ __all__ = [
 #: keep counting) — bounds memory on pathological lock populations.
 MAX_EDGES = 4096
 
+
+class _Raw:
+    """The interpreter's lock factories, taken at import, before any
+    sanitizer patches them.  Every instrumented lock wraps one of these,
+    so a sanitizer installed inside another (a sanitizer's own tests run
+    under the session one) records nothing into the outer one."""
+
+    Lock = staticmethod(threading.Lock)
+    RLock = staticmethod(threading.RLock)
+
+
 _ASSIGN_TARGET = re.compile(r"(?:self|cls)\.(\w+)\s*(?::[^=]+)?=")
 
 
@@ -117,9 +128,7 @@ class InstrumentedLock:
     def __init__(
         self, san: "LockOrderSanitizer", label: str, reentrant: bool
     ) -> None:
-        self._lock = (
-            san._real_rlock() if reentrant else san._real_lock()
-        )
+        self._lock = _Raw.RLock() if reentrant else _Raw.Lock()
         self._label = label
         self._san = san
         self._reentrant = reentrant
@@ -278,14 +287,14 @@ class LockOrderSanitizer:
             raise ValueError(f"duty must be in [0, 1]: {duty}")
         self.duty = duty
         self.window = window
-        self._real_lock: Callable[[], Any] = threading.Lock
-        self._real_rlock: Callable[[], Any] = threading.RLock
+        #: The factories install() replaced (an outer sanitizer's, when
+        #: nested), which uninstall() puts back.
+        self._replaced: Tuple[Callable[[], Any], ...] = (_Raw.Lock, _Raw.RLock)
         self._held = _HeldStack()
         self._edges: Dict[Tuple[str, str], int] = {}
-        # Guards the edge table and window epoch.  Built before
-        # install() patches the factories, so it is always a raw lock
-        # (recording never records itself).
-        self._edge_lock = threading.Lock()
+        # Guards the edge table and window epoch.  A raw lock:
+        # recording never records itself.
+        self._edge_lock = _Raw.Lock()
         self._dropped = 0
         self._acquires = 0
         self._installed = False
@@ -367,8 +376,8 @@ class LockOrderSanitizer:
             return InstrumentedLock(san, _caller_label(2), reentrant=True)
 
         if 0.0 < self.duty < 1.0:
-            # Built from the *real* primitives, before the patch below,
-            # so the toggle machinery never records itself.
+            # Built before the patch below, so the toggle machinery
+            # never records into this sanitizer.
             self._toggle_stop = threading.Event()
             self._toggle_thread = threading.Thread(
                 target=self._toggle_loop,
@@ -377,6 +386,7 @@ class LockOrderSanitizer:
                 daemon=True,
             )
             self._toggle_thread.start()
+        self._replaced = (threading.Lock, threading.RLock)
         threading.Lock = make_lock  # type: ignore[assignment]
         threading.RLock = make_rlock  # type: ignore[assignment]
         self._installed = True
@@ -387,8 +397,8 @@ class LockOrderSanitizer:
         instrumented locks keep working (and keep recording)."""
         if not self._installed:
             return
-        threading.Lock = self._real_lock  # type: ignore[assignment]
-        threading.RLock = self._real_rlock  # type: ignore[assignment]
+        threading.Lock = self._replaced[0]  # type: ignore[assignment]
+        threading.RLock = self._replaced[1]  # type: ignore[assignment]
         if self._toggle_stop is not None:
             self._toggle_stop.set()
             if self._toggle_thread is not None:
@@ -433,7 +443,7 @@ def calibrate(iterations: int = 50_000) -> float:
     """Measured per-acquire overhead (seconds) of a *recording*
     instrumented lock over a raw one, on this machine, uncontended."""
     san = LockOrderSanitizer()
-    raw = threading.Lock()
+    raw = _Raw.Lock()
     inst = InstrumentedLock(san, "calibrate._lock", reentrant=False)
     _timed_pairs(raw, iterations)  # warm both paths before measuring
     _timed_pairs(inst, iterations)

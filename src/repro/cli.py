@@ -116,10 +116,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         chain_verdicts(report)
     if args.lint:
         reports.append(lint_paths(args.lint))
+    notes = []
     if args.witness:
         from repro.analysis.lint import collect_models
         from repro.analysis.lintrules import static_order_edges
-        from repro.analysis.sanitizer import Witness, witness_report
+        from repro.analysis.sanitizer import Witness, cross_validate, witness_report
 
         edges = static_order_edges(collect_models(args.lint))
         for path in args.witness:
@@ -138,11 +139,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 reports.append(bad)
                 continue
             reports.append(witness_report(witness, edges, subject=path))
+            unpredicted = cross_validate(witness, edges).unpredicted_edges
+            notes.append(
+                f"{path}: {len(unpredicted)} of {len(witness.edges)} witnessed "
+                "lock-order edges are not in the lint's static model"
+            )
     if args.json:
         print(json.dumps([json.loads(r.to_json()) for r in reports], indent=2))
     else:
         for report in reports:
             print(report.render())
+        for note in notes:
+            print(note)
     return max((r.exit_code(fail_on) for r in reports), default=0)
 
 
@@ -900,6 +908,7 @@ def cmd_cluster_status(args: argparse.Namespace) -> int:
         finally:
             proxy.close()
         alive += 1
+        collect_s = ""  # a worker without an observability plane
         if collect_info:
             age = collect_info.get("last_collect_age")
             age_s = f"{age:.2f}s" if isinstance(age, float) else "never"

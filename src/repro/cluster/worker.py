@@ -11,8 +11,8 @@ debugging a single shard.
 When the spec carries an ``observe`` block the worker additionally
 builds its observability plane: a :class:`~repro.observe.RuntimeObserver`
 threaded through the runtime, a
-:class:`~repro.observe.collector.DeltaSource` answering the control
-plane's ``collect`` and ``snapshot`` commands, optionally a
+:class:`~repro.observe.collector.DeltaSource` behind the worker's
+``collect`` and ``snapshot`` (control commands), optionally a
 worker-local :class:`~repro.observe.HealthEngine` over its own shard,
 and a :class:`~repro.observe.flightrec.FlightRecorder` persisting that
 source's snapshot so even a SIGKILL leaves a post-mortem on disk.
@@ -36,10 +36,9 @@ def _build_observability(
     """Attach observer-side facilities per ``spec.observe``.
 
     Returns ``(health_engine, flight_recorder)`` (either may be None).
-    The DeltaSource is attached as ``worker.delta_source`` and the
-    recorder as ``worker.flight_recorder`` — the duck-typed attributes
-    the control server's ``collect`` / ``snapshot`` / ``flight_dump``
-    commands read.
+    The DeltaSource and the recorder become the worker's
+    ``delta_source`` and ``flight_recorder``, which its ``collect``,
+    ``snapshot``, ``collect_info`` and ``flight_dump`` answer from.
     """
     cfg = spec.observe or {}
     observer = worker.observer

@@ -4,12 +4,13 @@
 module adds the coordination layer for workers living in *different*
 processes (or machines):
 
-- :class:`ControlServer` — a tiny JSON-lines TCP command endpoint
-  attached to a worker (``ping``/``wait_sources``/``finish_sources``/
-  ``flush_all``/``is_quiet``/``metrics``/``collect``/``snapshot``/
-  ``failures``/``stop``).
-- :class:`RemoteWorker` — the client proxy, duck-type compatible with
-  :class:`DistributedWorker` for everything the coordinator needs.
+- :data:`COMMANDS` — the ``DistributedWorker`` members a peer may
+  call: the whole control protocol, one table.
+- :class:`ControlServer` — the JSON-lines endpoint that calls them on
+  a worker.
+- :class:`RemoteWorker` — the client proxy: each command is a member of
+  the same name, so it stands in for a ``DistributedWorker`` wherever
+  the coordinator needs one.
 - :class:`RemoteDistributedJob` — one job over anything worker-shaped:
   proxies here, in-process workers under
   :class:`~repro.core.distributed.DistributedJob` (its subclass).  Its
@@ -21,12 +22,15 @@ The process a :class:`ControlServer` runs in is started by
 spec.json``), the one worker entry point.
 
 The data plane is unchanged: stream frames ride the workers' own
-TCP listeners; only coordination (start/drain/metrics) crosses the
-control sockets.
+listeners; only coordination (start/drain/metrics) crosses the control
+sockets.  Both servers share one accept loop,
+:class:`repro.net.server.SocketServer`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import socket
 import threading
@@ -34,8 +38,33 @@ import time
 from typing import Any
 
 from repro.core.job import JobState, drain
-from repro.net.transport import TcpListener  # noqa: F401  (doc cross-ref)
+from repro.net.server import SocketServer
 from repro.util.errors import NeptuneError
+
+#: The :class:`~repro.core.distributed.DistributedWorker` members a peer
+#: may call, by name.  A request is one JSON line, ``{"cmd": name,
+#: "args": [...], **keywords}``, and its reply is ``{"ok": true,
+#: "result": ...}`` or ``{"ok": false, "error": ...}``.  ``failures`` is
+#: a property, so its value is the result, each exception as its repr.
+#: A new command is a worker method and its name here.
+COMMANDS = frozenset(
+    {
+        "ping",
+        "wait_sources",
+        "finish_sources",
+        "prepare_drain",
+        "flush_all",
+        "is_quiet",
+        "metrics",
+        "failures",
+        "reconfigure",
+        "collect",
+        "snapshot",
+        "collect_info",
+        "flight_dump",
+        "stop",
+    }
+)
 
 
 class ControlError(NeptuneError):
@@ -43,163 +72,59 @@ class ControlError(NeptuneError):
 
 
 class ControlServer:
-    """JSON-lines command endpoint for one DistributedWorker."""
+    """JSON-lines command endpoint for one DistributedWorker, on the
+    loopback interface: each connection is served on its own thread,
+    one reply line per request line."""
 
-    def __init__(self, worker, host: str = "127.0.0.1", port: int = 0) -> None:
+    def __init__(self, worker, port: int = 0) -> None:
         self.worker = worker
-        self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._server.bind((host, port))
-        self._server.listen(8)
-        self.host, self.port = self._server.getsockname()[:2]
-        self._running = True
         self.stop_requested = threading.Event()
-        self._thread = threading.Thread(
-            target=self._accept_loop, name=f"neptune-ctl-{self.port}", daemon=True
-        )
-        self._thread.start()
-
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                conn, _ = self._server.accept()
-            except OSError:
-                return
-            if not self._running:  # close()'s wake-up connection
-                conn.close()
-                return
-            threading.Thread(
-                target=self._serve,
-                args=(conn,),
-                name=f"neptune-ctl-conn-{self.port}",
-                daemon=True,
-            ).start()
+        self._server = SocketServer("127.0.0.1", port, self._serve, "neptune-ctl", None)
+        self.port = self._server.port
 
     def _serve(self, conn: socket.socket) -> None:
         try:
-            # Request/response lines are tiny: without TCP_NODELAY each
-            # exchange stalls on Nagle + delayed ACK (~40ms), which
-            # alone would blow the collector's poll-duty budget.
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            rfile = conn.makefile("r", encoding="utf-8")
-            wfile = conn.makefile("w", encoding="utf-8")
-            for line in rfile:
-                line = line.strip()
-                if not line:
-                    continue
-                cmd = None
-                try:
-                    request = json.loads(line)
-                    if not isinstance(request, dict):
-                        raise ValueError(
-                            f"a control request is a JSON object, not {line[:80]!r}"
-                        )
-                    cmd = request.get("cmd")
-                    response = self._dispatch(request)
-                except Exception as exc:  # noqa: BLE001 — report to caller
-                    response = {"ok": False, "error": repr(exc)}
-                wfile.write(json.dumps(response) + "\n")
-                wfile.flush()
-                if cmd == "stop":
-                    return
+            with conn.makefile("r", encoding="utf-8") as rfile, conn.makefile(
+                "w", encoding="utf-8"
+            ) as wfile:
+                for line in rfile:
+                    if not line.strip():
+                        continue
+                    name, reply = self._reply(line)
+                    wfile.write(json.dumps(reply, default=repr) + "\n")
+                    wfile.flush()
+                    if name == "stop":
+                        return
         except OSError:
-            pass
-        finally:
-            conn.close()
+            pass  # the peer went away
 
-    def _dispatch(self, request: dict) -> dict:
-        cmd = request.get("cmd")
-        worker = self.worker
-        if cmd == "ping":
-            return {"ok": True, "worker_id": worker.worker_id}
-        if cmd in ("finish_sources", "prepare_drain", "flush_all"):
-            getattr(worker, cmd)()
-            return {"ok": True}
-        if cmd == "wait_sources":
-            # Blocks this connection's thread, and only it: the proxy
-            # sends it on a connection of its own.
-            done = worker.wait_sources(float(request.get("timeout", 0.0)))
-            return {"ok": True, "done": done}
-        if cmd == "is_quiet":
-            return {"ok": True, "quiet": worker.is_quiet()}
-        if cmd == "metrics":
-            return {"ok": True, "metrics": worker.metrics()}
-        if cmd == "collect":
-            # The polled telemetry envelope (series + the spans/events
-            # since the last collect + SLO states) for the one cluster
-            # collector.  None when the worker runs without an
-            # observability plane.
-            source = getattr(worker, "delta_source", None)
-            return {
-                "ok": True,
-                "delta": None if source is None else source.collect(),
-            }
-        if cmd == "snapshot":
-            # The standing envelope, no cursor moved: what the flight
-            # recorder persists, profile included.  Without an
-            # observability plane it still carries the job's series.
-            source = getattr(worker, "delta_source", None)
-            if source is None:
-                from repro.observe import DeltaSource, RuntimeObserver
-
-                source = DeltaSource(RuntimeObserver(), worker.worker_id, worker)
-            return {
-                "ok": True,
-                "snapshot": source.snapshot(
-                    request.get("max_events"), request.get("max_spans")
-                ),
-            }
-        if cmd == "collect_info":
-            source = getattr(worker, "delta_source", None)
-            return {
-                "ok": True,
-                "info": None if source is None else source.info(),
-            }
-        if cmd == "flight_dump":
-            # Coordinator-requested black-box dump (kill_worker asks
-            # for one before delivering the signal).
-            recorder = getattr(worker, "flight_recorder", None)
-            return {
-                "ok": True,
-                "path": None if recorder is None else recorder.dump("request"),
-            }
-        if cmd == "reconfigure":
-            # Live elasticity action (policy engine): retune buffer
-            # bounds / resize the scheduler pool without a restart.
-            return {
-                "ok": True,
-                "result": worker.reconfigure(dict(request.get("changes") or {})),
-            }
-        if cmd == "failures":
-            return {
-                "ok": True,
-                "failures": {k: repr(v) for k, v in worker.failures.items()},
-            }
-        if cmd == "stop":
-            worker.stop()
+    def _reply(self, line: str) -> tuple[Any, dict]:
+        name = None
+        try:
+            request = json.loads(line)
+            if not isinstance(request, dict):
+                raise ValueError(f"a control request is a JSON object, not {line[:80]!r}")
+            name = request.pop("cmd", None)
+            if name not in COMMANDS:
+                return name, {"ok": False, "error": f"unknown command {name!r}"}
+            member = getattr(self.worker, name)
+            args = request.pop("args", ())
+            result = member(*args, **request) if callable(member) else member
+        except Exception as exc:  # noqa: BLE001 — reported to the caller
+            return name, {"ok": False, "error": repr(exc)}
+        if name == "stop":
             self.stop_requested.set()
-            return {"ok": True}
-        return {"ok": False, "error": f"unknown command {cmd!r}"}
+        return name, {"ok": True, "result": result}
 
     def close(self) -> None:
-        """Release underlying resources. Idempotent."""
-        if not self._running:
-            return
-        self._running = False
-        # Closing the listening socket does not wake a thread blocked
-        # in accept(); a throwaway connection does (the loop then sees
-        # _running is False and exits), so the join returns at once.
-        try:
-            host = "127.0.0.1" if self.host == "0.0.0.0" else self.host
-            socket.create_connection((host, self.port), timeout=0.5).close()
-        except OSError:
-            pass
+        """Stop serving and join the connection threads. Idempotent."""
         self._server.close()
-        self._thread.join(5.0)
 
 
 class RemoteWorker:
-    """Coordinator-side proxy for a worker in another process."""
+    """Coordinator-side proxy for a worker in another process.  Each
+    name in :data:`COMMANDS` is a member here that forwards its
+    arguments as they are and returns the worker's result."""
 
     def __init__(self, host: str, port: int, connect_timeout: float = 30.0) -> None:
         self._address = (host, port)
@@ -216,13 +141,24 @@ class RemoteWorker:
         else:
             raise ControlError(f"cannot reach worker control at {host}:{port}: {last_error}")
         self._sock.settimeout(60.0)
+        # Request/response lines are tiny: without TCP_NODELAY each
+        # exchange stalls on Nagle + delayed ACK (~40ms), which alone
+        # would blow the collector's poll-duty budget.
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rfile = self._sock.makefile("r", encoding="utf-8")
         self._wfile = self._sock.makefile("w", encoding="utf-8")
         self._lock = threading.Lock()
-        self.worker_id = self._call({"cmd": "ping"})["worker_id"]
+        self.worker_id = self.ping()
 
-    def _call(self, request: dict) -> dict:
+    def __getattr__(self, name: str) -> Any:
+        if name not in COMMANDS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return functools.partial(self._command, name)
+
+    def _command(self, name: str, *args: Any, **kwargs: Any) -> Any:
+        return self._call({"cmd": name, "args": args, **kwargs})
+
+    def _call(self, request: dict) -> Any:
         message = json.dumps(request) + "\n"
         try:
             with self._lock:
@@ -240,81 +176,27 @@ class RemoteWorker:
         response = json.loads(line)
         if not response.get("ok"):
             raise ControlError(response.get("error", "unknown control failure"))
-        return response
-
-    # -- DistributedWorker-compatible surface -----------------------------
-    def wait_sources(self, timeout: float) -> bool:
-        """Block until the worker's sources finished or something
-        failed there; False after ``timeout`` seconds.  On a connection
-        of its own: the command blocks for as long as it is given, and
-        ``_lock`` is what the collector's ``collect`` and every other
-        command of this proxy take turns on."""
-        if self._waiter is None:
-            self._waiter = RemoteWorker(*self._address, connect_timeout=5.0)
-        reply = self._waiter._call({"cmd": "wait_sources", "timeout": timeout})
-        return bool(reply["done"])
-
-    def finish_sources(self) -> None:
-        """Mark all local sources finished (``stop``)."""
-        self._call({"cmd": "finish_sources"})
-
-    def prepare_drain(self) -> None:
-        """Switch custom-scheduled processors to data-driven dispatch."""
-        self._call({"cmd": "prepare_drain"})
-
-    def flush_all(self) -> None:
-        """Force-flush every outbound buffer."""
-        self._call({"cmd": "flush_all"})
-
-    def is_quiet(self) -> bool:
-        """Locally quiescent: nothing running, queued, or buffered."""
-        return bool(self._call({"cmd": "is_quiet"})["quiet"])
-
-    def metrics(self) -> dict:
-        """Aggregated per-operator counters."""
-        return self._call({"cmd": "metrics"})["metrics"]
-
-    def collect(self) -> dict | None:
-        """One telemetry delta from the worker's DeltaSource (None when
-        the worker runs without an observability plane)."""
-        return self._call({"cmd": "collect"})["delta"]
-
-    def snapshot(
-        self, max_events: int | None = None, max_spans: int | None = None
-    ) -> dict:
-        """The worker's standing telemetry envelope (see
-        :meth:`repro.observe.collector.DeltaSource.snapshot`): series,
-        profile, and the last ``max_events`` events / ``max_spans``
-        spans (None: every one retained).  Advances nothing."""
-        request = {"cmd": "snapshot", "max_events": max_events, "max_spans": max_spans}
-        return self._call(request)["snapshot"]
-
-    def collect_info(self) -> dict | None:
-        """Cheap DeltaSource status (last-collection age, counters)."""
-        return self._call({"cmd": "collect_info"})["info"]
-
-    def reconfigure(self, changes: dict) -> dict:
-        """Apply a live reconfiguration on the worker (see
-        :meth:`~repro.core.distributed.DistributedWorker.reconfigure`);
-        returns the worker's applied-changes report."""
-        return self._call({"cmd": "reconfigure", "changes": changes})["result"]
-
-    def flight_dump(self) -> str | None:
-        """Request an immediate flight-recorder dump; returns its path
-        on the worker's filesystem (None without a recorder)."""
-        return self._call({"cmd": "flight_dump"})["path"]
+        return response["result"]
 
     @property
     def failures(self) -> dict:
-        """Operator-instance failures keyed by 'operator[index]'."""
-        return self._call({"cmd": "failures"})["failures"]
+        """The worker's ``failures`` (a property there too), each
+        exception as its repr."""
+        return self._command("failures")
+
+    def wait_sources(self, timeout: float) -> bool:
+        """Forwarded on a connection of its own: the command blocks for
+        as long as it is given, and ``_lock`` is what the collector's
+        ``collect`` and every other command of this proxy take turns on."""
+        if self._waiter is None:
+            self._waiter = RemoteWorker(*self._address, connect_timeout=5.0)
+        return bool(self._waiter._command("wait_sources", timeout))
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Stop and release resources. Idempotent."""
-        try:
-            self._call({"cmd": "stop"})
-        except (ControlError, OSError):
-            pass  # worker may already be gone
+        """Stop the worker, then :meth:`close`. Idempotent: a worker
+        that is already gone is not an error."""
+        with contextlib.suppress(ControlError):
+            self._command("stop", timeout)
         self.close()
 
     def close(self) -> None:

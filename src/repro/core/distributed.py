@@ -105,7 +105,15 @@ def round_robin_plan(graph: StreamProcessingGraph, n_workers: int) -> Deployment
 
 
 class DistributedWorker:
-    """One worker's partition of a distributed NEPTUNE job."""
+    """One worker's partition of a distributed NEPTUNE job.
+
+    Its public methods are what a coordinator drives it with: the part
+    surface of :func:`repro.core.job.drain`, ``metrics`` and
+    ``reconfigure``, and the telemetry it answers itself (``collect``,
+    ``snapshot``, ``collect_info``, ``flight_dump``).  From another
+    process the same names cross the control plane, as listed in
+    :data:`repro.core.control.COMMANDS`.
+    """
 
     def __init__(
         self,
@@ -149,6 +157,10 @@ class DistributedWorker:
         self._transports: dict[int, TcpTransport] = {}
         self._started = False
         self._lock = threading.Lock()
+        #: This shard's DeltaSource and the FlightRecorder persisting
+        #: it, when :mod:`repro.cluster.worker` builds them.
+        self.delta_source: Any = None
+        self.flight_recorder: Any = None
 
     # -- addressing -----------------------------------------------------------
     @property
@@ -304,6 +316,35 @@ class DistributedWorker:
         """
         applied = _apply_reconfigure(changes, [self.job], self._resource)
         return {"worker": self.worker_id, "applied": applied}
+
+    # -- telemetry; all but snapshot answer None without a plane ----------
+    def ping(self) -> int:
+        """This worker's id: what a control connection checks first."""
+        return self.worker_id
+
+    def collect(self) -> dict | None:
+        """The polled telemetry envelope, for the cluster collector."""
+        return None if self.delta_source is None else self.delta_source.collect()
+
+    def snapshot(self, max_events: int | None = None, max_spans: int | None = None) -> dict:
+        """The standing envelope, no cursor moved (the job's series at
+        least; see :meth:`repro.observe.collector.DeltaSource.snapshot`)."""
+        source = self.delta_source
+        if source is None:
+            from repro.observe.collector import DeltaSource
+            from repro.observe.observer import RuntimeObserver
+
+            source = DeltaSource(RuntimeObserver(), self.worker_id, self)
+        return source.snapshot(max_events, max_spans)
+
+    def collect_info(self) -> dict | None:
+        """Cheap collection status (last-collection age, counters)."""
+        return None if self.delta_source is None else self.delta_source.info()
+
+    def flight_dump(self) -> str | None:
+        """Write a flight-recorder dump now; its path."""
+        recorder = self.flight_recorder
+        return None if recorder is None else recorder.dump("request")
 
     def stop(self, timeout: float = 10.0) -> None:
         """Stop and release resources. Idempotent."""

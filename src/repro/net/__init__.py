@@ -10,6 +10,8 @@ realized here as:
   NEPTUNE's backpressure rides on.
 - :mod:`repro.net.protocol` — the link protocol (sequence, ack, replay,
   backoff) as a sender and a receiver state machine, with no IO.
+- :mod:`repro.net.server` — the one accept loop (TCP or Unix-domain,
+  a thread per connection) under the data and control servers.
 - :mod:`repro.net.transport` — TCP (or Unix-domain) socket endpoints
   between resources/machines that drive it; operators of the same
   resource hand batches over through a channel, with no transport.
@@ -32,7 +34,7 @@ _EXPORTS = {
     "Receiver": "repro.net.protocol",
     "TcpTransport": "repro.net.transport",
     "TcpListener": "repro.net.transport",
-    "is_unix_endpoint": "repro.net.transport",
+    "is_unix_endpoint": "repro.net.server",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -12,13 +12,13 @@ buffer fills, the TCP window closes, and the sender's blocking
 The protocol — sequence numbers, acks, replay, duplicates, gaps and
 backoff — is :mod:`repro.net.protocol`.  This module owns the sockets,
 threads, locks and clock that drive its
-:class:`~repro.net.protocol.Sender` and :class:`~repro.net.protocol.Receiver`.
+:class:`~repro.net.protocol.Sender` and :class:`~repro.net.protocol.Receiver`;
+the listener's accept loop is :class:`repro.net.server.SocketServer`.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import socket
 import threading
 import time
@@ -27,27 +27,13 @@ from typing import Callable, NoReturn
 from repro.net.flowcontrol import ChannelClosed
 from repro.net.framing import HEADER_SIZE, Frame, FrameDecoder
 from repro.net.protocol import GAP, Receiver, RetryPolicy, Sender
+from repro.net.server import UNIX_PREFIX, SocketServer, is_unix_endpoint
 from repro.util.clock import timed_acquire
 from repro.util.errors import SerializationError, TransportError
-
-#: Host-string prefix selecting a Unix-domain socket endpoint.
-UNIX_PREFIX = "unix:"
 
 #: Seconds a graceful :meth:`TcpTransport.close` waits for the replay
 #: window to drain.
 CLOSE_DRAIN_TIMEOUT = 5.0
-
-
-def is_unix_endpoint(host: str) -> bool:
-    """True when ``host`` names a Unix-domain socket (``"unix:/path"``).
-
-    Same-host shard fabrics can skip the loopback TCP stack entirely:
-    both :class:`TcpTransport` and :class:`TcpListener` accept a host of
-    the form ``"unix:/path/to.sock"`` (the port is then ignored, 0 by
-    convention) and speak the identical framing/ack/replay protocol
-    over ``AF_UNIX``.
-    """
-    return host.startswith(UNIX_PREFIX)
 
 
 def _connect_endpoint(host: str, port: int, timeout: float | None) -> socket.socket:
@@ -493,47 +479,21 @@ class TcpListener:
         self._injector = injector
         self._site = site
         self.receiver = Receiver()
-        self._unix_path: str | None = (
-            host[len(UNIX_PREFIX) :] if is_unix_endpoint(host) else None
-        )
-        family = socket.AF_INET if self._unix_path is None else socket.AF_UNIX
-        self._server = socket.socket(family, socket.SOCK_STREAM)
-        if RECV_BUFFER is not None:
-            self._server.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, RECV_BUFFER)
-        if self._unix_path is not None:
-            # A crashed listener leaves its socket file behind; rebinding
-            # the same path must not fail because of that residue.
-            with contextlib.suppress(OSError):
-                os.unlink(self._unix_path)
-            try:
-                self._server.bind(self._unix_path)
-            except OSError as exc:
-                self._server.close()
-                raise TransportError(f"bind to {host} failed: {exc}") from exc
-            self.host, self.port = host, 0
-        else:
-            self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._server.bind((host, port))
-            self.host, self.port = self._server.getsockname()[:2]
-        self._server.listen(64)
-        self._threads: list[threading.Thread] = []
-        self._conns: list[socket.socket] = []
         self._lock = threading.Lock()
         # After a reconnect, the dying connection's reader may still be
         # blocked delivering frame N while the new connection's reader
         # holds replayed N+1: each link's frames are received under its
         # own lock, so the two threads cannot land them out of order.
         self._link_locks: dict[int, threading.Lock] = {}
-        self._running = True
         self.errors: list[BaseException] = []
         self._error_event = threading.Event()
         # Recovery / chaos observability.
         self.corruption_resets = 0
         self.injected_resets = 0
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"neptune-tcp-listener-{self.port}", daemon=True
+        self._server = SocketServer(
+            host, port, self._reader_loop, "neptune-tcp-listener", RECV_BUFFER
         )
-        self._accept_thread.start()
+        self.host, self.port = self._server.host, self._server.port
 
     @property
     def duplicates_suppressed(self) -> int:
@@ -549,28 +509,6 @@ class TcpListener:
         """Block until a reader error is recorded (condition-based;
         replaces sleep-polling in tests).  True if one arrived."""
         return self._error_event.wait(timeout)
-
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                conn, _addr = self._server.accept()
-            except OSError:
-                return  # listener closed
-            if self._unix_path is None:
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._lock:
-                if not self._running:
-                    conn.close()
-                    return
-                self._conns.append(conn)
-                t = threading.Thread(
-                    target=self._reader_loop,
-                    args=(conn,),
-                    name=f"neptune-tcp-reader-{self.port}",
-                    daemon=True,
-                )
-                self._threads.append(t)
-            t.start()
 
     def _reader_loop(self, conn: socket.socket) -> None:
         decoder = FrameDecoder()  # structural checks, per connection
@@ -605,35 +543,14 @@ class TcpListener:
             with self._lock:
                 self.errors.append(exc)
                 if isinstance(exc, SerializationError):
-                    # Corrupted frame: closing the connection (finally)
-                    # makes the sender reconnect and retransmit a clean
-                    # copy — checksum + replay self-heals corruption.
+                    # Corrupted frame: the server closes the connection
+                    # once this returns, so the sender reconnects and
+                    # retransmits a clean copy — checksum + replay
+                    # self-heals corruption.
                     self.corruption_resets += 1
             self._error_event.set()
-        finally:
-            conn.close()
 
     def close(self) -> None:
-        """Release underlying resources. Idempotent."""
-        with self._lock:
-            if not self._running:
-                return
-            self._running = False
-            conns = list(self._conns)
-        # accept() does not reliably wake when the listening socket is
-        # closed under it; nudge the accept thread with a throwaway
-        # connection (it sees _running=False and exits) before closing.
-        with contextlib.suppress(OSError):
-            host = "127.0.0.1" if self.host == "0.0.0.0" else self.host
-            _connect_endpoint(host, self.port, 0.2).close()
+        """Stop accepting, sever every open connection and join the
+        reader threads.  Idempotent."""
         self._server.close()
-        if self._unix_path is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(self._unix_path)
-        for c in conns:
-            with contextlib.suppress(OSError):
-                c.shutdown(socket.SHUT_RDWR)
-            c.close()
-        self._accept_thread.join(5.0)
-        for t in self._threads:
-            t.join(5.0)

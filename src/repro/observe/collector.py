@@ -110,9 +110,9 @@ def _identity(envelope: Mapping[str, Any]) -> Tuple[int, int, int]:
 class DeltaSource:
     """The builder of an observer's telemetry envelope.
 
-    One per worker process, attached as ``worker.delta_source`` for the
-    control plane's ``collect`` / ``snapshot`` commands and the flight
-    recorder; one made on the spot for an observer that is nobody's
+    One per worker process, the ``delta_source`` behind a
+    :class:`~repro.core.distributed.DistributedWorker`'s ``collect`` /
+    ``snapshot`` and its flight recorder; one made on the spot for an observer that is nobody's
     shard (:func:`repro.observe.export.snapshot`).  Envelopes are built
     on control threads — never the data plane — and the polled view's
     cost is accounted in ``build_seconds`` so the overhead gate can

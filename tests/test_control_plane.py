@@ -3,6 +3,7 @@ proxies, coordinated drain, and the ``repro.cluster.worker`` process
 entry point run by hand)."""
 
 import json
+import os
 import socket
 import subprocess
 import sys
@@ -10,11 +11,13 @@ import time
 
 import pytest
 from procharness import reserve_ports
+from waiters import wait_until
 
 from repro.cluster import ClusterCoordinator
 from repro.cluster.spec import WorkerSpec
 from repro.core import NeptuneConfig, StreamProcessingGraph
 from repro.core.control import (
+    COMMANDS,
     ControlError,
     ControlServer,
     RemoteDistributedJob,
@@ -182,6 +185,9 @@ class TestControlServerInProcess:
             proxy = RemoteWorker("127.0.0.1", server.port)
             with pytest.raises(ControlError, match="unknown command"):
                 proxy._call({"cmd": "reboot-the-cluster"})
+            # A worker method is not a command unless the table names it.
+            with pytest.raises(ControlError, match="unknown command 'connect'"):
+                proxy._call({"cmd": "connect", "args": [{}]})
             proxy.stop()
         finally:
             server.close()
@@ -199,7 +205,7 @@ class TestControlServerInProcess:
             replies = [json.loads(line) for line in lines]
             assert [r["ok"] for r in replies] == [False, False, True]
             assert "JSON object" in replies[1]["error"]
-            assert replies[2]["worker_id"] == 0
+            assert replies[2]["result"] == 0  # ping answers the worker id
         finally:
             server.close()
             worker.stop()
@@ -215,10 +221,46 @@ class TestControlServerInProcess:
             t0 = time.monotonic()
             server.close()
             assert time.monotonic() - t0 < 0.5
-            assert not server._thread.is_alive()
+            assert not server._server._thread.is_alive()
             server.close()  # idempotent
         finally:
             worker.stop()
+
+    def test_close_joins_the_connection_threads_and_forgets_closed_ones(self):
+        graph, _ = relay_graph(10)
+        worker = DistributedWorker(0, graph, round_robin_plan(graph, 1))
+        server = ControlServer(worker)
+        proxies = [RemoteWorker("127.0.0.1", server.port) for _ in range(3)]
+        try:
+            proxies[0].close()
+            proxies[1].close()
+            assert wait_until(lambda: len(server._server._conns) == 1)
+            [thread] = server._server._conns.values()
+            server.close()
+            assert not thread.is_alive()
+            assert server._server.accepted == 3 and not server._server._conns
+        finally:
+            proxies[2].close()
+            worker.stop()
+
+    def test_cluster_status_reads_a_worker_without_an_observability_plane(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        graph, _ = relay_graph(10)
+        worker = DistributedWorker(0, graph, round_robin_plan(graph, 1))
+        server = ControlServer(worker)
+        state = tmp_path / "cluster.json"
+        entry = {"worker_id": 0, "pid": os.getpid(), "control_port": server.port}
+        state.write_text(json.dumps({"workers": [entry]}))
+        try:
+            assert main(["cluster", "status", "--state", str(state)]) == 0
+        finally:
+            server.close()
+            worker.stop()
+        out = capsys.readouterr().out
+        assert "worker 0 pid=" in out and "failures=0" in out and "1/1 workers reachable" in out
 
     def test_connect_timeout(self):
         with pytest.raises(ControlError, match="cannot reach"):
@@ -227,6 +269,47 @@ class TestControlServerInProcess:
     def test_job_requires_workers(self):
         with pytest.raises(NeptuneError):
             RemoteDistributedJob([])
+
+
+class TestCommandTable:
+    """Each name in COMMANDS is a DistributedWorker member, and the
+    proxy forwards it, arguments and result, with no code of its own
+    but for the three members below."""
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_a_command_is_a_worker_member_that_round_trips(self, name, monkeypatch):
+        assert hasattr(DistributedWorker, name)
+        graph, _ = relay_graph(10)
+        worker = DistributedWorker(0, graph, round_robin_plan(graph, 1))
+        calls = []
+
+        def member(*args, **kwargs):
+            calls.append((list(args), kwargs))
+            return {"echo": [name, *args]}
+
+        if isinstance(getattr(DistributedWorker, name), property):
+            monkeypatch.setattr(DistributedWorker, name, property(lambda w: {"echo": [name]}))
+        else:
+            monkeypatch.setattr(worker, name, member)
+        server = ControlServer(worker)
+        proxy = RemoteWorker("127.0.0.1", server.port)
+        calls.clear()  # the proxy's own ping
+        try:
+            if name == "failures":
+                assert proxy.failures == {"echo": ["failures"]}
+            elif name == "wait_sources":  # on a connection of its own
+                assert proxy.wait_sources(1.5) is True
+                assert calls == [([1.5], {})]
+            elif name == "stop":  # then the proxy closes
+                proxy.stop(2.5)
+                assert calls == [([2.5], {})] and server.stop_requested.is_set()
+            else:
+                assert getattr(proxy, name)(1, "two", key=None) == {"echo": [name, 1, "two"]}
+                assert calls == [([1, "two"], {"key": None})]
+        finally:
+            proxy.close()
+            server.close()
+            DistributedWorker.stop(worker)
 
 
 @pytest.mark.slow

@@ -99,9 +99,9 @@ class TestDistributedRelay:
             first.start()
             # The sender is flushing at the late worker's listener now.
             deadline = time.monotonic() + 10
-            while not late._listener._conns and time.monotonic() < deadline:
+            while not late._listener._server._conns and time.monotonic() < deadline:
                 time.sleep(0.005)
-            assert late._listener._conns, "no early connection to hold"
+            assert late._listener._server._conns, "no early connection to hold"
             time.sleep(0.05)
             late.connect(endpoints)
             late.start()

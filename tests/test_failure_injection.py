@@ -25,13 +25,12 @@ class TestWireCorruption:
 
         The reader thread exiting (EOF after the connection closes) is
         the deterministic "everything sent has been processed" signal —
-        no fixed sleeps.
+        no fixed sleeps.  The server forgets a connection when its
+        reader returns.
         """
         with socket.create_connection(("127.0.0.1", lst.port)) as sock:
             sock.sendall(data)
-        assert wait_until(
-            lambda: lst._threads and all(not t.is_alive() for t in lst._threads)
-        )
+        assert wait_until(lambda: lst._server.accepted and not lst._server._conns)
 
     def test_bit_flip_detected_not_delivered(self):
         got = []

@@ -431,3 +431,29 @@ class TestSendWaitReporting:
         # Behind the stalled send it waited for the lock (and then, the
         # window being full again, possibly for an ack of its own).
         assert waits["behind"] and sum(waits["behind"]) >= 0.15
+
+
+class TestTheServerForgetsClosedConnections:
+    def test_after_the_seed_11_wire_scenario_only_open_connections_are_tracked(
+        self, monkeypatch
+    ):
+        """The scenario's faults reconnect the link several times.  A
+        listener used to keep every connection it had accepted, and
+        its reader thread, until close()."""
+        from repro.chaos import scenario
+
+        tracked = []
+
+        class Watched(TcpListener):
+            def close(self):
+                # The transport has closed: each of its connections ends.
+                wait_until(lambda: not self._server._conns)
+                tracked.append((self._server.accepted, len(self._server._conns)))
+                super().close()
+
+        monkeypatch.setattr(scenario, "TcpListener", Watched)
+        result = scenario.run_wire_scenario(seed=11, frames=60)
+        assert result.exactly_once
+        [(accepted, still_tracked)] = tracked
+        assert result.reconnects >= 1 and accepted == result.reconnects + 1
+        assert still_tracked == 0
