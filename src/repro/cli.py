@@ -29,7 +29,7 @@ operate on the merged worker-labeled cluster view.  ``run`` deploys a
 descriptor and prints per-operator metrics; ``cluster launch`` is
 ``run`` across worker processes with the cluster's own knobs (fabric,
 logs, ``--policy`` for the elasticity engine — SLO breach → diagnose →
-live retune/scale/migrate, its canonical action log read back by
+live retune/migrate, its canonical action log read back by
 ``policy status``/``policy log`` — and a ``--state`` file through which
 ``cluster status``/``cluster stop`` attach); ``analyze`` runs the
 static analyzers — the stream-graph verifier over descriptors, the
@@ -1362,7 +1362,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy",
         action="store_true",
         help="run the elasticity policy engine: per-operator p99 SLOs, "
-        "breach diagnosis, live retune/scale/migrate reactions",
+        "breach diagnosis, live retune/migrate reactions",
     )
     p_cl.add_argument(
         "--slo-latency",

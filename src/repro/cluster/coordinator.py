@@ -108,11 +108,11 @@ class ClusterCoordinator:
     policy:
         Run the elasticity policy engine
         (:class:`~repro.observe.policy.PolicyEngine`).  Requires
-        ``slos`` (the engine reacts to their breach/recover
-        transitions).  After every collector poll's
+        ``slos`` (the engine reacts to their breach transitions).
+        After every collector poll's
         health scan, breaches are diagnosed
         (:func:`~repro.observe.doctor.diagnose`) and the engine's
-        actions applied live: retunes/scales through the workers'
+        actions applied live: retunes through the workers'
         ``reconfigure`` control command, migrations through
         :meth:`migrate_operator`.  Every decision is appended to
         ``policy-actions.log`` (under ``log_dir``, else the flight
@@ -444,9 +444,9 @@ class ClusterCoordinator:
 
         Retunes broadcast to every worker (the buffer legs feeding an
         operator live on whichever shards host its upstreams; shards
-        owning none apply nothing).  Scales target the attributed
-        worker.  Migrations go through :meth:`migrate_operator` with a
-        deterministic target (lowest-id other worker).  The action is
+        owning none apply nothing).  Migrations go through
+        :meth:`migrate_operator` with a deterministic target (lowest-id
+        other worker).  The action is
         logged whether or not applying succeeds: the log records
         decisions, the ``policy_applied`` journal records outcomes.
         """
@@ -465,10 +465,7 @@ class ClusterCoordinator:
                     applied.append(self.migrate_operator(action.operator, targets[0]))
             else:
                 changes = action_to_changes(action)
-                handles = self.handles
-                if action.kind == "scale" and action.worker is not None:
-                    handles = [self.handles[action.worker]]
-                for handle in handles:
+                for handle in self.handles:
                     proxy = handle.proxy
                     if proxy is None or not handle.alive:
                         continue

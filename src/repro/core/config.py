@@ -3,11 +3,16 @@
 "For NEPTUNE, we have used the default configurations where the buffer
 size is set to 1 MB.  Thread pool sizes are determined automatically
 depending on the number of cores in the machine it is running on."
+
+This runtime sizes pools by tasks, not cores, and the size is not a
+knob.  A blocked emit parks its thread, so every task needs a thread of
+its own for its consumer to keep running; and a task never runs beside
+itself, so a thread beyond that has nothing to run, however many cores
+there are (:mod:`repro.granules.resource`).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 
@@ -32,11 +37,6 @@ class NeptuneConfig:
         the backpressure gate (§III-B4).  The low mark defaults to half
         the high mark — "set sufficiently apart ... to avoid the system
         oscillating between the two states rapidly."
-    worker_threads:
-        Worker-pool size; None = automatic (cores, floored at the
-        number of hosted operator instances so a backpressure-blocked
-        emit can never starve the consumer it is waiting on — the
-        single-process analogue of the paper's multi-machine setup).
     compression_enabled / compression_entropy_threshold:
         Per-job defaults for the selective compression policy; each
         stream may override (§III-B5).
@@ -71,7 +71,6 @@ class NeptuneConfig:
     buffer_max_delay: float = 0.010
     inbound_high_watermark: int = 4 << 20
     inbound_low_watermark: int | None = None
-    worker_threads: int | None = None
     compression_enabled: bool = False
     compression_entropy_threshold: float = 6.0
     compression_min_size: int = 64
@@ -96,8 +95,6 @@ class NeptuneConfig:
             raise ValueError(
                 f"inbound_low_watermark must be in [0, high): {low}"
             )
-        if self.worker_threads is not None and self.worker_threads <= 0:
-            raise ValueError(f"worker_threads must be positive: {self.worker_threads}")
         if self.transport_replay_window <= 0:
             raise ValueError(
                 f"transport_replay_window must be positive: {self.transport_replay_window}"
@@ -106,13 +103,6 @@ class NeptuneConfig:
             raise ValueError(
                 f"latency_budget must be positive when set: {self.latency_budget}"
             )
-
-    def effective_workers(self, hosted_instances: int) -> int:
-        """Resolve the worker-pool size for a runtime hosting
-        ``hosted_instances`` operator instances."""
-        if self.worker_threads is not None:
-            return max(self.worker_threads, hosted_instances)
-        return max(os.cpu_count() or 1, hosted_instances, 1)
 
     def low_watermark(self) -> int:
         """Resolve the effective inbound low watermark."""

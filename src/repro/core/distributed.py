@@ -254,9 +254,7 @@ class DistributedWorker:
             return
         self._started = True
         self._flush_service.start()
-        hosted = len(self.job.tasks())
-        workers = self.graph.config.effective_workers(max(hosted, 1))
-        self._resource = Resource(f"worker-{self.worker_id}", workers=workers)
+        self._resource = Resource(f"worker-{self.worker_id}")
         self._resource.start()
         self.job.launch(self._resource)
 
@@ -309,12 +307,12 @@ class DistributedWorker:
         ``changes`` mirrors :meth:`NeptuneRuntime.reconfigure`:
         ``retune`` adjusts the StreamBuffers on the legs into/out of an
         operator this worker sends on (a shrinking deadline pokes the
-        flush-timer service so the tighter bound applies immediately);
-        ``scale`` resizes this worker's Granules thread pool.  Returns
-        a JSON-able report of what was applied — an empty ``applied``
-        list when this shard owns none of the named operator's legs.
+        flush-timer service so the tighter bound applies immediately)
+        and any other key raises ``ValueError``.  Returns a JSON-able
+        report of what was applied — an empty ``applied`` list when
+        this shard owns none of the named operator's legs.
         """
-        applied = _apply_reconfigure(changes, [self.job], self._resource)
+        applied = _apply_reconfigure(changes, [self.job])
         return {"worker": self.worker_id, "applied": applied}
 
     # -- telemetry; all but snapshot answer None without a plane ----------

@@ -41,11 +41,10 @@ Correctness: per-link-leg FIFO order with sequence verification at the
 receiver, checksummed frames on the wire, and blocking (never dropping)
 under backpressure — packets are processed in order and exactly once.
 
-The worker pool defaults to ``max(cores, hosted instances)`` threads: an
-emit blocked on a gated downstream channel parks its worker, and sizing
-the pool to the instance count guarantees the consumer that must drain
-that channel can always get a worker (pressure chains are acyclic, so
-the most-downstream stage always progresses — no deadlock).
+The worker pool has a thread per hosted task, and only
+:class:`~repro.granules.resource.Resource` says so: an emit blocked on a
+gated downstream channel parks its worker, and the consumer that must
+drain that channel always has a thread of its own.
 """
 
 from __future__ import annotations
@@ -1476,11 +1475,15 @@ def _wire_partition(
     return inbound
 
 
-def _apply_reconfigure(
-    changes: dict, jobs: list[_JobRuntime], resource: Resource | None
-) -> list[dict]:
+def _apply_reconfigure(changes: dict, jobs: list[_JobRuntime]) -> list[dict]:
     """Apply ``changes`` (see :meth:`NeptuneRuntime.reconfigure`) to one
-    resource's buffers and worker pool; returns what was applied."""
+    resource's buffers; returns what was applied."""
+    unknown = sorted(set(changes) - {"retune"})
+    if unknown:
+        raise ValueError(
+            f"cannot reconfigure {', '.join(map(repr, unknown))}: the only "
+            "live change is 'retune'"
+        )
     applied: list[dict] = []
     retune = changes.get("retune")
     if retune:
@@ -1506,13 +1509,6 @@ def _apply_reconfigure(
         if chained and not any(leg_matches(b.name, operator, where) for b in buffers):
             # Nothing to retune and nothing healed: say so, not "[]".
             applied.append({"kind": "retune", "skipped": "chained", "legs": chained})
-    scale = changes.get("scale")
-    if scale and resource is not None:
-        old = resource.workers
-        delta = scale.get("workers_delta")
-        target = old + int(delta) if delta is not None else int(scale.get("workers", old))
-        new = resource.resize(max(1, target))
-        applied.append({"kind": "scale", "from": old, "to": new})
     return applied
 
 
@@ -1530,15 +1526,9 @@ class NeptuneRuntime:
     For multi-process deployment see :mod:`repro.core.distributed`.
     """
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        name: str = "neptune",
-        observer: Any = None,
-    ) -> None:
+    def __init__(self, name: str = "neptune", observer: Any = None) -> None:
         self.name = name
         self.observer = observer  # repro.observe.RuntimeObserver | None
-        self._explicit_workers = workers
         self._resource: Resource | None = None
         self._flush_service = FlushTimerService()
         self._jobs: list[_JobRuntime] = []
@@ -1595,33 +1585,13 @@ class NeptuneRuntime:
                 restore = getattr(inst.operator, "restore_state", None)
                 if state is not None and restore is not None:
                     restore(state)
-        # Launch on the (lazily sized) Granules resource.
-        self._ensure_resource(job)
-        assert self._resource is not None
+        if self._resource is None:
+            self._resource = Resource(self.name)
+            self._resource.start()
         job.launch(self._resource)
         with self._lock:
             self._jobs.append(job)
         return JobHandle(self, job)
-
-    def _ensure_resource(self, job: _JobRuntime) -> None:
-        """(Re)size the worker pool to cover every hosted task."""
-        hosted = sum(len(j.tasks()) for j in self._jobs) + len(job.tasks())
-        cfg = job.graph.config
-        if self._explicit_workers is not None:
-            workers = max(self._explicit_workers, hosted)
-        else:
-            workers = cfg.effective_workers(hosted)
-        if self._resource is None:
-            self._resource = Resource(self.name, workers=workers)
-            self._resource.start()
-        elif self._resource.workers < workers:
-            self._grow_resource(workers)
-
-    def _grow_resource(self, workers: int) -> None:
-        """Add worker threads to the live pool (submissions while running)."""
-        res = self._resource
-        assert res is not None
-        res.resize(workers)
 
     # -- live reconfiguration ----------------------------------------------
     def reconfigure(self, changes: dict) -> dict:
@@ -1636,16 +1606,14 @@ class NeptuneRuntime:
           deadline pokes the flush-timer service automatically.  When
           the only legs that match are chained - no buffer to retune -
           the report says ``{"kind": "retune", "skipped": "chained"}``.
-        - ``scale``: ``{"workers": n}`` or ``{"workers_delta": d}`` —
-          resize the Granules worker-thread pool to ``n`` (or by ``d``
-          relative to the current size, floored at 1 thread; up or
-          down, running tasks finish first).
 
-        Returns a JSON-able report of what was actually applied.
+        Any other key raises ``ValueError``: the pool's size is not a
+        knob (:class:`~repro.granules.resource.Resource` keeps a thread
+        per task).  Returns a JSON-able report of what was applied.
         """
         with self._lock:
             jobs = list(self._jobs)
-        return {"applied": _apply_reconfigure(changes, jobs, self._resource)}
+        return {"applied": _apply_reconfigure(changes, jobs)}
 
     # -- link failures ------------------------------------------------------
     def notify_link_failure(self, exc: BaseException, link: str = "link") -> None:

@@ -7,7 +7,13 @@ addition to launching and terminating computational tasks running on
 these resources." (§II)
 
 A :class:`Resource` hosts tasks on a worker thread pool (NEPTUNE's
-worker tier).  Dispatch rules:
+worker tier).  This module alone sizes a pool: it never has fewer
+threads than live tasks.  An emit blocked on a gated downstream channel
+parks its thread, so one thread per task guarantees the consumer that
+must drain that channel can always run (pressure chains are acyclic, so
+the most-downstream stage always progresses - no deadlock).  A thread
+beyond that has nothing it may run, since a task never runs beside
+itself; the pool only grows, as tasks launch.  Dispatch rules:
 
 - a task instance never executes concurrently with itself;
 - it is (re)queued when its scheduling strategy fires, either from a
@@ -20,7 +26,6 @@ worker tier).  Dispatch rules:
 from __future__ import annotations
 
 import enum
-import os
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -56,8 +61,9 @@ class Resource:
     name:
         Identifier (appears in thread names and metrics).
     workers:
-        Worker-thread count.  The paper sizes pools "automatically
-        depending on the number of cores"; pass ``None`` for that.
+        The pool's floor: threads started before any task launches.
+        Each launch past it adds one, so a running resource has
+        ``max(workers, live tasks)`` threads at least.
     clock:
         Injectable time source for deterministic tests.
     """
@@ -65,15 +71,15 @@ class Resource:
     def __init__(
         self,
         name: str,
-        workers: int | None = None,
+        workers: int = 1,
         clock: Clock = SYSTEM_CLOCK,
     ) -> None:
         # Thread names carry this; force the stable runtime-wide prefix
         # so profiler / flight-recorder output never shows bare pool
         # names ("worker-0-timer" → "neptune-worker-0-timer").
         self.name = name if name.startswith("neptune") else f"neptune-{name}"
-        self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        if self.workers <= 0:
+        self.workers = workers
+        if workers <= 0:
             raise ValueError(f"workers must be positive: {workers}")
         self._clock = clock
         self._entries: dict[str, _TaskEntry] = {}
@@ -85,10 +91,6 @@ class Resource:
         self._running = False
         # Set by stop(): cuts the timer thread's poll wait short.
         self._stopping = threading.Event()
-        # Worker threads asked to retire at their next wakeup (live
-        # scale-down); monotonically named via _thread_seq.
-        self._retire = 0
-        self._thread_seq = 0
         self.task_failures: dict[str, BaseException] = {}
 
     # -- task management ----------------------------------------------------
@@ -99,6 +101,8 @@ class Resource:
                 raise ValueError(f"task id {task.task_id!r} already launched on {self.name!r}")
             entry = _TaskEntry(task, strategy)
             self._entries[task.task_id] = entry
+            if self._running and len(self._entries) > len(self._threads):
+                self._spawn_worker()
         task._framework_initialize()
         task.state = TaskState.RUNNABLE
         for ds in task.datasets:
@@ -137,8 +141,8 @@ class Resource:
                 return
             self._running = True
             self._stopping.clear()
-        for _ in range(self.workers):
-            self._spawn_worker()
+            for _ in range(max(self.workers, len(self._entries))):
+                self._spawn_worker()
         self._timer_thread = threading.Thread(
             target=self._timer_loop, name=f"{self.name}-timer", daemon=True
         )
@@ -149,12 +153,12 @@ class Resource:
         with self._work_available:
             self._running = False
             self._work_available.notify_all()
+            threads, self._threads = self._threads, []
         self._stopping.set()
-        for t in self._threads:
+        for t in threads:
             t.join(timeout)
         if self._timer_thread is not None:
             self._timer_thread.join(timeout)
-        self._threads.clear()
         self._timer_thread = None
         with self._lock:
             entries = list(self._entries.values())
@@ -170,44 +174,14 @@ class Resource:
         self.stop()
 
     def _spawn_worker(self) -> None:
-        seq = self._thread_seq
-        self._thread_seq += 1
+        """Add one thread to the pool; the caller holds ``_lock``."""
         t = threading.Thread(
-            target=self._worker_loop, name=f"{self.name}-worker-{seq}", daemon=True
+            target=self._worker_loop,
+            name=f"{self.name}-worker-{len(self._threads)}",
+            daemon=True,
         )
         t.start()
         self._threads.append(t)
-
-    def resize(self, workers: int) -> int:
-        """Live-resize the worker-thread pool (elastic parallelism).
-
-        Growing spawns threads immediately; shrinking marks that many
-        threads for retirement at their next wakeup — a thread running
-        a task finishes it first, so no execution is interrupted and
-        no queued work is dropped.  Before :meth:`start` this only
-        records the new size.  Returns the new pool size.
-        """
-        if workers <= 0:
-            raise ValueError(f"workers must be positive: {workers}")
-        grow = 0
-        with self._work_available:
-            delta = workers - self.workers
-            self.workers = workers
-            if not self._running:
-                return workers
-            if delta < 0:
-                self._retire += -delta
-                self._work_available.notify_all()
-            else:
-                # Growing cancels pending retirements first: the net
-                # effect is the requested size either way.
-                cancel = min(self._retire, delta)
-                self._retire -= cancel
-                grow = delta - cancel
-        for _ in range(grow):
-            self._spawn_worker()
-        self._threads = [t for t in self._threads if t.is_alive()]
-        return workers
 
     # -- dispatch -------------------------------------------------------------
     def _on_data(self, entry: _TaskEntry) -> None:
@@ -236,12 +210,9 @@ class Resource:
     def _worker_loop(self) -> None:
         while True:
             with self._work_available:
-                while self._running and not self._ready and not self._retire:
+                while self._running and not self._ready:
                     self._work_available.wait(0.1)
                 if not self._running:
-                    return
-                if self._retire:
-                    self._retire -= 1  # scale-down: this thread retires
                     return
                 entry = self._ready.popleft()
                 entry.state = _SchedState.RUNNING

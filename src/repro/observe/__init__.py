@@ -32,7 +32,7 @@ visible without bespoke probes:
   transport stalls; the ``repro doctor`` CLI front-end.
 - :mod:`repro.observe.policy` — the elasticity policy engine: a
   deterministic breach → reconfiguration decision table (retune the
-  buffer bound, scale the thread pool, migrate an operator) over the
+  buffer bound, migrate an operator) over the
   health engine's transitions and the doctor's root cause, closing the
   SLO loop without a restart.
 - :mod:`repro.observe.collector` — the telemetry envelope

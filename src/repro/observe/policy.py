@@ -11,12 +11,14 @@ and emits typed :class:`ReconfigAction` records:
   overwhelmed operator ("batch up": NEPTUNE's §III-B bound trades
   per-batch overhead against latency, so a sink drowning in small
   frequent batches is healed by larger, rarer ones).
-- ``scale`` — grow (or, on recovery, shrink back) the hosting worker's
-  Granules thread pool when the breach is execute-stage-bound rather
-  than buffer-bound.
 - ``migrate`` — move an operator off a faulted worker entirely (applied
   by the coordinator via a verified re-plan + rolling restart; see
   ``repro.cluster.coordinator``).
+
+A breach that is execute-stage-bound rather than buffer-bound
+(``compute_bound``, or a cascade whose traced time is mostly
+``execute``) gets no action, only a warning: every task already has a
+thread of its own, and no worker-local change adds CPU to it.
 
 Determinism contract
 --------------------
@@ -54,7 +56,7 @@ __all__ = [
 ]
 
 #: The action kinds :class:`PolicyEngine` can emit.
-ACTION_KINDS: Tuple[str, ...] = ("retune", "scale", "migrate")
+ACTION_KINDS: Tuple[str, ...] = ("retune", "migrate")
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,6 @@ class ReconfigAction:
     ===========  ========================================================
     ``retune``   ``operator``, ``where`` (``into``/``from``),
                  ``max_delay`` (s), ``capacity`` (bytes)
-    ``scale``    ``workers_delta`` (signed thread-count change)
     ``migrate``  ``operator``, ``from_worker``
     ===========  ========================================================
     """
@@ -112,10 +113,8 @@ MAX_ACTIONS_PER_OPERATOR = 3
 #: depend on what the buffers hold.  Retunes are never reverted.
 RETUNE_MAX_DELAY = 0.05
 RETUNE_CAPACITY = 64 * 1024
-#: Worker threads one ``scale`` adds (its recovery revert removes them).
-SCALE_STEP = 1
 #: A breach whose dominant traced stage is ``execute`` with at least
-#: this fraction of traced time is CPU-bound: ``scale``, not ``retune``.
+#: this fraction of traced time is CPU-bound: declined, not retuned.
 EXECUTE_STAGE_FRACTION = 0.6
 
 
@@ -147,9 +146,6 @@ class PolicyEngine:
         self.scan_seconds = 0.0
         self._actions_for: Dict[str, int] = {}
         self._last_action_scan: Dict[str, int] = {}
-        # Breaching SLO -> the scale-up it triggered, for the
-        # compensating scale-down on recovery.
-        self._scaled_for: Dict[str, ReconfigAction] = {}
 
     # -- decisions ----------------------------------------------------------
     def observe(
@@ -169,9 +165,8 @@ class PolicyEngine:
         actions: List[ReconfigAction] = []
         for slo, transition in transitions:
             if transition == "recover":
-                action = self._on_recover(scan, slo)
-            else:
-                action = self._on_breach(scan, slo, report, observer)
+                continue  # retunes are never reverted
+            action = self._on_breach(scan, slo, report, observer)
             if action is not None:
                 actions.append(action)
                 self.decisions.append(action)
@@ -224,26 +219,22 @@ class PolicyEngine:
                 slo=slo,
             )
             return None
+        if cause_type == "compute_bound" or (
+            cause_type == "backpressure_cascade" and self._execute_bound(report, slo)
+        ):
+            self._warn(
+                scan,
+                f"breach of {slo!r}: {operator} is CPU-bound ({cause_type}); it "
+                "already has a thread of its own and no worker-local change "
+                "adds CPU to it; taking no action (more CPU takes more processes)",
+                observer,
+                slo=slo,
+            )
+            return None
         if not self._may_act(scan, operator):
             self.suppressed += 1
             return None
         if cause_type == "backpressure_cascade":
-            if self._execute_bound(report, slo):
-                action = ReconfigAction(
-                    scan=scan,
-                    kind="scale",
-                    operator=operator,
-                    slo=slo,
-                    cause=cause_type,
-                    reason=(
-                        f"execute-stage-bound breach of {slo}: add "
-                        f"{SCALE_STEP} worker thread(s)"
-                    ),
-                    worker=worker,
-                    params={"workers_delta": SCALE_STEP},
-                )
-                self._scaled_for[slo] = action
-                return action
             return ReconfigAction(
                 scan=scan,
                 kind="retune",
@@ -262,26 +253,6 @@ class PolicyEngine:
                     "capacity": RETUNE_CAPACITY,
                 },
             )
-        if cause_type == "compute_bound":
-            # The profiler already established the operator is burning
-            # CPU (not queueing, not blocked): more worker threads is
-            # the only reconfiguration that adds compute.
-            action = ReconfigAction(
-                scan=scan,
-                kind="scale",
-                operator=operator,
-                slo=slo,
-                cause=cause_type,
-                reason=(
-                    f"compute-bound breach of {slo}: {operator} dominates "
-                    f"sampled CPU; add {SCALE_STEP} worker "
-                    "thread(s)"
-                ),
-                worker=worker,
-                params={"workers_delta": SCALE_STEP},
-            )
-            self._scaled_for[slo] = action
-            return action
         if cause_type == "injected_fault":
             if worker is None:
                 self._warn(
@@ -313,24 +284,6 @@ class PolicyEngine:
             slo=slo,
         )
         return None
-
-    def _on_recover(self, scan: int, slo: str) -> Optional[ReconfigAction]:
-        scaled = self._scaled_for.pop(slo, None)
-        if scaled is None:
-            return None
-        delta = int(scaled.params.get("workers_delta", 0))
-        if delta <= 0:
-            return None
-        return ReconfigAction(
-            scan=scan,
-            kind="scale",
-            operator=scaled.operator,
-            slo=slo,
-            cause="recovered",
-            reason=f"{slo} recovered: revert the scale-up from scan {scaled.scan}",
-            worker=scaled.worker,
-            params={"workers_delta": -delta},
-        )
 
     def _may_act(self, scan: int, operator: str) -> bool:
         if self._actions_for.get(operator, 0) >= MAX_ACTIONS_PER_OPERATOR:
@@ -430,8 +383,6 @@ def action_to_changes(action: ReconfigAction) -> Dict[str, Any]:
                 "capacity": action.params.get("capacity"),
             }
         }
-    if action.kind == "scale":
-        return {"scale": {"workers_delta": int(action.params.get("workers_delta", 0))}}
     raise ValueError(f"action kind {action.kind!r} is not a worker-local change")
 
 

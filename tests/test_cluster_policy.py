@@ -2,7 +2,7 @@
 
 Two real-process scenarios close the loop the unit suites verify in
 pieces (`test_observe_policy` for decisions, `test_control_plane` for
-the reconfigure command, `test_granules` for pool resize):
+the reconfigure command, `test_granules` for the pool's growth):
 
 - **Self-healing retune** — a sink that pays a fixed per-*batch*
   overhead drowns in the tiny frames a small capacity cut produces.

@@ -142,7 +142,7 @@ class TestControlServerInProcess:
         finally:
             server.close()
 
-    def test_reconfigure_retunes_buffers_and_resizes_pool(self):
+    def test_reconfigure_retunes_buffers_and_refuses_scale(self):
         graph, store = relay_graph(300)
         workers, servers, proxies = self._workers_with_control(graph)
         try:
@@ -155,18 +155,24 @@ class TestControlServerInProcess:
                         "max_delay": 0.05,
                         "where": "into",
                     },
-                    "scale": {"workers": 3},
                 }
             )
             assert report["worker"] == 0
-            kinds = [a["kind"] for a in report["applied"]]
-            assert "scale" in kinds
-            scale = next(a for a in report["applied"] if a["kind"] == "scale")
-            assert scale["to"] == 3
+            assert [a["kind"] for a in report["applied"]] == ["retune"] * len(
+                report["applied"]
+            )
             for a in report["applied"]:
-                if a["kind"] == "retune":
-                    assert "->receiver[" in a["buffer"]
-                    assert a["max_delay"][1] == 0.05
+                assert "->receiver[" in a["buffer"]
+                assert a["max_delay"][1] == 0.05
+            # What a worker cannot apply is refused, not reported as done;
+            # a whole request is refused before any of it applies.
+            for changes in (
+                {"scale": {"workers": 3}},
+                {"retnue": {"operator": "receiver"}},
+                {"retune": {"operator": "receiver"}, "scale": {"workers_delta": -1}},
+            ):
+                with pytest.raises(ControlError, match="'retune'"):
+                    proxies[0].reconfigure(changes)
             # A no-op reconfigure applies nothing.
             assert proxies[1].reconfigure({})["applied"] == []
             job = RemoteDistributedJob(proxies)

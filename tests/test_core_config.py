@@ -32,25 +32,10 @@ class TestValidation:
             {"inbound_high_watermark": 0},
             {"inbound_low_watermark": 100, "inbound_high_watermark": 100},
             {"inbound_low_watermark": -1},
-            {"worker_threads": 0},
+            {"transport_replay_window": 0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             NeptuneConfig(**kwargs)
 
-
-class TestEffectiveWorkers:
-    def test_auto_covers_hosted_instances(self):
-        cfg = NeptuneConfig()
-        # Never fewer workers than hosted instances: a blocked emit
-        # must not starve its downstream consumer (deadlock freedom).
-        assert cfg.effective_workers(100) >= 100
-
-    def test_auto_at_least_one(self):
-        assert NeptuneConfig().effective_workers(0) >= 1
-
-    def test_explicit_floored_at_instances(self):
-        cfg = NeptuneConfig(worker_threads=2)
-        assert cfg.effective_workers(10) == 10
-        assert cfg.effective_workers(1) == 2

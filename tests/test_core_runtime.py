@@ -23,6 +23,7 @@ from repro.workloads import (
     CountingSource,
     LatencySink,
     RelayProcessor,
+    SlowSink,
     VariableRateProcessor,
 )
 from waiters import wait_until
@@ -614,3 +615,73 @@ class TestEmitErrors:
             wait_for_failure(h)
             h.stop(timeout=10)
         assert h.state is JobState.FAILED
+
+
+class TestWorkerPool:
+    """A resource has a thread per task, and ``reconfigure`` can change
+    neither that nor anything it does not know."""
+
+    @staticmethod
+    def _pool(rt):
+        res = rt._resource
+        return len(res._threads), len(res.tasks)
+
+    def test_a_refused_scale_cannot_wedge_the_job(self):
+        # A shrink below the task count parked every thread in a blocked
+        # emit: the sink stopped with most of the stream undelivered.
+        sink = SlowSink(sleep=0.0005)
+        g = StreamProcessingGraph(
+            "wedge",
+            config=NeptuneConfig(buffer_capacity=512, inbound_high_watermark=2048),
+        )
+        g.add_source("src", lambda: CountingSource(total=3000))
+        g.add_processor("relay", RelayProcessor)
+        g.add_processor("sink", lambda: sink)
+        g.link("src", "relay", chain=False).link("relay", "sink", chain=False)
+        rt = NeptuneRuntime()
+        h = rt.submit(g)
+        time.sleep(0.2)
+        refused = None
+        try:
+            rt.reconfigure({"scale": {"workers": 1}})
+        except ValueError as exc:
+            refused = exc
+        threads, tasks = self._pool(rt)
+        drained = h.await_completion(timeout=20)
+        if drained:
+            # A wedged job's shutdown would wait on the parked sender's
+            # buffer lock for good; only a drained runtime is shut down.
+            rt.shutdown()
+        assert drained, f"wedged after {sink.seen} of 3000 packets"
+        assert sink.seen == 3000
+        assert threads >= tasks == 3
+        assert refused is not None and "'scale'" in str(refused)
+
+    def test_reconfigure_names_the_key_it_cannot_apply(self):
+        g = StreamProcessingGraph("typo", config=small_config())
+        g.add_source("src", lambda: CountingSource(total=100))
+        g.add_processor("sink", CollectingSink)
+        g.link("src", "sink", chain=False)
+        with NeptuneRuntime() as rt:
+            h = rt.submit(g)
+            with pytest.raises(ValueError, match="'retnue'.*'retune'"):
+                rt.reconfigure({"retnue": {"operator": "sink"}})
+            assert rt.reconfigure({})["applied"] == []
+            assert h.await_completion(timeout=30)
+
+    def test_a_second_job_grows_the_pool_to_both_jobs_tasks(self):
+        def graph(name):
+            g = StreamProcessingGraph(name, config=small_config())
+            g.add_source("src", lambda: CountingSource(total=None, interval=0.001))
+            g.add_processor("relay", RelayProcessor, parallelism=2)
+            g.add_processor("sink", CollectingSink)
+            g.link("src", "relay").link("relay", "sink")
+            return g
+
+        with NeptuneRuntime() as rt:
+            first = rt.submit(graph("a"))
+            assert self._pool(rt) == (4, 4)
+            second = rt.submit(graph("b"))
+            assert self._pool(rt) == (8, 8)
+            first.stop(timeout=10)
+            second.stop(timeout=10)

@@ -198,6 +198,32 @@ class TestDistributedRelay:
         assert store == list(range(300))
 
 
+class TestWorkerPool:
+    def test_a_workers_pool_is_its_task_count_floored_at_one(self):
+        g = StreamProcessingGraph("pool", config=NeptuneConfig(buffer_capacity=2048))
+        g.add_source("src", lambda: CountingSource(total=200), parallelism=3)
+        g.add_processor("sink", CollectingSink)
+        g.link("src", "sink")
+        hosted = {("src", i): 0 for i in range(3)}
+        hosted[("sink", 0)] = 0
+        plan = DeploymentPlan(n_workers=2, assignment=hosted)
+        workers = [DistributedWorker(w, g, plan) for w in range(2)]
+        endpoints = {w.worker_id: w.address for w in workers}
+        for w in workers:
+            w.connect(endpoints)
+        job = RemoteDistributedJob(workers)
+        for w in workers:
+            w.start()
+        try:
+            pools = [
+                (len(w.job.tasks()), len(w._resource._threads)) for w in workers
+            ]
+            assert job.await_completion(timeout=60)
+        finally:
+            job.stop()
+        assert pools == [(4, 4), (0, 1)]
+
+
 class TestDistributedFailures:
     def test_processor_failure_surfaces_in_job(self):
         from repro.core.operators import StreamProcessor

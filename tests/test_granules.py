@@ -334,49 +334,68 @@ class TestStop:
             res.stop()
 
 
-class TestResize:
-    def _live_workers(self, res):
-        return sum(1 for t in res._threads if t.is_alive())
+class TestPoolGrowth:
+    """The pool never has fewer threads than live tasks, and only
+    ``launch`` grows it."""
 
-    def test_resize_grows_pool_live(self):
-        q = QueueDataset("in")
-        task = CollectTask("c", q)
-        with Resource("r", workers=1) as res:
-            res.launch(task, DataDrivenStrategy())
-            assert res.resize(3) == 3
-            assert res.workers == 3
-            assert wait_for(lambda: self._live_workers(res) == 3)
-            for i in range(50):
-                q.put(i)
-            assert wait_for(lambda: len(task.seen) == 50)
+    def test_default_floor_is_one(self):
+        with Resource("r") as res:
+            assert len(res._threads) == 1
 
-    def test_resize_shrinks_pool_without_dropping_work(self):
-        q = QueueDataset("in")
-        task = CollectTask("c", q)
-        with Resource("r", workers=4) as res:
-            res.launch(task, DataDrivenStrategy())
-            assert res.resize(1) == 1
-            # Retiring threads exit at their next wakeup.
-            assert wait_for(lambda: self._live_workers(res) == 1)
-            for i in range(50):
-                q.put(i)
-            assert wait_for(lambda: len(task.seen) == 50)
-        assert task.seen == list(range(50))
+    def test_launch_grows_pool_live(self):
+        queues = [QueueDataset(f"in{i}") for i in range(3)]
+        tasks = [CollectTask(f"c{i}", q) for i, q in enumerate(queues)]
+        with Resource("r") as res:
+            for n, task in enumerate(tasks, start=1):
+                res.launch(task, DataDrivenStrategy())
+                assert len(res._threads) == n
+            for q in queues:
+                for i in range(50):
+                    q.put(i)
+            assert wait_for(lambda: all(len(t.seen) == 50 for t in tasks))
 
-    def test_resize_grow_cancels_pending_retirements(self):
-        with Resource("r", workers=4) as res:
-            res.resize(1)
-            res.resize(4)  # net zero: cancels retirements and/or respawns
-            assert res.workers == 4
-            assert wait_for(lambda: self._live_workers(res) == 4)
+    def test_floor_holds_below_task_count(self):
+        with Resource("r", workers=3) as res:
+            res.launch(TickTask("a"), PeriodicStrategy(10))
+            assert len(res._threads) == 3
+            for name in "bcd":
+                res.launch(TickTask(name), PeriodicStrategy(10))
+            assert len(res._threads) == 4
 
-    def test_resize_before_start_records_size(self):
-        res = Resource("r", workers=1)
-        assert res.resize(3) == 3
+    def test_start_spawns_a_thread_per_task_launched_before_it(self):
+        res = Resource("r")
+        for name in "abc":
+            res.launch(TickTask(name), PeriodicStrategy(10))
+        assert res._threads == []
         with res:
-            assert wait_for(lambda: self._live_workers(res) == 3)
+            assert len(res._threads) == 3
 
-    def test_resize_validation(self):
-        with Resource("r", workers=1) as res:
-            with pytest.raises(ValueError):
-                res.resize(0)
+    def test_a_terminated_task_leaves_its_thread_to_the_next(self):
+        with Resource("r") as res:
+            res.launch(TickTask("a"), PeriodicStrategy(10))
+            res.launch(TickTask("b"), PeriodicStrategy(10))
+            res.terminate_task("a")
+            res.launch(TickTask("c"), PeriodicStrategy(10))
+            assert len(res._threads) == 2
+
+    def test_every_task_can_block_at_once(self):
+        """A blocked emit parks its thread: with a thread per task,
+        every task can be parked and the last one still runs."""
+        barrier = threading.Barrier(4, timeout=5)
+
+        class Parks(ComputationalTask):
+            def __init__(self, task_id):
+                super().__init__(task_id)
+                self.passed = False
+
+            def execute(self, context=None):
+                if not self.passed:
+                    barrier.wait()
+                    self.passed = True
+
+        tasks = [Parks(f"p{i}") for i in range(4)]
+        with Resource("r") as res:
+            for task in tasks:
+                res.launch(task, PeriodicStrategy(interval=0.001))
+            assert wait_for(lambda: all(t.passed for t in tasks))
+        assert not barrier.broken

@@ -102,6 +102,11 @@ def test_unbuildable_partitioning_spec_is_typed():
             _desc([{"from": "src", "to": "sink", "compression": {"level": 9}}]),
             "link 'src'->'sink': 'compression' must be true, false or null",
         ),
+        # A pool has a thread per task; its size is not a config field.
+        (
+            {"name": "x", "operators": [], "config": {"worker_threads": 4}},
+            "bad descriptor config: .*worker_threads",
+        ),
     ],
 )
 def test_malformed_descriptors_raise_descriptor_error(desc, match):

@@ -1,6 +1,6 @@
 """The elasticity policy engine: doctor → policy handoff, the decision
-table, cooldown/cap suppression, recovery reverts, and the byte-identical
-action-log determinism contract."""
+table (and what it declines), cooldown/cap suppression, and the
+byte-identical action-log determinism contract."""
 
 import json
 
@@ -126,21 +126,23 @@ class TestDecisionTable:
             "root_cause": dict(episode["causes"][0]),
         }
 
-    def test_execute_bound_breach_scales_then_reverts_on_recover(self):
+    def test_execute_bound_breach_is_declined_with_a_warning(self):
         report = self._report(
             "backpressure_cascade",
             worker=1,
             stage={"stage": "execute", "seconds": 1.0, "fraction": 0.9},
         )
+        observer = RuntimeObserver()
         engine = PolicyEngine()
-        actions = engine.observe(5, [("s.p99_latency", "breach")], report)
-        assert [a.kind for a in actions] == ["scale"]
-        assert actions[0].params["workers_delta"] == policy.SCALE_STEP
-        assert actions[0].worker == 1
-        revert = engine.observe(40, [("s.p99_latency", "recover")], report)
-        assert [a.kind for a in revert] == ["scale"]
-        assert revert[0].params["workers_delta"] == -policy.SCALE_STEP
-        assert revert[0].cause == "recovered"
+        assert engine.observe(5, [("s.p99_latency", "breach")], report, observer) == []
+        assert engine.decisions == []
+        assert len(engine.warnings) == 1
+        assert "sink is CPU-bound (backpressure_cascade)" in engine.warnings[0]
+        events = [e for e in snapshot(observer)["events"] if e["category"] == "policy"]
+        assert [e["name"] for e in events] == ["no_action"]
+        # Recovery has nothing to revert.
+        assert engine.observe(40, [("s.p99_latency", "recover")], report) == []
+        assert engine.decisions == []
 
     def test_buffer_bound_breach_retunes_not_scales(self):
         report = self._report(
@@ -150,22 +152,18 @@ class TestDecisionTable:
         actions = PolicyEngine().observe(5, [("s.p99_latency", "breach")], report)
         assert [a.kind for a in actions] == ["retune"]
 
-    def test_compute_bound_breach_scales_then_reverts_on_recover(self):
-        # The profiler's attribution is direct evidence the operator is
-        # burning CPU, so the policy scales without needing a dominant
-        # execute stage from the traces.
+    def test_compute_bound_breach_is_declined_with_a_warning(self):
+        # The profiler's attribution says the operator burns CPU; it
+        # already has a thread of its own, so no worker-local change
+        # helps, and the breach does not count against the operator.
         report = self._report("compute_bound", operator="spin", worker="1")
         engine = PolicyEngine()
-        actions = engine.observe(5, [("s.p99_latency", "breach")], report)
-        assert [a.kind for a in actions] == ["scale"]
-        assert actions[0].operator == "spin"
-        assert actions[0].worker == 1  # engine normalizes worker ids to int
-        assert actions[0].params["workers_delta"] == policy.SCALE_STEP
-        assert "dominates sampled CPU" in actions[0].reason
-        revert = engine.observe(40, [("s.p99_latency", "recover")], report)
-        assert [a.kind for a in revert] == ["scale"]
-        assert revert[0].params["workers_delta"] == -policy.SCALE_STEP
-        assert revert[0].cause == "recovered"
+        assert engine.observe(5, [("s.p99_latency", "breach")], report) == []
+        assert engine.warnings and "spin is CPU-bound (compute_bound)" in engine.warnings[0]
+        assert engine.suppressed == 0
+        assert engine.observe(40, [("s.p99_latency", "recover")], report) == []
+        assert engine.decisions == []
+        assert engine.status()["actions_by_kind"] == {}
 
     def test_injected_fault_with_worker_migrates(self):
         report = self._report("injected_fault", worker="2")
@@ -194,6 +192,9 @@ class TestDecisionTable:
             engine.observe(scan, [("s.p99_latency", "breach")], report)
         assert len(engine.decisions) == 2
         assert engine.suppressed == 3
+
+    def test_only_retune_and_migrate_are_actions(self):
+        assert policy.ACTION_KINDS == ("retune", "migrate")
 
     def test_status_summarizes(self):
         report = self._report("backpressure_cascade")
@@ -264,6 +265,7 @@ class _FakeTarget:
 
 class TestApply:
     def test_action_to_changes_retune_and_scale(self):
+        # A retune translates; a "scale" (an old log's kind) is refused.
         retune = ReconfigAction(
             scan=1, kind="retune", operator="sink", slo="s", cause="c", reason="r",
             params={"operator": "sink", "where": "into", "max_delay": 0.05,
@@ -281,7 +283,8 @@ class TestApply:
             scan=1, kind="scale", operator="sink", slo="s", cause="c", reason="r",
             params={"workers_delta": 2},
         )
-        assert action_to_changes(scale) == {"scale": {"workers_delta": 2}}
+        with pytest.raises(ValueError, match="not a worker-local"):
+            action_to_changes(scale)
 
     def test_migrate_is_not_worker_local(self):
         migrate = ReconfigAction(
@@ -294,9 +297,12 @@ class TestApply:
     def test_apply_action_calls_reconfigure(self):
         target = _FakeTarget()
         action = ReconfigAction(
-            scan=1, kind="scale", operator="sink", slo="s", cause="c", reason="r",
-            params={"workers_delta": 1},
+            scan=1, kind="retune", operator="sink", slo="s", cause="c", reason="r",
+            params={"operator": "sink", "max_delay": 0.05},
         )
         report = apply_action(target, action)
-        assert target.calls == [{"scale": {"workers_delta": 1}}]
+        assert target.calls == [
+            {"retune": {"operator": "sink", "where": "into", "max_delay": 0.05,
+                        "capacity": None}}
+        ]
         assert report["applied"] == [{"kind": "noop"}]
